@@ -106,6 +106,19 @@ def _run_halfline_shift(params, tol):
     return entries, _echo(tol, m=m, T=T, r=r, K=K, samples=_samples_str(samples))
 
 
+def _pair_law_entries(pair: PairOfSemigroups, samples, tol):
+    """Generator isometries, per-axis semigroup laws and the commutator of a pair."""
+    out = Report("pair", entries=[
+        _generator_isometry_entry(pair.first, "generator_isometry_axis1"),
+        _generator_isometry_entry(pair.second, "generator_isometry_axis2")])
+    out.extend_prefixed("axis1:", check_semigroup_law(pair.first, samples, tol))
+    out.extend_prefixed("axis2:", check_semigroup_law(pair.second, samples, tol))
+    verdict = classify_pair(pair, samples, tol)
+    out.entries.append(CheckEntry("commutator", verdict.comm_residual, (),
+                                  verdict.comm_residual <= tol.resid_abs))
+    return out.entries, verdict
+
+
 def _run_bishift(params, tol):
     m = _get_int(params, "m", 2)
     T = _get_int(params, "T", 2)
@@ -113,16 +126,7 @@ def _run_bishift(params, tol):
     K = _get_int(params, "K", m * T + 2)
     samples = _get_samples(params, "1/2,1" if m > 1 else "1,2")
     pair = bishift_families(QuadrantGrid2D(m, T, r))
-    entries = [_generator_isometry_entry(pair.first, "generator_isometry_axis1"),
-               _generator_isometry_entry(pair.second, "generator_isometry_axis2")]
-    for tag, family in (("axis1:", pair.first), ("axis2:", pair.second)):
-        law = check_semigroup_law(family, samples, tol)
-        for entry in law.entries:
-            entries.append(CheckEntry(tag + entry.check_id, entry.residual, entry.dims,
-                                      entry.passed, entry.note))
-    verdict = classify_pair(pair, samples, tol)
-    entries.append(CheckEntry("commutator", verdict.comm_residual, (),
-                              verdict.comm_residual <= tol.resid_abs))
+    entries, verdict = _pair_law_entries(pair, samples, tol)
     entries.append(CheckEntry("adjoint_commutator", verdict.double_comm_residual, (),
                               verdict.double_comm_residual <= tol.resid_abs))
     entries.append(CheckEntry("classified", 0.0, (), verdict.classified == "doubly_commuting",
@@ -143,16 +147,7 @@ def _run_modified_bishift(params, tol):
     r = _get_int(params, "r", 1)
     samples = _get_samples(params, "1")
     pair = modified_bishift_families(LRegionIndex(m, T, r))
-    entries = [_generator_isometry_entry(pair.first, "generator_isometry_axis1"),
-               _generator_isometry_entry(pair.second, "generator_isometry_axis2")]
-    for tag, family in (("axis1:", pair.first), ("axis2:", pair.second)):
-        law = check_semigroup_law(family, samples, tol)
-        for entry in law.entries:
-            entries.append(CheckEntry(tag + entry.check_id, entry.residual, entry.dims,
-                                      entry.passed, entry.note))
-    verdict = classify_pair(pair, samples, tol)
-    entries.append(CheckEntry("commutator", verdict.comm_residual, (),
-                              verdict.comm_residual <= tol.resid_abs))
+    entries, verdict = _pair_law_entries(pair, samples, tol)
     entries.append(CheckEntry("adjoint_commutator_witness", verdict.double_comm_residual, (),
                               verdict.double_comm_residual > tol.resid_abs,
                               "a nonzero value is the expected witness"))
@@ -230,11 +225,9 @@ def _run_four_block_ddc(params, tol):
     return entries, _echo(tol, m=m, T=T, p=p, circ=circ, K=K, max_orbit=max_orbit)
 
 
-def _run_commutant_e(params, tol):
-    m = _get_int(params, "m", 2)
-    r = _get_int(params, "r", 1)
-    result = commutant_of_partial_isometries(m, r, tol)
-    entries = [
+def _commutant_entries(result, r: int, tol) -> list[CheckEntry]:
+    """Dimension r^2 and the fiber-scalar form of a solved commutant."""
+    return [
         CheckEntry("dimension", 0.0, (result.dim,), result.dim == r * r,
                    f"expected {r * r}"),
         CheckEntry("structure", result.max_structure_residual, (),
@@ -242,22 +235,20 @@ def _run_commutant_e(params, tol):
         CheckEntry("reconstruction", result.max_structure_residual, (),
                    result.max_structure_residual <= tol.resid_abs),
     ]
-    return entries, _echo(tol, m=m, r=r)
+
+
+def _run_commutant_e(params, tol):
+    m = _get_int(params, "m", 2)
+    r = _get_int(params, "r", 1)
+    result = commutant_of_partial_isometries(m, r, tol)
+    return _commutant_entries(result, r, tol), _echo(tol, m=m, r=r)
 
 
 def _run_commutant_mz(params, tol):
     d = _get_int(params, "d", 1)
     r = _get_int(params, "r", 1)
     result = doubly_commutant_of_mz(d, r, tol)
-    entries = [
-        CheckEntry("dimension", 0.0, (result.dim,), result.dim == r * r,
-                   f"expected {r * r}"),
-        CheckEntry("structure", result.max_structure_residual, (),
-                   result.structure_verdict == "fiber_scalar", result.structure_verdict),
-        CheckEntry("reconstruction", result.max_structure_residual, (),
-                   result.max_structure_residual <= tol.resid_abs),
-    ]
-    return entries, _echo(tol, d=d, r=r)
+    return _commutant_entries(result, r, tol), _echo(tol, d=d, r=r)
 
 
 def _bcl_default_samples(T: int, m: int) -> list[Fraction]:
@@ -293,21 +284,18 @@ def _run_dual_example(params, tol):
     setup = duality.l_region_setup(m, T, r)
     dual = duality.dual_pair(setup, max_orbit, tol)
     model1, model2 = bishift_pair(QuadrantGrid2D(m, T, r), Fraction(1, m))
-    entries = []
+    out = Report("dual_example")
     for axis, (got, model) in enumerate(((dual.pair.first.generator, model1),
                                          (dual.pair.second.generator, model2)), start=1):
         exact = (np.array_equal(got.matrix, model.matrix)
                  and got.faithful == model.faithful)
-        entries.append(CheckEntry(f"dual_equals_bishift_axis{axis}",
-                                  residual_norm(got.matrix, model.matrix),
-                                  (got.domain_dim,), exact, "integer equality"))
-    entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
-                              dual.wth.dim == (m * T) ** 2 * r))
-    cnu = duality.dual_cnu_check(setup, K, tol, max_orbit)
-    for entry in cnu.entries:
-        entries.append(CheckEntry("cnu:" + entry.check_id, entry.residual, entry.dims,
-                                  entry.passed, entry.note))
-    return entries, _echo(tol, m=m, T=T, r=r, K=K, max_orbit=max_orbit)
+        out.entries.append(CheckEntry(f"dual_equals_bishift_axis{axis}",
+                                      residual_norm(got.matrix, model.matrix),
+                                      (got.domain_dim,), exact, "integer equality"))
+    out.entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
+                                  dual.wth.dim == (m * T) ** 2 * r))
+    out.extend_prefixed("cnu:", duality.dual_cnu_check(setup, K, tol, max_orbit))
+    return out.entries, _echo(tol, m=m, T=T, r=r, K=K, max_orbit=max_orbit)
 
 
 def _run_double_dual(params, tol):

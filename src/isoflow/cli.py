@@ -63,10 +63,16 @@ def main(argv=None) -> int:
         return 2
     try:
         scenarios = load_scenarios(args.config, args.tol)
-        reports = [run_scenario(s) for s in scenarios]
     except IsoflowError as exc:
         print(f"isoflow: error: {exc}", file=sys.stderr)
         return 2
+    reports = []
+    for scenario in scenarios:
+        try:
+            reports.append(run_scenario(scenario))
+        except IsoflowError as exc:
+            print(f"isoflow: error: [{scenario.name}] {exc}", file=sys.stderr)
+            return 2
     text = render_reports(reports, version=__version__)
     sys.stdout.write(text)
     if args.out is not None:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed
 from .numlin import (DEFAULT_TOL, Tolerances, column_restricted_residual, nullspace,
-                     residual_norm, spectral_norm)
+                     residual_norm)
 from .report import CheckEntry, Report
-from .semigroups import SemigroupFamily, partial_isometry_pair
+from .semigroups import SemigroupFamily, _pair_residual, partial_isometry_pair
 from .spaces import lambda_reorder
 
 __all__ = [
@@ -44,10 +44,6 @@ class CommutantBasis:
     basis: tuple[np.ndarray, ...]
     structure_verdict: str  # "fiber_scalar" | "other"
     max_structure_residual: float
-
-
-def _vec(matrix: np.ndarray) -> np.ndarray:
-    return matrix.reshape(-1, order="F")
 
 
 def _unvec(vector: np.ndarray, n: int) -> np.ndarray:
@@ -178,10 +174,11 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
         if normality > tol.resid_abs:
             raise PreconditionFailed(f"element at t={time} is not normal ({normality:.3e})")
         v = shift_family.at_time(time)
-        comm = _restricted_pair_residual(a, v)
+        comm, _ = _pair_residual(a.compose(v), v.compose(a)) or (0.0, 0)
         entries.append(CheckEntry(f"t={time}:commutator", comm, (), True))
         if comm <= tol.resid_abs:
-            double = _restricted_pair_residual(a, v.adjoint())
+            v_adj = v.adjoint()
+            double, _ = _pair_residual(a.compose(v_adj), v_adj.compose(a)) or (0.0, 0)
             entries.append(CheckEntry(f"t={time}:adjoint_commutator", double, (),
                                       double <= 10 * tol.resid_abs))
             full_cells = [k for k in range(cells)
@@ -197,12 +194,3 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
             entries.append(CheckEntry(f"t={time}:fiber_form", structure, (len(full_cells),),
                                       structure <= 10 * tol.resid_abs))
     return Report(scenario="fuglede_instance", entries=entries)
-
-
-def _restricted_pair_residual(a, b) -> float:
-    x = a.compose(b)
-    y = b.compose(a)
-    columns = x.faithful & y.faithful
-    if not columns:
-        return 0.0
-    return column_restricted_residual(x.matrix, y.matrix, columns)

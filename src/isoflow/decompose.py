@@ -23,12 +23,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, column_restricted_residual,
-                     complement, intersect, orthonormal_basis, residual_norm,
-                     spectral_norm)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_rows,
+                     column_restricted_residual, complement, intersect, orthonormal_basis,
+                     residual_norm, spectral_norm)
 from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, grid_steps,
-                         halfline_shift, phi_multiplier)
+from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _escapes,
+                         _pair_residual, halfline_shift, phi_multiplier)
 from .spaces import CellGrid1D, w_unitary
 
 __all__ = [
@@ -134,13 +134,6 @@ def is_cnu(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAULT_TO
     return result.stabilized and result.unitary_part.dim == 0
 
 
-def _pair_residual(x: WindowedMap, y: WindowedMap) -> tuple[float, int] | None:
-    columns = x.faithful & y.faithful
-    if not columns:
-        return None
-    return column_restricted_residual(x.matrix, y.matrix, columns), len(columns)
-
-
 def classify_pair(pair: PairOfSemigroups, samples, tol: Tolerances = DEFAULT_TOL) -> CommutationReport:
     """Classify a pair as commuting / doubly commuting / neither.
 
@@ -226,14 +219,14 @@ def bcl_check(T: int, m: int, r: int, samples, tol: Tolerances = DEFAULT_TOL) ->
     """
     grid = CellGrid1D(m, T, r)
     w = w_unitary(T, m, r)
-    w_image = {i: int(np.flatnonzero(w[:, i])[0]) for i in range(grid.dim)}
+    w_image = _unit_rows(w)
     entries = []
     for t in samples:
         time = Fraction(t)
         shift = halfline_shift(grid, time)
         multiplier = phi_multiplier(T - 1, m, r, time)
         conjugated = w @ shift.matrix @ w.conj().T
-        columns = {w_image[i] for i in shift.faithful} & multiplier.faithful
+        columns = set(w_image[list(shift.faithful)].tolist()) & multiplier.faithful
         if not columns:
             raise WindowTooSmall(f"time {time} leaves no faithful window")
         residual = column_restricted_residual(conjugated, multiplier.matrix, columns)
@@ -252,7 +245,6 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
     eye = np.eye(z.shape[0])
     if max(residual_norm(z.conj().T @ z, eye), residual_norm(z @ z.conj().T, eye)) > tol.resid_abs:
         raise PreconditionFailed("supplied conjugation is not unitary within tolerance")
-    row_support = {i: frozenset(int(x) for x in np.flatnonzero(z[i, :])) for i in range(z.shape[0])}
     entries = []
     usable = 0
     for axis, (fam_a, fam_b) in enumerate(((pair_a.first, pair_b.first),
@@ -262,7 +254,7 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
             a = fam_a.at_time(time)
             b = fam_b.at_time(time)
             conjugated = z @ a.matrix @ z.conj().T
-            columns = {i for i in b.faithful if row_support[i] <= a.faithful}
+            columns = b.faithful.difference(np.flatnonzero(_escapes(z.T, a.faithful)).tolist())
             check_id = f"axis{axis}_t={time}"
             if not columns:
                 entries.append(CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped"))

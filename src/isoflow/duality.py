@@ -30,14 +30,15 @@ import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, column_restricted_residual,
-                     intersect, orthonormal_basis, residual_norm, spectral_norm,
-                     subtract)
-from .decompose import (classify_pair, fourfold_decompose, product_unitary_part,
-                        wold_cooper)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_rows,
+                     column_restricted_residual, orthonormal_basis, residual_norm,
+                     spectral_norm, subtract)
+from .decompose import (_reduction_residual, classify_pair, fourfold_decompose,
+                        product_unitary_part)
 from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, circulant_unitary,
-                         direct_sum, modified_bishift_pair, torus_translation)
+from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _escapes,
+                         circulant_unitary, direct_sum, modified_bishift_pair,
+                         torus_translation)
 from .spaces import LRegionIndex
 
 __all__ = [
@@ -62,24 +63,18 @@ __all__ = [
 _UNITARY_ATOL = 1e-12
 
 
-def _supp(vector: np.ndarray) -> frozenset[int]:
-    return frozenset(int(i) for i in np.flatnonzero(vector))
-
-
 @dataclass(frozen=True, eq=False)
 class ExtensionSetup:
     """Commuting ambient unitaries plus the embedded original subspace.
 
     The unitaries are carried as WindowedMaps so that their own exactness
     windows (wrap-affected cells of a cyclic ambient) propagate into every
-    compression.  ``physical_window`` records the ambient indices that
-    represent the modeled region; it is echoed into reports.
+    compression.
     """
 
     u1: WindowedMap
     u2: WindowedMap
     h: Subspace
-    physical_window: frozenset[int]
     cells_per_unit: int = 1
     label: str = ""
     geometry: LRegionIndex | None = None
@@ -99,8 +94,6 @@ class ExtensionSetup:
             raise InvalidInput("ambient unitaries do not commute")
         if self.cells_per_unit < 1:
             raise InvalidInput("cells_per_unit must be >= 1")
-        object.__setattr__(self, "physical_window",
-                           frozenset(int(i) for i in self.physical_window))
 
     @property
     def ambient_dim(self) -> int:
@@ -165,30 +158,15 @@ def _compress(u: WindowedMap, sub: Subspace) -> WindowedMap:
     """
     if sub.cells is not None:
         cells = list(sub.cells)
-        cellset = frozenset(cells)
         matrix = u.matrix[np.ix_(cells, cells)]
+        escapes = _escapes(u.matrix, cells)[cells]
         faithful = frozenset(
-            pos for pos, c in enumerate(cells)
-            if c in u.faithful and _supp(u.matrix[:, c]) <= cellset)
+            pos for pos, c in enumerate(cells) if c in u.faithful and not escapes[pos])
         adj_faithful = frozenset(
             pos for pos, c in enumerate(cells) if c in u.adj_faithful)
         return WindowedMap(matrix, faithful, adj_faithful, u.domain, u.codomain)
     matrix = sub.basis.conj().T @ u.matrix @ sub.basis
     return WindowedMap.full(matrix, u.domain, u.codomain)
-
-
-def _generalized_permutation(matrix: np.ndarray) -> np.ndarray | None:
-    """Column -> row support map when the matrix has one nonzero per row/column."""
-    n = matrix.shape[0]
-    image = np.empty(n, dtype=np.int64)
-    for col in range(n):
-        support = np.flatnonzero(matrix[:, col])
-        if support.size != 1:
-            return None
-        image[col] = support[0]
-    if len(set(image.tolist())) != n:
-        return None
-    return image
 
 
 def _power_maps(perm: np.ndarray, radius: int) -> dict[int, np.ndarray]:
@@ -207,11 +185,10 @@ def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace,
     """Span of U1^a U2^b (start) over the box |a|, |b| <= A, grown until stable."""
     if max_orbit < 1:
         raise InvalidInput("max_orbit must be >= 1")
-    p1 = _generalized_permutation(u1.matrix)
-    p2 = _generalized_permutation(u2.matrix)
-    if start.cells is not None and p1 is not None and p2 is not None:
-        pw1 = _power_maps(p1, max_orbit)
-        pw2 = _power_maps(p2, max_orbit)
+    perms = [_unit_rows(u.matrix) for u in (u1, u2)]
+    if start.cells is not None and all(
+            p is not None and len(set(p.tolist())) == p.size for p in perms):
+        pw1, pw2 = (_power_maps(p, max_orbit) for p in perms)
         base = np.array(start.cells, dtype=np.int64)
 
         def box(radius: int) -> frozenset[int]:
@@ -369,15 +346,16 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
     dual_setup = replace(setup, u1=setup.u1.adjoint(), u2=setup.u2.adjoint(),
                          h=first_dual.wth, label=f"{self_label(setup)}~")
     second_dual = dual_pair(dual_setup, max_orbit, tol)
+    minimality_gap = second_dual.obh.gap(first_dual.obh)
+    recovered_gap = second_dual.wth.gap(setup.h)
     entries = [
-        CheckEntry("minimality_gap", second_dual.obh.gap(first_dual.obh),
-                   (second_dual.obh.dim,),
-                   second_dual.obh.gap(first_dual.obh) <= tol.resid_abs),
+        CheckEntry("minimality_gap", minimality_gap, (second_dual.obh.dim,),
+                   minimality_gap <= tol.resid_abs),
         CheckEntry("minimality_radius", 0.0, (second_dual.radius,),
                    radius_bound is None or second_dual.radius <= radius_bound,
                    f"orbit stabilized at radius {second_dual.radius}"),
-        CheckEntry("recovered_space_gap", second_dual.wth.gap(setup.h),
-                   (second_dual.wth.dim,), second_dual.wth.gap(setup.h) <= tol.resid_abs),
+        CheckEntry("recovered_space_gap", recovered_gap, (second_dual.wth.dim,),
+                   recovered_gap <= tol.resid_abs),
     ]
     recovered = second_dual.pair
     for axis, (rec, orig) in enumerate(((recovered.first, original.first),
@@ -458,21 +436,8 @@ def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int,
     gens = [pair.first.generator, pair.second.generator]
     reduction = max(
         product.reduction_residual,
-        *(_part_reduction(part, gens) for part in (h_m, h_pu, h_up, h_uu_local)))
+        *(_reduction_residual(part, gens) for part in (h_m, h_pu, h_up, h_uu_local)))
     return DualFourfoldResult(h_m, h_pu, h_up, h_uu_local, tilde_dims, ortho, reduction)
-
-
-def _part_reduction(part: Subspace, generators) -> float:
-    if part.dim == 0:
-        return 0.0
-    p = part.projector()
-    worst = 0.0
-    for gen in generators:
-        cols = sorted(gen.faithful)
-        if not cols:
-            continue
-        worst = max(worst, spectral_norm((p @ gen.matrix - gen.matrix @ p)[:, cols]))
-    return worst
 
 
 def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbit: int,
@@ -604,7 +569,6 @@ def l_region_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
         u1=_torus_unitary(region, 0, forward=False),
         u2=_torus_unitary(region, 1, forward=False),
         h=Subspace.from_cells(region.parent.dim, region.l_cells()),
-        physical_window=frozenset(range(region.parent.dim)),
         cells_per_unit=m,
         label=f"l_region(m={m},T={T},r={r})",
         geometry=region)
@@ -617,7 +581,6 @@ def bishift_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
         u1=_torus_unitary(region, 0, forward=True),
         u2=_torus_unitary(region, 1, forward=True),
         h=Subspace.from_cells(region.parent.dim, region.quadrant_cells()),
-        physical_window=frozenset(range(region.parent.dim)),
         cells_per_unit=m,
         label=f"bishift_setup(m={m},T={T},r={r})",
         geometry=region)
@@ -644,16 +607,15 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     h = Subspace.from_cells(n * p, [k * p + rho for k in range(m * T, n) for rho in range(p)])
     u1, u2 = (u_fiber, u_shift) if unitary_first else (u_shift, u_fiber)
     kind = "circulant_x_shift" if unitary_first else "shift_x_circulant"
-    return ExtensionSetup(u1, u2, h, frozenset(range(n * p)), m,
-                          f"{kind}(m={m},T={T},p={p})")
+    return ExtensionSetup(u1, u2, h, m, f"{kind}(m={m},T={T},p={p})")
 
 
 def circulant_pair_setup(n1: int, n2: int, cells_per_unit: int = 1) -> ExtensionSetup:
     """Two commuting cyclic rotations with the full space embedded."""
     u1 = WindowedMap.full(np.kron(circulant_unitary(n1, 1), np.eye(n2, dtype=np.complex128)))
     u2 = WindowedMap.full(np.kron(np.eye(n1, dtype=np.complex128), circulant_unitary(n2, 1)))
-    return ExtensionSetup(u1, u2, Subspace.full(n1 * n2), frozenset(range(n1 * n2)),
-                          cells_per_unit, f"circulant_pair({n1},{n2})")
+    return ExtensionSetup(u1, u2, Subspace.full(n1 * n2), cells_per_unit,
+                          f"circulant_pair({n1},{n2})")
 
 
 def setup_direct_sum(*setups: ExtensionSetup, label: str = "") -> ExtensionSetup:
@@ -666,14 +628,11 @@ def setup_direct_sum(*setups: ExtensionSetup, label: str = "") -> ExtensionSetup
     u1 = direct_sum(*(s.u1 for s in setups))
     u2 = direct_sum(*(s.u2 for s in setups))
     cells: list[int] = []
-    window: set[int] = set()
     offset = 0
     for s in setups:
         if s.h.cells is None:
             raise InvalidInput("direct sums require coordinate subspaces")
         cells.extend(offset + c for c in s.h.cells)
-        window.update(offset + c for c in s.physical_window)
         offset += s.ambient_dim
-    return ExtensionSetup(u1, u2, Subspace.from_cells(offset, cells), frozenset(window),
-                          setups[0].cells_per_unit,
+    return ExtensionSetup(u1, u2, Subspace.from_cells(offset, cells), setups[0].cells_per_unit,
                           label or "(+)".join(self_label(s) for s in setups))

@@ -11,9 +11,11 @@ Two rules shape the implementation:
 * Exactness.  The constructors in this package produce 0/1-valued,
   permutation-like data.  The primitives detect such input and
   short-circuit to integer-exact arithmetic, so identities that hold
-  exactly are reported as exactly zero, not as 1e-16 noise.  Subspaces
-  spanned by standard basis vectors carry their coordinate index set in
-  ``cells`` and set arithmetic is used whenever both operands have one.
+  exactly are reported as exactly zero, not as 1e-16 noise.  The one
+  probe for that structure is ``_unit_rows`` (the row of each column's
+  single nonzero entry); a basis whose columns are distinct standard
+  basis vectors carries their index set in ``cells``, and set arithmetic
+  is used whenever both operands have one.
 
 Zero-dimensional subspaces are ordinary values throughout, never errors.
 """
@@ -80,17 +82,26 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
+def _unit_rows(matrix: np.ndarray) -> np.ndarray | None:
+    """Row of each column's single nonzero entry.
+
+    None when some column has no nonzero entry or more than one.
+    """
+    nonzero = matrix != 0
+    if not (np.count_nonzero(nonzero, axis=0) == 1).all():
+        return None
+    return nonzero.argmax(axis=0)
+
+
 def _coordinate_cells(basis: np.ndarray) -> tuple[int, ...] | None:
     """Return the coordinate set when columns are exactly standard basis vectors."""
-    cells = []
-    for col in range(basis.shape[1]):
-        support = np.flatnonzero(basis[:, col])
-        if support.size != 1 or basis[support[0], col] != 1.0:
-            return None
-        cells.append(int(support[0]))
-    if len(set(cells)) != len(cells):
+    rows = _unit_rows(basis)
+    if rows is None or not (basis[rows, np.arange(basis.shape[1])] == 1.0).all():
         return None
-    return tuple(sorted(cells))
+    cells = np.sort(rows)
+    if (cells[1:] == cells[:-1]).any():
+        return None
+    return tuple(cells.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +194,7 @@ def column_restricted_residual(a: np.ndarray, b: np.ndarray, columns) -> float:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     if not cols:
         raise InvalidInput("empty column restriction")
-    diff = a[:, cols] - b[:, cols]
-    if not diff.any():
-        return 0.0
-    return float(np.linalg.svd(diff, compute_uv=False)[0])
+    return spectral_norm(a[:, cols] - b[:, cols])
 
 
 def orthonormal_basis(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -21,14 +21,13 @@ otherwise; nothing is interpolated.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import as_matrix, column_restricted_residual
+from .numlin import DEFAULT_TOL, Tolerances, as_matrix, column_restricted_residual
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 
@@ -71,8 +70,26 @@ def grid_steps(t, cells_per_unit: int) -> int:
     return int(steps)
 
 
-def _supp(vector: np.ndarray) -> frozenset[int]:
-    return frozenset(int(i) for i in np.flatnonzero(vector))
+def _escapes(matrix: np.ndarray, window) -> np.ndarray:
+    """Mask of the columns with a nonzero entry in some row outside ``window``.
+
+    This is the support rule: column i of B stays faithful under A o B only
+    when supp(B e_i) lies inside the window of A.
+    """
+    outside = np.ones(matrix.shape[0], dtype=bool)
+    outside[list(window)] = False
+    return matrix[outside].any(axis=0)
+
+
+def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | None:
+    """Residual of x - y on the columns faithful for both, with their count.
+
+    None when no column is faithful for both.
+    """
+    columns = x.faithful & y.faithful
+    if not columns:
+        return None
+    return column_restricted_residual(x.matrix, y.matrix, columns), len(columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +137,10 @@ class WindowedMap:
             raise DimensionMismatch(
                 f"cannot compose {self.matrix.shape} after {other.matrix.shape}")
         matrix = self.matrix @ other.matrix
-        faithful = frozenset(
-            i for i in other.faithful if _supp(other.matrix[:, i]) <= self.faithful)
-        adj_faithful = frozenset(
-            i for i in self.adj_faithful if _supp(self.matrix[i, :]) <= other.adj_faithful)
-        return WindowedMap(matrix, faithful, adj_faithful, other.domain, self.codomain)
+        kept = np.flatnonzero(~_escapes(other.matrix, self.faithful)).tolist()
+        adj_kept = np.flatnonzero(~_escapes(self.matrix.T, other.adj_faithful)).tolist()
+        return WindowedMap(matrix, other.faithful.intersection(kept),
+                           self.adj_faithful.intersection(adj_kept), other.domain, self.codomain)
 
     def __matmul__(self, other: "WindowedMap") -> "WindowedMap":
         return self.compose(other)
@@ -133,17 +149,13 @@ class WindowedMap:
         return WindowedMap(self.matrix.conj().T, self.adj_faithful, self.faithful,
                            self.codomain, self.domain)
 
-    def apply_to_cell(self, i: int) -> np.ndarray:
-        return self.matrix[:, i]
-
 
 class SemigroupFamily:
     """Discrete one-parameter family generated by a single step map.
 
     ``element(j)`` is the j-fold composition of the generator at time
     j / cells_per_unit; element(0) is the identity with full window.
-    Composed powers are memoized behind a lock, so concurrent use behaves
-    exactly like recomputation.
+    Composed powers are memoized, so repeated requests return the same map.
     """
 
     def __init__(self, generator: WindowedMap, label: str = "", cells_per_unit: int = 1):
@@ -156,7 +168,6 @@ class SemigroupFamily:
         self._m = int(cells_per_unit)
         self._cache: dict[int, WindowedMap] = {
             0: WindowedMap.identity(generator.domain_dim, generator.domain)}
-        self._lock = threading.Lock()
 
     @property
     def generator(self) -> WindowedMap:
@@ -178,12 +189,11 @@ class SemigroupFamily:
         if int(steps) != steps or steps < 0:
             raise InvalidInput(f"step count must be a nonnegative integer, got {steps!r}")
         steps = int(steps)
-        with self._lock:
-            top = max(self._cache)
-            while top < steps:
-                self._cache[top + 1] = self._generator.compose(self._cache[top])
-                top += 1
-            return self._cache[steps]
+        top = max(self._cache)
+        while top < steps:
+            self._cache[top + 1] = self._generator.compose(self._cache[top])
+            top += 1
+        return self._cache[steps]
 
     def at_time(self, t) -> WindowedMap:
         return self.element(grid_steps(t, self._m))
@@ -456,15 +466,13 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
     return WindowedMap(mat, faithful, adj, domain, codomain)
 
 
-def check_semigroup_law(family: SemigroupFamily, samples, tol=None) -> Report:
+def check_semigroup_law(family: SemigroupFamily, samples,
+                        tol: Tolerances = DEFAULT_TOL) -> Report:
     """Verify element(s+t) = element(s) o element(t) on composed windows.
 
     Sample pairs whose composed window is empty are skipped; if no pair
     leaves anything checkable the window is too small for the request.
     """
-    from .numlin import DEFAULT_TOL
-
-    tol = tol or DEFAULT_TOL
     steps = sorted({grid_steps(t, family.cells_per_unit) for t in samples})
     if not steps:
         raise InvalidInput("no sample times given")
@@ -472,17 +480,15 @@ def check_semigroup_law(family: SemigroupFamily, samples, tol=None) -> Report:
     usable = 0
     for a_pos, s in enumerate(steps):
         for t in steps[a_pos:]:
-            combined = family.element(s + t)
-            composed = family.element(s).compose(family.element(t))
-            columns = combined.faithful & composed.faithful
+            got = _pair_residual(family.element(s + t),
+                                 family.element(s).compose(family.element(t)))
             check_id = f"law_{Fraction(s, family.cells_per_unit)}+{Fraction(t, family.cells_per_unit)}"
-            if not columns:
+            if got is None:
                 entries.append(CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped"))
                 continue
             usable += 1
-            residual = column_restricted_residual(combined.matrix, composed.matrix, columns)
-            entries.append(CheckEntry(check_id, residual, (len(columns),),
-                                      residual <= tol.resid_abs))
+            residual, count = got
+            entries.append(CheckEntry(check_id, residual, (count,), residual <= tol.resid_abs))
     if not usable:
         raise WindowTooSmall("every sample pair exhausts the window")
     return Report(scenario=f"semigroup_law[{family.label}]", entries=entries)

@@ -120,6 +120,15 @@ def test_cli_usage_errors_exit_two(tmp_path):
     assert "error" in proc.stderr
 
 
+def test_cli_runtime_error_names_scenario(tmp_path):
+    config = tmp_path / "exhausted.cfg"
+    config.write_text("[fine]\nconstruction = bcl\n\n"
+                      "[exhausted]\nconstruction = halfline_shift\nm = 1\nT = 2\nsamples = 3\n")
+    proc = run_cli("run", str(config))
+    assert proc.returncode == 2
+    assert proc.stderr == "isoflow: error: [exhausted] every sample pair exhausts the window\n"
+
+
 def test_main_inprocess_matches_subprocess(capsys):
     code = main(["run", str(ROOT / "configs" / "shift.cfg")])
     captured = capsys.readouterr()

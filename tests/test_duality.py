@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from isoflow.decompose import classify_pair, wold_cooper
-from isoflow.duality import (ExtensionSetup, bishift_setup, circulant_pair_setup,
+from isoflow.duality import (ExtensionSetup, _orbit_span, bishift_setup, circulant_pair_setup,
                              double_dual_check, dual_cnu_check, dual_fourfold,
                              dual_pair, halfline_circulant_setup, l_region_setup,
                              minimal_extension, modified_bishift_model_check,
                              setup_direct_sum, simultaneous_dc_ddc_classify)
 from isoflow.errors import InternalInconsistency, InvalidInput, PreconditionFailed
-from isoflow.numlin import Subspace, orthonormal_basis, residual_norm
+from isoflow.numlin import DEFAULT_TOL, Subspace, orthonormal_basis, residual_norm
 from isoflow.semigroups import WindowedMap, bishift_pair, modified_bishift_pair
 from isoflow.spaces import LRegionIndex, QuadrantGrid2D
 
@@ -63,13 +63,31 @@ def test_extension_dense_path_phase_orbit():
     fourier = np.exp(2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
     phases = np.diag(np.exp(2j * np.pi * np.array([0, 0, 1, 1, 2, 2]) / 3))
     u = WindowedMap.full(fourier @ phases @ fourier.conj().T)
-    setup = ExtensionSetup(u, u, Subspace.from_cells(n, [0]), frozenset(range(n)), 1, "phase")
+    setup = ExtensionSetup(u, u, Subspace.from_cells(n, [0]), 1, "phase")
     span = minimal_extension(setup, 8)
     assert span.stabilized
     blocks = [np.linalg.matrix_power(u.matrix, a) @ setup.h.basis for a in range(-8, 9)]
     oracle = orthonormal_basis(np.hstack(blocks))
     assert span.span.dim == oracle.dim == 3
     assert span.span.gap(oracle) <= 1e-8
+
+
+def test_extension_phased_permutation_stays_on_cells(monkeypatch):
+    """Phased permutations keep the set-arithmetic orbit path: no factorization
+    runs, and the span carries its coordinate cells."""
+    n = 6
+    cycles = np.eye(n, dtype=np.complex128)[:, [1, 2, 0, 4, 5, 3]]  # two 3-cycles
+    phased = WindowedMap.full(np.diag(np.exp(2j * np.pi * np.arange(n) / 7)) @ cycles)
+
+    def dense_path(*args, **kwargs):
+        raise AssertionError("orbit span left the set path")
+
+    monkeypatch.setattr(np.linalg, "svd", dense_path)
+    monkeypatch.setattr(np.linalg, "eigh", dense_path)
+    start = Subspace.from_cells(n, [0])
+    span = _orbit_span(phased, WindowedMap.identity(n), start, 4, DEFAULT_TOL)
+    assert span.stabilized and span.radius == 1
+    assert span.span.cells == (0, 1, 2)
 
 
 def test_extension_contains_start_and_is_invariant():
@@ -90,10 +108,10 @@ def test_extension_setup_validation():
     good = circulant_pair_setup(2, 3)
     bad_u2 = WindowedMap.full(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]))
     with pytest.raises(InvalidInput):
-        ExtensionSetup(good.u1, bad_u2, good.h, good.physical_window)  # does not commute
+        ExtensionSetup(good.u1, bad_u2, good.h)  # does not commute
     with pytest.raises(InvalidInput):
         ExtensionSetup(WindowedMap.full(2 * np.eye(4)), WindowedMap.identity(4),
-                       Subspace.full(4), frozenset(range(4)))  # not unitary
+                       Subspace.full(4))  # not unitary
 
 
 # --- dual pair --------------------------------------------------------------------
@@ -183,7 +201,7 @@ def test_double_dual_rejects_empty_space():
     region = LRegionIndex(1, 2)
     setup = ExtensionSetup(
         l_region_setup(1, 2).u1, l_region_setup(1, 2).u2,
-        Subspace.zero(region.parent.dim), frozenset(range(region.parent.dim)))
+        Subspace.zero(region.parent.dim))
     with pytest.raises(PreconditionFailed):
         double_dual_check(setup, 8)
 
@@ -242,8 +260,8 @@ def test_model_check_idempotent_report():
 
 def test_model_check_rejects_non_bishift_dual():
     setup = halfline_circulant_setup(1, 2, 3)
-    fake = ExtensionSetup(setup.u1, setup.u2, setup.h, setup.physical_window,
-                          setup.cells_per_unit, setup.label, geometry=LRegionIndex(1, 2))
+    fake = ExtensionSetup(setup.u1, setup.u2, setup.h, setup.cells_per_unit, setup.label,
+                          geometry=LRegionIndex(1, 2))
     with pytest.raises(PreconditionFailed):
         modified_bishift_model_check(fake, 6, 8)
 

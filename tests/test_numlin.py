@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from isoflow.errors import DimensionMismatch, InvalidInput
-from isoflow.numlin import (DEFAULT_TOL, Subspace, Tolerances, complement,
-                            intersect, nullspace, orthonormal_basis,
+from isoflow.numlin import (DEFAULT_TOL, Subspace, Tolerances, _coordinate_cells,
+                            complement, intersect, nullspace, orthonormal_basis,
                             residual_norm, subtract)
 
 RNG = np.random.default_rng(20240817)
@@ -251,3 +251,29 @@ def test_tolerances_validation():
 def test_subspace_rejects_non_orthonormal():
     with pytest.raises(InvalidInput):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+# --- unit-column probe ------------------------------------------------------------
+
+def test_coordinate_cells_of_unit_columns_in_any_order():
+    basis = np.zeros((5, 3), dtype=np.complex128)
+    basis[4, 0] = basis[0, 1] = basis[2, 2] = 1.0
+    assert _coordinate_cells(basis) == (0, 2, 4)
+    assert _coordinate_cells(np.zeros((4, 0))) == ()
+
+
+@pytest.mark.parametrize("case", ["phase", "shared_row", "zero_column", "two_nonzeros"])
+def test_coordinate_cells_rejects_non_coordinate_columns(case):
+    basis = np.zeros((4, 2), dtype=np.complex128)
+    basis[0, 0] = basis[1, 1] = 1.0
+    if case == "phase":
+        basis[1, 1] = 1j
+    elif case == "shared_row":
+        basis[:, 1] = 0.0
+        basis[0, 1] = 1.0
+    elif case == "zero_column":
+        basis[:, 1] = 0.0
+    else:
+        basis[:, 1] = 0.0
+        basis[2, 1] = basis[3, 1] = np.sqrt(0.5)
+    assert _coordinate_cells(basis) is None
