@@ -240,14 +240,14 @@ def _commutant_entries(result, r: int, tol) -> list[CheckEntry]:
 def _run_commutant_e(params, tol):
     m = _get_int(params, "m", 2)
     r = _get_int(params, "r", 1)
-    result = commutant_of_partial_isometries(m, r, tol)
+    result = commutant_of_partial_isometries(m, r)
     return _commutant_entries(result, r, tol), _echo(tol, m=m, r=r)
 
 
 def _run_commutant_mz(params, tol):
     d = _get_int(params, "d", 1)
     r = _get_int(params, "r", 1)
-    result = doubly_commutant_of_mz(d, r, tol)
+    result = doubly_commutant_of_mz(d, r)
     return _commutant_entries(result, r, tol), _echo(tol, d=d, r=r)
 
 

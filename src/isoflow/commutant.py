@@ -1,10 +1,17 @@
-"""Commutants of the structured operator families, by vectorized nullspaces.
+"""Commutants of the structured operator families, solved exactly by union-find.
 
-Commutation constraints [B, M] = 0 are linear in B, so a commutant is the
-nullspace of a stacked matrix acting on vec(B) (column-major).  Constraints
-are only imposed on faithful columns of the truncated operators involved;
-including boundary equations would over-constrain, because a truncation is
-not isometric at the top of its window.
+Every operator the solvers constrain against is a 0/1 partial permutation
+pi, held as its image array (the row of each column's single 1, -1 for a
+zero column).  For such an operator the commutation constraint on column
+j of [B, M] = 0 reads, entrywise, B[i, pi(j)] = B[pi^-1(i), j]; a side
+whose index does not exist is the constant 0.  Every equation therefore
+has the form b_a = b_b or b_a = 0, and a union-find over the n^2 entries
+of B (plus one zero sentinel) solves the whole system: each class not
+joined to the sentinel is one free coefficient, and its 0/1 indicator is
+one basis element.  No rank decision and no tolerance is involved.
+Constraints are only imposed on faithful columns of the truncated
+operators; including boundary equations would over-constrain, because a
+truncation is not isometric at the top of its window.
 
 The solvers also verify the structural form the solutions must take
 (a fiber operator conjugated into the cell ordering, or an identity
@@ -21,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed
-from .numlin import (DEFAULT_TOL, Tolerances, column_restricted_residual, nullspace,
+from .numlin import (DEFAULT_TOL, Tolerances, _unit_rows, column_restricted_residual,
                      residual_norm)
 from .report import CheckEntry, Report
 from .semigroups import SemigroupFamily, _pair_residual, partial_isometry_pair
@@ -40,6 +47,13 @@ FIBER_SCALAR_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class CommutantBasis:
+    """A solved commutant.
+
+    ``basis`` holds the 0/1 indicators of the free entry classes, ordered
+    by smallest column-major entry index; they are linearly independent
+    with disjoint supports, but not an orthonormal set.
+    """
+
     dim: int
     basis: tuple[np.ndarray, ...]
     structure_verdict: str  # "fiber_scalar" | "other"
@@ -50,20 +64,61 @@ def _unvec(vector: np.ndarray, n: int) -> np.ndarray:
     return vector.reshape((n, n), order="F")
 
 
-def _commutator_rows(m: np.ndarray, columns=None) -> np.ndarray:
-    """Rows of vec(B) -> vec((B M - M B)[:, columns])."""
-    n = m.shape[0]
-    if columns is None:
-        sel = np.eye(n, dtype=np.complex128)
-    else:
-        sel = np.zeros((n, len(columns)), dtype=np.complex128)
-        for pos, col in enumerate(sorted(columns)):
-            sel[col, pos] = 1.0
-    eye = np.eye(n, dtype=np.complex128)
-    return np.kron((m @ sel).T, eye) - np.kron(sel.T, m)
+def _image(matrix: np.ndarray) -> np.ndarray:
+    """Image array of a 0/1 matrix: the row of each column's single 1, -1 for a zero column."""
+    image = np.full(matrix.shape[1], -1, dtype=np.int64)
+    live = matrix.any(axis=0)
+    rows = _unit_rows(matrix[:, live])
+    if rows is None or not (matrix[rows, np.flatnonzero(live)] == 1.0).all():
+        raise InvalidInput("operator is not a 0/1 partial permutation")
+    image[live] = rows
+    return image
 
 
-def commutant_of_partial_isometries(m: int, r: int, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
+def _exact_commutant(ops, n: int) -> tuple[np.ndarray, ...]:
+    """0/1 indicators spanning {B : [B, M] = 0 on the given columns, for every op}.
+
+    Each op is ``(image, columns)`` with ``image`` the image array of a
+    0/1 partial permutation on C^n.  Entry (i, k) of B has vec index
+    i + k*n; index n*n is the zero sentinel.  The indicators are ordered
+    by smallest vec index.
+    """
+    zero = n * n
+    parent = list(range(zero + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    rows = np.arange(n)
+    for image, columns in ops:
+        image = np.asarray(image)
+        cols = np.asarray(sorted(columns), dtype=np.int64)
+        live = image[image >= 0]
+        if (image.shape != (n,) or image.dtype.kind not in "iu" or (image < -1).any()
+                or (live >= n).any() or len(set(live.tolist())) != live.size):
+            raise InvalidInput("operator is not a 0/1 partial permutation")
+        if cols.size and not (0 <= cols[0] and cols[-1] < n):
+            raise InvalidInput("constrained column outside the space")
+        preimage = np.full(n, -1, dtype=np.int64)
+        preimage[live] = np.flatnonzero(image >= 0)
+        target = image[cols]
+        # B[i, pi(j)] = B[pi^-1(i), j] for every row i and constrained column j
+        lhs = np.where(target >= 0, rows[:, None] + target * n, zero)
+        rhs = np.where(preimage[:, None] >= 0, preimage[:, None] + cols * n, zero)
+        for a, b in zip(lhs.ravel().tolist(), rhs.ravel().tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)  # every root is its class minimum
+    roots = np.array([find(a) for a in range(zero)], dtype=np.int64)
+    forced = find(zero)
+    return tuple(_unvec((roots == root).astype(np.complex128), n)
+                 for root in sorted(set(roots.tolist()) - {forced}))
+
+
+def commutant_of_partial_isometries(m: int, r: int) -> CommutantBasis:
     """Solve for B commuting with both cut-shift pieces at every grid shift.
 
     The constraint set ranges over the shifts j = 1..m-1, which are all
@@ -77,14 +132,9 @@ def commutant_of_partial_isometries(m: int, r: int, tol: Tolerances = DEFAULT_TO
         raise InvalidInput("m must be >= 2: a single cell imposes no constraint")
     if r < 1:
         raise InvalidInput("fiber dimension must be >= 1")
-    rows = []
-    for j in range(1, m):
-        e0, e1 = partial_isometry_pair(m, j, r)
-        rows.append(_commutator_rows(e0))
-        rows.append(_commutator_rows(e1))
-    solution = nullspace(np.vstack(rows), tol)
     n = m * r
-    basis = tuple(_unvec(solution.basis[:, k], n) for k in range(solution.dim))
+    ops = [(_image(e), range(n)) for j in range(1, m) for e in partial_isometry_pair(m, j, r)]
+    basis = _exact_commutant(ops, n)
     lam = lambda_reorder(m, r)
     worst = 0.0
     for b in basis:
@@ -92,7 +142,7 @@ def commutant_of_partial_isometries(m: int, r: int, tol: Tolerances = DEFAULT_TO
         rebuilt = lam @ np.kron(c, np.eye(m, dtype=np.complex128)) @ lam.conj().T
         worst = max(worst, residual_norm(b, rebuilt))
     verdict = "fiber_scalar" if worst <= FIBER_SCALAR_THRESHOLD else "other"
-    return CommutantBasis(solution.dim, basis, verdict, worst)
+    return CommutantBasis(len(basis), basis, verdict, worst)
 
 
 def theta_compress(b: np.ndarray, m: int, r: int) -> np.ndarray:
@@ -111,7 +161,7 @@ def theta_compress(b: np.ndarray, m: int, r: int) -> np.ndarray:
     return (flat.conj().T @ b @ flat) / m
 
 
-def doubly_commutant_of_mz(d: int, r: int, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
+def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
     """Solve for B doubly commuting with the truncated degree shift.
 
     The forward constraint is imposed on degree columns 0..d-1 and the
@@ -124,25 +174,18 @@ def doubly_commutant_of_mz(d: int, r: int, tol: Tolerances = DEFAULT_TOL) -> Com
     if r < 1:
         raise InvalidInput("fiber dimension must be >= 1")
     n = (d + 1) * r
-    mz = np.zeros((n, n), dtype=np.complex128)
-    for b in range(d):
-        for rho in range(r):
-            mz[(b + 1) * r + rho, b * r + rho] = 1.0
-    forward_cols = [b * r + rho for b in range(d) for rho in range(r)]
-    backward_cols = [b * r + rho for b in range(1, d + 1) for rho in range(r)]
-    stacked = np.vstack([
-        _commutator_rows(mz, forward_cols),
-        _commutator_rows(mz.conj().T, backward_cols),
-    ])
-    solution = nullspace(stacked, tol)
-    basis = tuple(_unvec(solution.basis[:, k], n) for k in range(solution.dim))
+    mz = np.arange(n) + r  # degree block b -> b + 1
+    mz[n - r:] = -1
+    mz_adj = np.arange(n) - r
+    mz_adj[:r] = -1
+    basis = _exact_commutant([(mz, range(n - r)), (mz_adj, range(r, n))], n)
     eye_deg = np.eye(d + 1, dtype=np.complex128)
     worst = 0.0
     for b in basis:
         omega = b[:r, :r]
         worst = max(worst, residual_norm(b, np.kron(eye_deg, omega)))
     verdict = "fiber_scalar" if worst <= FIBER_SCALAR_THRESHOLD else "other"
-    return CommutantBasis(solution.dim, basis, verdict, worst)
+    return CommutantBasis(len(basis), basis, verdict, worst)
 
 
 def _fiber_block_average(matrix: np.ndarray, fiber: int, cells) -> np.ndarray:

@@ -95,6 +95,8 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray | None:
 
 def _coordinate_cells(basis: np.ndarray) -> tuple[int, ...] | None:
     """Return the coordinate set when columns are exactly standard basis vectors."""
+    if not basis.shape[1]:
+        return ()
     rows = _unit_rows(basis)
     if rows is None or not (basis[rows, np.arange(basis.shape[1])] == 1.0).all():
         return None
@@ -110,7 +112,9 @@ class Subspace:
 
     ``cells`` is set when the subspace is exactly the span of standard
     basis vectors; it has set semantics (sorted, independent of column
-    order) and enables integer-exact lattice arithmetic downstream.
+    order) and enables integer-exact lattice arithmetic downstream.  A
+    basis given with ``cells`` is validated by the exact coordinate test,
+    any other basis by its Gram matrix.
     """
 
     ambient: int
@@ -126,6 +130,10 @@ class Subspace:
             raise InvalidInput("basis has more columns than the ambient dimension")
         if basis.size and not np.isfinite(basis).all():
             raise InvalidInput("basis has non-finite entries")
+        if self.cells is not None:
+            if _coordinate_cells(basis) != self.cells:
+                raise InvalidInput("cells do not match the standard basis vectors of the basis")
+            return
         gram = basis.conj().T @ basis
         if gram.size and np.abs(gram - np.eye(basis.shape[1])).max() > _ORTHO_ATOL:
             raise InvalidInput("basis columns are not orthonormal to 1e-12")
@@ -281,7 +289,8 @@ def nullspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     ambient = mat.shape[1]
     if mat.size == 0 or not mat.any():
         return Subspace.full(ambient)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    # rows >= cols leaves vh square, so the thin factorization is complete
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = int(np.sum(s >= tol.rank_rel * s[0]))
     basis = vh[rank:].conj().T
     if basis.shape[1] == 0:

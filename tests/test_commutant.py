@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isoflow.commutant import (commutant_of_partial_isometries, doubly_commutant_of_mz,
-                               fuglede_instance_check, theta_compress)
+from isoflow.commutant import (_exact_commutant, _image, commutant_of_partial_isometries,
+                               doubly_commutant_of_mz, fuglede_instance_check, theta_compress)
 from isoflow.errors import DimensionMismatch, InvalidInput, PreconditionFailed
-from isoflow.numlin import residual_norm
+from isoflow.numlin import nullspace, residual_norm
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, circulant_family,
                                 halfline_shift_family, partial_isometry_pair,
                                 tensor_with_identity)
 from isoflow.spaces import CellGrid1D, lambda_reorder
 
 RNG = np.random.default_rng(7)
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def fiber_candidate(m, r, c):
@@ -32,6 +35,50 @@ def in_span(candidate, basis):
     return np.linalg.norm(stack @ coeff - vec(candidate)) < 1e-9
 
 
+def degree_shift(d, r):
+    """Dense truncated M_z on degrees 0..d with fiber r: block b -> block b + 1."""
+    mz = np.zeros(((d + 1) * r, (d + 1) * r), dtype=np.complex128)
+    for blk in range(d):
+        for rho in range(r):
+            mz[(blk + 1) * r + rho, blk * r + rho] = 1.0
+    return mz
+
+
+# --- SVD oracle -----------------------------------------------------------------------
+
+def _commutator_rows(m, columns=None):
+    """Rows of vec(B) -> vec((B M - M B)[:, columns])."""
+    n = m.shape[0]
+    if columns is None:
+        sel = np.eye(n, dtype=np.complex128)
+    else:
+        sel = np.zeros((n, len(columns)), dtype=np.complex128)
+        for pos, col in enumerate(sorted(columns)):
+            sel[col, pos] = 1.0
+    eye = np.eye(n, dtype=np.complex128)
+    return np.kron((m @ sel).T, eye) - np.kron(sel.T, m)
+
+
+def oracle_commutant(dense_ops):
+    """Null space of the stacked commutator system, by SVD."""
+    return nullspace(np.vstack([_commutator_rows(m, cols) for m, cols in dense_ops]))
+
+
+def span_projector(basis):
+    """Orthogonal projector onto the span of disjoint-support 0/1 indicators."""
+    stack = np.column_stack([vec(b) for b in basis])
+    stack = stack / np.linalg.norm(stack, axis=0)
+    return stack @ stack.conj().T
+
+
+def assert_matches_oracle(basis, dense_ops):
+    """Same dimension and same span as the SVD null space."""
+    oracle = oracle_commutant(dense_ops)
+    assert len(basis) == oracle.dim
+    if basis:
+        assert residual_norm(span_projector(basis), oracle.projector()) <= 1e-10
+
+
 # --- interval cut-shift commutant -------------------------------------------------
 
 def test_commutant_e_m2_r1_is_scalars():
@@ -42,12 +89,18 @@ def test_commutant_e_m2_r1_is_scalars():
     assert residual_norm(b, b[0, 0] * np.eye(2)) < 1e-12  # hand elimination gives B = aI
 
 
-@pytest.mark.parametrize("m,r", [(2, 1), (4, 2), (3, 3)])
+@pytest.mark.parametrize("m,r", [(2, 1), (4, 2), (3, 3), (12, 2)])
 def test_commutant_e_dimension_and_structure(m, r):
     result = commutant_of_partial_isometries(m, r)
     assert result.dim == r * r
     assert result.structure_verdict == "fiber_scalar"
-    assert result.max_structure_residual <= 1e-10
+    assert result.max_structure_residual == 0.0
+
+
+@pytest.mark.parametrize("m,r", [(2, 1), (4, 2), (3, 3), (5, 2)])
+def test_commutant_e_matches_svd_oracle(m, r):
+    dense = [(e, None) for j in range(1, m) for e in partial_isometry_pair(m, j, r)]
+    assert_matches_oracle(commutant_of_partial_isometries(m, r).basis, dense)
 
 
 @pytest.mark.parametrize("m,r", [(2, 1), (4, 2), (3, 3)])
@@ -73,15 +126,14 @@ def test_commutant_e_cross_checked_constructively(m, r):
 
 
 def test_commutant_bases_satisfy_constraints():
-    """Each returned basis element obeys every imposed constraint to
-    within ten times the rank cutoff."""
+    """Each returned basis element obeys every imposed constraint exactly."""
     m, r = 4, 2
     result = commutant_of_partial_isometries(m, r)
     for b in result.basis:
         for j in range(1, m):
             e0, e1 = partial_isometry_pair(m, j, r)
-            assert residual_norm(b @ e0, e0 @ b) <= 10 * 1e-10
-            assert residual_norm(b @ e1, e1 @ b) <= 10 * 1e-10
+            assert residual_norm(b @ e0, e0 @ b) == 0.0
+            assert residual_norm(b @ e1, e1 @ b) == 0.0
 
 
 def test_commutant_e_needs_constraints():
@@ -138,7 +190,15 @@ def test_mz_commutant_dimension_and_structure(d, r):
     result = doubly_commutant_of_mz(d, r)
     assert result.dim == r * r
     assert result.structure_verdict == "fiber_scalar"
-    assert result.max_structure_residual <= 1e-10
+    assert result.max_structure_residual == 0.0
+
+
+@pytest.mark.parametrize("d,r", [(1, 1), (3, 2), (4, 3)])
+def test_mz_commutant_matches_svd_oracle(d, r):
+    n = (d + 1) * r
+    mz = degree_shift(d, r)
+    dense = [(mz, range(n - r)), (mz.conj().T, range(r, n))]
+    assert_matches_oracle(doubly_commutant_of_mz(d, r).basis, dense)
 
 
 def test_mz_membership_sufficiency():
@@ -146,10 +206,7 @@ def test_mz_membership_sufficiency():
     d, r = 3, 2
     omega = RNG.standard_normal((r, r)) + 1j * RNG.standard_normal((r, r))
     b = np.kron(np.eye(d + 1), omega)
-    mz = np.zeros(((d + 1) * r, (d + 1) * r), dtype=np.complex128)
-    for blk in range(d):
-        for rho in range(r):
-            mz[(blk + 1) * r + rho, blk * r + rho] = 1.0
+    mz = degree_shift(d, r)
     forward = (b @ mz - mz @ b)[:, [blk * r + rho for blk in range(d) for rho in range(r)]]
     backward = (b @ mz.conj().T - mz.conj().T @ b)[
         :, [blk * r + rho for blk in range(1, d + 1) for rho in range(r)]]
@@ -161,6 +218,62 @@ def test_mz_membership_sufficiency():
 def test_mz_invalid_degree():
     with pytest.raises(InvalidInput):
         doubly_commutant_of_mz(0, 1)
+
+
+# --- exact solver on arbitrary partial permutations --------------------------------------
+
+@st.composite
+def partial_permutation_ops(draw):
+    """A space size n <= 6 and 1-3 ops (image array, constrained columns)."""
+    n = draw(st.integers(1, 6))
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(n)))
+        killed = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        image = np.array([-1 if j in killed else perm[j] for j in range(n)], dtype=np.int64)
+        ops.append((image, sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))))
+    return n, ops
+
+
+def dense_of(image):
+    mat = np.zeros((len(image), len(image)), dtype=np.complex128)
+    for col, row in enumerate(image):
+        if row >= 0:
+            mat[row, col] = 1.0
+    return mat
+
+
+@SETTINGS
+@given(partial_permutation_ops())
+def test_exact_commutant_matches_svd_oracle_on_partial_permutations(case):
+    n, ops = case
+    dense = [(dense_of(image), cols) for image, cols in ops]
+    for (image, _), (mat, _) in zip(ops, dense):
+        assert np.array_equal(_image(mat), image)
+    basis = _exact_commutant(ops, n)
+    for b in basis:
+        for mat, cols in dense:
+            assert residual_norm((b @ mat)[:, cols], (mat @ b)[:, cols]) == 0.0
+    firsts = [np.flatnonzero(vec(b))[0] for b in basis]
+    assert firsts == sorted(firsts)
+    support = sum(basis, np.zeros((n, n)))
+    assert set(support.ravel().tolist()) <= {0, 1}  # 0/1 indicators, disjoint supports
+    assert_matches_oracle(basis, dense)
+
+
+def test_exact_commutant_rejects_non_partial_permutations():
+    with pytest.raises(InvalidInput):
+        _exact_commutant([(np.array([1, 1, -1]), range(3))], 3)  # two columns onto one row
+    with pytest.raises(InvalidInput):
+        _exact_commutant([(np.array([0, 3, -1]), range(3))], 3)  # row outside the space
+    with pytest.raises(InvalidInput):
+        _exact_commutant([(np.array([0.0, 1.0, 2.0]), range(3))], 3)  # not an index array
+    with pytest.raises(InvalidInput):
+        _exact_commutant([(np.array([0, 1, 2]), [3])], 3)  # column outside the space
+    with pytest.raises(InvalidInput):
+        _image(2.0 * np.eye(3))
+    with pytest.raises(InvalidInput):
+        _image(np.ones((3, 3)))
 
 
 # --- normality route -------------------------------------------------------------------

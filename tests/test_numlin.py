@@ -217,6 +217,19 @@ def test_nullspace_product_small():
             assert prod <= cutoff_factor * DEFAULT_TOL.rank_rel * smax
 
 
+@pytest.mark.parametrize("rows,cols", [(9, 5), (3, 6)])
+def test_nullspace_thin_and_full_factorizations_agree(rows, cols):
+    """Tall input takes the thin SVD; it must give the full SVD's null space."""
+    m = random_complex(rows, cols)
+    m[:, 2] = m[:, 0] - 1j * m[:, 1]  # rank deficient whatever the shape
+    out = nullspace(m)
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    rank = int(np.sum(s >= DEFAULT_TOL.rank_rel * s[0]))
+    full = vh[rank:].conj().T
+    assert out.dim == full.shape[1] >= 1
+    assert residual_norm(out.projector(), projector(full)) <= 1e-12
+
+
 # --- residual_norm -------------------------------------------------------------
 
 def test_residual_norm_examples():
@@ -251,6 +264,18 @@ def test_tolerances_validation():
 def test_subspace_rejects_non_orthonormal():
     with pytest.raises(InvalidInput):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_subspace_rejects_cells_that_disagree_with_basis():
+    basis = np.zeros((4, 2), dtype=np.complex128)
+    basis[1, 0] = basis[3, 1] = 1.0
+    assert Subspace(4, basis, (1, 3)).cells == (1, 3)
+    for cells in [(0, 3), (1,), (1, 2, 3)]:
+        with pytest.raises(InvalidInput):
+            Subspace(4, basis, cells)
+    basis[3, 1] = 1j
+    with pytest.raises(InvalidInput):
+        Subspace(4, basis, (1, 3))
 
 
 # --- unit-column probe ------------------------------------------------------------
