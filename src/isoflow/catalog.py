@@ -8,6 +8,7 @@ constructions are deterministic and seedless.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from .semigroups import (PairOfSemigroups, SemigroupFamily, bishift_families,
                          modified_bishift_families, tensor_with_identity)
 from .spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
-__all__ = ["Scenario", "run_scenario", "list_catalog", "CATALOG"]
+__all__ = ["Scenario", "check_scenario", "run_scenario", "list_catalog", "CATALOG"]
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,7 @@ def _run_bcl(params, tol):
         samples = _get_samples(params, "")
     else:
         samples = _bcl_default_samples(T, m)
-    report = bcl_check(T, m, r, samples, tol)
+    report = bcl_check(T, m, r, samples)
     return list(report.entries), _echo(tol, T=T, m=m, r=r, samples=_samples_str(samples))
 
 
@@ -399,16 +400,26 @@ CATALOG = (
 )
 
 _RUNNERS = {name: runner for name, _, _, runner in CATALOG}
+# a construction's parameters are the keys its defaults line lists
+_PARAMETERS = {name: frozenset(re.findall(r"(\w+)=", defaults)) | {"rank_rel", "resid_abs", "angle"}
+               for name, _, defaults, _ in CATALOG}
+
+
+def check_scenario(scenario: Scenario) -> None:
+    """Reject an unknown construction, or a key that is not one of its parameters."""
+    if scenario.construction not in _RUNNERS:
+        raise InvalidInput(f"unknown construction {scenario.construction!r}; "
+                           f"known: {', '.join(sorted(_RUNNERS))}")
+    for key in scenario.params:
+        if key not in _PARAMETERS[scenario.construction]:
+            raise InvalidInput(f"unknown parameter {key}")
 
 
 def run_scenario(scenario: Scenario) -> Report:
     """Run one named scenario deterministically."""
-    runner = _RUNNERS.get(scenario.construction)
-    if runner is None:
-        raise InvalidInput(f"unknown construction {scenario.construction!r}; "
-                           f"known: {', '.join(sorted(_RUNNERS))}")
+    check_scenario(scenario)
     tol = _tolerances(scenario.params)
-    entries, echo = runner(scenario.params, tol)
+    entries, echo = _RUNNERS[scenario.construction](scenario.params, tol)
     return Report(scenario=scenario.name, construction=scenario.construction,
                   params=tuple(sorted(echo.items())), entries=entries)
 

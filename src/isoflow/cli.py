@@ -13,7 +13,7 @@ import configparser
 import sys
 
 from . import __version__
-from .catalog import Scenario, list_catalog, run_scenario
+from .catalog import Scenario, check_scenario, list_catalog, run_scenario
 from .errors import IsoflowError
 from .report import render_reports
 
@@ -21,7 +21,10 @@ __all__ = ["main", "load_scenarios"]
 
 
 def load_scenarios(path: str, tol_override: float | None = None) -> list[Scenario]:
-    """Parse a line-oriented config: one [section] per scenario."""
+    """Parse a line-oriented config: one [section] per scenario.
+
+    Every scenario is checked against the catalog before any of them runs.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case
     loaded = parser.read(path)
@@ -35,7 +38,12 @@ def load_scenarios(path: str, tol_override: float | None = None) -> list[Scenari
             raise IsoflowError(f"scenario [{section}] does not name a construction")
         if tol_override is not None:
             params["resid_abs"] = repr(tol_override)
-        scenarios.append(Scenario(section, construction, params))
+        scenario = Scenario(section, construction, params)
+        try:
+            check_scenario(scenario)
+        except IsoflowError as exc:
+            raise IsoflowError(f"[{section}] {exc}") from exc
+        scenarios.append(scenario)
     if not scenarios:
         raise IsoflowError(f"config file {path!r} defines no scenarios")
     return scenarios

@@ -28,10 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed
-from .numlin import (DEFAULT_TOL, Tolerances, _unit_rows, column_restricted_residual,
-                     residual_norm)
+from .numlin import DEFAULT_TOL, Tolerances, _from_image, column_restricted_residual, residual_norm
 from .report import CheckEntry, Report
-from .semigroups import SemigroupFamily, _pair_residual, partial_isometry_pair
+from .semigroups import SemigroupFamily, _cut_shift_images, _forward_image, _pair_residual
 from .spaces import lambda_reorder
 
 __all__ = [
@@ -62,17 +61,6 @@ class CommutantBasis:
 
 def _unvec(vector: np.ndarray, n: int) -> np.ndarray:
     return vector.reshape((n, n), order="F")
-
-
-def _image(matrix: np.ndarray) -> np.ndarray:
-    """Image array of a 0/1 matrix: the row of each column's single 1, -1 for a zero column."""
-    image = np.full(matrix.shape[1], -1, dtype=np.int64)
-    live = matrix.any(axis=0)
-    rows = _unit_rows(matrix[:, live])
-    if rows is None or not (matrix[rows, np.flatnonzero(live)] == 1.0).all():
-        raise InvalidInput("operator is not a 0/1 partial permutation")
-    image[live] = rows
-    return image
 
 
 def _exact_commutant(ops, n: int) -> tuple[np.ndarray, ...]:
@@ -133,7 +121,7 @@ def commutant_of_partial_isometries(m: int, r: int) -> CommutantBasis:
     if r < 1:
         raise InvalidInput("fiber dimension must be >= 1")
     n = m * r
-    ops = [(_image(e), range(n)) for j in range(1, m) for e in partial_isometry_pair(m, j, r)]
+    ops = [(image, range(n)) for j in range(1, m) for image in _cut_shift_images(m, j, r)]
     basis = _exact_commutant(ops, n)
     lam = lambda_reorder(m, r)
     worst = 0.0
@@ -154,10 +142,7 @@ def theta_compress(b: np.ndarray, m: int, r: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (m * r, m * r):
         raise DimensionMismatch(f"operator shape {b.shape} does not match ({m * r}, {m * r})")
-    flat = np.zeros((m * r, r), dtype=np.complex128)  # sqrt(m) * Theta, kept integer-exact
-    for k in range(m):
-        for rho in range(r):
-            flat[k * r + rho, rho] = 1.0
+    flat = _from_image(np.arange(m * r) % r, r).T  # sqrt(m) * Theta, kept integer-exact
     return (flat.conj().T @ b @ flat) / m
 
 
@@ -174,8 +159,7 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
     if r < 1:
         raise InvalidInput("fiber dimension must be >= 1")
     n = (d + 1) * r
-    mz = np.arange(n) + r  # degree block b -> b + 1
-    mz[n - r:] = -1
+    mz = _forward_image(n, r)  # degree block b -> b + 1
     mz_adj = np.arange(n) - r
     mz_adj[:r] = -1
     basis = _exact_commutant([(mz, range(n - r)), (mz_adj, range(r, n))], n)

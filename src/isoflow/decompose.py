@@ -116,7 +116,7 @@ def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAU
             break
         current = nxt
     unitary_part = current
-    cnu_part = complement(unitary_part, tol)
+    cnu_part = complement(unitary_part)
     gen = family.generator.matrix
     if unitary_part.dim:
         restr = unitary_part.basis.conj().T @ gen @ unitary_part.basis
@@ -209,7 +209,7 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int,
     return FourfoldResult(h_pp, h_pu, h_up, h_uu, residual, w1, w2)
 
 
-def bcl_check(T: int, m: int, r: int, samples, tol: Tolerances = DEFAULT_TOL) -> Report:
+def bcl_check(T: int, m: int, r: int, samples) -> Report:
     """Exact identification of the half-line shift with its multiplier model.
 
     Conjugates each sampled shift by the interval-stacking permutation and

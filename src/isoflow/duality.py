@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_rows,
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _from_image, _unit_rows,
                      column_restricted_residual, orthonormal_basis, residual_norm,
                      spectral_norm, subtract)
 from .decompose import (_reduction_residual, classify_pair, fourfold_decompose,
@@ -470,9 +470,7 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
     canonical_cells = region.l_cells()
     order = {cell: pos for pos, cell in enumerate(canonical_cells)}
     dim = len(canonical_cells)
-    z = np.zeros((dim, dim), dtype=np.complex128)
-    for pos, cell in enumerate(setup.h.cells):
-        z[order[cell], pos] = 1.0  # setup coordinates -> canonical region coordinates
+    z = _from_image([order[cell] for cell in setup.h.cells], dim)  # setup -> canonical coordinates
     m1, m2 = modified_bishift_pair(region, step)
     pair = setup.compressed_pair()
     for axis, (fam, model) in enumerate(((pair.first, m1), (pair.second, m2)), start=1):
@@ -538,16 +536,9 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
 
 def _torus_axis_faithful(region: LRegionIndex, axis: int, forward: bool) -> frozenset[int]:
     """Ambient cells whose one-step translate stays inside the window."""
-    n, r = region.parent.n, region.r
-    keep = range(1, n) if not forward else range(0, n - 1)
-    out = []
-    for k1 in range(n):
-        for k2 in range(n):
-            k = k1 if axis == 0 else k2
-            if k in keep:
-                for rho in range(r):
-                    out.append(region.parent.index(k1, k2, rho))
-    return frozenset(out)
+    n = region.parent.n
+    k = np.unravel_index(np.arange(region.parent.dim), (n, n, region.r))[axis]
+    return frozenset(np.flatnonzero(k < n - 1 if forward else k >= 1).tolist())
 
 
 def _torus_unitary(region: LRegionIndex, axis: int, forward: bool) -> WindowedMap:
@@ -595,9 +586,7 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     ``unitary_first`` the roles of the two families are swapped.
     """
     n = 2 * m * T
-    cycle = circulant_unitary(n, 1)
-    eye_fiber = np.eye(p, dtype=np.complex128)
-    shift_matrix = np.kron(cycle, eye_fiber)
+    shift_matrix = circulant_unitary(n * p, p)  # the cycle on n cells, tensor I_p
     shift_faithful = frozenset(k * p + rho for k in range(n - 1) for rho in range(p))
     shift_adj = frozenset(k * p + rho for k in range(1, n) for rho in range(p))
     tag = f"cycle({n})xC{p}"
@@ -612,7 +601,7 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
 
 def circulant_pair_setup(n1: int, n2: int, cells_per_unit: int = 1) -> ExtensionSetup:
     """Two commuting cyclic rotations with the full space embedded."""
-    u1 = WindowedMap.full(np.kron(circulant_unitary(n1, 1), np.eye(n2, dtype=np.complex128)))
+    u1 = WindowedMap.full(circulant_unitary(n1 * n2, n2))  # the n1-cycle, tensor I_n2
     u2 = WindowedMap.full(np.kron(np.eye(n1, dtype=np.complex128), circulant_unitary(n2, 1)))
     return ExtensionSetup(u1, u2, Subspace.full(n1 * n2), cells_per_unit,
                           f"circulant_pair({n1},{n2})")

@@ -8,14 +8,16 @@ Two rules shape the implementation:
   inputs, reduction orders are fixed, and repeated calls on identical input
   bits return identical output bits.
 
-* Exactness.  The constructors in this package produce 0/1-valued,
-  permutation-like data.  The primitives detect such input and
-  short-circuit to integer-exact arithmetic, so identities that hold
-  exactly are reported as exactly zero, not as 1e-16 noise.  The one
-  probe for that structure is ``_unit_rows`` (the row of each column's
-  single nonzero entry); a basis whose columns are distinct standard
-  basis vectors carries their index set in ``cells``, and set arithmetic
-  is used whenever both operands have one.
+* Exactness.  The constructors in this package produce 0/1 partial
+  permutations.  Each computes its image array (the row of each column's
+  single 1, -1 for a zero column) by index arithmetic, and ``_from_image``
+  is the one materializer that turns an image into a matrix.  Its inverse
+  probe is ``_unit_rows`` (the row of each column's single nonzero
+  entry).  The primitives detect such input and short-circuit to
+  integer-exact arithmetic, so identities that hold exactly are reported
+  as exactly zero, not as 1e-16 noise.  A basis whose columns are
+  distinct standard basis vectors carries their index set in ``cells``,
+  and set arithmetic is used whenever both operands have one.
 
 Zero-dimensional subspaces are ordinary values throughout, never errors.
 """
@@ -82,6 +84,19 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
+def _from_image(image, rows: int | None = None) -> np.ndarray:
+    """0/1 matrix with a 1 at (image[j], j) for every j with image[j] >= 0.
+
+    ``rows`` defaults to the number of columns.  On the nonzero columns
+    this is the inverse of ``_unit_rows``.
+    """
+    image = np.asarray(image, dtype=np.int64)
+    matrix = np.zeros((image.size if rows is None else rows, image.size), dtype=np.complex128)
+    live = np.flatnonzero(image >= 0)
+    matrix[image[live], live] = 1.0
+    return matrix
+
+
 def _unit_rows(matrix: np.ndarray) -> np.ndarray | None:
     """Row of each column's single nonzero entry.
 
@@ -111,10 +126,11 @@ class Subspace:
     """A subspace of C^ambient held as an orthonormal column basis.
 
     ``cells`` is set when the subspace is exactly the span of standard
-    basis vectors; it has set semantics (sorted, independent of column
-    order) and enables integer-exact lattice arithmetic downstream.  A
-    basis given with ``cells`` is validated by the exact coordinate test,
-    any other basis by its Gram matrix.
+    basis vectors; it enables integer-exact lattice arithmetic downstream.
+    ``cells`` is strictly increasing and the basis is then exactly
+    ``_from_image(cells, ambient)``, so local coordinate i is cell
+    ``cells[i]`` in every code path.  Any other basis is validated by its
+    Gram matrix.
     """
 
     ambient: int
@@ -131,8 +147,14 @@ class Subspace:
         if basis.size and not np.isfinite(basis).all():
             raise InvalidInput("basis has non-finite entries")
         if self.cells is not None:
-            if _coordinate_cells(basis) != self.cells:
-                raise InvalidInput("cells do not match the standard basis vectors of the basis")
+            # strictly increasing cells whose unit entries are the only nonzeros:
+            # the basis is exactly _from_image(cells, ambient)
+            cells = np.asarray(self.cells, dtype=np.int64)
+            if ((cells.size and not 0 <= cells[0] <= cells[-1] < self.ambient)
+                    or (cells[1:] <= cells[:-1]).any()
+                    or cells.size != basis.shape[1] or np.count_nonzero(basis) != cells.size
+                    or not (basis[cells, np.arange(cells.size)] == 1.0).all()):
+                raise InvalidInput("basis is not the standard basis vectors of cells, in order")
             return
         gram = basis.conj().T @ basis
         if gram.size and np.abs(gram - np.eye(basis.shape[1])).max() > _ORTHO_ATOL:
@@ -154,14 +176,9 @@ class Subspace:
     @classmethod
     def from_cells(cls, ambient: int, cells) -> "Subspace":
         cells = tuple(sorted(int(c) for c in cells))
-        if any(not 0 <= c < ambient for c in cells):
+        if cells and not 0 <= cells[0] <= cells[-1] < ambient:
             raise InvalidInput("cell index outside the ambient space")
-        if len(set(cells)) != len(cells):
-            raise InvalidInput("duplicate cell index")
-        basis = np.zeros((ambient, len(cells)), dtype=np.complex128)
-        for j, c in enumerate(cells):
-            basis[c, j] = 1.0
-        return cls(ambient, basis, cells)
+        return cls(ambient, _from_image(cells, ambient), cells)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -170,6 +187,14 @@ class Subspace:
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
         return cls.from_cells(ambient, ())
+
+
+def _orthonormal_subspace(ambient: int, basis: np.ndarray) -> Subspace:
+    """Subspace of an orthonormal basis, in ``from_cells`` form when it is coordinate."""
+    cells = _coordinate_cells(basis)
+    if cells is None:
+        return Subspace(ambient, basis)
+    return Subspace.from_cells(ambient, cells)
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -210,7 +235,8 @@ def orthonormal_basis(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
     Rank is the number of singular values >= rank_rel * sigma_max.  Columns
     that are already exactly orthonormal (after dropping exact zero
-    columns) are returned as-is, keeping permutation data exact.
+    columns) are kept, keeping permutation data exact; standard basis
+    vectors come back in ``from_cells`` order.
     """
     mat = as_matrix(m)
     ambient = mat.shape[0]
@@ -220,11 +246,10 @@ def orthonormal_basis(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     trimmed = mat[:, nonzero]
     gram = trimmed.conj().T @ trimmed
     if np.array_equal(gram, np.eye(trimmed.shape[1])):
-        return Subspace(ambient, trimmed, _coordinate_cells(trimmed))
+        return _orthonormal_subspace(ambient, trimmed)
     u, s, _ = np.linalg.svd(trimmed, full_matrices=False)
     rank = int(np.sum(s >= tol.rank_rel * s[0]))
-    basis = u[:, :rank]
-    return Subspace(ambient, basis, _coordinate_cells(basis))
+    return _orthonormal_subspace(ambient, u[:, :rank])
 
 
 def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -246,12 +271,10 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subs
     eigvals, eigvecs = np.linalg.eigh(core)
     keep = eigvals >= tol.angle**2
     basis = eigvecs[:, keep][:, ::-1]  # descending cosine, fixed order
-    if basis.shape[1] == 0:
-        return Subspace.zero(s1.ambient)
-    return Subspace(s1.ambient, basis, _coordinate_cells(basis))
+    return _orthonormal_subspace(s1.ambient, basis)
 
 
-def complement(s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def complement(s: Subspace) -> Subspace:
     """Orthogonal complement within the ambient space."""
     if s.cells is not None:
         return Subspace.from_cells(s.ambient, set(range(s.ambient)) - set(s.cells))
@@ -260,8 +283,7 @@ def complement(s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     if s.dim == s.ambient:
         return Subspace.zero(s.ambient)
     _, _, vh = np.linalg.svd(s.basis.conj().T, full_matrices=True)
-    basis = vh[s.dim:].conj().T
-    return Subspace(s.ambient, basis, _coordinate_cells(basis))
+    return _orthonormal_subspace(s.ambient, vh[s.dim:].conj().T)
 
 
 def subtract(big: Subspace, small: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -292,7 +314,4 @@ def nullspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     # rows >= cols leaves vh square, so the thin factorization is complete
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = int(np.sum(s >= tol.rank_rel * s[0]))
-    basis = vh[rank:].conj().T
-    if basis.shape[1] == 0:
-        return Subspace.zero(ambient)
-    return Subspace(ambient, basis, _coordinate_cells(basis))
+    return _orthonormal_subspace(ambient, vh[rank:].conj().T)

@@ -13,10 +13,12 @@ indices.  Columns whose true image leaves the represented window are
 stored as exact zeros and marked unfaithful; columns that the true
 operator genuinely annihilates stay faithful with their exact zeros.
 
-All constructors below produce exact 0/1 matrices, so the algebraic
-identities between them hold with residual exactly zero, not merely
-small.  Grid times are restricted to multiples of 1/m and rejected
-otherwise; nothing is interpolated.
+All constructors below compute the image array of a 0/1 partial
+permutation by index arithmetic over the layouts of ``spaces`` and
+materialize it with ``numlin._from_image``, so the algebraic identities
+between them hold with residual exactly zero, not merely small.  Grid
+times are restricted to multiples of 1/m and rejected otherwise; nothing
+is interpolated.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import DEFAULT_TOL, Tolerances, as_matrix, column_restricted_residual
+from .numlin import DEFAULT_TOL, Tolerances, _from_image, as_matrix, column_restricted_residual
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 
@@ -225,6 +227,17 @@ class PairOfSemigroups:
 # constructors
 
 
+def _forward_image(dim: int, offset: int) -> np.ndarray:
+    """Image of coordinate i -> i + offset, -1 where that leaves [0, dim)."""
+    target = np.arange(dim) + offset
+    return np.where(target < dim, target, -1)
+
+
+def _live(image: np.ndarray) -> frozenset[int]:
+    """The columns an image array keeps."""
+    return frozenset(np.flatnonzero(image >= 0).tolist())
+
+
 def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
     """Forward translation by t on the half-line grid.
 
@@ -236,20 +249,25 @@ def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
     j = grid_steps(t, grid.m)
     if j > grid.cells:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {grid.cells}-cell window")
-    mat = np.zeros((grid.dim, grid.dim), dtype=np.complex128)
-    faithful = []
-    for k in range(grid.cells):
-        if k + j < grid.cells:
-            for rho in range(grid.r):
-                mat[grid.index(k + j, rho), grid.index(k, rho)] = 1.0
-                faithful.append(grid.index(k, rho))
+    image = _forward_image(grid.dim, j * grid.r)
     label = f"halfline(m={grid.m},T={grid.T},r={grid.r})"
-    return WindowedMap(mat, frozenset(faithful), frozenset(range(grid.dim)), label, label)
+    return WindowedMap(_from_image(image), _live(image), frozenset(range(grid.dim)), label, label)
 
 
 def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
     gen = halfline_shift(grid, Fraction(1, grid.m))
     return SemigroupFamily(gen, f"halfline_shift[m={grid.m},T={grid.T},r={grid.r}]", grid.m)
+
+
+def _cut_shift_images(m: int, j: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Image arrays of the cut-shift pair E0, E1 (see ``partial_isometry_pair``)."""
+    if m < 1 or r < 1:
+        raise InvalidInput("m and r must be >= 1")
+    if not 0 <= j < m:
+        raise InvalidShift(f"shift {j} outside [0, {m})")
+    e0 = _forward_image(m * r, j * r)
+    e1 = np.where(e0 < 0, np.arange(m * r) + (j - m) * r, -1)  # the top j cells wrap
+    return e0, e1
 
 
 def partial_isometry_pair(m: int, j: int, r: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -260,46 +278,30 @@ def partial_isometry_pair(m: int, j: int, r: int = 1) -> tuple[np.ndarray, np.nd
     isometries (the zeros are true operator behavior, not truncation), and
     E0 E0* + E1 E1* = E0* E0 + E1* E1 = I exactly.
     """
-    if m < 1 or r < 1:
-        raise InvalidInput("m and r must be >= 1")
-    if not 0 <= j < m:
-        raise InvalidShift(f"shift {j} outside [0, {m})")
-    e0 = np.zeros((m * r, m * r), dtype=np.complex128)
-    e1 = np.zeros((m * r, m * r), dtype=np.complex128)
-    for k in range(m - j):
-        for rho in range(r):
-            e0[(k + j) * r + rho, k * r + rho] = 1.0
-    for k in range(j):
-        for rho in range(r):
-            e1[k * r + rho, (m - j + k) * r + rho] = 1.0
-    return e0, e1
+    e0, e1 = _cut_shift_images(m, j, r)
+    return _from_image(e0), _from_image(e1)
 
 
 def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
     """Multiplication by the degree-shifting cut-shift polynomial at time t.
 
     With t = n + s (n integer, 0 <= s < 1), degree block b receives the
-    E0 piece from block b-n and the E1 piece from block b-n-1.  A block
-    column is faithful when every piece the true multiplier produces fits
-    under the top degree d.
+    E0 piece from block b-n and the E1 piece from block b-n-1.  Both pieces
+    move coordinate i to i + j*r at step j, E1 exactly where E0 overflows a
+    block, and the stored column is zero where that passes the top degree.
+    A block column is faithful when every piece the true multiplier
+    produces fits under the top degree d.
     """
     space = HardyCoeffSpace(d, m, r)
     j = grid_steps(t, m)
     n, jj = divmod(j, m)
     if n > d:
         raise WindowTooSmall(f"integer part {n} of the time exceeds the top degree {d}")
-    e0, e1 = partial_isometry_pair(m, jj, r)
-    blk = space.block
-    mat = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for b in range(d + 1):
-        if b + n <= d:
-            mat[(b + n) * blk:(b + n + 1) * blk, b * blk:(b + 1) * blk] = e0
-        if jj > 0 and b + n + 1 <= d:
-            mat[(b + n + 1) * blk:(b + n + 2) * blk, b * blk:(b + 1) * blk] = e1
     top = d - n if jj == 0 else d - n - 1
-    faithful = frozenset(i for b in range(top + 1) for i in range(b * blk, (b + 1) * blk))
     label = f"coeff(d={d},m={m},r={r})"
-    return WindowedMap(mat, faithful, frozenset(range(space.dim)), label, label)
+    return WindowedMap(_from_image(_forward_image(space.dim, j * r)),
+                       frozenset(range((top + 1) * space.block)),
+                       frozenset(range(space.dim)), label, label)
 
 
 def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
@@ -307,35 +309,19 @@ def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
     return SemigroupFamily(gen, f"phi_multiplier[d={d},m={m},r={r}]", m)
 
 
-def _axis_shift_cells(side: int, j: int) -> np.ndarray:
-    mat = np.zeros((side, side), dtype=np.complex128)
-    for k in range(side - j):
-        mat[k + j, k] = 1.0
-    return mat
-
-
 def bishift_pair(grid: QuadrantGrid2D, t) -> tuple[WindowedMap, WindowedMap]:
     """The two coordinate shifts by t on the quadrant grid."""
     j = grid_steps(t, grid.m)
     if j > grid.side:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {grid.side}-cell axis")
-    axis = _axis_shift_cells(grid.side, j)
+    idx = np.arange(grid.dim)
+    _, k2, _ = np.unravel_index(idx, (grid.side, grid.side, grid.r))
+    images = (_forward_image(grid.dim, j * grid.side * grid.r),
+              np.where(k2 + j < grid.side, idx + j * grid.r, -1))
     label = f"quadrant(m={grid.m},T={grid.T},r={grid.r})"
-    s1 = np.kron(axis, np.eye(grid.side * grid.r, dtype=np.complex128))
-    s2 = np.kron(np.eye(grid.side, dtype=np.complex128),
-                 np.kron(axis, np.eye(grid.r, dtype=np.complex128)))
-    f1, f2 = [], []
-    for k1 in range(grid.side):
-        for k2 in range(grid.side):
-            for rho in range(grid.r):
-                idx = grid.index(k1, k2, rho)
-                if k1 + j < grid.side:
-                    f1.append(idx)
-                if k2 + j < grid.side:
-                    f2.append(idx)
     everything = frozenset(range(grid.dim))
-    return (WindowedMap(s1, frozenset(f1), everything, label, label),
-            WindowedMap(s2, frozenset(f2), everything, label, label))
+    return tuple(WindowedMap(_from_image(image), _live(image), everything, label, label)
+                 for image in images)
 
 
 def bishift_families(grid: QuadrantGrid2D) -> PairOfSemigroups:
@@ -360,30 +346,18 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
     half = region.half
     if j > 2 * half:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {2 * half}-cell axis")
-    cells = region.l_cells()
-    local = {cell: pos for pos, cell in enumerate(cells)}
-    dim = len(cells)
+    cells = np.array(region.l_cells())
     n, r = region.parent.n, region.r
+    k1, k2, _ = np.unravel_index(cells, (n, n, r))
+    label = f"lregion(m={region.m},T={region.T},r={region.r})"
 
-    def build(axis: int) -> WindowedMap:
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        faithful, adj_faithful = [], []
-        for cell in cells:
-            flat, rho = divmod(cell, r)
-            k1, k2 = divmod(flat, n)
-            move = (k1 - j, k2) if axis == 0 else (k1, k2 - j)
-            back = (k1 + j, k2) if axis == 0 else (k1, k2 + j)
-            if move[0] >= 0 and move[1] >= 0:
-                target = region.parent.index(move[0], move[1], rho)
-                mat[local[target], local[cell]] = 1.0  # leftward/downward image stays in L
-                faithful.append(local[cell])
-            if back[0] <= n - 1 and back[1] <= n - 1:
-                adj_faithful.append(local[cell])
-        return WindowedMap(mat, frozenset(faithful), frozenset(adj_faithful),
-                           f"lregion(m={region.m},T={region.T},r={region.r})",
-                           f"lregion(m={region.m},T={region.T},r={region.r})")
+    def build(k: np.ndarray, stride: int) -> WindowedMap:
+        # a leftward/downward image stays in L, so its position is found by search
+        image = np.where(k >= j, np.searchsorted(cells, cells - j * stride), -1)
+        adj_faithful = frozenset(np.flatnonzero(k + j < n).tolist())
+        return WindowedMap(_from_image(image), _live(image), adj_faithful, label, label)
 
-    return build(0), build(1)
+    return build(k1, n * r), build(k2, r)
 
 
 def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
@@ -395,22 +369,16 @@ def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
 
 def torus_translation(grid: TorusGrid2D, a: int, b: int) -> np.ndarray:
     """Exactly unitary cyclic translation by (a, b) cells."""
-    mat = np.zeros((grid.dim, grid.dim), dtype=np.complex128)
-    for k1 in range(grid.n):
-        for k2 in range(grid.n):
-            for rho in range(grid.r):
-                mat[grid.index(k1 + a, k2 + b, rho), grid.index(k1, k2, rho)] = 1.0
-    return mat
+    shape = (grid.n, grid.n, grid.r)
+    k1, k2, rho = np.unravel_index(np.arange(grid.dim), shape)
+    return _from_image(np.ravel_multi_index(((k1 + a) % grid.n, (k2 + b) % grid.n, rho), shape))
 
 
 def circulant_unitary(n: int, k: int) -> np.ndarray:
     """Cyclic shift by k on C^n; the powers form a discrete unitary group."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        mat[(i + k) % n, i] = 1.0
-    return mat
+    return _from_image((np.arange(n) + k) % n)
 
 
 def circulant_family(n: int, k: int = 1, cells_per_unit: int = 1) -> SemigroupFamily:

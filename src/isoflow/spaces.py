@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, InvalidRegion
+from .numlin import _from_image
 
 __all__ = [
     "CellGrid1D",
@@ -173,44 +174,35 @@ class LRegionIndex:
         """Physical cell coordinate represented by torus axis index k."""
         return k - self.half
 
+    def _in_quadrant(self) -> np.ndarray:
+        """Mask of the parent coordinates inside the removed quadrant."""
+        n = self.parent.n
+        k1, k2, _ = np.unravel_index(np.arange(self.parent.dim), (n, n, self.r))
+        return (k1 >= self.half) & (k2 >= self.half)
+
     def quadrant_cells(self) -> tuple[int, ...]:
-        n, half, r = self.parent.n, self.half, self.r
-        out = []
-        for k1 in range(half, n):
-            for k2 in range(half, n):
-                for rho in range(r):
-                    out.append(self.parent.index(k1, k2, rho))
-        return tuple(sorted(out))
+        return tuple(np.flatnonzero(self._in_quadrant()).tolist())
 
     def l_cells(self) -> tuple[int, ...]:
-        quadrant = set(self.quadrant_cells())
-        return tuple(i for i in range(self.parent.dim) if i not in quadrant)
+        return tuple(np.flatnonzero(~self._in_quadrant()).tolist())
 
 
 def w_unitary(T: int, m: int, r: int = 1) -> np.ndarray:
     """Permutation unitary regrouping a 1-D grid into coefficient blocks.
 
     Grid cell ``k = n*m + j`` (fiber preserved) is sent to degree ``n``,
-    interval cell ``j`` of the coefficient space of top degree T-1.
+    interval cell ``j`` of the coefficient space of top degree T-1.  Under
+    the layouts fixed above this is the identity: the coefficient index
+    ``n*m*r + j*r + rho`` equals the grid index ``(n*m + j)*r + rho``.
     """
-    grid = CellGrid1D(m, T, r)
-    coeff = HardyCoeffSpace(T - 1, m, r)
-    w = np.zeros((coeff.dim, grid.dim), dtype=np.complex128)
-    for k in range(grid.cells):
-        n, j = divmod(k, m)
-        for rho in range(r):
-            w[coeff.index(n, j, rho), grid.index(k, rho)] = 1.0
-    return w
+    return _from_image(np.arange(CellGrid1D(m, T, r).dim))
 
 
 def lambda_reorder(m: int, r: int = 1) -> np.ndarray:
     """Permutation from fiber-major (rho*m + k) to cell-major (k*r + rho)."""
     _require_positive(m=m, r=r)
-    lam = np.zeros((m * r, m * r), dtype=np.complex128)
-    for rho in range(r):
-        for k in range(m):
-            lam[k * r + rho, rho * m + k] = 1.0
-    return lam
+    rho, k = np.divmod(np.arange(m * r), m)
+    return _from_image(k * r + rho)
 
 
 def region_injection(sub, ambient) -> np.ndarray:
@@ -233,7 +225,4 @@ def region_injection(sub, ambient) -> np.ndarray:
         raise InvalidRegion(f"sub indices {missing} not contained in the ambient set")
     if len(set(sub_list)) != len(sub_list):
         raise InvalidRegion("sub index set has duplicates")
-    j = np.zeros((len(ambient_list), len(sub_list)), dtype=np.complex128)
-    for col, idx in enumerate(sub_list):
-        j[position[idx], col] = 1.0
-    return j
+    return _from_image([position[i] for i in sub_list], len(ambient_list))

@@ -129,6 +129,16 @@ def test_cli_runtime_error_names_scenario(tmp_path):
     assert proc.stderr == "isoflow: error: [exhausted] every sample pair exhausts the window\n"
 
 
+def test_cli_unknown_parameter_rejected_before_any_scenario_runs(tmp_path):
+    config = tmp_path / "typo.cfg"
+    config.write_text("[fine]\nconstruction = bcl\n\n"
+                      "[typo]\nconstruction = halfline_shift\nTt = 3\n")
+    proc = run_cli("run", str(config))
+    assert proc.returncode == 2
+    assert proc.stderr == "isoflow: error: [typo] unknown parameter Tt\n"
+    assert proc.stdout == ""
+
+
 def test_main_inprocess_matches_subprocess(capsys):
     code = main(["run", str(ROOT / "configs" / "shift.cfg")])
     captured = capsys.readouterr()

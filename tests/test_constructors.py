@@ -1,0 +1,244 @@
+"""Every partial-permutation constructor against a per-cell reference.
+
+The constructors compute image arrays by index arithmetic and materialize
+them with ``numlin._from_image``.  Each reference below writes its matrix
+one cell at a time from the scalar ``index()`` rules of ``spaces``, and
+builds its windows the same way.  Matrices must agree bit for bit, windows
+exactly.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoflow.duality import _torus_axis_faithful
+from isoflow.numlin import Subspace
+from isoflow.semigroups import (bishift_pair, circulant_unitary, halfline_shift,
+                                modified_bishift_pair, partial_isometry_pair,
+                                phi_multiplier, torus_translation)
+from isoflow.spaces import (CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D,
+                            TorusGrid2D, lambda_reorder, region_injection, w_unitary)
+
+SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+SMALL = st.integers(1, 3)
+TINY = st.integers(1, 2)
+
+
+def zeros(rows, cols=None):
+    return np.zeros((rows, rows if cols is None else cols), dtype=np.complex128)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_map(got, matrix, faithful, adj_faithful):
+    assert_same_bits(got.matrix, matrix)
+    assert got.faithful == frozenset(faithful)
+    assert got.adj_faithful == frozenset(adj_faithful)
+
+
+# --- references ---------------------------------------------------------------------
+
+def reference_cut_shift(m, j, r):
+    e0, e1 = zeros(m * r), zeros(m * r)
+    for k in range(m):
+        for rho in range(r):
+            if k + j < m:
+                e0[(k + j) * r + rho, k * r + rho] = 1.0
+            else:
+                e1[(k + j - m) * r + rho, k * r + rho] = 1.0
+    return e0, e1
+
+
+def reference_quadrant_cells(region):
+    n, half = region.parent.n, region.half
+    return sorted(region.parent.index(k1, k2, rho) for k1 in range(half, n)
+                  for k2 in range(half, n) for rho in range(region.r))
+
+
+# --- one-sided constructors -----------------------------------------------------------
+
+@SETTINGS
+@given(SMALL, SMALL, SMALL, st.data())
+def test_halfline_shift(m, T, r, data):
+    grid = CellGrid1D(m, T, r)
+    j = data.draw(st.integers(0, grid.cells))
+    mat, faithful = zeros(grid.dim), []
+    for k in range(grid.cells - j):
+        for rho in range(r):
+            mat[grid.index(k + j, rho), grid.index(k, rho)] = 1.0
+            faithful.append(grid.index(k, rho))
+    assert_same_map(halfline_shift(grid, Fraction(j, m)), mat, faithful, range(grid.dim))
+
+
+@SETTINGS
+@given(st.integers(1, 5), SMALL, st.data())
+def test_partial_isometry_pair(m, r, data):
+    j = data.draw(st.integers(0, m - 1))
+    for got, want in zip(partial_isometry_pair(m, j, r), reference_cut_shift(m, j, r)):
+        assert_same_bits(got, want)
+
+
+@SETTINGS
+@given(st.integers(0, 3), SMALL, SMALL, st.data())
+def test_phi_multiplier(d, m, r, data):
+    space = HardyCoeffSpace(d, m, r)
+    j = data.draw(st.integers(0, (d + 1) * m - 1))
+    n, jj = divmod(j, m)
+    mat, faithful = zeros(space.dim), []
+    for b in range(d + 1):
+        for c in range(m):
+            for rho in range(r):
+                col = space.index(b, c, rho)
+                # E0 keeps the cell in block b + n, E1 wraps it into block b + n + 1
+                blk, cell = (b + n, c + jj) if c + jj < m else (b + n + 1, c + jj - m)
+                if blk <= d:
+                    mat[space.index(blk, cell, rho), col] = 1.0
+                if b <= (d - n if jj == 0 else d - n - 1):
+                    faithful.append(col)
+    assert_same_map(phi_multiplier(d, m, r, Fraction(j, m)), mat, faithful, range(space.dim))
+
+
+@SETTINGS
+@given(st.integers(1, 7), st.integers(-8, 8))
+def test_circulant_unitary(n, k):
+    mat = zeros(n)
+    for i in range(n):
+        mat[(i + k) % n, i] = 1.0
+    assert_same_bits(circulant_unitary(n, k), mat)
+
+
+# --- two-dimensional constructors -----------------------------------------------------
+
+@SETTINGS
+@given(TINY, TINY, TINY, st.data())
+def test_bishift_pair(m, T, r, data):
+    grid = QuadrantGrid2D(m, T, r)
+    j = data.draw(st.integers(0, grid.side))
+    mats, windows = (zeros(grid.dim), zeros(grid.dim)), ([], [])
+    for k1 in range(grid.side):
+        for k2 in range(grid.side):
+            for rho in range(r):
+                col = grid.index(k1, k2, rho)
+                for axis, (t1, t2) in enumerate(((k1 + j, k2), (k1, k2 + j))):
+                    if max(t1, t2) < grid.side:
+                        mats[axis][grid.index(t1, t2, rho), col] = 1.0
+                        windows[axis].append(col)
+    for got, mat, faithful in zip(bishift_pair(grid, Fraction(j, m)), mats, windows):
+        assert_same_map(got, mat, faithful, range(grid.dim))
+
+
+@SETTINGS
+@given(TINY, TINY, TINY, st.data())
+def test_modified_bishift_pair(m, T, r, data):
+    region = LRegionIndex(m, T, r)
+    j = data.draw(st.integers(0, 2 * region.half))
+    n = region.parent.n
+    cells = region.l_cells()
+    local = {cell: pos for pos, cell in enumerate(cells)}
+    got = modified_bishift_pair(region, Fraction(j, m))
+    for axis in (0, 1):
+        mat, faithful, adj_faithful = zeros(len(cells)), [], []
+        for pos, cell in enumerate(cells):
+            flat, rho = divmod(cell, r)
+            k = list(divmod(flat, n))
+            if k[axis] - j >= 0:
+                target = k.copy()
+                target[axis] -= j
+                mat[local[region.parent.index(*target, rho)], pos] = 1.0
+                faithful.append(pos)
+            if k[axis] + j < n:
+                adj_faithful.append(pos)
+        assert_same_map(got[axis], mat, faithful, adj_faithful)
+
+
+@SETTINGS
+@given(st.integers(1, 4), TINY, st.integers(-5, 5), st.integers(-5, 5))
+def test_torus_translation(n, r, a, b):
+    grid = TorusGrid2D(n, r)
+    mat = zeros(grid.dim)
+    for k1 in range(n):
+        for k2 in range(n):
+            for rho in range(r):
+                mat[grid.index(k1 + a, k2 + b, rho), grid.index(k1, k2, rho)] = 1.0
+    assert_same_bits(torus_translation(grid, a, b), mat)
+
+
+@SETTINGS
+@given(TINY, TINY, TINY, st.integers(0, 1), st.booleans())
+def test_torus_axis_faithful(m, T, r, axis, forward):
+    region = LRegionIndex(m, T, r)
+    n = region.parent.n
+    keep = range(0, n - 1) if forward else range(1, n)
+    want = {region.parent.index(k1, k2, rho) for k1 in range(n) for k2 in range(n)
+            for rho in range(r) if (k1, k2)[axis] in keep}
+    assert _torus_axis_faithful(region, axis, forward) == frozenset(want)
+
+
+@SETTINGS
+@given(TINY, TINY, TINY)
+def test_l_region_cells(m, T, r):
+    region = LRegionIndex(m, T, r)
+    quadrant = reference_quadrant_cells(region)
+    assert region.quadrant_cells() == tuple(quadrant)
+    assert region.l_cells() == tuple(i for i in range(region.parent.dim) if i not in quadrant)
+
+
+# --- structural permutations and coordinate subspaces ---------------------------------
+
+@SETTINGS
+@given(SMALL, SMALL, SMALL)
+def test_w_unitary(T, m, r):
+    grid, coeff = CellGrid1D(m, T, r), HardyCoeffSpace(T - 1, m, r)
+    mat = zeros(grid.dim)
+    for k in range(grid.cells):
+        n, j = divmod(k, m)
+        for rho in range(r):
+            mat[coeff.index(n, j, rho), grid.index(k, rho)] = 1.0
+    assert_same_bits(w_unitary(T, m, r), mat)
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.integers(1, 4))
+def test_lambda_reorder(m, r):
+    mat = zeros(m * r)
+    for rho in range(r):
+        for k in range(m):
+            mat[k * r + rho, rho * m + k] = 1.0
+    assert_same_bits(lambda_reorder(m, r), mat)
+
+
+@st.composite
+def nested_sets(draw):
+    ambient = sorted(draw(st.sets(st.integers(0, 30), max_size=10)))
+    sub = draw(st.sets(st.sampled_from(ambient), max_size=len(ambient))) if ambient else set()
+    return sorted(sub), ambient
+
+
+@SETTINGS
+@given(nested_sets(), st.booleans())
+def test_region_injection(case, as_dimension):
+    sub, ambient = case
+    if as_dimension:
+        ambient = list(range(max(ambient, default=0) + 1))
+    mat = zeros(len(ambient), len(sub))
+    for col, idx in enumerate(sub):
+        mat[ambient.index(idx), col] = 1.0
+    got = region_injection(sub, len(ambient) if as_dimension else reversed(ambient))
+    assert_same_bits(got, mat)
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.data())
+def test_subspace_from_cells(ambient, data):
+    cells = data.draw(st.sets(st.integers(0, ambient - 1), max_size=ambient))
+    basis = zeros(ambient, len(cells))
+    for col, cell in enumerate(sorted(cells)):
+        basis[cell, col] = 1.0
+    got = Subspace.from_cells(ambient, cells)
+    assert got.cells == tuple(sorted(cells))
+    assert_same_bits(got.basis, basis)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from isoflow.decompose import classify_pair, wold_cooper
-from isoflow.duality import (ExtensionSetup, _orbit_span, bishift_setup, circulant_pair_setup,
+from isoflow.duality import (ExtensionSetup, _compress, _lift_local, _orbit_span,
+                             bishift_setup, circulant_pair_setup,
                              double_dual_check, dual_cnu_check, dual_fourfold,
                              dual_pair, halfline_circulant_setup, l_region_setup,
                              minimal_extension, modified_bishift_model_check,
@@ -287,6 +288,17 @@ def test_simultaneous_variants():
     unitary = simultaneous_dc_ddc_classify(circulant_pair_setup(3, 3), 4, 4)
     flags = {e.check_id: e for e in unitary.entries}
     assert flags["three_part_sum"].dims == (0, 0, 9)
+
+
+def test_lift_local_numbers_host_coordinates_like_compress():
+    """Host-local coordinate i is host cell i in both the dense and the cell paths."""
+    host = orthonormal_basis(np.eye(3)[:, [2, 0]])
+    swap = WindowedMap.full(np.eye(3)[:, [2, 1, 0]])  # e0 <-> e2
+    local = _compress(swap, host)
+    assert np.array_equal(local.matrix, np.array([[0, 1], [1, 0]]))
+    lifted = _lift_local(Subspace(2, np.array([[1.0], [1j]]) / np.sqrt(2)), host)
+    expected = Subspace(3, np.array([[1.0], [0.0], [1j]]) / np.sqrt(2))
+    assert lifted.gap(expected) <= 1e-12
 
 
 def test_setup_direct_sum_validation():

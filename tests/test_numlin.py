@@ -278,6 +278,30 @@ def test_subspace_rejects_cells_that_disagree_with_basis():
         Subspace(4, basis, (1, 3))
 
 
+def test_subspace_rejects_basis_out_of_cells_order():
+    swapped = np.eye(3)[:, [2, 0]]
+    for cells in [(0, 2), (2, 0)]:
+        with pytest.raises(InvalidInput):
+            Subspace(3, swapped, cells)
+    with pytest.raises(InvalidInput):
+        Subspace(3, np.eye(3)[:, [1, 1]], (1, 1))
+    assert Subspace(3, swapped).cells is None
+
+
+def test_coordinate_results_take_from_cells_form():
+    """Local coordinate i of a coordinate result is always cell cells[i]."""
+    swapped = np.eye(3)[:, [2, 0]]
+    results = [
+        orthonormal_basis(swapped),
+        intersect(Subspace(3, swapped), Subspace.full(3)),
+        complement(Subspace(4, np.eye(4)[:, [1, 3]])),
+        nullspace(np.diag([0.0, 1.0, 0.0])),
+    ]
+    for got in results:
+        assert got.cells is not None and got.dim == 2
+        assert np.array_equal(got.basis, Subspace.from_cells(got.ambient, got.cells).basis)
+
+
 # --- unit-column probe ------------------------------------------------------------
 
 def test_coordinate_cells_of_unit_columns_in_any_order():

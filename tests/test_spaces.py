@@ -25,6 +25,17 @@ def test_w_unitary_examples():
     assert w3[HardyCoeffSpace(2, 2, 1).index(2, 1), CellGrid1D(2, 3).index(5)] == 1.0
 
 
+def test_w_unitary_is_identity_under_the_fixed_layouts():
+    # coefficient index n*m*r + j*r + rho == grid index (n*m + j)*r + rho
+    for T, m, r in [(1, 1, 1), (2, 3, 2), (4, 2, 3)]:
+        grid, coeff = CellGrid1D(m, T, r), HardyCoeffSpace(T - 1, m, r)
+        for k in range(grid.cells):
+            n, j = divmod(k, m)
+            for rho in range(r):
+                assert coeff.index(n, j, rho) == grid.index(k, rho)
+        assert np.array_equal(w_unitary(T, m, r), np.eye(grid.dim))
+
+
 def test_w_unitary_is_permutation_and_unitary():
     for T, m, r in [(2, 2, 1), (4, 4, 2), (3, 2, 3)]:
         w = w_unitary(T, m, r)

@@ -2,7 +2,8 @@
 
 The rule is restated here column by column, straight from its definition,
 and the vectorized implementations in ``WindowedMap.compose`` and in the
-coordinate path of ``duality._compress`` are compared against it.
+coordinate path of ``duality._compress`` are compared against it.  On 0/1
+partial permutations ``compose`` is associative, windows included.
 """
 
 import numpy as np
@@ -78,6 +79,24 @@ def test_compose_windows_match_reference_on_dense_matrices(pair):
     got = a.compose(b)
     assert got.faithful == reference_faithful(a, b)
     assert got.adj_faithful == reference_adj_faithful(a, b)
+
+
+@st.composite
+def composable_triples(draw):
+    rows, inner, outer, cols = (draw(st.integers(1, 6)) for _ in range(4))
+    return (draw(partial_permutations(rows, inner)), draw(partial_permutations(inner, outer)),
+            draw(partial_permutations(outer, cols)))
+
+
+@SETTINGS
+@given(composable_triples())
+def test_compose_is_associative_on_partial_permutations(triple):
+    a, b, c = triple
+    left = a.compose(b).compose(c)
+    right = a.compose(b.compose(c))
+    assert np.array_equal(left.matrix, right.matrix)
+    assert left.faithful == right.faithful
+    assert left.adj_faithful == right.adj_faithful
 
 
 @SETTINGS
