@@ -23,13 +23,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_rows,
-                     column_restricted_residual, complement, intersect, orthonormal_basis,
-                     residual_norm, spectral_norm)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, column_restricted_residual,
+                     complement, intersect, orthonormal_basis, residual_norm, spectral_norm)
 from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _escapes,
+from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _after, _escapes,
                          _pair_residual, halfline_shift, phi_multiplier)
-from .spaces import CellGrid1D, w_unitary
+from .spaces import CellGrid1D, _w_image
 
 __all__ = [
     "WoldResult",
@@ -89,6 +88,9 @@ def _faithful_range(element: WindowedMap, tol: Tolerances) -> Subspace:
     cols = sorted(element.faithful)
     if not cols:
         return Subspace.zero(element.domain_dim)
+    if element.image is not None:  # unit columns span the coordinates of their rows
+        rows = element.image[cols]
+        return Subspace.from_cells(element.codomain_dim, set(rows[rows >= 0].tolist()))
     return orthonormal_basis(element.matrix[:, cols], tol)
 
 
@@ -117,9 +119,8 @@ def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAU
         current = nxt
     unitary_part = current
     cnu_part = complement(unitary_part)
-    gen = family.generator.matrix
     if unitary_part.dim:
-        restr = unitary_part.basis.conj().T @ gen @ unitary_part.basis
+        restr = unitary_part.basis.conj().T @ family.generator.matrix @ unitary_part.basis
         eye = np.eye(unitary_part.dim)
         unitary_residual = max(residual_norm(restr.conj().T @ restr, eye),
                                residual_norm(restr @ restr.conj().T, eye))
@@ -212,25 +213,27 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int,
 def bcl_check(T: int, m: int, r: int, samples) -> Report:
     """Exact identification of the half-line shift with its multiplier model.
 
-    Conjugates each sampled shift by the interval-stacking permutation and
-    compares with the degree-block multiplier; both sides are partial
-    permutations, so the check demands residual exactly zero on the common
-    window.
+    Conjugates each sampled shift by the interval-stacking permutation W
+    (an index gather through W's image) and compares with the
+    degree-block multiplier; both sides are partial permutations, so the
+    check demands residual exactly zero on the common window.
     """
     grid = CellGrid1D(m, T, r)
-    w = w_unitary(T, m, r)
-    w_image = _unit_rows(w)
+    w = _w_image(T, m, r)
     entries = []
     for t in samples:
         time = Fraction(t)
         shift = halfline_shift(grid, time)
         multiplier = phi_multiplier(T - 1, m, r, time)
-        conjugated = w @ shift.matrix @ w.conj().T
-        columns = set(w_image[list(shift.faithful)].tolist()) & multiplier.faithful
-        if not columns:
+        image = np.empty_like(w)
+        image[w] = _after(w, shift.image)  # W S W* sends w[j] where S sends j
+        conjugated = WindowedMap.from_image(image, w[sorted(shift.faithful)].tolist(),
+                                            w[sorted(shift.adj_faithful)].tolist())
+        got = _pair_residual(conjugated, multiplier)
+        if got is None:
             raise WindowTooSmall(f"time {time} leaves no faithful window")
-        residual = column_restricted_residual(conjugated, multiplier.matrix, columns)
-        entries.append(CheckEntry(f"t={time}", residual, (len(columns),), residual == 0.0))
+        residual, count = got
+        entries.append(CheckEntry(f"t={time}", residual, (count,), residual == 0.0))
     return Report(scenario=f"bcl[T={T},m={m},r={r}]", entries=entries)
 
 

@@ -36,9 +36,8 @@ from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _from_image, _unit_rows,
 from .decompose import (_reduction_residual, classify_pair, fourfold_decompose,
                         product_unitary_part)
 from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _escapes,
-                         circulant_unitary, direct_sum, modified_bishift_pair,
-                         torus_translation)
+from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
+                         _escapes, _mask, _torus_image, direct_sum, modified_bishift_pair)
 from .spaces import LRegionIndex
 
 __all__ = [
@@ -87,10 +86,19 @@ class ExtensionSetup:
             raise InvalidInput("subspace ambient does not match the unitaries")
         eye = np.eye(n)
         for tag, u in (("U1", self.u1), ("U2", self.u2)):
-            if residual_norm(u.matrix.conj().T @ u.matrix, eye) > _UNITARY_ATOL:
+            if u.image is not None:
+                unitary = np.array_equal(np.sort(u.image), np.arange(n))  # a permutation
+            else:
+                unitary = residual_norm(u.matrix.conj().T @ u.matrix, eye) <= _UNITARY_ATOL
+            if not unitary:
                 raise InvalidInput(f"{tag} is not unitary to 1e-12")
-        if spectral_norm(self.u1.matrix @ self.u2.matrix
-                         - self.u2.matrix @ self.u1.matrix) > _UNITARY_ATOL:
+        a, b = self.u1.image, self.u2.image
+        if a is not None and b is not None:
+            commute = np.array_equal(a[b], b[a])
+        else:
+            commute = spectral_norm(self.u1.matrix @ self.u2.matrix
+                                    - self.u2.matrix @ self.u1.matrix) <= _UNITARY_ATOL
+        if not commute:
             raise InvalidInput("ambient unitaries do not commute")
         if self.cells_per_unit < 1:
             raise InvalidInput("cells_per_unit must be >= 1")
@@ -158,13 +166,19 @@ def _compress(u: WindowedMap, sub: Subspace) -> WindowedMap:
     """
     if sub.cells is not None:
         cells = list(sub.cells)
-        matrix = u.matrix[np.ix_(cells, cells)]
-        escapes = _escapes(u.matrix, cells)[cells]
-        faithful = frozenset(
-            pos for pos, c in enumerate(cells) if c in u.faithful and not escapes[pos])
-        adj_faithful = frozenset(
-            pos for pos, c in enumerate(cells) if c in u.adj_faithful)
-        return WindowedMap(matrix, faithful, adj_faithful, u.domain, u.codomain)
+        if u.image is not None:
+            position = np.full(u.codomain_dim + 1, -1)  # the last slot stands for a zero column
+            position[cells] = np.arange(len(cells))
+            image = position[u.image[cells]]
+            escapes = (u.image[cells] >= 0) & (image < 0)
+        else:
+            escapes = _escapes(u.matrix, cells)[cells]
+        faithful = [pos for pos, c in enumerate(cells) if c in u.faithful and not escapes[pos]]
+        adj_faithful = [pos for pos, c in enumerate(cells) if c in u.adj_faithful]
+        if u.image is not None:
+            return WindowedMap.from_image(image, faithful, adj_faithful, u.domain, u.codomain)
+        return WindowedMap(u.matrix[np.ix_(cells, cells)], faithful, adj_faithful,
+                           u.domain, u.codomain)
     matrix = sub.basis.conj().T @ u.matrix @ sub.basis
     return WindowedMap.full(matrix, u.domain, u.codomain)
 
@@ -185,9 +199,9 @@ def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace,
     """Span of U1^a U2^b (start) over the box |a|, |b| <= A, grown until stable."""
     if max_orbit < 1:
         raise InvalidInput("max_orbit must be >= 1")
-    perms = [_unit_rows(u.matrix) for u in (u1, u2)]
+    perms = [_unit_rows(u.matrix) if u.image is None else u.image for u in (u1, u2)]
     if start.cells is not None and all(
-            p is not None and len(set(p.tolist())) == p.size for p in perms):
+            p is not None and (p >= 0).all() and len(set(p.tolist())) == p.size for p in perms):
         pw1, pw2 = (_power_maps(p, max_orbit) for p in perms)
         base = np.array(start.cells, dtype=np.int64)
 
@@ -280,7 +294,13 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
             if not cols:
                 residuals.append(0.0)
                 continue
-            defect = ((np.eye(setup.ambient_dim) - wth.projector()) @ adj.matrix)[:, cols]
+            if adj.image is not None:
+                # (I - P) keeps the unit columns that leave the cells; a zero column stays zero
+                rows = adj.image[cols]
+                stays = np.append(_mask(wth.cells, setup.ambient_dim), True)[rows]
+                defect = _from_image(np.where(stays, -1, rows), setup.ambient_dim)
+            else:
+                defect = ((np.eye(setup.ambient_dim) - wth.projector()) @ adj.matrix)[:, cols]
             residuals.append(spectral_norm(defect))
         else:
             p = wth.projector()
@@ -544,11 +564,11 @@ def _torus_axis_faithful(region: LRegionIndex, axis: int, forward: bool) -> froz
 def _torus_unitary(region: LRegionIndex, axis: int, forward: bool) -> WindowedMap:
     step = 1 if forward else -1
     a, b = (step, 0) if axis == 0 else (0, step)
-    matrix = torus_translation(region.parent, a, b)
     faithful = _torus_axis_faithful(region, axis, forward)
     adj_faithful = _torus_axis_faithful(region, axis, not forward)
     tag = f"torus(n={region.parent.n},r={region.r})"
-    return WindowedMap(matrix, faithful, adj_faithful, tag, tag)
+    return WindowedMap.from_image(_torus_image(region.parent, a, b), faithful, adj_faithful,
+                                  tag, tag)
 
 
 def l_region_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
@@ -577,6 +597,12 @@ def bishift_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
         geometry=region)
 
 
+def _fiber_cycle(n: int, p: int, tag: str = "") -> WindowedMap:
+    """I_n tensor the cyclic shift by one on C^p, exact everywhere."""
+    k, rho = np.divmod(np.arange(n * p), p)
+    return WindowedMap.from_image(k * p + (rho + 1) % p, range(n * p), range(n * p), tag, tag)
+
+
 def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False) -> ExtensionSetup:
     """Half-line shift compression tensored against a cyclic fiber rotation.
 
@@ -586,13 +612,11 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     ``unitary_first`` the roles of the two families are swapped.
     """
     n = 2 * m * T
-    shift_matrix = circulant_unitary(n * p, p)  # the cycle on n cells, tensor I_p
-    shift_faithful = frozenset(k * p + rho for k in range(n - 1) for rho in range(p))
-    shift_adj = frozenset(k * p + rho for k in range(1, n) for rho in range(p))
     tag = f"cycle({n})xC{p}"
-    u_shift = WindowedMap(shift_matrix, shift_faithful, shift_adj, tag, tag)
-    u_fiber = WindowedMap.full(np.kron(np.eye(n, dtype=np.complex128),
-                                       circulant_unitary(p, 1)), tag, tag)
+    # the cycle on n cells, tensor I_p; the wrapping cells are unfaithful
+    u_shift = WindowedMap.from_image(_circulant_image(n * p, p), range((n - 1) * p),
+                                     range(p, n * p), tag, tag)
+    u_fiber = _fiber_cycle(n, p, tag)
     h = Subspace.from_cells(n * p, [k * p + rho for k in range(m * T, n) for rho in range(p)])
     u1, u2 = (u_fiber, u_shift) if unitary_first else (u_shift, u_fiber)
     kind = "circulant_x_shift" if unitary_first else "shift_x_circulant"
@@ -601,8 +625,10 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
 
 def circulant_pair_setup(n1: int, n2: int, cells_per_unit: int = 1) -> ExtensionSetup:
     """Two commuting cyclic rotations with the full space embedded."""
-    u1 = WindowedMap.full(circulant_unitary(n1 * n2, n2))  # the n1-cycle, tensor I_n2
-    u2 = WindowedMap.full(np.kron(np.eye(n1, dtype=np.complex128), circulant_unitary(n2, 1)))
+    everything = range(n1 * n2)
+    # the n1-cycle, tensor I_n2
+    u1 = WindowedMap.from_image(_circulant_image(n1 * n2, n2), everything, everything)
+    u2 = _fiber_cycle(n1, n2)
     return ExtensionSetup(u1, u2, Subspace.full(n1 * n2), cells_per_unit,
                           f"circulant_pair({n1},{n2})")
 

@@ -11,11 +11,13 @@ Two rules shape the implementation:
 * Exactness.  The constructors in this package produce 0/1 partial
   permutations.  Each computes its image array (the row of each column's
   single 1, -1 for a zero column) by index arithmetic, and ``_from_image``
-  is the one materializer that turns an image into a matrix.  Its inverse
-  probe is ``_unit_rows`` (the row of each column's single nonzero
-  entry).  The primitives detect such input and short-circuit to
-  integer-exact arithmetic, so identities that hold exactly are reported
-  as exactly zero, not as 1e-16 noise.  A basis whose columns are
+  is the one materializer that turns an image into a matrix;
+  ``semigroups.WindowedMap`` keeps the image and calls it only when its
+  matrix is read.  Its inverse probe is ``_unit_rows`` (the row of each
+  column's single nonzero entry), kept for matrices that come from
+  outside the constructors.  The primitives detect such input and
+  short-circuit to integer-exact arithmetic, so identities that hold
+  exactly are reported as exactly zero, not as 1e-16 noise.  A basis whose columns are
   distinct standard basis vectors carries their index set in ``cells``,
   and set arithmetic is used whenever both operands have one.
 
@@ -255,9 +257,13 @@ def orthonormal_basis(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Numerical intersection of two subspaces.
 
-    Keeps the directions whose principal-angle cosine is >= tol.angle,
-    computed from the Hermitian product P1 P2 P1 (eigenvalue = cosine
-    squared).  Coordinate-exact operands intersect by set arithmetic.
+    Keeps the directions whose principal-angle cosine is >= tol.angle.
+    The cosines and the principal vectors in s1 come from the SVD of
+    Q1* Q2 (Bjorck & Golub 1973).  Near cosine 1 that SVD cannot resolve
+    an angle, so angles under pi/4 are decided by their sines, the
+    singular values of the part of the smaller basis outside the larger
+    span (Knyazev & Argentati 2002).  Coordinate-exact operands intersect
+    by set arithmetic.
     """
     if s1.ambient != s2.ambient:
         raise DimensionMismatch("ambient dimensions differ")
@@ -265,12 +271,13 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subs
         return Subspace.from_cells(s1.ambient, set(s1.cells) & set(s2.cells))
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(s1.ambient)
-    p1 = s1.projector()
-    core = p1 @ s2.projector() @ p1
-    core = (core + core.conj().T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(core)
-    keep = eigvals >= tol.angle**2
-    basis = eigvecs[:, keep][:, ::-1]  # descending cosine, fixed order
+    u, cosines, _ = np.linalg.svd(s1.basis.conj().T @ s2.basis, full_matrices=False)
+    big, small = (s1.basis, s2.basis) if s1.dim >= s2.dim else (s2.basis, s1.basis)
+    outside = small - big @ (big.conj().T @ small)
+    sines = np.linalg.svd(outside, compute_uv=False)[::-1]  # ascending, paired with the cosines
+    sine_bound = np.sqrt((1.0 - tol.angle) * (1.0 + tol.angle))  # the sine of the angle bound
+    keep = np.where(cosines**2 >= 0.5, sines <= sine_bound, cosines >= tol.angle)
+    basis = s1.basis @ u[:, keep]  # descending cosine, fixed order
     return _orthonormal_subspace(s1.ambient, basis)
 
 

@@ -13,12 +13,21 @@ indices.  Columns whose true image leaves the represented window are
 stored as exact zeros and marked unfaithful; columns that the true
 operator genuinely annihilates stay faithful with their exact zeros.
 
-All constructors below compute the image array of a 0/1 partial
-permutation by index arithmetic over the layouts of ``spaces`` and
-materialize it with ``numlin._from_image``, so the algebraic identities
-between them hold with residual exactly zero, not merely small.  Grid
-times are restricted to multiples of 1/m and rejected otherwise; nothing
-is interpolated.
+All operator constructors below compute the image array of a 0/1
+partial permutation (the row of each column's single 1, -1 for a zero
+column) by index arithmetic over the layouts of ``spaces``.  A
+``WindowedMap`` keeps that image and its (rows, columns) shape, and
+builds its dense matrix with ``numlin._from_image`` only when something
+reads ``matrix``.  Composition of two such maps is an index gather,
+their adjoint is the inverse image, and two of them are compared image
+against image, so the algebraic identities between them hold with
+residual exactly zero, not merely small.  The dense path runs only for
+a map built from a matrix (a Fourier unitary, phases, ``I + N``), for
+the adjoint of a non-injective image, and for residuals of columns that
+disagree.  The functions returning plain matrices (``torus_translation``,
+``circulant_unitary``, ``partial_isometry_pair``) materialize the same
+images.  Grid times are restricted to multiples of 1/m and rejected
+otherwise; nothing is interpolated.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import DEFAULT_TOL, Tolerances, _from_image, as_matrix, column_restricted_residual
+from .numlin import (DEFAULT_TOL, Tolerances, _from_image, as_matrix, column_restricted_residual,
+                     spectral_norm)
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 
@@ -83,71 +93,157 @@ def _escapes(matrix: np.ndarray, window) -> np.ndarray:
     return matrix[outside].any(axis=0)
 
 
+def _mask(window, n: int) -> np.ndarray:
+    """Boolean mask of length n that is True on ``window``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(window)] = True
+    return mask
+
+
+def _members(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def _after(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Image of (outer o inner): follow inner, then outer; -1 stays -1."""
+    return np.append(outer, -1)[inner]
+
+
 def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | None:
     """Residual of x - y on the columns faithful for both, with their count.
 
-    None when no column is faithful for both.
+    None when no column is faithful for both.  Two images that agree on
+    those columns give exactly 0.0; otherwise only those columns are built.
     """
     columns = x.faithful & y.faithful
     if not columns:
         return None
-    return column_restricted_residual(x.matrix, y.matrix, columns), len(columns)
+    if x.image is None or y.image is None or x.shape != y.shape:
+        return column_restricted_residual(x.matrix, y.matrix, columns), len(columns)
+    cols = sorted(columns)
+    got, want = x.image[cols], y.image[cols]
+    if np.array_equal(got, want):
+        return 0.0, len(columns)
+    rows = x.codomain_dim
+    return spectral_norm(_from_image(got, rows) - _from_image(want, rows)), len(columns)
 
 
-@dataclass(frozen=True, eq=False)
 class WindowedMap:
-    """A finite matrix plus the domain indices on which it is exact."""
+    """A finite operator plus the domain indices on which it is exact.
 
-    matrix: np.ndarray
-    faithful: frozenset[int]
-    adj_faithful: frozenset[int]
-    domain: str = ""
-    codomain: str = ""
+    A 0/1 partial permutation is held as its ``image``: an ``int64`` array
+    with the row of each column's single 1, or -1 for a zero column.  Its
+    dense ``matrix`` is built by ``numlin._from_image`` the first time
+    something reads it and is kept from then on.  Any other operator (a
+    Fourier unitary, phases, ``I + N``) is held as its dense ``matrix``,
+    and its ``image`` is None.  ``shape`` is (rows, columns) either way.
+
+    ``compose`` is an index gather when both operands have an image and a
+    matrix product otherwise; ``adjoint`` inverts an injective image and
+    takes the conjugate transpose of everything else.
+    """
+
+    def __init__(self, matrix, faithful, adj_faithful, domain: str = "", codomain: str = ""):
+        self.image = None
+        self._matrix = matrix
+        self.faithful, self.adj_faithful = faithful, adj_faithful
+        self.domain, self.codomain = domain, codomain
+        self.__post_init__()
+
+    @classmethod
+    def from_image(cls, image, faithful, adj_faithful, domain: str = "", codomain: str = "",
+                   rows: int | None = None) -> "WindowedMap":
+        """The 0/1 partial permutation with a 1 at (image[j], j) for every image[j] >= 0.
+
+        ``rows`` defaults to the number of columns.
+        """
+        made = cls.__new__(cls)
+        made.image = np.asarray(image)
+        made._matrix = None
+        made.shape = (made.image.size if rows is None else int(rows), made.image.size)
+        made.faithful, made.adj_faithful = faithful, adj_faithful
+        made.domain, made.codomain = domain, codomain
+        made.__post_init__()
+        return made
 
     def __post_init__(self) -> None:
-        mat = as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "faithful", frozenset(int(i) for i in self.faithful))
-        object.__setattr__(self, "adj_faithful", frozenset(int(i) for i in self.adj_faithful))
-        rows, cols = mat.shape
-        if any(not 0 <= i < cols for i in self.faithful):
+        if self.image is None:
+            self._matrix = as_matrix(self._matrix)
+            self.shape = self._matrix.shape
+        else:
+            image = self.image
+            if image.ndim != 1 or image.dtype.kind not in "iu":
+                raise InvalidInput("image must be a 1-D integer array")
+            image = image.astype(np.int64, copy=False).view()
+            image.flags.writeable = False
+            if image.size and not -1 <= image.min() <= image.max() < self.shape[0]:
+                raise InvalidInput("image entry outside [-1, rows)")
+            self.image = image
+        self.faithful = frozenset(map(int, self.faithful))
+        self.adj_faithful = frozenset(map(int, self.adj_faithful))
+        rows, cols = self.shape
+        if self.faithful and not 0 <= min(self.faithful) <= max(self.faithful) < cols:
             raise InvalidInput("faithful index outside the domain")
-        if any(not 0 <= i < rows for i in self.adj_faithful):
+        if self.adj_faithful and not 0 <= min(self.adj_faithful) <= max(self.adj_faithful) < rows:
             raise InvalidInput("adjoint-faithful index outside the codomain")
 
     @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _from_image(self.image, self.shape[0])
+        return self._matrix
+
+    @property
     def domain_dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.shape[1]
 
     @property
     def codomain_dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.shape[0]
 
     @classmethod
     def identity(cls, n: int, space: str = "") -> "WindowedMap":
-        return cls(np.eye(n, dtype=np.complex128), frozenset(range(n)), frozenset(range(n)), space, space)
+        return cls.from_image(np.arange(n), range(n), range(n), space, space)
 
     @classmethod
     def full(cls, matrix, domain: str = "", codomain: str = "") -> "WindowedMap":
         """Wrap a matrix that represents its operator exactly everywhere."""
         mat = as_matrix(matrix)
-        return cls(mat, frozenset(range(mat.shape[1])), frozenset(range(mat.shape[0])), domain, codomain)
+        return cls(mat, range(mat.shape[1]), range(mat.shape[0]), domain, codomain)
 
     def compose(self, other: "WindowedMap") -> "WindowedMap":
         """self o other, with both windows shrunk by the support rule."""
         if other.codomain_dim != self.domain_dim:
-            raise DimensionMismatch(
-                f"cannot compose {self.matrix.shape} after {other.matrix.shape}")
-        matrix = self.matrix @ other.matrix
-        kept = np.flatnonzero(~_escapes(other.matrix, self.faithful)).tolist()
-        adj_kept = np.flatnonzero(~_escapes(self.matrix.T, other.adj_faithful)).tolist()
-        return WindowedMap(matrix, other.faithful.intersection(kept),
-                           self.adj_faithful.intersection(adj_kept), other.domain, self.codomain)
+            raise DimensionMismatch(f"cannot compose {self.shape} after {other.shape}")
+        if self.image is None or other.image is None:
+            matrix = self.matrix @ other.matrix
+            kept = np.flatnonzero(~_escapes(other.matrix, self.faithful)).tolist()
+            adj_kept = np.flatnonzero(~_escapes(self.matrix.T, other.adj_faithful)).tolist()
+            return WindowedMap(matrix, other.faithful.intersection(kept),
+                               self.adj_faithful.intersection(adj_kept),
+                               other.domain, self.codomain)
+        # column i of other is the unit vector at row b[i] (or zero when b[i] = -1)
+        a, b = self.image, other.image
+        inside = np.append(_mask(self.faithful, self.domain_dim), True)
+        kept = _mask(other.faithful, other.domain_dim) & inside[b]
+        # row i of self is supported on the columns j with a[j] = i
+        hit = np.zeros(self.codomain_dim + 1, dtype=bool)
+        hit[a[~_mask(other.adj_faithful, self.domain_dim)]] = True
+        adj_kept = _mask(self.adj_faithful, self.codomain_dim) & ~hit[:-1]
+        return WindowedMap.from_image(_after(a, b), _members(kept), _members(adj_kept),
+                                      other.domain, self.codomain, self.codomain_dim)
 
     def __matmul__(self, other: "WindowedMap") -> "WindowedMap":
         return self.compose(other)
 
     def adjoint(self) -> "WindowedMap":
+        if self.image is not None:
+            live = np.flatnonzero(self.image >= 0)
+            inverse = np.full(self.codomain_dim, -1, dtype=np.int64)
+            inverse[self.image[live]] = live
+            if np.count_nonzero(inverse >= 0) == live.size:  # injective
+                return WindowedMap.from_image(inverse, self.adj_faithful, self.faithful,
+                                              self.codomain, self.domain, self.domain_dim)
         return WindowedMap(self.matrix.conj().T, self.adj_faithful, self.faithful,
                            self.codomain, self.domain)
 
@@ -233,11 +329,6 @@ def _forward_image(dim: int, offset: int) -> np.ndarray:
     return np.where(target < dim, target, -1)
 
 
-def _live(image: np.ndarray) -> frozenset[int]:
-    """The columns an image array keeps."""
-    return frozenset(np.flatnonzero(image >= 0).tolist())
-
-
 def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
     """Forward translation by t on the half-line grid.
 
@@ -251,7 +342,7 @@ def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {grid.cells}-cell window")
     image = _forward_image(grid.dim, j * grid.r)
     label = f"halfline(m={grid.m},T={grid.T},r={grid.r})"
-    return WindowedMap(_from_image(image), _live(image), frozenset(range(grid.dim)), label, label)
+    return WindowedMap.from_image(image, _members(image >= 0), range(grid.dim), label, label)
 
 
 def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
@@ -299,9 +390,8 @@ def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
         raise WindowTooSmall(f"integer part {n} of the time exceeds the top degree {d}")
     top = d - n if jj == 0 else d - n - 1
     label = f"coeff(d={d},m={m},r={r})"
-    return WindowedMap(_from_image(_forward_image(space.dim, j * r)),
-                       frozenset(range((top + 1) * space.block)),
-                       frozenset(range(space.dim)), label, label)
+    return WindowedMap.from_image(_forward_image(space.dim, j * r),
+                                  range((top + 1) * space.block), range(space.dim), label, label)
 
 
 def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
@@ -319,8 +409,7 @@ def bishift_pair(grid: QuadrantGrid2D, t) -> tuple[WindowedMap, WindowedMap]:
     images = (_forward_image(grid.dim, j * grid.side * grid.r),
               np.where(k2 + j < grid.side, idx + j * grid.r, -1))
     label = f"quadrant(m={grid.m},T={grid.T},r={grid.r})"
-    everything = frozenset(range(grid.dim))
-    return tuple(WindowedMap(_from_image(image), _live(image), everything, label, label)
+    return tuple(WindowedMap.from_image(image, _members(image >= 0), range(grid.dim), label, label)
                  for image in images)
 
 
@@ -354,8 +443,8 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
     def build(k: np.ndarray, stride: int) -> WindowedMap:
         # a leftward/downward image stays in L, so its position is found by search
         image = np.where(k >= j, np.searchsorted(cells, cells - j * stride), -1)
-        adj_faithful = frozenset(np.flatnonzero(k + j < n).tolist())
-        return WindowedMap(_from_image(image), _live(image), adj_faithful, label, label)
+        adj_faithful = np.flatnonzero(k + j < n).tolist()
+        return WindowedMap.from_image(image, _members(image >= 0), adj_faithful, label, label)
 
     return build(k1, n * r), build(k2, r)
 
@@ -367,71 +456,92 @@ def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
                             SemigroupFamily(g2, f"modified2[{tag}]", region.m))
 
 
-def torus_translation(grid: TorusGrid2D, a: int, b: int) -> np.ndarray:
-    """Exactly unitary cyclic translation by (a, b) cells."""
+def _torus_image(grid: TorusGrid2D, a: int, b: int) -> np.ndarray:
+    """Image of the cyclic translation by (a, b) cells."""
     shape = (grid.n, grid.n, grid.r)
     k1, k2, rho = np.unravel_index(np.arange(grid.dim), shape)
-    return _from_image(np.ravel_multi_index(((k1 + a) % grid.n, (k2 + b) % grid.n, rho), shape))
+    return np.ravel_multi_index(((k1 + a) % grid.n, (k2 + b) % grid.n, rho), shape)
+
+
+def torus_translation(grid: TorusGrid2D, a: int, b: int) -> np.ndarray:
+    """Exactly unitary cyclic translation by (a, b) cells."""
+    return _from_image(_torus_image(grid, a, b))
+
+
+def _circulant_image(n: int, k: int) -> np.ndarray:
+    """Image of the cyclic shift by k on C^n."""
+    if n < 1:
+        raise InvalidInput("n must be >= 1")
+    return (np.arange(n) + k) % n
 
 
 def circulant_unitary(n: int, k: int) -> np.ndarray:
     """Cyclic shift by k on C^n; the powers form a discrete unitary group."""
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
-    return _from_image((np.arange(n) + k) % n)
+    return _from_image(_circulant_image(n, k))
 
 
 def circulant_family(n: int, k: int = 1, cells_per_unit: int = 1) -> SemigroupFamily:
-    gen = WindowedMap.full(circulant_unitary(n, k), f"cycle({n})", f"cycle({n})")
+    label = f"cycle({n})"
+    gen = WindowedMap.from_image(_circulant_image(n, k), range(n), range(n), label, label)
     return SemigroupFamily(gen, f"circulant[n={n},k={k}]", cells_per_unit)
 
 
 def direct_sum(*parts: WindowedMap) -> WindowedMap:
-    """Block-diagonal direct sum; windows are the shifted unions."""
+    """Block-diagonal direct sum; windows are the shifted unions.
+
+    The sum of image-backed parts is image-backed: each part's image is
+    offset by the rows before it.
+    """
     if not parts:
         raise InvalidInput("direct_sum needs at least one part")
-    rows = sum(p.codomain_dim for p in parts)
-    cols = sum(p.domain_dim for p in parts)
-    mat = np.zeros((rows, cols), dtype=np.complex128)
-    faithful: set[int] = set()
-    adj_faithful: set[int] = set()
-    row0 = col0 = 0
-    for part in parts:
-        mat[row0:row0 + part.codomain_dim, col0:col0 + part.domain_dim] = part.matrix
-        faithful.update(col0 + i for i in part.faithful)
-        adj_faithful.update(row0 + i for i in part.adj_faithful)
-        row0 += part.codomain_dim
-        col0 += part.domain_dim
+    row0 = np.cumsum([0] + [p.codomain_dim for p in parts]).tolist()
+    col0 = np.cumsum([0] + [p.domain_dim for p in parts]).tolist()
+    faithful = [col0[k] + i for k, part in enumerate(parts) for i in part.faithful]
+    adj_faithful = [row0[k] + i for k, part in enumerate(parts) for i in part.adj_faithful]
     domain = "(+)".join(p.domain for p in parts)
     codomain = "(+)".join(p.codomain for p in parts)
-    return WindowedMap(mat, frozenset(faithful), frozenset(adj_faithful), domain, codomain)
+    if all(p.image is not None for p in parts):
+        image = np.concatenate([np.where(p.image >= 0, p.image + row0[k], -1)
+                                for k, p in enumerate(parts)])
+        return WindowedMap.from_image(image, faithful, adj_faithful, domain, codomain, row0[-1])
+    mat = np.zeros((row0[-1], col0[-1]), dtype=np.complex128)
+    for k, part in enumerate(parts):
+        mat[row0[k]:row0[k + 1], col0[k]:col0[k + 1]] = part.matrix
+    return WindowedMap(mat, faithful, adj_faithful, domain, codomain)
 
 
 def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> WindowedMap:
     """Kronecker product with an identity on the declared fiber side.
 
     side="right" gives part (x) I_fiber (fiber is the inner index);
-    side="left" gives I_fiber (x) part.
+    side="left" gives I_fiber (x) part.  An image-backed part gives an
+    image-backed product.
     """
     if fiber < 1:
         raise InvalidInput("fiber dimension must be >= 1")
-    eye = np.eye(fiber, dtype=np.complex128)
     if side == "right":
-        mat = np.kron(part.matrix, eye)
-        faithful = frozenset(i * fiber + rho for i in part.faithful for rho in range(fiber))
-        adj = frozenset(i * fiber + rho for i in part.adj_faithful for rho in range(fiber))
-        domain = f"{part.domain}(x)C{fiber}"
-        codomain = f"{part.codomain}(x)C{fiber}"
+        def place(i, k, n):  # index of (part index i of n, fiber index k)
+            return i * fiber + k
+        domain, codomain = f"{part.domain}(x)C{fiber}", f"{part.codomain}(x)C{fiber}"
     elif side == "left":
-        mat = np.kron(eye, part.matrix)
-        n_dom, n_cod = part.domain_dim, part.codomain_dim
-        faithful = frozenset(kappa * n_dom + i for kappa in range(fiber) for i in part.faithful)
-        adj = frozenset(kappa * n_cod + i for kappa in range(fiber) for i in part.adj_faithful)
-        domain = f"C{fiber}(x){part.domain}"
-        codomain = f"C{fiber}(x){part.codomain}"
+        def place(i, k, n):
+            return k * n + i
+        domain, codomain = f"C{fiber}(x){part.domain}", f"C{fiber}(x){part.codomain}"
     else:
         raise InvalidInput(f"side must be 'left' or 'right', got {side!r}")
-    return WindowedMap(mat, faithful, adj, domain, codomain)
+    n_dom, n_cod = part.domain_dim, part.codomain_dim
+    faithful = [place(i, k, n_dom) for i in part.faithful for k in range(fiber)]
+    adj = [place(i, k, n_cod) for i in part.adj_faithful for k in range(fiber)]
+    if part.image is None:
+        eye = np.eye(fiber, dtype=np.complex128)
+        mat = np.kron(part.matrix, eye) if side == "right" else np.kron(eye, part.matrix)
+        return WindowedMap(mat, faithful, adj, domain, codomain)
+    # column place(i, k) goes to row place(image[i], k)
+    target, k = part.image[:, None], np.arange(fiber)
+    image = np.empty(fiber * n_dom, dtype=np.int64)
+    image[place(np.arange(n_dom)[:, None], k, n_dom)] = np.where(target >= 0,
+                                                                 place(target, k, n_cod), -1)
+    return WindowedMap.from_image(image, faithful, adj, domain, codomain, fiber * n_cod)
 
 
 def check_semigroup_law(family: SemigroupFamily, samples,

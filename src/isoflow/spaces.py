@@ -187,6 +187,11 @@ class LRegionIndex:
         return tuple(np.flatnonzero(~self._in_quadrant()).tolist())
 
 
+def _w_image(T: int, m: int, r: int = 1) -> np.ndarray:
+    """Image of ``w_unitary``: the coefficient index of each grid index."""
+    return np.arange(CellGrid1D(m, T, r).dim)
+
+
 def w_unitary(T: int, m: int, r: int = 1) -> np.ndarray:
     """Permutation unitary regrouping a 1-D grid into coefficient blocks.
 
@@ -195,7 +200,7 @@ def w_unitary(T: int, m: int, r: int = 1) -> np.ndarray:
     the layouts fixed above this is the identity: the coefficient index
     ``n*m*r + j*r + rho`` equals the grid index ``(n*m + j)*r + rho``.
     """
-    return _from_image(np.arange(CellGrid1D(m, T, r).dim))
+    return _from_image(_w_image(T, m, r))
 
 
 def lambda_reorder(m: int, r: int = 1) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Minimal extensions, dual pairs, double duals, and the dual splitting."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,33 @@ def test_extension_setup_validation():
     with pytest.raises(InvalidInput):
         ExtensionSetup(WindowedMap.full(2 * np.eye(4)), WindowedMap.identity(4),
                        Subspace.full(4))  # not unitary
+    swap = WindowedMap.from_image([1, 0, 2, 3, 4, 5], range(6), range(6))
+    with pytest.raises(InvalidInput, match="commute"):
+        ExtensionSetup(good.u1, swap, good.h)  # image-backed, does not commute
+    for image in ([0, 0, 2, 3], [1, -1, 2, 3]):
+        with pytest.raises(InvalidInput, match="unitary"):
+            ExtensionSetup(WindowedMap.from_image(image, range(4), range(4)),
+                           WindowedMap.identity(4), Subspace.full(4))
+
+
+@pytest.mark.parametrize("make", [lambda: l_region_setup(1, 2), lambda: bishift_setup(1, 2),
+                                  ddc_four_block])
+def test_dual_pair_of_image_backed_setup_matches_dense_setup(make):
+    """The image paths of setup validation, orbit spans, compressions and the
+    invariance defect agree with the dense paths on the same matrices."""
+    setup = make()
+    assert setup.u1.image is not None and setup.u2.image is not None
+    dense = replace(setup, **{key: WindowedMap(u.matrix, u.faithful, u.adj_faithful)
+                              for key, u in (("u1", setup.u1), ("u2", setup.u2))})
+    got, want = dual_pair(setup, 8), dual_pair(dense, 8)
+    assert got.wth.cells == want.wth.cells and got.obh.cells == want.obh.cells
+    assert got.invariance_residuals == want.invariance_residuals
+    assert got.radius == want.radius
+    for x, y in ((got.pair.first.generator, want.pair.first.generator),
+                 (got.pair.second.generator, want.pair.second.generator)):
+        assert x.image is not None and y.image is None
+        assert np.array_equal(x.matrix, y.matrix)  # the dense adjoint carries -0.0 imaginary parts
+        assert x.faithful == y.faithful and x.adj_faithful == y.adj_faithful
 
 
 # --- dual pair --------------------------------------------------------------------

@@ -121,6 +121,27 @@ def test_intersect_general_bases_match_oracle():
         assert residual_norm(got.projector(), projector(oracle)) < 1e-8
 
 
+@pytest.mark.parametrize("angle", [DEFAULT_TOL.angle, np.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("factor, shared", [(0.5, 2), (0.9, 2), (1.1, 1), (2.0, 1)])
+def test_intersect_planes_at_known_angles(angle, factor, shared):
+    """Two planes share one line and meet at theta along a second one.  The
+    second direction counts as shared exactly when cos(theta) >= angle; at
+    the tightest bound the cosines are 1 - O(1e-16), so only the sines tell
+    the two sides apart."""
+    tol = Tolerances(angle=angle)
+    theta = factor * np.arccos(angle)
+    q, _ = np.linalg.qr(random_complex(5, 5))
+    line, tilted = q[:, 0], np.cos(theta) * q[:, 1] + np.sin(theta) * q[:, 2]
+    s1 = Subspace(5, q[:, :2])
+    for s2 in (Subspace(5, np.stack([line, tilted], axis=1)),
+               Subspace(5, np.stack([line, tilted, q[:, 3]], axis=1))):
+        for got, host in ((intersect(s1, s2, tol), s1), (intersect(s2, s1, tol), s2)):
+            assert got.dim == shared
+            assert residual_norm(host.projector() @ got.basis, got.basis) < 1e-12
+            if shared == 1:
+                assert got.gap(Subspace(5, line[:, None])) < 1e-12
+
+
 def test_intersect_symmetric():
     for _ in range(6):
         s1 = orthonormal_basis(random_complex(6, 3))

@@ -1,10 +1,12 @@
 """Operator constructors and the exactness-window algebra."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from isoflow.decompose import classify_pair
 from isoflow.errors import InvalidInput, InvalidShift, WindowTooSmall
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, bishift_families,
                                 bishift_pair, check_semigroup_law, circulant_family,
@@ -77,6 +79,20 @@ def test_adjoint_swaps_windows():
     assert adj.faithful == s.adj_faithful
     assert adj.adj_faithful == s.faithful
     assert np.array_equal(adj.matrix, s.matrix.conj().T)
+
+
+def test_image_backed_map_validation_and_lazy_matrix():
+    x = WindowedMap.from_image([1, -1, 0], {0, 2}, {0, 1}, rows=2)
+    assert (x.domain_dim, x.codomain_dim) == (3, 2)
+    assert x._matrix is None  # dimensions come from the shape, not from a built matrix
+    assert x.matrix is x.matrix
+    assert np.array_equal(x.matrix, [[0, 0, 1], [1, 0, 0]])
+    with pytest.raises(ValueError):
+        x.image[0] = 0  # the stored image is read-only
+    for image, faithful, adj in (([0.0, 1.0], (), ()), ([[0, 1]], (), ()), ([0, 2], (), ()),
+                                 ([0, -2], (), ()), ([0, 1], (2,), ()), ([0, 1], (), (-1,))):
+        with pytest.raises(InvalidInput):
+            WindowedMap.from_image(image, faithful, adj)
 
 
 def test_faithful_columns_are_orthonormal():
@@ -269,3 +285,20 @@ def test_family_cache_and_time_access():
     assert np.array_equal(fam.at_time(1).matrix, fam.element(2).matrix)
     with pytest.raises(InvalidInput):
         fam.at_time(Fraction(1, 3))
+
+
+def test_law_and_classification_build_no_dense_matrix():
+    """On dim 1024 one dense matrix is 16 MiB; image-backed powers, composes,
+    adjoints and residuals stay far below that."""
+    pair = bishift_families(QuadrantGrid2D(8, 4))
+    assert pair.dim == 1024
+    samples = [Fraction(1, 8), Fraction(1, 2), 1]
+    tracemalloc.start()
+    try:
+        law = check_semigroup_law(pair.first, samples)
+        verdict = classify_pair(pair, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert law.overall and verdict.classified == "doubly_commuting"
+    assert peak < 8 * 2**20

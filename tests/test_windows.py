@@ -4,15 +4,20 @@ The rule is restated here column by column, straight from its definition,
 and the vectorized implementations in ``WindowedMap.compose`` and in the
 coordinate path of ``duality._compress`` are compared against it.  On 0/1
 partial permutations ``compose`` is associative, windows included.
+
+Every image-backed operation (gather ``compose``, inverse-image
+``adjoint``, ``_compress``, ``_pair_residual``, ``_faithful_range``) is
+checked against the dense path run on the same matrix.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoflow.decompose import _faithful_range
 from isoflow.duality import _compress
-from isoflow.numlin import Subspace
-from isoflow.semigroups import WindowedMap
+from isoflow.numlin import DEFAULT_TOL, Subspace, _from_image, _unit_rows, orthonormal_basis
+from isoflow.semigroups import WindowedMap, _pair_residual, direct_sum, tensor_with_identity
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -134,3 +139,142 @@ def test_compress_coordinate_windows(case):
         if c in u.faithful and set(np.flatnonzero(u.matrix[:, c]).tolist()) <= set(cells))
     assert got.adj_faithful == frozenset(
         pos for pos, c in enumerate(cells) if c in u.adj_faithful)
+
+
+# --- image-backed maps against the dense path ---------------------------------------
+
+@st.composite
+def image_maps(draw, rows: int, cols: int, injective: bool = True):
+    """An image-backed 0/1 partial permutation with random windows.
+
+    With ``injective`` False two columns may share a row.
+    """
+    if injective:
+        targets = draw(st.permutations(range(max(rows, cols))))[:cols]
+    else:
+        targets = draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols))
+    kept = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    image = np.array([t if k and t < rows else -1 for t, k in zip(targets, kept)], dtype=np.int64)
+    return WindowedMap.from_image(image, *draw(windows(rows, cols)), rows=rows)
+
+
+def dense_twin(x: WindowedMap) -> WindowedMap:
+    return WindowedMap(_from_image(x.image, x.codomain_dim), x.faithful, x.adj_faithful)
+
+
+def assert_same(got: WindowedMap, want: WindowedMap):
+    assert got.shape == want.shape
+    assert got.matrix.dtype == want.matrix.dtype
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.faithful == want.faithful and got.adj_faithful == want.adj_faithful
+
+
+def assert_image_is_matrix(x: WindowedMap):
+    """The image is _unit_rows of the matrix on the nonzero columns, -1 on the zero ones."""
+    live = x.image >= 0
+    assert not x.matrix[:, ~live].any()
+    assert np.array_equal(_unit_rows(x.matrix[:, live]), x.image[live])
+
+
+@st.composite
+def image_composable(draw):
+    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+    injective = draw(st.booleans())
+    return (draw(image_maps(rows, inner, injective)), draw(image_maps(inner, cols, injective)))
+
+
+@SETTINGS
+@given(image_composable())
+def test_image_compose_matches_dense_path(pair):
+    a, b = pair
+    got = a.compose(b)
+    assert got.image is not None
+    assert got.matrix.tobytes() == (a.matrix @ b.matrix).tobytes()
+    assert_same(got, dense_twin(a).compose(dense_twin(b)))
+    assert_image_is_matrix(got)
+
+
+@SETTINGS
+@given(st.data())
+def test_image_adjoint_matches_dense_path(data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    x = data.draw(image_maps(rows, cols, data.draw(st.booleans())))
+    got = x.adjoint()
+    assert_same(got, dense_twin(x).adjoint())
+    live = x.image[x.image >= 0]
+    if len(set(live.tolist())) == live.size:
+        assert got.image is not None
+        assert_image_is_matrix(got)
+        assert np.array_equal(got.adjoint().image, x.image)
+    else:
+        assert got.image is None  # a non-injective image has no inverse image
+
+
+@SETTINGS
+@given(st.data())
+def test_image_direct_sum_and_tensor_match_dense_path(data):
+    parts = [data.draw(image_maps(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)),
+                                  data.draw(st.booleans())))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    got = direct_sum(*parts)
+    assert got.image is not None
+    assert_same(got, direct_sum(*map(dense_twin, parts)))
+    fiber, side = data.draw(st.integers(1, 3)), data.draw(st.sampled_from(["left", "right"]))
+    got = tensor_with_identity(parts[0], fiber, side)
+    assert got.image is not None
+    assert_same(got, tensor_with_identity(dense_twin(parts[0]), fiber, side))
+    assert_image_is_matrix(got)
+
+
+@SETTINGS
+@given(st.data())
+def test_image_compress_matches_dense_path(data):
+    n = data.draw(st.integers(1, 7))
+    u = data.draw(image_maps(n, n, data.draw(st.booleans())))
+    cells = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    got = _compress(u, Subspace.from_cells(n, cells))
+    assert got.image is not None
+    assert_same(got, _compress(dense_twin(u), Subspace.from_cells(n, cells)))
+
+
+@SETTINGS
+@given(st.data())
+def test_pair_residual_matches_dense_formula(data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    x = data.draw(image_maps(rows, cols, data.draw(st.booleans())))
+    y = data.draw(image_maps(rows, cols, data.draw(st.booleans())))
+    got = _pair_residual(x, y)
+    columns = sorted(x.faithful & y.faithful)
+    if not columns:
+        assert got is None
+        return
+    want = np.linalg.norm(x.matrix[:, columns] - y.matrix[:, columns], 2)
+    assert got[1] == len(columns)
+    assert got[0] == _pair_residual(dense_twin(x), dense_twin(y))[0]
+    assert abs(got[0] - want) <= 1e-12
+    assert (got[0] == 0.0) == np.array_equal(x.image[columns], y.image[columns])
+
+
+def test_pair_residual_of_a_mismatched_pair():
+    """A column sent to two different rows leaves residual sqrt(2), a zero column 1."""
+    x = WindowedMap.from_image([1, 0, 2], range(3), range(3))
+    y = WindowedMap.from_image([0, 0, -1], range(3), range(3))
+    got, count = _pair_residual(x, y)
+    assert count == 3
+    assert got == _pair_residual(dense_twin(x), dense_twin(y))[0]
+    assert abs(got - np.linalg.norm(x.matrix - y.matrix, 2)) <= 1e-12
+    assert got > 1.0
+
+
+@SETTINGS
+@given(st.data())
+def test_faithful_range_matches_dense_formula(data):
+    n = data.draw(st.integers(1, 7))
+    x = data.draw(image_maps(n, n, data.draw(st.booleans())))
+    got = _faithful_range(x, DEFAULT_TOL)
+    cols = sorted(x.faithful)
+    want = orthonormal_basis(x.matrix[:, cols]) if cols else Subspace.zero(n)
+    assert got.dim == want.dim
+    assert got.gap(want) <= 1e-12
+    live = x.image[cols][x.image[cols] >= 0]
+    assert got.cells == tuple(sorted(set(live.tolist())))  # exact even where rows repeat
