@@ -19,7 +19,7 @@ from .commutant import commutant_of_partial_isometries, doubly_commutant_of_mz
 from .decompose import (bcl_check, classify_pair, fourfold_decompose,
                         product_unitary_part, wold_cooper)
 from .errors import InvalidInput
-from .numlin import Tolerances, residual_norm
+from .numlin import Tolerances, _distinct, residual_norm
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, bishift_families,
                          bishift_pair, check_semigroup_law, circulant_family,
@@ -38,10 +38,7 @@ class Scenario:
 
 
 def _get_int(params: dict, key: str, default: int) -> int:
-    try:
-        return int(params.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"parameter {key} must be an integer") from exc
+    return int(params.get(key, default))  # the value passed check_scenario
 
 
 def _get_samples(params: dict, default: str) -> list[Fraction]:
@@ -81,6 +78,10 @@ def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
     cols = sorted(gen.faithful)
     if not cols:
         return CheckEntry(check_id, 0.0, (0,), False, "empty window")
+    if gen.image is not None:
+        rows = gen.image[cols]
+        if (rows >= 0).all() and _distinct(rows).size == rows.size:  # distinct unit columns
+            return CheckEntry(check_id, 0.0, (len(cols),), True)
     block = gen.matrix[:, cols]
     residual = residual_norm(block.conj().T @ block, np.eye(len(cols)))
     return CheckEntry(check_id, residual, (len(cols),), residual == 0.0)
@@ -288,11 +289,14 @@ def _run_dual_example(params, tol):
     out = Report("dual_example")
     for axis, (got, model) in enumerate(((dual.pair.first.generator, model1),
                                          (dual.pair.second.generator, model2)), start=1):
-        exact = (np.array_equal(got.matrix, model.matrix)
-                 and got.faithful == model.faithful)
-        out.entries.append(CheckEntry(f"dual_equals_bishift_axis{axis}",
-                                      residual_norm(got.matrix, model.matrix),
-                                      (got.domain_dim,), exact, "integer equality"))
+        if got.image is not None and model.image is not None and got.shape == model.shape:
+            equal = np.array_equal(got.image, model.image)
+        else:
+            equal = np.array_equal(got.matrix, model.matrix)
+        residual = 0.0 if equal else residual_norm(got.matrix, model.matrix)
+        out.entries.append(CheckEntry(f"dual_equals_bishift_axis{axis}", residual,
+                                      (got.domain_dim,), equal and got.faithful == model.faithful,
+                                      "integer equality"))
     out.entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
                                   dual.wth.dim == (m * T) ** 2 * r))
     out.extend_prefixed("cnu:", duality.dual_cnu_check(setup, K, tol, max_orbit))
@@ -325,11 +329,9 @@ def _run_simultaneous(params, tol):
     elif variant == "bishift":
         setup = duality.bishift_setup(m, T)
         expected_dc, expected_ddc = True, False
-    elif variant == "unitary":
+    else:  # "unitary"; check_scenario admits no other variant
         setup = duality.circulant_pair_setup(p, p, cells_per_unit=m)
         expected_dc, expected_ddc = True, True
-    else:
-        raise InvalidInput(f"unknown simultaneous variant {variant!r}")
     report = duality.simultaneous_dc_ddc_classify(setup, K, max_orbit, tol)
     entries = list(report.entries)
     flags = {entry.check_id: entry for entry in entries}
@@ -400,19 +402,47 @@ CATALOG = (
 )
 
 _RUNNERS = {name: runner for name, _, _, runner in CATALOG}
-# a construction's parameters are the keys its defaults line lists
-_PARAMETERS = {name: frozenset(re.findall(r"(\w+)=", defaults)) | {"rank_rel", "resid_abs", "angle"}
-               for name, _, defaults, _ in CATALOG}
+# a construction's parameters are the keys its defaults line lists, with their defaults
+_DEFAULTS = {name: dict(re.findall(r"(\w+)=(\S+)", defaults)) for name, _, defaults, _ in CATALOG}
+_TOLERANCE_KEYS = frozenset({"rank_rel", "resid_abs", "angle"})
+_VARIANTS = ("mixed", "bishift", "unitary")
+# every other parameter is an integer with this lower bound, 1 unless listed
+_LOWEST = {("commutant_e", "m"): 2}  # a single cell imposes no constraint
 
 
 def check_scenario(scenario: Scenario) -> None:
-    """Reject an unknown construction, or a key that is not one of its parameters."""
-    if scenario.construction not in _RUNNERS:
-        raise InvalidInput(f"unknown construction {scenario.construction!r}; "
+    """Reject an unknown construction, a key that is not one of its parameters,
+    or a value of the wrong type or out of bounds, before anything runs."""
+    construction, params = scenario.construction, scenario.params
+    if construction not in _RUNNERS:
+        raise InvalidInput(f"unknown construction {construction!r}; "
                            f"known: {', '.join(sorted(_RUNNERS))}")
-    for key in scenario.params:
-        if key not in _PARAMETERS[scenario.construction]:
+    for key in params:
+        if key not in _DEFAULTS[construction] and key not in _TOLERANCE_KEYS:
             raise InvalidInput(f"unknown parameter {key}")
+    _tolerances(params)
+    for key, raw in params.items():
+        if key in _TOLERANCE_KEYS or key in ("samples", "variant"):
+            continue
+        lowest = _LOWEST.get((construction, key), 1)
+        try:
+            value = int(str(raw))
+        except ValueError:
+            value = None
+        if value is None or value < lowest:
+            need = "a positive integer" if lowest == 1 else f"an integer >= {lowest}"
+            raise InvalidInput(f"{key} must be {need}, got {raw}")
+    if "variant" in params and params["variant"] not in _VARIANTS:
+        raise InvalidInput(f"variant must be one of {', '.join(_VARIANTS)}, "
+                           f"got {params['variant']!r}")
+    if "samples" in params:
+        m = int(params.get("m", _DEFAULTS[construction]["m"]))
+        times = _get_samples(params, "")
+        if not times:
+            raise InvalidInput("samples must list at least one time")
+        for t in times:
+            if t < 0 or (t * m).denominator != 1:
+                raise InvalidInput(f"samples must be nonnegative multiples of 1/{m}, got {t}")
 
 
 def run_scenario(scenario: Scenario) -> Report:

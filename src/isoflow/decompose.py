@@ -23,11 +23,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, column_restricted_residual,
-                     complement, intersect, orthonormal_basis, residual_norm, spectral_norm)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _from_image, _positions,
+                     _unit_columns_norm, column_restricted_residual, complement, intersect,
+                     orthonormal_basis, residual_norm, spectral_norm)
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _after, _escapes,
-                         _pair_residual, halfline_shift, phi_multiplier)
+                         _mask, _pair_residual, halfline_shift, phi_multiplier)
 from .spaces import CellGrid1D, _w_image
 
 __all__ = [
@@ -85,13 +86,37 @@ class ProductWoldResult:
 
 
 def _faithful_range(element: WindowedMap, tol: Tolerances) -> Subspace:
-    cols = sorted(element.faithful)
-    if not cols:
+    if not element.faithful:
         return Subspace.zero(element.domain_dim)
+    cols = np.sort(np.fromiter(element.faithful, dtype=np.int64, count=len(element.faithful)))
     if element.image is not None:  # unit columns span the coordinates of their rows
         rows = element.image[cols]
-        return Subspace.from_cells(element.codomain_dim, set(rows[rows >= 0].tolist()))
+        return Subspace(element.codomain_dim, cells=_distinct(rows[rows >= 0]))
     return orthonormal_basis(element.matrix[:, cols], tol)
+
+
+def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
+    """Distance of the compression of the generator to ``part`` from a unitary.
+
+    On cells with an image-backed generator the compression is the image
+    gathered through the cell positions.  An injective compressed image is
+    unitary (0.0) when it permutes the cells; otherwise it kills a column
+    and misses a row, so both defects are exactly 1.0.  A non-injective
+    one, and every other operand, takes the dense formula.
+    """
+    if part.dim == 0:
+        return 0.0
+    if part.cells is not None and generator.image is not None:
+        local = _positions(part.cells, part.ambient)[generator.image[part.cells]]
+        live = local[local >= 0]
+        if _distinct(live).size == live.size:
+            return 0.0 if live.size == part.dim else 1.0
+        restr = _from_image(local, part.dim)
+    else:
+        restr = part.basis.conj().T @ generator.matrix @ part.basis
+    eye = np.eye(part.dim)
+    return max(residual_norm(restr.conj().T @ restr, eye),
+               residual_norm(restr @ restr.conj().T, eye))
 
 
 def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAULT_TOL) -> WoldResult:
@@ -117,16 +142,8 @@ def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAU
             steps_used = k
             break
         current = nxt
-    unitary_part = current
-    cnu_part = complement(unitary_part)
-    if unitary_part.dim:
-        restr = unitary_part.basis.conj().T @ family.generator.matrix @ unitary_part.basis
-        eye = np.eye(unitary_part.dim)
-        unitary_residual = max(residual_norm(restr.conj().T @ restr, eye),
-                               residual_norm(restr @ restr.conj().T, eye))
-    else:
-        unitary_residual = 0.0
-    return WoldResult(cnu_part, unitary_part, stabilized, steps_used, unitary_residual)
+    return WoldResult(complement(current), current, stabilized, steps_used,
+                      _unitary_residual(current, family.generator))
 
 
 def is_cnu(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -172,17 +189,29 @@ def classify_pair(pair: PairOfSemigroups, samples, tol: Tolerances = DEFAULT_TOL
 
 
 def _reduction_residual(subspace: Subspace, elements) -> float:
-    """Max commutation residual of the projector with the given elements."""
+    """Max commutation residual of the projector with the given elements.
+
+    Only the faithful columns of each element count.  For cells and an
+    image-backed element v, column j of PV - VP is +-e_v(j) when exactly
+    one of j and v(j) lies in the cells, and zero otherwise, so the norm
+    is the square root of the largest number of such columns that share a
+    row.
+    """
     if subspace.dim == 0:
         return 0.0
-    p = subspace.projector()
     worst = 0.0
     for element in elements:
-        cols = sorted(element.faithful)
-        if not cols:
+        if not element.faithful:
             continue
-        diff = (p @ element.matrix - element.matrix @ p)[:, cols]
-        worst = max(worst, spectral_norm(diff))
+        cols = np.sort(np.fromiter(element.faithful, dtype=np.int64, count=len(element.faithful)))
+        if subspace.cells is not None and element.image is not None:
+            inside = _mask(subspace.cells, subspace.ambient)
+            rows = element.image[cols]
+            moved = rows[(rows >= 0) & (inside[rows] != inside[cols])]
+            worst = max(worst, _unit_columns_norm(moved))
+            continue
+        p = subspace.projector()
+        worst = max(worst, spectral_norm((p @ element.matrix - element.matrix @ p)[:, cols]))
     return worst
 
 

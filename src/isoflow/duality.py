@@ -25,19 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _from_image, _unit_rows,
-                     column_restricted_residual, orthonormal_basis, residual_norm,
-                     spectral_norm, subtract)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _positions, _unit_columns_norm,
+                     _unit_rows, orthonormal_basis, residual_norm, spectral_norm, subtract)
 from .decompose import (_reduction_residual, classify_pair, fourfold_decompose,
                         product_unitary_part)
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
-                         _escapes, _mask, _torus_image, direct_sum, modified_bishift_pair)
+                         _after, _escapes, _mask, _pair_residual, _torus_image, direct_sum,
+                         modified_bishift_pair)
 from .spaces import LRegionIndex
 
 __all__ = [
@@ -80,16 +81,15 @@ class ExtensionSetup:
 
     def __post_init__(self) -> None:
         n = self.u1.domain_dim
-        if self.u1.codomain_dim != n or self.u2.matrix.shape != (n, n):
+        if self.u1.shape != (n, n) or self.u2.shape != (n, n):
             raise InvalidInput("ambient unitaries must be square and equal-sized")
         if self.h.ambient != n:
             raise InvalidInput("subspace ambient does not match the unitaries")
-        eye = np.eye(n)
         for tag, u in (("U1", self.u1), ("U2", self.u2)):
             if u.image is not None:
                 unitary = np.array_equal(np.sort(u.image), np.arange(n))  # a permutation
             else:
-                unitary = residual_norm(u.matrix.conj().T @ u.matrix, eye) <= _UNITARY_ATOL
+                unitary = residual_norm(u.matrix.conj().T @ u.matrix, np.eye(n)) <= _UNITARY_ATOL
             if not unitary:
                 raise InvalidInput(f"{tag} is not unitary to 1e-12")
         a, b = self.u1.image, self.u2.image
@@ -165,16 +165,14 @@ def _compress(u: WindowedMap, sub: Subspace) -> WindowedMap:
     finite matrices are themselves the represented operators.
     """
     if sub.cells is not None:
-        cells = list(sub.cells)
+        cells = sub.cells
         if u.image is not None:
-            position = np.full(u.codomain_dim + 1, -1)  # the last slot stands for a zero column
-            position[cells] = np.arange(len(cells))
-            image = position[u.image[cells]]
+            image = _positions(cells, u.codomain_dim)[u.image[cells]]
             escapes = (u.image[cells] >= 0) & (image < 0)
         else:
             escapes = _escapes(u.matrix, cells)[cells]
-        faithful = [pos for pos, c in enumerate(cells) if c in u.faithful and not escapes[pos]]
-        adj_faithful = [pos for pos, c in enumerate(cells) if c in u.adj_faithful]
+        faithful = np.flatnonzero(_mask(u.faithful, u.domain_dim)[cells] & ~escapes).tolist()
+        adj_faithful = np.flatnonzero(_mask(u.adj_faithful, u.codomain_dim)[cells]).tolist()
         if u.image is not None:
             return WindowedMap.from_image(image, faithful, adj_faithful, u.domain, u.codomain)
         return WindowedMap(u.matrix[np.ix_(cells, cells)], faithful, adj_faithful,
@@ -201,24 +199,24 @@ def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace,
         raise InvalidInput("max_orbit must be >= 1")
     perms = [_unit_rows(u.matrix) if u.image is None else u.image for u in (u1, u2)]
     if start.cells is not None and all(
-            p is not None and (p >= 0).all() and len(set(p.tolist())) == p.size for p in perms):
+            p is not None and np.array_equal(np.sort(p), np.arange(p.size)) for p in perms):
         pw1, pw2 = (_power_maps(p, max_orbit) for p in perms)
-        base = np.array(start.cells, dtype=np.int64)
 
-        def box(radius: int) -> frozenset[int]:
-            out: set[int] = set()
+        def box(radius: int) -> np.ndarray:
+            out = np.zeros(start.ambient, dtype=bool)
             for a in range(-radius, radius + 1):
                 for b in range(-radius, radius + 1):
-                    out.update(pw1[a][pw2[b][base]].tolist())
-            return frozenset(out)
+                    out[pw1[a][pw2[b][start.cells]]] = True
+            return out
 
         current = box(0)
         for radius in range(max_orbit):
             grown = box(radius + 1)
-            if grown == current:
-                return OrbitSpan(Subspace.from_cells(start.ambient, current), True, radius)
+            if np.array_equal(grown, current):
+                return OrbitSpan(Subspace(start.ambient, cells=np.flatnonzero(current)), True,
+                                 radius)
             current = grown
-        return OrbitSpan(Subspace.from_cells(start.ambient, current), False, max_orbit)
+        return OrbitSpan(Subspace(start.ambient, cells=np.flatnonzero(current)), False, max_orbit)
 
     def dense_box(radius: int) -> Subspace:
         blocks = []
@@ -247,24 +245,36 @@ def minimal_extension(setup: ExtensionSetup, max_orbit: int,
 def _lift_local(local: Subspace, host: Subspace) -> Subspace:
     """Embed a subspace given in host-local coordinates into the ambient."""
     if host.cells is not None and local.cells is not None:
-        cells = [host.cells[i] for i in local.cells]
-        return Subspace.from_cells(host.ambient, cells)
+        return Subspace(host.ambient, cells=host.cells[local.cells])
     return orthonormal_basis(host.basis @ local.basis)
 
 
 def _restrict_to(host: Subspace, part: Subspace, tol: Tolerances) -> Subspace:
     """Express an ambient subspace contained in ``host`` in host-local coordinates."""
     if host.cells is not None and part.cells is not None:
-        position = {cell: pos for pos, cell in enumerate(host.cells)}
-        missing = [c for c in part.cells if c not in position]
-        if missing:
-            raise InternalInconsistency(f"cells {missing} fall outside the host subspace")
-        return Subspace.from_cells(host.dim, [position[c] for c in part.cells])
+        at = np.searchsorted(host.cells, part.cells)
+        found = at < host.dim
+        found[found] = host.cells[at[found]] == part.cells[found]
+        if not found.all():
+            raise InternalInconsistency(
+                f"cells {part.cells[~found].tolist()} fall outside the host subspace")
+        return Subspace(host.dim, cells=at)
     local = host.basis.conj().T @ part.basis
     contained = residual_norm(host.basis @ local, part.basis)
     if contained > 1e-8:
         raise InternalInconsistency("subspace is not contained in the host")
     return orthonormal_basis(local, tol)
+
+
+def _overlap(a: Subspace, b: Subspace) -> float:
+    """Spectral norm of P_A P_B.
+
+    For two cell sets P_A P_B is the coordinate projector of their
+    intersection: 1.0 when they meet, 0.0 when they do not.
+    """
+    if a.cells is not None and b.cells is not None:
+        return float(np.intersect1d(a.cells, b.cells, assume_unique=True).size > 0)
+    return spectral_norm(a.projector() @ b.projector())
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +300,18 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
             residuals.append(0.0)
             continue
         if wth.cells is not None:
-            cols = sorted(set(wth.cells) & adj.faithful)
-            if not cols:
+            cols = wth.cells[_mask(adj.faithful, setup.ambient_dim)[wth.cells]]
+            if not cols.size:
                 residuals.append(0.0)
                 continue
             if adj.image is not None:
                 # (I - P) keeps the unit columns that leave the cells; a zero column stays zero
                 rows = adj.image[cols]
                 stays = np.append(_mask(wth.cells, setup.ambient_dim), True)[rows]
-                defect = _from_image(np.where(stays, -1, rows), setup.ambient_dim)
+                residuals.append(_unit_columns_norm(rows[~stays]))
             else:
                 defect = ((np.eye(setup.ambient_dim) - wth.projector()) @ adj.matrix)[:, cols]
-            residuals.append(spectral_norm(defect))
+                residuals.append(spectral_norm(defect))
         else:
             p = wth.projector()
             residuals.append(spectral_norm((np.eye(setup.ambient_dim) - p) @ adj.matrix @ p))
@@ -381,11 +391,13 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
     for axis, (rec, orig) in enumerate(((recovered.first, original.first),
                                         (recovered.second, original.second)), start=1):
         if second_dual.wth.cells is not None and setup.h.cells is not None \
-                and second_dual.wth.cells == setup.h.cells:
-            columns = rec.generator.faithful & orig.generator.faithful
-            residual = column_restricted_residual(rec.generator.matrix,
-                                                  orig.generator.matrix, columns)
-            dims = (len(columns),)
+                and np.array_equal(second_dual.wth.cells, setup.h.cells):
+            got = _pair_residual(rec.generator, orig.generator)
+            if got is None:
+                raise WindowTooSmall(f"no column of axis {axis} is faithful for both "
+                                     "the recovered and the original generator")
+            residual, count = got
+            dims = (count,)
         else:
             p_rec = second_dual.wth.projector()
             p_orig = setup.h.projector()
@@ -446,11 +458,7 @@ def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int,
             raise WindowTooSmall("lifted orbit span did not stabilize")
         hats.append(lift.span)
         parts_ambient.append(subtract(lift.span, tilde_ambient, tol))
-    ortho = 0.0
-    for i in range(len(hats)):
-        for j in range(i + 1, len(hats)):
-            if hats[i].dim and hats[j].dim:
-                ortho = max(ortho, spectral_norm(hats[i].projector() @ hats[j].projector()))
+    ortho = max(_overlap(a, b) for a, b in combinations(hats, 2))
     locals_ = [_restrict_to(setup.h, part, tol) for part in parts_ambient]
     h_m, h_pu, h_up = locals_
     gens = [pair.first.generator, pair.second.generator]
@@ -481,27 +489,34 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
     split = fourfold_decompose(dual.pair, max_steps, tol)
     if split.dims != (dual.wth.dim, 0, 0, 0):
         raise PreconditionFailed(f"dual fourfold dims {split.dims} are not pure bishift")
-    expected_quadrant = set(region.quadrant_cells())
-    if dual.wth.cells is None or set(dual.wth.cells) != expected_quadrant:
+    if dual.wth.cells is None or not np.array_equal(dual.wth.cells, region.quadrant_cells()):
         raise PreconditionFailed("recovered dual space does not sit on the quadrant cells")
     entries = [CheckEntry("dual_bishift_dims", 0.0, split.dims, True)]
     if setup.h.cells is None:
         raise PreconditionFailed("original space is not a coordinate subspace")
-    canonical_cells = region.l_cells()
-    order = {cell: pos for pos, cell in enumerate(canonical_cells)}
-    dim = len(canonical_cells)
-    z = _from_image([order[cell] for cell in setup.h.cells], dim)  # setup -> canonical coordinates
+    canonical_cells = np.array(region.l_cells())
+    dim = canonical_cells.size
+    z = np.searchsorted(canonical_cells, setup.h.cells)  # setup -> canonical coordinates
+    if (z >= dim).any() or not np.array_equal(canonical_cells[z], setup.h.cells):
+        raise PreconditionFailed("original space does not sit on the L-region cells")
     m1, m2 = modified_bishift_pair(region, step)
     pair = setup.compressed_pair()
     for axis, (fam, model) in enumerate(((pair.first, m1), (pair.second, m2)), start=1):
         gen = fam.generator
-        conjugated = z @ gen.matrix @ z.conj().T
-        mapped_faithful = {order[setup.h.cells[i]] for i in gen.faithful}
-        columns = mapped_faithful & model.faithful
-        if not columns:
+        faithful = z[sorted(gen.faithful)].tolist()
+        if gen.image is not None:  # Z G Z* sends z[j] where G sends j
+            image = np.full(dim, -1, dtype=np.int64)
+            image[z] = _after(z, gen.image)
+            conjugated = WindowedMap.from_image(image, faithful, ())
+        else:
+            matrix = np.zeros((dim, dim), dtype=np.complex128)
+            matrix[np.ix_(z, z)] = gen.matrix
+            conjugated = WindowedMap(matrix, faithful, ())
+        got = _pair_residual(conjugated, model)
+        if got is None:
             raise WindowTooSmall("no common faithful window for the model comparison")
-        residual = column_restricted_residual(conjugated, model.matrix, columns)
-        entries.append(CheckEntry(f"model_axis{axis}", residual, (len(columns),),
+        residual, count = got
+        entries.append(CheckEntry(f"model_axis{axis}", residual, (count,),
                                   residual <= tol.resid_abs))
     return Report(scenario=f"modified_bishift_model[{self_label(setup)}]", entries=entries)
 
@@ -617,7 +632,7 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     u_shift = WindowedMap.from_image(_circulant_image(n * p, p), range((n - 1) * p),
                                      range(p, n * p), tag, tag)
     u_fiber = _fiber_cycle(n, p, tag)
-    h = Subspace.from_cells(n * p, [k * p + rho for k in range(m * T, n) for rho in range(p)])
+    h = Subspace(n * p, cells=np.arange(m * T * p, n * p))  # cells k >= mT, every fiber index
     u1, u2 = (u_fiber, u_shift) if unitary_first else (u_shift, u_fiber)
     kind = "circulant_x_shift" if unitary_first else "shift_x_circulant"
     return ExtensionSetup(u1, u2, h, m, f"{kind}(m={m},T={T},p={p})")
@@ -642,12 +657,9 @@ def setup_direct_sum(*setups: ExtensionSetup, label: str = "") -> ExtensionSetup
         raise InvalidInput("setups use different time grids")
     u1 = direct_sum(*(s.u1 for s in setups))
     u2 = direct_sum(*(s.u2 for s in setups))
-    cells: list[int] = []
-    offset = 0
-    for s in setups:
-        if s.h.cells is None:
-            raise InvalidInput("direct sums require coordinate subspaces")
-        cells.extend(offset + c for c in s.h.cells)
-        offset += s.ambient_dim
-    return ExtensionSetup(u1, u2, Subspace.from_cells(offset, cells), setups[0].cells_per_unit,
+    if any(s.h.cells is None for s in setups):
+        raise InvalidInput("direct sums require coordinate subspaces")
+    offsets = np.cumsum([0] + [s.ambient_dim for s in setups]).tolist()
+    cells = np.concatenate([offset + s.h.cells for offset, s in zip(offsets, setups)])
+    return ExtensionSetup(u1, u2, Subspace(offsets[-1], cells=cells), setups[0].cells_per_unit,
                           label or "(+)".join(self_label(s) for s in setups))

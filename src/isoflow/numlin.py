@@ -1,4 +1,4 @@
-"""Deterministic dense complex linear algebra.
+"""Deterministic complex linear algebra on subspaces, exact where the data is.
 
 Everything downstream (grids, operator families, decompositions) reduces to
 a handful of subspace primitives implemented here on complex128 arrays.
@@ -17,9 +17,12 @@ Two rules shape the implementation:
   column's single nonzero entry), kept for matrices that come from
   outside the constructors.  The primitives detect such input and
   short-circuit to integer-exact arithmetic, so identities that hold
-  exactly are reported as exactly zero, not as 1e-16 noise.  A basis whose columns are
-  distinct standard basis vectors carries their index set in ``cells``,
-  and set arithmetic is used whenever both operands have one.
+  exactly are reported as exactly zero, not as 1e-16 noise.  A coordinate
+  subspace (the span of distinct standard basis vectors) is held as its
+  sorted ``int64`` array of ``cells``, and its basis matrix is built by
+  ``_from_image`` only when something reads it.  When both operands are
+  coordinate subspaces, intersection, complement and difference are
+  index-array operations and the gap is 0.0 or 1.0 in closed form.
 
 Zero-dimensional subspaces are ordinary values throughout, never errors.
 """
@@ -99,6 +102,34 @@ def _from_image(image, rows: int | None = None) -> np.ndarray:
     return matrix
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of an integer array (a sort and a neighbour test)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _positions(cells: np.ndarray, ambient: int) -> np.ndarray:
+    """Local coordinate of each ambient index in ``cells``, -1 outside.
+
+    The extra last slot is -1 too, so gathering an image through it sends
+    a zero column (-1) to -1.
+    """
+    position = np.full(ambient + 1, -1, dtype=np.int64)
+    position[cells] = np.arange(len(cells))
+    return position
+
+
+def _unit_columns_norm(rows: np.ndarray) -> float:
+    """Spectral norm of a matrix whose column j is +-e_rows[j].
+
+    Columns on distinct rows are orthogonal, so the norm is the square
+    root of the largest number of columns on one row; 0.0 for no columns.
+    """
+    return float(np.sqrt(np.bincount(rows).max())) if rows.size else 0.0
+
+
 def _unit_rows(matrix: np.ndarray) -> np.ndarray | None:
     """Row of each column's single nonzero entry.
 
@@ -123,25 +154,44 @@ def _coordinate_cells(basis: np.ndarray) -> tuple[int, ...] | None:
     return tuple(cells.tolist())
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^ambient held as an orthonormal column basis.
+    """A subspace of C^ambient.
 
-    ``cells`` is set when the subspace is exactly the span of standard
-    basis vectors; it enables integer-exact lattice arithmetic downstream.
-    ``cells`` is strictly increasing and the basis is then exactly
+    A coordinate subspace, the span of the standard basis vectors at a set
+    of cells, is held as ``cells``: a strictly increasing, read-only
+    ``int64`` array, validated in O(k).  Its ``basis`` is
     ``_from_image(cells, ambient)``, so local coordinate i is cell
-    ``cells[i]`` in every code path.  Any other basis is validated by its
-    Gram matrix.
+    ``cells[i]`` in every code path; the matrix is built the first time
+    something reads ``basis`` and is kept from then on.  Passing a basis
+    together with cells checks that it is exactly that matrix.  Any other
+    subspace is held as an orthonormal column ``basis``, validated by its
+    Gram matrix, and its ``cells`` is None.
+
+    Where both operands are coordinate subspaces, the set operations work
+    on the cell arrays and ``gap`` is 0.0 or 1.0: the difference of two
+    coordinate projectors is diagonal, +-1 on the symmetric difference.
     """
 
-    ambient: int
-    basis: np.ndarray
-    cells: tuple[int, ...] | None = None
+    def __init__(self, ambient: int, basis=None, cells=None):
+        self.ambient = ambient
+        self._basis = basis
+        self.cells = cells
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        basis = np.asarray(self.basis, dtype=np.complex128)
-        object.__setattr__(self, "basis", basis)
+        if self.cells is not None:
+            cells = np.asarray(self.cells, dtype=np.int64).view()
+            cells.flags.writeable = False
+            if (cells.ndim != 1 or (cells.size and not 0 <= cells[0] <= cells[-1] < self.ambient)
+                    or (cells[1:] <= cells[:-1]).any()):
+                raise InvalidInput("cells must be strictly increasing indices of the ambient space")
+            self.cells = cells
+            if self._basis is None:
+                return
+        elif self._basis is None:
+            raise InvalidInput("a subspace needs a basis or cells")
+        basis = np.asarray(self._basis, dtype=np.complex128)
+        self._basis = basis
         if basis.ndim != 2 or basis.shape[0] != self.ambient:
             raise InvalidInput(f"basis shape {basis.shape} incompatible with ambient {self.ambient}")
         if not 0 <= basis.shape[1] <= self.ambient:
@@ -149,12 +199,9 @@ class Subspace:
         if basis.size and not np.isfinite(basis).all():
             raise InvalidInput("basis has non-finite entries")
         if self.cells is not None:
-            # strictly increasing cells whose unit entries are the only nonzeros:
-            # the basis is exactly _from_image(cells, ambient)
-            cells = np.asarray(self.cells, dtype=np.int64)
-            if ((cells.size and not 0 <= cells[0] <= cells[-1] < self.ambient)
-                    or (cells[1:] <= cells[:-1]).any()
-                    or cells.size != basis.shape[1] or np.count_nonzero(basis) != cells.size
+            # unit entries at (cells[i], i) that are the only nonzeros: _from_image(cells, ambient)
+            cells = self.cells
+            if (cells.size != basis.shape[1] or np.count_nonzero(basis) != cells.size
                     or not (basis[cells, np.arange(cells.size)] == 1.0).all()):
                 raise InvalidInput("basis is not the standard basis vectors of cells, in order")
             return
@@ -163,8 +210,14 @@ class Subspace:
             raise InvalidInput("basis columns are not orthonormal to 1e-12")
 
     @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            self._basis = _from_image(self.cells, self.ambient)
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.cells.size if self.cells is not None else self._basis.shape[1]
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
@@ -173,22 +226,24 @@ class Subspace:
         """Spectral distance between the two orthogonal projectors."""
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces live in different ambient spaces")
+        if self.cells is not None and other.cells is not None:
+            return 0.0 if np.array_equal(self.cells, other.cells) else 1.0
         return residual_norm(self.projector(), other.projector())
 
     @classmethod
     def from_cells(cls, ambient: int, cells) -> "Subspace":
-        cells = tuple(sorted(int(c) for c in cells))
-        if cells and not 0 <= cells[0] <= cells[-1] < ambient:
-            raise InvalidInput("cell index outside the ambient space")
-        return cls(ambient, _from_image(cells, ambient), cells)
+        """Span of the standard basis vectors at ``cells``, given in any order."""
+        if not isinstance(cells, np.ndarray):
+            cells = np.fromiter(cells, dtype=np.int64)
+        return cls(ambient, cells=np.sort(cells))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls.from_cells(ambient, range(ambient))
+        return cls(ambient, cells=np.arange(ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls.from_cells(ambient, ())
+        return cls(ambient, cells=np.empty(0, dtype=np.int64))
 
 
 def _orthonormal_subspace(ambient: int, basis: np.ndarray) -> Subspace:
@@ -268,7 +323,7 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subs
     if s1.ambient != s2.ambient:
         raise DimensionMismatch("ambient dimensions differ")
     if s1.cells is not None and s2.cells is not None:
-        return Subspace.from_cells(s1.ambient, set(s1.cells) & set(s2.cells))
+        return Subspace(s1.ambient, cells=np.intersect1d(s1.cells, s2.cells, assume_unique=True))
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(s1.ambient)
     u, cosines, _ = np.linalg.svd(s1.basis.conj().T @ s2.basis, full_matrices=False)
@@ -284,7 +339,8 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subs
 def complement(s: Subspace) -> Subspace:
     """Orthogonal complement within the ambient space."""
     if s.cells is not None:
-        return Subspace.from_cells(s.ambient, set(range(s.ambient)) - set(s.cells))
+        return Subspace(s.ambient, cells=np.setdiff1d(np.arange(s.ambient), s.cells,
+                                                      assume_unique=True))
     if s.dim == 0:
         return Subspace.full(s.ambient)
     if s.dim == s.ambient:
@@ -298,9 +354,10 @@ def subtract(big: Subspace, small: Subspace, tol: Tolerances = DEFAULT_TOL) -> S
     if big.ambient != small.ambient:
         raise DimensionMismatch("ambient dimensions differ")
     if big.cells is not None and small.cells is not None:
-        if not set(small.cells) <= set(big.cells):
+        at = np.searchsorted(big.cells, small.cells)
+        if (at >= big.dim).any() or not np.array_equal(big.cells[at], small.cells):
             raise InvalidInput("subtrahend is not contained in the minuend")
-        return Subspace.from_cells(big.ambient, set(big.cells) - set(small.cells))
+        return Subspace(big.ambient, cells=np.delete(big.cells, at))
     if small.dim == 0:
         return big
     residual = big.basis - small.projector() @ big.basis

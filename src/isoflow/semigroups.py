@@ -38,8 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Tolerances, _from_image, as_matrix, column_restricted_residual,
-                     spectral_norm)
+from .numlin import (DEFAULT_TOL, Tolerances, _distinct, _from_image, as_matrix,
+                     column_restricted_residual, spectral_norm)
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 
@@ -88,15 +88,13 @@ def _escapes(matrix: np.ndarray, window) -> np.ndarray:
     This is the support rule: column i of B stays faithful under A o B only
     when supp(B e_i) lies inside the window of A.
     """
-    outside = np.ones(matrix.shape[0], dtype=bool)
-    outside[list(window)] = False
-    return matrix[outside].any(axis=0)
+    return matrix[~_mask(window, matrix.shape[0])].any(axis=0)
 
 
 def _mask(window, n: int) -> np.ndarray:
-    """Boolean mask of length n that is True on ``window``."""
+    """Boolean mask of length n that is True on ``window``, a set or an index array."""
     mask = np.zeros(n, dtype=bool)
-    mask[list(window)] = True
+    mask[window if isinstance(window, np.ndarray) else list(window)] = True
     return mask
 
 
@@ -113,7 +111,9 @@ def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | No
     """Residual of x - y on the columns faithful for both, with their count.
 
     None when no column is faithful for both.  Two images that agree on
-    those columns give exactly 0.0; otherwise only those columns are built.
+    those columns give exactly 0.0.  Otherwise only the columns that
+    differ, on the rows they touch, are built; the zero columns and rows
+    dropped leave the norm unchanged.
     """
     columns = x.faithful & y.faithful
     if not columns:
@@ -122,10 +122,14 @@ def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | No
         return column_restricted_residual(x.matrix, y.matrix, columns), len(columns)
     cols = sorted(columns)
     got, want = x.image[cols], y.image[cols]
-    if np.array_equal(got, want):
+    differ = got != want
+    if not differ.any():
         return 0.0, len(columns)
-    rows = x.codomain_dim
-    return spectral_norm(_from_image(got, rows) - _from_image(want, rows)), len(columns)
+    rows = np.concatenate([got[differ], want[differ]])
+    rows = _distinct(rows[rows >= 0])  # the rows that some differing column touches
+    got, want = (np.where(image >= 0, np.searchsorted(rows, image), -1)
+                 for image in (got[differ], want[differ]))
+    return spectral_norm(_from_image(got, rows.size) - _from_image(want, rows.size)), len(columns)
 
 
 class WindowedMap:

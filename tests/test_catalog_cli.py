@@ -139,6 +139,27 @@ def test_cli_unknown_parameter_rejected_before_any_scenario_runs(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("construction = bishift\nm = -2\n", "m must be a positive integer, got -2"),
+    ("construction = dual_example\nmax_orbit = 0\n", "max_orbit must be a positive integer, got 0"),
+    ("construction = commutant_e\nm = 1\n", "m must be an integer >= 2, got 1"),
+    ("construction = simultaneous\nvariant = twisted\n",
+     "variant must be one of mixed, bishift, unitary, got 'twisted'"),
+    ("construction = bishift\nsamples = 1/3\n",
+     "samples must be nonnegative multiples of 1/2, got 1/3"),
+], ids=["negative_m", "zero_max_orbit", "single_cell", "unknown_variant", "off_grid_sample"])
+def test_cli_bad_value_rejected_before_any_scenario_runs(tmp_path, bad, message):
+    config = tmp_path / "values.cfg"
+    config.write_text("[fine]\nconstruction = halfline_shift\n\n[b]\n" + bad)
+    with pytest.raises(IsoflowError) as caught:
+        load_scenarios(str(config))
+    assert str(caught.value) == f"[b] {message}"
+    proc = run_cli("run", str(config))
+    assert proc.returncode == 2
+    assert proc.stderr == f"isoflow: error: [b] {message}\n"
+    assert proc.stdout == ""
+
+
 def test_main_inprocess_matches_subprocess(capsys):
     code = main(["run", str(ROOT / "configs" / "shift.cfg")])
     captured = capsys.readouterr()

@@ -240,5 +240,5 @@ def test_subspace_from_cells(ambient, data):
     for col, cell in enumerate(sorted(cells)):
         basis[cell, col] = 1.0
     got = Subspace.from_cells(ambient, cells)
-    assert got.cells == tuple(sorted(cells))
+    assert tuple(got.cells) == tuple(sorted(cells))
     assert_same_bits(got.basis, basis)

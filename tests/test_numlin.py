@@ -54,7 +54,7 @@ def test_orthonormal_identity_exact():
     sub = orthonormal_basis(np.eye(3))
     assert sub.dim == 3
     assert np.array_equal(sub.basis, np.eye(3))
-    assert sub.cells == (0, 1, 2)
+    assert tuple(sub.cells) == (0, 1, 2)
 
 
 def test_orthonormal_zero_matrix():
@@ -190,7 +190,7 @@ def test_complement_dimension_count():
 def test_subtract_cells_and_general():
     big = e_span(5, (0, 1, 3))
     small = e_span(5, (1,))
-    assert subtract(big, small).cells == (0, 3)
+    assert tuple(subtract(big, small).cells) == (0, 3)
     dense_big = orthonormal_basis(random_complex(6, 4))
     dense_small = Subspace(6, dense_big.basis[:, :2])
     left = subtract(dense_big, dense_small)
@@ -290,7 +290,7 @@ def test_subspace_rejects_non_orthonormal():
 def test_subspace_rejects_cells_that_disagree_with_basis():
     basis = np.zeros((4, 2), dtype=np.complex128)
     basis[1, 0] = basis[3, 1] = 1.0
-    assert Subspace(4, basis, (1, 3)).cells == (1, 3)
+    assert tuple(Subspace(4, basis, (1, 3)).cells) == (1, 3)
     for cells in [(0, 3), (1,), (1, 2, 3)]:
         with pytest.raises(InvalidInput):
             Subspace(4, basis, cells)

@@ -1,0 +1,257 @@
+"""Coordinate subspaces: cell arrays, the lazy basis and the closed forms.
+
+A coordinate ``Subspace`` holds its cells and builds its basis only when
+read.  Every closed form used where both operands are index data is
+compared with the dense formula run on the same input: the dense twin of
+a subspace is the same matrix held without cells, and the dense twin of a
+map is its matrix without the image.  The memory tests run each catalog
+construction family at dimension >= 1024, where one dense n x n complex
+matrix takes 16 MiB.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoflow import numlin
+from isoflow.catalog import Scenario, _generator_isometry_entry, run_scenario
+from isoflow.decompose import (_reduction_residual, _unitary_residual, fourfold_decompose,
+                               wold_cooper)
+from isoflow.duality import _lift_local, _overlap, _restrict_to
+from isoflow.errors import InternalInconsistency, InvalidInput
+from isoflow.numlin import DEFAULT_TOL, Subspace, _from_image, complement, intersect, subtract
+from isoflow.semigroups import (SemigroupFamily, WindowedMap, _pair_residual, bishift_families,
+                                halfline_shift_family)
+from isoflow.spaces import CellGrid1D, QuadrantGrid2D
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+DENSE_MATRIX_BYTES = 16 * 2**20  # one 1024 x 1024 complex128 matrix
+
+
+def dense_subspace(sub: Subspace) -> Subspace:
+    """The same basis matrix, held without cells."""
+    return Subspace(sub.ambient, _from_image(sub.cells, sub.ambient))
+
+
+def dense_map(x: WindowedMap) -> WindowedMap:
+    return WindowedMap(_from_image(x.image, x.codomain_dim), x.faithful, x.adj_faithful)
+
+
+@st.composite
+def cell_subspaces(draw, n: int):
+    return Subspace.from_cells(n, draw(st.sets(st.integers(0, n - 1), max_size=n)))
+
+
+@st.composite
+def square_images(draw, n: int):
+    """A square image-backed 0/1 map with random windows; two columns may share a row."""
+    if draw(st.booleans()):
+        targets = draw(st.permutations(range(n)))
+    else:
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    image = np.where(kept, targets, -1)
+    faithful = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    adj_faithful = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return WindowedMap.from_image(image, faithful, adj_faithful)
+
+
+# --- representation ---------------------------------------------------------------
+
+def test_cells_subspace_builds_its_basis_only_when_read(monkeypatch):
+    calls = []
+    real = numlin._from_image
+    monkeypatch.setattr(numlin, "_from_image", lambda *args: calls.append(args) or real(*args))
+    a = Subspace.from_cells(6, [4, 1, 3])
+    b = Subspace.full(6)
+    for got in (a, b, intersect(a, b), complement(a), subtract(b, a)):
+        assert got.gap(b) in (0.0, 1.0) and got.dim in (0, 2, 3, 6)
+    assert calls == []
+    basis = a.basis
+    assert len(calls) == 1
+    assert np.array_equal(basis, real(np.array([1, 3, 4]), 6))
+    assert a.basis is basis and len(calls) == 1
+
+
+def test_cells_are_validated_as_a_strictly_increasing_index_array():
+    for bad in ([2, 1], [1, 1], [-1, 2], [0, 6], [[0, 1]]):
+        with pytest.raises(InvalidInput):
+            Subspace(6, cells=bad)
+    with pytest.raises(InvalidInput):
+        Subspace(6)
+    with pytest.raises(InvalidInput):
+        Subspace.from_cells(6, [1, 1])
+    sub = Subspace.from_cells(6, {5, 0, 2})
+    assert tuple(sub.cells) == (0, 2, 5) and sub.cells.dtype == np.int64
+    assert not sub.cells.flags.writeable
+    assert Subspace.zero(6).dim == 0 and Subspace.full(6).dim == 6
+
+
+@SETTINGS
+@given(st.data())
+def test_cell_set_operations_match_set_arithmetic(data):
+    n = data.draw(st.integers(1, 9))
+    a, b = data.draw(cell_subspaces(n)), data.draw(cell_subspaces(n))
+    sa, sb = set(a.cells.tolist()), set(b.cells.tolist())
+    assert a.cells.tolist() == sorted(sa)
+    assert intersect(a, b).cells.tolist() == sorted(sa & sb)
+    assert complement(a).cells.tolist() == sorted(set(range(n)) - sa)
+    small = intersect(a, b)
+    assert subtract(a, small).cells.tolist() == sorted(sa - sb)
+    if not sb <= sa:
+        with pytest.raises(InvalidInput):
+            subtract(a, b)
+        with pytest.raises(InternalInconsistency):
+            _restrict_to(a, b, DEFAULT_TOL)
+    # b holds a.dim-local coordinates once restricted to a's dimension
+    local = Subspace.from_cells(a.dim, [i for i in sb if i < a.dim])
+    lifted = _lift_local(local, a)
+    assert lifted.cells.tolist() == [a.cells[i] for i in local.cells]
+    assert np.array_equal(_restrict_to(a, lifted, DEFAULT_TOL).cells, local.cells)
+
+
+# --- closed forms against the dense formulas ---------------------------------------
+
+@SETTINGS
+@given(st.data())
+def test_gap_of_cell_sets_matches_dense_formula(data):
+    n = data.draw(st.integers(1, 8))
+    a = data.draw(cell_subspaces(n))
+    same = data.draw(st.booleans())
+    b = Subspace.from_cells(n, a.cells) if same else data.draw(cell_subspaces(n))
+    got = a.gap(b)
+    assert got == (0.0 if np.array_equal(a.cells, b.cells) else 1.0)
+    assert abs(got - dense_subspace(a).gap(dense_subspace(b))) <= 1e-12
+
+
+@SETTINGS
+@given(st.data())
+def test_overlap_of_cell_sets_matches_dense_formula(data):
+    n = data.draw(st.integers(1, 8))
+    a, b = data.draw(cell_subspaces(n)), data.draw(cell_subspaces(n))
+    got = _overlap(a, b)
+    assert got == float(bool(set(a.cells.tolist()) & set(b.cells.tolist())))
+    assert abs(got - _overlap(dense_subspace(a), dense_subspace(b))) <= 1e-12
+
+
+@SETTINGS
+@given(st.data())
+def test_reduction_residual_matches_dense_formula(data):
+    n = data.draw(st.integers(1, 7))
+    sub = data.draw(cell_subspaces(n))
+    elements = [data.draw(square_images(n)) for _ in range(data.draw(st.integers(1, 2)))]
+    got = _reduction_residual(sub, elements)
+    want = _reduction_residual(dense_subspace(sub), [dense_map(x) for x in elements])
+    assert abs(got - want) <= 1e-12
+
+
+def test_reduction_residual_of_columns_sharing_a_row():
+    """Three columns leave the cells onto one row: residual sqrt(3)."""
+    sub = Subspace.from_cells(4, [0, 1, 2])
+    x = WindowedMap.from_image([3, 3, 3, -1], range(4), range(4))
+    got = _reduction_residual(sub, [x])
+    assert got == np.sqrt(3)
+    assert abs(got - _reduction_residual(dense_subspace(sub), [dense_map(x)])) <= 1e-12
+
+
+@SETTINGS
+@given(st.data())
+def test_unitary_residual_matches_dense_formula(data):
+    n = data.draw(st.integers(1, 7))
+    part = data.draw(cell_subspaces(n))
+    generator = data.draw(square_images(n))
+    got = _unitary_residual(part, generator)
+    assert abs(got - _unitary_residual(dense_subspace(part), dense_map(generator))) <= 1e-12
+    local = numlin._positions(part.cells, n)[generator.image[part.cells]]
+    live = local[local >= 0]
+    if len(set(live.tolist())) == live.size:  # injective: exact 0 or 1, no matrix
+        assert got == (0.0 if live.size == part.dim else 1.0)
+
+
+def test_unitary_residual_cases():
+    cycle = WindowedMap.from_image([1, 2, 0, 3], range(4), range(4))
+    shift = WindowedMap.from_image([1, 2, 3, -1], range(4), range(4))
+    fold = WindowedMap.from_image([1, 1, 1, 0], range(4), range(4))
+    part = Subspace.from_cells(4, [0, 1, 2])
+    assert _unitary_residual(part, cycle) == 0.0  # permutes the cells
+    assert _unitary_residual(part, shift) == 1.0  # injective, not onto
+    folded = _unitary_residual(part, fold)  # three cells onto one: the dense formula, J - I
+    assert folded == _unitary_residual(dense_subspace(part), dense_map(fold))
+    assert abs(folded - 2.0) <= 1e-12
+
+
+@SETTINGS
+@given(st.data())
+def test_generator_isometry_entry_matches_dense_formula(data):
+    x = data.draw(square_images(data.draw(st.integers(1, 7))))
+    got = _generator_isometry_entry(SemigroupFamily(x), "g")
+    want = _generator_isometry_entry(SemigroupFamily(dense_map(x)), "g")
+    assert abs(got.residual - want.residual) <= 1e-12
+    assert (got.dims, got.passed, got.note) == (want.dims, want.passed, want.note)
+
+
+def test_pair_residual_witness_builds_only_the_differing_columns(monkeypatch):
+    """One column sent to two different rows: residual sqrt(2) from a 2 x 1 block."""
+    import isoflow.semigroups as semigroups
+
+    n = 1024
+    x = WindowedMap.from_image(np.arange(n), range(n), range(n))
+    image = np.arange(n)
+    image[5] = 7
+    y = WindowedMap.from_image(image, range(n), range(n))
+    shapes = []
+    real = semigroups.spectral_norm
+    monkeypatch.setattr(semigroups, "spectral_norm",
+                        lambda m: shapes.append(np.shape(m)) or real(m))
+    got, count = _pair_residual(x, y)
+    assert count == n and shapes == [(2, 1)]
+    assert abs(got - np.sqrt(2)) <= 1e-12
+
+
+# --- no dense n x n matrix at dimension 1024 -------------------------------------------
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_bishift_splits_stay_below_one_dense_matrix():
+    pair = bishift_families(QuadrantGrid2D(8, 4))
+    assert pair.dim == 1024
+    wold, peak = traced_peak(lambda: wold_cooper(pair.first, 3))
+    assert not wold.stabilized and wold.unitary_residual == 1.0
+    assert peak < DENSE_MATRIX_BYTES
+    split, peak = traced_peak(lambda: fourfold_decompose(pair, 34))
+    assert split.dims == (1024, 0, 0, 0) and split.reduction_residual == 0.0
+    assert peak < DENSE_MATRIX_BYTES
+
+
+def test_halfline_splits_stay_below_one_dense_matrix():
+    family = halfline_shift_family(CellGrid1D(16, 64))
+    assert family.dim == 1024
+    wold, peak = traced_peak(lambda: wold_cooper(family, 3))
+    assert not wold.stabilized and wold.unitary_residual == 1.0
+    assert peak < DENSE_MATRIX_BYTES
+    report, peak = traced_peak(lambda: run_scenario(
+        Scenario("h", "halfline_shift", {"m": 2, "T": 32, "r": 16})))  # dim 1024, stabilized
+    assert report.overall and peak < DENSE_MATRIX_BYTES
+
+
+@pytest.mark.parametrize("construction, params", [
+    ("four_block_dc", {"T": 24, "circ": 8}),  # dim (T + circ)^2 = 1024
+    ("dual_example", {"m": 1, "T": 16}),  # ambient (2mT)^2 = 1024
+    ("double_dual", {"m": 1, "T": 16}),
+])
+def test_catalog_runs_stay_below_one_dense_matrix(construction, params):
+    report, peak = traced_peak(lambda: run_scenario(Scenario("s", construction, params)))
+    assert report.overall
+    assert peak < DENSE_MATRIX_BYTES

@@ -277,4 +277,4 @@ def test_faithful_range_matches_dense_formula(data):
     assert got.dim == want.dim
     assert got.gap(want) <= 1e-12
     live = x.image[cols][x.image[cols] >= 0]
-    assert got.cells == tuple(sorted(set(live.tolist())))  # exact even where rows repeat
+    assert tuple(got.cells) == tuple(sorted(set(live.tolist())))  # exact even where rows repeat
