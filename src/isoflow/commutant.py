@@ -208,15 +208,14 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
             double, _ = _pair_residual(a.compose(v_adj), v_adj.compose(a)) or (0.0, 0)
             entries.append(CheckEntry(f"t={time}:adjoint_commutator", double, (),
                                       double <= 10 * tol.resid_abs))
-            full_cells = [k for k in range(cells)
-                          if all(k * fiber + rho in a.faithful for rho in range(fiber))]
-            if not full_cells:
+            full_cells = np.flatnonzero(a.faithful_mask.reshape(cells, fiber).all(axis=1))
+            if not full_cells.size:
                 entries.append(CheckEntry(f"t={time}:fiber_form", 0.0, (0,), False,
                                           "no faithful fiber block"))
                 continue
             b_t = _fiber_block_average(a.matrix, fiber, full_cells)
             rebuilt = np.kron(np.eye(cells, dtype=np.complex128), b_t)
-            cols = sorted(a.faithful)
+            cols = np.flatnonzero(a.faithful_mask)
             structure = column_restricted_residual(a.matrix, rebuilt, cols)
             entries.append(CheckEntry(f"t={time}:fiber_form", structure, (len(full_cells),),
                                       structure <= 10 * tol.resid_abs))

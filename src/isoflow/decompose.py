@@ -86,9 +86,9 @@ class ProductWoldResult:
 
 
 def _faithful_range(element: WindowedMap, tol: Tolerances) -> Subspace:
-    if not element.faithful:
+    cols = np.flatnonzero(element.faithful_mask)
+    if not cols.size:
         return Subspace.zero(element.domain_dim)
-    cols = np.sort(np.fromiter(element.faithful, dtype=np.int64, count=len(element.faithful)))
     if element.image is not None:  # unit columns span the coordinates of their rows
         rows = element.image[cols]
         return Subspace(element.codomain_dim, cells=_distinct(rows[rows >= 0]))
@@ -201,9 +201,9 @@ def _reduction_residual(subspace: Subspace, elements) -> float:
         return 0.0
     worst = 0.0
     for element in elements:
-        if not element.faithful:
+        cols = np.flatnonzero(element.faithful_mask)
+        if not cols.size:
             continue
-        cols = np.sort(np.fromiter(element.faithful, dtype=np.int64, count=len(element.faithful)))
         if subspace.cells is not None and element.image is not None:
             inside = _mask(subspace.cells, subspace.ambient)
             rows = element.image[cols]
@@ -256,8 +256,8 @@ def bcl_check(T: int, m: int, r: int, samples) -> Report:
         multiplier = phi_multiplier(T - 1, m, r, time)
         image = np.empty_like(w)
         image[w] = _after(w, shift.image)  # W S W* sends w[j] where S sends j
-        conjugated = WindowedMap.from_image(image, w[sorted(shift.faithful)].tolist(),
-                                            w[sorted(shift.adj_faithful)].tolist())
+        conjugated = WindowedMap.from_image(image, w[shift.faithful_mask],
+                                            w[shift.adj_faithful_mask])
         got = _pair_residual(conjugated, multiplier)
         if got is None:
             raise WindowTooSmall(f"time {time} leaves no faithful window")
@@ -286,14 +286,14 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
             a = fam_a.at_time(time)
             b = fam_b.at_time(time)
             conjugated = z @ a.matrix @ z.conj().T
-            columns = b.faithful.difference(np.flatnonzero(_escapes(z.T, a.faithful)).tolist())
+            columns = np.flatnonzero(b.faithful_mask & ~_escapes(z.T, a.faithful_mask))
             check_id = f"axis{axis}_t={time}"
-            if not columns:
+            if not columns.size:
                 entries.append(CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped"))
                 continue
             usable += 1
             residual = column_restricted_residual(conjugated, b.matrix, columns)
-            entries.append(CheckEntry(check_id, residual, (len(columns),),
+            entries.append(CheckEntry(check_id, residual, (columns.size,),
                                       residual <= tol.resid_abs))
     if not usable:
         raise WindowTooSmall("no sample leaves a nonempty faithful window")

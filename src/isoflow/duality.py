@@ -171,8 +171,8 @@ def _compress(u: WindowedMap, sub: Subspace) -> WindowedMap:
             escapes = (u.image[cells] >= 0) & (image < 0)
         else:
             escapes = _escapes(u.matrix, cells)[cells]
-        faithful = np.flatnonzero(_mask(u.faithful, u.domain_dim)[cells] & ~escapes).tolist()
-        adj_faithful = np.flatnonzero(_mask(u.adj_faithful, u.codomain_dim)[cells]).tolist()
+        faithful = u.faithful_mask[cells] & ~escapes
+        adj_faithful = u.adj_faithful_mask[cells]
         if u.image is not None:
             return WindowedMap.from_image(image, faithful, adj_faithful, u.domain, u.codomain)
         return WindowedMap(u.matrix[np.ix_(cells, cells)], faithful, adj_faithful,
@@ -300,7 +300,7 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
             residuals.append(0.0)
             continue
         if wth.cells is not None:
-            cols = wth.cells[_mask(adj.faithful, setup.ambient_dim)[wth.cells]]
+            cols = wth.cells[adj.faithful_mask[wth.cells]]
             if not cols.size:
                 residuals.append(0.0)
                 continue
@@ -337,7 +337,12 @@ def dual_cnu_check(setup: ExtensionSetup, max_steps: int,
     vacuously.  This is a theorem on faithful data, so a failure entry
     here flags window pollution rather than new mathematics.
     """
-    dual = dual_pair(setup, max_orbit, tol)
+    return _dual_cnu_report(setup, dual_pair(setup, max_orbit, tol), max_steps, tol)
+
+
+def _dual_cnu_report(setup: ExtensionSetup, dual: DualResult, max_steps: int,
+                     tol: Tolerances = DEFAULT_TOL) -> Report:
+    """The ``dual_cnu_check`` report for a dual pair the caller already has."""
     entries = []
     if dual.wth.dim == 0:
         entries.append(CheckEntry("empty_dual", 0.0, (0,), True, "vacuous"))
@@ -503,7 +508,7 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
     pair = setup.compressed_pair()
     for axis, (fam, model) in enumerate(((pair.first, m1), (pair.second, m2)), start=1):
         gen = fam.generator
-        faithful = z[sorted(gen.faithful)].tolist()
+        faithful = z[gen.faithful_mask]
         if gen.image is not None:  # Z G Z* sends z[j] where G sends j
             image = np.full(dim, -1, dtype=np.int64)
             image[z] = _after(z, gen.image)
@@ -569,11 +574,11 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
 # bundled setups
 
 
-def _torus_axis_faithful(region: LRegionIndex, axis: int, forward: bool) -> frozenset[int]:
-    """Ambient cells whose one-step translate stays inside the window."""
+def _torus_axis_faithful(region: LRegionIndex, axis: int, forward: bool) -> np.ndarray:
+    """Mask of the ambient cells whose one-step translate stays inside the window."""
     n = region.parent.n
     k = np.unravel_index(np.arange(region.parent.dim), (n, n, region.r))[axis]
-    return frozenset(np.flatnonzero(k < n - 1 if forward else k >= 1).tolist())
+    return k < n - 1 if forward else k >= 1
 
 
 def _torus_unitary(region: LRegionIndex, axis: int, forward: bool) -> WindowedMap:

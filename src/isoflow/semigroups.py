@@ -3,8 +3,11 @@
 A truncated operator is trusted only where it agrees with the
 infinite-dimensional operator it represents.  ``WindowedMap`` couples the
 matrix with that set of trusted domain indices (``faithful``) and the
-corresponding set for the adjoint (``adj_faithful``).  Composition
-shrinks windows by the support rule
+corresponding set for the adjoint (``adj_faithful``).  Each window is held
+as a read-only boolean mask over the columns (``faithful_mask``) or the
+rows (``adj_faithful_mask``); the frozensets ``faithful`` and
+``adj_faithful`` are a view of those masks, built only when something
+reads them.  Composition shrinks windows by the support rule
 
     faithful(A o B) = { i in faithful(B) : supp(B e_i) subset faithful(A) },
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -92,14 +96,40 @@ def _escapes(matrix: np.ndarray, window) -> np.ndarray:
 
 
 def _mask(window, n: int) -> np.ndarray:
-    """Boolean mask of length n that is True on ``window``, a set or an index array."""
+    """Boolean mask of length n that is True on ``window``.
+
+    A boolean mask is returned as it is; an index array is spread.
+    """
+    if window.dtype == bool:
+        return window
     mask = np.zeros(n, dtype=bool)
-    mask[window if isinstance(window, np.ndarray) else list(window)] = True
+    mask[window] = True
     return mask
 
 
-def _members(mask: np.ndarray) -> frozenset[int]:
-    return frozenset(np.flatnonzero(mask).tolist())
+def _window(window, n: int, outside: str) -> np.ndarray:
+    """Read-only boolean mask of length n for ``window``.
+
+    ``window`` is a boolean array of length n, an integer index array, or
+    any iterable of indices (a set, a range, a list).  An index outside
+    [0, n) raises InvalidInput with the message ``outside``.  A boolean
+    array is kept as a read-only view, not copied, as the image is.
+    """
+    if not isinstance(window, np.ndarray):
+        window = np.fromiter(map(int, window), dtype=np.int64)
+    if window.dtype == bool:
+        if window.shape != (n,):
+            raise InvalidInput(f"window mask of shape {window.shape} for {n} indices")
+        mask = window.view()
+    else:
+        if window.ndim != 1 or (window.size and window.dtype.kind not in "iu"):
+            raise InvalidInput("a window must be a boolean mask or 1-D integer indices")
+        if window.size and not 0 <= window.min() <= window.max() < n:
+            raise InvalidInput(outside)
+        mask = np.zeros(n, dtype=bool)
+        mask[window] = True
+    mask.flags.writeable = False
+    return mask
 
 
 def _after(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -115,21 +145,21 @@ def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | No
     differ, on the rows they touch, are built; the zero columns and rows
     dropped leave the norm unchanged.
     """
-    columns = x.faithful & y.faithful
-    if not columns:
+    n = min(x.domain_dim, y.domain_dim)  # the common columns when the domains differ
+    columns = np.flatnonzero(x.faithful_mask[:n] & y.faithful_mask[:n])
+    if not columns.size:
         return None
     if x.image is None or y.image is None or x.shape != y.shape:
-        return column_restricted_residual(x.matrix, y.matrix, columns), len(columns)
-    cols = sorted(columns)
-    got, want = x.image[cols], y.image[cols]
+        return column_restricted_residual(x.matrix, y.matrix, columns), columns.size
+    got, want = x.image[columns], y.image[columns]
     differ = got != want
     if not differ.any():
-        return 0.0, len(columns)
+        return 0.0, columns.size
     rows = np.concatenate([got[differ], want[differ]])
     rows = _distinct(rows[rows >= 0])  # the rows that some differing column touches
     got, want = (np.where(image >= 0, np.searchsorted(rows, image), -1)
                  for image in (got[differ], want[differ]))
-    return spectral_norm(_from_image(got, rows.size) - _from_image(want, rows.size)), len(columns)
+    return spectral_norm(_from_image(got, rows.size) - _from_image(want, rows.size)), columns.size
 
 
 class WindowedMap:
@@ -142,15 +172,23 @@ class WindowedMap:
     Fourier unitary, phases, ``I + N``) is held as its dense ``matrix``,
     and its ``image`` is None.  ``shape`` is (rows, columns) either way.
 
+    The windows are read-only boolean masks: ``faithful_mask`` over the
+    columns and ``adj_faithful_mask`` over the rows.  The constructors take
+    a window as such a mask, as an integer index array, or as any iterable
+    of indices.  ``faithful`` and ``adj_faithful`` are the same windows as
+    frozensets of ints, built from the masks on first read and kept; no
+    code path of this package reads them.
+
     ``compose`` is an index gather when both operands have an image and a
-    matrix product otherwise; ``adjoint`` inverts an injective image and
-    takes the conjugate transpose of everything else.
+    matrix product otherwise, and its windows are mask arithmetic either
+    way; ``adjoint`` inverts an injective image and takes the conjugate
+    transpose of everything else, and swaps the two masks.
     """
 
     def __init__(self, matrix, faithful, adj_faithful, domain: str = "", codomain: str = ""):
         self.image = None
         self._matrix = matrix
-        self.faithful, self.adj_faithful = faithful, adj_faithful
+        self.faithful_mask, self.adj_faithful_mask = faithful, adj_faithful
         self.domain, self.codomain = domain, codomain
         self.__post_init__()
 
@@ -165,12 +203,13 @@ class WindowedMap:
         made.image = np.asarray(image)
         made._matrix = None
         made.shape = (made.image.size if rows is None else int(rows), made.image.size)
-        made.faithful, made.adj_faithful = faithful, adj_faithful
+        made.faithful_mask, made.adj_faithful_mask = faithful, adj_faithful
         made.domain, made.codomain = domain, codomain
         made.__post_init__()
         return made
 
     def __post_init__(self) -> None:
+        """Check the image and turn both windows into read-only masks."""
         if self.image is None:
             self._matrix = as_matrix(self._matrix)
             self.shape = self._matrix.shape
@@ -183,13 +222,18 @@ class WindowedMap:
             if image.size and not -1 <= image.min() <= image.max() < self.shape[0]:
                 raise InvalidInput("image entry outside [-1, rows)")
             self.image = image
-        self.faithful = frozenset(map(int, self.faithful))
-        self.adj_faithful = frozenset(map(int, self.adj_faithful))
         rows, cols = self.shape
-        if self.faithful and not 0 <= min(self.faithful) <= max(self.faithful) < cols:
-            raise InvalidInput("faithful index outside the domain")
-        if self.adj_faithful and not 0 <= min(self.adj_faithful) <= max(self.adj_faithful) < rows:
-            raise InvalidInput("adjoint-faithful index outside the codomain")
+        self.faithful_mask = _window(self.faithful_mask, cols, "faithful index outside the domain")
+        self.adj_faithful_mask = _window(self.adj_faithful_mask, rows,
+                                         "adjoint-faithful index outside the codomain")
+
+    @cached_property
+    def faithful(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.faithful_mask).tolist())
+
+    @cached_property
+    def adj_faithful(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.adj_faithful_mask).tolist())
 
     @property
     def matrix(self) -> np.ndarray:
@@ -207,13 +251,15 @@ class WindowedMap:
 
     @classmethod
     def identity(cls, n: int, space: str = "") -> "WindowedMap":
-        return cls.from_image(np.arange(n), range(n), range(n), space, space)
+        return cls.from_image(np.arange(n), np.ones(n, dtype=bool), np.ones(n, dtype=bool),
+                              space, space)
 
     @classmethod
     def full(cls, matrix, domain: str = "", codomain: str = "") -> "WindowedMap":
         """Wrap a matrix that represents its operator exactly everywhere."""
         mat = as_matrix(matrix)
-        return cls(mat, range(mat.shape[1]), range(mat.shape[0]), domain, codomain)
+        rows, cols = mat.shape
+        return cls(mat, np.ones(cols, dtype=bool), np.ones(rows, dtype=bool), domain, codomain)
 
     def compose(self, other: "WindowedMap") -> "WindowedMap":
         """self o other, with both windows shrunk by the support rule."""
@@ -221,20 +267,18 @@ class WindowedMap:
             raise DimensionMismatch(f"cannot compose {self.shape} after {other.shape}")
         if self.image is None or other.image is None:
             matrix = self.matrix @ other.matrix
-            kept = np.flatnonzero(~_escapes(other.matrix, self.faithful)).tolist()
-            adj_kept = np.flatnonzero(~_escapes(self.matrix.T, other.adj_faithful)).tolist()
-            return WindowedMap(matrix, other.faithful.intersection(kept),
-                               self.adj_faithful.intersection(adj_kept),
-                               other.domain, self.codomain)
+            kept = other.faithful_mask & ~_escapes(other.matrix, self.faithful_mask)
+            adj_kept = self.adj_faithful_mask & ~_escapes(self.matrix.T, other.adj_faithful_mask)
+            return WindowedMap(matrix, kept, adj_kept, other.domain, self.codomain)
         # column i of other is the unit vector at row b[i] (or zero when b[i] = -1)
         a, b = self.image, other.image
-        inside = np.append(_mask(self.faithful, self.domain_dim), True)
-        kept = _mask(other.faithful, other.domain_dim) & inside[b]
+        inside = np.append(self.faithful_mask, True)
+        kept = other.faithful_mask & inside[b]
         # row i of self is supported on the columns j with a[j] = i
         hit = np.zeros(self.codomain_dim + 1, dtype=bool)
-        hit[a[~_mask(other.adj_faithful, self.domain_dim)]] = True
-        adj_kept = _mask(self.adj_faithful, self.codomain_dim) & ~hit[:-1]
-        return WindowedMap.from_image(_after(a, b), _members(kept), _members(adj_kept),
+        hit[a[~other.adj_faithful_mask]] = True
+        adj_kept = self.adj_faithful_mask & ~hit[:-1]
+        return WindowedMap.from_image(_after(a, b), kept, adj_kept,
                                       other.domain, self.codomain, self.codomain_dim)
 
     def __matmul__(self, other: "WindowedMap") -> "WindowedMap":
@@ -246,9 +290,9 @@ class WindowedMap:
             inverse = np.full(self.codomain_dim, -1, dtype=np.int64)
             inverse[self.image[live]] = live
             if np.count_nonzero(inverse >= 0) == live.size:  # injective
-                return WindowedMap.from_image(inverse, self.adj_faithful, self.faithful,
+                return WindowedMap.from_image(inverse, self.adj_faithful_mask, self.faithful_mask,
                                               self.codomain, self.domain, self.domain_dim)
-        return WindowedMap(self.matrix.conj().T, self.adj_faithful, self.faithful,
+        return WindowedMap(self.matrix.conj().T, self.adj_faithful_mask, self.faithful_mask,
                            self.codomain, self.domain)
 
 
@@ -257,7 +301,8 @@ class SemigroupFamily:
 
     ``element(j)`` is the j-fold composition of the generator at time
     j / cells_per_unit; element(0) is the identity with full window.
-    Composed powers are memoized, so repeated requests return the same map.
+    Composed powers are memoized in a list indexed by step count, so
+    repeated requests return the same map.
     """
 
     def __init__(self, generator: WindowedMap, label: str = "", cells_per_unit: int = 1):
@@ -268,8 +313,7 @@ class SemigroupFamily:
         self._generator = generator
         self._label = label
         self._m = int(cells_per_unit)
-        self._cache: dict[int, WindowedMap] = {
-            0: WindowedMap.identity(generator.domain_dim, generator.domain)}
+        self._powers = [WindowedMap.identity(generator.domain_dim, generator.domain)]
 
     @property
     def generator(self) -> WindowedMap:
@@ -291,11 +335,10 @@ class SemigroupFamily:
         if int(steps) != steps or steps < 0:
             raise InvalidInput(f"step count must be a nonnegative integer, got {steps!r}")
         steps = int(steps)
-        top = max(self._cache)
-        while top < steps:
-            self._cache[top + 1] = self._generator.compose(self._cache[top])
-            top += 1
-        return self._cache[steps]
+        powers = self._powers
+        while len(powers) <= steps:
+            powers.append(self._generator.compose(powers[-1]))
+        return powers[steps]
 
     def at_time(self, t) -> WindowedMap:
         return self.element(grid_steps(t, self._m))
@@ -346,7 +389,7 @@ def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {grid.cells}-cell window")
     image = _forward_image(grid.dim, j * grid.r)
     label = f"halfline(m={grid.m},T={grid.T},r={grid.r})"
-    return WindowedMap.from_image(image, _members(image >= 0), range(grid.dim), label, label)
+    return WindowedMap.from_image(image, image >= 0, np.ones(grid.dim, dtype=bool), label, label)
 
 
 def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
@@ -395,7 +438,8 @@ def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
     top = d - n if jj == 0 else d - n - 1
     label = f"coeff(d={d},m={m},r={r})"
     return WindowedMap.from_image(_forward_image(space.dim, j * r),
-                                  range((top + 1) * space.block), range(space.dim), label, label)
+                                  np.arange(space.dim) < (top + 1) * space.block,
+                                  np.ones(space.dim, dtype=bool), label, label)
 
 
 def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
@@ -413,7 +457,8 @@ def bishift_pair(grid: QuadrantGrid2D, t) -> tuple[WindowedMap, WindowedMap]:
     images = (_forward_image(grid.dim, j * grid.side * grid.r),
               np.where(k2 + j < grid.side, idx + j * grid.r, -1))
     label = f"quadrant(m={grid.m},T={grid.T},r={grid.r})"
-    return tuple(WindowedMap.from_image(image, _members(image >= 0), range(grid.dim), label, label)
+    return tuple(WindowedMap.from_image(image, image >= 0, np.ones(grid.dim, dtype=bool),
+                                        label, label)
                  for image in images)
 
 
@@ -447,8 +492,7 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
     def build(k: np.ndarray, stride: int) -> WindowedMap:
         # a leftward/downward image stays in L, so its position is found by search
         image = np.where(k >= j, np.searchsorted(cells, cells - j * stride), -1)
-        adj_faithful = np.flatnonzero(k + j < n).tolist()
-        return WindowedMap.from_image(image, _members(image >= 0), adj_faithful, label, label)
+        return WindowedMap.from_image(image, image >= 0, k + j < n, label, label)
 
     return build(k1, n * r), build(k2, r)
 
@@ -486,12 +530,13 @@ def circulant_unitary(n: int, k: int) -> np.ndarray:
 
 def circulant_family(n: int, k: int = 1, cells_per_unit: int = 1) -> SemigroupFamily:
     label = f"cycle({n})"
-    gen = WindowedMap.from_image(_circulant_image(n, k), range(n), range(n), label, label)
+    gen = WindowedMap.from_image(_circulant_image(n, k), np.ones(n, dtype=bool),
+                                 np.ones(n, dtype=bool), label, label)
     return SemigroupFamily(gen, f"circulant[n={n},k={k}]", cells_per_unit)
 
 
 def direct_sum(*parts: WindowedMap) -> WindowedMap:
-    """Block-diagonal direct sum; windows are the shifted unions.
+    """Block-diagonal direct sum; windows are the concatenated masks.
 
     The sum of image-backed parts is image-backed: each part's image is
     offset by the rows before it.
@@ -500,8 +545,8 @@ def direct_sum(*parts: WindowedMap) -> WindowedMap:
         raise InvalidInput("direct_sum needs at least one part")
     row0 = np.cumsum([0] + [p.codomain_dim for p in parts]).tolist()
     col0 = np.cumsum([0] + [p.domain_dim for p in parts]).tolist()
-    faithful = [col0[k] + i for k, part in enumerate(parts) for i in part.faithful]
-    adj_faithful = [row0[k] + i for k, part in enumerate(parts) for i in part.adj_faithful]
+    faithful = np.concatenate([p.faithful_mask for p in parts])
+    adj_faithful = np.concatenate([p.adj_faithful_mask for p in parts])
     domain = "(+)".join(p.domain for p in parts)
     codomain = "(+)".join(p.codomain for p in parts)
     if all(p.image is not None for p in parts):
@@ -519,7 +564,8 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
 
     side="right" gives part (x) I_fiber (fiber is the inner index);
     side="left" gives I_fiber (x) part.  An image-backed part gives an
-    image-backed product.
+    image-backed product.  Each window mask is spread by the same index
+    rule as the image.
     """
     if fiber < 1:
         raise InvalidInput("fiber dimension must be >= 1")
@@ -534,17 +580,23 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
     else:
         raise InvalidInput(f"side must be 'left' or 'right', got {side!r}")
     n_dom, n_cod = part.domain_dim, part.codomain_dim
-    faithful = [place(i, k, n_dom) for i in part.faithful for k in range(fiber)]
-    adj = [place(i, k, n_cod) for i in part.adj_faithful for k in range(fiber)]
+    k = np.arange(fiber)
+
+    def spread(values: np.ndarray, n: int) -> np.ndarray:
+        """The n * fiber entries with values[i] (or values[i, k]) at place(i, k)."""
+        out = np.empty(fiber * n, dtype=values.dtype)
+        out[place(np.arange(n)[:, None], k, n)] = values
+        return out
+
+    faithful = spread(part.faithful_mask[:, None], n_dom)  # (i, k) is kept when i is
+    adj = spread(part.adj_faithful_mask[:, None], n_cod)
     if part.image is None:
         eye = np.eye(fiber, dtype=np.complex128)
         mat = np.kron(part.matrix, eye) if side == "right" else np.kron(eye, part.matrix)
         return WindowedMap(mat, faithful, adj, domain, codomain)
     # column place(i, k) goes to row place(image[i], k)
-    target, k = part.image[:, None], np.arange(fiber)
-    image = np.empty(fiber * n_dom, dtype=np.int64)
-    image[place(np.arange(n_dom)[:, None], k, n_dom)] = np.where(target >= 0,
-                                                                 place(target, k, n_cod), -1)
+    target = part.image[:, None]
+    image = spread(np.where(target >= 0, place(target, k, n_cod), -1), n_dom)
     return WindowedMap.from_image(image, faithful, adj, domain, codomain, fiber * n_cod)
 
 

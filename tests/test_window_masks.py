@@ -1,0 +1,126 @@
+"""Exactness windows held as boolean masks.
+
+A ``WindowedMap`` keeps each window as a read-only boolean mask;
+``faithful`` and ``adj_faithful`` are frozenset views built on first read.
+These tests pin the constructor contract (mask, index array or iterable;
+wrong length and out-of-range indices rejected), check that no bundled
+scenario reads the frozenset views, and bound the memory of the power
+cache that a long Wold split keeps.
+"""
+
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from isoflow import catalog, duality
+from isoflow.catalog import run_scenario
+from isoflow.cli import load_scenarios
+from isoflow.decompose import wold_cooper
+from isoflow.errors import DimensionMismatch, InvalidInput
+from isoflow.numlin import DEFAULT_TOL, _from_image
+from isoflow.semigroups import WindowedMap, _pair_residual, halfline_shift_family
+from isoflow.spaces import CellGrid1D
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_halfline_power_cache_at_default_k_stays_small():
+    """r = 1 and the runner's default K = m*T + 2 keep 1,026 powers of dim 1024;
+    as frozensets their windows alone took about 98 MiB."""
+    grid = CellGrid1D(16, 64)
+    steps = grid.m * grid.T + 2
+    tracemalloc.start()
+    try:
+        family = halfline_shift_family(grid)
+        wold = wold_cooper(family, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wold.stabilized and wold.cnu_part.dim == grid.dim
+    assert family.element(steps - 1) is family.element(steps - 1)
+    assert peak < 16 * 2**20
+
+
+def test_bundled_configs_read_no_frozenset_window(monkeypatch):
+    reads = []
+    for name in ("faithful", "adj_faithful"):
+        view = WindowedMap.__dict__[name]
+
+        def counted(self, view=view, name=name):
+            reads.append(name)
+            return view.func(self)
+
+        monkeypatch.setattr(WindowedMap, name, property(counted))
+    configs = sorted((ROOT / "configs").glob("*.cfg"))
+    assert configs
+    for config in configs:
+        for scenario in load_scenarios(str(config)):
+            assert run_scenario(scenario).overall, scenario.name
+    assert reads == []
+
+
+def test_window_validation_and_read_only_masks():
+    image = np.array([1, -1, 0])
+    with pytest.raises(InvalidInput, match="shape"):
+        WindowedMap.from_image(image, np.ones(2, dtype=bool), np.ones(3, dtype=bool))
+    with pytest.raises(InvalidInput, match="shape"):
+        WindowedMap.from_image(image, np.ones(3, dtype=bool), np.ones(2, dtype=bool), rows=3)
+    with pytest.raises(InvalidInput, match="faithful index outside the domain"):
+        WindowedMap.from_image(image, np.array([0, 3]), ())
+    with pytest.raises(InvalidInput, match="adjoint-faithful index outside the codomain"):
+        WindowedMap(np.eye(3), (), np.array([-1]))
+    with pytest.raises(InvalidInput):
+        WindowedMap(np.eye(3), np.array([[0, 1]]), ())
+    with pytest.raises(InvalidInput):
+        WindowedMap(np.eye(3), np.array([0.0, 1.0]), ())
+    source = np.array([True, False, True])
+    x = WindowedMap.from_image(image, source, range(3))
+    for mask in (x.faithful_mask, x.adj_faithful_mask):
+        assert mask.dtype == bool and mask.shape == (3,)
+        with pytest.raises(ValueError):
+            mask[0] = False
+    assert source.flags.writeable  # the caller's array is viewed, not frozen
+    assert x.faithful == frozenset({0, 2}) and x.adj_faithful == frozenset(range(3))
+    assert x.faithful is x.faithful  # built once and kept
+
+
+def test_window_forms_give_equal_maps():
+    image = np.array([2, 0, -1, 1])
+    mask = np.array([True, False, True, True])
+    forms = ((mask, np.ones(4, dtype=bool)), (np.flatnonzero(mask), np.arange(4)),
+             (frozenset({0, 2, 3}), frozenset(range(4))), ([3, 0, 2, 2], range(4)))
+    maps = [WindowedMap.from_image(image, f, a) for f, a in forms]
+    maps += [WindowedMap(_from_image(image), f, a) for f, a in forms]
+    for x in maps:
+        assert np.array_equal(x.faithful_mask, mask)
+        assert np.array_equal(x.adj_faithful_mask, np.ones(4, dtype=bool))
+        assert _pair_residual(x, maps[0]) == (0.0, 3)
+
+
+def test_pair_residual_on_different_domains():
+    small = WindowedMap.from_image(np.arange(2), [0, 1], [0, 1])
+    large = WindowedMap.from_image(np.arange(3), [2], range(3))
+    assert _pair_residual(small, large) is None  # no common column
+    with pytest.raises(DimensionMismatch):
+        _pair_residual(small, WindowedMap.from_image(np.arange(3), [1, 2], range(3)))
+
+
+def test_dual_example_computes_its_dual_pair_once(monkeypatch):
+    calls = []
+    dual_pair = duality.dual_pair
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].label)
+        return dual_pair(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "dual_pair", counted)
+    entries, _ = catalog._run_dual_example({"m": 1, "T": 3}, DEFAULT_TOL)
+    assert len(calls) == 1
+    setup = duality.l_region_setup(1, 3)
+    want = duality.dual_cnu_check(setup, 5, max_orbit=12).entries
+    assert len(calls) == 2
+    got = [e for e in entries if e.check_id.startswith("cnu:")]
+    assert got == [replace(e, check_id="cnu:" + e.check_id) for e in want]
