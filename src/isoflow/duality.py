@@ -11,7 +11,11 @@ The dual of the pair is the adjoint extension compressed to the
 orthogonal complement of the original space inside the minimal extension
 space.  The minimal extension space itself is certified by a finite orbit
 computation: the span of U1^a U2^b H over the box |a|, |b| <= A, with A
-grown until two consecutive spans agree in dimension and projector.  The
+grown until two consecutive spans agree in dimension and projector.
+Because the unitaries commute, the box of radius A + 1 is the box of
+radius A moved once by every U1^s U2^t with |s|, |t| <= 1, so each step
+moves only the cells the last step added (the frontier): O(A n) time and
+O(n) memory on permutations, with no table of powers.  The
 continuum statement quantifies over real parameters; the certificate here
 covers the integer box only, and that distinction is always reported (the
 ``stabilized`` flag), never hidden.
@@ -181,55 +185,47 @@ def _compress(u: WindowedMap, sub: Subspace) -> WindowedMap:
     return WindowedMap.full(matrix, u.domain, u.codomain)
 
 
-def _power_maps(perm: np.ndarray, radius: int) -> dict[int, np.ndarray]:
-    n = len(perm)
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[perm] = np.arange(n)
-    powers = {0: np.arange(n)}
-    for a in range(1, radius + 1):
-        powers[a] = perm[powers[a - 1]]
-        powers[-a] = inverse[powers[-(a - 1)]]
-    return powers
-
-
 def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace,
                 max_orbit: int, tol: Tolerances) -> OrbitSpan:
-    """Span of U1^a U2^b (start) over the box |a|, |b| <= A, grown until stable."""
+    """Span of U1^a U2^b (start) over the box |a|, |b| <= A, grown until stable.
+
+    Requires U1 and U2 to be commuting unitaries (``ExtensionSetup``
+    checks both).  Then box(r + 1) = N(box(r)) with
+    N = {U1^s U2^t : |s|, |t| <= 1}, so box(r + 1) = box(r) | N(F_r)
+    where F_r holds the cells that radius r added.  On generalized
+    permutations only that frontier moves, through U1 and its inverse
+    and then through U2 and its inverse, and the orbit is stable at the
+    first radius whose frontier adds nothing: O(R n) time and O(n) memory
+    for radius R.  On the dense path the whole span moves by the same
+    recurrence, and it is stable when one step keeps its dimension and
+    moves it by at most ``tol.resid_abs`` in gap.
+    """
     if max_orbit < 1:
         raise InvalidInput("max_orbit must be >= 1")
     perms = [_unit_rows(u.matrix) if u.image is None else u.image for u in (u1, u2)]
+    n = start.ambient
     if start.cells is not None and all(
-            p is not None and np.array_equal(np.sort(p), np.arange(p.size)) for p in perms):
-        pw1, pw2 = (_power_maps(p, max_orbit) for p in perms)
-
-        def box(radius: int) -> np.ndarray:
-            out = np.zeros(start.ambient, dtype=bool)
-            for a in range(-radius, radius + 1):
-                for b in range(-radius, radius + 1):
-                    out[pw1[a][pw2[b][start.cells]]] = True
-            return out
-
-        current = box(0)
+            p is not None and np.array_equal(np.sort(p), np.arange(n)) for p in perms):
+        moves = [(p, np.argsort(p)) for p in perms]  # each image with its inverse
+        current = _mask(start.cells, n)
+        frontier = start.cells
         for radius in range(max_orbit):
-            grown = box(radius + 1)
-            if np.array_equal(grown, current):
-                return OrbitSpan(Subspace(start.ambient, cells=np.flatnonzero(current)), True,
-                                 radius)
-            current = grown
-        return OrbitSpan(Subspace(start.ambient, cells=np.flatnonzero(current)), False, max_orbit)
+            for forward, backward in moves:
+                frontier = np.concatenate((frontier, forward[frontier], backward[frontier]))
+            reached = _mask(frontier, n)
+            reached &= ~current
+            if not reached.any():
+                return OrbitSpan(Subspace(n, cells=np.flatnonzero(current)), True, radius)
+            current |= reached
+            frontier = np.flatnonzero(reached)
+        return OrbitSpan(Subspace(n, cells=np.flatnonzero(current)), False, max_orbit)
 
-    def dense_box(radius: int) -> Subspace:
-        blocks = []
-        for a in range(-radius, radius + 1):
-            left = np.linalg.matrix_power(u1.matrix if a >= 0 else u1.matrix.conj().T, abs(a))
-            for b in range(-radius, radius + 1):
-                right = np.linalg.matrix_power(u2.matrix if b >= 0 else u2.matrix.conj().T, abs(b))
-                blocks.append(left @ right @ start.basis)
-        return orthonormal_basis(np.hstack(blocks), tol)
-
-    current = dense_box(0)
+    current = orthonormal_basis(start.basis, tol)
     for radius in range(max_orbit):
-        grown = dense_box(radius + 1)
+        grown = current
+        for u in (u1.matrix, u2.matrix):
+            q = grown.basis
+            grown = orthonormal_basis(np.hstack((q, u @ q, u.conj().T @ q)), tol)
         if grown.dim == current.dim and grown.gap(current) <= tol.resid_abs:
             return OrbitSpan(current, True, radius)
         current = grown
@@ -293,9 +289,9 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
     if not extension.stabilized:
         raise PreconditionFailed(f"orbit span did not stabilize within radius {max_orbit}")
     wth = subtract(extension.span, setup.h, tol)
+    adjoints = (setup.u1.adjoint(), setup.u2.adjoint())
     residuals = []
-    for u in (setup.u1, setup.u2):
-        adj = u.adjoint()
+    for adj in adjoints:
         if wth.dim == 0:
             residuals.append(0.0)
             continue
@@ -315,8 +311,7 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
         else:
             p = wth.projector()
             residuals.append(spectral_norm((np.eye(setup.ambient_dim) - p) @ adj.matrix @ p))
-    g1 = _compress(setup.u1.adjoint(), wth)
-    g2 = _compress(setup.u2.adjoint(), wth)
+    g1, g2 = (_compress(adj, wth) for adj in adjoints)
     pair = PairOfSemigroups(
         SemigroupFamily(g1, f"{self_label(setup)}:dual1", setup.cells_per_unit),
         SemigroupFamily(g2, f"{self_label(setup)}:dual2", setup.cells_per_unit))

@@ -1,0 +1,226 @@
+"""Orbit spans by frontier growth, against the whole box.
+
+``box_orbit`` and ``dense_box_orbit`` rebuild the span of U1^a U2^b (start)
+over the whole box |a|, |b| <= r from the origin at every radius, straight
+from the definition.  They are oracles: ``_orbit_span`` must return the
+same span, radius and ``stabilized`` flag on random commuting permutations
+and on small dense commuting unitaries.  The memory test pins the O(n)
+footprint, and the relabeling test checks that the dual side does not
+depend on how the ambient cells are numbered.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoflow.duality import (ExtensionSetup, OrbitSpan, _orbit_span, bishift_setup,
+                             double_dual_check, dual_cnu_check, dual_pair,
+                             halfline_circulant_setup, l_region_setup, minimal_extension,
+                             setup_direct_sum)
+from isoflow.numlin import DEFAULT_TOL, Subspace, orthonormal_basis
+from isoflow.report import render_report
+from isoflow.semigroups import WindowedMap
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+# --- oracles: the whole box at every radius ---------------------------------------
+
+def _powers(perm: np.ndarray, radius: int) -> dict[int, np.ndarray]:
+    inverse = np.empty(perm.size, dtype=np.int64)
+    inverse[perm] = np.arange(perm.size)
+    powers = {0: np.arange(perm.size)}
+    for a in range(1, radius + 1):
+        powers[a] = perm[powers[a - 1]]
+        powers[-a] = inverse[powers[-(a - 1)]]
+    return powers
+
+
+def box_orbit(p1: np.ndarray, p2: np.ndarray, cells: np.ndarray, max_orbit: int) -> OrbitSpan:
+    pw1, pw2 = _powers(p1, max_orbit), _powers(p2, max_orbit)
+
+    def box(radius: int) -> np.ndarray:
+        out = np.zeros(p1.size, dtype=bool)
+        for a in range(-radius, radius + 1):
+            for b in range(-radius, radius + 1):
+                out[pw1[a][pw2[b][cells]]] = True
+        return out
+
+    current = box(0)
+    for radius in range(max_orbit):
+        grown = box(radius + 1)
+        if np.array_equal(grown, current):
+            return OrbitSpan(Subspace(p1.size, cells=np.flatnonzero(current)), True, radius)
+        current = grown
+    return OrbitSpan(Subspace(p1.size, cells=np.flatnonzero(current)), False, max_orbit)
+
+
+def dense_box_orbit(u1: np.ndarray, u2: np.ndarray, start: np.ndarray,
+                    max_orbit: int) -> OrbitSpan:
+    def dense_box(radius: int) -> Subspace:
+        blocks = []
+        for a in range(-radius, radius + 1):
+            left = np.linalg.matrix_power(u1 if a >= 0 else u1.conj().T, abs(a))
+            for b in range(-radius, radius + 1):
+                right = np.linalg.matrix_power(u2 if b >= 0 else u2.conj().T, abs(b))
+                blocks.append(left @ right @ start)
+        return orthonormal_basis(np.hstack(blocks), DEFAULT_TOL)
+
+    current = dense_box(0)
+    for radius in range(max_orbit):
+        grown = dense_box(radius + 1)
+        if grown.dim == current.dim and grown.gap(current) <= DEFAULT_TOL.resid_abs:
+            return OrbitSpan(current, True, radius)
+        current = grown
+    return OrbitSpan(current, False, max_orbit)
+
+
+# --- exact path -------------------------------------------------------------------
+
+@st.composite
+def torus_block(draw):
+    """Two translations of one a x b x fiber torus: they commute, and a shared
+    fiber step makes both of them cycle the fiber."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    cells = np.arange(np.prod(shape)).reshape(shape)
+    fiber = draw(st.integers(0, shape[2] - 1))
+    images = []
+    for _ in range(2):
+        steps = [draw(st.integers(0, size - 1)) for size in shape[:2]] + [fiber]
+        images.append(np.roll(cells, steps, axis=(0, 1, 2)).ravel())
+    return images
+
+
+@st.composite
+def commuting_permutations(draw):
+    """A direct sum of one to three torus blocks."""
+    blocks = draw(st.lists(torus_block(), min_size=1, max_size=3))
+    p1, p2, offset = [], [], 0
+    for b1, b2 in blocks:
+        p1.append(b1 + offset)
+        p2.append(b2 + offset)
+        offset += b1.size
+    return np.concatenate(p1), np.concatenate(p2)
+
+
+@SETTINGS
+@given(commuting_permutations(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_frontier_matches_box_on_permutations(perms, seed, max_orbit):
+    p1, p2 = perms
+    n = p1.size
+    assert np.array_equal(p1[p2], p2[p1])
+    rng = np.random.default_rng(seed)  # empty in one start of min(n, 4) + 1
+    cells = np.sort(rng.choice(n, size=rng.integers(0, min(n, 4) + 1), replace=False))
+    u1, u2 = (WindowedMap.from_image(p, range(n), range(n)) for p in (p1, p2))
+    got = _orbit_span(u1, u2, Subspace(n, cells=cells), max_orbit, DEFAULT_TOL)
+    want = box_orbit(p1, p2, cells, max_orbit)
+    assert np.array_equal(got.span.cells, want.span.cells)
+    assert (got.radius, got.stabilized) == (want.radius, want.stabilized)
+
+
+def test_frontier_cut_short_and_empty_start():
+    """A 12-cycle against the identity needs radius 6; cut at 3 it reports
+    seven cells, not stabilized.  The empty start is stable at radius 0."""
+    cycle = np.roll(np.arange(12), 1)
+    u = WindowedMap.from_image(cycle, range(12), range(12))
+    fixed = WindowedMap.identity(12)
+    for cells, max_orbit, want in (([0], 3, (False, 3, 7)), ([0], 8, (True, 6, 12)),
+                                   ([], 3, (True, 0, 0))):
+        start = Subspace(12, cells=np.array(cells, dtype=np.int64))
+        got = _orbit_span(u, fixed, start, max_orbit, DEFAULT_TOL)
+        assert (got.stabilized, got.radius, got.span.dim) == want
+        oracle = box_orbit(cycle, np.arange(12), start.cells, max_orbit)
+        assert (oracle.stabilized, oracle.radius, oracle.span.dim) == want
+
+
+# --- dense path -------------------------------------------------------------------
+
+@st.composite
+def dense_commuting(draw):
+    """Commuting unitaries diagonal in one basis (Fourier or standard), with
+    phases among the eighth roots of unity, and a random orthonormal start.
+    A second unitary that is a multiple of the identity makes the orbit of
+    one vector grow by at most two dimensions per radius."""
+    n = draw(st.integers(2, 8))
+    grid = np.arange(n)
+    fourier = np.exp(2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
+    frame = draw(st.sampled_from([fourier, np.eye(n)]))
+    turns = st.lists(st.integers(0, 7), min_size=n, max_size=n)
+    unitaries = []
+    for kind in (turns, turns | st.integers(0, 7).map(lambda t: [t] * n)):
+        phases = np.exp(2j * np.pi * np.array(draw(kind)) / 8)
+        unitaries.append(frame @ np.diag(phases) @ frame.conj().T)
+    k = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    return unitaries, start
+
+
+@SETTINGS
+@given(dense_commuting(), st.integers(1, 4))
+def test_frontier_matches_box_on_dense_unitaries(case, max_orbit):
+    (m1, m2), start = case
+    got = _orbit_span(WindowedMap.full(m1), WindowedMap.full(m2),
+                      orthonormal_basis(start), max_orbit, DEFAULT_TOL)
+    want = dense_box_orbit(m1, m2, start, max_orbit)
+    assert (got.span.dim, got.radius, got.stabilized) == \
+        (want.span.dim, want.radius, want.stabilized)
+    assert got.span.gap(want.span) <= 1e-10
+
+
+# --- memory -----------------------------------------------------------------------
+
+def test_orbit_span_memory_is_linear_in_the_ambient():
+    """16384 cells, radius 32 of 256: no table of 2 * 513 powers (128 MiB)."""
+    setup = l_region_setup(4, 16)
+    tracemalloc.start()
+    try:
+        span = minimal_extension(setup, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert span.stabilized and span.radius == 32
+    assert span.span.dim == setup.ambient_dim
+    assert peak < 16 * 2**20
+
+
+# --- relabeling invariance on the dual side ---------------------------------------
+
+def _relabel_map(u: WindowedMap, pi: np.ndarray, inverse: np.ndarray) -> WindowedMap:
+    """P U P* for the permutation P sending cell j to pi[j]."""
+    return WindowedMap.from_image(pi[u.image[inverse]], u.faithful_mask[inverse],
+                                  u.adj_faithful_mask[inverse], u.domain, u.codomain)
+
+
+def relabel(setup: ExtensionSetup, pi: np.ndarray) -> ExtensionSetup:
+    """The setup with ambient cell j renamed pi[j]; region geometry is dropped."""
+    inverse = np.argsort(pi)
+    u1, u2 = (_relabel_map(u, pi, inverse) for u in (setup.u1, setup.u2))
+    return ExtensionSetup(u1, u2, Subspace(setup.ambient_dim, cells=np.sort(pi[setup.h.cells])),
+                          setup.cells_per_unit, setup.label, geometry=None)
+
+
+RELABELED = [
+    l_region_setup(1, 2),
+    bishift_setup(1, 2),
+    halfline_circulant_setup(1, 2, 3),
+    setup_direct_sum(l_region_setup(1, 2), halfline_circulant_setup(1, 2, 2)),
+]
+
+
+@SETTINGS
+@given(st.sampled_from(RELABELED), st.integers(0, 2**32 - 1))
+def test_dual_side_is_invariant_under_relabeling(setup, seed):
+    pi = np.random.default_rng(seed).permutation(setup.ambient_dim)
+    moved = relabel(setup, pi)
+    max_orbit = 8
+    before, after = minimal_extension(setup, max_orbit), minimal_extension(moved, max_orbit)
+    assert (after.radius, after.stabilized) == (before.radius, before.stabilized)
+    assert np.array_equal(after.span.cells, np.sort(pi[before.span.cells]))
+    d0, d1 = dual_pair(setup, max_orbit), dual_pair(moved, max_orbit)
+    assert d1.invariance_residuals == d0.invariance_residuals
+    assert d1.wth.dim == d0.wth.dim
+    for check, arg in ((dual_cnu_check, 6), (double_dual_check, max_orbit)):
+        assert render_report(check(moved, arg)) == render_report(check(setup, arg))
