@@ -19,9 +19,9 @@ from .commutant import commutant_of_partial_isometries, doubly_commutant_of_mz
 from .decompose import (bcl_check, classify_pair, fourfold_decompose,
                         product_unitary_part, wold_cooper)
 from .errors import InvalidInput
-from .numlin import Tolerances, _distinct, residual_norm
+from .numlin import Tolerances, residual_norm
 from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, bishift_families,
+from .semigroups import (PairOfSemigroups, SemigroupFamily, _isometry_defect, bishift_families,
                          bishift_pair, check_semigroup_law, circulant_family,
                          direct_sum, halfline_shift_family,
                          modified_bishift_families, tensor_with_identity)
@@ -78,12 +78,7 @@ def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
     cols = np.flatnonzero(gen.faithful_mask)
     if not cols.size:
         return CheckEntry(check_id, 0.0, (0,), False, "empty window")
-    if gen.image is not None:
-        rows = gen.image[cols]
-        if (rows >= 0).all() and _distinct(rows).size == rows.size:  # distinct unit columns
-            return CheckEntry(check_id, 0.0, (len(cols),), True)
-    block = gen.matrix[:, cols]
-    residual = residual_norm(block.conj().T @ block, np.eye(len(cols)))
+    residual = _isometry_defect(gen, cols)
     return CheckEntry(check_id, residual, (len(cols),), residual == 0.0)
 
 

@@ -27,7 +27,11 @@ def load_scenarios(path: str, tol_override: float | None = None) -> list[Scenari
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case
-    loaded = parser.read(path)
+    try:
+        loaded = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:  # e.g. a duplicate section or key
+        raise IsoflowError(f"cannot parse config file {path!r}: {' '.join(str(exc).split())}") \
+            from exc
     if not loaded:
         raise IsoflowError(f"cannot read config file {path!r}")
     scenarios = []
@@ -82,10 +86,14 @@ def main(argv=None) -> int:
             print(f"isoflow: error: [{scenario.name}] {exc}", file=sys.stderr)
             return 2
     text = render_reports(reports, version=__version__)
-    sys.stdout.write(text)
     if args.out is not None:
-        with open(args.out, "w", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"isoflow: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     return 0 if all(r.overall for r in reports) else 1
 
 

@@ -12,7 +12,8 @@ On top of the single-family split sit the pair-level operations:
 commutation classification, the fourfold split of a doubly commuting
 pair, the unitary part of the product family, and the exact-permutation
 identification of the half-line translation with its coefficient-space
-multiplier model.
+multiplier model.  Compressions, isometry tests and conjugations come
+from ``semigroups``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _from_image, _positions,
-                     _unit_columns_norm, column_restricted_residual, complement, intersect,
-                     orthonormal_basis, residual_norm, spectral_norm)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _unit_columns_norm,
+                     complement, intersect, orthonormal_basis, spectral_norm)
 from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _after, _escapes,
-                         _mask, _pair_residual, halfline_shift, phi_multiplier)
+from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _after, _compress,
+                         _isometry_defect, _mask, _pair_residual, halfline_shift,
+                         phi_multiplier)
 from .spaces import CellGrid1D, _w_image
 
 __all__ = [
@@ -96,27 +97,15 @@ def _faithful_range(element: WindowedMap, tol: Tolerances) -> Subspace:
 
 
 def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
-    """Distance of the compression of the generator to ``part`` from a unitary.
+    """Distance of the compression C of the generator to ``part`` from a unitary.
 
-    On cells with an image-backed generator the compression is the image
-    gathered through the cell positions.  An injective compressed image is
-    unitary (0.0) when it permutes the cells; otherwise it kills a column
-    and misses a row, so both defects are exactly 1.0.  A non-injective
-    one, and every other operand, takes the dense formula.
+    The larger of the isometry defects of C and C*.  An injective
+    compressed image is unitary (0.0) when it permutes the cells;
+    otherwise it kills a column and misses a row, so both defects are
+    exactly 1.0.
     """
-    if part.dim == 0:
-        return 0.0
-    if part.cells is not None and generator.image is not None:
-        local = _positions(part.cells, part.ambient)[generator.image[part.cells]]
-        live = local[local >= 0]
-        if _distinct(live).size == live.size:
-            return 0.0 if live.size == part.dim else 1.0
-        restr = _from_image(local, part.dim)
-    else:
-        restr = part.basis.conj().T @ generator.matrix @ part.basis
-    eye = np.eye(part.dim)
-    return max(residual_norm(restr.conj().T @ restr, eye),
-               residual_norm(restr @ restr.conj().T, eye))
+    restr = _compress(generator, part)
+    return max(_isometry_defect(restr), _isometry_defect(restr.adjoint()))
 
 
 def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAULT_TOL) -> WoldResult:
@@ -272,10 +261,12 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
     """Check Z A_{j,t} Z* = B_{j,t} on faithful windows for j = 1, 2.
 
     Only verifies a supplied equivalence; finding one is out of scope.
+    Z A Z* is a composition, so its window is the support rule: column i
+    is trusted when Z* e_i lies inside the window of A.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    eye = np.eye(z.shape[0])
-    if max(residual_norm(z.conj().T @ z, eye), residual_norm(z @ z.conj().T, eye)) > tol.resid_abs:
+    z = WindowedMap.full(z)
+    z_adj = z.adjoint()
+    if max(_isometry_defect(z), _isometry_defect(z_adj)) > tol.resid_abs:
         raise PreconditionFailed("supplied conjugation is not unitary within tolerance")
     entries = []
     usable = 0
@@ -283,18 +274,14 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
                                            (pair_a.second, pair_b.second)), start=1):
         for t in samples:
             time = Fraction(t)
-            a = fam_a.at_time(time)
-            b = fam_b.at_time(time)
-            conjugated = z @ a.matrix @ z.conj().T
-            columns = np.flatnonzero(b.faithful_mask & ~_escapes(z.T, a.faithful_mask))
+            got = _pair_residual(z @ fam_a.at_time(time) @ z_adj, fam_b.at_time(time))
             check_id = f"axis{axis}_t={time}"
-            if not columns.size:
+            if got is None:
                 entries.append(CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped"))
                 continue
             usable += 1
-            residual = column_restricted_residual(conjugated, b.matrix, columns)
-            entries.append(CheckEntry(check_id, residual, (columns.size,),
-                                      residual <= tol.resid_abs))
+            residual, count = got
+            entries.append(CheckEntry(check_id, residual, (count,), residual <= tol.resid_abs))
     if not usable:
         raise WindowTooSmall("no sample leaves a nonempty faithful window")
     return Report(scenario="joint_equivalence", entries=entries)

@@ -22,7 +22,8 @@ covers the integer box only, and that distinction is always reported (the
 
 When both unitaries are generalized permutations and the subspace is a
 coordinate span, every computation below stays in integer-exact set
-arithmetic; otherwise the general dense path is used.
+arithmetic; otherwise the general dense path is used.  Compressions,
+isometry tests and conjugations come from ``semigroups``.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .decompose import (_reduction_residual, classify_pair, fourfold_decompose,
                         product_unitary_part)
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
-                         _after, _escapes, _mask, _pair_residual, _torus_image, direct_sum,
-                         modified_bishift_pair)
+                         _compress, _isometry_defect, _mask, _pair_residual, _torus_image,
+                         direct_sum, modified_bishift_pair)
 from .spaces import LRegionIndex
 
 __all__ = [
@@ -90,11 +91,7 @@ class ExtensionSetup:
         if self.h.ambient != n:
             raise InvalidInput("subspace ambient does not match the unitaries")
         for tag, u in (("U1", self.u1), ("U2", self.u2)):
-            if u.image is not None:
-                unitary = np.array_equal(np.sort(u.image), np.arange(n))  # a permutation
-            else:
-                unitary = residual_norm(u.matrix.conj().T @ u.matrix, np.eye(n)) <= _UNITARY_ATOL
-            if not unitary:
+            if _isometry_defect(u) > _UNITARY_ATOL:  # a square isometry is unitary
                 raise InvalidInput(f"{tag} is not unitary to 1e-12")
         a, b = self.u1.image, self.u2.image
         if a is not None and b is not None:
@@ -152,37 +149,7 @@ class DualFourfoldResult:
 
 
 # ---------------------------------------------------------------------------
-# compressions and orbit spans
-
-
-def _compress(u: WindowedMap, sub: Subspace) -> WindowedMap:
-    """Compression of an ambient map to a subspace, with derived windows.
-
-    For a coordinate subspace the compressed column at a cell is trusted
-    exactly when the ambient column is trusted and its support stays
-    inside the subspace (the setup promises invariance on trusted cells,
-    so an escaping image means wrap pollution).  The adjoint direction is
-    a co-isometry whose kills are true compression behavior: its window
-    only excludes cells where the ambient adjoint itself is untrusted.
-    For a general basis the compression is the dense conjugation; its
-    window is the full local space, which is the honest choice when the
-    finite matrices are themselves the represented operators.
-    """
-    if sub.cells is not None:
-        cells = sub.cells
-        if u.image is not None:
-            image = _positions(cells, u.codomain_dim)[u.image[cells]]
-            escapes = (u.image[cells] >= 0) & (image < 0)
-        else:
-            escapes = _escapes(u.matrix, cells)[cells]
-        faithful = u.faithful_mask[cells] & ~escapes
-        adj_faithful = u.adj_faithful_mask[cells]
-        if u.image is not None:
-            return WindowedMap.from_image(image, faithful, adj_faithful, u.domain, u.codomain)
-        return WindowedMap(u.matrix[np.ix_(cells, cells)], faithful, adj_faithful,
-                           u.domain, u.codomain)
-    matrix = sub.basis.conj().T @ u.matrix @ sub.basis
-    return WindowedMap.full(matrix, u.domain, u.codomain)
+# orbit spans and host coordinates
 
 
 def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace,
@@ -248,12 +215,10 @@ def _lift_local(local: Subspace, host: Subspace) -> Subspace:
 def _restrict_to(host: Subspace, part: Subspace, tol: Tolerances) -> Subspace:
     """Express an ambient subspace contained in ``host`` in host-local coordinates."""
     if host.cells is not None and part.cells is not None:
-        at = np.searchsorted(host.cells, part.cells)
-        found = at < host.dim
-        found[found] = host.cells[at[found]] == part.cells[found]
-        if not found.all():
+        at = _positions(host.cells, host.ambient)[part.cells]
+        if (at < 0).any():
             raise InternalInconsistency(
-                f"cells {part.cells[~found].tolist()} fall outside the host subspace")
+                f"cells {part.cells[at < 0].tolist()} fall outside the host subspace")
         return Subspace(host.dim, cells=at)
     local = host.basis.conj().T @ part.basis
     contained = residual_norm(host.basis @ local, part.basis)
@@ -495,24 +460,16 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
     if setup.h.cells is None:
         raise PreconditionFailed("original space is not a coordinate subspace")
     canonical_cells = np.array(region.l_cells())
-    dim = canonical_cells.size
-    z = np.searchsorted(canonical_cells, setup.h.cells)  # setup -> canonical coordinates
-    if (z >= dim).any() or not np.array_equal(canonical_cells[z], setup.h.cells):
+    at = _positions(canonical_cells, setup.h.ambient)[setup.h.cells]  # setup -> canonical
+    if (at < 0).any():
         raise PreconditionFailed("original space does not sit on the L-region cells")
+    # a canonical cell outside the range of Z has no setup cell, so Z* is trusted only there
+    z = WindowedMap.from_image(at, np.ones(at.size, dtype=bool), at, rows=canonical_cells.size)
+    z_adj = z.adjoint()
     m1, m2 = modified_bishift_pair(region, step)
     pair = setup.compressed_pair()
     for axis, (fam, model) in enumerate(((pair.first, m1), (pair.second, m2)), start=1):
-        gen = fam.generator
-        faithful = z[gen.faithful_mask]
-        if gen.image is not None:  # Z G Z* sends z[j] where G sends j
-            image = np.full(dim, -1, dtype=np.int64)
-            image[z] = _after(z, gen.image)
-            conjugated = WindowedMap.from_image(image, faithful, ())
-        else:
-            matrix = np.zeros((dim, dim), dtype=np.complex128)
-            matrix[np.ix_(z, z)] = gen.matrix
-            conjugated = WindowedMap(matrix, faithful, ())
-        got = _pair_residual(conjugated, model)
+        got = _pair_residual(z @ fam.generator @ z_adj, model)
         if got is None:
             raise WindowTooSmall("no common faithful window for the model comparison")
         residual, count = got

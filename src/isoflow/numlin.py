@@ -162,10 +162,10 @@ class Subspace:
     ``int64`` array, validated in O(k).  Its ``basis`` is
     ``_from_image(cells, ambient)``, so local coordinate i is cell
     ``cells[i]`` in every code path; the matrix is built the first time
-    something reads ``basis`` and is kept from then on.  Passing a basis
-    together with cells checks that it is exactly that matrix.  Any other
+    something reads ``basis`` and is kept from then on.  Any other
     subspace is held as an orthonormal column ``basis``, validated by its
-    Gram matrix, and its ``cells`` is None.
+    Gram matrix, and its ``cells`` is None.  A subspace is given by a
+    basis or by cells, never both.
 
     Where both operands are coordinate subspaces, the set operations work
     on the cell arrays and ``gap`` is 0.0 or 1.0: the difference of two
@@ -180,15 +180,16 @@ class Subspace:
 
     def __post_init__(self) -> None:
         if self.cells is not None:
+            if self._basis is not None:
+                raise InvalidInput("a subspace takes a basis or cells, not both")
             cells = np.asarray(self.cells, dtype=np.int64).view()
             cells.flags.writeable = False
             if (cells.ndim != 1 or (cells.size and not 0 <= cells[0] <= cells[-1] < self.ambient)
                     or (cells[1:] <= cells[:-1]).any()):
                 raise InvalidInput("cells must be strictly increasing indices of the ambient space")
             self.cells = cells
-            if self._basis is None:
-                return
-        elif self._basis is None:
+            return
+        if self._basis is None:
             raise InvalidInput("a subspace needs a basis or cells")
         basis = np.asarray(self._basis, dtype=np.complex128)
         self._basis = basis
@@ -198,13 +199,6 @@ class Subspace:
             raise InvalidInput("basis has more columns than the ambient dimension")
         if basis.size and not np.isfinite(basis).all():
             raise InvalidInput("basis has non-finite entries")
-        if self.cells is not None:
-            # unit entries at (cells[i], i) that are the only nonzeros: _from_image(cells, ambient)
-            cells = self.cells
-            if (cells.size != basis.shape[1] or np.count_nonzero(basis) != cells.size
-                    or not (basis[cells, np.arange(cells.size)] == 1.0).all()):
-                raise InvalidInput("basis is not the standard basis vectors of cells, in order")
-            return
         gram = basis.conj().T @ basis
         if gram.size and np.abs(gram - np.eye(basis.shape[1])).max() > _ORTHO_ATOL:
             raise InvalidInput("basis columns are not orthonormal to 1e-12")
@@ -354,8 +348,8 @@ def subtract(big: Subspace, small: Subspace, tol: Tolerances = DEFAULT_TOL) -> S
     if big.ambient != small.ambient:
         raise DimensionMismatch("ambient dimensions differ")
     if big.cells is not None and small.cells is not None:
-        at = np.searchsorted(big.cells, small.cells)
-        if (at >= big.dim).any() or not np.array_equal(big.cells[at], small.cells):
+        at = _positions(big.cells, big.ambient)[small.cells]
+        if (at < 0).any():
             raise InvalidInput("subtrahend is not contained in the minuend")
         return Subspace(big.ambient, cells=np.delete(big.cells, at))
     if small.dim == 0:

@@ -31,6 +31,11 @@ disagree.  The functions returning plain matrices (``torus_translation``,
 ``circulant_unitary``, ``partial_isometry_pair``) materialize the same
 images.  Grid times are restricted to multiples of 1/m and rejected
 otherwise; nothing is interpolated.
+
+Conjugation, compression and the isometry test are written once, here,
+for both representations: Z A Z* is two compositions compared by
+``_pair_residual``, ``_compress`` restricts a map to a subspace, and
+``_isometry_defect`` is the norm of (X|cols)* (X|cols) - I.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Tolerances, _distinct, _from_image, as_matrix,
-                     column_restricted_residual, spectral_norm)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _from_image, _positions,
+                     as_matrix, column_restricted_residual, residual_norm, spectral_norm)
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 
@@ -160,6 +165,54 @@ def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | No
     got, want = (np.where(image >= 0, np.searchsorted(rows, image), -1)
                  for image in (got[differ], want[differ]))
     return spectral_norm(_from_image(got, rows.size) - _from_image(want, rows.size)), columns.size
+
+
+def _compress(u: "WindowedMap", sub: Subspace) -> "WindowedMap":
+    """Compression of an ambient map to a subspace, with derived windows.
+
+    For a coordinate subspace the compressed column at a cell is trusted
+    exactly when the ambient column is trusted and its support stays
+    inside the subspace (an escaping image means wrap pollution).  The
+    adjoint direction is a co-isometry whose kills are true compression
+    behavior: its window only excludes cells where the ambient adjoint
+    itself is untrusted.  An image-backed map compresses to the image
+    gathered through the cell positions.  For a general basis the
+    compression is the dense conjugation; its window is the full local
+    space, which is the honest choice when the finite matrices are
+    themselves the represented operators.
+    """
+    if sub.cells is not None:
+        cells = sub.cells
+        if u.image is not None:
+            image = _positions(cells, u.codomain_dim)[u.image[cells]]
+            escapes = (u.image[cells] >= 0) & (image < 0)
+        else:
+            escapes = _escapes(u.matrix, cells)[cells]
+        faithful = u.faithful_mask[cells] & ~escapes
+        adj_faithful = u.adj_faithful_mask[cells]
+        if u.image is not None:
+            return WindowedMap.from_image(image, faithful, adj_faithful, u.domain, u.codomain)
+        return WindowedMap(u.matrix[np.ix_(cells, cells)], faithful, adj_faithful,
+                           u.domain, u.codomain)
+    matrix = sub.basis.conj().T @ u.matrix @ sub.basis
+    return WindowedMap.full(matrix, u.domain, u.codomain)
+
+
+def _isometry_defect(x: "WindowedMap", cols=slice(None)) -> float:
+    """Spectral norm of (X|cols)* (X|cols) - I, over all columns by default.
+
+    Unit columns on distinct rows are orthonormal, so for an image whose
+    live rows are distinct the Gram matrix is I with a 0 at each zero
+    column: the defect is 0.0 when every column is live and 1.0 otherwise.
+    Any other map takes the dense Gram matrix.
+    """
+    if x.image is not None:
+        rows = x.image[cols]
+        live = rows[rows >= 0]
+        if _distinct(live).size == live.size:
+            return 0.0 if live.size == rows.size else 1.0
+    block = x.matrix[:, cols]
+    return residual_norm(block.conj().T @ block, np.eye(block.shape[1]))
 
 
 class WindowedMap:

@@ -160,6 +160,34 @@ def test_cli_bad_value_rejected_before_any_scenario_runs(tmp_path, bad, message)
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("text", [
+    b"[a]\nconstruction = bcl\n\n[a]\nconstruction = bcl\n",
+    b"[a]\nconstruction = bcl\nT = 2\nT = 3\n",
+    b"construction = bcl\n",
+    b"[a]\nconstruction = bcl\nT = \xff\n",
+], ids=["duplicate_section", "duplicate_key", "no_section_header", "not_utf8"])
+def test_cli_malformed_config_exits_two(tmp_path, text):
+    config = tmp_path / "malformed.cfg"
+    config.write_bytes(text)
+    with pytest.raises(IsoflowError, match="malformed.cfg"):
+        load_scenarios(str(config))
+    proc = run_cli("run", str(config))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"isoflow: error: cannot parse config file {str(config)!r}: ")
+
+
+def test_cli_unwritable_out_exits_two(tmp_path):
+    out = tmp_path / "missing" / "r.txt"
+    proc = run_cli("run", "configs/bcl.cfg", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"isoflow: error: cannot write {out}: No such file or directory\n"
+    assert proc.stdout == ""
+    assert not out.parent.exists()
+
+
 def test_main_inprocess_matches_subprocess(capsys):
     code = main(["run", str(ROOT / "configs" / "shift.cfg")])
     captured = capsys.readouterr()

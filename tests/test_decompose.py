@@ -8,7 +8,7 @@ import pytest
 from isoflow.decompose import (bcl_check, classify_pair, fourfold_decompose, is_cnu,
                                product_unitary_part, verify_joint_equivalence,
                                wold_cooper)
-from isoflow.errors import PreconditionFailed
+from isoflow.errors import DimensionMismatch, PreconditionFailed
 from isoflow.numlin import Subspace, residual_norm
 from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
                                 bishift_families, circulant_family, direct_sum,
@@ -221,6 +221,41 @@ def test_joint_equivalence_requires_unitary():
     pair = bishift_families(QuadrantGrid2D(1, 2))
     with pytest.raises(PreconditionFailed):
         verify_joint_equivalence(pair, pair, 0.5 * np.eye(4), [1])
+
+
+def test_joint_equivalence_rejects_a_conjugation_of_the_wrong_size():
+    pair = bishift_families(QuadrantGrid2D(1, 2))
+    with pytest.raises(DimensionMismatch):
+        verify_joint_equivalence(pair, pair, np.eye(5), [1])
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_joint_equivalence_with_a_dense_unitary():
+    """B = Z A Z* for a Z that mixes coordinates, with B held as dense families.
+
+    Z mixes the shift block into its unfaithful column, so only the four
+    circulant columns stay trusted; there the powers of B agree with
+    Z A_t Z* to rounding.
+    """
+    shift = halfline_shift_family(CellGrid1D(1, 3)).generator
+    a = PairOfSemigroups(
+        SemigroupFamily(direct_sum(shift, circulant_family(4, 1).generator), "A1"),
+        SemigroupFamily(direct_sum(shift, circulant_family(4, 2).generator), "A2"))
+    rng = np.random.default_rng(7)
+    z = np.zeros((7, 7), dtype=np.complex128)
+    z[:3, :3], z[3:, 3:] = random_unitary(rng, 3), random_unitary(rng, 4)
+    b = PairOfSemigroups(*(SemigroupFamily(WindowedMap.full(z @ f.generator.matrix @ z.conj().T),
+                                           f"B{axis}")
+                           for axis, f in enumerate((a.first, a.second), start=1)))
+    assert b.first.generator.image is None
+    report = verify_joint_equivalence(a, b, z, [1, 2, 3])
+    assert report.overall
+    assert all(e.dims == (4,) and e.residual <= 1e-12 for e in report.entries)
+    assert not verify_joint_equivalence(a, a, z, [1]).overall
 
 
 # --- product family ---------------------------------------------------------------------

@@ -5,23 +5,33 @@ over the whole box |a|, |b| <= r from the origin at every radius, straight
 from the definition.  They are oracles: ``_orbit_span`` must return the
 same span, radius and ``stabilized`` flag on random commuting permutations
 and on small dense commuting unitaries.  The memory test pins the O(n)
-footprint, and the relabeling test checks that the dual side does not
-depend on how the ambient cells are numbered.
+footprint, and the relabeling tests check that neither the dual side nor
+the primal checks (semigroup laws, generator isometry, Wold, pair
+classification, fourfold and product splits) depend on how the cells are
+numbered.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoflow.catalog import _four_block_dc_pair, _generator_isometry_entry
+from isoflow.decompose import classify_pair, fourfold_decompose, product_unitary_part, wold_cooper
 from isoflow.duality import (ExtensionSetup, OrbitSpan, _orbit_span, bishift_setup,
                              double_dual_check, dual_cnu_check, dual_pair,
                              halfline_circulant_setup, l_region_setup, minimal_extension,
                              setup_direct_sum)
+from isoflow.errors import PreconditionFailed
 from isoflow.numlin import DEFAULT_TOL, Subspace, orthonormal_basis
 from isoflow.report import render_report
-from isoflow.semigroups import WindowedMap
+from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
+                                bishift_families, check_semigroup_law, halfline_shift_family,
+                                modified_bishift_families)
+from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -189,17 +199,27 @@ def test_orbit_span_memory_is_linear_in_the_ambient():
 # --- relabeling invariance on the dual side ---------------------------------------
 
 def _relabel_map(u: WindowedMap, pi: np.ndarray, inverse: np.ndarray) -> WindowedMap:
-    """P U P* for the permutation P sending cell j to pi[j]."""
-    return WindowedMap.from_image(pi[u.image[inverse]], u.faithful_mask[inverse],
+    """P U P* for the permutation P sending cell j to pi[j]; a zero column stays zero."""
+    image = u.image[inverse]
+    return WindowedMap.from_image(np.where(image >= 0, pi[image], -1), u.faithful_mask[inverse],
                                   u.adj_faithful_mask[inverse], u.domain, u.codomain)
 
 
-def relabel(setup: ExtensionSetup, pi: np.ndarray) -> ExtensionSetup:
-    """The setup with ambient cell j renamed pi[j]; region geometry is dropped."""
+def relabel(x, pi: np.ndarray):
+    """A map, family, pair or setup with cell j renamed pi[j].
+
+    A setup drops its region geometry.
+    """
     inverse = np.argsort(pi)
-    u1, u2 = (_relabel_map(u, pi, inverse) for u in (setup.u1, setup.u2))
-    return ExtensionSetup(u1, u2, Subspace(setup.ambient_dim, cells=np.sort(pi[setup.h.cells])),
-                          setup.cells_per_unit, setup.label, geometry=None)
+    if isinstance(x, WindowedMap):
+        return _relabel_map(x, pi, inverse)
+    if isinstance(x, SemigroupFamily):
+        return SemigroupFamily(relabel(x.generator, pi), x.label, x.cells_per_unit)
+    if isinstance(x, PairOfSemigroups):
+        return PairOfSemigroups(relabel(x.first, pi), relabel(x.second, pi))
+    u1, u2 = (_relabel_map(u, pi, inverse) for u in (x.u1, x.u2))
+    return ExtensionSetup(u1, u2, Subspace(x.ambient_dim, cells=np.sort(pi[x.h.cells])),
+                          x.cells_per_unit, x.label, geometry=None)
 
 
 RELABELED = [
@@ -224,3 +244,52 @@ def test_dual_side_is_invariant_under_relabeling(setup, seed):
     assert d1.wth.dim == d0.wth.dim
     for check, arg in ((dual_cnu_check, 6), (double_dual_check, max_orbit)):
         assert render_report(check(moved, arg)) == render_report(check(setup, arg))
+
+
+# --- relabeling invariance on the primal side -------------------------------------
+
+PRIMAL = [  # a family or a pair, sample times, Wold steps; dims 48, 128, 96, 289
+    (halfline_shift_family(CellGrid1D(2, 8, 3)), [Fraction(1, 2), 1, Fraction(5, 2)], 18),
+    (bishift_families(QuadrantGrid2D(2, 4, 2)), [Fraction(1, 2), 1], 10),
+    (modified_bishift_families(LRegionIndex(1, 4, 2)), [1, 2], 6),
+    (_four_block_dc_pair(10, 7)[0], [1, 2], 12),
+]
+
+
+def _moved(sub: Subspace, pi: np.ndarray) -> np.ndarray:
+    return np.sort(pi[sub.cells])
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(PRIMAL) - 1), st.integers(0, 2**32 - 1))
+def test_primal_side_is_invariant_under_relabeling(case, seed):
+    x, samples, max_steps = PRIMAL[case]
+    pi = np.random.default_rng(seed).permutation(x.dim)
+    moved = relabel(x, pi)
+    pairs = [(x, moved)] if isinstance(x, SemigroupFamily) else \
+        [(x.first, moved.first), (x.second, moved.second)]
+    for f, g in pairs:
+        assert check_semigroup_law(g, samples).entries == check_semigroup_law(f, samples).entries
+        assert _generator_isometry_entry(g, "g") == _generator_isometry_entry(f, "g")
+        w0, w1 = wold_cooper(f, max_steps), wold_cooper(g, max_steps)
+        assert (w1.stabilized, w1.steps_used, w1.unitary_residual) == \
+            (w0.stabilized, w0.steps_used, w0.unitary_residual)
+        assert np.array_equal(w1.unitary_part.cells, _moved(w0.unitary_part, pi))
+        assert np.array_equal(w1.cnu_part.cells, _moved(w0.cnu_part, pi))
+    if isinstance(x, SemigroupFamily):
+        return
+    verdict = classify_pair(x, samples)
+    assert classify_pair(moved, samples) == verdict
+    p0, p1 = product_unitary_part(x, max_steps), product_unitary_part(moved, max_steps)
+    assert (p1.stabilized, p1.steps_used, p1.reduction_residual) == \
+        (p0.stabilized, p0.steps_used, p0.reduction_residual)
+    assert np.array_equal(p1.subspace.cells, _moved(p0.subspace, pi))
+    if verdict.classified != "doubly_commuting":
+        for pair in (x, moved):
+            with pytest.raises(PreconditionFailed):
+                fourfold_decompose(pair, max_steps)
+        return
+    s0, s1 = fourfold_decompose(x, max_steps), fourfold_decompose(moved, max_steps)
+    assert s1.reduction_residual == s0.reduction_residual
+    for a, b in zip((s0.h_pp, s0.h_pu, s0.h_up, s0.h_uu), (s1.h_pp, s1.h_pu, s1.h_up, s1.h_uu)):
+        assert np.array_equal(b.cells, _moved(a, pi))
