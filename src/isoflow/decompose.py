@@ -3,10 +3,13 @@
 The unitary part of a family is the intersection of the spans of the
 trusted columns of its powers; the split into a unitary and a completely
 nonunitary (pure shift) part is computed by iterating that intersection
-until it certifies itself by standing still for one extra step.  The
-stabilization certificate is always reported, never assumed: a window can
-be too small to resolve the unitary part, in which case the result
-carries ``stabilized=False``.
+until it certifies itself by standing still for one extra step.  For an
+image-backed generator the span at step k is a set of cells reached from
+the one at step k-1 by one step of the generator, so the loop moves one
+boolean mask and never forms a power; a dense generator intersects the
+spans of its powers.  The stabilization certificate is always reported,
+never assumed: a window can be too small to resolve the unitary part, in
+which case the result carries ``stabilized=False``.
 
 On top of the single-family split sit the pair-level operations:
 commutation classification, the fourfold split of a doubly commuting
@@ -24,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _unit_columns_norm,
-                     complement, intersect, orthonormal_basis, spectral_norm)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_columns_norm, _unit_rows,
+                     as_matrix, complement, intersect, orthonormal_basis, spectral_norm)
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _after, _compress,
                          _isometry_defect, _mask, _pair_residual, halfline_shift,
@@ -86,16 +89,6 @@ class ProductWoldResult:
     reduction_residual: float
 
 
-def _faithful_range(element: WindowedMap, tol: Tolerances) -> Subspace:
-    cols = np.flatnonzero(element.faithful_mask)
-    if not cols.size:
-        return Subspace.zero(element.domain_dim)
-    if element.image is not None:  # unit columns span the coordinates of their rows
-        rows = element.image[cols]
-        return Subspace(element.codomain_dim, cells=_distinct(rows[rows >= 0]))
-    return orthonormal_basis(element.matrix[:, cols], tol)
-
-
 def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
     """Distance of the compression C of the generator to ``part`` from a unitary.
 
@@ -108,29 +101,65 @@ def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
     return max(_isometry_defect(restr), _isometry_defect(restr.adjoint()))
 
 
+def _unitary_mask(generator: WindowedMap, max_steps: int) -> tuple[np.ndarray, bool, int]:
+    """Mask of the unitary part of an image-backed generator V, with the certificate.
+
+    range_k is the set of rows that the faithful columns of V^k reach.
+    ``compose`` keeps column i of V^k faithful exactly when each of i,
+    Vi, ..., V^(k-1) i that is a cell is faithful for V; a faithful zero
+    column stays faithful and maps to -1, so it adds no row.  With F the
+    faithful columns of V that have a row, range_0 is every cell and
+    range_k = V(F & range_(k-1)): one gather and one scatter per step,
+    with no power built.  V(F & .) is monotone, so the ranges are nested
+    even when V is not injective, the intersection of range_1, ...,
+    range_k is range_k, and the power loop's stop test (equal dim, cell
+    gap 0.0) is mask equality.  The unitary part, the certificate and
+    hence the unitary residual are the power loop's.
+    """
+    image = generator.image
+    live = generator.faithful_mask & (image >= 0)
+    current = np.ones(image.size, dtype=bool)
+    for k in range(1, max_steps + 1):
+        nxt = np.zeros(image.size, dtype=bool)
+        nxt[image[live & current]] = True
+        nxt &= current
+        if np.array_equal(nxt, current):
+            return current, True, k
+        current = nxt
+    return current, False, max_steps
+
+
 def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAULT_TOL) -> WoldResult:
     """Split the space into unitary and pure parts of the family.
 
-    Iterates the generator's powers, intersecting the spans of their
-    faithful columns.  Stops early once the intersection is unchanged for
-    one extra step (dimension and projector), which is the stabilization
-    certificate; running out of steps, including by window exhaustion,
-    reports stabilized=False rather than raising.
+    The unitary part is the intersection over k of the spans of the
+    faithful columns of V^k.  The loop stops early once the intersection
+    is unchanged for one extra step (dimension and projector), which is
+    the stabilization certificate; running out of steps, including by
+    window exhaustion, reports stabilized=False rather than raising.
+
+    An image-backed generator takes ``_unitary_mask``: its spans are
+    coordinate subspaces, each one step of V from the one before, so no
+    power, range subspace or intersection is built, and the parts, the
+    certificate and the residual are those of the power loop.  A dense
+    generator intersects the spans of its powers.
     """
     if max_steps < 1:
         raise InvalidInput("max_steps must be >= 1")
-    current = Subspace.full(family.dim)
-    stabilized = False
-    steps_used = max_steps
-    for k in range(1, max_steps + 1):
-        range_k = _faithful_range(family.element(k), tol)
-        nxt = intersect(current, range_k, tol)
-        if nxt.dim == current.dim and nxt.gap(current) <= tol.resid_abs:
+    if family.generator.image is not None:
+        mask, stabilized, steps_used = _unitary_mask(family.generator, max_steps)
+        current = Subspace(family.dim, cells=np.flatnonzero(mask))
+    else:
+        current, stabilized, steps_used = Subspace.full(family.dim), False, max_steps
+        for k in range(1, max_steps + 1):
+            element = family.element(k)
+            span = orthonormal_basis(element.matrix[:, element.faithful_mask], tol)
+            nxt = intersect(current, span, tol)
+            stabilized = nxt.dim == current.dim and nxt.gap(current) <= tol.resid_abs
             current = nxt
-            stabilized = True
-            steps_used = k
-            break
-        current = nxt
+            if stabilized:
+                steps_used = k
+                break
     return WoldResult(complement(current), current, stabilized, steps_used,
                       _unitary_residual(current, family.generator))
 
@@ -262,9 +291,18 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
 
     Only verifies a supplied equivalence; finding one is out of scope.
     Z A Z* is a composition, so its window is the support rule: column i
-    is trusted when Z* e_i lies inside the window of A.
+    is trusted when Z* e_i lies inside the window of A.  A ``z`` whose
+    every column holds a single entry, exactly 1.0, is held as its image,
+    so for a permutation the conjugation is a gather; any other ``z`` is
+    held dense.
     """
-    z = WindowedMap.full(z)
+    z = as_matrix(z)
+    rows = _unit_rows(z) if z.size else None
+    if rows is not None and (z[rows, np.arange(rows.size)] == 1.0).all():
+        z = WindowedMap.from_image(rows, np.ones(rows.size, dtype=bool),
+                                   np.ones(z.shape[0], dtype=bool), rows=z.shape[0])
+    else:
+        z = WindowedMap.full(z)
     z_adj = z.adjoint()
     if max(_isometry_defect(z), _isometry_defect(z_adj)) > tol.resid_abs:
         raise PreconditionFailed("supplied conjugation is not unitary within tolerance")

@@ -1,5 +1,6 @@
 """Wold splits, pair classification, fourfold splits, and the multiplier model."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from isoflow.decompose import (bcl_check, classify_pair, fourfold_decompose, is_
                                product_unitary_part, verify_joint_equivalence,
                                wold_cooper)
 from isoflow.errors import DimensionMismatch, PreconditionFailed
-from isoflow.numlin import Subspace, residual_norm
+from isoflow.numlin import Subspace, _from_image, residual_norm
 from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
                                 bishift_families, circulant_family, direct_sum,
                                 halfline_shift_family, modified_bishift_families,
@@ -256,6 +257,75 @@ def test_joint_equivalence_with_a_dense_unitary():
     assert report.overall
     assert all(e.dims == (4,) and e.residual <= 1e-12 for e in report.entries)
     assert not verify_joint_equivalence(a, a, z, [1]).overall
+
+
+def count_dense_maps(monkeypatch) -> list:
+    """Record every ``WindowedMap.full`` call, the dense branch for ``z``."""
+    calls = []
+    full = WindowedMap.full
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return full(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(WindowedMap, "full", counted)
+    return calls
+
+
+def test_joint_equivalence_w_conjugation_at_dim_512_gathers(monkeypatch):
+    """w_unitary(32, 16) is a 0/1 permutation, so Z is held as its image:
+    no dense product, and each residual is exactly zero.  Held dense, Z
+    made this call peak at about 84 MiB."""
+    grid = CellGrid1D(16, 32)
+    shifts, phis = halfline_shift_family(grid), phi_family(31, 16)
+    w = w_unitary(32, 16)
+    samples = [Fraction(k, 2) for k in range(1, 9)]
+    dense = count_dense_maps(monkeypatch)
+    tracemalloc.start()
+    try:
+        report = verify_joint_equivalence(PairOfSemigroups(shifts, shifts),
+                                          PairOfSemigroups(phis, phis), w, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dense == []
+    assert report.overall and len(report.entries) == 16
+    assert all(e.residual == 0.0 for e in report.entries)
+    assert peak < 16 * 2**20
+
+
+def test_joint_equivalence_under_a_relabeling_permutation(monkeypatch):
+    """B = P A P* for a random permutation P, built image by image."""
+    a = bishift_families(QuadrantGrid2D(2, 3))
+    n = a.dim
+    pi = np.random.default_rng(3).permutation(n)  # cell j is renamed pi[j]
+    inverse = np.argsort(pi)
+
+    def moved(f):
+        image = f.generator.image[inverse]
+        g = WindowedMap.from_image(np.where(image >= 0, pi[image], -1),
+                                   f.generator.faithful_mask[inverse],
+                                   f.generator.adj_faithful_mask[inverse])
+        return SemigroupFamily(g, f.label, f.cells_per_unit)
+
+    b = PairOfSemigroups(moved(a.first), moved(a.second))
+    dense = count_dense_maps(monkeypatch)
+    report = verify_joint_equivalence(a, b, _from_image(pi), [Fraction(1, 2), 1, 2])
+    assert dense == []
+    assert report.overall and all(e.residual == 0.0 for e in report.entries)
+    assert not verify_joint_equivalence(a, a, _from_image(pi), [1]).overall
+
+
+def test_joint_equivalence_keeps_a_phased_permutation_dense(monkeypatch):
+    """A permutation with a phase on one column is unitary but not 0/1, so
+    Z stays dense; conjugating a shift by it keeps the shift."""
+    pair = bishift_families(QuadrantGrid2D(1, 2))
+    z = np.eye(4, dtype=np.complex128)
+    z[3, 3] = 1j
+    dense = count_dense_maps(monkeypatch)
+    report = verify_joint_equivalence(pair, pair, z, [1])
+    assert dense == [(4, 4)]
+    assert not report.overall  # the phase shows on a column that moves into cell 3
 
 
 # --- product family ---------------------------------------------------------------------

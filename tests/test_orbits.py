@@ -5,7 +5,8 @@ over the whole box |a|, |b| <= r from the origin at every radius, straight
 from the definition.  They are oracles: ``_orbit_span`` must return the
 same span, radius and ``stabilized`` flag on random commuting permutations
 and on small dense commuting unitaries.  The memory test pins the O(n)
-footprint, and the relabeling tests check that neither the dual side nor
+footprint, and the relabeling tests check that neither the dual side
+(orbits, dual pairs, dual fourfold split, joint dc/ddc classification) nor
 the primal checks (semigroup laws, generator isometry, Wold, pair
 classification, fourfold and product splits) depend on how the cells are
 numbered.
@@ -19,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.catalog import _four_block_dc_pair, _generator_isometry_entry
+from isoflow.catalog import _ddc_setup, _four_block_dc_pair, _generator_isometry_entry
 from isoflow.decompose import classify_pair, fourfold_decompose, product_unitary_part, wold_cooper
 from isoflow.duality import (ExtensionSetup, OrbitSpan, _orbit_span, bishift_setup,
-                             double_dual_check, dual_cnu_check, dual_pair,
-                             halfline_circulant_setup, l_region_setup, minimal_extension,
-                             setup_direct_sum)
+                             circulant_pair_setup, double_dual_check, dual_cnu_check,
+                             dual_fourfold, dual_pair, halfline_circulant_setup, l_region_setup,
+                             minimal_extension, setup_direct_sum, simultaneous_dc_ddc_classify)
 from isoflow.errors import PreconditionFailed
 from isoflow.numlin import DEFAULT_TOL, Subspace, orthonormal_basis
 from isoflow.report import render_report
@@ -293,3 +294,34 @@ def test_primal_side_is_invariant_under_relabeling(case, seed):
     assert s1.reduction_residual == s0.reduction_residual
     for a, b in zip((s0.h_pp, s0.h_pu, s0.h_up, s0.h_uu), (s1.h_pp, s1.h_pu, s1.h_up, s1.h_uu)):
         assert np.array_equal(b.cells, _moved(a, pi))
+
+
+# --- relabeling invariance of the joint classification and the dual fourfold split --
+
+SIMULTANEOUS = [  # the catalog's mixed, bishift and unitary setups at m = 1, T = 2, p = 3
+    setup_direct_sum(halfline_circulant_setup(1, 2, 3),
+                     halfline_circulant_setup(1, 2, 3, unitary_first=True), label="mixed"),
+    bishift_setup(1, 2),
+    circulant_pair_setup(3, 3, cells_per_unit=1),
+]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SIMULTANEOUS), st.integers(0, 2**32 - 1))
+def test_simultaneous_classification_is_invariant_under_relabeling(setup, seed):
+    pi = np.random.default_rng(seed).permutation(setup.ambient_dim)
+    before = simultaneous_dc_ddc_classify(setup, 6, 8)
+    assert render_report(simultaneous_dc_ddc_classify(relabel(setup, pi), 6, 8)) == \
+        render_report(before)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dual_fourfold_is_invariant_under_relabeling(seed):
+    setup = _ddc_setup(1, 2, 3, 3)
+    pi = np.random.default_rng(seed).permutation(setup.ambient_dim)
+    before, after = dual_fourfold(setup, 6, 8), dual_fourfold(relabel(setup, pi), 6, 8)
+    assert before.dims == (12, 6, 6, 9)  # 3 (mT)^2, mT p, mT p, circ^2
+    assert (after.dims, after.tilde_dims) == (before.dims, before.tilde_dims)
+    assert (after.orthogonality_residual, after.reduction_residual) == \
+        (before.orthogonality_residual, before.reduction_residual)

@@ -6,18 +6,20 @@ coordinate path of ``duality._compress`` are compared against it.  On 0/1
 partial permutations ``compose`` is associative, windows included.
 
 Every image-backed operation (gather ``compose``, inverse-image
-``adjoint``, ``_compress``, ``_pair_residual``, ``_faithful_range``) is
-checked against the dense path run on the same matrix.
+``adjoint``, ``_compress``, ``_pair_residual``, the first mask step of
+``wold_cooper``) is checked against the dense path run on the same
+matrix.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.decompose import _faithful_range
+from isoflow.decompose import wold_cooper
 from isoflow.duality import _compress
-from isoflow.numlin import DEFAULT_TOL, Subspace, _from_image, _unit_rows, orthonormal_basis
-from isoflow.semigroups import WindowedMap, _pair_residual, direct_sum, tensor_with_identity
+from isoflow.numlin import Subspace, _from_image, _unit_rows, orthonormal_basis
+from isoflow.semigroups import (SemigroupFamily, WindowedMap, _pair_residual, direct_sum,
+                                tensor_with_identity)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -268,10 +270,12 @@ def test_pair_residual_of_a_mismatched_pair():
 
 @SETTINGS
 @given(st.data())
-def test_faithful_range_matches_dense_formula(data):
+def test_one_wold_step_matches_dense_formula(data):
+    """After one step the unitary part is the span of the faithful columns,
+    stabilized or not."""
     n = data.draw(st.integers(1, 7))
     x = data.draw(image_maps(n, n, data.draw(st.booleans())))
-    got = _faithful_range(x, DEFAULT_TOL)
+    got = wold_cooper(SemigroupFamily(x), 1).unitary_part
     cols = sorted(x.faithful)
     want = orthonormal_basis(x.matrix[:, cols]) if cols else Subspace.zero(n)
     assert got.dim == want.dim
