@@ -9,21 +9,19 @@ structure, and dual-pair recovery.  Identity checks quantify only over
 the windows and hold with residual exactly zero, not merely small.
 """
 
-from .errors import (DimensionMismatch, InternalInconsistency, InvalidInput,
-                     InvalidRegion, InvalidShift, IsoflowError, PreconditionFailed,
-                     WindowTooSmall)
+from .errors import (DimensionMismatch, InternalInconsistency, InvalidInput, InvalidShift,
+                     IsoflowError, PreconditionFailed, WindowTooSmall)
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, complement, intersect,
-                     nullspace, orthonormal_basis, residual_norm, subtract)
+                     orthonormal_basis, residual_norm, subtract)
 from .spaces import (CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D,
-                     TorusGrid2D, lambda_reorder, region_injection, w_unitary)
+                     TorusGrid2D, lambda_reorder)
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, bishift_families,
                          bishift_pair, check_semigroup_law, circulant_family,
-                         circulant_unitary, direct_sum, grid_steps, halfline_shift,
-                         halfline_shift_family, modified_bishift_families,
-                         modified_bishift_pair, partial_isometry_pair, phi_family,
-                         phi_multiplier, tensor_with_identity, torus_translation)
+                         direct_sum, grid_steps, halfline_shift, halfline_shift_family,
+                         modified_bishift_families, modified_bishift_pair, phi_family,
+                         phi_multiplier, tensor_with_identity)
 from .decompose import (CommutationReport, FourfoldResult, WoldResult, bcl_check,
-                        classify_pair, fourfold_decompose, is_cnu, product_unitary_part,
+                        classify_pair, fourfold_decompose, product_unitary_part,
                         verify_joint_equivalence, wold_cooper)
 from .commutant import (CommutantBasis, commutant_of_partial_isometries,
                         doubly_commutant_of_mz, fuglede_instance_check, theta_compress)

@@ -45,7 +45,7 @@ def _get_samples(params: dict, default: str) -> list[Fraction]:
     raw = str(params.get("samples", default))
     try:
         return [Fraction(token.strip()) for token in raw.split(",") if token.strip()]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"cannot parse samples {raw!r}") from exc
 
 
@@ -296,7 +296,7 @@ def _run_dual_example(params, tol):
                                       "integer equality"))
     out.entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
                                   dual.wth.dim == (m * T) ** 2 * r))
-    out.extend_prefixed("cnu:", duality._dual_cnu_report(setup, dual, K, tol))
+    out.extend_prefixed("cnu:", duality.dual_cnu_check(setup, dual, K, tol))
     return out.entries, _echo(tol, m=m, T=T, r=r, K=K, max_orbit=max_orbit)
 
 

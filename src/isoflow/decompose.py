@@ -3,17 +3,17 @@
 The unitary part of a family is the intersection of the spans of the
 trusted columns of its powers; the split into a unitary and a completely
 nonunitary (pure shift) part is computed by iterating that intersection
-until it certifies itself by standing still for one extra step.  For an
-image-backed generator the span at step k is a set of cells reached from
-the one at step k-1 by one step of the generator, so the loop moves one
-boolean mask and never forms a power; a dense generator intersects the
-spans of its powers.  The stabilization certificate is always reported,
-never assumed: a window can be too small to resolve the unitary part, in
-which case the result carries ``stabilized=False``.
+until it certifies itself by standing still for one extra step.  The
+generator must be image-backed: the span at step k is then a set of
+cells reached from the one at step k-1 by one step of the generator, so
+the loop moves one boolean mask and never forms a power.  The
+stabilization certificate is always reported, never assumed: a window
+can be too small to resolve the unitary part, in which case the result
+carries ``stabilized=False``.
 
 On top of the single-family split sit the pair-level operations:
 commutation classification, the fourfold split of a doubly commuting
-pair, the unitary part of the product family, and the exact-permutation
+pair, the unitary part of the product family, and the exact
 identification of the half-line translation with its coefficient-space
 multiplier model.  Compressions, isometry tests and conjugations come
 from ``semigroups``.
@@ -28,12 +28,12 @@ import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_columns_norm, _unit_rows,
-                     as_matrix, complement, intersect, orthonormal_basis, spectral_norm)
+                     as_matrix, complement, intersect, spectral_norm)
 from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _after, _compress,
+from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _compress,
                          _isometry_defect, _mask, _pair_residual, halfline_shift,
                          phi_multiplier)
-from .spaces import CellGrid1D, _w_image
+from .spaces import CellGrid1D
 
 __all__ = [
     "WoldResult",
@@ -41,7 +41,6 @@ __all__ = [
     "CommutationReport",
     "ProductWoldResult",
     "wold_cooper",
-    "is_cnu",
     "classify_pair",
     "fourfold_decompose",
     "bcl_check",
@@ -101,73 +100,45 @@ def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
     return max(_isometry_defect(restr), _isometry_defect(restr.adjoint()))
 
 
-def _unitary_mask(generator: WindowedMap, max_steps: int) -> tuple[np.ndarray, bool, int]:
-    """Mask of the unitary part of an image-backed generator V, with the certificate.
+def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAULT_TOL) -> WoldResult:
+    """Split the space into unitary and pure parts of an image-backed family V.
 
-    range_k is the set of rows that the faithful columns of V^k reach.
-    ``compose`` keeps column i of V^k faithful exactly when each of i,
-    Vi, ..., V^(k-1) i that is a cell is faithful for V; a faithful zero
-    column stays faithful and maps to -1, so it adds no row.  With F the
-    faithful columns of V that have a row, range_0 is every cell and
-    range_k = V(F & range_(k-1)): one gather and one scatter per step,
-    with no power built.  V(F & .) is monotone, so the ranges are nested
+    The unitary part is the intersection over k of range_k, the set of
+    rows that the faithful columns of V^k reach.  The loop stops early
+    once the intersection is unchanged for one extra step, which is the
+    stabilization certificate; running out of steps, including by window
+    exhaustion, reports stabilized=False rather than raising.
+
+    No power is built.  ``compose`` keeps column i of V^k faithful exactly
+    when each of i, Vi, ..., V^(k-1) i that is a cell is faithful for V; a
+    faithful zero column stays faithful and maps to -1, so it adds no
+    row.  With F the faithful columns of V that have a row, range_0 is
+    every cell and range_k = V(F & range_(k-1)): one gather and one
+    scatter per step.  V(F & .) is monotone, so the ranges are nested
     even when V is not injective, the intersection of range_1, ...,
-    range_k is range_k, and the power loop's stop test (equal dim, cell
-    gap 0.0) is mask equality.  The unitary part, the certificate and
-    hence the unitary residual are the power loop's.
+    range_k is range_k, and the split stands still exactly when the mask
+    does.  The split is exact, so ``tol`` is not read.  A generator held
+    as a dense matrix raises InvalidInput.
     """
-    image = generator.image
-    live = generator.faithful_mask & (image >= 0)
-    current = np.ones(image.size, dtype=bool)
+    if max_steps < 1:
+        raise InvalidInput("max_steps must be >= 1")
+    image = family.generator.image
+    if image is None:
+        raise InvalidInput(f"wold_cooper needs an image-backed generator; "
+                           f"{family.label or 'the family'} is held as a dense matrix")
+    live = family.generator.faithful_mask & (image >= 0)
+    current, stabilized, steps_used = np.ones(image.size, dtype=bool), False, max_steps
     for k in range(1, max_steps + 1):
         nxt = np.zeros(image.size, dtype=bool)
         nxt[image[live & current]] = True
         nxt &= current
         if np.array_equal(nxt, current):
-            return current, True, k
+            stabilized, steps_used = True, k
+            break
         current = nxt
-    return current, False, max_steps
-
-
-def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAULT_TOL) -> WoldResult:
-    """Split the space into unitary and pure parts of the family.
-
-    The unitary part is the intersection over k of the spans of the
-    faithful columns of V^k.  The loop stops early once the intersection
-    is unchanged for one extra step (dimension and projector), which is
-    the stabilization certificate; running out of steps, including by
-    window exhaustion, reports stabilized=False rather than raising.
-
-    An image-backed generator takes ``_unitary_mask``: its spans are
-    coordinate subspaces, each one step of V from the one before, so no
-    power, range subspace or intersection is built, and the parts, the
-    certificate and the residual are those of the power loop.  A dense
-    generator intersects the spans of its powers.
-    """
-    if max_steps < 1:
-        raise InvalidInput("max_steps must be >= 1")
-    if family.generator.image is not None:
-        mask, stabilized, steps_used = _unitary_mask(family.generator, max_steps)
-        current = Subspace(family.dim, cells=np.flatnonzero(mask))
-    else:
-        current, stabilized, steps_used = Subspace.full(family.dim), False, max_steps
-        for k in range(1, max_steps + 1):
-            element = family.element(k)
-            span = orthonormal_basis(element.matrix[:, element.faithful_mask], tol)
-            nxt = intersect(current, span, tol)
-            stabilized = nxt.dim == current.dim and nxt.gap(current) <= tol.resid_abs
-            current = nxt
-            if stabilized:
-                steps_used = k
-                break
-    return WoldResult(complement(current), current, stabilized, steps_used,
-                      _unitary_residual(current, family.generator))
-
-
-def is_cnu(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when the stabilized unitary part is zero-dimensional."""
-    result = wold_cooper(family, max_steps, tol)
-    return result.stabilized and result.unitary_part.dim == 0
+    part = Subspace(family.dim, cells=np.flatnonzero(current))
+    return WoldResult(complement(part), part, stabilized, steps_used,
+                      _unitary_residual(part, family.generator))
 
 
 def classify_pair(pair: PairOfSemigroups, samples, tol: Tolerances = DEFAULT_TOL) -> CommutationReport:
@@ -260,23 +231,19 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int,
 def bcl_check(T: int, m: int, r: int, samples) -> Report:
     """Exact identification of the half-line shift with its multiplier model.
 
-    Conjugates each sampled shift by the interval-stacking permutation W
-    (an index gather through W's image) and compares with the
-    degree-block multiplier; both sides are partial permutations, so the
-    check demands residual exactly zero on the common window.
+    The interval-stacking permutation W sends grid cell n*m + j to degree
+    n, interval cell j.  Under the layouts of ``spaces`` the coefficient
+    index n*m*r + j*r + rho equals the grid index (n*m + j)*r + rho, so W
+    is the identity and W S W* = S: each sampled shift is compared with
+    the degree-block multiplier directly.  Both sides are partial
+    permutations, so the check demands residual exactly zero on the
+    common window.
     """
     grid = CellGrid1D(m, T, r)
-    w = _w_image(T, m, r)
     entries = []
     for t in samples:
         time = Fraction(t)
-        shift = halfline_shift(grid, time)
-        multiplier = phi_multiplier(T - 1, m, r, time)
-        image = np.empty_like(w)
-        image[w] = _after(w, shift.image)  # W S W* sends w[j] where S sends j
-        conjugated = WindowedMap.from_image(image, w[shift.faithful_mask],
-                                            w[shift.adj_faithful_mask])
-        got = _pair_residual(conjugated, multiplier)
+        got = _pair_residual(halfline_shift(grid, time), phi_multiplier(T - 1, m, r, time))
         if got is None:
             raise WindowTooSmall(f"time {time} leaves no faithful window")
         residual, count = got

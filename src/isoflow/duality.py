@@ -22,7 +22,8 @@ covers the integer box only, and that distinction is always reported (the
 
 When both unitaries are generalized permutations and the subspace is a
 coordinate span, every computation below stays in integer-exact set
-arithmetic; otherwise the general dense path is used.  Compressions,
+arithmetic; otherwise orbit spans and compressions take the general
+dense path, and a dual space that comes out dense is rejected.  Compressions,
 isometry tests and conjugations come from ``semigroups``.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _positions, _unit_columns_norm,
-                     _unit_rows, orthonormal_basis, residual_norm, spectral_norm, subtract)
+                     _unit_rows, orthonormal_basis, spectral_norm, subtract)
 from .decompose import (_reduction_residual, classify_pair, fourfold_decompose,
                         product_unitary_part)
 from .report import CheckEntry, Report
@@ -212,19 +213,13 @@ def _lift_local(local: Subspace, host: Subspace) -> Subspace:
     return orthonormal_basis(host.basis @ local.basis)
 
 
-def _restrict_to(host: Subspace, part: Subspace, tol: Tolerances) -> Subspace:
-    """Express an ambient subspace contained in ``host`` in host-local coordinates."""
-    if host.cells is not None and part.cells is not None:
-        at = _positions(host.cells, host.ambient)[part.cells]
-        if (at < 0).any():
-            raise InternalInconsistency(
-                f"cells {part.cells[at < 0].tolist()} fall outside the host subspace")
-        return Subspace(host.dim, cells=at)
-    local = host.basis.conj().T @ part.basis
-    contained = residual_norm(host.basis @ local, part.basis)
-    if contained > 1e-8:
-        raise InternalInconsistency("subspace is not contained in the host")
-    return orthonormal_basis(local, tol)
+def _restrict_to(host: Subspace, part: Subspace) -> Subspace:
+    """Express a cell set contained in the cell set ``host`` in host-local coordinates."""
+    at = _positions(host.cells, host.ambient)[part.cells]
+    if (at < 0).any():
+        raise InternalInconsistency(
+            f"cells {part.cells[at < 0].tolist()} fall outside the host subspace")
+    return Subspace(host.dim, cells=at)
 
 
 def _overlap(a: Subspace, b: Subspace) -> float:
@@ -248,34 +243,31 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
 
     Reports the invariance defect of the complement under each adjoint
     unitary, restricted to faithful columns (the complement is invariant
-    for the adjoints; a nonzero value flags window pollution).
+    for the adjoints; a nonzero value flags window pollution).  The dual
+    space must come out as a cell set; one held as a dense basis raises
+    InvalidInput.
     """
     extension = minimal_extension(setup, max_orbit, tol)
     if not extension.stabilized:
         raise PreconditionFailed(f"orbit span did not stabilize within radius {max_orbit}")
     wth = subtract(extension.span, setup.h, tol)
+    if wth.cells is None:
+        raise InvalidInput(f"dual_pair needs a coordinate dual space; that of "
+                           f"{self_label(setup)} is a dense basis")
     adjoints = (setup.u1.adjoint(), setup.u2.adjoint())
     residuals = []
     for adj in adjoints:
-        if wth.dim == 0:
+        cols = wth.cells[adj.faithful_mask[wth.cells]]
+        if not cols.size:
             residuals.append(0.0)
-            continue
-        if wth.cells is not None:
-            cols = wth.cells[adj.faithful_mask[wth.cells]]
-            if not cols.size:
-                residuals.append(0.0)
-                continue
-            if adj.image is not None:
-                # (I - P) keeps the unit columns that leave the cells; a zero column stays zero
-                rows = adj.image[cols]
-                stays = np.append(_mask(wth.cells, setup.ambient_dim), True)[rows]
-                residuals.append(_unit_columns_norm(rows[~stays]))
-            else:
-                defect = ((np.eye(setup.ambient_dim) - wth.projector()) @ adj.matrix)[:, cols]
-                residuals.append(spectral_norm(defect))
+        elif adj.image is not None:
+            # (I - P) keeps the unit columns that leave the cells; a zero column stays zero
+            rows = adj.image[cols]
+            stays = np.append(_mask(wth.cells, setup.ambient_dim), True)[rows]
+            residuals.append(_unit_columns_norm(rows[~stays]))
         else:
-            p = wth.projector()
-            residuals.append(spectral_norm((np.eye(setup.ambient_dim) - p) @ adj.matrix @ p))
+            defect = ((np.eye(setup.ambient_dim) - wth.projector()) @ adj.matrix)[:, cols]
+            residuals.append(spectral_norm(defect))
     g1, g2 = (_compress(adj, wth) for adj in adjoints)
     pair = PairOfSemigroups(
         SemigroupFamily(g1, f"{self_label(setup)}:dual1", setup.cells_per_unit),
@@ -288,21 +280,15 @@ def self_label(setup: ExtensionSetup) -> str:
     return setup.label or "setup"
 
 
-def dual_cnu_check(setup: ExtensionSetup, max_steps: int,
-                   tol: Tolerances = DEFAULT_TOL, max_orbit: int = 16) -> Report:
-    """The dual pair must be completely nonunitary.
+def dual_cnu_check(setup: ExtensionSetup, dual: DualResult, max_steps: int,
+                   tol: Tolerances = DEFAULT_TOL) -> Report:
+    """The dual pair ``dual`` of ``setup`` must be completely nonunitary.
 
     Verified through the product family: the pair is c.n.u. exactly when
     the unitary part of t -> V1_t V2_t vanishes.  An empty dual passes
     vacuously.  This is a theorem on faithful data, so a failure entry
     here flags window pollution rather than new mathematics.
     """
-    return _dual_cnu_report(setup, dual_pair(setup, max_orbit, tol), max_steps, tol)
-
-
-def _dual_cnu_report(setup: ExtensionSetup, dual: DualResult, max_steps: int,
-                     tol: Tolerances = DEFAULT_TOL) -> Report:
-    """The ``dual_cnu_check`` report for a dual pair the caller already has."""
     entries = []
     if dual.wth.dim == 0:
         entries.append(CheckEntry("empty_dual", 0.0, (0,), True, "vacuous"))
@@ -355,8 +341,7 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
     recovered = second_dual.pair
     for axis, (rec, orig) in enumerate(((recovered.first, original.first),
                                         (recovered.second, original.second)), start=1):
-        if second_dual.wth.cells is not None and setup.h.cells is not None \
-                and np.array_equal(second_dual.wth.cells, setup.h.cells):
+        if setup.h.cells is not None and np.array_equal(second_dual.wth.cells, setup.h.cells):
             got = _pair_residual(rec.generator, orig.generator)
             if got is None:
                 raise WindowTooSmall(f"no column of axis {axis} is faithful for both "
@@ -399,12 +384,7 @@ def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int,
                                   (0, 0, 0, 0), 0.0, product.reduction_residual)
     reduced = replace(setup, h=h_s_ambient, label=f"{self_label(setup)}|cnu")
     dual = dual_pair(reduced, max_orbit, tol)
-    step = Fraction(1, setup.cells_per_unit)
-    verdict = classify_pair(dual.pair, [step], tol)
-    if verdict.classified != "doubly_commuting":
-        raise PreconditionFailed(f"dual pair classifies as {verdict.classified}; "
-                                 "the splitting needs dual double commutation")
-    split = fourfold_decompose(dual.pair, max_steps, tol)
+    split = fourfold_decompose(dual.pair, max_steps, tol)  # raises unless doubly commuting
     if split.h_uu.dim != 0:
         raise InternalInconsistency(
             f"dual unitary-unitary corner has dimension {split.h_uu.dim}; "
@@ -424,7 +404,7 @@ def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int,
         hats.append(lift.span)
         parts_ambient.append(subtract(lift.span, tilde_ambient, tol))
     ortho = max(_overlap(a, b) for a, b in combinations(hats, 2))
-    locals_ = [_restrict_to(setup.h, part, tol) for part in parts_ambient]
+    locals_ = [_restrict_to(setup.h, part) for part in parts_ambient]
     h_m, h_pu, h_up = locals_
     gens = [pair.first.generator, pair.second.generator]
     reduction = max(
@@ -447,14 +427,10 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
         raise PreconditionFailed("setup carries no region geometry to compare against")
     region = setup.geometry
     dual = dual_pair(setup, max_orbit, tol)
-    step = Fraction(1, setup.cells_per_unit)
-    verdict = classify_pair(dual.pair, [step], tol)
-    if verdict.classified != "doubly_commuting":
-        raise PreconditionFailed("dual pair is not doubly commuting, hence not a bishift")
-    split = fourfold_decompose(dual.pair, max_steps, tol)
+    split = fourfold_decompose(dual.pair, max_steps, tol)  # raises unless doubly commuting
     if split.dims != (dual.wth.dim, 0, 0, 0):
         raise PreconditionFailed(f"dual fourfold dims {split.dims} are not pure bishift")
-    if dual.wth.cells is None or not np.array_equal(dual.wth.cells, region.quadrant_cells()):
+    if not np.array_equal(dual.wth.cells, region.quadrant_cells()):
         raise PreconditionFailed("recovered dual space does not sit on the quadrant cells")
     entries = [CheckEntry("dual_bishift_dims", 0.0, split.dims, True)]
     if setup.h.cells is None:
@@ -466,7 +442,7 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
     # a canonical cell outside the range of Z has no setup cell, so Z* is trusted only there
     z = WindowedMap.from_image(at, np.ones(at.size, dtype=bool), at, rows=canonical_cells.size)
     z_adj = z.adjoint()
-    m1, m2 = modified_bishift_pair(region, step)
+    m1, m2 = modified_bishift_pair(region, Fraction(1, setup.cells_per_unit))
     pair = setup.compressed_pair()
     for axis, (fam, model) in enumerate(((pair.first, m1), (pair.second, m2)), start=1):
         got = _pair_residual(z @ fam.generator @ z_adj, model)

@@ -21,10 +21,6 @@ class InvalidShift(IsoflowError):
     """Shift amount outside the representable range."""
 
 
-class InvalidRegion(IsoflowError):
-    """Region indices are not contained in the ambient index set."""
-
-
 class PreconditionFailed(IsoflowError):
     """A documented precondition of the operation does not hold."""
 

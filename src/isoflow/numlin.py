@@ -44,10 +44,8 @@ __all__ = [
     "intersect",
     "complement",
     "subtract",
-    "nullspace",
     "residual_norm",
     "spectral_norm",
-    "column_restricted_residual",
 ]
 
 _ORTHO_ATOL = 1e-12  # entrywise bound for basis*.basis - I
@@ -267,20 +265,6 @@ def residual_norm(a, b) -> float:
     return spectral_norm(a - b)
 
 
-def column_restricted_residual(a: np.ndarray, b: np.ndarray, columns) -> float:
-    """Spectral norm of (A - B) restricted to the given columns.
-
-    The restriction implements the faithful-set contract: identities are
-    asserted only where both truncations represent the true operators.
-    """
-    cols = sorted(columns)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    if not cols:
-        raise InvalidInput("empty column restriction")
-    return spectral_norm(a[:, cols] - b[:, cols])
-
-
 def orthonormal_basis(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the column space of ``m``.
 
@@ -357,19 +341,3 @@ def subtract(big: Subspace, small: Subspace, tol: Tolerances = DEFAULT_TOL) -> S
     residual = big.basis - small.projector() @ big.basis
     return orthonormal_basis(residual, tol)
 
-
-def nullspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical null space of ``m``.
-
-    Directions are the right singular vectors with singular value below
-    rank_rel * sigma_max.  The exactly-zero matrix maps to the full space
-    with the identity basis.
-    """
-    mat = as_matrix(m)
-    ambient = mat.shape[1]
-    if mat.size == 0 or not mat.any():
-        return Subspace.full(ambient)
-    # rows >= cols leaves vh square, so the thin factorization is complete
-    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(s >= tol.rank_rel * s[0]))
-    return _orthonormal_subspace(ambient, vh[rank:].conj().T)

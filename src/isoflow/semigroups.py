@@ -27,9 +27,7 @@ against image, so the algebraic identities between them hold with
 residual exactly zero, not merely small.  The dense path runs only for
 a map built from a matrix (a Fourier unitary, phases, ``I + N``), for
 the adjoint of a non-injective image, and for residuals of columns that
-disagree.  The functions returning plain matrices (``torus_translation``,
-``circulant_unitary``, ``partial_isometry_pair``) materialize the same
-images.  Grid times are restricted to multiples of 1/m and rejected
+disagree.  Grid times are restricted to multiples of 1/m and rejected
 otherwise; nothing is interpolated.
 
 Conjugation, compression and the isometry test are written once, here,
@@ -48,7 +46,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _from_image, _positions,
-                     as_matrix, column_restricted_residual, residual_norm, spectral_norm)
+                     as_matrix, residual_norm, spectral_norm)
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 
@@ -59,15 +57,12 @@ __all__ = [
     "grid_steps",
     "halfline_shift",
     "halfline_shift_family",
-    "partial_isometry_pair",
     "phi_multiplier",
     "phi_family",
     "bishift_pair",
     "bishift_families",
     "modified_bishift_pair",
     "modified_bishift_families",
-    "torus_translation",
-    "circulant_unitary",
     "circulant_family",
     "direct_sum",
     "tensor_with_identity",
@@ -154,8 +149,10 @@ def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | No
     columns = np.flatnonzero(x.faithful_mask[:n] & y.faithful_mask[:n])
     if not columns.size:
         return None
-    if x.image is None or y.image is None or x.shape != y.shape:
-        return column_restricted_residual(x.matrix, y.matrix, columns), columns.size
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"shape mismatch {x.shape} vs {y.shape}")
+    if x.image is None or y.image is None:
+        return spectral_norm(x.matrix[:, columns] - y.matrix[:, columns]), columns.size
     got, want = x.image[columns], y.image[columns]
     differ = got != want
     if not differ.any():
@@ -451,7 +448,13 @@ def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
 
 
 def _cut_shift_images(m: int, j: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Image arrays of the cut-shift pair E0, E1 (see ``partial_isometry_pair``)."""
+    """Image arrays of the cut-shift pair E0, E1 on the m-cell interval with fiber r.
+
+    E0 moves cell k to cell k+j and annihilates the top j cells; E1 wraps
+    the top j cells around to the bottom.  Both are genuine partial
+    isometries (the zeros are true operator behavior, not truncation), and
+    E0 E0* + E1 E1* = E0* E0 + E1* E1 = I exactly.
+    """
     if m < 1 or r < 1:
         raise InvalidInput("m and r must be >= 1")
     if not 0 <= j < m:
@@ -459,18 +462,6 @@ def _cut_shift_images(m: int, j: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     e0 = _forward_image(m * r, j * r)
     e1 = np.where(e0 < 0, np.arange(m * r) + (j - m) * r, -1)  # the top j cells wrap
     return e0, e1
-
-
-def partial_isometry_pair(m: int, j: int, r: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The cut-shift pair on the m-cell interval with fiber r.
-
-    E0 moves cell k to cell k+j and annihilates the top j cells; E1 wraps
-    the top j cells around to the bottom.  Both are genuine partial
-    isometries (the zeros are true operator behavior, not truncation), and
-    E0 E0* + E1 E1* = E0* E0 + E1* E1 = I exactly.
-    """
-    e0, e1 = _cut_shift_images(m, j, r)
-    return _from_image(e0), _from_image(e1)
 
 
 def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
@@ -564,21 +555,11 @@ def _torus_image(grid: TorusGrid2D, a: int, b: int) -> np.ndarray:
     return np.ravel_multi_index(((k1 + a) % grid.n, (k2 + b) % grid.n, rho), shape)
 
 
-def torus_translation(grid: TorusGrid2D, a: int, b: int) -> np.ndarray:
-    """Exactly unitary cyclic translation by (a, b) cells."""
-    return _from_image(_torus_image(grid, a, b))
-
-
 def _circulant_image(n: int, k: int) -> np.ndarray:
     """Image of the cyclic shift by k on C^n."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
     return (np.arange(n) + k) % n
-
-
-def circulant_unitary(n: int, k: int) -> np.ndarray:
-    """Cyclic shift by k on C^n; the powers form a discrete unitary group."""
-    return _from_image(_circulant_image(n, k))
 
 
 def circulant_family(n: int, k: int = 1, cells_per_unit: int = 1) -> SemigroupFamily:

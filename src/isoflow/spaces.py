@@ -8,7 +8,11 @@ are fixed once and for all here; reports and golden files depend on them:
   ``k`` in ``[0, m*T)``.
 * coefficient space of degrees 0..d over the m-cell interval: degree
   block ``n`` occupies ``m*r`` consecutive coordinates, interval-cell
-  major then fiber: ``index(n, j, rho) = n*m*r + j*r + rho``.
+  major then fiber: ``index(n, j, rho) = n*m*r + j*r + rho``.  This is
+  the grid index ``(n*m + j)*r + rho`` of cell ``n*m + j``, so the
+  interval-stacking permutation W of the Berger-Coburn-Lebow model,
+  which sends grid cell ``n*m + j`` to degree ``n``, interval cell ``j``,
+  is the identity and is never built.
 * quadrant grid on [0, T)^2:     axis-1 major,
   ``index(k1, k2, rho) = (k1*m*T + k2)*r + rho``.
 * torus grid, n cells per cyclic axis: same lexicographic rule with all
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidRegion
+from .errors import InvalidInput
 from .numlin import _from_image
 
 __all__ = [
@@ -35,9 +39,7 @@ __all__ = [
     "QuadrantGrid2D",
     "TorusGrid2D",
     "LRegionIndex",
-    "w_unitary",
     "lambda_reorder",
-    "region_injection",
 ]
 
 
@@ -170,10 +172,6 @@ class LRegionIndex:
         """Cells per half axis, i.e. m*T."""
         return self.m * self.T
 
-    def physical(self, k: int) -> int:
-        """Physical cell coordinate represented by torus axis index k."""
-        return k - self.half
-
     def _in_quadrant(self) -> np.ndarray:
         """Mask of the parent coordinates inside the removed quadrant."""
         n = self.parent.n
@@ -187,47 +185,9 @@ class LRegionIndex:
         return tuple(np.flatnonzero(~self._in_quadrant()).tolist())
 
 
-def _w_image(T: int, m: int, r: int = 1) -> np.ndarray:
-    """Image of ``w_unitary``: the coefficient index of each grid index."""
-    return np.arange(CellGrid1D(m, T, r).dim)
-
-
-def w_unitary(T: int, m: int, r: int = 1) -> np.ndarray:
-    """Permutation unitary regrouping a 1-D grid into coefficient blocks.
-
-    Grid cell ``k = n*m + j`` (fiber preserved) is sent to degree ``n``,
-    interval cell ``j`` of the coefficient space of top degree T-1.  Under
-    the layouts fixed above this is the identity: the coefficient index
-    ``n*m*r + j*r + rho`` equals the grid index ``(n*m + j)*r + rho``.
-    """
-    return _from_image(_w_image(T, m, r))
-
-
 def lambda_reorder(m: int, r: int = 1) -> np.ndarray:
     """Permutation from fiber-major (rho*m + k) to cell-major (k*r + rho)."""
     _require_positive(m=m, r=r)
     rho, k = np.divmod(np.arange(m * r), m)
     return _from_image(k * r + rho)
 
-
-def region_injection(sub, ambient) -> np.ndarray:
-    """Isometric 0/1 matrix placing sub-coordinates at their ambient positions.
-
-    ``ambient`` is either the ambient dimension or an explicit index set
-    whose sorted order defines the ambient coordinates.  ``sub`` must be
-    contained in it.
-    """
-    if isinstance(ambient, (int, np.integer)):
-        ambient_list = list(range(int(ambient)))
-    else:
-        ambient_list = sorted(int(i) for i in ambient)
-    sub_list = sorted(int(i) for i in sub)
-    position = {idx: row for row, idx in enumerate(ambient_list)}
-    if len(position) != len(ambient_list):
-        raise InvalidRegion("ambient index set has duplicates")
-    missing = [i for i in sub_list if i not in position]
-    if missing:
-        raise InvalidRegion(f"sub indices {missing} not contained in the ambient set")
-    if len(set(sub_list)) != len(sub_list):
-        raise InvalidRegion("sub index set has duplicates")
-    return _from_image([position[i] for i in sub_list], len(ambient_list))

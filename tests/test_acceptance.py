@@ -19,13 +19,12 @@ from isoflow.decompose import bcl_check, fourfold_decompose, product_unitary_par
 from isoflow.duality import (bishift_setup, double_dual_check, dual_pair,
                              halfline_circulant_setup, l_region_setup, dual_fourfold,
                              circulant_pair_setup, setup_direct_sum)
-from isoflow.numlin import Subspace
+from isoflow.numlin import Subspace, _from_image
 from isoflow.report import render_reports
-from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, bishift_families,
-                                bishift_pair, check_semigroup_law, circulant_family,
-                                direct_sum, halfline_shift_family,
-                                modified_bishift_families, partial_isometry_pair,
-                                phi_family, tensor_with_identity)
+from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, _cut_shift_images,
+                                bishift_families, bishift_pair, check_semigroup_law,
+                                circulant_family, direct_sum, halfline_shift_family,
+                                modified_bishift_families, phi_family, tensor_with_identity)
 from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D, lambda_reorder
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -62,7 +61,7 @@ def test_criterion_02_partial_isometry_resolutions():
     for m in range(1, 17):
         for j in range(m):
             for r in (1, 2):
-                e0, e1 = partial_isometry_pair(m, j, r)
+                e0, e1 = map(_from_image, _cut_shift_images(m, j, r))
                 eye = np.eye(m * r)
                 ok = (np.array_equal(e0 @ e0.conj().T + e1 @ e1.conj().T, eye)
                       and np.array_equal(e0.conj().T @ e0 + e1.conj().T @ e1, eye))

@@ -147,7 +147,9 @@ def test_cli_unknown_parameter_rejected_before_any_scenario_runs(tmp_path):
      "variant must be one of mixed, bishift, unitary, got 'twisted'"),
     ("construction = bishift\nsamples = 1/3\n",
      "samples must be nonnegative multiples of 1/2, got 1/3"),
-], ids=["negative_m", "zero_max_orbit", "single_cell", "unknown_variant", "off_grid_sample"])
+    ("construction = bcl\nsamples = 1/0\n", "cannot parse samples '1/0'"),
+], ids=["negative_m", "zero_max_orbit", "single_cell", "unknown_variant", "off_grid_sample",
+        "zero_denominator"])
 def test_cli_bad_value_rejected_before_any_scenario_runs(tmp_path, bad, message):
     config = tmp_path / "values.cfg"
     config.write_text("[fine]\nconstruction = halfline_shift\n\n[b]\n" + bad)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from isoflow.commutant import (_exact_commutant, commutant_of_partial_isometries,
                                doubly_commutant_of_mz, fuglede_instance_check, theta_compress)
 from isoflow.errors import DimensionMismatch, InvalidInput, PreconditionFailed
-from isoflow.numlin import _from_image, nullspace, residual_norm
-from isoflow.semigroups import (SemigroupFamily, WindowedMap, circulant_family,
-                                halfline_shift_family, partial_isometry_pair,
-                                tensor_with_identity)
+from isoflow.numlin import _from_image, residual_norm
+from isoflow.semigroups import (SemigroupFamily, WindowedMap, _cut_shift_images,
+                                circulant_family, halfline_shift_family, tensor_with_identity)
+from test_numlin import nullspace
 from isoflow.spaces import CellGrid1D, lambda_reorder
 
 RNG = np.random.default_rng(7)
@@ -99,7 +99,7 @@ def test_commutant_e_dimension_and_structure(m, r):
 
 @pytest.mark.parametrize("m,r", [(2, 1), (4, 2), (3, 3), (5, 2)])
 def test_commutant_e_matches_svd_oracle(m, r):
-    dense = [(e, None) for j in range(1, m) for e in partial_isometry_pair(m, j, r)]
+    dense = [(e, None) for j in range(1, m) for e in map(_from_image, _cut_shift_images(m, j, r))]
     assert_matches_oracle(commutant_of_partial_isometries(m, r).basis, dense)
 
 
@@ -116,7 +116,7 @@ def test_commutant_e_cross_checked_constructively(m, r):
             c[a, b] = 1.0
             candidate = fiber_candidate(m, r, c)
             for j in range(1, m):
-                e0, e1 = partial_isometry_pair(m, j, r)
+                e0, e1 = map(_from_image, _cut_shift_images(m, j, r))
                 assert residual_norm(candidate @ e0, e0 @ candidate) == 0.0
                 assert residual_norm(candidate @ e1, e1 @ candidate) == 0.0
             assert in_span(candidate, result.basis)
@@ -131,7 +131,7 @@ def test_commutant_bases_satisfy_constraints():
     result = commutant_of_partial_isometries(m, r)
     for b in result.basis:
         for j in range(1, m):
-            e0, e1 = partial_isometry_pair(m, j, r)
+            e0, e1 = map(_from_image, _cut_shift_images(m, j, r))
             assert residual_norm(b @ e0, e0 @ b) == 0.0
             assert residual_norm(b @ e1, e1 @ b) == 0.0
 

@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoflow.duality import _torus_axis_faithful
-from isoflow.numlin import Subspace
-from isoflow.semigroups import (bishift_pair, circulant_unitary, halfline_shift,
-                                modified_bishift_pair, partial_isometry_pair,
-                                phi_multiplier, torus_translation)
+from isoflow.numlin import Subspace, _from_image
+from isoflow.semigroups import (_circulant_image, _cut_shift_images, _torus_image, bishift_pair,
+                                halfline_shift, modified_bishift_pair, phi_multiplier)
 from isoflow.spaces import (CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D,
-                            TorusGrid2D, lambda_reorder, region_injection, w_unitary)
+                            TorusGrid2D, lambda_reorder)
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 SMALL = st.integers(1, 3)
@@ -79,7 +78,8 @@ def test_halfline_shift(m, T, r, data):
 @given(st.integers(1, 5), SMALL, st.data())
 def test_partial_isometry_pair(m, r, data):
     j = data.draw(st.integers(0, m - 1))
-    for got, want in zip(partial_isometry_pair(m, j, r), reference_cut_shift(m, j, r)):
+    pair = map(_from_image, _cut_shift_images(m, j, r))
+    for got, want in zip(pair, reference_cut_shift(m, j, r)):
         assert_same_bits(got, want)
 
 
@@ -109,7 +109,7 @@ def test_circulant_unitary(n, k):
     mat = zeros(n)
     for i in range(n):
         mat[(i + k) % n, i] = 1.0
-    assert_same_bits(circulant_unitary(n, k), mat)
+    assert_same_bits(_from_image(_circulant_image(n, k)), mat)
 
 
 # --- two-dimensional constructors -----------------------------------------------------
@@ -165,7 +165,7 @@ def test_torus_translation(n, r, a, b):
         for k2 in range(n):
             for rho in range(r):
                 mat[grid.index(k1 + a, k2 + b, rho), grid.index(k1, k2, rho)] = 1.0
-    assert_same_bits(torus_translation(grid, a, b), mat)
+    assert_same_bits(_from_image(_torus_image(grid, a, b)), mat)
 
 
 @SETTINGS
@@ -188,19 +188,7 @@ def test_l_region_cells(m, T, r):
     assert region.l_cells() == tuple(i for i in range(region.parent.dim) if i not in quadrant)
 
 
-# --- structural permutations and coordinate subspaces ---------------------------------
-
-@SETTINGS
-@given(SMALL, SMALL, SMALL)
-def test_w_unitary(T, m, r):
-    grid, coeff = CellGrid1D(m, T, r), HardyCoeffSpace(T - 1, m, r)
-    mat = zeros(grid.dim)
-    for k in range(grid.cells):
-        n, j = divmod(k, m)
-        for rho in range(r):
-            mat[coeff.index(n, j, rho), grid.index(k, rho)] = 1.0
-    assert_same_bits(w_unitary(T, m, r), mat)
-
+# --- fiber reordering and coordinate subspaces ---------------------------------
 
 @SETTINGS
 @given(st.integers(1, 5), st.integers(1, 4))
@@ -210,26 +198,6 @@ def test_lambda_reorder(m, r):
         for k in range(m):
             mat[k * r + rho, rho * m + k] = 1.0
     assert_same_bits(lambda_reorder(m, r), mat)
-
-
-@st.composite
-def nested_sets(draw):
-    ambient = sorted(draw(st.sets(st.integers(0, 30), max_size=10)))
-    sub = draw(st.sets(st.sampled_from(ambient), max_size=len(ambient))) if ambient else set()
-    return sorted(sub), ambient
-
-
-@SETTINGS
-@given(nested_sets(), st.booleans())
-def test_region_injection(case, as_dimension):
-    sub, ambient = case
-    if as_dimension:
-        ambient = list(range(max(ambient, default=0) + 1))
-    mat = zeros(len(ambient), len(sub))
-    for col, idx in enumerate(sub):
-        mat[ambient.index(idx), col] = 1.0
-    got = region_injection(sub, len(ambient) if as_dimension else reversed(ambient))
-    assert_same_bits(got, mat)
 
 
 @SETTINGS

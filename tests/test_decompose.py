@@ -6,16 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from isoflow.decompose import (bcl_check, classify_pair, fourfold_decompose, is_cnu,
-                               product_unitary_part, verify_joint_equivalence,
-                               wold_cooper)
+from isoflow.decompose import (bcl_check, classify_pair, fourfold_decompose,
+                               product_unitary_part, verify_joint_equivalence, wold_cooper)
 from isoflow.errors import DimensionMismatch, PreconditionFailed
 from isoflow.numlin import Subspace, _from_image, residual_norm
 from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
                                 bishift_families, circulant_family, direct_sum,
                                 halfline_shift_family, modified_bishift_families,
                                 phi_family, tensor_with_identity)
-from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D, w_unitary
+from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
 
 def shift_plus_circulant():
@@ -69,12 +68,6 @@ def test_wold_stability_under_extra_steps():
         b = wold_cooper(family, k + 1)
         assert a.stabilized and b.stabilized
         assert a.unitary_part.gap(b.unitary_part) <= 1e-10
-
-
-def test_is_cnu():
-    assert is_cnu(halfline_shift_family(CellGrid1D(1, 8)), 9)
-    assert not is_cnu(circulant_family(4), 4)
-    assert not is_cnu(shift_plus_circulant(), 10)
 
 
 # --- classification -----------------------------------------------------------------
@@ -206,15 +199,15 @@ def test_joint_equivalence_bishift_tensor_form():
 
 
 def test_joint_equivalence_w_conjugation():
-    """The interval-stacking permutation turns the half-line shift family
-    into the multiplier family (same oracle as the model check)."""
+    """The interval-stacking permutation W, the identity under the layouts of
+    ``spaces``, turns the half-line shift family into the multiplier family
+    (same oracle as the model check)."""
     grid = CellGrid1D(4, 4)
     shifts = halfline_shift_family(grid)
     phis = phi_family(3, 4)
-    w = w_unitary(4, 4)
     single = PairOfSemigroups(shifts, shifts)
     model = PairOfSemigroups(phis, phis)
-    report = verify_joint_equivalence(single, model, w, [Fraction(1, 4), 1])
+    report = verify_joint_equivalence(single, model, np.eye(grid.dim), [Fraction(1, 4), 1])
     assert report.overall and all(e.residual == 0.0 for e in report.entries)
 
 
@@ -273,12 +266,12 @@ def count_dense_maps(monkeypatch) -> list:
 
 
 def test_joint_equivalence_w_conjugation_at_dim_512_gathers(monkeypatch):
-    """w_unitary(32, 16) is a 0/1 permutation, so Z is held as its image:
+    """W = I at dim 512 is a 0/1 permutation, so Z is held as its image:
     no dense product, and each residual is exactly zero.  Held dense, Z
     made this call peak at about 84 MiB."""
     grid = CellGrid1D(16, 32)
     shifts, phis = halfline_shift_family(grid), phi_family(31, 16)
-    w = w_unitary(32, 16)
+    w = np.eye(grid.dim)
     samples = [Fraction(k, 2) for k in range(1, 9)]
     dense = count_dense_maps(monkeypatch)
     tracemalloc.start()

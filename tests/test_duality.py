@@ -13,9 +13,13 @@ from isoflow.duality import (ExtensionSetup, _compress, _lift_local, _orbit_span
                              dual_pair, halfline_circulant_setup, l_region_setup,
                              minimal_extension, modified_bishift_model_check,
                              setup_direct_sum, simultaneous_dc_ddc_classify)
-from isoflow.errors import InternalInconsistency, InvalidInput, PreconditionFailed
+from isoflow.errors import (DimensionMismatch, InternalInconsistency, InvalidInput,
+                            PreconditionFailed)
 from isoflow.numlin import DEFAULT_TOL, Subspace, orthonormal_basis, residual_norm
-from isoflow.semigroups import WindowedMap, bishift_pair, modified_bishift_pair
+from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
+                                bishift_families, bishift_pair, check_semigroup_law,
+                                circulant_family, direct_sum, modified_bishift_pair,
+                                tensor_with_identity)
 from isoflow.spaces import LRegionIndex, QuadrantGrid2D
 
 
@@ -56,16 +60,22 @@ def test_extension_l_region_covers_torus():
     assert span.radius == 1
 
 
-def test_extension_dense_path_phase_orbit():
-    """Non-permutation unitaries fall back to the dense span; the orbit of a
-    coordinate line under a conjugated phase unitary stops at the span of
-    its phase groups (hstack-rank oracle)."""
+def phase_setup():
+    """A coordinate line under a phase unitary conjugated by the Fourier matrix."""
     n = 6
     grid = np.arange(n)
     fourier = np.exp(2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
     phases = np.diag(np.exp(2j * np.pi * np.array([0, 0, 1, 1, 2, 2]) / 3))
     u = WindowedMap.full(fourier @ phases @ fourier.conj().T)
-    setup = ExtensionSetup(u, u, Subspace.from_cells(n, [0]), 1, "phase")
+    return ExtensionSetup(u, u, Subspace.from_cells(n, [0]), 1, "phase")
+
+
+def test_extension_dense_path_phase_orbit():
+    """Non-permutation unitaries fall back to the dense span; the orbit of a
+    coordinate line under a conjugated phase unitary stops at the span of
+    its phase groups (hstack-rank oracle)."""
+    setup = phase_setup()
+    u = setup.u1
     span = minimal_extension(setup, 8)
     assert span.stabilized
     blocks = [np.linalg.matrix_power(u.matrix, a) @ setup.h.basis for a in range(-8, 9)]
@@ -173,7 +183,7 @@ def test_dual_of_full_space_is_empty():
     setup = circulant_pair_setup(3, 3)
     dual = dual_pair(setup, 4)
     assert dual.wth.dim == 0
-    report = dual_cnu_check(setup, 4, max_orbit=4)
+    report = dual_cnu_check(setup, dual, 4)
     assert report.overall
     assert report.entries[0].check_id == "empty_dual"
 
@@ -196,8 +206,8 @@ def test_dual_cnu_for_bundled_setups():
                halfline_circulant_setup(1, 2, 3),
                halfline_circulant_setup(1, 2, 3, unitary_first=True)]
     for setup in bundled:
-        report = dual_cnu_check(setup, 2 * setup.ambient_dim // 4 + 4,
-                                max_orbit=setup.ambient_dim)
+        report = dual_cnu_check(setup, dual_pair(setup, setup.ambient_dim),
+                                2 * setup.ambient_dim // 4 + 4)
         assert report.overall, setup.label
 
 
@@ -339,3 +349,55 @@ def test_inconsistency_guard_exists():
     # InternalInconsistency is reserved for broken exact identities; the
     # bundled setups never trigger it.
     assert issubclass(InternalInconsistency, Exception)
+
+
+# --- input checks --------------------------------------------------------------------
+
+def _eye(n):
+    return WindowedMap.identity(n)
+
+
+INPUT_CHECKS = {  # id -> (call, error, message fragment)
+    "wold_zero_steps": (lambda: wold_cooper(circulant_family(3), 0), InvalidInput, "max_steps"),
+    "wold_dense_generator": (lambda: wold_cooper(SemigroupFamily(WindowedMap.full(np.eye(3))), 2),
+                             InvalidInput, "image-backed generator"),
+    "orbit_zero_radius": (lambda: minimal_extension(circulant_pair_setup(2, 2), 0),
+                          InvalidInput, "max_orbit"),
+    "classify_no_samples": (lambda: classify_pair(bishift_families(QuadrantGrid2D(1, 2)), []),
+                            InvalidInput, "no sample"),
+    "law_no_samples": (lambda: check_semigroup_law(circulant_family(3), []),
+                       InvalidInput, "no sample"),
+    "negative_step": (lambda: circulant_family(3).element(-1), InvalidInput, "nonnegative"),
+    "family_not_square": (lambda: SemigroupFamily(WindowedMap.from_image([0, 1], [0, 1], [0],
+                                                                         rows=3)),
+                          DimensionMismatch, "square"),
+    "family_grid": (lambda: SemigroupFamily(_eye(2), cells_per_unit=0),
+                    InvalidInput, "cells_per_unit"),
+    "pair_spaces": (lambda: PairOfSemigroups(circulant_family(2), circulant_family(3)),
+                    DimensionMismatch, "different spaces"),
+    "pair_grids": (lambda: PairOfSemigroups(circulant_family(2),
+                                            circulant_family(2, cells_per_unit=2)),
+                   InvalidInput, "time grids"),
+    "setup_unequal_unitaries": (lambda: ExtensionSetup(_eye(2), _eye(3), Subspace.full(2)),
+                                InvalidInput, "equal-sized"),
+    "setup_ambient": (lambda: ExtensionSetup(_eye(2), _eye(2), Subspace.full(3)),
+                      InvalidInput, "ambient"),
+    "setup_grid": (lambda: ExtensionSetup(_eye(2), _eye(2), Subspace.full(2), cells_per_unit=0),
+                   InvalidInput, "cells_per_unit"),
+    "empty_direct_sum": (lambda: direct_sum(), InvalidInput, "at least one part"),
+    "zero_fiber": (lambda: tensor_with_identity(_eye(2), 0), InvalidInput, "fiber"),
+    "unknown_side": (lambda: tensor_with_identity(_eye(2), 2, side="up"), InvalidInput, "side"),
+    "empty_setup_sum": (lambda: setup_direct_sum(), InvalidInput, "at least one setup"),
+    "setup_sum_grids": (lambda: setup_direct_sum(circulant_pair_setup(2, 2),
+                                                 circulant_pair_setup(2, 2, cells_per_unit=2)),
+                        InvalidInput, "time grids"),
+    "dense_dual_space": (lambda: dual_pair(phase_setup(), 8), InvalidInput,
+                         "coordinate dual space"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_checks_raise_named_errors(case):
+    call, error, fragment = case
+    with pytest.raises(error, match=fragment):
+        call()

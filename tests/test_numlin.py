@@ -5,8 +5,8 @@ import pytest
 
 from isoflow.errors import DimensionMismatch, InvalidInput
 from isoflow.numlin import (DEFAULT_TOL, Subspace, Tolerances, _coordinate_cells,
-                            complement, intersect, nullspace, orthonormal_basis,
-                            residual_norm, subtract)
+                            _orthonormal_subspace, as_matrix, complement, intersect,
+                            orthonormal_basis, residual_norm, subtract)
 
 RNG = np.random.default_rng(20240817)
 
@@ -30,6 +30,24 @@ def gram_elimination_basis(m, tol=1e-10):
     if not basis:
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
     return np.column_stack(basis)
+
+
+def nullspace(m, tol=DEFAULT_TOL):
+    """Orthonormal basis of the numerical null space of ``m``, by SVD.
+
+    Directions are the right singular vectors with singular value below
+    rank_rel * sigma_max.  The exactly-zero matrix maps to the full space
+    with the identity basis.  ``test_commutant`` checks the union-find
+    solvers against it.
+    """
+    mat = as_matrix(m)
+    ambient = mat.shape[1]
+    if mat.size == 0 or not mat.any():
+        return Subspace.full(ambient)
+    # rows >= cols leaves vh square, so the thin factorization is complete
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    rank = int(np.sum(s >= tol.rank_rel * s[0]))
+    return _orthonormal_subspace(ambient, vh[rank:].conj().T)
 
 
 def stacked_nullspace_intersection(b1, b2):

@@ -8,13 +8,13 @@ import pytest
 
 from isoflow.decompose import classify_pair
 from isoflow.errors import InvalidInput, InvalidShift, WindowTooSmall
-from isoflow.semigroups import (SemigroupFamily, WindowedMap, bishift_families,
+from isoflow.numlin import _from_image
+from isoflow.semigroups import (SemigroupFamily, WindowedMap, _circulant_image,
+                                _cut_shift_images, _torus_image, bishift_families,
                                 bishift_pair, check_semigroup_law, circulant_family,
-                                circulant_unitary, direct_sum, grid_steps,
-                                halfline_shift, halfline_shift_family,
-                                modified_bishift_pair, partial_isometry_pair,
-                                phi_family, phi_multiplier, tensor_with_identity,
-                                torus_translation)
+                                direct_sum, grid_steps, halfline_shift,
+                                halfline_shift_family, modified_bishift_pair,
+                                phi_family, phi_multiplier, tensor_with_identity)
 from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 
 
@@ -107,7 +107,7 @@ def test_faithful_columns_are_orthonormal():
 # --- partial isometries -----------------------------------------------------------
 
 def test_partial_isometry_m4_j1():
-    e0, e1 = partial_isometry_pair(4, 1)
+    e0, e1 = map(_from_image, _cut_shift_images(4, 1, 1))
     expect0 = np.zeros((4, 4), dtype=complex)
     expect0[1, 0] = expect0[2, 1] = expect0[3, 2] = 1
     expect1 = np.zeros((4, 4), dtype=complex)
@@ -117,13 +117,13 @@ def test_partial_isometry_m4_j1():
 
 
 def test_partial_isometry_j0():
-    e0, e1 = partial_isometry_pair(3, 0, 2)
+    e0, e1 = map(_from_image, _cut_shift_images(3, 0, 2))
     assert np.array_equal(e0, np.eye(6))
     assert not e1.any()
 
 
 def test_partial_isometry_resolutions_m4_j2():
-    e0, e1 = partial_isometry_pair(4, 2)
+    e0, e1 = map(_from_image, _cut_shift_images(4, 2, 1))
     eye = np.eye(4)
     assert np.array_equal(e0 @ e0.conj().T + e1 @ e1.conj().T, eye)
     assert np.array_equal(e0.conj().T @ e0 + e1.conj().T @ e1, eye)
@@ -131,7 +131,7 @@ def test_partial_isometry_resolutions_m4_j2():
 
 def test_partial_isometry_invalid_shift():
     with pytest.raises(InvalidShift):
-        partial_isometry_pair(3, 3)
+        _cut_shift_images(3, 3, 1)
 
 
 # --- multiplier family --------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_phi_time_zero_and_one():
 def test_phi_three_halves_hand_expansion():
     """d=3, m=2, t=3/2: E0 piece one block up, E1 piece two blocks up."""
     phi = phi_multiplier(3, 2, 1, Fraction(3, 2))
-    e0, e1 = partial_isometry_pair(2, 1)
+    e0, e1 = map(_from_image, _cut_shift_images(2, 1, 1))
     expected = np.zeros((8, 8), dtype=complex)
     for b in range(4):
         if b + 1 <= 3:
@@ -214,16 +214,19 @@ def test_modified_bishift_cases():
 
 def test_torus_translation_group_law():
     grid = TorusGrid2D(4)
-    assert np.array_equal(torus_translation(grid, 0, 0), np.eye(16))
-    t = torus_translation(grid, 1, 0)
+    assert np.array_equal(_from_image(_torus_image(grid, 0, 0)), np.eye(16))
+    t = _from_image(_torus_image(grid, 1, 0))
     assert np.array_equal(np.linalg.matrix_power(t, 4), np.eye(16))
-    assert np.array_equal(t.conj().T, torus_translation(grid, -1, 0))
+    assert np.array_equal(t.conj().T, _from_image(_torus_image(grid, -1, 0)))
 
 
 def test_circulant_examples():
-    assert np.array_equal(circulant_unitary(3, 0), np.eye(3))
-    assert np.array_equal(circulant_unitary(2, 1), np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.array_equal(circulant_unitary(4, 1) @ circulant_unitary(4, 3), np.eye(4))
+    def circulant(n, k):
+        return _from_image(_circulant_image(n, k))
+
+    assert np.array_equal(circulant(3, 0), np.eye(3))
+    assert np.array_equal(circulant(2, 1), np.array([[0, 1], [1, 0]], dtype=complex))
+    assert np.array_equal(circulant(4, 1) @ circulant(4, 3), np.eye(4))
 
 
 # --- assembly ----------------------------------------------------------------------
@@ -236,7 +239,7 @@ def test_direct_sum_identities():
 
 def test_direct_sum_isometric_on_window():
     mix = direct_sum(halfline_shift(CellGrid1D(1, 4), 1),
-                     WindowedMap.full(circulant_unitary(4, 1)))
+                     WindowedMap.full(_from_image(_circulant_image(4, 1))))
     cols = sorted(mix.faithful)
     block = mix.matrix[:, cols]
     assert np.array_equal(block.conj().T @ block, np.eye(len(cols)))

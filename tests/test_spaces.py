@@ -1,11 +1,11 @@
-"""Grid layouts and the structural permutations."""
+"""Grid layouts and the fiber reordering permutation."""
 
 import numpy as np
 import pytest
 
-from isoflow.errors import InvalidInput, InvalidRegion
+from isoflow.errors import InvalidInput
 from isoflow.spaces import (CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D,
-                            TorusGrid2D, lambda_reorder, region_injection, w_unitary)
+                            TorusGrid2D, lambda_reorder)
 
 
 def is_permutation_matrix(m):
@@ -16,31 +16,14 @@ def is_permutation_matrix(m):
             and np.array_equal(np.count_nonzero(m, axis=1), np.ones(m.shape[0], dtype=int)))
 
 
-def test_w_unitary_examples():
-    w = w_unitary(2, 2, 1)
-    # grid cell 2 = degree 1, interval cell 0
-    assert w[HardyCoeffSpace(1, 2, 1).index(1, 0), CellGrid1D(2, 2).index(2)] == 1.0
-    assert np.array_equal(w_unitary(1, 3, 2), np.eye(6))
-    w3 = w_unitary(3, 2, 1)
-    assert w3[HardyCoeffSpace(2, 2, 1).index(2, 1), CellGrid1D(2, 3).index(5)] == 1.0
-
-
-def test_w_unitary_is_identity_under_the_fixed_layouts():
-    # coefficient index n*m*r + j*r + rho == grid index (n*m + j)*r + rho
-    for T, m, r in [(1, 1, 1), (2, 3, 2), (4, 2, 3)]:
+def test_coefficient_index_equals_grid_index():
+    """The interval-stacking permutation W is the identity under the fixed layouts."""
+    for T, m, r in [(1, 1, 1), (2, 3, 2), (4, 2, 3), (3, 2, 1)]:
         grid, coeff = CellGrid1D(m, T, r), HardyCoeffSpace(T - 1, m, r)
-        for k in range(grid.cells):
-            n, j = divmod(k, m)
-            for rho in range(r):
-                assert coeff.index(n, j, rho) == grid.index(k, rho)
-        assert np.array_equal(w_unitary(T, m, r), np.eye(grid.dim))
-
-
-def test_w_unitary_is_permutation_and_unitary():
-    for T, m, r in [(2, 2, 1), (4, 4, 2), (3, 2, 3)]:
-        w = w_unitary(T, m, r)
-        assert is_permutation_matrix(w)
-        assert np.array_equal(w @ w.conj().T, np.eye(w.shape[0]))
+        for n in range(T):
+            for j in range(m):
+                for rho in range(r):
+                    assert coeff.index(n, j, rho) == grid.index(n * m + j, rho)
 
 
 def test_lambda_reorder_examples():
@@ -51,28 +34,6 @@ def test_lambda_reorder_examples():
     lam32 = lambda_reorder(3, 2)
     assert np.array_equal(lam32 @ lam32.conj().T, np.eye(6))
     assert is_permutation_matrix(lam32)
-
-
-def test_region_injection_quadrant_into_torus():
-    region = LRegionIndex(1, 2)
-    j = region_injection(region.quadrant_cells(), region.parent.dim)
-    assert j.shape == (16, 4)
-    assert np.array_equal(j.conj().T @ j, np.eye(4))
-    for col in range(4):
-        assert np.count_nonzero(j[:, col]) == 1
-
-
-def test_region_injection_trivial_cases():
-    assert np.array_equal(region_injection(range(3), 3), np.eye(3))
-    empty = region_injection((), 4)
-    assert empty.shape == (4, 0)
-
-
-def test_region_injection_rejects_escaping_indices():
-    with pytest.raises(InvalidRegion):
-        region_injection((5,), 4)
-    with pytest.raises(InvalidRegion):
-        region_injection((0, 7), (0, 1, 2))
 
 
 def test_l_region_counts():

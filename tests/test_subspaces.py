@@ -106,12 +106,12 @@ def test_cell_set_operations_match_set_arithmetic(data):
         with pytest.raises(InvalidInput):
             subtract(a, b)
         with pytest.raises(InternalInconsistency):
-            _restrict_to(a, b, DEFAULT_TOL)
+            _restrict_to(a, b)
     # b holds a.dim-local coordinates once restricted to a's dimension
     local = Subspace.from_cells(a.dim, [i for i in sb if i < a.dim])
     lifted = _lift_local(local, a)
     assert lifted.cells.tolist() == [a.cells[i] for i in local.cells]
-    assert np.array_equal(_restrict_to(a, lifted, DEFAULT_TOL).cells, local.cells)
+    assert np.array_equal(_restrict_to(a, lifted).cells, local.cells)
 
 
 # --- closed forms against the dense formulas ---------------------------------------

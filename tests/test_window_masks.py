@@ -4,7 +4,8 @@ A ``WindowedMap`` keeps each window as a read-only boolean mask;
 ``faithful`` and ``adj_faithful`` are frozenset views built on first read.
 These tests pin the constructor contract (mask, index array or iterable;
 wrong length and out-of-range indices rejected), check that no bundled
-scenario reads the frozenset views, and bound the memory of the power
+scenario reads the frozenset views or any dense matrix, basis or
+projector, and bound the memory of the power
 cache that a long Wold split keeps.
 """
 
@@ -20,7 +21,7 @@ from isoflow.catalog import run_scenario
 from isoflow.cli import load_scenarios
 from isoflow.decompose import wold_cooper
 from isoflow.errors import DimensionMismatch, InvalidInput
-from isoflow.numlin import DEFAULT_TOL, _from_image
+from isoflow.numlin import DEFAULT_TOL, Subspace, _from_image
 from isoflow.semigroups import WindowedMap, _pair_residual, halfline_shift_family
 from isoflow.spaces import CellGrid1D
 
@@ -45,15 +46,25 @@ def test_halfline_power_cache_at_default_k_stays_small():
 
 
 def test_bundled_configs_read_no_frozenset_window(monkeypatch):
+    """The catalog is exact by construction: no bundled scenario reads a
+    frozenset window, builds a dense ``WindowedMap``, or reads a dense
+    matrix, basis or projector."""
     reads = []
-    for name in ("faithful", "adj_faithful"):
-        view = WindowedMap.__dict__[name]
 
-        def counted(self, view=view, name=name):
+    def counting(name, read):
+        def counted(*args, **kwargs):
             reads.append(name)
-            return view.func(self)
+            return read(*args, **kwargs)
+        return counted
 
-        monkeypatch.setattr(WindowedMap, name, property(counted))
+    for name in ("faithful", "adj_faithful"):
+        monkeypatch.setattr(WindowedMap, name,
+                            property(counting(name, WindowedMap.__dict__[name].func)))
+    monkeypatch.setattr(WindowedMap, "__init__", counting("dense map", WindowedMap.__init__))
+    monkeypatch.setattr(WindowedMap, "matrix",
+                        property(counting("matrix", WindowedMap.matrix.fget)))
+    monkeypatch.setattr(Subspace, "basis", property(counting("basis", Subspace.basis.fget)))
+    monkeypatch.setattr(Subspace, "projector", counting("projector", Subspace.projector))
     configs = sorted((ROOT / "configs").glob("*.cfg"))
     assert configs
     for config in configs:
@@ -120,7 +131,7 @@ def test_dual_example_computes_its_dual_pair_once(monkeypatch):
     entries, _ = catalog._run_dual_example({"m": 1, "T": 3}, DEFAULT_TOL)
     assert len(calls) == 1
     setup = duality.l_region_setup(1, 3)
-    want = duality.dual_cnu_check(setup, 5, max_orbit=12).entries
+    want = duality.dual_cnu_check(setup, duality.dual_pair(setup, 12), 5).entries
     assert len(calls) == 2
     got = [e for e in entries if e.check_id.startswith("cnu:")]
     assert got == [replace(e, check_id="cnu:" + e.check_id) for e in want]
