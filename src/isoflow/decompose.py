@@ -30,9 +30,9 @@ from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_columns_norm, _unit_rows,
                      as_matrix, complement, intersect, spectral_norm)
 from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _compress,
-                         _isometry_defect, _mask, _pair_residual, halfline_shift,
-                         phi_multiplier)
+from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _check_image,
+                         _compress, _halfline_rows, _isometry_defect, _mask, _pair_residual,
+                         _phi_rows, grid_steps, halfline_shift, phi_multiplier)
 from .spaces import CellGrid1D
 
 __all__ = [
@@ -100,7 +100,7 @@ def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
     return max(_isometry_defect(restr), _isometry_defect(restr.adjoint()))
 
 
-def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAULT_TOL) -> WoldResult:
+def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
     """Split the space into unitary and pure parts of an image-backed family V.
 
     The unitary part is the intersection over k of range_k, the set of
@@ -117,8 +117,10 @@ def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAU
     scatter per step.  V(F & .) is monotone, so the ranges are nested
     even when V is not injective, the intersection of range_1, ...,
     range_k is range_k, and the split stands still exactly when the mask
-    does.  The split is exact, so ``tol`` is not read.  A generator held
-    as a dense matrix raises InvalidInput.
+    does.  Each step ands its mask into the one before, so range_k lies
+    inside range_(k-1) and the two are equal exactly when they hold as
+    many cells: the loop keeps the count and compares counts, not masks.
+    A generator held as a dense matrix raises InvalidInput.
     """
     if max_steps < 1:
         raise InvalidInput("max_steps must be >= 1")
@@ -127,15 +129,17 @@ def wold_cooper(family: SemigroupFamily, max_steps: int, tol: Tolerances = DEFAU
         raise InvalidInput(f"wold_cooper needs an image-backed generator; "
                            f"{family.label or 'the family'} is held as a dense matrix")
     live = family.generator.faithful_mask & (image >= 0)
-    current, stabilized, steps_used = np.ones(image.size, dtype=bool), False, max_steps
+    current, count = np.ones(image.size, dtype=bool), image.size
+    stabilized, steps_used = False, max_steps
     for k in range(1, max_steps + 1):
         nxt = np.zeros(image.size, dtype=bool)
         nxt[image[live & current]] = True
         nxt &= current
-        if np.array_equal(nxt, current):
+        kept = np.count_nonzero(nxt)
+        if kept == count:
             stabilized, steps_used = True, k
             break
-        current = nxt
+        current, count = nxt, kept
     part = Subspace(family.dim, cells=np.flatnonzero(current))
     return WoldResult(complement(part), part, stabilized, steps_used,
                       _unitary_residual(part, family.generator))
@@ -217,8 +221,8 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int,
     if verdict.classified != "doubly_commuting":
         raise PreconditionFailed(
             f"pair classifies as {verdict.classified}, needs doubly_commuting")
-    w1 = wold_cooper(pair.first, max_steps, tol)
-    w2 = wold_cooper(pair.second, max_steps, tol)
+    w1 = wold_cooper(pair.first, max_steps)
+    w2 = wold_cooper(pair.second, max_steps)
     h_pp = intersect(w1.cnu_part, w2.cnu_part, tol)
     h_pu = intersect(w1.cnu_part, w2.unitary_part, tol)
     h_up = intersect(w1.unitary_part, w2.cnu_part, tol)
@@ -226,6 +230,18 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int,
     gens = [pair.first.generator, pair.second.generator]
     residual = max(_reduction_residual(part, gens) for part in (h_pp, h_pu, h_up, h_uu))
     return FourfoldResult(h_pp, h_pu, h_up, h_uu, residual, w1, w2)
+
+
+_BCL_BLOCK_CELLS = 32768  # cells per table block of bcl_check, one row at least
+
+
+def _bcl_sample(grid: CellGrid1D, time: Fraction) -> tuple[float, int]:
+    """Residual and window size of one bcl_check sample, from its two maps."""
+    got = _pair_residual(halfline_shift(grid, time),
+                         phi_multiplier(grid.T - 1, grid.m, grid.r, time))
+    if got is None:
+        raise WindowTooSmall(f"time {time} leaves no faithful window")
+    return got
 
 
 def bcl_check(T: int, m: int, r: int, samples) -> Report:
@@ -238,17 +254,52 @@ def bcl_check(T: int, m: int, r: int, samples) -> Report:
     the degree-block multiplier directly.  Both sides are partial
     permutations, so the check demands residual exactly zero on the
     common window.
+
+    The samples go through one table pass.  Each time is read once, and
+    both sides are built as tables with one row per sample
+    (``_halfline_rows`` and ``_phi_rows``), in blocks of at most
+    ``_BCL_BLOCK_CELLS`` cells, so memory stays O(dim).  A row whose two
+    images agree on their common window passes with residual 0.0 and the
+    size of that window, which is what ``_pair_residual`` gives.  Any
+    other row, and every row of a block that one side refuses, goes
+    through ``_bcl_sample``: the two maps and ``_pair_residual``.  Errors
+    are those of a loop over the samples in order: a time that cannot be
+    read is raised only after the samples before it are checked.
     """
     grid = CellGrid1D(m, T, r)
-    entries = []
+    times, steps, unread = [], [], None
     for t in samples:
-        time = Fraction(t)
-        got = _pair_residual(halfline_shift(grid, time), phi_multiplier(T - 1, m, r, time))
-        if got is None:
-            raise WindowTooSmall(f"time {time} leaves no faithful window")
-        residual, count = got
-        entries.append(CheckEntry(f"t={time}", residual, (count,), residual == 0.0))
-    return Report(scenario=f"bcl[T={T},m={m},r={r}]", entries=entries)
+        try:
+            time = Fraction(t)
+            steps.append(grid_steps(time, m))
+        except (ArithmeticError, TypeError, ValueError, InvalidInput) as exc:
+            unread = exc  # raised once the samples before it are checked
+            break
+        times.append(time)
+    got = []
+    rows = max(1, _BCL_BLOCK_CELLS // grid.dim)
+    for start in range(0, len(steps), rows):
+        block, block_times = steps[start:start + rows], times[start:start + rows]
+        try:
+            shift, shift_faithful = _halfline_rows(grid, block)
+            model, model_faithful = _phi_rows(T - 1, m, r, block)
+        except WindowTooSmall:
+            got.extend(_bcl_sample(grid, time) for time in block_times)  # raises in order
+            continue
+        _check_image(shift, grid.dim)
+        _check_image(model, grid.dim)
+        common = shift_faithful & model_faithful
+        counts = np.count_nonzero(common, axis=1)
+        differ = ((shift != model) & common).any(axis=1)
+        found = [(0.0, count) for count in counts.tolist()]
+        for k in np.flatnonzero(differ | (counts == 0)).tolist():
+            found[k] = _bcl_sample(grid, block_times[k])
+        got.extend(found)
+    if unread is not None:
+        raise unread
+    return Report(scenario=f"bcl[T={T},m={m},r={r}]",
+                  entries=[CheckEntry(f"t={time}", residual, (count,), residual == 0.0)
+                           for time, (residual, count) in zip(times, got)])
 
 
 def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
@@ -305,7 +356,7 @@ def product_unitary_part(pair: PairOfSemigroups, max_steps: int,
         raise PreconditionFailed("product family of a non-commuting pair is not a semigroup")
     generator = pair.first.generator.compose(pair.second.generator)
     product = SemigroupFamily(generator, label="product", cells_per_unit=pair.cells_per_unit)
-    wold = wold_cooper(product, max_steps, tol)
+    wold = wold_cooper(product, max_steps)
     residual = _reduction_residual(wold.unitary_part,
                                    [pair.first.generator, pair.second.generator])
     return ProductWoldResult(wold.unitary_part, wold.stabilized, wold.steps_used, residual)

@@ -75,13 +75,18 @@ def grid_steps(t, cells_per_unit: int) -> int:
 
     Accepts ints, Fractions, strings like "3/4", and binary-exact floats.
     Times off the 1/m grid raise InvalidInput rather than interpolating.
+    An int (a bool too) or a Fraction is read by integer division of its
+    numerator times m by its denominator; anything else goes through
+    ``Fraction(t)`` first.
     """
-    try:
-        frac = Fraction(t)
-    except (ValueError, TypeError) as exc:
-        raise InvalidInput(f"cannot read grid time {t!r}") from exc
-    steps = frac * cells_per_unit
-    if steps.denominator != 1 or steps < 0:
+    frac = t
+    if not isinstance(t, (int, Fraction)):
+        try:
+            frac = Fraction(t)
+        except (ValueError, TypeError) as exc:
+            raise InvalidInput(f"cannot read grid time {t!r}") from exc
+    steps, rest = divmod(frac.numerator * cells_per_unit, frac.denominator)
+    if rest or steps < 0:
         raise InvalidInput(f"time {t} is not a nonnegative multiple of 1/{cells_per_unit}")
     return int(steps)
 
@@ -137,13 +142,17 @@ def _after(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return np.append(outer, -1)[inner]
 
 
+def _check_image(image: np.ndarray, rows: int) -> None:
+    """Raise InvalidInput unless every entry of ``image`` lies in [-1, rows)."""
+    if image.size and not -1 <= image.min() <= image.max() < rows:
+        raise InvalidInput("image entry outside [-1, rows)")
+
+
 def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | None:
     """Residual of x - y on the columns faithful for both, with their count.
 
-    None when no column is faithful for both.  Two images that agree on
-    those columns give exactly 0.0.  Otherwise only the columns that
-    differ, on the rows they touch, are built; the zero columns and rows
-    dropped leave the norm unchanged.
+    None when no column is faithful for both.  Two images are compared by
+    ``_image_residual``: exactly 0.0 when they agree on those columns.
     """
     n = min(x.domain_dim, y.domain_dim)  # the common columns when the domains differ
     columns = np.flatnonzero(x.faithful_mask[:n] & y.faithful_mask[:n])
@@ -153,15 +162,24 @@ def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | No
         raise DimensionMismatch(f"shape mismatch {x.shape} vs {y.shape}")
     if x.image is None or y.image is None:
         return spectral_norm(x.matrix[:, columns] - y.matrix[:, columns]), columns.size
-    got, want = x.image[columns], y.image[columns]
+    return _image_residual(x.image[columns], y.image[columns]), columns.size
+
+
+def _image_residual(got: np.ndarray, want: np.ndarray) -> float:
+    """Spectral norm of the difference of two 0/1 images over the same columns.
+
+    Exactly 0.0 when they agree.  Otherwise only the columns that differ,
+    on the rows they touch, are built; the zero columns and rows dropped
+    leave the norm unchanged.
+    """
     differ = got != want
     if not differ.any():
-        return 0.0, columns.size
+        return 0.0
     rows = np.concatenate([got[differ], want[differ]])
     rows = _distinct(rows[rows >= 0])  # the rows that some differing column touches
     got, want = (np.where(image >= 0, np.searchsorted(rows, image), -1)
                  for image in (got[differ], want[differ]))
-    return spectral_norm(_from_image(got, rows.size) - _from_image(want, rows.size)), columns.size
+    return spectral_norm(_from_image(got, rows.size) - _from_image(want, rows.size))
 
 
 def _compress(u: "WindowedMap", sub: Subspace) -> "WindowedMap":
@@ -269,8 +287,7 @@ class WindowedMap:
                 raise InvalidInput("image must be a 1-D integer array")
             image = image.astype(np.int64, copy=False).view()
             image.flags.writeable = False
-            if image.size and not -1 <= image.min() <= image.max() < self.shape[0]:
-                raise InvalidInput("image entry outside [-1, rows)")
+            _check_image(image, self.shape[0])
             self.image = image
         rows, cols = self.shape
         self.faithful_mask = _window(self.faithful_mask, cols, "faithful index outside the domain")
@@ -420,10 +437,27 @@ class PairOfSemigroups:
 # constructors
 
 
-def _forward_image(dim: int, offset: int) -> np.ndarray:
-    """Image of coordinate i -> i + offset, -1 where that leaves [0, dim)."""
-    target = np.arange(dim) + offset
+def _forward_image(dim: int, offset) -> np.ndarray:
+    """Image of coordinate i -> i + offset, -1 where that leaves [0, dim).
+
+    An array of offsets gives one row per offset.
+    """
+    target = np.arange(dim) + np.asarray(offset)[..., None]
     return np.where(target < dim, target, -1)
+
+
+def _halfline_rows(grid: CellGrid1D, steps: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Images and faithful masks of the half-line shifts by each step count.
+
+    Row s of both (len(steps), dim) arrays belongs to steps[s]; a step past
+    the window raises WindowTooSmall for the first such step.
+    """
+    steps = np.array(steps)  # a step past int64 makes it of object dtype, and is refused
+    over = steps[steps > grid.cells]
+    if over.size:
+        raise WindowTooSmall(f"shift by {over[0]} cells exceeds the {grid.cells}-cell window")
+    images = _forward_image(grid.dim, steps.astype(np.int64) * grid.r)
+    return images, images >= 0
 
 
 def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
@@ -432,14 +466,12 @@ def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
     Cell k maps to cell k+j (fiber preserved) while the image stays in
     the window; the remaining columns are zero and unfaithful.  The
     transposed matrix is the exact backward translation everywhere, so
-    the adjoint window is the whole grid.
+    the adjoint window is the whole grid.  The map is the one row of
+    ``_halfline_rows`` for its step count.
     """
-    j = grid_steps(t, grid.m)
-    if j > grid.cells:
-        raise WindowTooSmall(f"shift by {j} cells exceeds the {grid.cells}-cell window")
-    image = _forward_image(grid.dim, j * grid.r)
+    (image,), (faithful,) = _halfline_rows(grid, [grid_steps(t, grid.m)])
     label = f"halfline(m={grid.m},T={grid.T},r={grid.r})"
-    return WindowedMap.from_image(image, image >= 0, np.ones(grid.dim, dtype=bool), label, label)
+    return WindowedMap.from_image(image, faithful, np.ones(grid.dim, dtype=bool), label, label)
 
 
 def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
@@ -464,6 +496,25 @@ def _cut_shift_images(m: int, j: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return e0, e1
 
 
+def _phi_rows(d: int, m: int, r: int, steps: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Images and faithful masks of the multipliers at each step count j = t*m.
+
+    Row s of both (len(steps), dim) arrays belongs to steps[s]; a time whose
+    integer part passes the top degree d raises WindowTooSmall for the
+    first such step.
+    """
+    space = HardyCoeffSpace(d, m, r)
+    steps = np.array(steps)  # a step past int64 makes it of object dtype, and is refused
+    over = steps[steps // m > d] // m
+    if over.size:
+        raise WindowTooSmall(f"integer part {over[0]} of the time exceeds the top degree {d}")
+    steps = steps.astype(np.int64)
+    n, jj = np.divmod(steps, m)
+    top = np.where(jj == 0, d - n, d - n - 1)
+    faithful = np.arange(space.dim) < ((top + 1) * space.block)[:, None]
+    return _forward_image(space.dim, steps * r), faithful
+
+
 def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
     """Multiplication by the degree-shifting cut-shift polynomial at time t.
 
@@ -472,18 +523,12 @@ def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
     move coordinate i to i + j*r at step j, E1 exactly where E0 overflows a
     block, and the stored column is zero where that passes the top degree.
     A block column is faithful when every piece the true multiplier
-    produces fits under the top degree d.
+    produces fits under the top degree d.  The map is the one row of
+    ``_phi_rows`` for its step count.
     """
-    space = HardyCoeffSpace(d, m, r)
-    j = grid_steps(t, m)
-    n, jj = divmod(j, m)
-    if n > d:
-        raise WindowTooSmall(f"integer part {n} of the time exceeds the top degree {d}")
-    top = d - n if jj == 0 else d - n - 1
+    (image,), (faithful,) = _phi_rows(d, m, r, [grid_steps(t, m)])
     label = f"coeff(d={d},m={m},r={r})"
-    return WindowedMap.from_image(_forward_image(space.dim, j * r),
-                                  np.arange(space.dim) < (top + 1) * space.block,
-                                  np.ones(space.dim, dtype=bool), label, label)
+    return WindowedMap.from_image(image, faithful, np.ones(image.size, dtype=bool), label, label)
 
 
 def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:

@@ -1,0 +1,167 @@
+"""The Berger-Coburn-Lebow check by one table pass over the samples.
+
+``sample_loop_bcl`` is the check straight from its definition: for each
+sample in order, build the half-line shift and the multiplier at that time
+and compare them with ``_pair_residual``.  It is the oracle: ``bcl_check``
+must give an equal report, or raise the same exception type with the same
+message, on every small grid, on random sample lists, on times that leave
+the window or the grid in any order, and on a model perturbed so that the
+table flags a row.  The other tests pin that no map is built for a row
+whose images agree and that memory stays bounded by the table blocks.
+"""
+
+import random
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from isoflow import decompose, semigroups
+from isoflow.catalog import _bcl_default_samples
+from isoflow.decompose import bcl_check
+from isoflow.errors import WindowTooSmall
+from isoflow.report import CheckEntry, Report
+from isoflow.semigroups import WindowedMap, _pair_residual, halfline_shift, phi_multiplier
+from isoflow.spaces import CellGrid1D
+
+
+def sample_loop_bcl(T: int, m: int, r: int, samples) -> Report:
+    grid = CellGrid1D(m, T, r)
+    entries = []
+    for t in samples:
+        time = Fraction(t)
+        got = _pair_residual(halfline_shift(grid, time), phi_multiplier(T - 1, m, r, time))
+        if got is None:
+            raise WindowTooSmall(f"time {time} leaves no faithful window")
+        residual, count = got
+        entries.append(CheckEntry(f"t={time}", residual, (count,), residual == 0.0))
+    return Report(scenario=f"bcl[T={T},m={m},r={r}]", entries=entries)
+
+
+def outcome(check, *args):
+    """The report, or the type and message of the exception raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # the oracle and the table pass must raise alike
+        return type(exc), str(exc)
+
+
+def assert_same(T, m, r, samples):
+    want = outcome(sample_loop_bcl, T, m, r, samples)
+    got = outcome(bcl_check, T, m, r, samples)
+    assert got == want, (T, m, r, samples)
+    if isinstance(got, Report):
+        assert all(type(e.dims[0]) is int for e in got.entries)
+    return got
+
+
+def test_default_samples_match_the_sample_loop_on_every_small_grid():
+    for T in range(1, 7):
+        for m in range(1, 6):
+            for r in range(1, 4):
+                report = assert_same(T, m, r, _bcl_default_samples(T, m))
+                assert report.overall
+
+
+def test_random_sample_lists_match_the_sample_loop():
+    """Unsorted, with duplicates, as ints, Fractions and strings; some off the
+    grid, past the window, or on the edge where the window is empty."""
+    rng = random.Random(12)
+    spell = [lambda f: f, str, lambda f: int(f) if f.denominator == 1 else f]
+    for _ in range(300):
+        T, m, r = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3)
+        samples = []
+        for _ in range(rng.randint(0, 12)):
+            steps = rng.randint(0, m * T + 2)
+            time = Fraction(steps, m) if rng.random() < 0.9 else Fraction(steps, m + 1)
+            samples.append(rng.choice(spell)(time))
+        assert_same(T, m, r, samples)
+
+
+# on T=3, m=2: 5/2 leaves an empty window, 3 trips the multiplier's degree
+# bound, 7/2 and 10**30 the shift's window; 1/3, -1, "x", "1/0" and None cannot be read
+BAD = [Fraction(5, 2), 3, Fraction(7, 2), 10 ** 30, Fraction(1, 3), -1, "x", "1/0", None]
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+def test_a_failing_sample_raises_as_the_sample_loop_does(bad):
+    good = [0, Fraction(1, 2), 2]
+    for samples in ([bad], good + [bad], [bad] + good, good[:1] + [bad] + good[1:]):
+        got = assert_same(3, 2, 1, samples)
+        assert not isinstance(got, Report)
+
+
+def test_the_first_of_several_failing_samples_is_raised():
+    rng = random.Random(3)
+    for _ in range(200):
+        samples = rng.sample(BAD, rng.randint(2, 4)) + [0, 1]
+        rng.shuffle(samples)
+        assert_same(3, 2, 1, samples)
+
+
+def test_an_empty_window_before_a_parse_error_raises_the_empty_window():
+    got = assert_same(3, 2, 1, [0, Fraction(5, 2), "x"])
+    assert got == (WindowTooSmall, "time 5/2 leaves no faithful window")
+
+
+def test_failures_across_table_blocks(monkeypatch):
+    """Blocks of one and of three rows: the failing sample sits in a later block."""
+    samples = [0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 0]
+    for cells in (1, 3 * 6):
+        monkeypatch.setattr(decompose, "_BCL_BLOCK_CELLS", cells)
+        for bad in BAD:
+            assert_same(3, 2, 1, samples + [bad])
+        assert assert_same(3, 2, 1, samples[:5]).overall
+
+
+def test_no_samples_give_an_empty_report():
+    assert bcl_check(3, 2, 1, []) == sample_loop_bcl(3, 2, 1, []) == Report("bcl[T=3,m=2,r=1]")
+
+
+def test_a_flagged_row_falls_back_to_the_two_maps(monkeypatch):
+    """A model whose row at step 3 moves two columns fails that row, with the
+    residual of the two maps, and no other."""
+    rows = semigroups._phi_rows
+
+    def perturbed(d, m, r, steps):
+        images, faithful = rows(d, m, r, steps)
+        images = images.copy()
+        for k in np.flatnonzero(np.asarray(steps) == 3):
+            images[k, [0, 1]] = images[k, [1, 0]]
+        return images, faithful
+
+    monkeypatch.setattr(semigroups, "_phi_rows", perturbed)
+    monkeypatch.setattr(decompose, "_phi_rows", perturbed)
+    samples = _bcl_default_samples(4, 2)
+    report = assert_same(4, 2, 1, samples)
+    failed = [e for e in report.entries if not e.passed]
+    assert [e.check_id for e in failed] == ["t=3/2"]
+    assert failed[0].residual > 0.0
+
+
+def test_rows_whose_images_agree_build_no_map(monkeypatch):
+    built = []
+    post_init = WindowedMap.__post_init__
+
+    def counted(self):
+        built.append(self.shape)
+        post_init(self)
+
+    monkeypatch.setattr(WindowedMap, "__post_init__", counted)
+    report = bcl_check(10, 10, 2, _bcl_default_samples(10, 10))
+    assert report.overall and len(report.entries) == 91
+    assert built == []
+
+
+def test_memory_stays_within_the_table_blocks():
+    """dim 2,048 and 2,017 samples: one unblocked table would take about 33 MB."""
+    samples = _bcl_default_samples(64, 32)
+    tracemalloc.start()
+    try:
+        report = bcl_check(64, 32, 1, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall and len(report.entries) == 2017
+    assert peak < 4 * 2 ** 20

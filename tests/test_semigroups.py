@@ -28,6 +28,35 @@ def test_grid_steps():
         grid_steps(-1, 2)
 
 
+def fraction_grid_steps(t, cells_per_unit):
+    """grid_steps read through Fraction(t) for every input."""
+    try:
+        frac = Fraction(t)
+    except (ValueError, TypeError) as exc:
+        raise InvalidInput(f"cannot read grid time {t!r}") from exc
+    steps = frac * cells_per_unit
+    if steps.denominator != 1 or steps < 0:
+        raise InvalidInput(f"time {t} is not a nonnegative multiple of 1/{cells_per_unit}")
+    return int(steps)
+
+
+@pytest.mark.parametrize("t", [
+    0, 3, 7, -2, True, False, Fraction(3, 4), Fraction(5, 2), Fraction(1, 3), Fraction(-1, 2),
+    np.int64(5), np.int64(-1), "3/4", "2", "1/3", "-1/2", "0.25", "abc", "1/0", None,
+    0.5, 2.0, 0.75, -0.5, 0.1, float("nan"), float("inf")], ids=repr)
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_grid_steps_matches_the_fraction_reading(t, m):
+    def outcome(read):
+        try:
+            steps = read(t, m)
+        except Exception as exc:  # the two readings must raise alike
+            return type(exc), str(exc)
+        assert type(steps) is int
+        return steps
+
+    assert outcome(grid_steps) == outcome(fraction_grid_steps)
+
+
 # --- half-line shift -----------------------------------------------------------
 
 def test_halfline_shift_zero_is_identity():

@@ -6,7 +6,9 @@ These tests pin the constructor contract (mask, index array or iterable;
 wrong length and out-of-range indices rejected), check that no bundled
 scenario reads the frozenset views or any dense matrix, basis or
 projector, and bound the memory of the power
-cache that a long Wold split keeps.
+cache that a long Wold split keeps.  The dual example compares its dual
+generators with the bishift model image against image, also when they
+differ.
 """
 
 import tracemalloc
@@ -20,7 +22,7 @@ from isoflow import catalog, duality
 from isoflow.catalog import run_scenario
 from isoflow.cli import load_scenarios
 from isoflow.decompose import wold_cooper
-from isoflow.errors import DimensionMismatch, InvalidInput
+from isoflow.errors import DimensionMismatch, InternalInconsistency, InvalidInput
 from isoflow.numlin import DEFAULT_TOL, Subspace, _from_image
 from isoflow.semigroups import WindowedMap, _pair_residual, halfline_shift_family
 from isoflow.spaces import CellGrid1D
@@ -135,3 +137,41 @@ def test_dual_example_computes_its_dual_pair_once(monkeypatch):
     assert len(calls) == 2
     got = [e for e in entries if e.check_id.startswith("cnu:")]
     assert got == [replace(e, check_id="cnu:" + e.check_id) for e in want]
+
+
+def test_dual_example_mismatch_fails_without_reading_a_matrix(monkeypatch):
+    """A bishift model that swaps two columns of axis 1 fails that entry with
+    the residual of the differing columns, and no dense matrix is built."""
+    bishift_pair = catalog.bishift_pair
+
+    def swapped(grid, t):
+        first, second = bishift_pair(grid, t)
+        image = first.image.copy()
+        image[[0, 1]] = image[[1, 0]]
+        return (WindowedMap.from_image(image, first.faithful_mask, first.adj_faithful_mask),
+                second)
+
+    def no_matrix(self):
+        raise AssertionError("dense matrix read")
+
+    monkeypatch.setattr(catalog, "bishift_pair", swapped)
+    monkeypatch.setattr(WindowedMap, "matrix", property(no_matrix))
+    entries, _ = catalog._run_dual_example({"m": 1, "T": 3}, DEFAULT_TOL)
+    axis1, axis2 = (e for e in entries if e.check_id.startswith("dual_equals_bishift"))
+    assert not axis1.passed and axis1.residual > 0.0
+    assert axis2.passed and axis2.residual == 0.0
+
+
+def test_dual_example_rejects_a_dense_generator(monkeypatch):
+    dual_pair = duality.dual_pair
+
+    def dense(*args, **kwargs):
+        dual = dual_pair(*args, **kwargs)
+        first = dual.pair.first
+        first._generator = WindowedMap(first.generator.matrix, first.generator.faithful_mask,
+                                       first.generator.adj_faithful_mask)
+        return dual
+
+    monkeypatch.setattr(duality, "dual_pair", dense)
+    with pytest.raises(InternalInconsistency, match="dual generator 1"):
+        catalog._run_dual_example({"m": 1, "T": 3}, DEFAULT_TOL)
