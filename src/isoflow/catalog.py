@@ -8,6 +8,7 @@ constructions are deterministic and seedless.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,12 +38,8 @@ class Scenario:
     params: dict
 
 
-def _get_int(params: dict, key: str, default: int) -> int:
-    return int(params.get(key, default))  # the value passed check_scenario
-
-
-def _get_samples(params: dict, default: str) -> list[Fraction]:
-    raw = str(params.get("samples", default))
+def _parse_samples(raw) -> list[Fraction]:
+    raw = str(raw)
     try:
         return [Fraction(token.strip()) for token in raw.split(",") if token.strip()]
     except (ValueError, ZeroDivisionError) as exc:
@@ -61,18 +58,6 @@ def _tolerances(params: dict) -> Tolerances:
                       angle=pick("angle", 1.0 - 1e-8))
 
 
-def _echo(tol: Tolerances, **resolved) -> dict:
-    out = {key: str(value) for key, value in resolved.items()}
-    out["rank_rel"] = repr(tol.rank_rel)
-    out["resid_abs"] = repr(tol.resid_abs)
-    out["angle"] = repr(tol.angle)
-    return out
-
-
-def _samples_str(samples) -> str:
-    return ",".join(str(Fraction(s)) for s in samples)
-
-
 def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
     gen = family.generator
     cols = np.flatnonzero(gen.faithful_mask)
@@ -83,24 +68,19 @@ def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each takes the tolerances and its resolved parameters by name, and returns
+# its entries
 
 
-def _run_halfline_shift(params, tol):
-    m = _get_int(params, "m", 1)
-    T = _get_int(params, "T", 8)
-    r = _get_int(params, "r", 1)
-    K = _get_int(params, "K", m * T + 2)
-    samples = _get_samples(params, "1,2,3")
+def _run_halfline_shift(tol, m, T, r, K, samples):
     family = halfline_shift_family(CellGrid1D(m, T, r))
     entries = [_generator_isometry_entry(family, "generator_isometry")]
-    law = check_semigroup_law(family, samples, tol)
-    entries.extend(law.entries)
+    entries.extend(check_semigroup_law(family, samples, tol).entries)
     wold = wold_cooper(family, K)
     entries.append(CheckEntry("wold_unitary_dim", wold.unitary_residual,
                               (wold.unitary_part.dim,), wold.unitary_part.dim == 0))
     entries.append(CheckEntry("wold_stabilized", 0.0, (wold.steps_used,), wold.stabilized))
-    return entries, _echo(tol, m=m, T=T, r=r, K=K, samples=_samples_str(samples))
+    return entries
 
 
 def _pair_law_entries(pair: PairOfSemigroups, samples, tol):
@@ -116,12 +96,7 @@ def _pair_law_entries(pair: PairOfSemigroups, samples, tol):
     return out.entries, verdict
 
 
-def _run_bishift(params, tol):
-    m = _get_int(params, "m", 2)
-    T = _get_int(params, "T", 2)
-    r = _get_int(params, "r", 1)
-    K = _get_int(params, "K", m * T + 2)
-    samples = _get_samples(params, "1/2,1" if m > 1 else "1,2")
+def _run_bishift(tol, m, T, r, K, samples):
     pair = bishift_families(QuadrantGrid2D(m, T, r))
     entries, verdict = _pair_law_entries(pair, samples, tol)
     entries.append(CheckEntry("adjoint_commutator", verdict.double_comm_residual, (),
@@ -135,14 +110,10 @@ def _run_bishift(params, tol):
     entries.append(CheckEntry("product_unitary_dim", product.reduction_residual,
                               (product.subspace.dim,),
                               product.subspace.dim == 0 and product.stabilized))
-    return entries, _echo(tol, m=m, T=T, r=r, K=K, samples=_samples_str(samples))
+    return entries
 
 
-def _run_modified_bishift(params, tol):
-    m = _get_int(params, "m", 1)
-    T = _get_int(params, "T", 2)
-    r = _get_int(params, "r", 1)
-    samples = _get_samples(params, "1")
+def _run_modified_bishift(tol, m, T, r, samples):
     pair = modified_bishift_families(LRegionIndex(m, T, r))
     entries, verdict = _pair_law_entries(pair, samples, tol)
     entries.append(CheckEntry("adjoint_commutator_witness", verdict.double_comm_residual, (),
@@ -150,7 +121,7 @@ def _run_modified_bishift(params, tol):
                               "a nonzero value is the expected witness"))
     entries.append(CheckEntry("classified", 0.0, (), verdict.classified == "commuting",
                               verdict.classified))
-    return entries, _echo(tol, m=m, T=T, r=r, samples=_samples_str(samples))
+    return entries
 
 
 def _four_block_dc_pair(shift_T: int, circ: int):
@@ -171,11 +142,8 @@ def _four_block_dc_pair(shift_T: int, circ: int):
     return pair, dims
 
 
-def _run_four_block_dc(params, tol):
-    shift_T = _get_int(params, "T", 4)
-    circ = _get_int(params, "circ", 3)
-    K = _get_int(params, "K", shift_T + 2)
-    pair, expected = _four_block_dc_pair(shift_T, circ)
+def _run_four_block_dc(tol, T, circ, K):
+    pair, expected = _four_block_dc_pair(T, circ)
     verdict = classify_pair(pair, [1], tol)
     entries = [CheckEntry("classified", verdict.double_comm_residual, (),
                           verdict.classified == "doubly_commuting", verdict.classified)]
@@ -187,7 +155,7 @@ def _run_four_block_dc(params, tol):
     entries.append(CheckEntry("wold_stabilized", 0.0,
                               (split.wold_first.steps_used, split.wold_second.steps_used),
                               split.wold_first.stabilized and split.wold_second.stabilized))
-    return entries, _echo(tol, T=shift_T, circ=circ, K=K)
+    return entries
 
 
 def _ddc_setup(m: int, T: int, p: int, circ: int):
@@ -199,13 +167,7 @@ def _ddc_setup(m: int, T: int, p: int, circ: int):
         label="four_block_ddc")
 
 
-def _run_four_block_ddc(params, tol):
-    m = _get_int(params, "m", 1)
-    T = _get_int(params, "T", 2)
-    p = _get_int(params, "p", 3)
-    circ = _get_int(params, "circ", 3)
-    K = _get_int(params, "K", 2 * m * T + 2)
-    max_orbit = _get_int(params, "max_orbit", 4 * m * T)
+def _run_four_block_ddc(tol, m, T, p, circ, K, max_orbit):
     setup = _ddc_setup(m, T, p, circ)
     expected = (3 * (m * T) ** 2, m * T * p, m * T * p, circ * circ)
     result = duality.dual_fourfold(setup, K, max_orbit, tol)
@@ -219,7 +181,7 @@ def _run_four_block_ddc(params, tol):
                    result.reduction_residual <= tol.resid_abs),
         CheckEntry("dims_sum", 0.0, (sum(result.dims),), sum(result.dims) == setup.h.dim),
     ]
-    return entries, _echo(tol, m=m, T=T, p=p, circ=circ, K=K, max_orbit=max_orbit)
+    return entries
 
 
 def _commutant_entries(result, r: int, tol) -> list[CheckEntry]:
@@ -234,50 +196,30 @@ def _commutant_entries(result, r: int, tol) -> list[CheckEntry]:
     ]
 
 
-def _run_commutant_e(params, tol):
-    m = _get_int(params, "m", 2)
-    r = _get_int(params, "r", 1)
-    result = commutant_of_partial_isometries(m, r)
-    return _commutant_entries(result, r, tol), _echo(tol, m=m, r=r)
+def _run_commutant_e(tol, m, r):
+    return _commutant_entries(commutant_of_partial_isometries(m, r), r, tol)
 
 
-def _run_commutant_mz(params, tol):
-    d = _get_int(params, "d", 1)
-    r = _get_int(params, "r", 1)
-    result = doubly_commutant_of_mz(d, r)
-    return _commutant_entries(result, r, tol), _echo(tol, d=d, r=r)
+def _run_commutant_mz(tol, d, r):
+    return _commutant_entries(doubly_commutant_of_mz(d, r), r, tol)
 
 
 def _bcl_default_samples(T: int, m: int) -> list[Fraction]:
-    """All grid times whose faithful window is nonempty."""
-    d = T - 1
-    out = []
-    for j in range(m * d + 1):
-        n, jj = divmod(j, m)
-        top = d - n if jj == 0 else d - n - 1
-        if top >= 0:
-            out.append(Fraction(j, m))
-    return out
+    """Every grid time j/m up to the top degree d = T - 1.
+
+    Each keeps cell 0 in its common window: the shift moves it to cell
+    j < mT, and the multiplier at t = n + jj/m is faithful on the degree
+    blocks 0..top, where top = d - n >= 0 when jj = 0 and d - n - 1 >= 0
+    otherwise, since then n < d.
+    """
+    return [Fraction(j, m) for j in range(m * (T - 1) + 1)]
 
 
-def _run_bcl(params, tol):
-    T = _get_int(params, "T", 4)
-    m = _get_int(params, "m", 4)
-    r = _get_int(params, "r", 1)
-    if "samples" in params:
-        samples = _get_samples(params, "")
-    else:
-        samples = _bcl_default_samples(T, m)
-    report = bcl_check(T, m, r, samples)
-    return list(report.entries), _echo(tol, T=T, m=m, r=r, samples=_samples_str(samples))
+def _run_bcl(tol, T, m, r, samples):
+    return list(bcl_check(T, m, r, samples).entries)
 
 
-def _run_dual_example(params, tol):
-    m = _get_int(params, "m", 1)
-    T = _get_int(params, "T", 2)
-    r = _get_int(params, "r", 1)
-    K = _get_int(params, "K", m * T + 2)
-    max_orbit = _get_int(params, "max_orbit", 4 * m * T)
+def _run_dual_example(tol, m, T, r, K, max_orbit):
     setup = duality.l_region_setup(m, T, r)
     dual = duality.dual_pair(setup, max_orbit, tol)
     model1, model2 = bishift_pair(QuadrantGrid2D(m, T, r), Fraction(1, m))
@@ -296,26 +238,15 @@ def _run_dual_example(params, tol):
     out.entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
                                   dual.wth.dim == (m * T) ** 2 * r))
     out.extend_prefixed("cnu:", duality.dual_cnu_check(setup, dual, K, tol))
-    return out.entries, _echo(tol, m=m, T=T, r=r, K=K, max_orbit=max_orbit)
+    return out.entries
 
 
-def _run_double_dual(params, tol):
-    m = _get_int(params, "m", 1)
-    T = _get_int(params, "T", 2)
-    r = _get_int(params, "r", 1)
-    max_orbit = _get_int(params, "max_orbit", 4 * m * T)
+def _run_double_dual(tol, m, T, r, max_orbit):
     setup = duality.l_region_setup(m, T, r)
-    report = duality.double_dual_check(setup, max_orbit, tol, radius_bound=2 * m * T)
-    return list(report.entries), _echo(tol, m=m, T=T, r=r, max_orbit=max_orbit)
+    return list(duality.double_dual_check(setup, max_orbit, tol, radius_bound=2 * m * T).entries)
 
 
-def _run_simultaneous(params, tol):
-    variant = str(params.get("variant", "mixed"))
-    m = _get_int(params, "m", 1)
-    T = _get_int(params, "T", 2)
-    p = _get_int(params, "p", 3)
-    K = _get_int(params, "K", 2 * m * T + 2)
-    max_orbit = _get_int(params, "max_orbit", 4 * m * T)
+def _run_simultaneous(tol, variant, m, T, p, K, max_orbit):
     if variant == "mixed":
         setup = duality.setup_direct_sum(
             duality.halfline_circulant_setup(m, T, p),
@@ -336,7 +267,7 @@ def _run_simultaneous(params, tol):
     ddc_seen = ddc_entry is not None and ddc_entry.dims == (1,)
     entries.append(CheckEntry("expected_dc", 0.0, (int(expected_dc),), dc_seen == expected_dc))
     entries.append(CheckEntry("expected_ddc", 0.0, (int(expected_ddc),), ddc_seen == expected_ddc))
-    return entries, _echo(tol, variant=variant, m=m, T=T, p=p, K=K, max_orbit=max_orbit)
+    return entries
 
 
 CATALOG = (
@@ -398,7 +329,7 @@ CATALOG = (
 )
 
 _RUNNERS = {name: runner for name, _, _, runner in CATALOG}
-# a construction's parameters are the keys its defaults line lists, with their defaults
+# a construction's parameters are the keys its defaults line lists, in order, with their defaults
 _DEFAULTS = {name: dict(re.findall(r"(\w+)=(\S+)", defaults)) for name, _, defaults, _ in CATALOG}
 _TOLERANCE_KEYS = frozenset({"rank_rel", "resid_abs", "angle"})
 _VARIANTS = ("mixed", "bishift", "unitary")
@@ -433,7 +364,7 @@ def check_scenario(scenario: Scenario) -> None:
                            f"got {params['variant']!r}")
     if "samples" in params:
         m = int(params.get("m", _DEFAULTS[construction]["m"]))
-        times = _get_samples(params, "")
+        times = _parse_samples(params["samples"])
         if not times:
             raise InvalidInput("samples must list at least one time")
         for t in times:
@@ -441,11 +372,44 @@ def check_scenario(scenario: Scenario) -> None:
                 raise InvalidInput(f"samples must be nonnegative multiples of 1/{m}, got {t}")
 
 
+def _default_samples(construction: str, default: str, m: int, T: int) -> list[Fraction]:
+    """The line's times where they lie on the 1/m grid, else 1,2 (bishift at odd m)."""
+    if construction == "bcl":  # its line names the rule, not the times
+        return _bcl_default_samples(T, m)
+    times = _parse_samples(default)
+    return times if all((t * m).denominator == 1 for t in times) else [Fraction(1), Fraction(2)]
+
+
+def _resolve(construction: str, params: dict) -> dict:
+    """Each parameter of the construction's defaults line, in line order: its
+    given value (checked by ``check_scenario``), else its default.  A derived
+    default such as ``2*m*T+2`` is a sum of products of integer literals and
+    parameters resolved before it."""
+    resolved = {}
+    for key, default in _DEFAULTS[construction].items():
+        if key == "variant":
+            resolved[key] = params.get(key, default)
+        elif key == "samples":
+            resolved[key] = (_parse_samples(params[key]) if key in params else
+                             _default_samples(construction, default, resolved["m"], resolved["T"]))
+        elif key in params:
+            resolved[key] = int(params[key])
+        else:
+            resolved[key] = sum(math.prod(int(f) if f.isdigit() else resolved[f]
+                                          for f in term.split("*"))
+                                for term in default.split("+"))
+    return resolved
+
+
 def run_scenario(scenario: Scenario) -> Report:
-    """Run one named scenario deterministically."""
+    """Run one named scenario deterministically; its report echoes the resolved parameters."""
     check_scenario(scenario)
     tol = _tolerances(scenario.params)
-    entries, echo = _RUNNERS[scenario.construction](scenario.params, tol)
+    params = _resolve(scenario.construction, scenario.params)
+    entries = _RUNNERS[scenario.construction](tol, **params)
+    echo = {key: ",".join(map(str, value)) if key == "samples" else str(value)
+            for key, value in params.items()}
+    echo.update(rank_rel=repr(tol.rank_rel), resid_abs=repr(tol.resid_abs), angle=repr(tol.angle))
     return Report(scenario=scenario.name, construction=scenario.construction,
                   params=tuple(sorted(echo.items())), entries=entries)
 

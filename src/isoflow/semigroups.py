@@ -206,11 +206,9 @@ def _compress(u: "WindowedMap", sub: Subspace) -> "WindowedMap":
         faithful = u.faithful_mask[cells] & ~escapes
         adj_faithful = u.adj_faithful_mask[cells]
         if u.image is not None:
-            return WindowedMap.from_image(image, faithful, adj_faithful, u.domain, u.codomain)
-        return WindowedMap(u.matrix[np.ix_(cells, cells)], faithful, adj_faithful,
-                           u.domain, u.codomain)
-    matrix = sub.basis.conj().T @ u.matrix @ sub.basis
-    return WindowedMap.full(matrix, u.domain, u.codomain)
+            return WindowedMap.from_image(image, faithful, adj_faithful)
+        return WindowedMap(u.matrix[np.ix_(cells, cells)], faithful, adj_faithful)
+    return WindowedMap.full(sub.basis.conj().T @ u.matrix @ sub.basis)
 
 
 def _isometry_defect(x: "WindowedMap", cols=slice(None)) -> float:
@@ -253,16 +251,14 @@ class WindowedMap:
     transpose of everything else, and swaps the two masks.
     """
 
-    def __init__(self, matrix, faithful, adj_faithful, domain: str = "", codomain: str = ""):
+    def __init__(self, matrix, faithful, adj_faithful):
         self.image = None
         self._matrix = matrix
         self.faithful_mask, self.adj_faithful_mask = faithful, adj_faithful
-        self.domain, self.codomain = domain, codomain
         self.__post_init__()
 
     @classmethod
-    def from_image(cls, image, faithful, adj_faithful, domain: str = "", codomain: str = "",
-                   rows: int | None = None) -> "WindowedMap":
+    def from_image(cls, image, faithful, adj_faithful, rows: int | None = None) -> "WindowedMap":
         """The 0/1 partial permutation with a 1 at (image[j], j) for every image[j] >= 0.
 
         ``rows`` defaults to the number of columns.
@@ -272,7 +268,6 @@ class WindowedMap:
         made._matrix = None
         made.shape = (made.image.size if rows is None else int(rows), made.image.size)
         made.faithful_mask, made.adj_faithful_mask = faithful, adj_faithful
-        made.domain, made.codomain = domain, codomain
         made.__post_init__()
         return made
 
@@ -317,16 +312,15 @@ class WindowedMap:
         return self.shape[0]
 
     @classmethod
-    def identity(cls, n: int, space: str = "") -> "WindowedMap":
-        return cls.from_image(np.arange(n), np.ones(n, dtype=bool), np.ones(n, dtype=bool),
-                              space, space)
+    def identity(cls, n: int) -> "WindowedMap":
+        return cls.from_image(np.arange(n), np.ones(n, dtype=bool), np.ones(n, dtype=bool))
 
     @classmethod
-    def full(cls, matrix, domain: str = "", codomain: str = "") -> "WindowedMap":
+    def full(cls, matrix) -> "WindowedMap":
         """Wrap a matrix that represents its operator exactly everywhere."""
         mat = as_matrix(matrix)
         rows, cols = mat.shape
-        return cls(mat, np.ones(cols, dtype=bool), np.ones(rows, dtype=bool), domain, codomain)
+        return cls(mat, np.ones(cols, dtype=bool), np.ones(rows, dtype=bool))
 
     def compose(self, other: "WindowedMap") -> "WindowedMap":
         """self o other, with both windows shrunk by the support rule."""
@@ -336,7 +330,7 @@ class WindowedMap:
             matrix = self.matrix @ other.matrix
             kept = other.faithful_mask & ~_escapes(other.matrix, self.faithful_mask)
             adj_kept = self.adj_faithful_mask & ~_escapes(self.matrix.T, other.adj_faithful_mask)
-            return WindowedMap(matrix, kept, adj_kept, other.domain, self.codomain)
+            return WindowedMap(matrix, kept, adj_kept)
         # column i of other is the unit vector at row b[i] (or zero when b[i] = -1)
         a, b = self.image, other.image
         inside = np.append(self.faithful_mask, True)
@@ -345,8 +339,7 @@ class WindowedMap:
         hit = np.zeros(self.codomain_dim + 1, dtype=bool)
         hit[a[~other.adj_faithful_mask]] = True
         adj_kept = self.adj_faithful_mask & ~hit[:-1]
-        return WindowedMap.from_image(_after(a, b), kept, adj_kept,
-                                      other.domain, self.codomain, self.codomain_dim)
+        return WindowedMap.from_image(_after(a, b), kept, adj_kept, self.codomain_dim)
 
     def __matmul__(self, other: "WindowedMap") -> "WindowedMap":
         return self.compose(other)
@@ -358,9 +351,8 @@ class WindowedMap:
             inverse[self.image[live]] = live
             if np.count_nonzero(inverse >= 0) == live.size:  # injective
                 return WindowedMap.from_image(inverse, self.adj_faithful_mask, self.faithful_mask,
-                                              self.codomain, self.domain, self.domain_dim)
-        return WindowedMap(self.matrix.conj().T, self.adj_faithful_mask, self.faithful_mask,
-                           self.codomain, self.domain)
+                                              self.domain_dim)
+        return WindowedMap(self.matrix.conj().T, self.adj_faithful_mask, self.faithful_mask)
 
 
 class SemigroupFamily:
@@ -380,7 +372,7 @@ class SemigroupFamily:
         self._generator = generator
         self._label = label
         self._m = int(cells_per_unit)
-        self._powers = [WindowedMap.identity(generator.domain_dim, generator.domain)]
+        self._powers = [WindowedMap.identity(generator.domain_dim)]
 
     @property
     def generator(self) -> WindowedMap:
@@ -470,8 +462,7 @@ def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
     ``_halfline_rows`` for its step count.
     """
     (image,), (faithful,) = _halfline_rows(grid, [grid_steps(t, grid.m)])
-    label = f"halfline(m={grid.m},T={grid.T},r={grid.r})"
-    return WindowedMap.from_image(image, faithful, np.ones(grid.dim, dtype=bool), label, label)
+    return WindowedMap.from_image(image, faithful, np.ones(grid.dim, dtype=bool))
 
 
 def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
@@ -527,8 +518,7 @@ def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
     ``_phi_rows`` for its step count.
     """
     (image,), (faithful,) = _phi_rows(d, m, r, [grid_steps(t, m)])
-    label = f"coeff(d={d},m={m},r={r})"
-    return WindowedMap.from_image(image, faithful, np.ones(image.size, dtype=bool), label, label)
+    return WindowedMap.from_image(image, faithful, np.ones(image.size, dtype=bool))
 
 
 def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
@@ -545,9 +535,7 @@ def bishift_pair(grid: QuadrantGrid2D, t) -> tuple[WindowedMap, WindowedMap]:
     _, k2, _ = np.unravel_index(idx, (grid.side, grid.side, grid.r))
     images = (_forward_image(grid.dim, j * grid.side * grid.r),
               np.where(k2 + j < grid.side, idx + j * grid.r, -1))
-    label = f"quadrant(m={grid.m},T={grid.T},r={grid.r})"
-    return tuple(WindowedMap.from_image(image, image >= 0, np.ones(grid.dim, dtype=bool),
-                                        label, label)
+    return tuple(WindowedMap.from_image(image, image >= 0, np.ones(grid.dim, dtype=bool))
                  for image in images)
 
 
@@ -576,12 +564,11 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
     cells = np.array(region.l_cells())
     n, r = region.parent.n, region.r
     k1, k2, _ = np.unravel_index(cells, (n, n, r))
-    label = f"lregion(m={region.m},T={region.T},r={region.r})"
 
     def build(k: np.ndarray, stride: int) -> WindowedMap:
         # a leftward/downward image stays in L, so its position is found by search
         image = np.where(k >= j, np.searchsorted(cells, cells - j * stride), -1)
-        return WindowedMap.from_image(image, image >= 0, k + j < n, label, label)
+        return WindowedMap.from_image(image, image >= 0, k + j < n)
 
     return build(k1, n * r), build(k2, r)
 
@@ -608,9 +595,8 @@ def _circulant_image(n: int, k: int) -> np.ndarray:
 
 
 def circulant_family(n: int, k: int = 1, cells_per_unit: int = 1) -> SemigroupFamily:
-    label = f"cycle({n})"
     gen = WindowedMap.from_image(_circulant_image(n, k), np.ones(n, dtype=bool),
-                                 np.ones(n, dtype=bool), label, label)
+                                 np.ones(n, dtype=bool))
     return SemigroupFamily(gen, f"circulant[n={n},k={k}]", cells_per_unit)
 
 
@@ -626,16 +612,14 @@ def direct_sum(*parts: WindowedMap) -> WindowedMap:
     col0 = np.cumsum([0] + [p.domain_dim for p in parts]).tolist()
     faithful = np.concatenate([p.faithful_mask for p in parts])
     adj_faithful = np.concatenate([p.adj_faithful_mask for p in parts])
-    domain = "(+)".join(p.domain for p in parts)
-    codomain = "(+)".join(p.codomain for p in parts)
     if all(p.image is not None for p in parts):
         image = np.concatenate([np.where(p.image >= 0, p.image + row0[k], -1)
                                 for k, p in enumerate(parts)])
-        return WindowedMap.from_image(image, faithful, adj_faithful, domain, codomain, row0[-1])
+        return WindowedMap.from_image(image, faithful, adj_faithful, row0[-1])
     mat = np.zeros((row0[-1], col0[-1]), dtype=np.complex128)
     for k, part in enumerate(parts):
         mat[row0[k]:row0[k + 1], col0[k]:col0[k + 1]] = part.matrix
-    return WindowedMap(mat, faithful, adj_faithful, domain, codomain)
+    return WindowedMap(mat, faithful, adj_faithful)
 
 
 def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> WindowedMap:
@@ -651,11 +635,9 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
     if side == "right":
         def place(i, k, n):  # index of (part index i of n, fiber index k)
             return i * fiber + k
-        domain, codomain = f"{part.domain}(x)C{fiber}", f"{part.codomain}(x)C{fiber}"
     elif side == "left":
         def place(i, k, n):
             return k * n + i
-        domain, codomain = f"C{fiber}(x){part.domain}", f"C{fiber}(x){part.codomain}"
     else:
         raise InvalidInput(f"side must be 'left' or 'right', got {side!r}")
     n_dom, n_cod = part.domain_dim, part.codomain_dim
@@ -672,11 +654,11 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
     if part.image is None:
         eye = np.eye(fiber, dtype=np.complex128)
         mat = np.kron(part.matrix, eye) if side == "right" else np.kron(eye, part.matrix)
-        return WindowedMap(mat, faithful, adj, domain, codomain)
+        return WindowedMap(mat, faithful, adj)
     # column place(i, k) goes to row place(image[i], k)
     target = part.image[:, None]
     image = spread(np.where(target >= 0, place(target, k, n_cod), -1), n_dom)
-    return WindowedMap.from_image(image, faithful, adj, domain, codomain, fiber * n_cod)
+    return WindowedMap.from_image(image, faithful, adj, fiber * n_cod)
 
 
 def check_semigroup_law(family: SemigroupFamily, samples,

@@ -6,7 +6,9 @@ and compare them with ``_pair_residual``.  It is the oracle: ``bcl_check``
 must give an equal report, or raise the same exception type with the same
 message, on every small grid, on random sample lists, on times that leave
 the window or the grid in any order, and on a model perturbed so that the
-table flags a row.  The other tests pin that no map is built for a row
+table flags a row.  ``filtered_default_samples`` is the oracle of the
+catalog's default samples: the grid times whose multiplier window, by its
+own rule, is nonempty.  The other tests pin that no map is built for a row
 whose images agree and that memory stays bounded by the table blocks.
 """
 
@@ -39,6 +41,18 @@ def sample_loop_bcl(T: int, m: int, r: int, samples) -> Report:
     return Report(scenario=f"bcl[T={T},m={m},r={r}]", entries=entries)
 
 
+def filtered_default_samples(T: int, m: int) -> list[Fraction]:
+    """Grid times up to the top degree T - 1 whose multiplier window is nonempty."""
+    d = T - 1
+    out = []
+    for j in range(m * d + 1):
+        n, jj = divmod(j, m)
+        top = d - n if jj == 0 else d - n - 1
+        if top >= 0:
+            out.append(Fraction(j, m))
+    return out
+
+
 def outcome(check, *args):
     """The report, or the type and message of the exception raised."""
     try:
@@ -62,6 +76,12 @@ def test_default_samples_match_the_sample_loop_on_every_small_grid():
             for r in range(1, 4):
                 report = assert_same(T, m, r, _bcl_default_samples(T, m))
                 assert report.overall
+
+
+def test_default_samples_are_every_grid_time_with_a_nonempty_window():
+    for T in range(1, 13):
+        for m in range(1, 13):
+            assert _bcl_default_samples(T, m) == filtered_default_samples(T, m), (T, m)
 
 
 def test_random_sample_lists_match_the_sample_loop():

@@ -80,6 +80,54 @@ def test_reports_are_deterministic():
     assert runs[0] == runs[1]
 
 
+# the parameters each construction echoes when a scenario gives none, tolerances aside
+DEFAULT_ECHO = {
+    "halfline_shift": {"m": "1", "T": "8", "r": "1", "K": "10", "samples": "1,2,3"},
+    "bishift": {"m": "2", "T": "2", "r": "1", "K": "6", "samples": "1/2,1"},
+    "modified_bishift": {"m": "1", "T": "2", "r": "1", "samples": "1"},
+    "four_block_dc": {"T": "4", "circ": "3", "K": "6"},
+    "four_block_ddc": {"m": "1", "T": "2", "p": "3", "circ": "3", "K": "6", "max_orbit": "8"},
+    "commutant_e": {"m": "2", "r": "1"},
+    "commutant_mz": {"d": "1", "r": "1"},
+    "bcl": {"T": "4", "m": "4", "r": "1",
+            "samples": "0,1/4,1/2,3/4,1,5/4,3/2,7/4,2,9/4,5/2,11/4,3"},
+    "dual_example": {"m": "1", "T": "2", "r": "1", "K": "4", "max_orbit": "8"},
+    "double_dual": {"m": "1", "T": "2", "r": "1", "max_orbit": "8"},
+    "simultaneous": {"variant": "mixed", "m": "1", "T": "2", "p": "3", "K": "6",
+                     "max_orbit": "8"},
+}
+TOLERANCE_ECHO = {"rank_rel": "1e-10", "resid_abs": "1e-10", "angle": "0.99999999"}
+
+
+def echoed(construction, params):
+    report = run_scenario(Scenario("s", construction, params))
+    return {key: value for key, value in report.params if key not in TOLERANCE_ECHO}
+
+
+@pytest.mark.parametrize("construction", sorted(DEFAULT_ECHO))
+def test_default_parameters_are_echoed(construction):
+    report = run_scenario(Scenario(construction, construction, {}))
+    assert dict(report.params) == {**DEFAULT_ECHO[construction], **TOLERANCE_ECHO}
+    assert report.overall
+
+
+@pytest.mark.parametrize("construction, params, derived", [
+    ("dual_example", {"m": "3", "T": "5"}, {"K": "17", "max_orbit": "60"}),
+    ("four_block_dc", {"T": "7"}, {"K": "9"}),
+    ("simultaneous", {"m": "2", "T": "3"}, {"K": "14", "max_orbit": "24"}),
+    ("halfline_shift", {"m": "2", "T": "5", "K": "3"}, {"K": "3"}),
+    ("bcl", {"T": "3", "m": "2"}, {"samples": "0,1/2,1,3/2,2"}),
+])
+def test_derived_defaults_follow_the_given_values(construction, params, derived):
+    got = echoed(construction, params)
+    assert {key: got[key] for key in derived} == derived
+
+
+@pytest.mark.parametrize("m, samples", [(1, "1,2"), (5, "1,2"), (4, "1/2,1")])
+def test_bishift_default_samples_sit_on_the_grid(m, samples):
+    assert echoed("bishift", {"m": str(m), "T": "4"})["samples"] == samples
+
+
 # --- CLI process-level behavior -----------------------------------------------------
 
 def run_cli(*args):
@@ -108,6 +156,14 @@ def test_cli_run_check_failure_exit_one(tmp_path):
     proc = run_cli("run", str(config))
     assert proc.returncode == 1
     assert "overall FAIL" in proc.stdout
+
+
+def test_cli_bishift_odd_m_runs_on_grid_default_samples(tmp_path):
+    config = tmp_path / "odd.cfg"
+    config.write_text("[odd]\nconstruction = bishift\nm = 3\nT = 4\n")
+    proc = run_cli("run", str(config))
+    assert proc.returncode == 0, proc.stderr
+    assert "param samples = 1,2\n" in proc.stdout
 
 
 def test_cli_usage_errors_exit_two(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from isoflow import duality
 from isoflow.decompose import classify_pair, wold_cooper
 from isoflow.duality import (ExtensionSetup, _compress, _lift_local, _orbit_span,
                              bishift_setup, circulant_pair_setup,
@@ -249,6 +250,39 @@ def test_double_dual_rejects_empty_space():
 def test_double_dual_rejects_non_cnu_pair():
     with pytest.raises(PreconditionFailed):
         double_dual_check(circulant_pair_setup(3, 3), 4)
+
+
+def test_double_dual_rejects_a_dense_original_space():
+    setup = l_region_setup(1, 2)
+    dense = replace(setup, h=Subspace(setup.ambient_dim, setup.h.basis))
+    with pytest.raises(InvalidInput, match="coordinate original space"):
+        double_dual_check(dense, 8)
+
+
+def test_double_dual_fails_recovered_cells_that_differ(monkeypatch):
+    """A second dual on other cells fails both recovered axes with residual 1.0,
+    and no projector is built."""
+    setup = l_region_setup(1, 2)
+    real = duality.dual_pair
+
+    def moved(dual_setup, *args, **kwargs):
+        dual = real(dual_setup, *args, **kwargs)
+        if not dual_setup.label.endswith("~"):
+            return dual
+        return replace(dual, wth=Subspace(dual.wth.ambient, cells=dual.wth.cells[:-1]))
+
+    def no_projector(self):
+        raise AssertionError("projector built")
+
+    monkeypatch.setattr(duality, "dual_pair", moved)
+    monkeypatch.setattr(Subspace, "projector", no_projector)
+    by_id = {e.check_id: e for e in double_dual_check(setup, 8).entries}
+    assert by_id["recovered_space_gap"].residual == 1.0
+    for axis in (1, 2):
+        entry = by_id[f"recovered_axis{axis}"]
+        assert not entry.passed
+        assert (entry.residual, entry.dims) == (1.0, (setup.h.dim - 1,))
+    assert by_id["minimality_gap"].passed
 
 
 # --- dual fourfold -----------------------------------------------------------------

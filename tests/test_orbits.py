@@ -203,7 +203,7 @@ def _relabel_map(u: WindowedMap, pi: np.ndarray, inverse: np.ndarray) -> Windowe
     """P U P* for the permutation P sending cell j to pi[j]; a zero column stays zero."""
     image = u.image[inverse]
     return WindowedMap.from_image(np.where(image >= 0, pi[image], -1), u.faithful_mask[inverse],
-                                  u.adj_faithful_mask[inverse], u.domain, u.codomain)
+                                  u.adj_faithful_mask[inverse])
 
 
 def relabel(x, pi: np.ndarray):

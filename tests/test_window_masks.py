@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from isoflow import catalog, duality
-from isoflow.catalog import run_scenario
+from isoflow.catalog import Scenario, run_scenario
 from isoflow.cli import load_scenarios
 from isoflow.decompose import wold_cooper
 from isoflow.errors import DimensionMismatch, InternalInconsistency, InvalidInput
-from isoflow.numlin import DEFAULT_TOL, Subspace, _from_image
+from isoflow.numlin import Subspace, _from_image
 from isoflow.semigroups import WindowedMap, _pair_residual, halfline_shift_family
 from isoflow.spaces import CellGrid1D
 
@@ -130,7 +130,7 @@ def test_dual_example_computes_its_dual_pair_once(monkeypatch):
         return dual_pair(*args, **kwargs)
 
     monkeypatch.setattr(duality, "dual_pair", counted)
-    entries, _ = catalog._run_dual_example({"m": 1, "T": 3}, DEFAULT_TOL)
+    entries = run_scenario(Scenario("dual", "dual_example", {"m": 1, "T": 3})).entries
     assert len(calls) == 1
     setup = duality.l_region_setup(1, 3)
     want = duality.dual_cnu_check(setup, duality.dual_pair(setup, 12), 5).entries
@@ -156,7 +156,7 @@ def test_dual_example_mismatch_fails_without_reading_a_matrix(monkeypatch):
 
     monkeypatch.setattr(catalog, "bishift_pair", swapped)
     monkeypatch.setattr(WindowedMap, "matrix", property(no_matrix))
-    entries, _ = catalog._run_dual_example({"m": 1, "T": 3}, DEFAULT_TOL)
+    entries = run_scenario(Scenario("dual", "dual_example", {"m": 1, "T": 3})).entries
     axis1, axis2 = (e for e in entries if e.check_id.startswith("dual_equals_bishift"))
     assert not axis1.passed and axis1.residual > 0.0
     assert axis2.passed and axis2.residual == 0.0
@@ -174,4 +174,4 @@ def test_dual_example_rejects_a_dense_generator(monkeypatch):
 
     monkeypatch.setattr(duality, "dual_pair", dense)
     with pytest.raises(InternalInconsistency, match="dual generator 1"):
-        catalog._run_dual_example({"m": 1, "T": 3}, DEFAULT_TOL)
+        run_scenario(Scenario("dual", "dual_example", {"m": 1, "T": 3}))
