@@ -373,11 +373,14 @@ def check_scenario(scenario: Scenario) -> None:
 
 
 def _default_samples(construction: str, default: str, m: int, T: int) -> list[Fraction]:
-    """The line's times where they lie on the 1/m grid, else 1,2 (bishift at odd m)."""
+    """The line's times where they lie on the 1/m grid, else one and two cells,
+    1/m and 2/m (bishift at odd m)."""
     if construction == "bcl":  # its line names the rule, not the times
         return _bcl_default_samples(T, m)
     times = _parse_samples(default)
-    return times if all((t * m).denominator == 1 for t in times) else [Fraction(1), Fraction(2)]
+    if all((t * m).denominator == 1 for t in times):
+        return times
+    return [Fraction(1, m), Fraction(2, m)]
 
 
 def _resolve(construction: str, params: dict) -> dict:

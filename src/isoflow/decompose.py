@@ -27,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_columns_norm, _unit_rows,
-                     as_matrix, complement, intersect, spectral_norm)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_columns_norm, complement,
+                     intersect, spectral_norm)
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _check_image,
                          _compress, _halfline_rows, _isometry_defect, _mask, _pair_residual,
@@ -303,24 +303,19 @@ def bcl_check(T: int, m: int, r: int, samples) -> Report:
 
 
 def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
-                             z: np.ndarray, samples,
+                             z: WindowedMap, samples,
                              tol: Tolerances = DEFAULT_TOL) -> Report:
     """Check Z A_{j,t} Z* = B_{j,t} on faithful windows for j = 1, 2.
 
     Only verifies a supplied equivalence; finding one is out of scope.
     Z A Z* is a composition, so its window is the support rule: column i
-    is trusted when Z* e_i lies inside the window of A.  A ``z`` whose
-    every column holds a single entry, exactly 1.0, is held as its image,
-    so for a permutation the conjugation is a gather; any other ``z`` is
-    held dense.
+    is trusted when Z* e_i lies inside the window of A.  ``z`` is a
+    ``WindowedMap``: a permutation passed image-backed conjugates by a
+    gather, and any other unitary is passed as ``WindowedMap.full``.
     """
-    z = as_matrix(z)
-    rows = _unit_rows(z) if z.size else None
-    if rows is not None and (z[rows, np.arange(rows.size)] == 1.0).all():
-        z = WindowedMap.from_image(rows, np.ones(rows.size, dtype=bool),
-                                   np.ones(z.shape[0], dtype=bool), rows=z.shape[0])
-    else:
-        z = WindowedMap.full(z)
+    if not isinstance(z, WindowedMap):
+        raise InvalidInput(f"z must be a WindowedMap (image-backed for a permutation, "
+                           f"WindowedMap.full otherwise), got {type(z).__name__}")
     z_adj = z.adjoint()
     if max(_isometry_defect(z), _isometry_defect(z_adj)) > tol.resid_abs:
         raise PreconditionFailed("supplied conjugation is not unitary within tolerance")

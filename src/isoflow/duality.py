@@ -20,11 +20,13 @@ continuum statement quantifies over real parameters; the certificate here
 covers the integer box only, and that distinction is always reported (the
 ``stabilized`` flag), never hidden.
 
-When both unitaries are generalized permutations and the subspace is a
-coordinate span, every computation below stays in integer-exact set
-arithmetic; otherwise orbit spans and compressions take the general
-dense path, and a dual space that comes out dense is rejected.  Compressions,
-isometry tests and conjugations come from ``semigroups``.
+When both unitaries are image-backed and the subspace is held as cells,
+every computation below stays in integer-exact set arithmetic; otherwise
+orbit spans and compressions take the general dense path, and a dual
+space that comes out dense is rejected.  The path follows from how the
+data is held, never from its entries: a permutation held as a dense
+matrix takes the dense path.  Compressions, isometry tests and
+conjugations come from ``semigroups``.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ import numpy as np
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _positions, _unit_columns_norm,
-                     _unit_rows, orthonormal_basis, spectral_norm, subtract)
+                     orthonormal_basis, spectral_norm, subtract)
 from .decompose import (_reduction_residual, classify_pair, fourfold_decompose,
                         product_unitary_part)
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
-                         _compress, _isometry_defect, _mask, _pair_residual, _torus_image,
-                         direct_sum, modified_bishift_pair)
+                         _compress, _isometry_defect, _mask, _pair_residual, direct_sum,
+                         modified_bishift_pair)
 from .spaces import LRegionIndex
 
 __all__ = [
@@ -82,7 +84,7 @@ class ExtensionSetup:
     u2: WindowedMap
     h: Subspace
     cells_per_unit: int = 1
-    label: str = ""
+    label: str = "setup"
     geometry: LRegionIndex | None = None
 
     def __post_init__(self) -> None:
@@ -160,21 +162,22 @@ def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace,
     Requires U1 and U2 to be commuting unitaries (``ExtensionSetup``
     checks both).  Then box(r + 1) = N(box(r)) with
     N = {U1^s U2^t : |s|, |t| <= 1}, so box(r + 1) = box(r) | N(F_r)
-    where F_r holds the cells that radius r added.  On generalized
-    permutations only that frontier moves, through U1 and its inverse
-    and then through U2 and its inverse, and the orbit is stable at the
-    first radius whose frontier adds nothing: O(R n) time and O(n) memory
-    for radius R.  On the dense path the whole span moves by the same
-    recurrence, and it is stable when one step keeps its dimension and
-    moves it by at most ``tol.resid_abs`` in gap.
+    where F_r holds the cells that radius r added.  When ``start`` is
+    held as cells and both unitaries are image-backed (permutations, by
+    ``ExtensionSetup``), only that frontier moves, through U1 and its
+    inverse and then through U2 and its inverse, and the orbit is stable
+    at the first radius whose frontier adds nothing: O(R n) time and O(n)
+    memory for radius R.  On the dense path the whole span moves by the
+    same recurrence, and it is stable when one step keeps its dimension
+    and moves it by at most ``tol.resid_abs`` in gap.
     """
     if max_orbit < 1:
         raise InvalidInput("max_orbit must be >= 1")
-    perms = [_unit_rows(u.matrix) if u.image is None else u.image for u in (u1, u2)]
     n = start.ambient
-    if start.cells is not None and all(
-            p is not None and np.array_equal(np.sort(p), np.arange(n)) for p in perms):
-        moves = [(p, np.argsort(p)) for p in perms]  # each image with its inverse
+    if start.cells is not None and u1.image is not None and u2.image is not None:
+        moves = [(u.image, np.empty(n, dtype=np.int64)) for u in (u1, u2)]
+        for forward, backward in moves:
+            backward[forward] = np.arange(n)  # the inverse image, by one scatter
         current = _mask(start.cells, n)
         frontier = start.cells
         for radius in range(max_orbit):
@@ -245,7 +248,9 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
     unitary, restricted to faithful columns (the complement is invariant
     for the adjoints; a nonzero value flags window pollution).  The dual
     space must come out as a cell set; one held as a dense basis raises
-    InvalidInput.
+    InvalidInput.  It has cells only when the orbit took the cell path,
+    whose unitaries are image-backed, or when it is empty, so the defect
+    is read on the images.
     """
     extension = minimal_extension(setup, max_orbit, tol)
     if not extension.stabilized:
@@ -253,31 +258,24 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
     wth = subtract(extension.span, setup.h, tol)
     if wth.cells is None:
         raise InvalidInput(f"dual_pair needs a coordinate dual space; that of "
-                           f"{self_label(setup)} is a dense basis")
+                           f"{setup.label} is a dense basis")
     adjoints = (setup.u1.adjoint(), setup.u2.adjoint())
     residuals = []
     for adj in adjoints:
         cols = wth.cells[adj.faithful_mask[wth.cells]]
         if not cols.size:
             residuals.append(0.0)
-        elif adj.image is not None:
-            # (I - P) keeps the unit columns that leave the cells; a zero column stays zero
-            rows = adj.image[cols]
-            stays = np.append(_mask(wth.cells, setup.ambient_dim), True)[rows]
-            residuals.append(_unit_columns_norm(rows[~stays]))
-        else:
-            defect = ((np.eye(setup.ambient_dim) - wth.projector()) @ adj.matrix)[:, cols]
-            residuals.append(spectral_norm(defect))
+            continue
+        # (I - P) keeps the unit columns that leave the cells; a zero column stays zero
+        rows = adj.image[cols]
+        stays = np.append(_mask(wth.cells, setup.ambient_dim), True)[rows]
+        residuals.append(_unit_columns_norm(rows[~stays]))
     g1, g2 = (_compress(adj, wth) for adj in adjoints)
     pair = PairOfSemigroups(
-        SemigroupFamily(g1, f"{self_label(setup)}:dual1", setup.cells_per_unit),
-        SemigroupFamily(g2, f"{self_label(setup)}:dual2", setup.cells_per_unit))
+        SemigroupFamily(g1, f"{setup.label}:dual1", setup.cells_per_unit),
+        SemigroupFamily(g2, f"{setup.label}:dual2", setup.cells_per_unit))
     return DualResult(extension.span, wth, pair, (residuals[0], residuals[1]),
                       extension.radius)
-
-
-def self_label(setup: ExtensionSetup) -> str:
-    return setup.label or "setup"
 
 
 def dual_cnu_check(setup: ExtensionSetup, dual: DualResult, max_steps: int,
@@ -300,7 +298,7 @@ def dual_cnu_check(setup: ExtensionSetup, dual: DualResult, max_steps: int,
             f"stabilized={product.stabilized}"))
     entries.append(CheckEntry("dual_invariance", max(dual.invariance_residuals),
                               (dual.wth.dim,), max(dual.invariance_residuals) <= tol.resid_abs))
-    return Report(scenario=f"dual_cnu[{self_label(setup)}]", entries=entries)
+    return Report(scenario=f"dual_cnu[{setup.label}]", entries=entries)
 
 
 def double_dual_check(setup: ExtensionSetup, max_orbit: int,
@@ -320,7 +318,7 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
     """
     if setup.h.cells is None:
         raise InvalidInput(f"double_dual_check needs a coordinate original space; that of "
-                           f"{self_label(setup)} is a dense basis")
+                           f"{setup.label} is a dense basis")
     if setup.h.dim == 0:
         raise PreconditionFailed("empty original space: c.n.u. check is undefined")
     original = setup.compressed_pair()
@@ -331,7 +329,7 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
             f"stabilized={product.stabilized})")
     first_dual = dual_pair(setup, max_orbit, tol)
     dual_setup = replace(setup, u1=setup.u1.adjoint(), u2=setup.u2.adjoint(),
-                         h=first_dual.wth, label=f"{self_label(setup)}~")
+                         h=first_dual.wth, label=f"{setup.label}~")
     second_dual = dual_pair(dual_setup, max_orbit, tol)
     minimality_gap = second_dual.obh.gap(first_dual.obh)
     recovered_gap = second_dual.wth.gap(setup.h)
@@ -359,7 +357,7 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
             residual, dims = 1.0, (second_dual.wth.dim,)
         entries.append(CheckEntry(f"recovered_axis{axis}", residual, dims,
                                   residual <= tol.resid_abs))
-    return Report(scenario=f"double_dual[{self_label(setup)}]", entries=entries)
+    return Report(scenario=f"double_dual[{setup.label}]", entries=entries)
 
 
 def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int,
@@ -385,7 +383,7 @@ def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int,
     if h_s_ambient.dim == 0:
         return DualFourfoldResult(zero_local, zero_local, zero_local, h_uu_local,
                                   (0, 0, 0, 0), 0.0, product.reduction_residual)
-    reduced = replace(setup, h=h_s_ambient, label=f"{self_label(setup)}|cnu")
+    reduced = replace(setup, h=h_s_ambient, label=f"{setup.label}|cnu")
     dual = dual_pair(reduced, max_orbit, tol)
     split = fourfold_decompose(dual.pair, max_steps, tol)  # raises unless doubly commuting
     if split.h_uu.dim != 0:
@@ -454,7 +452,7 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
         residual, count = got
         entries.append(CheckEntry(f"model_axis{axis}", residual, (count,),
                                   residual <= tol.resid_abs))
-    return Report(scenario=f"modified_bishift_model[{self_label(setup)}]", entries=entries)
+    return Report(scenario=f"modified_bishift_model[{setup.label}]", entries=entries)
 
 
 def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbit: int,
@@ -477,7 +475,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
         dual = dual_pair(setup, max_orbit, tol)
     except (PreconditionFailed, WindowTooSmall) as exc:
         entries.append(CheckEntry("dual", 0.0, (), False, f"window exhausted: {exc}"))
-        return Report(scenario=f"simultaneous[{self_label(setup)}]", entries=entries)
+        return Report(scenario=f"simultaneous[{setup.label}]", entries=entries)
     if dual.wth.dim == 0:
         ddc_holds = True
         entries.append(CheckEntry("dual_doubly_commuting", 0.0, (1,), True,
@@ -498,26 +496,30 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
         entries.append(CheckEntry("three_part_sum", dsplit.orthogonality_residual,
                                   (dsplit.h_pu.dim, dsplit.h_up.dim, dsplit.h_uu.dim),
                                   covered == setup.h.dim))
-    return Report(scenario=f"simultaneous[{self_label(setup)}]", entries=entries)
+    return Report(scenario=f"simultaneous[{setup.label}]", entries=entries)
 
 
 # ---------------------------------------------------------------------------
 # bundled setups
 
 
-def _torus_axis_faithful(region: LRegionIndex, axis: int, forward: bool) -> np.ndarray:
-    """Mask of the ambient cells whose one-step translate stays inside the window."""
-    n = region.parent.n
-    k = np.unravel_index(np.arange(region.parent.dim), (n, n, region.r))[axis]
-    return k < n - 1 if forward else k >= 1
-
-
 def _torus_unitary(region: LRegionIndex, axis: int, forward: bool) -> WindowedMap:
+    """Cyclic translation by one cell along ``axis`` of the region's parent torus.
+
+    Image and windows come from one array, the axis coordinate k of each
+    flat index (k1 * n + k2) * r + rho.  A cell is faithful when its
+    translate does not wrap, so forward k < n - 1 and backward k >= 1; the
+    adjoint window is the one of the opposite direction.
+    """
+    n, r = region.parent.n, region.r
+    stride = n * r if axis == 0 else r
+    cells = np.arange(region.parent.dim)
+    k = cells // stride % n
     step = 1 if forward else -1
-    a, b = (step, 0) if axis == 0 else (0, step)
-    faithful = _torus_axis_faithful(region, axis, forward)
-    adj_faithful = _torus_axis_faithful(region, axis, not forward)
-    return WindowedMap.from_image(_torus_image(region.parent, a, b), faithful, adj_faithful)
+    below_top, above_bottom = k < n - 1, k >= 1
+    return WindowedMap.from_image(cells + ((k + step) % n - k) * stride,
+                                  below_top if forward else above_bottom,
+                                  above_bottom if forward else below_top)
 
 
 def l_region_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
@@ -595,4 +597,4 @@ def setup_direct_sum(*setups: ExtensionSetup, label: str = "") -> ExtensionSetup
     offsets = np.cumsum([0] + [s.ambient_dim for s in setups]).tolist()
     cells = np.concatenate([offset + s.h.cells for offset, s in zip(offsets, setups)])
     return ExtensionSetup(u1, u2, Subspace(offsets[-1], cells=cells), setups[0].cells_per_unit,
-                          label or "(+)".join(self_label(s) for s in setups))
+                          label or "(+)".join(s.label for s in setups))

@@ -13,16 +13,15 @@ Two rules shape the implementation:
   single 1, -1 for a zero column) by index arithmetic, and ``_from_image``
   is the one materializer that turns an image into a matrix;
   ``semigroups.WindowedMap`` keeps the image and calls it only when its
-  matrix is read.  Its inverse probe is ``_unit_rows`` (the row of each
-  column's single nonzero entry), kept for matrices that come from
-  outside the constructors.  The primitives detect such input and
-  short-circuit to integer-exact arithmetic, so identities that hold
-  exactly are reported as exactly zero, not as 1e-16 noise.  A coordinate
-  subspace (the span of distinct standard basis vectors) is held as its
-  sorted ``int64`` array of ``cells``, and its basis matrix is built by
-  ``_from_image`` only when something reads it.  When both operands are
-  coordinate subspaces, intersection, complement and difference are
-  index-array operations and the gap is 0.0 or 1.0 in closed form.
+  matrix is read.  A coordinate subspace (the span of distinct standard
+  basis vectors) is held as its sorted ``int64`` array of ``cells``, and
+  its basis matrix is built by ``_from_image`` only when something reads
+  it.  When both operands are coordinate subspaces, intersection,
+  complement and difference are index-array operations and the gap is 0.0
+  or 1.0 in closed form, so identities that hold exactly are reported as
+  exactly zero, not as 1e-16 noise.  Exactness follows from how a value
+  is held, never from its entries: a dense operand gives a result held as
+  an orthonormal basis, even when its columns happen to be unit vectors.
 
 Zero-dimensional subspaces are ordinary values throughout, never errors.
 """
@@ -90,8 +89,7 @@ def as_matrix(a) -> np.ndarray:
 def _from_image(image, rows: int | None = None) -> np.ndarray:
     """0/1 matrix with a 1 at (image[j], j) for every j with image[j] >= 0.
 
-    ``rows`` defaults to the number of columns.  On the nonzero columns
-    this is the inverse of ``_unit_rows``.
+    ``rows`` defaults to the number of columns.
     """
     image = np.asarray(image, dtype=np.int64)
     matrix = np.zeros((image.size if rows is None else rows, image.size), dtype=np.complex128)
@@ -126,30 +124,6 @@ def _unit_columns_norm(rows: np.ndarray) -> float:
     root of the largest number of columns on one row; 0.0 for no columns.
     """
     return float(np.sqrt(np.bincount(rows).max())) if rows.size else 0.0
-
-
-def _unit_rows(matrix: np.ndarray) -> np.ndarray | None:
-    """Row of each column's single nonzero entry.
-
-    None when some column has no nonzero entry or more than one.
-    """
-    nonzero = matrix != 0
-    if not (np.count_nonzero(nonzero, axis=0) == 1).all():
-        return None
-    return nonzero.argmax(axis=0)
-
-
-def _coordinate_cells(basis: np.ndarray) -> tuple[int, ...] | None:
-    """Return the coordinate set when columns are exactly standard basis vectors."""
-    if not basis.shape[1]:
-        return ()
-    rows = _unit_rows(basis)
-    if rows is None or not (basis[rows, np.arange(basis.shape[1])] == 1.0).all():
-        return None
-    cells = np.sort(rows)
-    if (cells[1:] == cells[:-1]).any():
-        return None
-    return tuple(cells.tolist())
 
 
 class Subspace:
@@ -238,14 +212,6 @@ class Subspace:
         return cls(ambient, cells=np.empty(0, dtype=np.int64))
 
 
-def _orthonormal_subspace(ambient: int, basis: np.ndarray) -> Subspace:
-    """Subspace of an orthonormal basis, in ``from_cells`` form when it is coordinate."""
-    cells = _coordinate_cells(basis)
-    if cells is None:
-        return Subspace(ambient, basis)
-    return Subspace.from_cells(ambient, cells)
-
-
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value; exactly 0.0 for an exactly zero matrix."""
     arr = np.asarray(m)
@@ -266,25 +232,17 @@ def residual_norm(a, b) -> float:
 
 
 def orthonormal_basis(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the column space of ``m``.
+    """Orthonormal basis of the column space of ``m``, held as a basis.
 
-    Rank is the number of singular values >= rank_rel * sigma_max.  Columns
-    that are already exactly orthonormal (after dropping exact zero
-    columns) are kept, keeping permutation data exact; standard basis
-    vectors come back in ``from_cells`` order.
+    One thin SVD; the rank is the number of singular values >= rank_rel *
+    sigma_max.  An exactly zero matrix spans ``Subspace.zero``.
     """
     mat = as_matrix(m)
-    ambient = mat.shape[0]
-    nonzero = [j for j in range(mat.shape[1]) if mat[:, j].any()]
-    if not nonzero:
-        return Subspace.zero(ambient)
-    trimmed = mat[:, nonzero]
-    gram = trimmed.conj().T @ trimmed
-    if np.array_equal(gram, np.eye(trimmed.shape[1])):
-        return _orthonormal_subspace(ambient, trimmed)
-    u, s, _ = np.linalg.svd(trimmed, full_matrices=False)
+    if not mat.any():
+        return Subspace.zero(mat.shape[0])
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s >= tol.rank_rel * s[0]))
-    return _orthonormal_subspace(ambient, u[:, :rank])
+    return Subspace(mat.shape[0], u[:, :rank])
 
 
 def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -295,8 +253,8 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subs
     Q1* Q2 (Bjorck & Golub 1973).  Near cosine 1 that SVD cannot resolve
     an angle, so angles under pi/4 are decided by their sines, the
     singular values of the part of the smaller basis outside the larger
-    span (Knyazev & Argentati 2002).  Coordinate-exact operands intersect
-    by set arithmetic.
+    span (Knyazev & Argentati 2002).  Two cell-held operands intersect by
+    set arithmetic; any other pair gives a basis-held result.
     """
     if s1.ambient != s2.ambient:
         raise DimensionMismatch("ambient dimensions differ")
@@ -311,7 +269,7 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subs
     sine_bound = np.sqrt((1.0 - tol.angle) * (1.0 + tol.angle))  # the sine of the angle bound
     keep = np.where(cosines**2 >= 0.5, sines <= sine_bound, cosines >= tol.angle)
     basis = s1.basis @ u[:, keep]  # descending cosine, fixed order
-    return _orthonormal_subspace(s1.ambient, basis)
+    return Subspace(s1.ambient, basis)
 
 
 def complement(s: Subspace) -> Subspace:
@@ -324,7 +282,7 @@ def complement(s: Subspace) -> Subspace:
     if s.dim == s.ambient:
         return Subspace.zero(s.ambient)
     _, _, vh = np.linalg.svd(s.basis.conj().T, full_matrices=True)
-    return _orthonormal_subspace(s.ambient, vh[s.dim:].conj().T)
+    return Subspace(s.ambient, vh[s.dim:].conj().T)
 
 
 def subtract(big: Subspace, small: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -48,7 +48,7 @@ from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmal
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _from_image, _positions,
                      as_matrix, residual_norm, spectral_norm)
 from .report import CheckEntry, Report
-from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
+from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
 __all__ = [
     "WindowedMap",
@@ -578,13 +578,6 @@ def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
     tag = f"m={region.m},T={region.T},r={region.r}"
     return PairOfSemigroups(SemigroupFamily(g1, f"modified1[{tag}]", region.m),
                             SemigroupFamily(g2, f"modified2[{tag}]", region.m))
-
-
-def _torus_image(grid: TorusGrid2D, a: int, b: int) -> np.ndarray:
-    """Image of the cyclic translation by (a, b) cells."""
-    shape = (grid.n, grid.n, grid.r)
-    k1, k2, rho = np.unravel_index(np.arange(grid.dim), shape)
-    return np.ravel_multi_index(((k1 + a) % grid.n, (k2 + b) % grid.n, rho), shape)
 
 
 def _circulant_image(n: int, k: int) -> np.ndarray:

@@ -123,7 +123,8 @@ def test_derived_defaults_follow_the_given_values(construction, params, derived)
     assert {key: got[key] for key in derived} == derived
 
 
-@pytest.mark.parametrize("m, samples", [(1, "1,2"), (5, "1,2"), (4, "1/2,1")])
+@pytest.mark.parametrize("m, samples", [(1, "1,2"), (3, "1/3,2/3"), (5, "1/5,2/5"),
+                                        (4, "1/2,1")])
 def test_bishift_default_samples_sit_on_the_grid(m, samples):
     assert echoed("bishift", {"m": str(m), "T": "4"})["samples"] == samples
 
@@ -163,7 +164,27 @@ def test_cli_bishift_odd_m_runs_on_grid_default_samples(tmp_path):
     config.write_text("[odd]\nconstruction = bishift\nm = 3\nT = 4\n")
     proc = run_cli("run", str(config))
     assert proc.returncode == 0, proc.stderr
-    assert "param samples = 1,2\n" in proc.stdout
+    assert "param samples = 1/3,2/3\n" in proc.stdout
+
+
+def test_bishift_odd_m_passes_at_the_default_window(tmp_path, capsys):
+    """At T=2 the axis has 2m cells, and the largest sample pair, 2/m + 2/m,
+    moves 4 of them: fewer than 2m for every odd m >= 3."""
+    config = tmp_path / "odd.cfg"
+    config.write_text("".join(f"[bishift_m{m}]\nconstruction = bishift\nm = {m}\n\n"
+                              for m in (3, 5, 7)))
+    assert main(["run", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("overall pass") == 3 and "overall FAIL" not in out
+
+
+def test_bishift_m1_exhausts_the_default_window(tmp_path, capsys):
+    """At m=1, T=2 no positive sample pair fits in the 2-cell axis."""
+    config = tmp_path / "m1.cfg"
+    config.write_text("[bishift_m1]\nconstruction = bishift\nm = 1\n")
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "isoflow: error: [bishift_m1] every sample pair exhausts the window\n")
 
 
 def test_cli_usage_errors_exit_two(tmp_path):

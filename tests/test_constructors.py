@@ -13,12 +13,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.duality import _torus_axis_faithful
+from isoflow.duality import _torus_unitary
 from isoflow.numlin import Subspace, _from_image
-from isoflow.semigroups import (_circulant_image, _cut_shift_images, _torus_image, bishift_pair,
+from isoflow.semigroups import (_circulant_image, _cut_shift_images, bishift_pair,
                                 halfline_shift, modified_bishift_pair, phi_multiplier)
 from isoflow.spaces import (CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D,
-                            TorusGrid2D, lambda_reorder)
+                            lambda_reorder)
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 SMALL = st.integers(1, 3)
@@ -157,26 +157,36 @@ def test_modified_bishift_pair(m, T, r, data):
 
 
 @SETTINGS
-@given(st.integers(1, 4), TINY, st.integers(-5, 5), st.integers(-5, 5))
-def test_torus_translation(n, r, a, b):
-    grid = TorusGrid2D(n, r)
+@given(TINY, TINY, TINY, st.integers(0, 1), st.booleans())
+def test_torus_translation(m, T, r, axis, forward):
+    region = LRegionIndex(m, T, r)
+    grid, n = region.parent, region.parent.n
+    step = [0, 0]
+    step[axis] = 1 if forward else -1
     mat = zeros(grid.dim)
     for k1 in range(n):
         for k2 in range(n):
             for rho in range(r):
-                mat[grid.index(k1 + a, k2 + b, rho), grid.index(k1, k2, rho)] = 1.0
-    assert_same_bits(_from_image(_torus_image(grid, a, b)), mat)
+                mat[grid.index(k1 + step[0], k2 + step[1], rho), grid.index(k1, k2, rho)] = 1.0
+    assert_same_bits(_torus_unitary(region, axis, forward).matrix, mat)
 
 
 @SETTINGS
 @given(TINY, TINY, TINY, st.integers(0, 1), st.booleans())
 def test_torus_axis_faithful(m, T, r, axis, forward):
+    """The window keeps the cells whose translate does not wrap; the adjoint
+    window is that of the opposite direction."""
     region = LRegionIndex(m, T, r)
     n = region.parent.n
-    keep = range(0, n - 1) if forward else range(1, n)
-    want = {region.parent.index(k1, k2, rho) for k1 in range(n) for k2 in range(n)
-            for rho in range(r) if (k1, k2)[axis] in keep}
-    assert set(np.flatnonzero(_torus_axis_faithful(region, axis, forward)).tolist()) == want
+
+    def cells(keep):
+        return {region.parent.index(k1, k2, rho) for k1 in range(n) for k2 in range(n)
+                for rho in range(r) if (k1, k2)[axis] in keep}
+
+    up, down = cells(range(0, n - 1)), cells(range(1, n))
+    got = _torus_unitary(region, axis, forward)
+    assert got.faithful == (up if forward else down)
+    assert got.adj_faithful == (down if forward else up)
 
 
 @SETTINGS

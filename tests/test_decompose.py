@@ -8,8 +8,8 @@ import pytest
 
 from isoflow.decompose import (bcl_check, classify_pair, fourfold_decompose,
                                product_unitary_part, verify_joint_equivalence, wold_cooper)
-from isoflow.errors import DimensionMismatch, PreconditionFailed
-from isoflow.numlin import Subspace, _from_image, residual_norm
+from isoflow.errors import DimensionMismatch, InvalidInput, PreconditionFailed
+from isoflow.numlin import Subspace, residual_norm
 from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
                                 bishift_families, circulant_family, direct_sum,
                                 halfline_shift_family, modified_bishift_families,
@@ -183,7 +183,7 @@ def test_bcl_full_grid_r2():
 
 def test_joint_equivalence_identity():
     pair = bishift_families(QuadrantGrid2D(1, 2))
-    report = verify_joint_equivalence(pair, pair, np.eye(4), [1])
+    report = verify_joint_equivalence(pair, pair, WindowedMap.identity(4), [1])
     assert report.overall
     assert all(e.residual == 0.0 for e in report.entries)
 
@@ -194,7 +194,8 @@ def test_joint_equivalence_bishift_tensor_form():
     tens = PairOfSemigroups(
         SemigroupFamily(tensor_with_identity(shift, 4, "right"), "SxI", 2),
         SemigroupFamily(tensor_with_identity(shift, 4, "left"), "IxS", 2))
-    report = verify_joint_equivalence(pair, tens, np.eye(16), [Fraction(1, 2), 1])
+    report = verify_joint_equivalence(pair, tens, WindowedMap.identity(16),
+                                      [Fraction(1, 2), 1])
     assert report.overall and all(e.residual == 0.0 for e in report.entries)
 
 
@@ -207,20 +208,28 @@ def test_joint_equivalence_w_conjugation():
     phis = phi_family(3, 4)
     single = PairOfSemigroups(shifts, shifts)
     model = PairOfSemigroups(phis, phis)
-    report = verify_joint_equivalence(single, model, np.eye(grid.dim), [Fraction(1, 4), 1])
+    report = verify_joint_equivalence(single, model, WindowedMap.identity(grid.dim),
+                                      [Fraction(1, 4), 1])
     assert report.overall and all(e.residual == 0.0 for e in report.entries)
 
 
 def test_joint_equivalence_requires_unitary():
     pair = bishift_families(QuadrantGrid2D(1, 2))
     with pytest.raises(PreconditionFailed):
-        verify_joint_equivalence(pair, pair, 0.5 * np.eye(4), [1])
+        verify_joint_equivalence(pair, pair, WindowedMap.full(0.5 * np.eye(4)), [1])
 
 
 def test_joint_equivalence_rejects_a_conjugation_of_the_wrong_size():
     pair = bishift_families(QuadrantGrid2D(1, 2))
     with pytest.raises(DimensionMismatch):
-        verify_joint_equivalence(pair, pair, np.eye(5), [1])
+        verify_joint_equivalence(pair, pair, WindowedMap.identity(5), [1])
+
+
+def test_joint_equivalence_rejects_an_array_conjugation():
+    """``z`` is a WindowedMap; an ndarray is refused, not probed for unit columns."""
+    pair = bishift_families(QuadrantGrid2D(1, 2))
+    with pytest.raises(InvalidInput, match="z must be a WindowedMap"):
+        verify_joint_equivalence(pair, pair, np.eye(4), [1])
 
 
 def random_unitary(rng, n):
@@ -246,14 +255,14 @@ def test_joint_equivalence_with_a_dense_unitary():
                                            f"B{axis}")
                            for axis, f in enumerate((a.first, a.second), start=1)))
     assert b.first.generator.image is None
-    report = verify_joint_equivalence(a, b, z, [1, 2, 3])
+    report = verify_joint_equivalence(a, b, WindowedMap.full(z), [1, 2, 3])
     assert report.overall
     assert all(e.dims == (4,) and e.residual <= 1e-12 for e in report.entries)
-    assert not verify_joint_equivalence(a, a, z, [1]).overall
+    assert not verify_joint_equivalence(a, a, WindowedMap.full(z), [1]).overall
 
 
 def count_dense_maps(monkeypatch) -> list:
-    """Record every ``WindowedMap.full`` call, the dense branch for ``z``."""
+    """Record every ``WindowedMap.full`` call, a dense map made along the way."""
     calls = []
     full = WindowedMap.full
 
@@ -266,12 +275,12 @@ def count_dense_maps(monkeypatch) -> list:
 
 
 def test_joint_equivalence_w_conjugation_at_dim_512_gathers(monkeypatch):
-    """W = I at dim 512 is a 0/1 permutation, so Z is held as its image:
-    no dense product, and each residual is exactly zero.  Held dense, Z
-    made this call peak at about 84 MiB."""
+    """W = I at dim 512 is a 0/1 permutation, passed as its image: no dense
+    product, and each residual is exactly zero.  Held dense, Z made this
+    call peak at about 84 MiB."""
     grid = CellGrid1D(16, 32)
     shifts, phis = halfline_shift_family(grid), phi_family(31, 16)
-    w = np.eye(grid.dim)
+    w = WindowedMap.identity(grid.dim)
     samples = [Fraction(k, 2) for k in range(1, 9)]
     dense = count_dense_maps(monkeypatch)
     tracemalloc.start()
@@ -303,21 +312,22 @@ def test_joint_equivalence_under_a_relabeling_permutation(monkeypatch):
 
     b = PairOfSemigroups(moved(a.first), moved(a.second))
     dense = count_dense_maps(monkeypatch)
-    report = verify_joint_equivalence(a, b, _from_image(pi), [Fraction(1, 2), 1, 2])
+    z = WindowedMap.from_image(pi, np.ones(n, dtype=bool), np.ones(n, dtype=bool))
+    report = verify_joint_equivalence(a, b, z, [Fraction(1, 2), 1, 2])
     assert dense == []
     assert report.overall and all(e.residual == 0.0 for e in report.entries)
-    assert not verify_joint_equivalence(a, a, _from_image(pi), [1]).overall
+    assert not verify_joint_equivalence(a, a, z, [1]).overall
 
 
 def test_joint_equivalence_keeps_a_phased_permutation_dense(monkeypatch):
     """A permutation with a phase on one column is unitary but not 0/1, so
-    Z stays dense; conjugating a shift by it keeps the shift."""
+    Z is passed dense and the conjugation stays dense; the phase shows."""
     pair = bishift_families(QuadrantGrid2D(1, 2))
     z = np.eye(4, dtype=np.complex128)
     z[3, 3] = 1j
     dense = count_dense_maps(monkeypatch)
-    report = verify_joint_equivalence(pair, pair, z, [1])
-    assert dense == [(4, 4)]
+    report = verify_joint_equivalence(pair, pair, WindowedMap.full(z), [1])
+    assert dense == [(4, 4)]  # the one full map is the one passed
     assert not report.overall  # the phase shows on a column that moves into cell 3
 
 

@@ -86,19 +86,24 @@ def test_extension_dense_path_phase_orbit():
 
 
 def test_extension_phased_permutation_stays_on_cells(monkeypatch):
-    """Phased permutations keep the set-arithmetic orbit path: no factorization
-    runs, and the span carries its coordinate cells."""
+    """A permutation held as its image keeps the set-arithmetic orbit path: no
+    factorization runs, and the span carries its coordinate cells.  The same
+    permutation with phases, held dense, reaches the same span by the dense
+    path, held as a basis."""
     n = 6
-    cycles = np.eye(n, dtype=np.complex128)[:, [1, 2, 0, 4, 5, 3]]  # two 3-cycles
-    phased = WindowedMap.full(np.diag(np.exp(2j * np.pi * np.arange(n) / 7)) @ cycles)
+    cycles = WindowedMap.from_image([1, 2, 0, 4, 5, 3], range(n), range(n))  # two 3-cycles
+    phased = WindowedMap.full(np.diag(np.exp(2j * np.pi * np.arange(n) / 7)) @ cycles.matrix)
+    start = Subspace.from_cells(n, [0])
+    dense = _orbit_span(phased, WindowedMap.identity(n), start, 4, DEFAULT_TOL)
+    assert dense.stabilized and dense.radius == 1 and dense.span.cells is None
+    assert dense.span.gap(Subspace.from_cells(n, [0, 1, 2])) <= 1e-12
 
     def dense_path(*args, **kwargs):
         raise AssertionError("orbit span left the set path")
 
     monkeypatch.setattr(np.linalg, "svd", dense_path)
     monkeypatch.setattr(np.linalg, "eigh", dense_path)
-    start = Subspace.from_cells(n, [0])
-    span = _orbit_span(phased, WindowedMap.identity(n), start, 4, DEFAULT_TOL)
+    span = _orbit_span(cycles, WindowedMap.identity(n), start, 4, DEFAULT_TOL)
     assert span.stabilized and span.radius == 1
     assert tuple(span.span.cells) == (0, 1, 2)
 
@@ -134,25 +139,35 @@ def test_extension_setup_validation():
                            WindowedMap.identity(4), Subspace.full(4))
 
 
+def dense_held(setup):
+    """The setup with each unitary held as its dense matrix, windows unchanged."""
+    return replace(setup, **{key: WindowedMap(u.matrix, u.faithful_mask, u.adj_faithful_mask)
+                             for key, u in (("u1", setup.u1), ("u2", setup.u2))})
+
+
 @pytest.mark.parametrize("make", [lambda: l_region_setup(1, 2), lambda: bishift_setup(1, 2),
-                                  ddc_four_block])
-def test_dual_pair_of_image_backed_setup_matches_dense_setup(make):
-    """The image paths of setup validation, orbit spans, compressions and the
-    invariance defect agree with the dense paths on the same matrices."""
+                                  ddc_four_block], ids=["l_region", "bishift", "ddc_four_block"])
+def test_dense_held_setup_takes_the_dense_path(make):
+    """Permutations held dense take the dense path: the same orbit certificate
+    and, to 1e-10, the same span as the image-backed cells; the same
+    compressions to those cells; and a dense dual space, which dual_pair
+    refuses."""
     setup = make()
     assert setup.u1.image is not None and setup.u2.image is not None
-    dense = replace(setup, **{key: WindowedMap(u.matrix, u.faithful, u.adj_faithful)
-                              for key, u in (("u1", setup.u1), ("u2", setup.u2))})
-    got, want = dual_pair(setup, 8), dual_pair(dense, 8)
-    assert np.array_equal(got.wth.cells, want.wth.cells)
-    assert np.array_equal(got.obh.cells, want.obh.cells)
-    assert got.invariance_residuals == want.invariance_residuals
-    assert got.radius == want.radius
-    for x, y in ((got.pair.first.generator, want.pair.first.generator),
-                 (got.pair.second.generator, want.pair.second.generator)):
-        assert x.image is not None and y.image is None
-        assert np.array_equal(x.matrix, y.matrix)  # the dense adjoint carries -0.0 imaginary parts
-        assert x.faithful == y.faithful and x.adj_faithful == y.adj_faithful
+    dense = dense_held(setup)  # ExtensionSetup validates the dense copy
+    assert dense.u1.image is None and dense.u2.image is None
+    got, want = minimal_extension(dense, 8), minimal_extension(setup, 8)
+    assert (got.radius, got.stabilized) == (want.radius, want.stabilized)
+    assert got.span.cells is None and want.span.cells is not None
+    assert got.span.gap(want.span) <= 1e-10
+    for x, y in ((dense.u1, setup.u1), (dense.u2, setup.u2)):
+        cx, cy = _compress(x, want.span), _compress(y, want.span)
+        assert cx.image is None and cy.image is not None
+        assert np.array_equal(cx.matrix, cy.matrix)
+        assert np.array_equal(cx.faithful_mask, cy.faithful_mask)
+        assert np.array_equal(cx.adj_faithful_mask, cy.adj_faithful_mask)
+    with pytest.raises(InvalidInput, match="coordinate dual space"):
+        dual_pair(dense, 8)
 
 
 # --- dual pair --------------------------------------------------------------------
@@ -365,13 +380,13 @@ def test_simultaneous_variants():
 
 def test_lift_local_numbers_host_coordinates_like_compress():
     """Host-local coordinate i is host cell i in both the dense and the cell paths."""
-    host = orthonormal_basis(np.eye(3)[:, [2, 0]])
     swap = WindowedMap.full(np.eye(3)[:, [2, 1, 0]])  # e0 <-> e2
-    local = _compress(swap, host)
-    assert np.array_equal(local.matrix, np.array([[0, 1], [1, 0]]))
-    lifted = _lift_local(Subspace(2, np.array([[1.0], [1j]]) / np.sqrt(2)), host)
     expected = Subspace(3, np.array([[1.0], [0.0], [1j]]) / np.sqrt(2))
-    assert lifted.gap(expected) <= 1e-12
+    for host in (Subspace.from_cells(3, [2, 0]), Subspace(3, np.eye(3)[:, [0, 2]])):
+        local = _compress(swap, host)
+        assert np.array_equal(local.matrix, np.array([[0, 1], [1, 0]]))
+        lifted = _lift_local(Subspace(2, np.array([[1.0], [1j]]) / np.sqrt(2)), host)
+        assert lifted.gap(expected) <= 1e-12
 
 
 def test_setup_direct_sum_validation():

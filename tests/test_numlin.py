@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from isoflow.errors import DimensionMismatch, InvalidInput
-from isoflow.numlin import (DEFAULT_TOL, Subspace, Tolerances, _coordinate_cells,
-                            _orthonormal_subspace, as_matrix, complement, intersect,
-                            orthonormal_basis, residual_norm, subtract)
+from isoflow.numlin import (DEFAULT_TOL, Subspace, Tolerances, as_matrix, complement,
+                            intersect, orthonormal_basis, residual_norm, subtract)
 
 RNG = np.random.default_rng(20240817)
 
@@ -47,7 +46,7 @@ def nullspace(m, tol=DEFAULT_TOL):
     # rows >= cols leaves vh square, so the thin factorization is complete
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = int(np.sum(s >= tol.rank_rel * s[0]))
-    return _orthonormal_subspace(ambient, vh[rank:].conj().T)
+    return Subspace(ambient, vh[rank:].conj().T)
 
 
 def stacked_nullspace_intersection(b1, b2):
@@ -69,10 +68,10 @@ def projector(basis):
 # --- orthonormal_basis ------------------------------------------------------
 
 def test_orthonormal_identity_exact():
+    """A dense identity is held as a basis: no entry is read to find cells."""
     sub = orthonormal_basis(np.eye(3))
-    assert sub.dim == 3
-    assert np.array_equal(sub.basis, np.eye(3))
-    assert tuple(sub.cells) == (0, 1, 2)
+    assert sub.dim == 3 and sub.cells is None
+    assert residual_norm(sub.projector(), np.eye(3)) < 1e-12
 
 
 def test_orthonormal_zero_matrix():
@@ -330,29 +329,46 @@ def test_subspace_rejects_basis_out_of_cells_order():
 
 def test_coordinate_results_take_from_cells_form():
     """Local coordinate i of a coordinate result is always cell cells[i]."""
-    swapped = np.eye(3)[:, [2, 0]]
     results = [
-        orthonormal_basis(swapped),
-        intersect(Subspace(3, swapped), Subspace.full(3)),
-        complement(Subspace(4, np.eye(4)[:, [1, 3]])),
-        nullspace(np.diag([0.0, 1.0, 0.0])),
+        intersect(Subspace.from_cells(3, [2, 0, 1]), Subspace.from_cells(3, [0, 2])),
+        complement(Subspace.from_cells(4, [3, 1])),
+        subtract(Subspace.full(4), Subspace.from_cells(4, [3, 1])),
     ]
     for got in results:
         assert got.cells is not None and got.dim == 2
         assert np.array_equal(got.basis, Subspace.from_cells(got.ambient, got.cells).basis)
 
 
-# --- unit-column probe ------------------------------------------------------------
+def test_dense_operands_give_basis_held_results():
+    """A basis-held operand gives a basis-held result, even when that result
+    is a coordinate span: exactness comes from how a value is held."""
+    swapped = np.eye(3)[:, [2, 0]]
+    results = [
+        (orthonormal_basis(swapped), (0, 2)),
+        (intersect(Subspace(3, swapped), Subspace.full(3)), (0, 2)),
+        (complement(Subspace(4, np.eye(4)[:, [1, 3]])), (0, 2)),
+        (subtract(Subspace(3, np.eye(3)), Subspace.from_cells(3, [1])), (0, 2)),
+        (nullspace(np.diag([0.0, 1.0, 0.0])), (0, 2)),
+    ]
+    for got, cells in results:
+        assert got.cells is None and got.dim == 2
+        assert got.gap(Subspace.from_cells(got.ambient, cells)) < 1e-12
+
+
+# --- coordinate cells ------------------------------------------------------------
 
 def test_coordinate_cells_of_unit_columns_in_any_order():
-    basis = np.zeros((5, 3), dtype=np.complex128)
-    basis[4, 0] = basis[0, 1] = basis[2, 2] = 1.0
-    assert _coordinate_cells(basis) == (0, 2, 4)
-    assert _coordinate_cells(np.zeros((4, 0))) == ()
+    """``from_cells`` sorts the cells it is given; its basis columns follow them."""
+    sub = Subspace.from_cells(5, [4, 0, 2])
+    assert tuple(sub.cells) == (0, 2, 4)
+    assert np.array_equal(sub.basis, np.eye(5)[:, [0, 2, 4]])
+    assert tuple(Subspace.from_cells(4, []).cells) == ()
 
 
 @pytest.mark.parametrize("case", ["phase", "shared_row", "zero_column", "two_nonzeros"])
 def test_coordinate_cells_rejects_non_coordinate_columns(case):
+    """Columns that are not distinct unit vectors span a basis-held subspace,
+    the span that the Gram elimination oracle finds."""
     basis = np.zeros((4, 2), dtype=np.complex128)
     basis[0, 0] = basis[1, 1] = 1.0
     if case == "phase":
@@ -365,4 +381,7 @@ def test_coordinate_cells_rejects_non_coordinate_columns(case):
     else:
         basis[:, 1] = 0.0
         basis[2, 1] = basis[3, 1] = np.sqrt(0.5)
-    assert _coordinate_cells(basis) is None
+    sub = orthonormal_basis(basis)
+    oracle = gram_elimination_basis(basis)
+    assert sub.cells is None and sub.dim == oracle.shape[1]
+    assert residual_norm(sub.projector(), projector(oracle)) < 1e-12

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from isoflow.decompose import classify_pair
+from isoflow.duality import _torus_unitary
 from isoflow.errors import InvalidInput, InvalidShift, WindowTooSmall
 from isoflow.numlin import _from_image
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _circulant_image,
-                                _cut_shift_images, _torus_image, bishift_families,
+                                _cut_shift_images, bishift_families,
                                 bishift_pair, check_semigroup_law, circulant_family,
                                 direct_sum, grid_steps, halfline_shift,
                                 halfline_shift_family, modified_bishift_pair,
                                 phi_family, phi_multiplier, tensor_with_identity)
-from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D, TorusGrid2D
+from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
 
 def test_grid_steps():
@@ -242,11 +243,12 @@ def test_modified_bishift_cases():
 
 
 def test_torus_translation_group_law():
-    grid = TorusGrid2D(4)
-    assert np.array_equal(_from_image(_torus_image(grid, 0, 0)), np.eye(16))
-    t = _from_image(_torus_image(grid, 1, 0))
-    assert np.array_equal(np.linalg.matrix_power(t, 4), np.eye(16))
-    assert np.array_equal(t.conj().T, _from_image(_torus_image(grid, -1, 0)))
+    region = LRegionIndex(1, 2)  # a 4 x 4 torus
+    t = _torus_unitary(region, 0, forward=True)
+    assert np.array_equal(np.linalg.matrix_power(t.matrix, 4), np.eye(16))
+    assert np.array_equal(t.matrix.conj().T, _torus_unitary(region, 0, forward=False).matrix)
+    u = _torus_unitary(region, 1, forward=True)
+    assert np.array_equal((t @ u).image, (u @ t).image)
 
 
 def test_circulant_examples():
