@@ -13,8 +13,7 @@ from .errors import (DimensionMismatch, InternalInconsistency, InvalidInput, Inv
                      IsoflowError, PreconditionFailed, WindowTooSmall)
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, complement, intersect,
                      orthonormal_basis, residual_norm, subtract)
-from .spaces import (CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D,
-                     TorusGrid2D, lambda_reorder)
+from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, bishift_families,
                          bishift_pair, check_semigroup_law, circulant_family,
                          direct_sum, grid_steps, halfline_shift, halfline_shift_family,
@@ -24,7 +23,7 @@ from .decompose import (CommutationReport, FourfoldResult, WoldResult, bcl_check
                         classify_pair, fourfold_decompose, product_unitary_part,
                         verify_joint_equivalence, wold_cooper)
 from .commutant import (CommutantBasis, commutant_of_partial_isometries,
-                        doubly_commutant_of_mz, fuglede_instance_check, theta_compress)
+                        doubly_commutant_of_mz, fuglede_instance_check)
 from .duality import (DualFourfoldResult, DualResult, ExtensionSetup, OrbitSpan,
                       bishift_setup, circulant_pair_setup, double_dual_check,
                       dual_cnu_check, dual_fourfold, dual_pair, halfline_circulant_setup,

@@ -13,63 +13,64 @@ Constraints are only imposed on faithful columns of the truncated
 operators; including boundary equations would over-constrain, because a
 truncation is not isometric at the top of its window.
 
-The solvers also verify the structural form the solutions must take
-(a fiber operator conjugated into the cell ordering, or an identity
-tensor across degree blocks) and report the worst reconstruction
-residual; ``fiber_scalar`` is declared below 1e-8, which separates real
-structure from accidental near-solutions.
+The solution is held as that partition: an n x n ``int64`` array of class
+labels.  Both solved spaces must have the form I (x) omega across blocks
+of consecutive coordinates (cells of the interval, or degrees), and the
+solvers decide that form by comparing label arrays, with no tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed
-from .numlin import DEFAULT_TOL, Tolerances, _from_image, residual_norm, spectral_norm
+from .numlin import DEFAULT_TOL, Tolerances, residual_norm, spectral_norm
 from .report import CheckEntry, Report
 from .semigroups import SemigroupFamily, _cut_shift_images, _forward_image, _pair_residual
-from .spaces import lambda_reorder
 
 __all__ = [
     "CommutantBasis",
     "commutant_of_partial_isometries",
-    "theta_compress",
     "doubly_commutant_of_mz",
     "fuglede_instance_check",
 ]
 
-FIBER_SCALAR_THRESHOLD = 1e-8
-
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """A solved commutant.
+    """A solved commutant, held as the read-only n x n ``labels`` array.
 
-    ``basis`` holds the 0/1 indicators of the free entry classes, ordered
-    by smallest column-major entry index; they are linearly independent
-    with disjoint supports, but not an orthonormal set.
+    ``labels[i, k]`` is the class of entry (i, k) of B, numbered 0..dim-1
+    by smallest column-major entry index, or -1 where it is forced to zero.
+    ``basis`` holds the 0/1 class indicators in label order, built on first
+    read and kept; they have disjoint supports, but are not orthonormal.
     """
 
-    dim: int
-    basis: tuple[np.ndarray, ...]
+    labels: np.ndarray
     structure_verdict: str  # "fiber_scalar" | "other"
     max_structure_residual: float
 
+    @property
+    def dim(self) -> int:
+        return int(self.labels.max(initial=-1)) + 1
 
-def _unvec(vector: np.ndarray, n: int) -> np.ndarray:
-    return vector.reshape((n, n), order="F")
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        return tuple((self.labels == k).astype(np.complex128) for k in range(self.dim))
 
 
-def _exact_commutant(ops, n: int) -> tuple[np.ndarray, ...]:
-    """0/1 indicators spanning {B : [B, M] = 0 on the given columns, for every op}.
+def _exact_commutant(ops, n: int) -> np.ndarray:
+    """Entry classes of {B : [B, M] = 0 on the given columns, for every op}.
 
     Each op is ``(image, columns)`` with ``image`` the image array of a
     0/1 partial permutation on C^n.  Entry (i, k) of B has vec index
-    i + k*n; index n*n is the zero sentinel.  The indicators are ordered
-    by smallest vec index.
+    i + k*n; index n*n is the zero sentinel.  The result is the read-only
+    n x n ``int64`` array that labels each entry with its class, numbered
+    by smallest vec index, or -1 where the entry is forced to zero.
     """
     zero = n * n
     parent = list(range(zero + 1))
@@ -101,9 +102,28 @@ def _exact_commutant(ops, n: int) -> tuple[np.ndarray, ...]:
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)  # every root is its class minimum
     roots = np.array([find(a) for a in range(zero)], dtype=np.int64)
-    forced = find(zero)
-    return tuple(_unvec((roots == root).astype(np.complex128), n)
-                 for root in sorted(set(roots.tolist()) - {forced}))
+    free = roots != find(zero)
+    labels = np.full(zero, -1, dtype=np.int64)
+    # a root is its class minimum, so sorted roots number the classes by smallest vec index
+    labels[free] = np.unique(roots[free], return_inverse=True)[1]
+    labels = labels.reshape((n, n), order="F")
+    labels.flags.writeable = False
+    return labels
+
+
+def _fiber_form(labels: np.ndarray, blocks: int) -> CommutantBasis:
+    """The solved commutant with its verdict on the form I_blocks (x) omega.
+
+    Every class indicator b is I (x) b_0, b_0 its leading block, exactly
+    when ``labels`` is its leading block on each diagonal block and -1 off
+    them.  Entries of b - I (x) b_0 are 0 or +-1, so a failing form has a
+    residual of norm at least 1, reported as 1.0.
+    """
+    fiber = labels.shape[0] // blocks
+    tiled = np.kron(np.eye(blocks, dtype=np.int64), labels[:fiber, :fiber] + 1) - 1
+    if np.array_equal(labels, tiled):
+        return CommutantBasis(labels, "fiber_scalar", 0.0)
+    return CommutantBasis(labels, "other", 1.0)
 
 
 def commutant_of_partial_isometries(m: int, r: int) -> CommutantBasis:
@@ -111,10 +131,10 @@ def commutant_of_partial_isometries(m: int, r: int) -> CommutantBasis:
 
     The constraint set ranges over the shifts j = 1..m-1, which are all
     the realizable ones on an m-cell interval.  The expected solution
-    space is r^2-dimensional with every element of the fiber-scalar form;
-    the verdict and worst reconstruction residual are reported, not
-    assumed (the grid analogue of the continuum statement is instance
-    evidence, not a proof).
+    space is r^2-dimensional with every element of the fiber-scalar form
+    I_m (x) C; the verdict and its residual are reported, not assumed (the
+    grid analogue of the continuum statement is instance evidence, not a
+    proof).
     """
     if m < 2:
         raise InvalidInput("m must be >= 2: a single cell imposes no constraint")
@@ -122,28 +142,7 @@ def commutant_of_partial_isometries(m: int, r: int) -> CommutantBasis:
         raise InvalidInput("fiber dimension must be >= 1")
     n = m * r
     ops = [(image, range(n)) for j in range(1, m) for image in _cut_shift_images(m, j, r)]
-    basis = _exact_commutant(ops, n)
-    lam = lambda_reorder(m, r)
-    worst = 0.0
-    for b in basis:
-        c = theta_compress(b, m, r)
-        rebuilt = lam @ np.kron(c, np.eye(m, dtype=np.complex128)) @ lam.conj().T
-        worst = max(worst, residual_norm(b, rebuilt))
-    verdict = "fiber_scalar" if worst <= FIBER_SCALAR_THRESHOLD else "other"
-    return CommutantBasis(len(basis), basis, verdict, worst)
-
-
-def theta_compress(b: np.ndarray, m: int, r: int) -> np.ndarray:
-    """Compress a cell-space operator to the fiber along constant functions.
-
-    The embedding sends a fiber vector to the constant cell function with
-    value x/sqrt(m), so the compression is unital: B = I gives C = I_r.
-    """
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (m * r, m * r):
-        raise DimensionMismatch(f"operator shape {b.shape} does not match ({m * r}, {m * r})")
-    flat = _from_image(np.arange(m * r) % r, r).T  # sqrt(m) * Theta, kept integer-exact
-    return (flat.conj().T @ b @ flat) / m
+    return _fiber_form(_exact_commutant(ops, n), m)
 
 
 def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
@@ -162,14 +161,7 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
     mz = _forward_image(n, r)  # degree block b -> b + 1
     mz_adj = np.arange(n) - r
     mz_adj[:r] = -1
-    basis = _exact_commutant([(mz, range(n - r)), (mz_adj, range(r, n))], n)
-    eye_deg = np.eye(d + 1, dtype=np.complex128)
-    worst = 0.0
-    for b in basis:
-        omega = b[:r, :r]
-        worst = max(worst, residual_norm(b, np.kron(eye_deg, omega)))
-    verdict = "fiber_scalar" if worst <= FIBER_SCALAR_THRESHOLD else "other"
-    return CommutantBasis(len(basis), basis, verdict, worst)
+    return _fiber_form(_exact_commutant([(mz, range(n - r)), (mz_adj, range(r, n))], n), d + 1)
 
 
 def _fiber_block_average(matrix: np.ndarray, fiber: int, cells) -> np.ndarray:

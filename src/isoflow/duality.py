@@ -436,7 +436,7 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
     entries = [CheckEntry("dual_bishift_dims", 0.0, split.dims, True)]
     if setup.h.cells is None:
         raise PreconditionFailed("original space is not a coordinate subspace")
-    canonical_cells = np.array(region.l_cells())
+    canonical_cells = region.l_cells()
     at = _positions(canonical_cells, setup.h.ambient)[setup.h.cells]  # setup -> canonical
     if (at < 0).any():
         raise PreconditionFailed("original space does not sit on the L-region cells")
@@ -530,7 +530,7 @@ def l_region_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
     return ExtensionSetup(
         u1=_torus_unitary(region, 0, forward=False),
         u2=_torus_unitary(region, 1, forward=False),
-        h=Subspace.from_cells(region.parent.dim, region.l_cells()),
+        h=Subspace(region.parent.dim, cells=region.l_cells()),
         cells_per_unit=m,
         label=f"l_region(m={m},T={T},r={r})",
         geometry=region)
@@ -542,7 +542,7 @@ def bishift_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
     return ExtensionSetup(
         u1=_torus_unitary(region, 0, forward=True),
         u2=_torus_unitary(region, 1, forward=True),
-        h=Subspace.from_cells(region.parent.dim, region.quadrant_cells()),
+        h=Subspace(region.parent.dim, cells=region.quadrant_cells()),
         cells_per_unit=m,
         label=f"bishift_setup(m={m},T={T},r={r})",
         geometry=region)

@@ -28,6 +28,7 @@ Zero-dimensional subspaces are ordinary values throughout, never errors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,17 @@ def _from_image(image, rows: int | None = None) -> np.ndarray:
     return matrix
 
 
+def _index_array(values) -> np.ndarray:
+    """An array as it is; any other iterable read entry by entry with
+    ``operator.index``, so that a float raises InvalidInput, not truncated."""
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        return np.fromiter(map(operator.index, values), dtype=np.int64)
+    except TypeError:
+        raise InvalidInput("indices must be integers") from None
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of an integer array (a sort and a neighbour test)."""
     values = np.sort(values)
@@ -154,11 +166,13 @@ class Subspace:
         if self.cells is not None:
             if self._basis is not None:
                 raise InvalidInput("a subspace takes a basis or cells, not both")
-            cells = np.asarray(self.cells, dtype=np.int64).view()
-            cells.flags.writeable = False
-            if (cells.ndim != 1 or (cells.size and not 0 <= cells[0] <= cells[-1] < self.ambient)
+            cells = _index_array(self.cells)
+            if (cells.ndim != 1 or (cells.size and cells.dtype.kind not in "iu")
+                    or (cells.size and not 0 <= cells[0] <= cells[-1] < self.ambient)
                     or (cells[1:] <= cells[:-1]).any()):
                 raise InvalidInput("cells must be strictly increasing indices of the ambient space")
+            cells = cells.astype(np.int64, copy=False).view()
+            cells.flags.writeable = False
             self.cells = cells
             return
         if self._basis is None:
@@ -199,9 +213,7 @@ class Subspace:
     @classmethod
     def from_cells(cls, ambient: int, cells) -> "Subspace":
         """Span of the standard basis vectors at ``cells``, given in any order."""
-        if not isinstance(cells, np.ndarray):
-            cells = np.fromiter(cells, dtype=np.int64)
-        return cls(ambient, cells=np.sort(cells))
+        return cls(ambient, cells=np.sort(_index_array(cells)))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":

@@ -45,8 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _from_image, _positions,
-                     as_matrix, residual_norm, spectral_norm)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _from_image, _index_array,
+                     _positions, as_matrix, residual_norm, spectral_norm)
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
@@ -116,12 +116,12 @@ def _window(window, n: int, outside: str) -> np.ndarray:
     """Read-only boolean mask of length n for ``window``.
 
     ``window`` is a boolean array of length n, an integer index array, or
-    any iterable of indices (a set, a range, a list).  An index outside
-    [0, n) raises InvalidInput with the message ``outside``.  A boolean
-    array is kept as a read-only view, not copied, as the image is.
+    any iterable of integer indices (a set, a range, a list).  A float
+    entry, and an index outside [0, n), raise InvalidInput; the latter
+    with the message ``outside``.  A boolean array is kept as a read-only
+    view, not copied, as the image is.
     """
-    if not isinstance(window, np.ndarray):
-        window = np.fromiter(map(int, window), dtype=np.int64)
+    window = _index_array(window)
     if window.dtype == bool:
         if window.shape != (n,):
             raise InvalidInput(f"window mask of shape {window.shape} for {n} indices")
@@ -561,7 +561,7 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
     half = region.half
     if j > 2 * half:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {2 * half}-cell axis")
-    cells = np.array(region.l_cells())
+    cells = region.l_cells()
     n, r = region.parent.n, region.r
     k1, k2, _ = np.unravel_index(cells, (n, n, r))
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .numlin import _from_image
 
 __all__ = [
     "CellGrid1D",
@@ -39,7 +38,6 @@ __all__ = [
     "QuadrantGrid2D",
     "TorusGrid2D",
     "LRegionIndex",
-    "lambda_reorder",
 ]
 
 
@@ -154,8 +152,8 @@ class LRegionIndex:
     Lives inside a parent torus with ``n = 2*m*T`` cells per axis; axis
     index ``k`` stands for the physical cell ``k - m*T``.  The selected
     (L-shaped) cells and the removed quadrant cells are reported as
-    sorted flat parent indices, which fixes the coordinate order of every
-    operator built on them.
+    sorted, read-only ``int64`` arrays of flat parent indices, which fixes
+    the coordinate order of every operator built on them.
     """
 
     m: int
@@ -172,22 +170,16 @@ class LRegionIndex:
         """Cells per half axis, i.e. m*T."""
         return self.m * self.T
 
-    def _in_quadrant(self) -> np.ndarray:
-        """Mask of the parent coordinates inside the removed quadrant."""
+    def _cells(self, in_quadrant: bool) -> np.ndarray:
+        """The parent coordinates inside (or outside) the removed quadrant."""
         n = self.parent.n
         k1, k2, _ = np.unravel_index(np.arange(self.parent.dim), (n, n, self.r))
-        return (k1 >= self.half) & (k2 >= self.half)
+        cells = np.flatnonzero(((k1 >= self.half) & (k2 >= self.half)) == in_quadrant)
+        cells.flags.writeable = False
+        return cells
 
-    def quadrant_cells(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._in_quadrant()).tolist())
+    def quadrant_cells(self) -> np.ndarray:
+        return self._cells(True)
 
-    def l_cells(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(~self._in_quadrant()).tolist())
-
-
-def lambda_reorder(m: int, r: int = 1) -> np.ndarray:
-    """Permutation from fiber-major (rho*m + k) to cell-major (k*r + rho)."""
-    _require_positive(m=m, r=r)
-    rho, k = np.divmod(np.arange(m * r), m)
-    return _from_image(k * r + rho)
-
+    def l_cells(self) -> np.ndarray:
+        return self._cells(False)

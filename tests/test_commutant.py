@@ -1,18 +1,20 @@
 """Commutant solvers cross-checked against explicit structural solutions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.commutant import (_exact_commutant, commutant_of_partial_isometries,
-                               doubly_commutant_of_mz, fuglede_instance_check, theta_compress)
-from isoflow.errors import DimensionMismatch, InvalidInput, PreconditionFailed
+from isoflow.commutant import (_exact_commutant, _fiber_form, commutant_of_partial_isometries,
+                               doubly_commutant_of_mz, fuglede_instance_check)
+from isoflow.errors import InvalidInput, PreconditionFailed
 from isoflow.numlin import _from_image, residual_norm
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _cut_shift_images,
                                 circulant_family, halfline_shift_family, tensor_with_identity)
 from test_numlin import nullspace
-from isoflow.spaces import CellGrid1D, lambda_reorder
+from isoflow.spaces import CellGrid1D
 
 RNG = np.random.default_rng(7)
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -20,9 +22,8 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 def fiber_candidate(m, r, c):
     """Explicit member of the expected commutant: the fiber operator c
-    transported into the cell-major ordering."""
-    lam = lambda_reorder(m, r)
-    return lam @ np.kron(c, np.eye(m, dtype=np.complex128)) @ lam.conj().T
+    on every cell of the cell-major ordering."""
+    return np.kron(np.eye(m, dtype=np.complex128), c)
 
 
 def vec(mat):
@@ -141,40 +142,6 @@ def test_commutant_e_needs_constraints():
         commutant_of_partial_isometries(1, 2)
 
 
-# --- fiber compression --------------------------------------------------------------
-
-def test_theta_compress_unital():
-    assert np.array_equal(theta_compress(np.eye(6), 3, 2), np.eye(2))
-
-
-def test_theta_compress_recovers_fiber_operator():
-    c0 = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
-    b = fiber_candidate(4, 2, c0)
-    recovered = theta_compress(b, 4, 2)
-    assert residual_norm(recovered, c0) < 1e-12
-
-
-def test_theta_compress_is_linear():
-    b1 = fiber_candidate(3, 2, RNG.standard_normal((2, 2)))
-    b2 = fiber_candidate(3, 2, RNG.standard_normal((2, 2)))
-    lhs = theta_compress(b1 + 2.0 * b2, 3, 2)
-    rhs = theta_compress(b1, 3, 2) + 2.0 * theta_compress(b2, 3, 2)
-    assert residual_norm(lhs, rhs) < 1e-12
-
-
-def test_theta_compress_cell_permutation_diagnostic():
-    swap = np.zeros((3, 3), dtype=np.complex128)
-    swap[0, 1] = swap[1, 0] = swap[2, 2] = 1.0
-    c = theta_compress(swap, 3, 1)
-    assert c.shape == (1, 1)
-    assert abs(c[0, 0] - 1.0) < 1e-12  # trace-like average of the cell action
-
-
-def test_theta_compress_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        theta_compress(np.eye(5), 3, 2)
-
-
 # --- truncated degree-shift double commutant ------------------------------------------
 
 
@@ -220,6 +187,43 @@ def test_mz_invalid_degree():
         doubly_commutant_of_mz(0, 1)
 
 
+def test_mz_commutant_memory_stays_at_the_label_array():
+    """d = 20, r = 8 (n = 168): the labels take 0.2 MiB and the union-find
+    lists a few MiB; held as 64 dense complex indicators the basis alone took
+    about 28 MiB."""
+    tracemalloc.start()
+    try:
+        result = doubly_commutant_of_mz(20, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.dim == 64 and result.structure_verdict == "fiber_scalar"
+    assert peak < 8 * 2**20
+
+
+# --- structure verdict -------------------------------------------------------------------
+
+def test_fiber_form_other_verdict():
+    """One class living only on cell 0 of two is not of the form I (x) omega:
+    its indicator minus I (x) its leading block is diag(0, -1)."""
+    labels = np.array([[0, -1], [-1, -1]])
+    result = _fiber_form(labels, 2)
+    assert (result.structure_verdict, result.max_structure_residual) == ("other", 1.0)
+    assert result.dim == 1
+    (b,) = result.basis
+    assert residual_norm(b, np.kron(np.eye(2), b[:1, :1])) == 1.0
+    diagonal = _fiber_form(np.array([[0, -1], [-1, 0]]), 2)
+    assert (diagonal.structure_verdict, diagonal.max_structure_residual) == ("fiber_scalar", 0.0)
+
+
+def test_basis_is_built_once_from_the_labels():
+    result = commutant_of_partial_isometries(3, 2)
+    assert not result.labels.flags.writeable and result.labels.dtype == np.int64
+    basis = result.basis
+    assert result.basis is basis
+    assert all(np.array_equal(b, result.labels == k) for k, b in enumerate(basis))
+
+
 # --- exact solver on arbitrary partial permutations --------------------------------------
 
 @st.composite
@@ -250,7 +254,11 @@ def test_exact_commutant_matches_svd_oracle_on_partial_permutations(case):
     dense = [(dense_of(image), cols) for image, cols in ops]
     for (image, _), (mat, _) in zip(ops, dense):
         assert np.array_equal(_from_image(image), mat)
-    basis = _exact_commutant(ops, n)
+    labels = _exact_commutant(ops, n)
+    assert labels.shape == (n, n) and labels.dtype == np.int64 and not labels.flags.writeable
+    dim = int(labels.max(initial=-1)) + 1
+    assert set(range(dim)) <= set(labels.ravel().tolist()) <= set(range(-1, dim))
+    basis = [(labels == k).astype(np.complex128) for k in range(dim)]
     for b in basis:
         for mat, cols in dense:
             assert residual_norm((b @ mat)[:, cols], (mat @ b)[:, cols]) == 0.0

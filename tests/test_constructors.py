@@ -17,8 +17,7 @@ from isoflow.duality import _torus_unitary
 from isoflow.numlin import Subspace, _from_image
 from isoflow.semigroups import (_circulant_image, _cut_shift_images, bishift_pair,
                                 halfline_shift, modified_bishift_pair, phi_multiplier)
-from isoflow.spaces import (CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D,
-                            lambda_reorder)
+from isoflow.spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 SMALL = st.integers(1, 3)
@@ -138,7 +137,7 @@ def test_modified_bishift_pair(m, T, r, data):
     region = LRegionIndex(m, T, r)
     j = data.draw(st.integers(0, 2 * region.half))
     n = region.parent.n
-    cells = region.l_cells()
+    cells = region.l_cells().tolist()
     local = {cell: pos for pos, cell in enumerate(cells)}
     got = modified_bishift_pair(region, Fraction(j, m))
     for axis in (0, 1):
@@ -194,21 +193,11 @@ def test_torus_axis_faithful(m, T, r, axis, forward):
 def test_l_region_cells(m, T, r):
     region = LRegionIndex(m, T, r)
     quadrant = reference_quadrant_cells(region)
-    assert region.quadrant_cells() == tuple(quadrant)
-    assert region.l_cells() == tuple(i for i in range(region.parent.dim) if i not in quadrant)
+    assert region.quadrant_cells().tolist() == quadrant
+    assert region.l_cells().tolist() == [i for i in range(region.parent.dim) if i not in quadrant]
 
 
-# --- fiber reordering and coordinate subspaces ---------------------------------
-
-@SETTINGS
-@given(st.integers(1, 5), st.integers(1, 4))
-def test_lambda_reorder(m, r):
-    mat = zeros(m * r)
-    for rho in range(r):
-        for k in range(m):
-            mat[k * r + rho, rho * m + k] = 1.0
-    assert_same_bits(lambda_reorder(m, r), mat)
-
+# --- coordinate subspaces -----------------------------------------------------------
 
 @SETTINGS
 @given(st.integers(1, 8), st.data())

@@ -54,7 +54,7 @@ def test_extension_l_region_covers_torus():
     covered = set()
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
-            for cell in region.l_cells():
+            for cell in region.l_cells().tolist():
                 k1, k2 = divmod(cell, n)
                 covered.add(((k1 + a) % n) * n + ((k2 + b) % n))
     assert covered == set(range(16))

@@ -219,7 +219,7 @@ def test_bishift_commutes_exactly():
 
 
 def _l_local(region, c1, c2):
-    cells = region.l_cells()
+    cells = region.l_cells().tolist()
     flat = region.parent.index(c1 + region.half, c2 + region.half)
     return cells.index(flat)
 

@@ -1,19 +1,10 @@
-"""Grid layouts and the fiber reordering permutation."""
+"""Grid layouts and the L-region cell arrays."""
 
 import numpy as np
 import pytest
 
 from isoflow.errors import InvalidInput
-from isoflow.spaces import (CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D,
-                            TorusGrid2D, lambda_reorder)
-
-
-def is_permutation_matrix(m):
-    """Exact integer check: one 1 per row and column, all else 0."""
-    if not np.array_equal(m, m.astype(bool).astype(complex)):
-        return False
-    return (np.array_equal(np.count_nonzero(m, axis=0), np.ones(m.shape[1], dtype=int))
-            and np.array_equal(np.count_nonzero(m, axis=1), np.ones(m.shape[0], dtype=int)))
+from isoflow.spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 
 
 def test_coefficient_index_equals_grid_index():
@@ -26,22 +17,15 @@ def test_coefficient_index_equals_grid_index():
                     assert coeff.index(n, j, rho) == grid.index(n * m + j, rho)
 
 
-def test_lambda_reorder_examples():
-    assert np.array_equal(lambda_reorder(1, 4), np.eye(4))
-    assert np.array_equal(lambda_reorder(4, 1), np.eye(4))
-    lam = lambda_reorder(2, 2)
-    assert lam[2, 1] == 1.0  # fiber-major (rho=0, k=1) -> cell-major (k=1, rho=0)
-    lam32 = lambda_reorder(3, 2)
-    assert np.array_equal(lam32 @ lam32.conj().T, np.eye(6))
-    assert is_permutation_matrix(lam32)
-
-
 def test_l_region_counts():
     for m, T in [(1, 2), (1, 3), (2, 2)]:
         region = LRegionIndex(m, T)
-        assert len(region.l_cells()) == 3 * (m * T) ** 2
-        assert len(region.quadrant_cells()) == (m * T) ** 2
-        assert set(region.l_cells()) | set(region.quadrant_cells()) == set(range(region.parent.dim))
+        l_cells, quadrant = region.l_cells(), region.quadrant_cells()
+        assert len(l_cells) == 3 * (m * T) ** 2
+        assert len(quadrant) == (m * T) ** 2
+        assert set(l_cells.tolist()) | set(quadrant.tolist()) == set(range(region.parent.dim))
+        for cells in (l_cells, quadrant):
+            assert cells.dtype == np.int64 and not cells.flags.writeable
 
 
 def test_grid_index_validation():

@@ -78,13 +78,15 @@ def test_cells_subspace_builds_its_basis_only_when_read(monkeypatch):
 
 
 def test_cells_are_validated_as_a_strictly_increasing_index_array():
-    for bad in ([2, 1], [1, 1], [-1, 2], [0, 6], [[0, 1]]):
+    for bad in ([2, 1], [1, 1], [-1, 2], [0, 6], [[0, 1]], [0.5, 1.7], np.array([0.0, 2.0])):
         with pytest.raises(InvalidInput):
             Subspace(6, cells=bad)
     with pytest.raises(InvalidInput):
         Subspace(6)
-    with pytest.raises(InvalidInput):
-        Subspace.from_cells(6, [1, 1])
+    for bad in ([1, 1], [2.9, 0.2], np.array([1.5])):  # a float cell is not truncated
+        with pytest.raises(InvalidInput):
+            Subspace.from_cells(6, bad)
+    assert Subspace(6, cells=[]).dim == 0 and Subspace.from_cells(6, []).dim == 0
     sub = Subspace.from_cells(6, {5, 0, 2})
     assert tuple(sub.cells) == (0, 2, 5) and sub.cells.dtype == np.int64
     assert not sub.cells.flags.writeable

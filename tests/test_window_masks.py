@@ -21,6 +21,7 @@ import pytest
 from isoflow import catalog, duality
 from isoflow.catalog import Scenario, run_scenario
 from isoflow.cli import load_scenarios
+from isoflow.commutant import CommutantBasis
 from isoflow.decompose import wold_cooper
 from isoflow.errors import DimensionMismatch, InternalInconsistency, InvalidInput
 from isoflow.numlin import Subspace, _from_image
@@ -50,7 +51,8 @@ def test_halfline_power_cache_at_default_k_stays_small():
 def test_bundled_configs_read_no_frozenset_window(monkeypatch):
     """The catalog is exact by construction: no bundled scenario reads a
     frozenset window, builds a dense ``WindowedMap``, or reads a dense
-    matrix, basis or projector."""
+    matrix, basis or projector, the indicator basis of a commutant
+    included."""
     reads = []
 
     def counting(name, read):
@@ -67,6 +69,8 @@ def test_bundled_configs_read_no_frozenset_window(monkeypatch):
                         property(counting("matrix", WindowedMap.matrix.fget)))
     monkeypatch.setattr(Subspace, "basis", property(counting("basis", Subspace.basis.fget)))
     monkeypatch.setattr(Subspace, "projector", counting("projector", Subspace.projector))
+    monkeypatch.setattr(CommutantBasis, "basis", property(
+        counting("commutant basis", CommutantBasis.__dict__["basis"].func)))
     configs = sorted((ROOT / "configs").glob("*.cfg"))
     assert configs
     for config in configs:
@@ -89,6 +93,8 @@ def test_window_validation_and_read_only_masks():
         WindowedMap(np.eye(3), np.array([[0, 1]]), ())
     with pytest.raises(InvalidInput):
         WindowedMap(np.eye(3), np.array([0.0, 1.0]), ())
+    with pytest.raises(InvalidInput):
+        WindowedMap.from_image([0, 1], [0.5], [0, 1])  # not truncated to {0}
     source = np.array([True, False, True])
     x = WindowedMap.from_image(image, source, range(3))
     for mask in (x.faithful_mask, x.adj_faithful_mask):
