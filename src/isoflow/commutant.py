@@ -1,14 +1,17 @@
-"""Commutants of the structured operator families, solved exactly by union-find.
+"""Commutants of the structured operator families, solved exactly by hook-and-shortcut.
 
 Every operator the solvers constrain against is a 0/1 partial permutation
 pi, held as its image array (the row of each column's single 1, -1 for a
 zero column).  For such an operator the commutation constraint on column
 j of [B, M] = 0 reads, entrywise, B[i, pi(j)] = B[pi^-1(i), j]; a side
 whose index does not exist is the constant 0.  Every equation therefore
-has the form b_a = b_b or b_a = 0, and a union-find over the n^2 entries
-of B (plus one zero sentinel) solves the whole system: each class not
-joined to the sentinel is one free coefficient, and its 0/1 indicator is
-one basis element.  No rank decision and no tolerance is involved.
+has the form b_a = b_b or b_a = 0, and the connected components of these
+equations over the n^2 entries of B (plus one zero sentinel) solve the
+whole system: each class not joined to the sentinel is one free
+coefficient, and its 0/1 indicator is one basis element.  No rank
+decision and no tolerance is involved.  The components are found by
+hook-and-shortcut (Shiloach & Vishkin 1982, J. Algorithms 3(1)) in a few
+numpy rounds, the equations taken in blocks of at most ``_BLOCK_ENTRIES``.
 Constraints are only imposed on faithful columns of the truncated
 operators; including boundary equations would over-constrain, because a
 truncation is not isometric at the top of its window.
@@ -63,6 +66,51 @@ class CommutantBasis:
         return tuple((self.labels == k).astype(np.complex128) for k in range(self.dim))
 
 
+_BLOCK_ENTRIES = 32768  # equations per block of _exact_commutant, one constrained column at least
+_LABEL_BUDGET = 2**28  # bytes of int64 labels, one per entry of B and one for the zero sentinel
+
+
+def _components(blocks, size: int) -> tuple[np.ndarray, int]:
+    """Classes of the equations x_a = x_b on indices 0..size-1, and the rounds taken.
+
+    ``blocks`` yields pairs (lhs, rhs) of equal-shape index arrays, each a
+    block of equations lhs = rhs.  The result labels every index with the
+    smallest index of its class.  Each block runs hook-and-shortcut rounds
+    until its equations hold: a round keeps the equations whose two ends
+    still carry different roots, hooks each larger root onto the smallest
+    root it meets with ``np.minimum.at``, and shortcuts ``lab[ends] =
+    lab[lab[ends]]`` until nothing changes.  Hooks go only from one root of
+    the block's first round to another, so shortcutting those roots keeps
+    every label a root within the block, and one ``lab = lab[lab]``
+    afterwards does so everywhere.  Classes only merge, so an equation that
+    held after an earlier block still holds; and a root never hooks onto a
+    larger index, so every root is its class minimum.
+    """
+    lab = np.arange(size)
+    rounds = 0
+    for lhs, rhs in blocks:
+        a, b = lab[lhs.ravel()], lab[rhs.ravel()]
+        differ = a != b
+        if not differ.any():
+            continue
+        a, b = a[differ], b[differ]
+        ends = np.concatenate([a, b])
+        while a.size:
+            np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+            parent = lab[ends]
+            while True:
+                grand = lab[parent]
+                if np.array_equal(grand, parent):
+                    break
+                lab[ends] = parent = grand
+            rounds += 1
+            a, b = lab[a], lab[b]
+            differ = a != b
+            a, b = a[differ], b[differ]
+        lab = lab[lab]
+    return lab, rounds
+
+
 def _exact_commutant(ops, n: int) -> np.ndarray:
     """Entry classes of {B : [B, M] = 0 on the given columns, for every op}.
 
@@ -70,43 +118,53 @@ def _exact_commutant(ops, n: int) -> np.ndarray:
     0/1 partial permutation on C^n.  Entry (i, k) of B has vec index
     i + k*n; index n*n is the zero sentinel.  The result is the read-only
     n x n ``int64`` array that labels each entry with its class, numbered
-    by smallest vec index, or -1 where the entry is forced to zero.
+    by smallest vec index, or -1 where the entry is forced to zero.  A
+    space whose labels would exceed ``_LABEL_BUDGET`` bytes raises
+    ``InvalidInput`` before anything of that size is allocated.
     """
     zero = n * n
-    parent = list(range(zero + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rows = np.arange(n)
-    for image, columns in ops:
+    need = 8 * (zero + 1)
+    if need > _LABEL_BUDGET:
+        raise InvalidInput(f"a commutant on n = {n} needs {need:,} bytes of entry labels, "
+                           f"over the budget of {_LABEL_BUDGET:,}")
+    images, columns = [], []
+    for image, cols in ops:
         image = np.asarray(image)
-        cols = np.asarray(sorted(columns), dtype=np.int64)
-        live = image[image >= 0]
+        cols = np.asarray(sorted(cols), dtype=np.int64)
         if (image.shape != (n,) or image.dtype.kind not in "iu" or (image < -1).any()
-                or (live >= n).any() or len(set(live.tolist())) != live.size):
+                or (image >= n).any()):
             raise InvalidInput("operator is not a 0/1 partial permutation")
         if cols.size and not (0 <= cols[0] and cols[-1] < n):
             raise InvalidInput("constrained column outside the space")
-        preimage = np.full(n, -1, dtype=np.int64)
-        preimage[live] = np.flatnonzero(image >= 0)
-        target = image[cols]
-        # B[i, pi(j)] = B[pi^-1(i), j] for every row i and constrained column j
-        lhs = np.where(target >= 0, rows[:, None] + target * n, zero)
-        rhs = np.where(preimage[:, None] >= 0, preimage[:, None] + cols * n, zero)
-        for a, b in zip(lhs.ravel().tolist(), rhs.ravel().tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)  # every root is its class minimum
-    roots = np.array([find(a) for a in range(zero)], dtype=np.int64)
-    free = roots != find(zero)
-    labels = np.full(zero, -1, dtype=np.int64)
-    # a root is its class minimum, so sorted roots number the classes by smallest vec index
-    labels[free] = np.unique(roots[free], return_inverse=True)[1]
-    labels = labels.reshape((n, n), order="F")
+        images.append(image)
+        columns.append(cols)
+    images = np.array(images, dtype=np.int64).reshape(len(ops), n)
+    owner, live = np.nonzero(images >= 0)
+    preimages = np.full(images.shape, -1, dtype=np.int64)
+    preimages[owner, images[owner, live]] = live
+    if np.count_nonzero(preimages >= 0) != live.size:  # two columns of one op onto one row
+        raise InvalidInput("operator is not a 0/1 partial permutation")
+    owner = np.repeat(np.arange(len(ops)), [cols.size for cols in columns])
+    columns = np.concatenate([np.zeros(0, dtype=np.int64), *columns])
+    rows = np.arange(n)
+    step = max(1, _BLOCK_ENTRIES // n)
+
+    def blocks():
+        for start in range(0, columns.size, step):
+            part = slice(start, start + step)
+            target = images[owner[part], columns[part], None]
+            preimage = preimages[owner[part]]
+            # B[i, pi(j)] = B[pi^-1(i), j] for every row i and constrained column j
+            yield (np.where(target >= 0, rows + target * n, zero),
+                   np.where(preimage >= 0, preimage + columns[part, None] * n, zero))
+
+    lab, _ = _components(blocks(), zero + 1)
+    roots = lab[:zero]
+    free = roots != lab[zero]
+    # a root is its class minimum, so counting the free roots up to it numbers the classes
+    # by smallest vec index
+    number = np.cumsum(free & (roots == np.arange(zero))) - 1
+    labels = np.where(free, number[roots], -1).reshape((n, n), order="F")
     labels.flags.writeable = False
     return labels
 

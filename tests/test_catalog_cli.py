@@ -1,6 +1,7 @@
 """Catalog listing, config loading, golden reports, and CLI exit codes."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -69,6 +70,15 @@ def test_bundled_configs_match_goldens(config):
     text = render_reports([run_scenario(s) for s in scenarios], version=__version__)
     golden = (GOLDEN / f"{config.stem}.txt").read_text()
     assert text == golden
+
+
+def test_golden_residuals_are_zero_or_one():
+    """The bundled reports are exact: every residual is 0 or 1, never a float
+    that happened to come out small."""
+    residuals = [value for path in sorted(GOLDEN.glob("*.txt"))
+                 for value in re.findall(r"\bresidual=(\S+)", path.read_text())]
+    assert residuals
+    assert set(residuals) <= {"0.000000e0", "1.000000e0"}
 
 
 def test_reports_are_deterministic():
@@ -185,6 +195,16 @@ def test_bishift_m1_exhausts_the_default_window(tmp_path, capsys):
     assert main(["run", str(config)]) == 2
     assert capsys.readouterr().err == (
         "isoflow: error: [bishift_m1] every sample pair exhausts the window\n")
+
+
+def test_oversized_commutant_exits_two_naming_its_scenario(tmp_path, capsys):
+    """d=5000, r=8 passes the config checks, but its n = 40008 would need
+    about 12.8 GB of entry labels: the solver refuses it before allocating."""
+    config = tmp_path / "big.cfg"
+    config.write_text("[big_mz]\nconstruction = commutant_mz\nd = 5000\nr = 8\n")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("isoflow: error: [big_mz] ") and "n = 40008" in err
 
 
 def test_cli_usage_errors_exit_two(tmp_path):

@@ -1,14 +1,18 @@
 """Commutant solvers cross-checked against explicit structural solutions."""
 
+import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.commutant import (_exact_commutant, _fiber_form, commutant_of_partial_isometries,
-                               doubly_commutant_of_mz, fuglede_instance_check)
+from isoflow import commutant
+from isoflow.commutant import (_components, _exact_commutant, _fiber_form,
+                               commutant_of_partial_isometries, doubly_commutant_of_mz,
+                               fuglede_instance_check)
 from isoflow.errors import InvalidInput, PreconditionFailed
 from isoflow.numlin import _from_image, residual_norm
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _cut_shift_images,
@@ -43,6 +47,18 @@ def degree_shift(d, r):
         for rho in range(r):
             mz[(blk + 1) * r + rho, blk * r + rho] = 1.0
     return mz
+
+
+@contextmanager
+def peak_memory():
+    """Collects the tracemalloc peak of the block into the yielded list."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 # --- SVD oracle -----------------------------------------------------------------------
@@ -188,17 +204,30 @@ def test_mz_invalid_degree():
 
 
 def test_mz_commutant_memory_stays_at_the_label_array():
-    """d = 20, r = 8 (n = 168): the labels take 0.2 MiB and the union-find
-    lists a few MiB; held as 64 dense complex indicators the basis alone took
-    about 28 MiB."""
-    tracemalloc.start()
-    try:
+    """d = 20, r = 8 (n = 168): the labels take 0.2 MiB and each block of
+    equations 0.5 MiB; held as 64 dense complex indicators the basis alone
+    took about 28 MiB."""
+    with peak_memory() as peak:
         result = doubly_commutant_of_mz(20, 8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert result.dim == 64 and result.structure_verdict == "fiber_scalar"
-    assert peak < 8 * 2**20
+    assert peak[0] < 8 * 2**20
+
+
+def test_commutant_e_memory_stays_at_the_blocks():
+    """m = 24, r = 6 (n = 144, 46 ops): each op's equations are built only
+    when their block is reached; all of them at once peaked at 55 MiB."""
+    with peak_memory() as peak:
+        result = commutant_of_partial_isometries(24, 6)
+    assert result.dim == 36 and result.structure_verdict == "fiber_scalar"
+    assert peak[0] < 8 * 2**20
+
+
+def test_oversized_commutant_is_refused_before_allocating():
+    """d = 5000, r = 8 is n = 40008: its labels alone would need 12.8 GB."""
+    with peak_memory() as peak:
+        with pytest.raises(InvalidInput, match=r"n = 40008 needs 12,805,120,520 bytes"):
+            doubly_commutant_of_mz(5000, 8)
+    assert peak[0] < 2**20
 
 
 # --- structure verdict -------------------------------------------------------------------
@@ -278,6 +307,100 @@ def test_exact_commutant_rejects_non_partial_permutations():
         _exact_commutant([(np.array([0.0, 1.0, 2.0]), range(3))], 3)  # not an index array
     with pytest.raises(InvalidInput):
         _exact_commutant([(np.array([0, 1, 2]), [3])], 3)  # column outside the space
+
+
+# --- union-find oracle -------------------------------------------------------------------
+
+def union_find_commutant(ops, n):
+    """Entry classes by a union-find over every equation, one at a time.
+
+    Same contract as ``_exact_commutant`` on valid ops: vec index i + k*n
+    for entry (i, k), n*n the zero sentinel, classes numbered by smallest
+    vec index, -1 where an entry is forced to zero.
+    """
+    zero = n * n
+    parent = list(range(zero + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    rows = np.arange(n)
+    for image, columns in ops:
+        image = np.asarray(image)
+        cols = np.asarray(sorted(columns), dtype=np.int64)
+        preimage = np.full(n, -1, dtype=np.int64)
+        preimage[image[image >= 0]] = np.flatnonzero(image >= 0)
+        target = image[cols]
+        # B[i, pi(j)] = B[pi^-1(i), j] for every row i and constrained column j
+        lhs = np.where(target >= 0, rows[:, None] + target * n, zero)
+        rhs = np.where(preimage[:, None] >= 0, preimage[:, None] + cols * n, zero)
+        for a, b in zip(lhs.ravel().tolist(), rhs.ravel().tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)  # every root is its class minimum
+    roots = np.array([find(a) for a in range(zero)], dtype=np.int64)
+    free = roots != find(zero)
+    labels = np.full(zero, -1, dtype=np.int64)
+    labels[free] = np.unique(roots[free], return_inverse=True)[1]
+    return labels.reshape((n, n), order="F")
+
+
+def random_system(rng):
+    """A space size n < 12 and 1-3 random partial permutations, each with
+    random constrained columns."""
+    n = int(rng.integers(1, 12))
+    ops = []
+    for _ in range(int(rng.integers(1, 4))):
+        image = rng.permutation(n)
+        image[rng.random(n) < rng.random()] = -1
+        ops.append((image, sorted(set(rng.integers(0, n, size=rng.integers(0, n + 1)).tolist()))))
+    return n, ops
+
+
+EDGE_SYSTEMS = [
+    (3, []),  # no op: every entry is free
+    (1, [(np.array([0]), [0])]),
+    (1, [(np.array([-1]), [0])]),
+    (5, [(np.full(5, -1), range(5)), (np.full(5, -1), [0, 2])]),  # all-zero images
+]
+
+
+def test_exact_commutant_matches_union_find_oracle():
+    rng = np.random.default_rng(16)
+    systems = EDGE_SYSTEMS + [random_system(rng) for _ in range(400)]
+    for n, ops in systems:
+        assert np.array_equal(_exact_commutant(ops, n), union_find_commutant(ops, n))
+
+
+@pytest.mark.parametrize("solve,args", [(commutant_of_partial_isometries, (7, 2)),
+                                        (commutant_of_partial_isometries, (24, 6)),
+                                        (doubly_commutant_of_mz, (6, 4)),
+                                        (doubly_commutant_of_mz, (60, 8))])
+def test_catalog_commutants_match_union_find_oracle(monkeypatch, solve, args):
+    """The system each solver builds, solved again by the oracle."""
+    systems = []
+
+    def recording(ops, n):
+        systems.append((ops, n))
+        return _exact_commutant(ops, n)
+
+    monkeypatch.setattr(commutant, "_exact_commutant", recording)
+    labels = solve(*args).labels
+    ((ops, n),) = systems
+    assert np.array_equal(labels, union_find_commutant(ops, n))
+
+
+def test_components_rounds_are_logarithmic_on_a_shuffled_path():
+    """Min-hooking alone has no O(log n) round bound in general; on a path
+    numbered at random it needs few rounds, and this pins that."""
+    n = 10**4
+    order = np.random.default_rng(5).permutation(n)
+    labels, rounds = _components([(order[:-1], order[1:])], n)
+    assert not labels.any()
+    assert rounds <= 2 * math.ceil(math.log2(n))
 
 
 # --- normality route -------------------------------------------------------------------

@@ -36,8 +36,8 @@ def nullspace(m, tol=DEFAULT_TOL):
 
     Directions are the right singular vectors with singular value below
     rank_rel * sigma_max.  The exactly-zero matrix maps to the full space
-    with the identity basis.  ``test_commutant`` checks the union-find
-    solvers against it.
+    with the identity basis.  ``test_commutant`` checks the exact
+    commutant solver against it.
     """
     mat = as_matrix(m)
     ambient = mat.shape[1]
