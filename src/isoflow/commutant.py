@@ -70,26 +70,43 @@ _BLOCK_ENTRIES = 32768  # equations per block of _exact_commutant, one constrain
 _LABEL_BUDGET = 2**28  # bytes of int64 labels, one per entry of B and one for the zero sentinel
 
 
+def _roots(lab: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Root of each of ``nodes``, found by pointer-chasing only from them.
+
+    Each pass halves the paths it walks (``lab[at] = lab[lab[at]]``), which
+    moves no index out of its class.
+    """
+    at, parent = nodes, lab[nodes]
+    while True:
+        grand = lab[parent]
+        if (grand == parent).all():
+            return parent
+        lab[at] = grand
+        at, parent = grand, lab[grand]
+
+
 def _components(blocks, size: int) -> tuple[np.ndarray, int]:
     """Classes of the equations x_a = x_b on indices 0..size-1, and the rounds taken.
 
     ``blocks`` yields pairs (lhs, rhs) of equal-shape index arrays, each a
     block of equations lhs = rhs.  The result labels every index with the
-    smallest index of its class.  Each block runs hook-and-shortcut rounds
-    until its equations hold: a round keeps the equations whose two ends
-    still carry different roots, hooks each larger root onto the smallest
-    root it meets with ``np.minimum.at``, and shortcuts ``lab[ends] =
-    lab[lab[ends]]`` until nothing changes.  Hooks go only from one root of
-    the block's first round to another, so shortcutting those roots keeps
-    every label a root within the block, and one ``lab = lab[lab]``
-    afterwards does so everywhere.  Classes only merge, so an equation that
-    held after an earlier block still holds; and a root never hooks onto a
+    smallest index of its class.  Each block looks up the roots of its
+    ends with ``_roots`` and runs hook-and-shortcut rounds until its
+    equations hold: a round keeps the equations whose two ends still carry
+    different roots, hooks each larger root onto the smallest root it
+    meets with ``np.minimum.at``, and shortcuts ``lab[ends] =
+    lab[lab[ends]]`` until nothing changes.  Hooks go only from one root
+    of the block's first round to another, so shortcutting those roots
+    keeps every one of them pointing at a root.  Indices outside the ends
+    are left as they are, and one ``lab = lab[lab]`` loop at the end points
+    every index at its root.  Classes only merge, so an equation that held
+    after an earlier block still holds; and a root never hooks onto a
     larger index, so every root is its class minimum.
     """
     lab = np.arange(size)
     rounds = 0
     for lhs, rhs in blocks:
-        a, b = lab[lhs.ravel()], lab[rhs.ravel()]
+        a, b = _roots(lab, lhs.ravel()), _roots(lab, rhs.ravel())
         differ = a != b
         if not differ.any():
             continue
@@ -100,15 +117,18 @@ def _components(blocks, size: int) -> tuple[np.ndarray, int]:
             parent = lab[ends]
             while True:
                 grand = lab[parent]
-                if np.array_equal(grand, parent):
+                if (grand == parent).all():
                     break
                 lab[ends] = parent = grand
             rounds += 1
             a, b = lab[a], lab[b]
             differ = a != b
             a, b = a[differ], b[differ]
-        lab = lab[lab]
-    return lab, rounds
+    while True:
+        grand = lab[lab]
+        if (grand == lab).all():
+            return lab, rounds
+        lab = grand
 
 
 def _exact_commutant(ops, n: int) -> np.ndarray:
@@ -159,12 +179,16 @@ def _exact_commutant(ops, n: int) -> np.ndarray:
                    np.where(preimage >= 0, preimage + columns[part, None] * n, zero))
 
     lab, _ = _components(blocks(), zero + 1)
-    roots = lab[:zero]
-    free = roots != lab[zero]
-    # a root is its class minimum, so counting the free roots up to it numbers the classes
-    # by smallest vec index
-    number = np.cumsum(free & (roots == np.arange(zero))) - 1
-    labels = np.where(free, number[roots], -1).reshape((n, n), order="F")
+    roots, forced = lab[:zero], lab[zero]
+    # every root labels itself and is its class minimum, so counting the free roots up to it
+    # numbers the classes by smallest vec index
+    free_root = np.zeros(zero + 1, dtype=bool)
+    free_root[roots] = True
+    free_root[forced] = False
+    number = np.cumsum(free_root[:zero]) - 1
+    labels = number[roots]
+    labels[roots == forced] = -1
+    labels = labels.reshape((n, n), order="F")
     labels.flags.writeable = False
     return labels
 

@@ -2,11 +2,11 @@
 
 The unitary part of a family is the intersection of the spans of the
 trusted columns of its powers; the split into a unitary and a completely
-nonunitary (pure shift) part is computed by iterating that intersection
-until it certifies itself by standing still for one extra step.  The
-generator must be image-backed: the span at step k is then a set of
-cells reached from the one at step k-1 by one step of the generator, so
-the loop moves one boolean mask and never forms a power.  The
+nonunitary (pure shift) part is the first intersection that certifies
+itself by standing still for one extra step.  The generator must be
+image-backed: the span at step k is then the set of cells at the end of
+a chain of k generator steps, so the split is read off the chain heights
+of the cells, found by doubling without forming a power.  The
 stabilization certificate is always reported, never assumed: a window
 can be too small to resolve the unitary part, in which case the result
 carries ``stabilized=False``.
@@ -100,27 +100,61 @@ def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
     return max(_isometry_defect(restr), _isometry_defect(restr.adjoint()))
 
 
+def _chain_heights(image: np.ndarray, live: np.ndarray,
+                   max_steps: int) -> tuple[np.ndarray, int, int]:
+    """Chain heights capped at a span that decides the Wold split, and the rounds taken.
+
+    height(y) is the length of the longest chain x, Vx, ..., V^k x = y in
+    which each of x, ..., V^(k-1) x is a live column; it is infinite for a
+    cell that a cycle of live steps reaches.  After the round at span L,
+    ``height`` holds min(height, L), and anc[x] is the cell L live steps
+    after x (-1 where a step dies first).  A round doubles L: a cell y of
+    height at least L ends a chain whose last L steps start at some x with
+    anc[x] = y, so min(height(y), 2L) is L plus the largest min(height(x), L)
+    over those x.  That is one ``np.maximum.at`` over anc, which takes the
+    largest of several x with the same anc[x], as a non-injective image
+    has; anc[anc] is the array at 2L.  The finite heights run contiguously
+    from 0, since the next-to-last cell of a longest chain has height one
+    less, so the smallest missing height is one more than the largest
+    value below L.  The rounds stop once that is below L, or once L
+    reaches max_steps.  Returns (height, missing, rounds), ``missing``
+    being the smallest height below L that no cell has, or L.
+    """
+    anc = np.where(live, image, -1)
+    height = np.zeros(image.size, dtype=np.int64)
+    height[anc[anc >= 0]] = 1
+    span, rounds = 1, 0
+    while True:
+        below = height[height < span]
+        missing = int(below.max()) + 1 if below.size else 0
+        if missing < span or span >= max_steps:
+            return height, missing, rounds
+        step = anc >= 0
+        np.maximum.at(height, anc[step], height[step] + span)
+        anc = np.where(step, anc[anc], -1)
+        span, rounds = 2 * span, rounds + 1
+
+
 def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
     """Split the space into unitary and pure parts of an image-backed family V.
 
     The unitary part is the intersection over k of range_k, the set of
-    rows that the faithful columns of V^k reach.  The loop stops early
-    once the intersection is unchanged for one extra step, which is the
-    stabilization certificate; running out of steps, including by window
-    exhaustion, reports stabilized=False rather than raising.
+    rows that the faithful columns of V^k reach.  The split stops early
+    at the first k with range_k = range_(k-1), which is the stabilization
+    certificate; running out of steps, including by window exhaustion,
+    reports stabilized=False rather than raising.
 
     No power is built.  ``compose`` keeps column i of V^k faithful exactly
     when each of i, Vi, ..., V^(k-1) i that is a cell is faithful for V; a
     faithful zero column stays faithful and maps to -1, so it adds no
-    row.  With F the faithful columns of V that have a row, range_0 is
-    every cell and range_k = V(F & range_(k-1)): one gather and one
-    scatter per step.  V(F & .) is monotone, so the ranges are nested
-    even when V is not injective, the intersection of range_1, ...,
-    range_k is range_k, and the split stands still exactly when the mask
-    does.  Each step ands its mask into the one before, so range_k lies
-    inside range_(k-1) and the two are equal exactly when they hold as
-    many cells: the loop keeps the count and compares counts, not masks.
-    A generator held as a dense matrix raises InvalidInput.
+    row.  So with the live columns those faithful for V that have a row,
+    range_k is the set of cells y whose chain height (``_chain_heights``)
+    is at least k.  The ranges are nested, and range_k = range_(k-1)
+    exactly when no cell has height k - 1: the split stabilizes at
+    k = 1 + the smallest missing height h, and its unitary part is the
+    cells of height above h.  Heights come from O(log max_steps) doubling
+    rounds over two length-n arrays.  A generator held as a dense matrix
+    raises InvalidInput.
     """
     if max_steps < 1:
         raise InvalidInput("max_steps must be >= 1")
@@ -129,18 +163,10 @@ def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
         raise InvalidInput(f"wold_cooper needs an image-backed generator; "
                            f"{family.label or 'the family'} is held as a dense matrix")
     live = family.generator.faithful_mask & (image >= 0)
-    current, count = np.ones(image.size, dtype=bool), image.size
-    stabilized, steps_used = False, max_steps
-    for k in range(1, max_steps + 1):
-        nxt = np.zeros(image.size, dtype=bool)
-        nxt[image[live & current]] = True
-        nxt &= current
-        kept = np.count_nonzero(nxt)
-        if kept == count:
-            stabilized, steps_used = True, k
-            break
-        current, count = nxt, kept
-    part = Subspace(family.dim, cells=np.flatnonzero(current))
+    height, missing, _ = _chain_heights(image, live, max_steps)
+    stabilized = missing < max_steps
+    steps_used = missing + 1 if stabilized else max_steps
+    part = Subspace(family.dim, cells=np.flatnonzero(height >= steps_used))
     return WoldResult(complement(part), part, stabilized, steps_used,
                       _unitary_residual(part, family.generator))
 

@@ -137,11 +137,6 @@ def _window(window, n: int, outside: str) -> np.ndarray:
     return mask
 
 
-def _after(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Image of (outer o inner): follow inner, then outer; -1 stays -1."""
-    return np.append(outer, -1)[inner]
-
-
 def _check_image(image: np.ndarray, rows: int) -> None:
     """Raise InvalidInput unless every entry of ``image`` lies in [-1, rows)."""
     if image.size and not -1 <= image.min() <= image.max() < rows:
@@ -206,7 +201,7 @@ def _compress(u: "WindowedMap", sub: Subspace) -> "WindowedMap":
         faithful = u.faithful_mask[cells] & ~escapes
         adj_faithful = u.adj_faithful_mask[cells]
         if u.image is not None:
-            return WindowedMap.from_image(image, faithful, adj_faithful)
+            return WindowedMap._derived(image, faithful, adj_faithful, cells.size)
         return WindowedMap(u.matrix[np.ix_(cells, cells)], faithful, adj_faithful)
     return WindowedMap.full(sub.basis.conj().T @ u.matrix @ sub.basis)
 
@@ -248,7 +243,9 @@ class WindowedMap:
     ``compose`` is an index gather when both operands have an image and a
     matrix product otherwise, and its windows are mask arithmetic either
     way; ``adjoint`` inverts an injective image and takes the conjugate
-    transpose of everything else, and swaps the two masks.
+    transpose of everything else, and swaps the two masks.  Their
+    image-backed results, and those of ``_compress``, come from
+    ``_derived`` and skip the checks of the public constructors.
     """
 
     def __init__(self, matrix, faithful, adj_faithful):
@@ -269,6 +266,22 @@ class WindowedMap:
         made.shape = (made.image.size if rows is None else int(rows), made.image.size)
         made.faithful_mask, made.adj_faithful_mask = faithful, adj_faithful
         made.__post_init__()
+        return made
+
+    @classmethod
+    def _derived(cls, image: np.ndarray, faithful: np.ndarray, adj_faithful: np.ndarray,
+                 rows: int) -> "WindowedMap":
+        """An image-backed map computed from checked maps, built without checks.
+
+        ``image`` is a fresh ``int64`` array and the masks have the right
+        lengths; a gather from a checked image stays in [-1, rows).  All
+        three are marked read-only in place.  ``__post_init__`` does not run.
+        """
+        made = cls.__new__(cls)
+        for array in (image, faithful, adj_faithful):
+            array.flags.writeable = False
+        made.image, made._matrix, made.shape = image, None, (int(rows), image.size)
+        made.faithful_mask, made.adj_faithful_mask = faithful, adj_faithful
         return made
 
     def __post_init__(self) -> None:
@@ -332,14 +345,20 @@ class WindowedMap:
             adj_kept = self.adj_faithful_mask & ~_escapes(self.matrix.T, other.adj_faithful_mask)
             return WindowedMap(matrix, kept, adj_kept)
         # column i of other is the unit vector at row b[i] (or zero when b[i] = -1)
-        a, b = self.image, other.image
-        inside = np.append(self.faithful_mask, True)
-        kept = other.faithful_mask & inside[b]
+        a, inside, b = self.image, self.faithful_mask, other.image
+        if not a.size:  # other maps into C^0, so b is all -1
+            a, inside = np.full(1, -1, dtype=np.int64), np.ones(1, dtype=bool)
+        dead = b < 0
+        image = a[b]
+        image[dead] = -1
+        kept = inside[b]
+        kept |= dead
+        kept &= other.faithful_mask
         # row i of self is supported on the columns j with a[j] = i
         hit = np.zeros(self.codomain_dim + 1, dtype=bool)
-        hit[a[~other.adj_faithful_mask]] = True
+        hit[self.image[~other.adj_faithful_mask]] = True
         adj_kept = self.adj_faithful_mask & ~hit[:-1]
-        return WindowedMap.from_image(_after(a, b), kept, adj_kept, self.codomain_dim)
+        return WindowedMap._derived(image, kept, adj_kept, self.codomain_dim)
 
     def __matmul__(self, other: "WindowedMap") -> "WindowedMap":
         return self.compose(other)
@@ -350,8 +369,8 @@ class WindowedMap:
             inverse = np.full(self.codomain_dim, -1, dtype=np.int64)
             inverse[self.image[live]] = live
             if np.count_nonzero(inverse >= 0) == live.size:  # injective
-                return WindowedMap.from_image(inverse, self.adj_faithful_mask, self.faithful_mask,
-                                              self.domain_dim)
+                return WindowedMap._derived(inverse, self.adj_faithful_mask, self.faithful_mask,
+                                            self.domain_dim)
         return WindowedMap(self.matrix.conj().T, self.adj_faithful_mask, self.faithful_mask)
 
 
@@ -359,9 +378,14 @@ class SemigroupFamily:
     """Discrete one-parameter family generated by a single step map.
 
     ``element(j)`` is the j-fold composition of the generator at time
-    j / cells_per_unit; element(0) is the identity with full window.
-    Composed powers are memoized in a list indexed by step count, so
-    repeated requests return the same map.
+    j / cells_per_unit; element(0) is the identity with full window, built
+    the first time it is asked for.  A power is built by binary powering:
+    the squares V, V^2, V^4, ... are kept in a list, and V^j composes the
+    squares of the set bits of j, so the first request for step j costs
+    O(log j) compositions.  Composition of windows is associative, so this
+    gives the same image and windows as composing one step at a time.
+    Only the squares and the step counts actually requested are kept, the
+    latter in a dict, so repeated requests return the same map.
     """
 
     def __init__(self, generator: WindowedMap, label: str = "", cells_per_unit: int = 1):
@@ -372,7 +396,8 @@ class SemigroupFamily:
         self._generator = generator
         self._label = label
         self._m = int(cells_per_unit)
-        self._powers = [WindowedMap.identity(generator.domain_dim)]
+        self._squares = [generator]  # V^(2^i) at position i
+        self._powers: dict[int, WindowedMap] = {}
 
     @property
     def generator(self) -> WindowedMap:
@@ -394,10 +419,23 @@ class SemigroupFamily:
         if int(steps) != steps or steps < 0:
             raise InvalidInput(f"step count must be a nonnegative integer, got {steps!r}")
         steps = int(steps)
-        powers = self._powers
-        while len(powers) <= steps:
-            powers.append(self._generator.compose(powers[-1]))
-        return powers[steps]
+        power = self._powers.get(steps)
+        if power is None:
+            power = self._powers[steps] = self._power(steps)
+        return power
+
+    def _power(self, steps: int) -> WindowedMap:
+        """V^steps from the squares of the set bits of ``steps``, lowest bit first."""
+        if not steps:
+            return WindowedMap.identity(self.dim)
+        squares = self._squares
+        while len(squares) < steps.bit_length():
+            squares.append(squares[-1].compose(squares[-1]))
+        power = None
+        for i in range(steps.bit_length()):
+            if steps >> i & 1:
+                power = squares[i] if power is None else squares[i].compose(power)
+        return power
 
     def at_time(self, t) -> WindowedMap:
         return self.element(grid_steps(t, self._m))

@@ -32,8 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_halfline_power_cache_at_default_k_stays_small():
-    """r = 1 and the runner's default K = m*T + 2 keep 1,026 powers of dim 1024;
-    as frozensets their windows alone took about 98 MiB."""
+    """r = 1 and the runner's default K = m*T + 2 on dim 1024: the split builds
+    no power, and element(K - 1) = V^1025 keeps the 11 squares up to V^1024 and
+    itself.  A cache of all 1,026 powers took about 98 MiB with frozenset windows."""
     grid = CellGrid1D(16, 64)
     steps = grid.m * grid.T + 2
     tracemalloc.start()

@@ -1,12 +1,15 @@
-"""Wold splits of image-backed generators by one mask step per power.
+"""Wold splits of image-backed generators by chain-height doubling.
 
-``power_loop_wold`` is the split straight from its definition: build every
-power V^k, take the rows of its faithful columns as a coordinate subspace
-and intersect.  It is the oracle: ``wold_cooper`` must return the same
-parts, certificate and unitary residual on random images (injective or
-not, shift-like, with unfaithful and with faithful zero columns) for every
-step budget from 1 to past stabilization.  The other tests pin that the
-mask path builds no power and keeps O(n) memory.
+Two oracles.  ``power_loop_wold`` is the split straight from its
+definition: build every power V^k, take the rows of its faithful columns
+as a coordinate subspace and intersect.  ``mask_step_wold`` is the step
+loop that ``wold_cooper`` ran before it doubled: one boolean mask moved
+by one gather and one scatter per step.  ``wold_cooper`` must return the
+same parts, certificate and unitary residual as both on random images
+(injective or not, shift-like, with unfaithful and with faithful zero
+columns) for every step budget from 1 to past stabilization.  The other
+tests pin that the split builds no power, keeps O(n) memory and takes
+O(log K) doubling rounds.
 """
 
 import tracemalloc
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoflow import decompose
-from isoflow.decompose import WoldResult, _unitary_residual, wold_cooper
+from isoflow.decompose import WoldResult, _chain_heights, _unitary_residual, wold_cooper
 from isoflow.numlin import DEFAULT_TOL, Subspace, _distinct, complement, intersect
 from isoflow.semigroups import SemigroupFamily, WindowedMap, halfline_shift_family
 from isoflow.spaces import CellGrid1D
@@ -36,6 +39,25 @@ def power_loop_wold(family: SemigroupFamily, max_steps: int) -> WoldResult:
             break
     return WoldResult(complement(current), current, stabilized, steps_used,
                       _unitary_residual(current, family.generator))
+
+
+def mask_step_wold(family: SemigroupFamily, max_steps: int) -> WoldResult:
+    image = family.generator.image
+    live = family.generator.faithful_mask & (image >= 0)
+    current, count = np.ones(image.size, dtype=bool), image.size
+    stabilized, steps_used = False, max_steps
+    for k in range(1, max_steps + 1):
+        nxt = np.zeros(image.size, dtype=bool)
+        nxt[image[live & current]] = True
+        nxt &= current
+        kept = np.count_nonzero(nxt)
+        if kept == count:
+            stabilized, steps_used = True, k
+            break
+        current, count = nxt, kept
+    part = Subspace(family.dim, cells=np.flatnonzero(current))
+    return WoldResult(complement(part), part, stabilized, steps_used,
+                      _unitary_residual(part, family.generator))
 
 
 @st.composite
@@ -63,17 +85,17 @@ def generators(draw):
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(generators())
-def test_mask_steps_match_the_power_loop(generator):
+def test_chain_heights_match_the_power_loop_and_the_step_loop(generator):
     """The ranges of n cells stop shrinking within n steps, so n + 2 steps
     cover every budget from 1 to past stabilization."""
     family = SemigroupFamily(generator)
     for max_steps in range(1, generator.domain_dim + 3):
-        got, want = wold_cooper(SemigroupFamily(generator), max_steps), \
-            power_loop_wold(family, max_steps)
-        assert np.array_equal(got.unitary_part.cells, want.unitary_part.cells)
-        assert np.array_equal(got.cnu_part.cells, want.cnu_part.cells)
-        assert (got.stabilized, got.steps_used, got.unitary_residual) == \
-            (want.stabilized, want.steps_used, want.unitary_residual)
+        got = wold_cooper(SemigroupFamily(generator), max_steps)
+        for want in (power_loop_wold(family, max_steps), mask_step_wold(family, max_steps)):
+            assert np.array_equal(got.unitary_part.cells, want.unitary_part.cells)
+            assert np.array_equal(got.cnu_part.cells, want.cnu_part.cells)
+            assert (got.stabilized, got.steps_used, got.unitary_residual) == \
+                (want.stabilized, want.steps_used, want.unitary_residual)
     assert got.stabilized
 
 
@@ -114,3 +136,30 @@ def test_halfline_wold_at_default_k_keeps_linear_memory():
         tracemalloc.stop()
     assert wold.stabilized and wold.steps_used == 1025 and wold.unitary_part.dim == 0
     assert peak < 2 * 2**20
+
+
+def test_halfline_wold_at_the_ladder_top_takes_logarithmic_rounds():
+    """halfline_shift m=64 T=256 at its default K = m*T + 2 = 16,386: cell k
+    has chain height k, so the split stands still at step 16,385.  The step
+    loop took 16,385 passes; doubling takes 15 rounds, at most K.bit_length() + 1."""
+    grid = CellGrid1D(64, 256)
+    family = halfline_shift_family(grid)
+    max_steps = grid.m * grid.T + 2
+    generator = family.generator
+    height, missing, rounds = _chain_heights(generator.image,
+                                             generator.faithful_mask & (generator.image >= 0),
+                                             max_steps)
+    assert rounds <= max_steps.bit_length() + 1
+    assert missing == grid.dim and np.array_equal(height, np.arange(grid.dim))
+    wold = wold_cooper(family, max_steps)
+    assert wold.stabilized and wold.steps_used == grid.dim + 1 and wold.unitary_part.dim == 0
+
+
+def test_chain_heights_stop_at_the_first_missing_height():
+    """A 5-cycle next to a 3-chain 0 -> 1 -> 2: heights 0, 1, 2 and infinite,
+    so height 3 is missing and found at span 4 after two rounds, however
+    large the budget."""
+    image = np.array([1, 2, -1, 4, 5, 6, 7, 3])
+    height, missing, rounds = _chain_heights(image, image >= 0, 10**9)
+    assert (missing, rounds) == (3, 2)
+    assert np.array_equal(height, [0, 1, 2, 4, 4, 4, 4, 4])
