@@ -166,7 +166,7 @@ def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
     height, missing, _ = _chain_heights(image, live, max_steps)
     stabilized = missing < max_steps
     steps_used = missing + 1 if stabilized else max_steps
-    part = Subspace(family.dim, cells=np.flatnonzero(height >= steps_used))
+    part = Subspace._derived(family.dim, np.flatnonzero(height >= steps_used))
     return WoldResult(complement(part), part, stabilized, steps_used,
                       _unitary_residual(part, family.generator))
 
@@ -219,12 +219,12 @@ def _reduction_residual(subspace: Subspace, elements) -> float:
     if subspace.dim == 0:
         return 0.0
     worst = 0.0
+    inside = None if subspace.cells is None else _mask(subspace.cells, subspace.ambient)
     for element in elements:
         cols = np.flatnonzero(element.faithful_mask)
         if not cols.size:
             continue
-        if subspace.cells is not None and element.image is not None:
-            inside = _mask(subspace.cells, subspace.ambient)
+        if inside is not None and element.image is not None:
             rows = element.image[cols]
             moved = rows[(rows >= 0) & (inside[rows] != inside[cols])]
             worst = max(worst, _unit_columns_norm(moved))
@@ -232,6 +232,11 @@ def _reduction_residual(subspace: Subspace, elements) -> float:
         p = subspace.projector()
         worst = max(worst, spectral_norm((p @ element.matrix - element.matrix @ p)[:, cols]))
     return worst
+
+
+def _step_verdict(pair: PairOfSemigroups, tol: Tolerances) -> CommutationReport:
+    """``classify_pair`` at the one step time 1 / cells_per_unit of the pair."""
+    return classify_pair(pair, [Fraction(1, pair.cells_per_unit)], tol)
 
 
 def fourfold_decompose(pair: PairOfSemigroups, max_steps: int,
@@ -242,8 +247,12 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int,
     the reduction residuals cannot be nonzero for a genuinely doubly
     commuting pair, so they are reported as window-pollution detectors.
     """
-    step_time = Fraction(1, pair.cells_per_unit)
-    verdict = classify_pair(pair, [step_time], tol)
+    return _fourfold(pair, max_steps, tol, _step_verdict(pair, tol))
+
+
+def _fourfold(pair: PairOfSemigroups, max_steps: int, tol: Tolerances,
+              verdict: CommutationReport) -> FourfoldResult:
+    """``fourfold_decompose`` given the step-time verdict of the pair."""
     if verdict.classified != "doubly_commuting":
         raise PreconditionFailed(
             f"pair classifies as {verdict.classified}, needs doubly_commuting")
@@ -371,8 +380,12 @@ def product_unitary_part(pair: PairOfSemigroups, max_steps: int,
     The result is checked to reduce both factors; the residuals are folded
     into ``reduction_residual``.
     """
-    step_time = Fraction(1, pair.cells_per_unit)
-    verdict = classify_pair(pair, [step_time], tol)
+    return _product_unitary_part(pair, max_steps, tol, _step_verdict(pair, tol))
+
+
+def _product_unitary_part(pair: PairOfSemigroups, max_steps: int, tol: Tolerances,
+                          verdict: CommutationReport) -> ProductWoldResult:
+    """``product_unitary_part`` given the step-time verdict of the pair."""
     if verdict.comm_residual > tol.resid_abs:
         raise PreconditionFailed("product family of a non-commuting pair is not a semigroup")
     generator = pair.first.generator.compose(pair.second.generator)

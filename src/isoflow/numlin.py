@@ -149,7 +149,10 @@ class Subspace:
     something reads ``basis`` and is kept from then on.  Any other
     subspace is held as an orthonormal column ``basis``, validated by its
     Gram matrix, and its ``cells`` is None.  A subspace is given by a
-    basis or by cells, never both.
+    basis or by cells, never both.  Cells that set algebra computes from
+    checked cells are increasing by construction, so the results of
+    ``intersect``, ``complement`` and ``subtract`` come from ``_derived``
+    and skip the O(k) check.
 
     Where both operands are coordinate subspaces, the set operations work
     on the cell arrays and ``gap`` is 0.0 or 1.0: the difference of two
@@ -188,6 +191,19 @@ class Subspace:
         gram = basis.conj().T @ basis
         if gram.size and np.abs(gram - np.eye(basis.shape[1])).max() > _ORTHO_ATOL:
             raise InvalidInput("basis columns are not orthonormal to 1e-12")
+
+    @classmethod
+    def _derived(cls, ambient: int, cells: np.ndarray) -> "Subspace":
+        """A coordinate subspace computed from checked ones, built without checks.
+
+        ``cells`` is a fresh, strictly increasing ``int64`` array of indices
+        of the ambient space, as set algebra on checked cells gives; it is
+        marked read-only in place.  ``__post_init__`` does not run.
+        """
+        made = cls.__new__(cls)
+        cells.flags.writeable = False
+        made.ambient, made._basis, made.cells = ambient, None, cells
+        return made
 
     @property
     def basis(self) -> np.ndarray:
@@ -271,7 +287,8 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subs
     if s1.ambient != s2.ambient:
         raise DimensionMismatch("ambient dimensions differ")
     if s1.cells is not None and s2.cells is not None:
-        return Subspace(s1.ambient, cells=np.intersect1d(s1.cells, s2.cells, assume_unique=True))
+        return Subspace._derived(s1.ambient,
+                                 np.intersect1d(s1.cells, s2.cells, assume_unique=True))
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(s1.ambient)
     u, cosines, _ = np.linalg.svd(s1.basis.conj().T @ s2.basis, full_matrices=False)
@@ -287,8 +304,9 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subs
 def complement(s: Subspace) -> Subspace:
     """Orthogonal complement within the ambient space."""
     if s.cells is not None:
-        return Subspace(s.ambient, cells=np.setdiff1d(np.arange(s.ambient), s.cells,
-                                                      assume_unique=True))
+        outside = np.ones(s.ambient, dtype=bool)
+        outside[s.cells] = False
+        return Subspace._derived(s.ambient, np.flatnonzero(outside))
     if s.dim == 0:
         return Subspace.full(s.ambient)
     if s.dim == s.ambient:
@@ -305,7 +323,7 @@ def subtract(big: Subspace, small: Subspace, tol: Tolerances = DEFAULT_TOL) -> S
         at = _positions(big.cells, big.ambient)[small.cells]
         if (at < 0).any():
             raise InvalidInput("subtrahend is not contained in the minuend")
-        return Subspace(big.ambient, cells=np.delete(big.cells, at))
+        return Subspace._derived(big.ambient, np.delete(big.cells, at))
     if small.dim == 0:
         return big
     residual = big.basis - small.projector() @ big.basis

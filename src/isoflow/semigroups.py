@@ -212,12 +212,16 @@ def _isometry_defect(x: "WindowedMap", cols=slice(None)) -> float:
     Unit columns on distinct rows are orthonormal, so for an image whose
     live rows are distinct the Gram matrix is I with a 0 at each zero
     column: the defect is 0.0 when every column is live and 1.0 otherwise.
-    Any other map takes the dense Gram matrix.
+    The live rows are distinct when scattering them into a boolean mask
+    over the rows marks as many rows as there are live columns, which
+    takes no sort.  Any other map takes the dense Gram matrix.
     """
     if x.image is not None:
         rows = x.image[cols]
         live = rows[rows >= 0]
-        if _distinct(live).size == live.size:
+        hit = np.zeros(x.codomain_dim, dtype=bool)
+        hit[live] = True
+        if np.count_nonzero(hit) == live.size:
             return 0.0 if live.size == rows.size else 1.0
     block = x.matrix[:, cols]
     return residual_norm(block.conj().T @ block, np.eye(block.shape[1]))

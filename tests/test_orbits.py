@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoflow import duality
 from isoflow.catalog import _ddc_setup, _four_block_dc_pair, _generator_isometry_entry
 from isoflow.decompose import classify_pair, fourfold_decompose, product_unitary_part, wold_cooper
 from isoflow.duality import (ExtensionSetup, OrbitSpan, _orbit_span, bishift_setup,
@@ -183,6 +184,30 @@ def test_frontier_matches_box_on_dense_unitaries(case, max_orbit):
 
 # --- memory -----------------------------------------------------------------------
 
+@pytest.mark.parametrize("setup", [l_region_setup(4, 16), bishift_setup(3, 4),
+                                   setup_direct_sum(l_region_setup(1, 2),
+                                                    halfline_circulant_setup(1, 2, 3))],
+                         ids=["l_region", "bishift", "sum"])
+def test_orbit_span_filters_at_most_six_cells_per_ambient_cell(setup, monkeypatch):
+    """Each cell enters a frontier F once and goes through U2 and U2* at most once, so
+    over all radii the arrays that ``_take`` filters (F and its two U1 moves, G and its
+    two U2 moves) hold at most 3n + 3n cells, counted, not timed.  The count stops the
+    run as soon as it passes the bound: a frontier that keeps repeats multiplies them
+    at every radius, so it runs before the memory tests below."""
+    bound = 6 * setup.ambient_dim
+    filtered = [0]
+    real = duality._take
+
+    def counted(cells, free):
+        filtered[0] += cells.size
+        assert filtered[0] <= bound, "more cells filtered than the bound allows"
+        return real(cells, free)
+
+    monkeypatch.setattr(duality, "_take", counted)
+    span = minimal_extension(setup, 4 * setup.ambient_dim)
+    assert span.stabilized and filtered[0] > 0
+
+
 def test_orbit_span_memory_is_linear_in_the_ambient():
     """16384 cells, radius 32 of 256: no table of 2 * 513 powers (128 MiB)."""
     setup = l_region_setup(4, 16)
@@ -195,6 +220,23 @@ def test_orbit_span_memory_is_linear_in_the_ambient():
     assert span.stabilized and span.radius == 32
     assert span.span.dim == setup.ambient_dim
     assert peak < 16 * 2**20
+
+
+def test_orbit_span_peak_stays_at_a_few_ambient_arrays():
+    """n = 65,536 at radius 64: each moved part of the frontier is kept by a membership
+    test, so the peak above live memory is the two inverse images, two masks, the
+    parts and the result, 3.9 x 8n bytes; concatenating the frontier three and then
+    nine times before deduplicating it peaked at 15.6 x 8n."""
+    setup = l_region_setup(8, 16)
+    n = setup.ambient_dim
+    tracemalloc.start()
+    try:
+        span = _orbit_span(setup.u1, setup.u2, setup.h, 4 * 8 * 16, DEFAULT_TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (span.stabilized, span.radius, span.span.dim) == (True, 64, n)
+    assert peak < 6 * 8 * n
 
 
 # --- relabeling invariance on the dual side ---------------------------------------

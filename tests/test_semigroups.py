@@ -9,9 +9,9 @@ import pytest
 from isoflow.decompose import classify_pair
 from isoflow.duality import _torus_unitary
 from isoflow.errors import InvalidInput, InvalidShift, WindowTooSmall
-from isoflow.numlin import _from_image
+from isoflow.numlin import _from_image, residual_norm
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _circulant_image,
-                                _cut_shift_images, bishift_families,
+                                _cut_shift_images, _isometry_defect, bishift_families,
                                 bishift_pair, check_semigroup_law, circulant_family,
                                 direct_sum, grid_steps, halfline_shift,
                                 halfline_shift_family, modified_bishift_pair,
@@ -336,3 +336,35 @@ def test_law_and_classification_build_no_dense_matrix():
         tracemalloc.stop()
     assert law.overall and verdict.classified == "doubly_commuting"
     assert peak < 8 * 2**20
+
+
+def sorted_isometry_defect(x: WindowedMap, cols=slice(None)) -> float:
+    """The isometry defect by the earlier rule: the live rows are distinct
+    when no two neighbours of their sorted array are equal."""
+    rows = x.image[cols]
+    live = np.sort(rows[rows >= 0])
+    if not (live[1:] == live[:-1]).any():
+        return 0.0 if live.size == rows.size else 1.0
+    block = x.matrix[:, cols]
+    return residual_norm(block.conj().T @ block, np.eye(block.shape[1]))
+
+
+def test_isometry_defect_matches_the_sort_rule():
+    """The mask-and-count test for repeated rows gives the sort rule's value, exactly,
+    on random images with and without repeats, over all columns and over a subset."""
+    rng = np.random.default_rng(18)
+    seen = {"distinct": 0, "repeats": 0}
+    for _ in range(600):
+        rows, cols = int(rng.integers(1, 10)), int(rng.integers(0, 10))
+        if cols <= rows and rng.random() < 0.5:
+            image = rng.permutation(rows)[:cols]
+            image[rng.random(cols) < 0.2] = -1
+        else:
+            image = rng.integers(-1, rows, size=cols)
+        x = WindowedMap.from_image(image, range(cols), range(rows), rows)
+        subset = np.sort(rng.choice(cols, size=int(rng.integers(0, cols + 1)), replace=False))
+        for chosen in (slice(None), subset):
+            live = x.image[chosen][x.image[chosen] >= 0]
+            seen["distinct" if np.unique(live).size == live.size else "repeats"] += 1
+            assert _isometry_defect(x, chosen) == sorted_isometry_defect(x, chosen)
+    assert min(seen.values()) > 200
