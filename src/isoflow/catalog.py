@@ -17,8 +17,8 @@ import numpy as np
 
 from . import duality
 from .commutant import commutant_of_partial_isometries, doubly_commutant_of_mz
-from .decompose import (bcl_check, classify_pair, fourfold_decompose,
-                        product_unitary_part, wold_cooper)
+from .decompose import (_fourfold, _product_unitary_part, _step_verdict, bcl_check,
+                        classify_pair, wold_cooper)
 from .errors import InternalInconsistency, InvalidInput
 from .numlin import Tolerances
 from .report import CheckEntry, Report
@@ -103,10 +103,11 @@ def _run_bishift(tol, m, T, r, K, samples):
                               verdict.double_comm_residual <= tol.resid_abs))
     entries.append(CheckEntry("classified", 0.0, (), verdict.classified == "doubly_commuting",
                               verdict.classified))
-    split = fourfold_decompose(pair, K, tol)
+    step = _step_verdict(pair, tol)  # both splits read the one step-time verdict
+    split = _fourfold(pair, K, tol, step)
     entries.append(CheckEntry("fourfold_dims", split.reduction_residual, split.dims,
                               split.dims == (pair.dim, 0, 0, 0)))
-    product = product_unitary_part(pair, K, tol)
+    product = _product_unitary_part(pair, K, tol, step)
     entries.append(CheckEntry("product_unitary_dim", product.reduction_residual,
                               (product.subspace.dim,),
                               product.subspace.dim == 0 and product.stabilized))
@@ -144,10 +145,10 @@ def _four_block_dc_pair(shift_T: int, circ: int):
 
 def _run_four_block_dc(tol, T, circ, K):
     pair, expected = _four_block_dc_pair(T, circ)
-    verdict = classify_pair(pair, [1], tol)
+    verdict = _step_verdict(pair, tol)  # time 1, the step of both families
     entries = [CheckEntry("classified", verdict.double_comm_residual, (),
                           verdict.classified == "doubly_commuting", verdict.classified)]
-    split = fourfold_decompose(pair, K, tol)
+    split = _fourfold(pair, K, tol, verdict)
     entries.append(CheckEntry("fourfold_dims", 0.0, split.dims, split.dims == expected,
                               f"expected {expected}"))
     entries.append(CheckEntry("reduction_residual", split.reduction_residual, (),

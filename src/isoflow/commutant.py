@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed
-from .numlin import DEFAULT_TOL, Tolerances, residual_norm, spectral_norm
+from .numlin import DEFAULT_TOL, Tolerances, _check_budget, residual_norm, spectral_norm
 from .report import CheckEntry, Report
 from .semigroups import SemigroupFamily, _cut_shift_images, _forward_image, _pair_residual
 
@@ -63,11 +63,12 @@ class CommutantBasis:
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, ...]:
+        _check_budget(self.dim * self.labels.size, 16,
+                      f"the dense basis of a commutant on n = {self.labels.shape[0]}")
         return tuple((self.labels == k).astype(np.complex128) for k in range(self.dim))
 
 
 _BLOCK_ENTRIES = 32768  # equations per block of _exact_commutant, one constrained column at least
-_LABEL_BUDGET = 2**28  # bytes of int64 labels, one per entry of B and one for the zero sentinel
 
 
 def _roots(lab: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -139,14 +140,12 @@ def _exact_commutant(ops, n: int) -> np.ndarray:
     i + k*n; index n*n is the zero sentinel.  The result is the read-only
     n x n ``int64`` array that labels each entry with its class, numbered
     by smallest vec index, or -1 where the entry is forced to zero.  A
-    space whose labels would exceed ``_LABEL_BUDGET`` bytes raises
-    ``InvalidInput`` before anything of that size is allocated.
+    space whose int64 labels, one per entry of B and one for the zero
+    sentinel, would exceed ``numlin._BUDGET`` bytes raises InvalidInput
+    before anything of that size is allocated.
     """
     zero = n * n
-    need = 8 * (zero + 1)
-    if need > _LABEL_BUDGET:
-        raise InvalidInput(f"a commutant on n = {n} needs {need:,} bytes of entry labels, "
-                           f"over the budget of {_LABEL_BUDGET:,}")
+    _check_budget(zero + 1, 8, f"a commutant on n = {n}")  # its entry labels
     images, columns = [], []
     for image, cols in ops:
         image = np.asarray(image)

@@ -27,12 +27,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _unit_columns_norm, complement,
-                     intersect, spectral_norm)
+from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _positions, _unit_columns_norm,
+                     complement, intersect, spectral_norm)
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _check_image,
-                         _compress, _halfline_rows, _isometry_defect, _mask, _pair_residual,
-                         _phi_rows, grid_steps, halfline_shift, phi_multiplier)
+                         _compress, _gather, _halfline_rows, _held_residual, _isometry_defect,
+                         _mask, _pair_residual, _phi_rows, grid_steps, halfline_shift,
+                         phi_multiplier)
 from .spaces import CellGrid1D
 
 __all__ = [
@@ -91,11 +92,21 @@ class ProductWoldResult:
 def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
     """Distance of the compression C of the generator to ``part`` from a unitary.
 
-    The larger of the isometry defects of C and C*.  An injective
-    compressed image is unitary (0.0) when it permutes the cells;
-    otherwise it kills a column and misses a row, so both defects are
-    exactly 1.0.
+    The larger of the isometry defects of C and C*.  For cells and an
+    image-backed generator the compressed image is read through
+    ``_positions`` and no map is built: an injective one is unitary (0.0)
+    when it permutes the cells, and otherwise kills a column and misses a
+    row, so both defects are exactly 1.0.  A non-injective compressed
+    image, and any other part or generator, takes both defects of the
+    compressed map.
     """
+    if part.cells is not None and generator.image is not None:
+        image = _positions(part.cells, generator.codomain_dim)[generator.image[part.cells]]
+        live = image[image >= 0]
+        hit = np.zeros(part.dim, dtype=bool)
+        hit[live] = True
+        if np.count_nonzero(hit) == live.size:
+            return 0.0 if live.size == image.size else 1.0
     restr = _compress(generator, part)
     return max(_isometry_defect(restr), _isometry_defect(restr.adjoint()))
 
@@ -171,28 +182,42 @@ def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
                       _unitary_residual(part, family.generator))
 
 
+def _commutator_residual(a: WindowedMap, b: WindowedMap) -> tuple[float, int] | None:
+    """``_pair_residual(a.compose(b), b.compose(a))`` for square maps on one space.
+
+    Two image-backed maps are compared by ``_held_residual`` on the images
+    and faithful masks that ``_gather`` gives, without building either
+    product; a map held dense composes.
+    """
+    if a.image is None or b.image is None:
+        return _pair_residual(a.compose(b), b.compose(a))
+    return _held_residual(_gather(a, b), _gather(b, a))
+
+
 def classify_pair(pair: PairOfSemigroups, samples, tol: Tolerances = DEFAULT_TOL) -> CommutationReport:
     """Classify a pair as commuting / doubly commuting / neither.
 
     Residuals are maxima over all ordered sample pairs (t for the first
     family, s for the second), restricted to the composed faithful sets.
+    The commutators [V1_t, V2_s] and [V1_t, V2_s*] come from
+    ``_commutator_residual``, which builds no product of image-backed
+    maps; V2_s and its adjoint are built once per s.
     """
     times = list(samples)
     if not times:
         raise InvalidInput("no sample times given")
+    seconds = [(b, b.adjoint()) for b in map(pair.second.at_time, times)]
     comm = 0.0
     double = 0.0
     usable_comm = usable_double = 0
     for t in times:
         a = pair.first.at_time(t)
-        for s in times:
-            b = pair.second.at_time(s)
-            got = _pair_residual(a.compose(b), b.compose(a))
+        for b, b_adj in seconds:
+            got = _commutator_residual(a, b)
             if got is not None:
                 comm = max(comm, got[0])
                 usable_comm += 1
-            b_adj = b.adjoint()
-            got = _pair_residual(a.compose(b_adj), b_adj.compose(a))
+            got = _commutator_residual(a, b_adj)
             if got is not None:
                 double = max(double, got[0])
                 usable_double += 1

@@ -289,7 +289,8 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
     space must come out as a cell set; one held as a dense basis raises
     InvalidInput.  It has cells only when the orbit took the cell path,
     whose unitaries are image-backed, or when it is empty, so the defect
-    is read on the images.
+    is read on the images.  Each adjoint is built, read and compressed
+    before the next, so only one is held at a time.
     """
     extension = minimal_extension(setup, max_orbit, tol)
     if not extension.stabilized:
@@ -298,18 +299,17 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int,
     if wth.cells is None:
         raise InvalidInput(f"dual_pair needs a coordinate dual space; that of "
                            f"{setup.label} is a dense basis")
-    adjoints = (setup.u1.adjoint(), setup.u2.adjoint())
     inside = np.append(_mask(wth.cells, setup.ambient_dim), True)  # a zero column stays zero
-    residuals = []
-    for adj in adjoints:
+    residuals, compressed = [], []
+    for u in (setup.u1, setup.u2):  # one adjoint at a time, dropped once compressed
+        adj = u.adjoint()
         cols = wth.cells[adj.faithful_mask[wth.cells]]
-        if not cols.size:
-            residuals.append(0.0)
-            continue
+        rows = adj.image[cols] if cols.size else cols
         # (I - P) keeps the unit columns that leave the cells
-        rows = adj.image[cols]
         residuals.append(_unit_columns_norm(rows[~inside[rows]]))
-    g1, g2 = (_compress(adj, wth) for adj in adjoints)
+        compressed.append(_compress(adj, wth))
+        del adj, cols, rows
+    g1, g2 = compressed
     pair = PairOfSemigroups(
         SemigroupFamily(g1, f"{setup.label}:dual1", setup.cells_per_unit),
         SemigroupFamily(g2, f"{setup.label}:dual2", setup.cells_per_unit))

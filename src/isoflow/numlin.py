@@ -87,13 +87,27 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
+_BUDGET = 2**28  # bytes that one array quadratic in the dimension may take
+
+
+def _check_budget(entries: int, itemsize: int, what: str) -> None:
+    """Raise InvalidInput, before anything is allocated, when ``entries`` values of
+    ``itemsize`` bytes each would exceed ``_BUDGET``; ``what`` names the array."""
+    need = entries * itemsize
+    if need > _BUDGET:
+        raise InvalidInput(f"{what} needs {need:,} bytes, over the budget of {_BUDGET:,}")
+
+
 def _from_image(image, rows: int | None = None) -> np.ndarray:
     """0/1 matrix with a 1 at (image[j], j) for every j with image[j] >= 0.
 
-    ``rows`` defaults to the number of columns.
+    ``rows`` defaults to the number of columns.  A matrix over ``_BUDGET``
+    bytes raises InvalidInput before it is allocated.
     """
     image = np.asarray(image, dtype=np.int64)
-    matrix = np.zeros((image.size if rows is None else rows, image.size), dtype=np.complex128)
+    rows = image.size if rows is None else rows
+    _check_budget(rows * image.size, 16, f"a dense {rows} x {image.size} matrix")
+    matrix = np.zeros((rows, image.size), dtype=np.complex128)
     live = np.flatnonzero(image >= 0)
     matrix[image[live], live] = 1.0
     return matrix

@@ -1,0 +1,132 @@
+"""Checks that compare images, not built maps.
+
+The commutators of ``classify_pair``, the semigroup law and the Wold
+unitary residual read the image and faithful mask of a product from
+``semigroups._gather`` instead of building it with ``compose``.  The
+property tests hold each of them to the formula that builds the maps, on
+random partial permutations (non-injective ones too), random windows and
+maps held dense.  The count tests pin that no product is built for an
+image-backed pair and that each catalog runner computes one step-time
+verdict.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoflow import catalog, decompose
+from isoflow.catalog import Scenario, run_scenario
+from isoflow.decompose import _commutator_residual, _unitary_residual, classify_pair
+from isoflow.numlin import Subspace
+from isoflow.semigroups import (WindowedMap, _compress, _isometry_defect, _law_residual,
+                                _pair_residual, bishift_families, check_semigroup_law,
+                                halfline_shift_family)
+from isoflow.spaces import CellGrid1D, QuadrantGrid2D
+from test_derived_maps import image_maps
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def square_maps(draw, n: int):
+    """An image-backed map on C^n, injective or not, or its twin held dense."""
+    x = draw(image_maps(n, n, injective=draw(st.booleans())))
+    if draw(st.integers(0, 4)) == 0:
+        return WindowedMap(x.matrix, x.faithful_mask, x.adj_faithful_mask)
+    return x
+
+
+@st.composite
+def maps_on_one_space(draw, count: int):
+    n = draw(st.integers(0, 30))
+    return [draw(square_maps(n)) for _ in range(count)]
+
+
+@given(maps_on_one_space(2))
+@SETTINGS
+def test_commutators_match_the_composed_maps(maps):
+    a, b = maps
+    b_adj = b.adjoint()  # dense when b is not injective
+    assert _commutator_residual(a, b) == _pair_residual(a.compose(b), b.compose(a))
+    assert _commutator_residual(a, b_adj) == _pair_residual(a.compose(b_adj), b_adj.compose(a))
+
+
+@given(maps_on_one_space(3))
+@SETTINGS
+def test_law_residual_matches_the_composed_map(maps):
+    x, y, z = maps
+    assert _law_residual(x, y, z) == _pair_residual(x, y.compose(z))
+    yz = y.compose(z)  # the law holds where x is the product itself
+    assert _law_residual(yz, y, z) in (None, (0.0, int(yz.faithful_mask.sum())))
+
+
+@st.composite
+def parts_and_generators(draw):
+    n = draw(st.integers(0, 30))
+    generator = draw(image_maps(n, n, injective=draw(st.booleans())))
+    if draw(st.booleans()):
+        part = Subspace.full(n)
+    else:
+        part = Subspace.from_cells(n, draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+                                   if n else [])
+    return part, generator
+
+
+@given(parts_and_generators())
+@SETTINGS
+def test_unitary_residual_matches_the_compressed_map(case):
+    part, generator = case
+    restr = _compress(generator, part)
+    want = max(_isometry_defect(restr), _isometry_defect(restr.adjoint()))
+    assert _unitary_residual(part, generator) == want
+
+
+# --- call counts ---------------------------------------------------------------------
+
+def count_calls(mp: pytest.MonkeyPatch, *targets) -> Counter:
+    """Count calls of each (owner, name); a module-level function is patched in both
+    ``decompose`` and ``catalog``, which binds it by name."""
+    counts = Counter()
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        mp.setattr(owner, name, counted)
+    return counts
+
+
+def test_classify_pair_composes_nothing_on_an_image_backed_pair(monkeypatch):
+    """Building a o b, b o a, a o b* and b* o a took 4 compositions."""
+    pair = bishift_families(QuadrantGrid2D(4, 4))
+    counts = count_calls(monkeypatch, (WindowedMap, "compose"))
+    verdict = classify_pair(pair, [Fraction(1, 4)])
+    assert verdict.classified == "doubly_commuting"
+    assert counts["compose"] == 0
+
+
+def test_semigroup_law_composes_only_the_powers(monkeypatch):
+    """Steps 1, 2, 3: the powers 2..6 take one composition each (4 = V^4 is a square,
+    5 and 6 one square after another); building V^s o V^t for the 6 law pairs
+    took 6 more."""
+    family = halfline_shift_family(CellGrid1D(1, 8))
+    counts = count_calls(monkeypatch, (WindowedMap, "compose"))
+    report = check_semigroup_law(family, [1, 2, 3])
+    assert report.overall and len(report.entries) == 6
+    assert counts["compose"] == 5
+
+
+@pytest.mark.parametrize("construction, params, verdicts", [
+    ("bishift", {"m": 4, "T": 4}, 2),  # the samples and the step; was 3
+    ("four_block_dc", {"T": 12, "circ": 6}, 1),  # the step, which is time 1; was 2
+])
+def test_each_runner_computes_one_step_verdict(monkeypatch, construction, params, verdicts):
+    counts = count_calls(monkeypatch, (decompose, "classify_pair"), (catalog, "classify_pair"))
+    report = run_scenario(Scenario("s", construction, params))
+    assert report.overall
+    assert counts["classify_pair"] == verdicts
