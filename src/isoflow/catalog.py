@@ -104,7 +104,7 @@ def _run_bishift(tol, m, T, r, K, samples):
     entries.append(CheckEntry("classified", 0.0, (), verdict.classified == "doubly_commuting",
                               verdict.classified))
     step = _step_verdict(pair, tol)  # both splits read the one step-time verdict
-    split = _fourfold(pair, K, tol, step)
+    split = _fourfold(pair, K, step)
     entries.append(CheckEntry("fourfold_dims", split.reduction_residual, split.dims,
                               split.dims == (pair.dim, 0, 0, 0)))
     product = _product_unitary_part(pair, K, tol, step)
@@ -148,7 +148,7 @@ def _run_four_block_dc(tol, T, circ, K):
     verdict = _step_verdict(pair, tol)  # time 1, the step of both families
     entries = [CheckEntry("classified", verdict.double_comm_residual, (),
                           verdict.classified == "doubly_commuting", verdict.classified)]
-    split = _fourfold(pair, K, tol, verdict)
+    split = _fourfold(pair, K, verdict)
     entries.append(CheckEntry("fourfold_dims", 0.0, split.dims, split.dims == expected,
                               f"expected {expected}"))
     entries.append(CheckEntry("reduction_residual", split.reduction_residual, (),
@@ -222,14 +222,14 @@ def _run_bcl(tol, T, m, r, samples):
 
 def _run_dual_example(tol, m, T, r, K, max_orbit):
     setup = duality.l_region_setup(m, T, r)
-    dual = duality.dual_pair(setup, max_orbit, tol)
+    dual = duality.dual_pair(setup, max_orbit)
     model1, model2 = bishift_pair(QuadrantGrid2D(m, T, r), Fraction(1, m))
     out = Report("dual_example")
     for axis, (got, model) in enumerate(((dual.pair.first.generator, model1),
                                          (dual.pair.second.generator, model2)), start=1):
-        if got.image is None or got.shape != model.shape:
-            raise InternalInconsistency(f"dual generator {axis} is not a partial permutation "
-                                        f"of shape {model.shape}, as the bishift model is")
+        if got.shape != model.shape:
+            raise InternalInconsistency(f"dual generator {axis} has shape {got.shape}, "
+                                        f"not {model.shape} as the bishift model")
         residual = _image_residual(got.image, model.image)  # over the differing columns only
         out.entries.append(CheckEntry(f"dual_equals_bishift_axis{axis}", residual,
                                       (got.domain_dim,),

@@ -30,10 +30,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .decompose import _commutator_residual
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed
-from .numlin import DEFAULT_TOL, Tolerances, _check_budget, residual_norm, spectral_norm
+from .numlin import DEFAULT_TOL, Tolerances, _check_budget
 from .report import CheckEntry, Report
-from .semigroups import SemigroupFamily, _cut_shift_images, _forward_image, _pair_residual
+from .semigroups import SemigroupFamily, _cut_shift_images, _forward_image, _held_residual
 
 __all__ = [
     "CommutantBasis",
@@ -245,21 +246,23 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
     return _fiber_form(_exact_commutant([(mz, range(n - r)), (mz_adj, range(r, n))], n), d + 1)
 
 
-def _fiber_block_average(matrix: np.ndarray, fiber: int, cells) -> np.ndarray:
-    blocks = [matrix[k * fiber:(k + 1) * fiber, k * fiber:(k + 1) * fiber] for k in sorted(cells)]
-    return sum(blocks) / len(blocks)
-
-
 def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: SemigroupFamily,
                            fiber: int, samples, tol: Tolerances = DEFAULT_TOL) -> Report:
     """Commuting normal elements against the shift must doubly commute.
 
-    For each sampled time the element must be normal (precondition).  The
+    For each sampled time the element must be normal (precondition).  A
+    partial permutation A has A A* and A* A equal to the projections onto
+    its live rows and its live columns, so it is normal exactly when it is
+    injective and those two sets are equal; equal sets of live rows and
+    live columns have equal sizes, which makes the image injective.  The
     check then asserts the one-sided implication: a commutation residual
-    within tolerance forces the adjoint-commutation residual within 10x
-    tolerance, and the element must carry the fiber form I (x) B_t
-    (structure residual reported).  ``shift_family`` is trusted to be the
-    half-line shift tensored with an identity fiber of the given size.
+    within tolerance forces the adjoint-commutation residual within
+    tolerance, and the element must carry the fiber form I (x) B_t.  B_t
+    is the diagonal block of the first fiber block whose columns are all
+    faithful, and the image is compared with I (x) B_t rebuilt from it by
+    ``_held_residual`` on the faithful columns.  ``shift_family`` is
+    trusted to be the half-line shift tensored with an identity fiber of
+    the given size.
     """
     if normal_family.dim != shift_family.dim:
         raise DimensionMismatch("families act on different spaces")
@@ -270,26 +273,30 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
     for t in samples:
         time = Fraction(t)
         a = normal_family.at_time(time)
-        normality = residual_norm(a.matrix @ a.matrix.conj().T, a.matrix.conj().T @ a.matrix)
-        if normality > tol.resid_abs:
-            raise PreconditionFailed(f"element at t={time} is not normal ({normality:.3e})")
+        live = a.image >= 0
+        rows = np.zeros(a.codomain_dim, dtype=bool)
+        rows[a.image[live]] = True
+        if not np.array_equal(rows, live):
+            raise PreconditionFailed(f"element at t={time} is not normal")
         v = shift_family.at_time(time)
-        comm, _ = _pair_residual(a.compose(v), v.compose(a)) or (0.0, 0)
+        comm, _ = _commutator_residual(a, v) or (0.0, 0)
         entries.append(CheckEntry(f"t={time}:commutator", comm, (), True))
         if comm <= tol.resid_abs:
-            v_adj = v.adjoint()
-            double, _ = _pair_residual(a.compose(v_adj), v_adj.compose(a)) or (0.0, 0)
+            double, _ = _commutator_residual(a, v.adjoint()) or (0.0, 0)
             entries.append(CheckEntry(f"t={time}:adjoint_commutator", double, (),
-                                      double <= 10 * tol.resid_abs))
+                                      double <= tol.resid_abs))
             full_cells = np.flatnonzero(a.faithful_mask.reshape(cells, fiber).all(axis=1))
             if not full_cells.size:
                 entries.append(CheckEntry(f"t={time}:fiber_form", 0.0, (0,), False,
                                           "no faithful fiber block"))
                 continue
-            b_t = _fiber_block_average(a.matrix, fiber, full_cells)
-            rebuilt = np.kron(np.eye(cells, dtype=np.complex128), b_t)
-            cols = np.flatnonzero(a.faithful_mask)
-            structure = spectral_norm(a.matrix[:, cols] - rebuilt[:, cols])
-            entries.append(CheckEntry(f"t={time}:fiber_form", structure, (len(full_cells),),
-                                      structure <= 10 * tol.resid_abs))
+            first = full_cells[0] * fiber
+            b_t = a.image[first:first + fiber] - first
+            b_t[(b_t < 0) | (b_t >= fiber)] = -1
+            offsets = np.arange(0, a.domain_dim, fiber)[:, None]
+            rebuilt = np.where(b_t >= 0, offsets + b_t, -1).ravel()
+            structure, _ = _held_residual((a.image, a.faithful_mask),
+                                          (rebuilt, np.ones(a.domain_dim, dtype=bool)))
+            entries.append(CheckEntry(f"t={time}:fiber_form", structure, (full_cells.size,),
+                                      structure <= tol.resid_abs))
     return Report(scenario="fuglede_instance", entries=entries)

@@ -3,13 +3,12 @@
 The unitary part of a family is the intersection of the spans of the
 trusted columns of its powers; the split into a unitary and a completely
 nonunitary (pure shift) part is the first intersection that certifies
-itself by standing still for one extra step.  The generator must be
-image-backed: the span at step k is then the set of cells at the end of
-a chain of k generator steps, so the split is read off the chain heights
-of the cells, found by doubling without forming a power.  The
-stabilization certificate is always reported, never assumed: a window
-can be too small to resolve the unitary part, in which case the result
-carries ``stabilized=False``.
+itself by standing still for one extra step.  The span at step k is the
+set of cells at the end of a chain of k generator steps, so the split is
+read off the chain heights of the cells, found by doubling without
+forming a power.  The stabilization certificate is always reported,
+never assumed: a window can be too small to resolve the unitary part, in
+which case the result carries ``stabilized=False``.
 
 On top of the single-family split sit the pair-level operations:
 commutation classification, the fourfold split of a doubly commuting
@@ -28,12 +27,12 @@ import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _positions, _unit_columns_norm,
-                     complement, intersect, spectral_norm)
+                     complement, intersect)
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _check_image,
-                         _compress, _gather, _halfline_rows, _held_residual, _isometry_defect,
-                         _mask, _pair_residual, _phi_rows, grid_steps, halfline_shift,
-                         phi_multiplier)
+                         _gather, _halfline_rows, _held_residual, _image_isometry_defect,
+                         _isometry_defect, _mask, _pair_residual, _phi_rows, grid_steps,
+                         halfline_shift, phi_multiplier)
 from .spaces import CellGrid1D
 
 __all__ = [
@@ -92,23 +91,15 @@ class ProductWoldResult:
 def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
     """Distance of the compression C of the generator to ``part`` from a unitary.
 
-    The larger of the isometry defects of C and C*.  For cells and an
-    image-backed generator the compressed image is read through
-    ``_positions`` and no map is built: an injective one is unitary (0.0)
-    when it permutes the cells, and otherwise kills a column and misses a
-    row, so both defects are exactly 1.0.  A non-injective compressed
-    image, and any other part or generator, takes both defects of the
-    compressed map.
+    The larger of the isometry defects of C and C*.  The compressed image
+    is read through ``_positions`` and no map is built.  C is square, so
+    the two defects agree: an injective C is unitary (0.0) when it permutes
+    the cells, and otherwise kills a column and misses a row, so both are
+    1.0; when c_max >= 2 columns share a row, C C* - I is diag(c - 1), so
+    both are c_max - 1.
     """
-    if part.cells is not None and generator.image is not None:
-        image = _positions(part.cells, generator.codomain_dim)[generator.image[part.cells]]
-        live = image[image >= 0]
-        hit = np.zeros(part.dim, dtype=bool)
-        hit[live] = True
-        if np.count_nonzero(hit) == live.size:
-            return 0.0 if live.size == image.size else 1.0
-    restr = _compress(generator, part)
-    return max(_isometry_defect(restr), _isometry_defect(restr.adjoint()))
+    image = _positions(part.cells, generator.codomain_dim)[generator.image[part.cells]]
+    return _image_isometry_defect(image, part.dim)
 
 
 def _chain_heights(image: np.ndarray, live: np.ndarray,
@@ -147,7 +138,7 @@ def _chain_heights(image: np.ndarray, live: np.ndarray,
 
 
 def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
-    """Split the space into unitary and pure parts of an image-backed family V.
+    """Split the space into unitary and pure parts of a family V.
 
     The unitary part is the intersection over k of range_k, the set of
     rows that the faithful columns of V^k reach.  The split stops early
@@ -164,15 +155,11 @@ def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
     exactly when no cell has height k - 1: the split stabilizes at
     k = 1 + the smallest missing height h, and its unitary part is the
     cells of height above h.  Heights come from O(log max_steps) doubling
-    rounds over two length-n arrays.  A generator held as a dense matrix
-    raises InvalidInput.
+    rounds over two length-n arrays.
     """
     if max_steps < 1:
         raise InvalidInput("max_steps must be >= 1")
     image = family.generator.image
-    if image is None:
-        raise InvalidInput(f"wold_cooper needs an image-backed generator; "
-                           f"{family.label or 'the family'} is held as a dense matrix")
     live = family.generator.faithful_mask & (image >= 0)
     height, missing, _ = _chain_heights(image, live, max_steps)
     stabilized = missing < max_steps
@@ -185,12 +172,9 @@ def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
 def _commutator_residual(a: WindowedMap, b: WindowedMap) -> tuple[float, int] | None:
     """``_pair_residual(a.compose(b), b.compose(a))`` for square maps on one space.
 
-    Two image-backed maps are compared by ``_held_residual`` on the images
-    and faithful masks that ``_gather`` gives, without building either
-    product; a map held dense composes.
+    The images and faithful masks that ``_gather`` gives are compared by
+    ``_held_residual``, without building either product.
     """
-    if a.image is None or b.image is None:
-        return _pair_residual(a.compose(b), b.compose(a))
     return _held_residual(_gather(a, b), _gather(b, a))
 
 
@@ -200,8 +184,8 @@ def classify_pair(pair: PairOfSemigroups, samples, tol: Tolerances = DEFAULT_TOL
     Residuals are maxima over all ordered sample pairs (t for the first
     family, s for the second), restricted to the composed faithful sets.
     The commutators [V1_t, V2_s] and [V1_t, V2_s*] come from
-    ``_commutator_residual``, which builds no product of image-backed
-    maps; V2_s and its adjoint are built once per s.
+    ``_commutator_residual``, which builds no product; V2_s and its
+    adjoint are built once per s.
     """
     times = list(samples)
     if not times:
@@ -235,27 +219,20 @@ def classify_pair(pair: PairOfSemigroups, samples, tol: Tolerances = DEFAULT_TOL
 def _reduction_residual(subspace: Subspace, elements) -> float:
     """Max commutation residual of the projector with the given elements.
 
-    Only the faithful columns of each element count.  For cells and an
-    image-backed element v, column j of PV - VP is +-e_v(j) when exactly
-    one of j and v(j) lies in the cells, and zero otherwise, so the norm
-    is the square root of the largest number of such columns that share a
-    row.
+    Only the faithful columns of each element count.  Column j of PV - VP
+    is +-e_v(j) when exactly one of j and v(j) lies in the cells, and zero
+    otherwise, so the norm is the square root of the largest number of
+    such columns that share a row.
     """
     if subspace.dim == 0:
         return 0.0
     worst = 0.0
-    inside = None if subspace.cells is None else _mask(subspace.cells, subspace.ambient)
+    inside = _mask(subspace.cells, subspace.ambient)
     for element in elements:
         cols = np.flatnonzero(element.faithful_mask)
-        if not cols.size:
-            continue
-        if inside is not None and element.image is not None:
-            rows = element.image[cols]
-            moved = rows[(rows >= 0) & (inside[rows] != inside[cols])]
-            worst = max(worst, _unit_columns_norm(moved))
-            continue
-        p = subspace.projector()
-        worst = max(worst, spectral_norm((p @ element.matrix - element.matrix @ p)[:, cols]))
+        rows = element.image[cols]
+        moved = rows[(rows >= 0) & (inside[rows] != inside[cols])]
+        worst = max(worst, _unit_columns_norm(moved))
     return worst
 
 
@@ -272,10 +249,10 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int,
     the reduction residuals cannot be nonzero for a genuinely doubly
     commuting pair, so they are reported as window-pollution detectors.
     """
-    return _fourfold(pair, max_steps, tol, _step_verdict(pair, tol))
+    return _fourfold(pair, max_steps, _step_verdict(pair, tol))
 
 
-def _fourfold(pair: PairOfSemigroups, max_steps: int, tol: Tolerances,
+def _fourfold(pair: PairOfSemigroups, max_steps: int,
               verdict: CommutationReport) -> FourfoldResult:
     """``fourfold_decompose`` given the step-time verdict of the pair."""
     if verdict.classified != "doubly_commuting":
@@ -283,10 +260,10 @@ def _fourfold(pair: PairOfSemigroups, max_steps: int, tol: Tolerances,
             f"pair classifies as {verdict.classified}, needs doubly_commuting")
     w1 = wold_cooper(pair.first, max_steps)
     w2 = wold_cooper(pair.second, max_steps)
-    h_pp = intersect(w1.cnu_part, w2.cnu_part, tol)
-    h_pu = intersect(w1.cnu_part, w2.unitary_part, tol)
-    h_up = intersect(w1.unitary_part, w2.cnu_part, tol)
-    h_uu = intersect(w1.unitary_part, w2.unitary_part, tol)
+    h_pp = intersect(w1.cnu_part, w2.cnu_part)
+    h_pu = intersect(w1.cnu_part, w2.unitary_part)
+    h_up = intersect(w1.unitary_part, w2.cnu_part)
+    h_uu = intersect(w1.unitary_part, w2.unitary_part)
     gens = [pair.first.generator, pair.second.generator]
     residual = max(_reduction_residual(part, gens) for part in (h_pp, h_pu, h_up, h_uu))
     return FourfoldResult(h_pp, h_pu, h_up, h_uu, residual, w1, w2)
@@ -370,14 +347,12 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
     Only verifies a supplied equivalence; finding one is out of scope.
     Z A Z* is a composition, so its window is the support rule: column i
     is trusted when Z* e_i lies inside the window of A.  ``z`` is a
-    ``WindowedMap``: a permutation passed image-backed conjugates by a
-    gather, and any other unitary is passed as ``WindowedMap.full``.
+    permutation held as a ``WindowedMap``, so the conjugation is a gather.
     """
     if not isinstance(z, WindowedMap):
-        raise InvalidInput(f"z must be a WindowedMap (image-backed for a permutation, "
-                           f"WindowedMap.full otherwise), got {type(z).__name__}")
-    z_adj = z.adjoint()
-    if max(_isometry_defect(z), _isometry_defect(z_adj)) > tol.resid_abs:
+        raise InvalidInput(f"z must be a WindowedMap, got {type(z).__name__}")
+    if (_isometry_defect(z) > tol.resid_abs  # first: only an injective z has an adjoint
+            or _isometry_defect(z_adj := z.adjoint()) > tol.resid_abs):
         raise PreconditionFailed("supplied conjugation is not unitary within tolerance")
     entries = []
     usable = 0

@@ -1,26 +1,26 @@
 """Minimal unitary extensions on finite ambients and dual-pair extraction.
 
 An ``ExtensionSetup`` supplies the extension as data: two commuting
-unitaries on a finite ambient space (exact permutations wherever
-possible) together with an embedded subspace whose compressions recover
-the pair of isometric families under study.  Solving for extensions of
-abstract pairs is out of scope; the bundled setups realize the two-sided
-translation ambients in which the compressions are exact.
+permutations of a finite ambient space together with an embedded cell
+set whose compressions recover the pair of isometric families under
+study.  Solving for extensions of abstract pairs is out of scope; the
+bundled setups realize the two-sided translation ambients in which the
+compressions are exact.
 
 The dual of the pair is the adjoint extension compressed to the
 orthogonal complement of the original space inside the minimal extension
 space.  The minimal extension space itself is certified by a finite orbit
 computation: the span of U1^a U2^b H over the box |a|, |b| <= A, with A
-grown until two consecutive spans agree in dimension and projector.
-Because the unitaries commute, the box of radius A + 1 is the box of
-radius A moved once by every U1^s U2^t with |s|, |t| <= 1, so each step
-moves only the cells the last step added (the frontier): O(A n) time and
-O(n) memory on permutations, with no table of powers.  A permutation
-moves a set without repeats to a set without repeats, so each moved part
-of the frontier is kept by a membership test on a mask, with nothing to
-deduplicate.  The continuum statement quantifies over real parameters;
-the certificate here covers the integer box only, and that distinction
-is always reported (the ``stabilized`` flag), never hidden.
+grown until one more radius adds no cell.  Because the unitaries commute,
+the box of radius A + 1 is the box of radius A moved once by every
+U1^s U2^t with |s|, |t| <= 1, so each step moves only the cells the last
+step added (the frontier): O(A n) time and O(n) memory, with no table of
+powers.  A permutation moves a set without repeats to a set without
+repeats, so each moved part of the frontier is kept by a membership test
+on a mask, with nothing to deduplicate.  The continuum statement
+quantifies over real parameters; the certificate here covers the integer
+box only, and that distinction is always reported (the ``stabilized``
+flag), never hidden.
 
 Each value is computed once per scenario: the joint classification hands
 its compressed pair, its step-time verdicts and its dual on to the
@@ -29,13 +29,9 @@ one (the adjoint setup of ``double_dual_check``, the reduced setup of
 ``dual_fourfold``) are built by ``ExtensionSetup._derived``, without
 re-running the unitary and commutation checks.
 
-When both unitaries are image-backed and the subspace is held as cells,
-every computation below stays in integer-exact set arithmetic; otherwise
-orbit spans and compressions take the general dense path, and a dual
-space that comes out dense is rejected.  The path follows from how the
-data is held, never from its entries: a permutation held as a dense
-matrix takes the dense path.  Compressions, isometry tests and
-conjugations come from ``semigroups``.
+Every computation below is integer-exact set arithmetic on images and
+cells.  Compressions, isometry tests and conjugations come from
+``semigroups``.
 """
 
 from __future__ import annotations
@@ -48,8 +44,7 @@ import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _positions, _unit_columns_norm,
-                     orthonormal_basis, spectral_norm, subtract)
+from .numlin import DEFAULT_TOL, Subspace, Tolerances, _positions, _unit_columns_norm, subtract
 from .decompose import (CommutationReport, _fourfold, _product_unitary_part,
                         _reduction_residual, _step_verdict, fourfold_decompose,
                         product_unitary_part)
@@ -78,16 +73,14 @@ __all__ = [
     "setup_direct_sum",
 ]
 
-_UNITARY_ATOL = 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class ExtensionSetup:
-    """Commuting ambient unitaries plus the embedded original subspace.
+    """Commuting ambient permutations plus the embedded original subspace.
 
     The unitaries are carried as WindowedMaps so that their own exactness
     windows (wrap-affected cells of a cyclic ambient) propagate into every
-    compression.
+    compression.  Each must be a permutation (isometry defect exactly 0,
+    which for a square map means unitary), and the two must commute.
     """
 
     u1: WindowedMap
@@ -104,15 +97,10 @@ class ExtensionSetup:
         if self.h.ambient != n:
             raise InvalidInput("subspace ambient does not match the unitaries")
         for tag, u in (("U1", self.u1), ("U2", self.u2)):
-            if _isometry_defect(u) > _UNITARY_ATOL:  # a square isometry is unitary
-                raise InvalidInput(f"{tag} is not unitary to 1e-12")
+            if _isometry_defect(u) != 0.0:  # a square isometry is unitary
+                raise InvalidInput(f"{tag} is not unitary")
         a, b = self.u1.image, self.u2.image
-        if a is not None and b is not None:
-            commute = np.array_equal(a[b], b[a])
-        else:
-            commute = spectral_norm(self.u1.matrix @ self.u2.matrix
-                                    - self.u2.matrix @ self.u1.matrix) <= _UNITARY_ATOL
-        if not commute:
+        if not np.array_equal(a[b], b[a]):
             raise InvalidInput("ambient unitaries do not commute")
         if self.cells_per_unit < 1:
             raise InvalidInput("cells_per_unit must be >= 1")
@@ -176,20 +164,17 @@ class DualFourfoldResult:
 # orbit spans and host coordinates
 
 
-def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace,
-                max_orbit: int, tol: Tolerances) -> OrbitSpan:
+def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace, max_orbit: int) -> OrbitSpan:
     """Span of U1^a U2^b (start) over the box |a|, |b| <= A, grown until stable.
 
     Requires U1 and U2 to be commuting unitaries (``ExtensionSetup``
     checks both).  Then box(r + 1) = N(box(r)) with
     N = {U1^s U2^t : |s|, |t| <= 1}, so box(r + 1) = box(r) | N(F_r)
-    where F_r holds the cells that radius r added.  When ``start`` is
-    held as cells and both unitaries are image-backed (permutations, by
-    ``ExtensionSetup``), only that frontier moves, and the orbit is stable
-    at the first radius whose frontier adds nothing.  A permutation maps a
-    set without repeats to a set without repeats, so every part below is
-    kept by a membership test on a mask alone (``_take``), never
-    deduplicated.  G = F | U1 F | U1* F is built from its three parts,
+    where F_r holds the cells that radius r added.  Only that frontier
+    moves, and the orbit is stable at the first radius whose frontier adds
+    nothing.  A permutation maps a set without repeats to a set without
+    repeats, so every part below is kept by a membership test on a mask
+    alone (``_take``), never deduplicated.  G = F | U1 F | U1* F is built from its three parts,
     leaving out the cells that an earlier radius already moved through U2
     and U2*: their moves are in the span, so G | U2 G | U2* G still covers
     N(F_r) outside it.  The next frontier is that set minus the span, its
@@ -199,40 +184,26 @@ def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace,
     all radii together move at most 4n cells.  Memory is the two inverse
     images, two masks and the parts: on ``l_region_setup(8, 16)``
     (n = 65,536) the ``tracemalloc`` peak above live memory is 3.9 x 8n
-    bytes.  On the dense path the whole span moves by the same
-    recurrence, and it is stable when one step keeps its dimension and
-    moves it by at most ``tol.resid_abs`` in gap.
+    bytes.
     """
     if max_orbit < 1:
         raise InvalidInput("max_orbit must be >= 1")
     n = start.ambient
-    if start.cells is not None and u1.image is not None and u2.image is not None:
-        (f1, b1), (f2, b2) = moves = [(u.image, np.empty(n, dtype=np.int64)) for u in (u1, u2)]
-        for forward, backward in moves:
-            backward[forward] = np.arange(n)  # the inverse image, by one scatter
-        unmoved = np.ones(n, dtype=bool)  # False once a cell has gone through U2 and U2*
-        outside = np.ones(n, dtype=bool)  # False on the span
-        outside[start.cells] = False
-        frontier = start.cells
-        for radius in range(max_orbit):
-            g = np.concatenate([_take(frontier, unmoved),
-                                *(_take(move[frontier], unmoved) for move in (f1, b1))])
-            frontier = np.concatenate([_take(g, outside),
-                                       *(_take(move[g], outside) for move in (f2, b2))])
-            if not frontier.size:
-                return OrbitSpan(Subspace._derived(n, np.flatnonzero(~outside)), True, radius)
-        return OrbitSpan(Subspace._derived(n, np.flatnonzero(~outside)), False, max_orbit)
-
-    current = orthonormal_basis(start.basis, tol)
+    (f1, b1), (f2, b2) = moves = [(u.image, np.empty(n, dtype=np.int64)) for u in (u1, u2)]
+    for forward, backward in moves:
+        backward[forward] = np.arange(n)  # the inverse image, by one scatter
+    unmoved = np.ones(n, dtype=bool)  # False once a cell has gone through U2 and U2*
+    outside = np.ones(n, dtype=bool)  # False on the span
+    outside[start.cells] = False
+    frontier = start.cells
     for radius in range(max_orbit):
-        grown = current
-        for u in (u1.matrix, u2.matrix):
-            q = grown.basis
-            grown = orthonormal_basis(np.hstack((q, u @ q, u.conj().T @ q)), tol)
-        if grown.dim == current.dim and grown.gap(current) <= tol.resid_abs:
-            return OrbitSpan(current, True, radius)
-        current = grown
-    return OrbitSpan(current, False, max_orbit)
+        g = np.concatenate([_take(frontier, unmoved),
+                            *(_take(move[frontier], unmoved) for move in (f1, b1))])
+        frontier = np.concatenate([_take(g, outside),
+                                   *(_take(move[g], outside) for move in (f2, b2))])
+        if not frontier.size:
+            return OrbitSpan(Subspace._derived(n, np.flatnonzero(~outside)), True, radius)
+    return OrbitSpan(Subspace._derived(n, np.flatnonzero(~outside)), False, max_orbit)
 
 
 def _take(cells: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -242,17 +213,14 @@ def _take(cells: np.ndarray, free: np.ndarray) -> np.ndarray:
     return cells
 
 
-def minimal_extension(setup: ExtensionSetup, max_orbit: int,
-                      tol: Tolerances = DEFAULT_TOL) -> OrbitSpan:
+def minimal_extension(setup: ExtensionSetup, max_orbit: int) -> OrbitSpan:
     """Certified span of the unitary orbit of the embedded subspace."""
-    return _orbit_span(setup.u1, setup.u2, setup.h, max_orbit, tol)
+    return _orbit_span(setup.u1, setup.u2, setup.h, max_orbit)
 
 
 def _lift_local(local: Subspace, host: Subspace) -> Subspace:
     """Embed a subspace given in host-local coordinates into the ambient."""
-    if host.cells is not None and local.cells is not None:
-        return Subspace._derived(host.ambient, host.cells[local.cells])
-    return orthonormal_basis(host.basis @ local.basis)
+    return Subspace._derived(host.ambient, host.cells[local.cells])
 
 
 def _restrict_to(host: Subspace, part: Subspace) -> Subspace:
@@ -267,38 +235,29 @@ def _restrict_to(host: Subspace, part: Subspace) -> Subspace:
 def _overlap(a: Subspace, b: Subspace) -> float:
     """Spectral norm of P_A P_B.
 
-    For two cell sets P_A P_B is the coordinate projector of their
-    intersection: 1.0 when they meet, 0.0 when they do not.
+    P_A P_B is the coordinate projector of the cells the two share: 1.0
+    when they meet, 0.0 when they do not.
     """
-    if a.cells is not None and b.cells is not None:
-        return float(np.intersect1d(a.cells, b.cells, assume_unique=True).size > 0)
-    return spectral_norm(a.projector() @ b.projector())
+    return float(np.intersect1d(a.cells, b.cells, assume_unique=True).size > 0)
 
 
 # ---------------------------------------------------------------------------
 # dual pair operations
 
 
-def dual_pair(setup: ExtensionSetup, max_orbit: int,
-              tol: Tolerances = DEFAULT_TOL) -> DualResult:
+def dual_pair(setup: ExtensionSetup, max_orbit: int) -> DualResult:
     """Dual of the compressed pair: adjoint extension on obH minus H.
 
     Reports the invariance defect of the complement under each adjoint
     unitary, restricted to faithful columns (the complement is invariant
-    for the adjoints; a nonzero value flags window pollution).  The dual
-    space must come out as a cell set; one held as a dense basis raises
-    InvalidInput.  It has cells only when the orbit took the cell path,
-    whose unitaries are image-backed, or when it is empty, so the defect
-    is read on the images.  Each adjoint is built, read and compressed
-    before the next, so only one is held at a time.
+    for the adjoints; a nonzero value flags window pollution), read on
+    the images.  Each adjoint is built, read and compressed before the
+    next, so only one is held at a time.
     """
-    extension = minimal_extension(setup, max_orbit, tol)
+    extension = minimal_extension(setup, max_orbit)
     if not extension.stabilized:
         raise PreconditionFailed(f"orbit span did not stabilize within radius {max_orbit}")
-    wth = subtract(extension.span, setup.h, tol)
-    if wth.cells is None:
-        raise InvalidInput(f"dual_pair needs a coordinate dual space; that of "
-                           f"{setup.label} is a dense basis")
+    wth = subtract(extension.span, setup.h)
     inside = np.append(_mask(wth.cells, setup.ambient_dim), True)  # a zero column stays zero
     residuals, compressed = [], []
     for u in (setup.u1, setup.u2):  # one adjoint at a time, dropped once compressed
@@ -350,14 +309,10 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
     ones restricted to their common faithful columns, and the orbit of the
     dual space under the adjoint unitaries must reproduce the extension
     space.  ``radius_bound``, when given, caps the orbit radius at which
-    that minimality certificate is allowed to stabilize.  The original
-    space must be a cell set; one held as a dense basis raises
-    InvalidInput.  When the recovered cells are not the original ones,
-    each recovered axis fails with residual 1.0.
+    that minimality certificate is allowed to stabilize.  When the
+    recovered cells are not the original ones, each recovered axis fails
+    with residual 1.0.
     """
-    if setup.h.cells is None:
-        raise InvalidInput(f"double_dual_check needs a coordinate original space; that of "
-                           f"{setup.label} is a dense basis")
     if setup.h.dim == 0:
         raise PreconditionFailed("empty original space: c.n.u. check is undefined")
     original = setup.compressed_pair()
@@ -366,10 +321,10 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
         raise PreconditionFailed(
             f"original pair is not certified c.n.u. (unitary dim {product.subspace.dim}, "
             f"stabilized={product.stabilized})")
-    first_dual = dual_pair(setup, max_orbit, tol)
+    first_dual = dual_pair(setup, max_orbit)
     dual_setup = setup._derived(u1=setup.u1.adjoint(), u2=setup.u2.adjoint(),
                                 h=first_dual.wth, label=f"{setup.label}~")
-    second_dual = dual_pair(dual_setup, max_orbit, tol)
+    second_dual = dual_pair(dual_setup, max_orbit)
     minimality_gap = second_dual.obh.gap(first_dual.obh)
     recovered_gap = second_dual.wth.gap(setup.h)
     entries = [
@@ -430,7 +385,7 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: Commu
         raise WindowTooSmall("product unitary part did not stabilize")
     h_uu_local = product.subspace
     h_uu_ambient = _lift_local(h_uu_local, setup.h)
-    h_s_ambient = subtract(setup.h, h_uu_ambient, tol)
+    h_s_ambient = subtract(setup.h, h_uu_ambient)
     zero_local = Subspace.zero(setup.h.dim)
     if h_s_ambient.dim == 0:
         return DualFourfoldResult(zero_local, zero_local, zero_local, h_uu_local,
@@ -439,10 +394,10 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: Commu
         dual, dual_verdict = known
     else:
         reduced = setup._derived(h=h_s_ambient, label=f"{setup.label}|cnu")
-        dual, dual_verdict = dual_pair(reduced, max_orbit, tol), None
+        dual, dual_verdict = dual_pair(reduced, max_orbit), None
     if dual_verdict is None:
         dual_verdict = _step_verdict(dual.pair, tol)
-    split = _fourfold(dual.pair, max_steps, tol, dual_verdict)  # raises unless doubly commuting
+    split = _fourfold(dual.pair, max_steps, dual_verdict)  # raises unless doubly commuting
     if split.h_uu.dim != 0:
         raise InternalInconsistency(
             f"dual unitary-unitary corner has dimension {split.h_uu.dim}; "
@@ -456,11 +411,11 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: Commu
             hats.append(Subspace.zero(setup.ambient_dim))
             parts_ambient.append(Subspace.zero(setup.ambient_dim))
             continue
-        lift = _orbit_span(setup.u1, setup.u2, tilde_ambient, max_orbit, tol)
+        lift = _orbit_span(setup.u1, setup.u2, tilde_ambient, max_orbit)
         if not lift.stabilized:
             raise WindowTooSmall("lifted orbit span did not stabilize")
         hats.append(lift.span)
-        parts_ambient.append(subtract(lift.span, tilde_ambient, tol))
+        parts_ambient.append(subtract(lift.span, tilde_ambient))
     ortho = max(_overlap(a, b) for a, b in combinations(hats, 2))
     locals_ = [_restrict_to(setup.h, part) for part in parts_ambient]
     h_m, h_pu, h_up = locals_
@@ -484,15 +439,13 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
     if setup.geometry is None:
         raise PreconditionFailed("setup carries no region geometry to compare against")
     region = setup.geometry
-    dual = dual_pair(setup, max_orbit, tol)
+    dual = dual_pair(setup, max_orbit)
     split = fourfold_decompose(dual.pair, max_steps, tol)  # raises unless doubly commuting
     if split.dims != (dual.wth.dim, 0, 0, 0):
         raise PreconditionFailed(f"dual fourfold dims {split.dims} are not pure bishift")
     if not np.array_equal(dual.wth.cells, region.quadrant_cells()):
         raise PreconditionFailed("recovered dual space does not sit on the quadrant cells")
     entries = [CheckEntry("dual_bishift_dims", 0.0, split.dims, True)]
-    if setup.h.cells is None:
-        raise PreconditionFailed("original space is not a coordinate subspace")
     canonical_cells = region.l_cells()
     at = _positions(canonical_cells, setup.h.ambient)[setup.h.cells]  # setup -> canonical
     if (at < 0).any():
@@ -530,7 +483,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
                               (1 if dc.classified == "doubly_commuting" else 0,), True,
                               dc.classified))
     try:
-        dual = dual_pair(setup, max_orbit, tol)
+        dual = dual_pair(setup, max_orbit)
     except (PreconditionFailed, WindowTooSmall) as exc:
         entries.append(CheckEntry("dual", 0.0, (), False, f"window exhausted: {exc}"))
         return Report(scenario=f"simultaneous[{setup.label}]", entries=entries)
@@ -545,7 +498,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
         entries.append(CheckEntry("dual_doubly_commuting", ddc.double_comm_residual,
                                   (1 if ddc_holds else 0,), True, ddc.classified))
     if dc.classified == "doubly_commuting" and ddc_holds:
-        split = _fourfold(pair, max_steps, tol, dc)
+        split = _fourfold(pair, max_steps, dc)
         entries.append(CheckEntry("h_pp_dim", split.reduction_residual,
                                   (split.h_pp.dim,), split.h_pp.dim == 0))
         dsplit = _dual_fourfold(setup, pair, dc, (dual, ddc), max_steps, max_orbit, tol)
@@ -651,8 +604,6 @@ def setup_direct_sum(*setups: ExtensionSetup, label: str = "") -> ExtensionSetup
         raise InvalidInput("setups use different time grids")
     u1 = direct_sum(*(s.u1 for s in setups))
     u2 = direct_sum(*(s.u2 for s in setups))
-    if any(s.h.cells is None for s in setups):
-        raise InvalidInput("direct sums require coordinate subspaces")
     offsets = np.cumsum([0] + [s.ambient_dim for s in setups]).tolist()
     cells = np.concatenate([offset + s.h.cells for offset, s in zip(offsets, setups)])
     return ExtensionSetup(u1, u2, Subspace(offsets[-1], cells=cells), setups[0].cells_per_unit,

@@ -1,8 +1,8 @@
-"""Operator families carried as finite matrices with exactness windows.
+"""Operator families carried as 0/1 partial permutations with exactness windows.
 
 A truncated operator is trusted only where it agrees with the
 infinite-dimensional operator it represents.  ``WindowedMap`` couples the
-matrix with that set of trusted domain indices (``faithful``) and the
+operator with that set of trusted domain indices (``faithful``) and the
 corresponding set for the adjoint (``adj_faithful``).  Each window is held
 as a read-only boolean mask over the columns (``faithful_mask``) or the
 rows (``adj_faithful_mask``); the frozensets ``faithful`` and
@@ -16,27 +16,26 @@ indices.  Columns whose true image leaves the represented window are
 stored as exact zeros and marked unfaithful; columns that the true
 operator genuinely annihilates stay faithful with their exact zeros.
 
-All operator constructors below compute the image array of a 0/1
-partial permutation (the row of each column's single 1, -1 for a zero
-column) by index arithmetic over the layouts of ``spaces``.  A
-``WindowedMap`` keeps that image and its (rows, columns) shape, and
-builds its dense matrix with ``numlin._from_image`` only when something
-reads ``matrix``.  Composition of two such maps is an index gather,
-their adjoint is the inverse image, and two of them are compared image
-against image, so the algebraic identities between them hold with
-residual exactly zero, not merely small.  The dense path runs only for
-a map built from a matrix (a Fourier unitary, phases, ``I + N``), for
-the adjoint of a non-injective image, and for residuals of columns that
-disagree.  Grid times are restricted to multiples of 1/m and rejected
-otherwise; nothing is interpolated.
+Every operator here is a 0/1 partial permutation, held as its image
+array (the row of each column's single 1, -1 for a zero column), which
+the constructors below compute by index arithmetic over the layouts of
+``spaces``.  A ``WindowedMap`` keeps that image and its (rows, columns)
+shape; its dense matrix is built by ``numlin._from_image`` only when
+something reads ``matrix``, and nothing in this package does.
+Composition is an index gather, the adjoint is the inverse image, and two
+maps are compared image against image, so the algebraic identities
+between them hold with residual exactly zero, not merely small.  The only
+dense numerics is ``_image_residual``'s norm over the columns where two
+images differ.  Grid times are restricted to multiples of 1/m and
+rejected otherwise; nothing is interpolated.
 
-Conjugation, compression and the isometry test are written once, here,
-for both representations: Z A Z* is two compositions compared by
-``_pair_residual``, ``_compress`` restricts a map to a subspace, and
-``_isometry_defect`` is the norm of (X|cols)* (X|cols) - I.  The image
-half of the support rule is ``_gather``, which ``compose`` uses; checks
-that only compare a product with another map read its image and faithful
-mask from there and compare them by ``_held_residual``, building no map.
+Conjugation, compression and the isometry test are written once, here:
+Z A Z* is two compositions compared by ``_pair_residual``, ``_compress``
+restricts a map to a subspace, and ``_isometry_defect`` is the norm of
+(X|cols)* (X|cols) - I.  The image half of the support rule is
+``_gather``, which ``compose`` uses; checks that only compare a product
+with another map read its image and faithful mask from there and compare
+them by ``_held_residual``, building no map.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
 from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _from_image, _index_array,
-                     _positions, as_matrix, residual_norm, spectral_norm)
+                     _positions, spectral_norm)
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
@@ -92,15 +91,6 @@ def grid_steps(t, cells_per_unit: int) -> int:
     if rest or steps < 0:
         raise InvalidInput(f"time {t} is not a nonnegative multiple of 1/{cells_per_unit}")
     return int(steps)
-
-
-def _escapes(matrix: np.ndarray, window) -> np.ndarray:
-    """Mask of the columns with a nonzero entry in some row outside ``window``.
-
-    This is the support rule: column i of B stays faithful under A o B only
-    when supp(B e_i) lies inside the window of A.
-    """
-    return matrix[~_mask(window, matrix.shape[0])].any(axis=0)
 
 
 def _mask(window, n: int) -> np.ndarray:
@@ -149,23 +139,18 @@ def _check_image(image: np.ndarray, rows: int) -> None:
 def _pair_residual(x: "WindowedMap", y: "WindowedMap") -> tuple[float, int] | None:
     """Residual of x - y on the columns faithful for both, with their count.
 
-    None when no column is faithful for both.  Two images are compared by
-    ``_image_residual``: exactly 0.0 when they agree on those columns.
+    None when no column is faithful for both; maps of different shapes
+    raise DimensionMismatch.  The images are compared by ``_held_residual``:
+    exactly 0.0 when they agree on those columns.
     """
-    if x.image is not None and y.image is not None and x.shape == y.shape:
-        return _held_residual((x.image, x.faithful_mask), (y.image, y.faithful_mask))
-    n = min(x.domain_dim, y.domain_dim)  # the common columns when the domains differ
-    columns = np.flatnonzero(x.faithful_mask[:n] & y.faithful_mask[:n])
-    if not columns.size:
-        return None
     if x.shape != y.shape:
         raise DimensionMismatch(f"shape mismatch {x.shape} vs {y.shape}")
-    return spectral_norm(x.matrix[:, columns] - y.matrix[:, columns]), columns.size
+    return _held_residual((x.image, x.faithful_mask), (y.image, y.faithful_mask))
 
 
 def _held_residual(got: tuple[np.ndarray, np.ndarray],
                    want: tuple[np.ndarray, np.ndarray]) -> tuple[float, int] | None:
-    """``_pair_residual`` of two maps of one shape given as (image, faithful mask).
+    """Residual of two maps of one shape given as (image, faithful mask), with the count.
 
     The images are compared where both masks hold; only the columns that
     differ there reach ``_image_residual``.
@@ -202,54 +187,47 @@ def _compress(u: "WindowedMap", sub: Subspace) -> "WindowedMap":
     """Compression of an ambient map to a subspace, with derived windows.
 
     For a coordinate subspace the compressed column at a cell is trusted
-    exactly when the ambient column is trusted and its support stays
+    exactly when the ambient column is trusted and its image stays
     inside the subspace (an escaping image means wrap pollution).  The
     adjoint direction is a co-isometry whose kills are true compression
     behavior: its window only excludes cells where the ambient adjoint
-    itself is untrusted.  An image-backed map compresses to the image
-    gathered through the cell positions.  For a general basis the
-    compression is the dense conjugation; its window is the full local
-    space, which is the honest choice when the finite matrices are
-    themselves the represented operators.
+    itself is untrusted.  The compressed image is the ambient image
+    gathered through the cell positions.
     """
-    if sub.cells is not None:
-        cells = sub.cells
-        if u.image is not None:
-            image = _positions(cells, u.codomain_dim)[u.image[cells]]
-            escapes = (u.image[cells] >= 0) & (image < 0)
-        else:
-            escapes = _escapes(u.matrix, cells)[cells]
-        faithful = u.faithful_mask[cells] & ~escapes
-        adj_faithful = u.adj_faithful_mask[cells]
-        if u.image is not None:
-            return WindowedMap._derived(image, faithful, adj_faithful, cells.size)
-        return WindowedMap(u.matrix[np.ix_(cells, cells)], faithful, adj_faithful)
-    return WindowedMap.full(sub.basis.conj().T @ u.matrix @ sub.basis)
+    cells = sub.cells
+    rows = u.image[cells]
+    image = _positions(cells, u.codomain_dim)[rows]
+    faithful = u.faithful_mask[cells] & ((rows < 0) | (image >= 0))
+    return WindowedMap._derived(image, faithful, u.adj_faithful_mask[cells], cells.size)
 
 
 def _isometry_defect(x: "WindowedMap", cols=slice(None)) -> float:
-    """Spectral norm of (X|cols)* (X|cols) - I, over all columns by default.
+    """Spectral norm of (X|cols)* (X|cols) - I, over all columns by default."""
+    return _image_isometry_defect(x.image[cols], x.codomain_dim)
 
-    Unit columns on distinct rows are orthonormal, so for an image whose
-    live rows are distinct the Gram matrix is I with a 0 at each zero
-    column: the defect is 0.0 when every column is live and 1.0 otherwise.
-    The live rows are distinct when scattering them into a boolean mask
-    over the rows marks as many rows as there are live columns, which
-    takes no sort.  Any other map takes the dense Gram matrix.
+
+def _image_isometry_defect(image: np.ndarray, rows: int) -> float:
+    """Spectral norm of C* C - I for the 0/1 matrix C with ``rows`` rows and this image.
+
+    C* C is block diagonal: the all-ones block J_c on each set of c columns
+    that share a row, and 0 at each zero column.  Unit columns on distinct
+    rows are orthonormal, so when the live rows are distinct the defect is
+    0.0 if every column is live and 1.0 otherwise; the live rows are
+    distinct when scattering them into a boolean mask marks as many rows as
+    there are live columns, which takes no sort.  Otherwise c_max >= 2
+    columns share a row, and J_c - I_c has norm c - 1, so the defect is
+    max(c_max - 1, 1).
     """
-    if x.image is not None:
-        rows = x.image[cols]
-        live = rows[rows >= 0]
-        hit = np.zeros(x.codomain_dim, dtype=bool)
-        hit[live] = True
-        if np.count_nonzero(hit) == live.size:
-            return 0.0 if live.size == rows.size else 1.0
-    block = x.matrix[:, cols]
-    return residual_norm(block.conj().T @ block, np.eye(block.shape[1]))
+    live = image[image >= 0]
+    hit = np.zeros(rows, dtype=bool)
+    hit[live] = True
+    if np.count_nonzero(hit) == live.size:
+        return 0.0 if live.size == image.size else 1.0
+    return float(max(np.bincount(live).max() - 1, 1))
 
 
 def _gather(outer: "WindowedMap", inner: "WindowedMap") -> tuple[np.ndarray, np.ndarray]:
-    """Image and faithful mask of outer o inner, two image-backed maps that compose.
+    """Image and faithful mask of outer o inner, two maps that compose.
 
     The image half of the support rule: column i of inner is the unit
     vector at row b[i] (or zero when b[i] = -1), so it goes to a[b[i]], and
@@ -269,14 +247,13 @@ def _gather(outer: "WindowedMap", inner: "WindowedMap") -> tuple[np.ndarray, np.
 
 
 class WindowedMap:
-    """A finite operator plus the domain indices on which it is exact.
+    """A 0/1 partial permutation plus the domain indices on which it is exact.
 
-    A 0/1 partial permutation is held as its ``image``: an ``int64`` array
-    with the row of each column's single 1, or -1 for a zero column.  Its
-    dense ``matrix`` is built by ``numlin._from_image`` the first time
-    something reads it and is kept from then on.  Any other operator (a
-    Fourier unitary, phases, ``I + N``) is held as its dense ``matrix``,
-    and its ``image`` is None.  ``shape`` is (rows, columns) either way.
+    The operator is held as its ``image``: an ``int64`` array with the row
+    of each column's single 1, or -1 for a zero column, and ``shape`` is
+    (rows, columns).  Its dense ``matrix`` is built by
+    ``numlin._from_image`` the first time something reads it and is kept
+    from then on.
 
     The windows are read-only boolean masks: ``faithful_mask`` over the
     columns and ``adj_faithful_mask`` over the rows.  The constructors take
@@ -285,19 +262,11 @@ class WindowedMap:
     frozensets of ints, built from the masks on first read and kept; no
     code path of this package reads them.
 
-    ``compose`` is an index gather when both operands have an image and a
-    matrix product otherwise, and its windows are mask arithmetic either
-    way; ``adjoint`` inverts an injective image and takes the conjugate
-    transpose of everything else, and swaps the two masks.  Their
-    image-backed results, and those of ``_compress``, come from
-    ``_derived`` and skip the checks of the public constructors.
+    ``compose`` is an index gather with windows by mask arithmetic;
+    ``adjoint`` inverts an injective image and swaps the two masks.  Their
+    results, and those of ``_compress``, come from ``_derived`` and skip the
+    checks of ``from_image``.
     """
-
-    def __init__(self, matrix, faithful, adj_faithful):
-        self.image = None
-        self._matrix = matrix
-        self.faithful_mask, self.adj_faithful_mask = faithful, adj_faithful
-        self.__post_init__()
 
     @classmethod
     def from_image(cls, image, faithful, adj_faithful, rows: int | None = None) -> "WindowedMap":
@@ -307,7 +276,6 @@ class WindowedMap:
         """
         made = cls.__new__(cls)
         made.image = np.asarray(image)
-        made._matrix = None
         made.shape = (made.image.size if rows is None else int(rows), made.image.size)
         made.faithful_mask, made.adj_faithful_mask = faithful, adj_faithful
         made.__post_init__()
@@ -316,7 +284,7 @@ class WindowedMap:
     @classmethod
     def _derived(cls, image: np.ndarray, faithful: np.ndarray, adj_faithful: np.ndarray,
                  rows: int) -> "WindowedMap":
-        """An image-backed map computed from checked maps, built without checks.
+        """A map computed from checked maps, built without checks.
 
         ``image`` is a fresh ``int64`` array and the masks have the right
         lengths; a gather from a checked image stays in [-1, rows).  All
@@ -325,23 +293,19 @@ class WindowedMap:
         made = cls.__new__(cls)
         for array in (image, faithful, adj_faithful):
             array.flags.writeable = False
-        made.image, made._matrix, made.shape = image, None, (int(rows), image.size)
+        made.image, made.shape = image, (int(rows), image.size)
         made.faithful_mask, made.adj_faithful_mask = faithful, adj_faithful
         return made
 
     def __post_init__(self) -> None:
         """Check the image and turn both windows into read-only masks."""
-        if self.image is None:
-            self._matrix = as_matrix(self._matrix)
-            self.shape = self._matrix.shape
-        else:
-            image = self.image
-            if image.ndim != 1 or image.dtype.kind not in "iu":
-                raise InvalidInput("image must be a 1-D integer array")
-            image = image.astype(np.int64, copy=False).view()
-            image.flags.writeable = False
-            _check_image(image, self.shape[0])
-            self.image = image
+        image = self.image
+        if image.ndim != 1 or image.dtype.kind not in "iu":
+            raise InvalidInput("image must be a 1-D integer array")
+        image = image.astype(np.int64, copy=False).view()
+        image.flags.writeable = False
+        _check_image(image, self.shape[0])
+        self.image = image
         rows, cols = self.shape
         self.faithful_mask = _window(self.faithful_mask, cols, "faithful index outside the domain")
         self.adj_faithful_mask = _window(self.adj_faithful_mask, rows,
@@ -355,11 +319,9 @@ class WindowedMap:
     def adj_faithful(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.adj_faithful_mask).tolist())
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = _from_image(self.image, self.shape[0])
-        return self._matrix
+        return _from_image(self.image, self.shape[0])
 
     @property
     def domain_dim(self) -> int:
@@ -373,28 +335,16 @@ class WindowedMap:
     def identity(cls, n: int) -> "WindowedMap":
         return cls.from_image(np.arange(n), np.ones(n, dtype=bool), np.ones(n, dtype=bool))
 
-    @classmethod
-    def full(cls, matrix) -> "WindowedMap":
-        """Wrap a matrix that represents its operator exactly everywhere."""
-        mat = as_matrix(matrix)
-        rows, cols = mat.shape
-        return cls(mat, np.ones(cols, dtype=bool), np.ones(rows, dtype=bool))
-
     def compose(self, other: "WindowedMap") -> "WindowedMap":
         """self o other, with both windows shrunk by the support rule.
 
-        Two image-backed maps give the image and faithful mask of
-        ``_gather``, which the image-only checks also read without building
-        the map, and the adjoint window by one scatter of the rows outside
-        other's adjoint window.  Any other pair takes the matrix product.
+        The image and faithful mask are those of ``_gather``, which the
+        image-only checks also read without building the map, and the
+        adjoint window comes from one scatter of the rows outside other's
+        adjoint window.
         """
         if other.codomain_dim != self.domain_dim:
             raise DimensionMismatch(f"cannot compose {self.shape} after {other.shape}")
-        if self.image is None or other.image is None:
-            matrix = self.matrix @ other.matrix
-            kept = other.faithful_mask & ~_escapes(other.matrix, self.faithful_mask)
-            adj_kept = self.adj_faithful_mask & ~_escapes(self.matrix.T, other.adj_faithful_mask)
-            return WindowedMap(matrix, kept, adj_kept)
         image, kept = _gather(self, other)
         # row i of self is supported on the columns j with a[j] = i
         hit = np.zeros(self.codomain_dim + 1, dtype=bool)
@@ -406,14 +356,18 @@ class WindowedMap:
         return self.compose(other)
 
     def adjoint(self) -> "WindowedMap":
-        if self.image is not None:
-            live = np.flatnonzero(self.image >= 0)
-            inverse = np.full(self.codomain_dim, -1, dtype=np.int64)
-            inverse[self.image[live]] = live
-            if np.count_nonzero(inverse >= 0) == live.size:  # injective
-                return WindowedMap._derived(inverse, self.adj_faithful_mask, self.faithful_mask,
-                                            self.domain_dim)
-        return WindowedMap(self.matrix.conj().T, self.adj_faithful_mask, self.faithful_mask)
+        """The inverse image, with the two windows swapped.
+
+        Only an injective image has a partial permutation for its adjoint;
+        any other raises InvalidInput.
+        """
+        live = np.flatnonzero(self.image >= 0)
+        inverse = np.full(self.codomain_dim, -1, dtype=np.int64)
+        inverse[self.image[live]] = live
+        if np.count_nonzero(inverse >= 0) != live.size:
+            raise InvalidInput("two columns share a row: the adjoint is not a partial permutation")
+        return WindowedMap._derived(inverse, self.adj_faithful_mask, self.faithful_mask,
+                                    self.domain_dim)
 
 
 class SemigroupFamily:
@@ -676,32 +630,24 @@ def circulant_family(n: int, k: int = 1, cells_per_unit: int = 1) -> SemigroupFa
 def direct_sum(*parts: WindowedMap) -> WindowedMap:
     """Block-diagonal direct sum; windows are the concatenated masks.
 
-    The sum of image-backed parts is image-backed: each part's image is
-    offset by the rows before it.
+    Each part's image is offset by the rows before it.
     """
     if not parts:
         raise InvalidInput("direct_sum needs at least one part")
     row0 = np.cumsum([0] + [p.codomain_dim for p in parts]).tolist()
-    col0 = np.cumsum([0] + [p.domain_dim for p in parts]).tolist()
     faithful = np.concatenate([p.faithful_mask for p in parts])
     adj_faithful = np.concatenate([p.adj_faithful_mask for p in parts])
-    if all(p.image is not None for p in parts):
-        image = np.concatenate([np.where(p.image >= 0, p.image + row0[k], -1)
-                                for k, p in enumerate(parts)])
-        return WindowedMap.from_image(image, faithful, adj_faithful, row0[-1])
-    mat = np.zeros((row0[-1], col0[-1]), dtype=np.complex128)
-    for k, part in enumerate(parts):
-        mat[row0[k]:row0[k + 1], col0[k]:col0[k + 1]] = part.matrix
-    return WindowedMap(mat, faithful, adj_faithful)
+    image = np.concatenate([np.where(p.image >= 0, p.image + row0[k], -1)
+                            for k, p in enumerate(parts)])
+    return WindowedMap.from_image(image, faithful, adj_faithful, row0[-1])
 
 
 def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> WindowedMap:
     """Kronecker product with an identity on the declared fiber side.
 
     side="right" gives part (x) I_fiber (fiber is the inner index);
-    side="left" gives I_fiber (x) part.  An image-backed part gives an
-    image-backed product.  Each window mask is spread by the same index
-    rule as the image.
+    side="left" gives I_fiber (x) part.  Each window mask is spread by the
+    same index rule as the image.
     """
     if fiber < 1:
         raise InvalidInput("fiber dimension must be >= 1")
@@ -724,22 +670,10 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
 
     faithful = spread(part.faithful_mask[:, None], n_dom)  # (i, k) is kept when i is
     adj = spread(part.adj_faithful_mask[:, None], n_cod)
-    if part.image is None:
-        eye = np.eye(fiber, dtype=np.complex128)
-        mat = np.kron(part.matrix, eye) if side == "right" else np.kron(eye, part.matrix)
-        return WindowedMap(mat, faithful, adj)
     # column place(i, k) goes to row place(image[i], k)
     target = part.image[:, None]
     image = spread(np.where(target >= 0, place(target, k, n_cod), -1), n_dom)
     return WindowedMap.from_image(image, faithful, adj, fiber * n_cod)
-
-
-def _law_residual(x: WindowedMap, y: WindowedMap, z: WindowedMap) -> tuple[float, int] | None:
-    """``_pair_residual(x, y.compose(z))`` for square maps on one space, with y o z
-    read off ``_gather`` when all three are image-backed."""
-    if x.image is None or y.image is None or z.image is None:
-        return _pair_residual(x, y.compose(z))
-    return _held_residual((x.image, x.faithful_mask), _gather(y, z))
 
 
 def check_semigroup_law(family: SemigroupFamily, samples,
@@ -748,10 +682,9 @@ def check_semigroup_law(family: SemigroupFamily, samples,
 
     Sample pairs whose composed window is empty are skipped; if no pair
     leaves anything checkable the window is too small for the request.
-    For an image-backed family the product is not built: ``_gather`` gives
-    its image and faithful mask, and ``_held_residual`` compares them with
-    element(s+t), which is what ``_pair_residual`` of the composed map
-    gives.  A family held dense composes the maps.
+    The product is not built: ``_gather`` gives its image and faithful
+    mask, and ``_held_residual`` compares them with element(s+t), which is
+    what ``_pair_residual`` of the composed map gives.
     """
     steps = sorted({grid_steps(t, family.cells_per_unit) for t in samples})
     if not steps:
@@ -760,7 +693,9 @@ def check_semigroup_law(family: SemigroupFamily, samples,
     usable = 0
     for a_pos, s in enumerate(steps):
         for t in steps[a_pos:]:
-            got = _law_residual(family.element(s + t), family.element(s), family.element(t))
+            whole = family.element(s + t)
+            got = _held_residual((whole.image, whole.faithful_mask),
+                                 _gather(family.element(s), family.element(t)))
             check_id = f"law_{Fraction(s, family.cells_per_unit)}+{Fraction(t, family.cells_per_unit)}"
             if got is None:
                 entries.append(CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped"))

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import projector, residual_norm
 from isoflow import commutant
 from isoflow.commutant import (_components, _exact_commutant, _fiber_form,
                                commutant_of_partial_isometries, doubly_commutant_of_mz,
                                fuglede_instance_check)
 from isoflow.errors import InvalidInput, PreconditionFailed
-from isoflow.numlin import _from_image, residual_norm
+from isoflow.numlin import _from_image
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _cut_shift_images,
                                 circulant_family, halfline_shift_family, tensor_with_identity)
 from test_numlin import nullspace
@@ -91,9 +92,9 @@ def span_projector(basis):
 def assert_matches_oracle(basis, dense_ops):
     """Same dimension and same span as the SVD null space."""
     oracle = oracle_commutant(dense_ops)
-    assert len(basis) == oracle.dim
+    assert len(basis) == oracle.shape[1]
     if basis:
-        assert residual_norm(span_projector(basis), oracle.projector()) <= 1e-10
+        assert residual_norm(span_projector(basis), projector(oracle)) <= 1e-10
 
 
 # --- interval cut-shift commutant -------------------------------------------------
@@ -410,13 +411,41 @@ def shift_tensor_family(cells_T, fiber):
     return SemigroupFamily(tensor_with_identity(gen, fiber, "right"), "SxI", 1)
 
 
+def fiber_rotation(cells_T, fiber):
+    """I (x) C: the cyclic rotation of the fiber on every cell."""
+    return SemigroupFamily(
+        tensor_with_identity(circulant_family(fiber).generator, cells_T, "left"), "IxC", 1)
+
+
 def test_fuglede_fiber_rotation_passes():
-    shift = shift_tensor_family(4, 3)
-    rotation = SemigroupFamily(
-        tensor_with_identity(circulant_family(3).generator, 4, "left"), "IxC", 1)
-    report = fuglede_instance_check(rotation, shift, 3, [1, 2])
+    report = fuglede_instance_check(fiber_rotation(4, 3), shift_tensor_family(4, 3), 3, [1, 2])
     assert report.overall
     assert all(e.residual == 0.0 for e in report.entries)
+
+
+def test_fuglede_reads_no_dense_matrix(monkeypatch):
+    """Normality, both commutators and the fiber form are read off the images:
+    the check builds no dense matrix, where products of matrices read 12."""
+    reads = []
+    matrix = WindowedMap.__dict__["matrix"]
+    monkeypatch.setattr(WindowedMap, "matrix",
+                        property(lambda self: reads.append(1) or matrix.func(self)))
+    report = fuglede_instance_check(fiber_rotation(4, 3), shift_tensor_family(4, 3), 3, [1, 2])
+    assert report.overall and len(report.entries) == 6
+    assert reads == []
+
+
+def test_fuglede_fiber_form_fails_off_the_form():
+    """The cyclic shift of the cells, tensor I, is a permutation that commutes
+    with the shift on their common window but is not of the form I (x) B: its
+    fiber form fails with a positive residual (and it does not doubly commute)."""
+    cells = SemigroupFamily(tensor_with_identity(circulant_family(4).generator, 3, "right"),
+                            "CxI", 1)
+    report = fuglede_instance_check(cells, shift_tensor_family(4, 3), 3, [1])
+    by_id = {e.check_id: e for e in report.entries}
+    assert by_id["t=1:commutator"].residual == 0.0
+    assert by_id["t=1:fiber_form"].residual > 0.0 and not by_id["t=1:fiber_form"].passed
+    assert not by_id["t=1:adjoint_commutator"].passed
 
 
 def test_fuglede_identity_family_trivial():
@@ -425,17 +454,9 @@ def test_fuglede_identity_family_trivial():
     assert fuglede_instance_check(ident, shift, 2, [1]).overall
 
 
-def test_fuglede_scalar_phase_family():
-    shift = shift_tensor_family(4, 2)
-    phase = SemigroupFamily(WindowedMap.full(np.exp(0.3j) * np.eye(8)), "phase", 1)
-    report = fuglede_instance_check(phase, shift, 2, [1, 2])
-    assert report.overall
-
-
 def test_fuglede_rejects_nonnormal():
+    """The truncated half-line shift kills its top cell and misses its bottom one:
+    its live rows and live columns differ, so it is not normal."""
     shift = shift_tensor_family(4, 1)
-    nilpotent = np.zeros((4, 4), dtype=complex)
-    nilpotent[1, 0] = 1.0
-    bad = SemigroupFamily(WindowedMap.full(np.eye(4) + nilpotent), "bad", 1)
-    with pytest.raises(PreconditionFailed):
-        fuglede_instance_check(bad, shift, 1, [1])
+    with pytest.raises(PreconditionFailed, match="not normal"):
+        fuglede_instance_check(shift, shift, 1, [1])

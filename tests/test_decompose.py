@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense_oracle import projector
 from isoflow.decompose import (bcl_check, classify_pair, fourfold_decompose,
                                product_unitary_part, verify_joint_equivalence, wold_cooper)
 from isoflow.errors import DimensionMismatch, InvalidInput, PreconditionFailed
-from isoflow.numlin import Subspace, residual_norm
+from isoflow.numlin import Subspace
 from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
                                 bishift_families, circulant_family, direct_sum,
                                 halfline_shift_family, modified_bishift_families,
@@ -154,7 +155,7 @@ def test_fourfold_projectors_commute_with_samples():
     pair, _ = four_block_pair()
     split = fourfold_decompose(pair, 6)
     for part in (split.h_pp, split.h_pu, split.h_up, split.h_uu):
-        p = part.projector()
+        p = projector(part.basis)
         for fam in (pair.first, pair.second):
             for steps in (1, 2):
                 el = fam.element(steps)
@@ -214,9 +215,13 @@ def test_joint_equivalence_w_conjugation():
 
 
 def test_joint_equivalence_requires_unitary():
+    """A z that kills a column, or sends two columns onto one row (which has no
+    adjoint), is refused as not unitary."""
     pair = bishift_families(QuadrantGrid2D(1, 2))
-    with pytest.raises(PreconditionFailed):
-        verify_joint_equivalence(pair, pair, WindowedMap.full(0.5 * np.eye(4)), [1])
+    for image in ([0, 1, 2, -1], [0, 0, 1, 2]):
+        z = WindowedMap.from_image(image, range(4), range(4))
+        with pytest.raises(PreconditionFailed):
+            verify_joint_equivalence(pair, pair, z, [1])
 
 
 def test_joint_equivalence_rejects_a_conjugation_of_the_wrong_size():
@@ -232,51 +237,18 @@ def test_joint_equivalence_rejects_an_array_conjugation():
         verify_joint_equivalence(pair, pair, np.eye(4), [1])
 
 
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_joint_equivalence_with_a_dense_unitary():
-    """B = Z A Z* for a Z that mixes coordinates, with B held as dense families.
-
-    Z mixes the shift block into its unfaithful column, so only the four
-    circulant columns stay trusted; there the powers of B agree with
-    Z A_t Z* to rounding.
-    """
-    shift = halfline_shift_family(CellGrid1D(1, 3)).generator
-    a = PairOfSemigroups(
-        SemigroupFamily(direct_sum(shift, circulant_family(4, 1).generator), "A1"),
-        SemigroupFamily(direct_sum(shift, circulant_family(4, 2).generator), "A2"))
-    rng = np.random.default_rng(7)
-    z = np.zeros((7, 7), dtype=np.complex128)
-    z[:3, :3], z[3:, 3:] = random_unitary(rng, 3), random_unitary(rng, 4)
-    b = PairOfSemigroups(*(SemigroupFamily(WindowedMap.full(z @ f.generator.matrix @ z.conj().T),
-                                           f"B{axis}")
-                           for axis, f in enumerate((a.first, a.second), start=1)))
-    assert b.first.generator.image is None
-    report = verify_joint_equivalence(a, b, WindowedMap.full(z), [1, 2, 3])
-    assert report.overall
-    assert all(e.dims == (4,) and e.residual <= 1e-12 for e in report.entries)
-    assert not verify_joint_equivalence(a, a, WindowedMap.full(z), [1]).overall
-
-
 def count_dense_maps(monkeypatch) -> list:
-    """Record every ``WindowedMap.full`` call, a dense map made along the way."""
+    """Record every dense matrix read along the way."""
     calls = []
-    full = WindowedMap.full
-
-    def counted(matrix, *args, **kwargs):
-        calls.append(np.shape(matrix))
-        return full(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(WindowedMap, "full", counted)
+    matrix = WindowedMap.__dict__["matrix"]
+    monkeypatch.setattr(WindowedMap, "matrix",
+                        property(lambda self: calls.append(self.shape) or matrix.func(self)))
     return calls
 
 
 def test_joint_equivalence_w_conjugation_at_dim_512_gathers(monkeypatch):
     """W = I at dim 512 is a 0/1 permutation, passed as its image: no dense
-    product, and each residual is exactly zero.  Held dense, Z made this
+    matrix, and each residual is exactly zero.  Held dense, Z made this
     call peak at about 84 MiB."""
     grid = CellGrid1D(16, 32)
     shifts, phis = halfline_shift_family(grid), phi_family(31, 16)
@@ -319,18 +291,6 @@ def test_joint_equivalence_under_a_relabeling_permutation(monkeypatch):
     assert not verify_joint_equivalence(a, a, z, [1]).overall
 
 
-def test_joint_equivalence_keeps_a_phased_permutation_dense(monkeypatch):
-    """A permutation with a phase on one column is unitary but not 0/1, so
-    Z is passed dense and the conjugation stays dense; the phase shows."""
-    pair = bishift_families(QuadrantGrid2D(1, 2))
-    z = np.eye(4, dtype=np.complex128)
-    z[3, 3] = 1j
-    dense = count_dense_maps(monkeypatch)
-    report = verify_joint_equivalence(pair, pair, WindowedMap.full(z), [1])
-    assert dense == [(4, 4)]  # the one full map is the one passed
-    assert not report.overall  # the phase shows on a column that moves into cell 3
-
-
 # --- product family ---------------------------------------------------------------------
 
 def test_product_unitary_part_bishift_vanishes():
@@ -367,8 +327,7 @@ def test_product_unitary_matches_fourfold_uu_corner():
 
 def test_product_requires_commutation():
     shift = halfline_shift_family(CellGrid1D(1, 4))
-    e0 = np.zeros((4, 4), dtype=complex)
-    e0[0, 0] = e0[1, 2] = e0[2, 1] = e0[3, 3] = 1  # swap two middle cells
-    other = SemigroupFamily(WindowedMap.full(e0), "swap", 1)
+    swap = WindowedMap.from_image([0, 2, 1, 3], range(4), range(4))  # two middle cells
+    other = SemigroupFamily(swap, "swap", 1)
     with pytest.raises(PreconditionFailed):
         product_unitary_part(PairOfSemigroups(shift, other), 4)

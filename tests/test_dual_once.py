@@ -31,7 +31,7 @@ from isoflow.duality import (ExtensionSetup, _lift_local, _orbit_span, _restrict
                              bishift_setup, circulant_pair_setup, double_dual_check,
                              dual_fourfold, dual_pair, halfline_circulant_setup,
                              l_region_setup, setup_direct_sum, simultaneous_dc_ddc_classify)
-from isoflow.numlin import DEFAULT_TOL, Subspace, complement, intersect, subtract
+from isoflow.numlin import Subspace, complement, intersect, subtract
 from isoflow.report import CheckEntry, Report, render_report
 from isoflow.semigroups import SemigroupFamily, WindowedMap
 from test_orbits import commuting_permutations
@@ -107,7 +107,7 @@ def test_derived_subspaces_pass_the_public_checks(case):
         local = _restrict_to(a, both)
         lifted = _lift_local(local, a)
         u1, u2 = (WindowedMap.from_image(p, range(n), range(n)) for p in (p1, p2))
-        orbit = _orbit_span(u1, u2, b, steps, DEFAULT_TOL)
+        orbit = _orbit_span(u1, u2, b, steps)
         wold = wold_cooper(SemigroupFamily(WindowedMap.from_image(image, faithful, range(n))),
                            steps)
     results = [both, outside, rest, local, lifted, orbit.span, wold.unitary_part, wold.cnu_part]

@@ -6,17 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense_oracle import projector, residual_norm
 from isoflow import duality
 from isoflow.decompose import classify_pair, wold_cooper
-from isoflow.duality import (ExtensionSetup, _compress, _lift_local, _orbit_span,
-                             bishift_setup, circulant_pair_setup,
-                             double_dual_check, dual_cnu_check, dual_fourfold,
-                             dual_pair, halfline_circulant_setup, l_region_setup,
+from isoflow.duality import (ExtensionSetup, _compress, _lift_local, bishift_setup,
+                             circulant_pair_setup, double_dual_check, dual_cnu_check,
+                             dual_fourfold, dual_pair, halfline_circulant_setup, l_region_setup,
                              minimal_extension, modified_bishift_model_check,
                              setup_direct_sum, simultaneous_dc_ddc_classify)
 from isoflow.errors import (DimensionMismatch, InternalInconsistency, InvalidInput,
                             PreconditionFailed)
-from isoflow.numlin import DEFAULT_TOL, Subspace, orthonormal_basis, residual_norm
+from isoflow.numlin import Subspace
 from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
                                 bishift_families, bishift_pair, check_semigroup_law,
                                 circulant_family, direct_sum, modified_bishift_pair,
@@ -61,60 +61,13 @@ def test_extension_l_region_covers_torus():
     assert span.radius == 1
 
 
-def phase_setup():
-    """A coordinate line under a phase unitary conjugated by the Fourier matrix."""
-    n = 6
-    grid = np.arange(n)
-    fourier = np.exp(2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
-    phases = np.diag(np.exp(2j * np.pi * np.array([0, 0, 1, 1, 2, 2]) / 3))
-    u = WindowedMap.full(fourier @ phases @ fourier.conj().T)
-    return ExtensionSetup(u, u, Subspace.from_cells(n, [0]), 1, "phase")
-
-
-def test_extension_dense_path_phase_orbit():
-    """Non-permutation unitaries fall back to the dense span; the orbit of a
-    coordinate line under a conjugated phase unitary stops at the span of
-    its phase groups (hstack-rank oracle)."""
-    setup = phase_setup()
-    u = setup.u1
-    span = minimal_extension(setup, 8)
-    assert span.stabilized
-    blocks = [np.linalg.matrix_power(u.matrix, a) @ setup.h.basis for a in range(-8, 9)]
-    oracle = orthonormal_basis(np.hstack(blocks))
-    assert span.span.dim == oracle.dim == 3
-    assert span.span.gap(oracle) <= 1e-8
-
-
-def test_extension_phased_permutation_stays_on_cells(monkeypatch):
-    """A permutation held as its image keeps the set-arithmetic orbit path: no
-    factorization runs, and the span carries its coordinate cells.  The same
-    permutation with phases, held dense, reaches the same span by the dense
-    path, held as a basis."""
-    n = 6
-    cycles = WindowedMap.from_image([1, 2, 0, 4, 5, 3], range(n), range(n))  # two 3-cycles
-    phased = WindowedMap.full(np.diag(np.exp(2j * np.pi * np.arange(n) / 7)) @ cycles.matrix)
-    start = Subspace.from_cells(n, [0])
-    dense = _orbit_span(phased, WindowedMap.identity(n), start, 4, DEFAULT_TOL)
-    assert dense.stabilized and dense.radius == 1 and dense.span.cells is None
-    assert dense.span.gap(Subspace.from_cells(n, [0, 1, 2])) <= 1e-12
-
-    def dense_path(*args, **kwargs):
-        raise AssertionError("orbit span left the set path")
-
-    monkeypatch.setattr(np.linalg, "svd", dense_path)
-    monkeypatch.setattr(np.linalg, "eigh", dense_path)
-    span = _orbit_span(cycles, WindowedMap.identity(n), start, 4, DEFAULT_TOL)
-    assert span.stabilized and span.radius == 1
-    assert tuple(span.span.cells) == (0, 1, 2)
-
-
 def test_extension_contains_start_and_is_invariant():
     """A stabilized orbit span contains the embedded space and is invariant
     under both unitaries and their adjoints."""
     for setup in (l_region_setup(1, 2), halfline_circulant_setup(1, 2, 3)):
         span = minimal_extension(setup, 12)
         assert span.stabilized
-        p = span.span.projector()
+        p = projector(span.span.basis)
         eye = np.eye(setup.ambient_dim)
         assert residual_norm(p @ setup.h.basis, setup.h.basis) <= 1e-12
         for u in (setup.u1.matrix, setup.u2.matrix,
@@ -124,12 +77,6 @@ def test_extension_contains_start_and_is_invariant():
 
 def test_extension_setup_validation():
     good = circulant_pair_setup(2, 3)
-    bad_u2 = WindowedMap.full(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]))
-    with pytest.raises(InvalidInput):
-        ExtensionSetup(good.u1, bad_u2, good.h)  # does not commute
-    with pytest.raises(InvalidInput):
-        ExtensionSetup(WindowedMap.full(2 * np.eye(4)), WindowedMap.identity(4),
-                       Subspace.full(4))  # not unitary
     swap = WindowedMap.from_image([1, 0, 2, 3, 4, 5], range(6), range(6))
     with pytest.raises(InvalidInput, match="commute"):
         ExtensionSetup(good.u1, swap, good.h)  # image-backed, does not commute
@@ -137,37 +84,6 @@ def test_extension_setup_validation():
         with pytest.raises(InvalidInput, match="unitary"):
             ExtensionSetup(WindowedMap.from_image(image, range(4), range(4)),
                            WindowedMap.identity(4), Subspace.full(4))
-
-
-def dense_held(setup):
-    """The setup with each unitary held as its dense matrix, windows unchanged."""
-    return replace(setup, **{key: WindowedMap(u.matrix, u.faithful_mask, u.adj_faithful_mask)
-                             for key, u in (("u1", setup.u1), ("u2", setup.u2))})
-
-
-@pytest.mark.parametrize("make", [lambda: l_region_setup(1, 2), lambda: bishift_setup(1, 2),
-                                  ddc_four_block], ids=["l_region", "bishift", "ddc_four_block"])
-def test_dense_held_setup_takes_the_dense_path(make):
-    """Permutations held dense take the dense path: the same orbit certificate
-    and, to 1e-10, the same span as the image-backed cells; the same
-    compressions to those cells; and a dense dual space, which dual_pair
-    refuses."""
-    setup = make()
-    assert setup.u1.image is not None and setup.u2.image is not None
-    dense = dense_held(setup)  # ExtensionSetup validates the dense copy
-    assert dense.u1.image is None and dense.u2.image is None
-    got, want = minimal_extension(dense, 8), minimal_extension(setup, 8)
-    assert (got.radius, got.stabilized) == (want.radius, want.stabilized)
-    assert got.span.cells is None and want.span.cells is not None
-    assert got.span.gap(want.span) <= 1e-10
-    for x, y in ((dense.u1, setup.u1), (dense.u2, setup.u2)):
-        cx, cy = _compress(x, want.span), _compress(y, want.span)
-        assert cx.image is None and cy.image is not None
-        assert np.array_equal(cx.matrix, cy.matrix)
-        assert np.array_equal(cx.faithful_mask, cy.faithful_mask)
-        assert np.array_equal(cx.adj_faithful_mask, cy.adj_faithful_mask)
-    with pytest.raises(InvalidInput, match="coordinate dual space"):
-        dual_pair(dense, 8)
 
 
 # --- dual pair --------------------------------------------------------------------
@@ -267,16 +183,9 @@ def test_double_dual_rejects_non_cnu_pair():
         double_dual_check(circulant_pair_setup(3, 3), 4)
 
 
-def test_double_dual_rejects_a_dense_original_space():
-    setup = l_region_setup(1, 2)
-    dense = replace(setup, h=Subspace(setup.ambient_dim, setup.h.basis))
-    with pytest.raises(InvalidInput, match="coordinate original space"):
-        double_dual_check(dense, 8)
-
-
 def test_double_dual_fails_recovered_cells_that_differ(monkeypatch):
     """A second dual on other cells fails both recovered axes with residual 1.0,
-    and no projector is built."""
+    and no basis matrix is built."""
     setup = l_region_setup(1, 2)
     real = duality.dual_pair
 
@@ -286,11 +195,11 @@ def test_double_dual_fails_recovered_cells_that_differ(monkeypatch):
             return dual
         return replace(dual, wth=Subspace(dual.wth.ambient, cells=dual.wth.cells[:-1]))
 
-    def no_projector(self):
-        raise AssertionError("projector built")
+    def no_basis(self):
+        raise AssertionError("basis built")
 
     monkeypatch.setattr(duality, "dual_pair", moved)
-    monkeypatch.setattr(Subspace, "projector", no_projector)
+    monkeypatch.setattr(Subspace, "basis", property(no_basis))
     by_id = {e.check_id: e for e in double_dual_check(setup, 8).entries}
     assert by_id["recovered_space_gap"].residual == 1.0
     for axis in (1, 2):
@@ -379,14 +288,16 @@ def test_simultaneous_variants():
 
 
 def test_lift_local_numbers_host_coordinates_like_compress():
-    """Host-local coordinate i is host cell i in both the dense and the cell paths."""
-    swap = WindowedMap.full(np.eye(3)[:, [2, 1, 0]])  # e0 <-> e2
-    expected = Subspace(3, np.array([[1.0], [0.0], [1j]]) / np.sqrt(2))
-    for host in (Subspace.from_cells(3, [2, 0]), Subspace(3, np.eye(3)[:, [0, 2]])):
-        local = _compress(swap, host)
-        assert np.array_equal(local.matrix, np.array([[0, 1], [1, 0]]))
-        lifted = _lift_local(Subspace(2, np.array([[1.0], [1j]]) / np.sqrt(2)), host)
-        assert lifted.gap(expected) <= 1e-12
+    """Host-local coordinate i is host cell cells[i] for both the compression
+    and the lift."""
+    swap = WindowedMap.from_image([2, 1, 0], range(3), range(3))  # e0 <-> e2
+    host = Subspace.from_cells(3, [2, 0])
+    local = _compress(swap, host)
+    assert np.array_equal(local.matrix, np.array([[0, 1], [1, 0]]))
+    for cells, expected in (([0], [0]), ([1], [2]), ([0, 1], [0, 2])):
+        lifted = _lift_local(Subspace.from_cells(2, cells), host)
+        assert lifted.cells.tolist() == expected
+        assert np.array_equal(lifted.basis, host.basis @ Subspace.from_cells(2, cells).basis)
 
 
 def test_setup_direct_sum_validation():
@@ -408,8 +319,6 @@ def _eye(n):
 
 INPUT_CHECKS = {  # id -> (call, error, message fragment)
     "wold_zero_steps": (lambda: wold_cooper(circulant_family(3), 0), InvalidInput, "max_steps"),
-    "wold_dense_generator": (lambda: wold_cooper(SemigroupFamily(WindowedMap.full(np.eye(3))), 2),
-                             InvalidInput, "image-backed generator"),
     "orbit_zero_radius": (lambda: minimal_extension(circulant_pair_setup(2, 2), 0),
                           InvalidInput, "max_orbit"),
     "classify_no_samples": (lambda: classify_pair(bishift_families(QuadrantGrid2D(1, 2)), []),
@@ -440,8 +349,6 @@ INPUT_CHECKS = {  # id -> (call, error, message fragment)
     "setup_sum_grids": (lambda: setup_direct_sum(circulant_pair_setup(2, 2),
                                                  circulant_pair_setup(2, 2, cells_per_unit=2)),
                         InvalidInput, "time grids"),
-    "dense_dual_space": (lambda: dual_pair(phase_setup(), 8), InvalidInput,
-                         "coordinate dual space"),
 }
 
 

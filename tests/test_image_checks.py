@@ -3,64 +3,110 @@
 The commutators of ``classify_pair``, the semigroup law and the Wold
 unitary residual read the image and faithful mask of a product from
 ``semigroups._gather`` instead of building it with ``compose``.  The
-property tests hold each of them to the formula that builds the maps, on
-random partial permutations (non-injective ones too), random windows and
-maps held dense.  The count tests pin that no product is built for an
-image-backed pair and that each catalog runner computes one step-time
+property tests hold each of them to the formula that builds the maps and
+to the dense oracle's formula, on random partial permutations
+(non-injective ones too) and random windows; the isometry defect and the
+adjoint are held to the dense Gram matrices.  The count tests pin that no
+product is built and that each catalog runner computes one step-time
 verdict.
 """
 
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as dense
+from dense_oracle import DenseMap
 from isoflow import catalog, decompose
 from isoflow.catalog import Scenario, run_scenario
 from isoflow.decompose import _commutator_residual, _unitary_residual, classify_pair
+from isoflow.errors import InvalidInput
 from isoflow.numlin import Subspace
-from isoflow.semigroups import (WindowedMap, _compress, _isometry_defect, _law_residual,
-                                _pair_residual, bishift_families, check_semigroup_law,
-                                halfline_shift_family)
+from isoflow.semigroups import (WindowedMap, _compress, _gather, _held_residual,
+                                _isometry_defect, _pair_residual, bishift_families,
+                                check_semigroup_law, halfline_shift_family)
 from isoflow.spaces import CellGrid1D, QuadrantGrid2D
 from test_derived_maps import image_maps
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
-@st.composite
-def square_maps(draw, n: int):
-    """An image-backed map on C^n, injective or not, or its twin held dense."""
-    x = draw(image_maps(n, n, injective=draw(st.booleans())))
-    if draw(st.integers(0, 4)) == 0:
-        return WindowedMap(x.matrix, x.faithful_mask, x.adj_faithful_mask)
-    return x
+def injective(x: WindowedMap) -> bool:
+    live = x.image[x.image >= 0]
+    return np.unique(live).size == live.size
+
+
+def assert_near(got, want):
+    """Equal residuals and counts, the norms to 1e-12: the dense SVD rounds."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[1] == want[1] and abs(got[0] - want[0]) <= 1e-12
 
 
 @st.composite
 def maps_on_one_space(draw, count: int):
     n = draw(st.integers(0, 30))
-    return [draw(square_maps(n)) for _ in range(count)]
+    return [draw(image_maps(n, n, injective=draw(st.booleans()))) for _ in range(count)]
 
 
 @given(maps_on_one_space(2))
 @SETTINGS
 def test_commutators_match_the_composed_maps(maps):
     a, b = maps
-    b_adj = b.adjoint()  # dense when b is not injective
-    assert _commutator_residual(a, b) == _pair_residual(a.compose(b), b.compose(a))
-    assert _commutator_residual(a, b_adj) == _pair_residual(a.compose(b_adj), b_adj.compose(a))
+    da, db = DenseMap.of(a), DenseMap.of(b)
+    got = _commutator_residual(a, b)
+    assert got == _pair_residual(a.compose(b), b.compose(a))
+    assert_near(got, dense.pair_residual(da @ db, db @ da))
+    if injective(b):  # only an injective image has an adjoint
+        b_adj = b.adjoint()
+        got = _commutator_residual(a, b_adj)
+        assert got == _pair_residual(a.compose(b_adj), b_adj.compose(a))
+        db_adj = db.adjoint()
+        assert_near(got, dense.pair_residual(da @ db_adj, db_adj @ da))
 
 
 @given(maps_on_one_space(3))
 @SETTINGS
 def test_law_residual_matches_the_composed_map(maps):
+    """The law's comparison of element(s+t) with the gathered product."""
     x, y, z = maps
-    assert _law_residual(x, y, z) == _pair_residual(x, y.compose(z))
+    got = _held_residual((x.image, x.faithful_mask), _gather(y, z))
+    assert got == _pair_residual(x, y.compose(z))
+    assert_near(got, dense.pair_residual(DenseMap.of(x), DenseMap.of(y) @ DenseMap.of(z)))
     yz = y.compose(z)  # the law holds where x is the product itself
-    assert _law_residual(yz, y, z) in (None, (0.0, int(yz.faithful_mask.sum())))
+    assert _held_residual((yz.image, yz.faithful_mask), _gather(y, z)) in (
+        None, (0.0, int(yz.faithful_mask.sum())))
+
+
+@st.composite
+def rectangular_maps(draw):
+    rows, cols = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    return draw(image_maps(cols, rows, injective=draw(st.booleans())))
+
+
+@given(rectangular_maps(), st.data())
+@SETTINGS
+def test_isometry_defect_and_adjoint_match_the_dense_gram(x, data):
+    """The isometry defect is the dense Gram formula, on all columns and on a subset:
+    0.0 or 1.0 for distinct live rows, max(c - 1, 1) when c >= 2 columns share a
+    row.  The adjoint raises exactly when the image is not injective."""
+    subset = data.draw(st.sets(st.integers(0, max(x.domain_dim - 1, 0)), max_size=x.domain_dim))
+    cols = np.array(sorted(subset), dtype=np.int64)
+    for chosen in (slice(None), cols[cols < x.domain_dim]):
+        got = _isometry_defect(x, chosen)
+        assert abs(got - dense.isometry_defect(x.matrix, chosen)) <= 1e-12
+        assert got == round(got)  # exact: an integer
+    if injective(x):
+        adj = x.adjoint()
+        assert np.array_equal(adj.matrix, x.matrix.T)
+        assert _isometry_defect(adj) == dense.isometry_defect(x.matrix.T)
+    else:
+        with pytest.raises(InvalidInput, match="not a partial permutation"):
+            x.adjoint()
 
 
 @st.composite
@@ -80,8 +126,10 @@ def parts_and_generators(draw):
 def test_unitary_residual_matches_the_compressed_map(case):
     part, generator = case
     restr = _compress(generator, part)
-    want = max(_isometry_defect(restr), _isometry_defect(restr.adjoint()))
-    assert _unitary_residual(part, generator) == want
+    got = _unitary_residual(part, generator)
+    assert got == _isometry_defect(restr)  # C is square, so C and C* have one defect
+    want = max(dense.isometry_defect(restr.matrix), dense.isometry_defect(restr.matrix.T))
+    assert abs(got - want) <= 1e-12
 
 
 # --- call counts ---------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Coordinate subspaces: cell arrays, the lazy basis and the closed forms.
 
 A coordinate ``Subspace`` holds its cells and builds its basis only when
-read.  Every closed form used where both operands are index data is
-compared with the dense formula run on the same input: the dense twin of
-a subspace is the same matrix held without cells, and the dense twin of a
-map is its matrix without the image.  The memory tests run each catalog
-construction family at dimension >= 1024, where one dense n x n complex
-matrix takes 16 MiB.
+read.  Every closed form on cells and images is compared with the dense
+formula of ``tests/dense_oracle.py`` run on the basis and matrix of the
+same input.  The memory tests run each catalog construction family at
+dimension >= 1024, where one dense n x n complex matrix takes 16 MiB.
 """
 
 import tracemalloc
@@ -16,13 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as dense
+from dense_oracle import DenseMap, projector
 from isoflow import numlin
 from isoflow.catalog import Scenario, _generator_isometry_entry, run_scenario
 from isoflow.decompose import (_reduction_residual, _unitary_residual, fourfold_decompose,
                                wold_cooper)
 from isoflow.duality import _lift_local, _overlap, _restrict_to
 from isoflow.errors import InternalInconsistency, InvalidInput
-from isoflow.numlin import DEFAULT_TOL, Subspace, _from_image, complement, intersect, subtract
+from isoflow.numlin import Subspace, complement, intersect, spectral_norm, subtract
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _pair_residual, bishift_families,
                                 halfline_shift_family)
 from isoflow.spaces import CellGrid1D, QuadrantGrid2D
@@ -32,13 +32,20 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 DENSE_MATRIX_BYTES = 16 * 2**20  # one 1024 x 1024 complex128 matrix
 
 
-def dense_subspace(sub: Subspace) -> Subspace:
-    """The same basis matrix, held without cells."""
-    return Subspace(sub.ambient, _from_image(sub.cells, sub.ambient))
+def dense_reduction_residual(sub: Subspace, elements) -> float:
+    """Largest norm of (P M - M P) over the faithful columns of each element M."""
+    p = projector(sub.basis)
+    worst = 0.0
+    for x in elements:
+        m = DenseMap.of(x).matrix
+        worst = max(worst, spectral_norm((p @ m - m @ p)[:, x.faithful_mask]))
+    return worst
 
 
-def dense_map(x: WindowedMap) -> WindowedMap:
-    return WindowedMap(_from_image(x.image, x.codomain_dim), x.faithful, x.adj_faithful)
+def dense_unitary_residual(part: Subspace, generator: WindowedMap) -> float:
+    """Larger isometry defect of the compression C and of C*."""
+    c = dense.compress(DenseMap.of(generator), part.cells).matrix
+    return max(dense.isometry_defect(c), dense.isometry_defect(c.conj().T))
 
 
 @st.composite
@@ -81,8 +88,8 @@ def test_cells_are_validated_as_a_strictly_increasing_index_array():
     for bad in ([2, 1], [1, 1], [-1, 2], [0, 6], [[0, 1]], [0.5, 1.7], np.array([0.0, 2.0])):
         with pytest.raises(InvalidInput):
             Subspace(6, cells=bad)
-    with pytest.raises(InvalidInput):
-        Subspace(6)
+    with pytest.raises(TypeError):
+        Subspace(6)  # cells are required: there is no other way to hold a subspace
     for bad in ([1, 1], [2.9, 0.2], np.array([1.5])):  # a float cell is not truncated
         with pytest.raises(InvalidInput):
             Subspace.from_cells(6, bad)
@@ -127,7 +134,7 @@ def test_gap_of_cell_sets_matches_dense_formula(data):
     b = Subspace.from_cells(n, a.cells) if same else data.draw(cell_subspaces(n))
     got = a.gap(b)
     assert got == (0.0 if np.array_equal(a.cells, b.cells) else 1.0)
-    assert abs(got - dense_subspace(a).gap(dense_subspace(b))) <= 1e-12
+    assert abs(got - dense.residual_norm(projector(a.basis), projector(b.basis))) <= 1e-12
 
 
 @SETTINGS
@@ -137,7 +144,7 @@ def test_overlap_of_cell_sets_matches_dense_formula(data):
     a, b = data.draw(cell_subspaces(n)), data.draw(cell_subspaces(n))
     got = _overlap(a, b)
     assert got == float(bool(set(a.cells.tolist()) & set(b.cells.tolist())))
-    assert abs(got - _overlap(dense_subspace(a), dense_subspace(b))) <= 1e-12
+    assert abs(got - spectral_norm(projector(a.basis) @ projector(b.basis))) <= 1e-12
 
 
 @SETTINGS
@@ -147,7 +154,7 @@ def test_reduction_residual_matches_dense_formula(data):
     sub = data.draw(cell_subspaces(n))
     elements = [data.draw(square_images(n)) for _ in range(data.draw(st.integers(1, 2)))]
     got = _reduction_residual(sub, elements)
-    want = _reduction_residual(dense_subspace(sub), [dense_map(x) for x in elements])
+    want = dense_reduction_residual(sub, elements)
     assert abs(got - want) <= 1e-12
 
 
@@ -157,7 +164,7 @@ def test_reduction_residual_of_columns_sharing_a_row():
     x = WindowedMap.from_image([3, 3, 3, -1], range(4), range(4))
     got = _reduction_residual(sub, [x])
     assert got == np.sqrt(3)
-    assert abs(got - _reduction_residual(dense_subspace(sub), [dense_map(x)])) <= 1e-12
+    assert abs(got - dense_reduction_residual(sub, [x])) <= 1e-12
 
 
 @SETTINGS
@@ -167,7 +174,7 @@ def test_unitary_residual_matches_dense_formula(data):
     part = data.draw(cell_subspaces(n))
     generator = data.draw(square_images(n))
     got = _unitary_residual(part, generator)
-    assert abs(got - _unitary_residual(dense_subspace(part), dense_map(generator))) <= 1e-12
+    assert abs(got - dense_unitary_residual(part, generator)) <= 1e-12
     local = numlin._positions(part.cells, n)[generator.image[part.cells]]
     live = local[local >= 0]
     if len(set(live.tolist())) == live.size:  # injective: exact 0 or 1, no matrix
@@ -181,9 +188,9 @@ def test_unitary_residual_cases():
     part = Subspace.from_cells(4, [0, 1, 2])
     assert _unitary_residual(part, cycle) == 0.0  # permutes the cells
     assert _unitary_residual(part, shift) == 1.0  # injective, not onto
-    folded = _unitary_residual(part, fold)  # three cells onto one: the dense formula, J - I
-    assert folded == _unitary_residual(dense_subspace(part), dense_map(fold))
-    assert abs(folded - 2.0) <= 1e-12
+    folded = _unitary_residual(part, fold)  # three cells onto one: J - I has norm 2
+    assert folded == 2.0
+    assert abs(folded - dense_unitary_residual(part, fold)) <= 1e-12
 
 
 @SETTINGS
@@ -191,9 +198,13 @@ def test_unitary_residual_cases():
 def test_generator_isometry_entry_matches_dense_formula(data):
     x = data.draw(square_images(data.draw(st.integers(1, 7))))
     got = _generator_isometry_entry(SemigroupFamily(x), "g")
-    want = _generator_isometry_entry(SemigroupFamily(dense_map(x)), "g")
-    assert abs(got.residual - want.residual) <= 1e-12
-    assert (got.dims, got.passed, got.note) == (want.dims, want.passed, want.note)
+    cols = np.flatnonzero(x.faithful_mask)
+    if not cols.size:
+        assert (got.residual, got.dims, got.passed, got.note) == (0.0, (0,), False, "empty window")
+        return
+    want = dense.isometry_defect(x.matrix, cols)
+    assert abs(got.residual - want) <= 1e-12
+    assert (got.dims, got.passed) == ((cols.size,), want == 0.0)
 
 
 def test_pair_residual_witness_builds_only_the_differing_columns(monkeypatch):

@@ -4,13 +4,14 @@ A ``WindowedMap`` keeps each window as a read-only boolean mask;
 ``faithful`` and ``adj_faithful`` are frozenset views built on first read.
 These tests pin the constructor contract (mask, index array or iterable;
 wrong length and out-of-range indices rejected), check that no bundled
-scenario reads the frozenset views or any dense matrix, basis or
-projector, and bound the memory of the power
-cache that a long Wold split keeps.  The dual example compares its dual
-generators with the bishift model image against image, also when they
-differ.
+scenario reads the frozenset views or any dense matrix or basis, and that
+its only SVD is the witness norm of ``_image_residual``, and bound the
+memory of the power cache that a long Wold split keeps.  The dual example
+compares its dual generators with the bishift model image against image,
+also when they differ.
 """
 
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -18,13 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoflow import catalog, duality
-from isoflow.catalog import Scenario, run_scenario
+from isoflow import catalog, duality, numlin, semigroups
+from isoflow.catalog import CATALOG, Scenario, run_scenario
 from isoflow.cli import load_scenarios
 from isoflow.commutant import CommutantBasis
 from isoflow.decompose import wold_cooper
 from isoflow.errors import DimensionMismatch, InternalInconsistency, InvalidInput
-from isoflow.numlin import Subspace, _from_image
+from isoflow.numlin import Subspace
 from isoflow.semigroups import WindowedMap, _pair_residual, halfline_shift_family
 from isoflow.spaces import CellGrid1D
 
@@ -50,10 +51,11 @@ def test_halfline_power_cache_at_default_k_stays_small():
 
 
 def test_bundled_configs_read_no_frozenset_window(monkeypatch):
-    """The catalog is exact by construction: no bundled scenario reads a
-    frozenset window, builds a dense ``WindowedMap``, or reads a dense
-    matrix, basis or projector, the indicator basis of a commutant
-    included."""
+    """The catalog is exact by construction: no bundled scenario, and no
+    construction at its defaults, reads a frozenset window or a dense matrix
+    or basis, the indicator basis of a commutant included.  Every SVD it
+    takes is ``spectral_norm`` called by ``semigroups._image_residual``, the
+    witness norm over the columns where two images differ."""
     reads = []
 
     def counting(name, read):
@@ -62,22 +64,28 @@ def test_bundled_configs_read_no_frozenset_window(monkeypatch):
             return read(*args, **kwargs)
         return counted
 
-    for name in ("faithful", "adj_faithful"):
-        monkeypatch.setattr(WindowedMap, name,
-                            property(counting(name, WindowedMap.__dict__[name].func)))
-    monkeypatch.setattr(WindowedMap, "__init__", counting("dense map", WindowedMap.__init__))
-    monkeypatch.setattr(WindowedMap, "matrix",
-                        property(counting("matrix", WindowedMap.matrix.fget)))
-    monkeypatch.setattr(Subspace, "basis", property(counting("basis", Subspace.basis.fget)))
-    monkeypatch.setattr(Subspace, "projector", counting("projector", Subspace.projector))
-    monkeypatch.setattr(CommutantBasis, "basis", property(
-        counting("commutant basis", CommutantBasis.__dict__["basis"].func)))
+    for owner, name in ((WindowedMap, "faithful"), (WindowedMap, "adj_faithful"),
+                        (WindowedMap, "matrix"), (Subspace, "basis"), (CommutantBasis, "basis")):
+        monkeypatch.setattr(owner, name, property(counting(f"{owner.__name__}.{name}",
+                                                           owner.__dict__[name].func)))
+    svd = np.linalg.svd
+    callers = []
+
+    def traced_svd(*args, **kwargs):
+        callers.append((sys._getframe(1).f_code, sys._getframe(2).f_code))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", traced_svd)
     configs = sorted((ROOT / "configs").glob("*.cfg"))
     assert configs
-    for config in configs:
-        for scenario in load_scenarios(str(config)):
-            assert run_scenario(scenario).overall, scenario.name
+    scenarios = [scenario for config in configs for scenario in load_scenarios(str(config))]
+    scenarios += [Scenario(name, name, {}) for name, *_ in CATALOG]
+    for scenario in scenarios:
+        assert run_scenario(scenario).overall, scenario.name
     assert reads == []
+    assert callers  # the adjoint-commutator witness of modified_bishift
+    assert set(callers) == {(numlin.spectral_norm.__code__,
+                             semigroups._image_residual.__code__)}
 
 
 def test_window_validation_and_read_only_masks():
@@ -89,11 +97,11 @@ def test_window_validation_and_read_only_masks():
     with pytest.raises(InvalidInput, match="faithful index outside the domain"):
         WindowedMap.from_image(image, np.array([0, 3]), ())
     with pytest.raises(InvalidInput, match="adjoint-faithful index outside the codomain"):
-        WindowedMap(np.eye(3), (), np.array([-1]))
+        WindowedMap.from_image(np.arange(3), (), np.array([-1]))
     with pytest.raises(InvalidInput):
-        WindowedMap(np.eye(3), np.array([[0, 1]]), ())
+        WindowedMap.from_image(np.arange(3), np.array([[0, 1]]), ())
     with pytest.raises(InvalidInput):
-        WindowedMap(np.eye(3), np.array([0.0, 1.0]), ())
+        WindowedMap.from_image(np.arange(3), np.array([0.0, 1.0]), ())
     with pytest.raises(InvalidInput):
         WindowedMap.from_image([0, 1], [0.5], [0, 1])  # not truncated to {0}
     source = np.array([True, False, True])
@@ -113,7 +121,6 @@ def test_window_forms_give_equal_maps():
     forms = ((mask, np.ones(4, dtype=bool)), (np.flatnonzero(mask), np.arange(4)),
              (frozenset({0, 2, 3}), frozenset(range(4))), ([3, 0, 2, 2], range(4)))
     maps = [WindowedMap.from_image(image, f, a) for f, a in forms]
-    maps += [WindowedMap(_from_image(image), f, a) for f, a in forms]
     for x in maps:
         assert np.array_equal(x.faithful_mask, mask)
         assert np.array_equal(x.adj_faithful_mask, np.ones(4, dtype=bool))
@@ -121,11 +128,12 @@ def test_window_forms_give_equal_maps():
 
 
 def test_pair_residual_on_different_domains():
+    """Maps of different shapes are refused, whether or not a column is
+    faithful for both: every caller composes first, which fixes the shape."""
     small = WindowedMap.from_image(np.arange(2), [0, 1], [0, 1])
-    large = WindowedMap.from_image(np.arange(3), [2], range(3))
-    assert _pair_residual(small, large) is None  # no common column
-    with pytest.raises(DimensionMismatch):
-        _pair_residual(small, WindowedMap.from_image(np.arange(3), [1, 2], range(3)))
+    for faithful in ([2], [1, 2]):
+        with pytest.raises(DimensionMismatch):
+            _pair_residual(small, WindowedMap.from_image(np.arange(3), faithful, range(3)))
 
 
 def test_dual_example_computes_its_dual_pair_once(monkeypatch):
@@ -169,16 +177,17 @@ def test_dual_example_mismatch_fails_without_reading_a_matrix(monkeypatch):
     assert axis2.passed and axis2.residual == 0.0
 
 
-def test_dual_example_rejects_a_dense_generator(monkeypatch):
+def test_dual_example_rejects_a_generator_of_another_shape(monkeypatch):
     dual_pair = duality.dual_pair
 
-    def dense(*args, **kwargs):
+    def grown(*args, **kwargs):
         dual = dual_pair(*args, **kwargs)
         first = dual.pair.first
-        first._generator = WindowedMap(first.generator.matrix, first.generator.faithful_mask,
-                                       first.generator.adj_faithful_mask)
+        first._generator = WindowedMap.from_image(
+            np.append(first.generator.image, -1), np.append(first.generator.faithful_mask, True),
+            np.append(first.generator.adj_faithful_mask, True))
         return dual
 
-    monkeypatch.setattr(duality, "dual_pair", dense)
+    monkeypatch.setattr(duality, "dual_pair", grown)
     with pytest.raises(InternalInconsistency, match="dual generator 1"):
         run_scenario(Scenario("dual", "dual_example", {"m": 1, "T": 3}))

@@ -1,38 +1,42 @@
 """Property tests for the support rule that shrinks exactness windows.
 
 The rule is restated here column by column, straight from its definition,
-and the vectorized implementations in ``WindowedMap.compose`` and in the
-coordinate path of ``duality._compress`` are compared against it.  On 0/1
-partial permutations ``compose`` is associative, windows included.
+and the vectorized implementations in ``WindowedMap.compose`` and in
+``_compress`` are compared against it, as is the support rule of the dense
+oracle's ``DenseMap.compose`` on general matrices.  On 0/1 partial
+permutations ``compose`` is associative, windows included.
 
-Every image-backed operation (gather ``compose``, inverse-image
-``adjoint``, ``_compress``, ``_pair_residual``, the first mask step of
-``wold_cooper``) is checked against the dense path run on the same
-matrix.
+Every image operation (gather ``compose``, inverse-image ``adjoint``,
+``_compress``, ``direct_sum``, ``tensor_with_identity``, ``_pair_residual``,
+the first mask step of ``wold_cooper``) is checked against the dense
+oracle's formula on the same matrix.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as dense
+from dense_oracle import DenseMap
 from isoflow.decompose import wold_cooper
-from isoflow.duality import _compress
-from isoflow.numlin import Subspace, _from_image, orthonormal_basis
-from isoflow.semigroups import (SemigroupFamily, WindowedMap, _pair_residual, direct_sum,
-                                tensor_with_identity)
+from isoflow.errors import InvalidInput
+from isoflow.numlin import Subspace, _from_image
+from isoflow.semigroups import (SemigroupFamily, WindowedMap, _compress, _pair_residual,
+                                direct_sum, tensor_with_identity)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 ENTRIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 1j, 0.5 - 2j])
 
 
-def reference_faithful(a: WindowedMap, b: WindowedMap) -> frozenset:
+def reference_faithful(a, b) -> frozenset:
     """faithful(A o B) = { i in faithful(B) : supp(B e_i) subset faithful(A) }."""
     return frozenset(i for i in b.faithful
                      if set(np.flatnonzero(b.matrix[:, i]).tolist()) <= a.faithful)
 
 
-def reference_adj_faithful(a: WindowedMap, b: WindowedMap) -> frozenset:
+def reference_adj_faithful(a, b) -> frozenset:
     """adj_faithful(A o B) = { i in adj_faithful(A) : supp(e_i* A) subset adj_faithful(B) }."""
     return frozenset(i for i in a.adj_faithful
                      if set(np.flatnonzero(a.matrix[i, :]).tolist()) <= b.adj_faithful)
@@ -46,22 +50,25 @@ def windows(draw, rows: int, cols: int):
 
 
 @st.composite
-def partial_permutations(draw, rows: int, cols: int):
-    """A 0/1 matrix with at most one 1 per row and per column, random windows."""
-    targets = draw(st.permutations(range(max(rows, cols))))
+def image_maps(draw, rows: int, cols: int, injective: bool = True):
+    """An image-backed 0/1 partial permutation with random windows.
+
+    With ``injective`` False two columns may share a row.
+    """
+    if injective:
+        targets = draw(st.permutations(range(max(rows, cols))))[:cols]
+    else:
+        targets = draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols))
     kept = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
-    matrix = np.zeros((rows, cols), dtype=np.complex128)
-    for col in range(cols):
-        if kept[col] and targets[col] < rows:
-            matrix[targets[col], col] = 1.0
-    return WindowedMap(matrix, *draw(windows(rows, cols)))
+    image = np.array([t if k and t < rows else -1 for t, k in zip(targets, kept)], dtype=np.int64)
+    return WindowedMap.from_image(image, *draw(windows(rows, cols)), rows=rows)
 
 
 @st.composite
 def dense_maps(draw, rows: int, cols: int):
     values = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
     matrix = np.array(values, dtype=np.complex128).reshape(rows, cols)
-    return WindowedMap(matrix, *draw(windows(rows, cols)))
+    return DenseMap(matrix, *draw(windows(rows, cols)))
 
 
 @st.composite
@@ -71,7 +78,7 @@ def composable(draw, maps):
 
 
 @SETTINGS
-@given(composable(partial_permutations))
+@given(composable(image_maps))
 def test_compose_windows_match_reference_on_partial_permutations(pair):
     a, b = pair
     got = a.compose(b)
@@ -82,6 +89,8 @@ def test_compose_windows_match_reference_on_partial_permutations(pair):
 @SETTINGS
 @given(composable(dense_maps))
 def test_compose_windows_match_reference_on_dense_matrices(pair):
+    """The dense oracle's support rule, which the image tests below compare
+    against, is the definition on general matrices."""
     a, b = pair
     got = a.compose(b)
     assert got.faithful == reference_faithful(a, b)
@@ -91,8 +100,8 @@ def test_compose_windows_match_reference_on_dense_matrices(pair):
 @st.composite
 def composable_triples(draw):
     rows, inner, outer, cols = (draw(st.integers(1, 6)) for _ in range(4))
-    return (draw(partial_permutations(rows, inner)), draw(partial_permutations(inner, outer)),
-            draw(partial_permutations(outer, cols)))
+    return (draw(image_maps(rows, inner)), draw(image_maps(inner, outer)),
+            draw(image_maps(outer, cols)))
 
 
 @SETTINGS
@@ -107,7 +116,7 @@ def test_compose_is_associative_on_partial_permutations(triple):
 
 
 @SETTINGS
-@given(composable(dense_maps))
+@given(composable(image_maps))
 def test_adjoint_swaps_windows(pair):
     a, b = pair
     adj = a.adjoint()
@@ -122,7 +131,7 @@ def test_adjoint_swaps_windows(pair):
 @st.composite
 def compressions(draw):
     n = draw(st.integers(1, 7))
-    u = draw(st.one_of(partial_permutations(n, n), dense_maps(n, n)))
+    u = draw(image_maps(n, n, draw(st.booleans())))
     cells = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
     return u, cells
 
@@ -143,28 +152,9 @@ def test_compress_coordinate_windows(case):
         pos for pos, c in enumerate(cells) if c in u.adj_faithful)
 
 
-# --- image-backed maps against the dense path ---------------------------------------
+# --- image maps against the dense oracle -------------------------------------------
 
-@st.composite
-def image_maps(draw, rows: int, cols: int, injective: bool = True):
-    """An image-backed 0/1 partial permutation with random windows.
-
-    With ``injective`` False two columns may share a row.
-    """
-    if injective:
-        targets = draw(st.permutations(range(max(rows, cols))))[:cols]
-    else:
-        targets = draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols))
-    kept = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
-    image = np.array([t if k and t < rows else -1 for t, k in zip(targets, kept)], dtype=np.int64)
-    return WindowedMap.from_image(image, *draw(windows(rows, cols)), rows=rows)
-
-
-def dense_twin(x: WindowedMap) -> WindowedMap:
-    return WindowedMap(_from_image(x.image, x.codomain_dim), x.faithful, x.adj_faithful)
-
-
-def assert_same(got: WindowedMap, want: WindowedMap):
+def assert_same(got: WindowedMap, want: DenseMap):
     assert got.shape == want.shape
     assert got.matrix.dtype == want.matrix.dtype
     assert np.array_equal(got.matrix, want.matrix)
@@ -188,9 +178,8 @@ def image_composable(draw):
 def test_image_compose_matches_dense_path(pair):
     a, b = pair
     got = a.compose(b)
-    assert got.image is not None
     assert got.matrix.tobytes() == (a.matrix @ b.matrix).tobytes()
-    assert_same(got, dense_twin(a).compose(dense_twin(b)))
+    assert_same(got, DenseMap.of(a).compose(DenseMap.of(b)))
     assert_image_is_matrix(got)
 
 
@@ -199,15 +188,15 @@ def test_image_compose_matches_dense_path(pair):
 def test_image_adjoint_matches_dense_path(data):
     rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     x = data.draw(image_maps(rows, cols, data.draw(st.booleans())))
-    got = x.adjoint()
-    assert_same(got, dense_twin(x).adjoint())
     live = x.image[x.image >= 0]
-    if len(set(live.tolist())) == live.size:
-        assert got.image is not None
-        assert_image_is_matrix(got)
-        assert np.array_equal(got.adjoint().image, x.image)
-    else:
-        assert got.image is None  # a non-injective image has no inverse image
+    if len(set(live.tolist())) != live.size:
+        with pytest.raises(InvalidInput, match="not a partial permutation"):
+            x.adjoint()  # a non-injective image has no inverse image
+        return
+    got = x.adjoint()
+    assert_same(got, DenseMap.of(x).adjoint())
+    assert_image_is_matrix(got)
+    assert np.array_equal(got.adjoint().image, x.image)
 
 
 @SETTINGS
@@ -217,12 +206,10 @@ def test_image_direct_sum_and_tensor_match_dense_path(data):
                                   data.draw(st.booleans())))
              for _ in range(data.draw(st.integers(1, 3)))]
     got = direct_sum(*parts)
-    assert got.image is not None
-    assert_same(got, direct_sum(*map(dense_twin, parts)))
+    assert_same(got, dense.direct_sum(*map(DenseMap.of, parts)))
     fiber, side = data.draw(st.integers(1, 3)), data.draw(st.sampled_from(["left", "right"]))
     got = tensor_with_identity(parts[0], fiber, side)
-    assert got.image is not None
-    assert_same(got, tensor_with_identity(dense_twin(parts[0]), fiber, side))
+    assert_same(got, dense.tensor_with_identity(DenseMap.of(parts[0]), fiber, side))
     assert_image_is_matrix(got)
 
 
@@ -233,8 +220,7 @@ def test_image_compress_matches_dense_path(data):
     u = data.draw(image_maps(n, n, data.draw(st.booleans())))
     cells = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
     got = _compress(u, Subspace.from_cells(n, cells))
-    assert got.image is not None
-    assert_same(got, _compress(dense_twin(u), Subspace.from_cells(n, cells)))
+    assert_same(got, dense.compress(DenseMap.of(u), cells))
 
 
 @SETTINGS
@@ -250,7 +236,7 @@ def test_pair_residual_matches_dense_formula(data):
         return
     want = np.linalg.norm(x.matrix[:, columns] - y.matrix[:, columns], 2)
     assert got[1] == len(columns)
-    assert got[0] == _pair_residual(dense_twin(x), dense_twin(y))[0]
+    assert got[0] == dense.pair_residual(DenseMap.of(x), DenseMap.of(y))[0]
     assert abs(got[0] - want) <= 1e-12
     assert (got[0] == 0.0) == np.array_equal(x.image[columns], y.image[columns])
 
@@ -261,7 +247,7 @@ def test_pair_residual_of_a_mismatched_pair():
     y = WindowedMap.from_image([0, 0, -1], range(3), range(3))
     got, count = _pair_residual(x, y)
     assert count == 3
-    assert got == _pair_residual(dense_twin(x), dense_twin(y))[0]
+    assert got == dense.pair_residual(DenseMap.of(x), DenseMap.of(y))[0]
     assert abs(got - np.linalg.norm(x.matrix - y.matrix, 2)) <= 1e-12
     assert got > 1.0
 
@@ -275,8 +261,8 @@ def test_one_wold_step_matches_dense_formula(data):
     x = data.draw(image_maps(n, n, data.draw(st.booleans())))
     got = wold_cooper(SemigroupFamily(x), 1).unitary_part
     cols = sorted(x.faithful)
-    want = orthonormal_basis(x.matrix[:, cols]) if cols else Subspace.zero(n)
-    assert got.dim == want.dim
-    assert got.gap(want) <= 1e-12
+    want = dense.orthonormal_basis(x.matrix[:, cols])
+    assert got.dim == want.shape[1]
+    assert dense.residual_norm(dense.projector(got.basis), dense.projector(want)) <= 1e-12
     live = x.image[cols][x.image[cols] >= 0]
     assert tuple(got.cells) == tuple(sorted(set(live.tolist())))  # exact even where rows repeat
