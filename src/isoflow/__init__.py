@@ -11,7 +11,7 @@ the windows and hold with residual exactly zero, not merely small.
 
 from .errors import (DimensionMismatch, InternalInconsistency, InvalidInput, InvalidShift,
                      IsoflowError, PreconditionFailed, WindowTooSmall)
-from .numlin import DEFAULT_TOL, Subspace, Tolerances, complement, intersect, subtract
+from .numlin import Subspace, complement, intersect, subtract
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, bishift_families,
                          bishift_pair, check_semigroup_law, circulant_family,

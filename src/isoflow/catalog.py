@@ -20,7 +20,6 @@ from .commutant import commutant_of_partial_isometries, doubly_commutant_of_mz
 from .decompose import (_fourfold, _product_unitary_part, _step_verdict, bcl_check,
                         classify_pair, wold_cooper)
 from .errors import InternalInconsistency, InvalidInput
-from .numlin import Tolerances
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, _image_residual, _isometry_defect,
                          bishift_families, bishift_pair, check_semigroup_law, circulant_family,
@@ -46,16 +45,22 @@ def _parse_samples(raw) -> list[Fraction]:
         raise InvalidInput(f"cannot parse samples {raw!r}") from exc
 
 
-def _tolerances(params: dict) -> Tolerances:
-    def pick(key: str, default: float) -> float:
+_TOLERANCES = {"rank_rel": 1e-10, "resid_abs": 1e-10, "angle": 1.0 - 1e-8}
+
+
+def _tolerances(params: dict) -> dict[str, str]:
+    """The echo string of each tolerance key, given or default, once checked to be a real
+    number strictly inside (0, 1).  No verdict reads them: a check passes at residual 0."""
+    echo = {}
+    for key, default in _TOLERANCES.items():
         try:
-            return float(params.get(key, default))
+            value = float(params.get(key, default))
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"parameter {key} must be a real number") from exc
-
-    return Tolerances(rank_rel=pick("rank_rel", 1e-10),
-                      resid_abs=pick("resid_abs", 1e-10),
-                      angle=pick("angle", 1.0 - 1e-8))
+        if not 0.0 < value < 1.0:
+            raise InvalidInput(f"tolerance {key} must lie strictly in (0, 1), got {value!r}")
+        echo[key] = repr(value)
+    return echo
 
 
 def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
@@ -68,14 +73,13 @@ def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
 
 
 # ---------------------------------------------------------------------------
-# runners: each takes the tolerances and its resolved parameters by name, and returns
-# its entries
+# runners: each takes its resolved parameters by name and returns its entries
 
 
-def _run_halfline_shift(tol, m, T, r, K, samples):
+def _run_halfline_shift(m, T, r, K, samples):
     family = halfline_shift_family(CellGrid1D(m, T, r))
     entries = [_generator_isometry_entry(family, "generator_isometry")]
-    entries.extend(check_semigroup_law(family, samples, tol).entries)
+    entries.extend(check_semigroup_law(family, samples).entries)
     wold = wold_cooper(family, K)
     entries.append(CheckEntry("wold_unitary_dim", wold.unitary_residual,
                               (wold.unitary_part.dim,), wold.unitary_part.dim == 0))
@@ -83,42 +87,42 @@ def _run_halfline_shift(tol, m, T, r, K, samples):
     return entries
 
 
-def _pair_law_entries(pair: PairOfSemigroups, samples, tol):
+def _pair_law_entries(pair: PairOfSemigroups, samples):
     """Generator isometries, per-axis semigroup laws and the commutator of a pair."""
     out = Report("pair", entries=[
         _generator_isometry_entry(pair.first, "generator_isometry_axis1"),
         _generator_isometry_entry(pair.second, "generator_isometry_axis2")])
-    out.extend_prefixed("axis1:", check_semigroup_law(pair.first, samples, tol))
-    out.extend_prefixed("axis2:", check_semigroup_law(pair.second, samples, tol))
-    verdict = classify_pair(pair, samples, tol)
+    out.extend_prefixed("axis1:", check_semigroup_law(pair.first, samples))
+    out.extend_prefixed("axis2:", check_semigroup_law(pair.second, samples))
+    verdict = classify_pair(pair, samples)
     out.entries.append(CheckEntry("commutator", verdict.comm_residual, (),
-                                  verdict.comm_residual <= tol.resid_abs))
+                                  verdict.comm_residual == 0.0))
     return out.entries, verdict
 
 
-def _run_bishift(tol, m, T, r, K, samples):
+def _run_bishift(m, T, r, K, samples):
     pair = bishift_families(QuadrantGrid2D(m, T, r))
-    entries, verdict = _pair_law_entries(pair, samples, tol)
+    entries, verdict = _pair_law_entries(pair, samples)
     entries.append(CheckEntry("adjoint_commutator", verdict.double_comm_residual, (),
-                              verdict.double_comm_residual <= tol.resid_abs))
+                              verdict.double_comm_residual == 0.0))
     entries.append(CheckEntry("classified", 0.0, (), verdict.classified == "doubly_commuting",
                               verdict.classified))
-    step = _step_verdict(pair, tol)  # both splits read the one step-time verdict
+    step = _step_verdict(pair)  # both splits read the one step-time verdict
     split = _fourfold(pair, K, step)
     entries.append(CheckEntry("fourfold_dims", split.reduction_residual, split.dims,
                               split.dims == (pair.dim, 0, 0, 0)))
-    product = _product_unitary_part(pair, K, tol, step)
+    product = _product_unitary_part(pair, K, step)
     entries.append(CheckEntry("product_unitary_dim", product.reduction_residual,
                               (product.subspace.dim,),
                               product.subspace.dim == 0 and product.stabilized))
     return entries
 
 
-def _run_modified_bishift(tol, m, T, r, samples):
+def _run_modified_bishift(m, T, r, samples):
     pair = modified_bishift_families(LRegionIndex(m, T, r))
-    entries, verdict = _pair_law_entries(pair, samples, tol)
+    entries, verdict = _pair_law_entries(pair, samples)
     entries.append(CheckEntry("adjoint_commutator_witness", verdict.double_comm_residual, (),
-                              verdict.double_comm_residual > tol.resid_abs,
+                              verdict.double_comm_residual > 0.0,
                               "a nonzero value is the expected witness"))
     entries.append(CheckEntry("classified", 0.0, (), verdict.classified == "commuting",
                               verdict.classified))
@@ -143,16 +147,16 @@ def _four_block_dc_pair(shift_T: int, circ: int):
     return pair, dims
 
 
-def _run_four_block_dc(tol, T, circ, K):
+def _run_four_block_dc(T, circ, K):
     pair, expected = _four_block_dc_pair(T, circ)
-    verdict = _step_verdict(pair, tol)  # time 1, the step of both families
+    verdict = _step_verdict(pair)  # time 1, the step of both families
     entries = [CheckEntry("classified", verdict.double_comm_residual, (),
                           verdict.classified == "doubly_commuting", verdict.classified)]
     split = _fourfold(pair, K, verdict)
     entries.append(CheckEntry("fourfold_dims", 0.0, split.dims, split.dims == expected,
                               f"expected {expected}"))
     entries.append(CheckEntry("reduction_residual", split.reduction_residual, (),
-                              split.reduction_residual <= tol.resid_abs))
+                              split.reduction_residual == 0.0))
     entries.append(CheckEntry("wold_stabilized", 0.0,
                               (split.wold_first.steps_used, split.wold_second.steps_used),
                               split.wold_first.stabilized and split.wold_second.stabilized))
@@ -168,24 +172,24 @@ def _ddc_setup(m: int, T: int, p: int, circ: int):
         label="four_block_ddc")
 
 
-def _run_four_block_ddc(tol, m, T, p, circ, K, max_orbit):
+def _run_four_block_ddc(m, T, p, circ, K, max_orbit):
     setup = _ddc_setup(m, T, p, circ)
     expected = (3 * (m * T) ** 2, m * T * p, m * T * p, circ * circ)
-    result = duality.dual_fourfold(setup, K, max_orbit, tol)
+    result = duality.dual_fourfold(setup, K, max_orbit)
     entries = [
         CheckEntry("dual_fourfold_dims", 0.0, result.dims, result.dims == expected,
                    f"expected {expected}"),
         CheckEntry("dual_tilde_dims", 0.0, result.tilde_dims, result.tilde_dims[3] == 0),
         CheckEntry("orthogonality", result.orthogonality_residual, (),
-                   result.orthogonality_residual <= tol.resid_abs),
+                   result.orthogonality_residual == 0.0),
         CheckEntry("reduction_residual", result.reduction_residual, (),
-                   result.reduction_residual <= tol.resid_abs),
+                   result.reduction_residual == 0.0),
         CheckEntry("dims_sum", 0.0, (sum(result.dims),), sum(result.dims) == setup.h.dim),
     ]
     return entries
 
 
-def _commutant_entries(result, r: int, tol) -> list[CheckEntry]:
+def _commutant_entries(result, r: int) -> list[CheckEntry]:
     """Dimension r^2 and the fiber-scalar form of a solved commutant."""
     return [
         CheckEntry("dimension", 0.0, (result.dim,), result.dim == r * r,
@@ -193,16 +197,16 @@ def _commutant_entries(result, r: int, tol) -> list[CheckEntry]:
         CheckEntry("structure", result.max_structure_residual, (),
                    result.structure_verdict == "fiber_scalar", result.structure_verdict),
         CheckEntry("reconstruction", result.max_structure_residual, (),
-                   result.max_structure_residual <= tol.resid_abs),
+                   result.max_structure_residual == 0.0),
     ]
 
 
-def _run_commutant_e(tol, m, r):
-    return _commutant_entries(commutant_of_partial_isometries(m, r), r, tol)
+def _run_commutant_e(m, r):
+    return _commutant_entries(commutant_of_partial_isometries(m, r), r)
 
 
-def _run_commutant_mz(tol, d, r):
-    return _commutant_entries(doubly_commutant_of_mz(d, r), r, tol)
+def _run_commutant_mz(d, r):
+    return _commutant_entries(doubly_commutant_of_mz(d, r), r)
 
 
 def _bcl_default_samples(T: int, m: int) -> list[Fraction]:
@@ -216,11 +220,11 @@ def _bcl_default_samples(T: int, m: int) -> list[Fraction]:
     return [Fraction(j, m) for j in range(m * (T - 1) + 1)]
 
 
-def _run_bcl(tol, T, m, r, samples):
+def _run_bcl(T, m, r, samples):
     return list(bcl_check(T, m, r, samples).entries)
 
 
-def _run_dual_example(tol, m, T, r, K, max_orbit):
+def _run_dual_example(m, T, r, K, max_orbit):
     setup = duality.l_region_setup(m, T, r)
     dual = duality.dual_pair(setup, max_orbit)
     model1, model2 = bishift_pair(QuadrantGrid2D(m, T, r), Fraction(1, m))
@@ -238,16 +242,16 @@ def _run_dual_example(tol, m, T, r, K, max_orbit):
                                       "integer equality"))
     out.entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
                                   dual.wth.dim == (m * T) ** 2 * r))
-    out.extend_prefixed("cnu:", duality.dual_cnu_check(setup, dual, K, tol))
+    out.extend_prefixed("cnu:", duality.dual_cnu_check(setup, dual, K))
     return out.entries
 
 
-def _run_double_dual(tol, m, T, r, max_orbit):
+def _run_double_dual(m, T, r, max_orbit):
     setup = duality.l_region_setup(m, T, r)
-    return list(duality.double_dual_check(setup, max_orbit, tol, radius_bound=2 * m * T).entries)
+    return list(duality.double_dual_check(setup, max_orbit, radius_bound=2 * m * T).entries)
 
 
-def _run_simultaneous(tol, variant, m, T, p, K, max_orbit):
+def _run_simultaneous(variant, m, T, p, K, max_orbit):
     if variant == "mixed":
         setup = duality.setup_direct_sum(
             duality.halfline_circulant_setup(m, T, p),
@@ -260,7 +264,7 @@ def _run_simultaneous(tol, variant, m, T, p, K, max_orbit):
     else:  # "unitary"; check_scenario admits no other variant
         setup = duality.circulant_pair_setup(p, p, cells_per_unit=m)
         expected_dc, expected_ddc = True, True
-    report = duality.simultaneous_dc_ddc_classify(setup, K, max_orbit, tol)
+    report = duality.simultaneous_dc_ddc_classify(setup, K, max_orbit)
     entries = list(report.entries)
     flags = {entry.check_id: entry for entry in entries}
     dc_seen = flags["doubly_commuting"].dims == (1,)
@@ -332,7 +336,6 @@ CATALOG = (
 _RUNNERS = {name: runner for name, _, _, runner in CATALOG}
 # a construction's parameters are the keys its defaults line lists, in order, with their defaults
 _DEFAULTS = {name: dict(re.findall(r"(\w+)=(\S+)", defaults)) for name, _, defaults, _ in CATALOG}
-_TOLERANCE_KEYS = frozenset({"rank_rel", "resid_abs", "angle"})
 _VARIANTS = ("mixed", "bishift", "unitary")
 # every other parameter is an integer with this lower bound, 1 unless listed
 _LOWEST = {("commutant_e", "m"): 2}  # a single cell imposes no constraint
@@ -346,11 +349,11 @@ def check_scenario(scenario: Scenario) -> None:
         raise InvalidInput(f"unknown construction {construction!r}; "
                            f"known: {', '.join(sorted(_RUNNERS))}")
     for key in params:
-        if key not in _DEFAULTS[construction] and key not in _TOLERANCE_KEYS:
+        if key not in _DEFAULTS[construction] and key not in _TOLERANCES:
             raise InvalidInput(f"unknown parameter {key}")
     _tolerances(params)
     for key, raw in params.items():
-        if key in _TOLERANCE_KEYS or key in ("samples", "variant"):
+        if key in _TOLERANCES or key in ("samples", "variant"):
             continue
         lowest = _LOWEST.get((construction, key), 1)
         try:
@@ -408,12 +411,11 @@ def _resolve(construction: str, params: dict) -> dict:
 def run_scenario(scenario: Scenario) -> Report:
     """Run one named scenario deterministically; its report echoes the resolved parameters."""
     check_scenario(scenario)
-    tol = _tolerances(scenario.params)
     params = _resolve(scenario.construction, scenario.params)
-    entries = _RUNNERS[scenario.construction](tol, **params)
+    entries = _RUNNERS[scenario.construction](**params)
     echo = {key: ",".join(map(str, value)) if key == "samples" else str(value)
             for key, value in params.items()}
-    echo.update(rank_rel=repr(tol.rank_rel), resid_abs=repr(tol.resid_abs), angle=repr(tol.angle))
+    echo.update(_tolerances(scenario.params))
     return Report(scenario=scenario.name, construction=scenario.construction,
                   params=tuple(sorted(echo.items())), entries=entries)
 

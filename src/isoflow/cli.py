@@ -20,7 +20,7 @@ from .report import render_reports
 __all__ = ["main", "load_scenarios"]
 
 
-def load_scenarios(path: str, tol_override: float | None = None) -> list[Scenario]:
+def load_scenarios(path: str) -> list[Scenario]:
     """Parse a line-oriented config: one [section] per scenario.
 
     Every scenario is checked against the catalog before any of them runs.
@@ -40,8 +40,6 @@ def load_scenarios(path: str, tol_override: float | None = None) -> list[Scenari
         construction = params.pop("construction", None)
         if construction is None:
             raise IsoflowError(f"scenario [{section}] does not name a construction")
-        if tol_override is not None:
-            params["resid_abs"] = repr(tol_override)
         scenario = Scenario(section, construction, params)
         try:
             check_scenario(scenario)
@@ -61,8 +59,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command")
     run_parser = sub.add_parser("run", help="run the scenarios in a config file")
     run_parser.add_argument("config", help="path to a scenario config file")
-    run_parser.add_argument("--tol", type=float, default=None,
-                            help="override the resid_abs tolerance for every scenario")
     run_parser.add_argument("--out", default=None, help="also write the report to this path")
     sub.add_parser("list", help="print the construction catalog")
     args = parser.parse_args(argv)
@@ -74,7 +70,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        scenarios = load_scenarios(args.config, args.tol)
+        scenarios = load_scenarios(args.config)
     except IsoflowError as exc:
         print(f"isoflow: error: {exc}", file=sys.stderr)
         return 2

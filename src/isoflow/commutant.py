@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .decompose import _commutator_residual
-from .errors import DimensionMismatch, InvalidInput, PreconditionFailed
-from .numlin import DEFAULT_TOL, Tolerances, _check_budget
+from .errors import DimensionMismatch, InvalidInput, PreconditionFailed, WindowTooSmall
+from .numlin import _check_budget
 from .report import CheckEntry, Report
 from .semigroups import SemigroupFamily, _cut_shift_images, _forward_image, _held_residual
 
@@ -247,7 +247,7 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
 
 
 def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: SemigroupFamily,
-                           fiber: int, samples, tol: Tolerances = DEFAULT_TOL) -> Report:
+                           fiber: int, samples) -> Report:
     """Commuting normal elements against the shift must doubly commute.
 
     For each sampled time the element must be normal (precondition).  A
@@ -256,8 +256,10 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
     injective and those two sets are equal; equal sets of live rows and
     live columns have equal sizes, which makes the image injective.  The
     check then asserts the one-sided implication: a commutation residual
-    within tolerance forces the adjoint-commutation residual within
-    tolerance, and the element must carry the fiber form I (x) B_t.  B_t
+    of exactly 0 forces an adjoint-commutation residual of exactly 0, and
+    the element must carry the fiber form I (x) B_t.  A commutator with no
+    common faithful column is skipped, [A, V_t] with the rest of its
+    sample; when no sample is left the window is too small.  B_t
     is the diagonal block of the first fiber block whose columns are all
     faithful, and the image is compared with I (x) B_t rebuilt from it by
     ``_held_residual`` on the faithful columns.  ``shift_family`` is
@@ -270,6 +272,7 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
         raise InvalidInput("fiber dimension does not divide the space")
     cells = normal_family.dim // fiber
     entries = []
+    usable = 0
     for t in samples:
         time = Fraction(t)
         a = normal_family.at_time(time)
@@ -279,12 +282,19 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
         if not np.array_equal(rows, live):
             raise PreconditionFailed(f"element at t={time} is not normal")
         v = shift_family.at_time(time)
-        comm, _ = _commutator_residual(a, v) or (0.0, 0)
-        entries.append(CheckEntry(f"t={time}:commutator", comm, (), True))
-        if comm <= tol.resid_abs:
-            double, _ = _commutator_residual(a, v.adjoint()) or (0.0, 0)
-            entries.append(CheckEntry(f"t={time}:adjoint_commutator", double, (),
-                                      double <= tol.resid_abs))
+        got = _commutator_residual(a, v)
+        if got is None:
+            entries.append(CheckEntry(f"t={time}:commutator", 0.0, (0,), True,
+                                      "empty window, skipped"))
+            continue
+        usable += 1
+        comm, count = got
+        entries.append(CheckEntry(f"t={time}:commutator", comm, (count,), True))
+        if comm == 0.0:
+            got = _commutator_residual(a, v.adjoint())
+            double, count = (0.0, 0) if got is None else got
+            entries.append(CheckEntry(f"t={time}:adjoint_commutator", double, (count,),
+                                      double == 0.0, "" if count else "empty window, skipped"))
             full_cells = np.flatnonzero(a.faithful_mask.reshape(cells, fiber).all(axis=1))
             if not full_cells.size:
                 entries.append(CheckEntry(f"t={time}:fiber_form", 0.0, (0,), False,
@@ -298,5 +308,7 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
             structure, _ = _held_residual((a.image, a.faithful_mask),
                                           (rebuilt, np.ones(a.domain_dim, dtype=bool)))
             entries.append(CheckEntry(f"t={time}:fiber_form", structure, (full_cells.size,),
-                                      structure <= tol.resid_abs))
+                                      structure == 0.0))
+    if not usable:
+        raise WindowTooSmall("no sample leaves a nonempty faithful window")
     return Report(scenario="fuglede_instance", entries=entries)

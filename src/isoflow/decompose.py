@@ -26,8 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _positions, _unit_columns_norm,
-                     complement, intersect)
+from .numlin import Subspace, _positions, _unit_columns_norm, complement, intersect
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _check_image,
                          _gather, _halfline_rows, _held_residual, _image_isometry_defect,
@@ -178,14 +177,15 @@ def _commutator_residual(a: WindowedMap, b: WindowedMap) -> tuple[float, int] | 
     return _held_residual(_gather(a, b), _gather(b, a))
 
 
-def classify_pair(pair: PairOfSemigroups, samples, tol: Tolerances = DEFAULT_TOL) -> CommutationReport:
+def classify_pair(pair: PairOfSemigroups, samples) -> CommutationReport:
     """Classify a pair as commuting / doubly commuting / neither.
 
     Residuals are maxima over all ordered sample pairs (t for the first
     family, s for the second), restricted to the composed faithful sets.
     The commutators [V1_t, V2_s] and [V1_t, V2_s*] come from
     ``_commutator_residual``, which builds no product; V2_s and its
-    adjoint are built once per s.
+    adjoint are built once per s.  The pair commutes when the first
+    maximum is exactly 0, and doubly commutes when both are.
     """
     times = list(samples)
     if not times:
@@ -207,9 +207,9 @@ def classify_pair(pair: PairOfSemigroups, samples, tol: Tolerances = DEFAULT_TOL
                 usable_double += 1
     if not usable_comm or not usable_double:
         raise WindowTooSmall("no sample pair leaves a nonempty faithful intersection")
-    if comm <= tol.resid_abs and double <= tol.resid_abs:
+    if comm == 0.0 and double == 0.0:
         classified = "doubly_commuting"
-    elif comm <= tol.resid_abs:
+    elif comm == 0.0:
         classified = "commuting"
     else:
         classified = "neither"
@@ -236,20 +236,19 @@ def _reduction_residual(subspace: Subspace, elements) -> float:
     return worst
 
 
-def _step_verdict(pair: PairOfSemigroups, tol: Tolerances) -> CommutationReport:
+def _step_verdict(pair: PairOfSemigroups) -> CommutationReport:
     """``classify_pair`` at the one step time 1 / cells_per_unit of the pair."""
-    return classify_pair(pair, [Fraction(1, pair.cells_per_unit)], tol)
+    return classify_pair(pair, [Fraction(1, pair.cells_per_unit)])
 
 
-def fourfold_decompose(pair: PairOfSemigroups, max_steps: int,
-                       tol: Tolerances = DEFAULT_TOL) -> FourfoldResult:
+def fourfold_decompose(pair: PairOfSemigroups, max_steps: int) -> FourfoldResult:
     """Fourfold split of a doubly commuting pair by crossing the two splits.
 
     Each corner is the intersection of one part of each family's split;
     the reduction residuals cannot be nonzero for a genuinely doubly
     commuting pair, so they are reported as window-pollution detectors.
     """
-    return _fourfold(pair, max_steps, _step_verdict(pair, tol))
+    return _fourfold(pair, max_steps, _step_verdict(pair))
 
 
 def _fourfold(pair: PairOfSemigroups, max_steps: int,
@@ -340,8 +339,7 @@ def bcl_check(T: int, m: int, r: int, samples) -> Report:
 
 
 def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
-                             z: WindowedMap, samples,
-                             tol: Tolerances = DEFAULT_TOL) -> Report:
+                             z: WindowedMap, samples) -> Report:
     """Check Z A_{j,t} Z* = B_{j,t} on faithful windows for j = 1, 2.
 
     Only verifies a supplied equivalence; finding one is out of scope.
@@ -351,9 +349,9 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
     """
     if not isinstance(z, WindowedMap):
         raise InvalidInput(f"z must be a WindowedMap, got {type(z).__name__}")
-    if (_isometry_defect(z) > tol.resid_abs  # first: only an injective z has an adjoint
-            or _isometry_defect(z_adj := z.adjoint()) > tol.resid_abs):
-        raise PreconditionFailed("supplied conjugation is not unitary within tolerance")
+    if (_isometry_defect(z) > 0.0  # first: only an injective z has an adjoint
+            or _isometry_defect(z_adj := z.adjoint()) > 0.0):
+        raise PreconditionFailed("supplied conjugation is not unitary")
     entries = []
     usable = 0
     for axis, (fam_a, fam_b) in enumerate(((pair_a.first, pair_b.first),
@@ -367,26 +365,25 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
                 continue
             usable += 1
             residual, count = got
-            entries.append(CheckEntry(check_id, residual, (count,), residual <= tol.resid_abs))
+            entries.append(CheckEntry(check_id, residual, (count,), residual == 0.0))
     if not usable:
         raise WindowTooSmall("no sample leaves a nonempty faithful window")
     return Report(scenario="joint_equivalence", entries=entries)
 
 
-def product_unitary_part(pair: PairOfSemigroups, max_steps: int,
-                         tol: Tolerances = DEFAULT_TOL) -> ProductWoldResult:
+def product_unitary_part(pair: PairOfSemigroups, max_steps: int) -> ProductWoldResult:
     """Unitary part of the product family t -> V1_t V2_t of a commuting pair.
 
     The result is checked to reduce both factors; the residuals are folded
     into ``reduction_residual``.
     """
-    return _product_unitary_part(pair, max_steps, tol, _step_verdict(pair, tol))
+    return _product_unitary_part(pair, max_steps, _step_verdict(pair))
 
 
-def _product_unitary_part(pair: PairOfSemigroups, max_steps: int, tol: Tolerances,
+def _product_unitary_part(pair: PairOfSemigroups, max_steps: int,
                           verdict: CommutationReport) -> ProductWoldResult:
     """``product_unitary_part`` given the step-time verdict of the pair."""
-    if verdict.comm_residual > tol.resid_abs:
+    if verdict.comm_residual > 0.0:
         raise PreconditionFailed("product family of a non-commuting pair is not a semigroup")
     generator = pair.first.generator.compose(pair.second.generator)
     product = SemigroupFamily(generator, label="product", cells_per_unit=pair.cells_per_unit)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import DEFAULT_TOL, Subspace, Tolerances, _positions, _unit_columns_norm, subtract
+from .numlin import Subspace, _positions, _unit_columns_norm, subtract
 from .decompose import (CommutationReport, _fourfold, _product_unitary_part,
                         _reduction_residual, _step_verdict, fourfold_decompose,
                         product_unitary_part)
@@ -276,8 +276,7 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int) -> DualResult:
                       extension.radius)
 
 
-def dual_cnu_check(setup: ExtensionSetup, dual: DualResult, max_steps: int,
-                   tol: Tolerances = DEFAULT_TOL) -> Report:
+def dual_cnu_check(setup: ExtensionSetup, dual: DualResult, max_steps: int) -> Report:
     """The dual pair ``dual`` of ``setup`` must be completely nonunitary.
 
     Verified through the product family: the pair is c.n.u. exactly when
@@ -289,18 +288,17 @@ def dual_cnu_check(setup: ExtensionSetup, dual: DualResult, max_steps: int,
     if dual.wth.dim == 0:
         entries.append(CheckEntry("empty_dual", 0.0, (0,), True, "vacuous"))
     else:
-        product = product_unitary_part(dual.pair, max_steps, tol)
+        product = product_unitary_part(dual.pair, max_steps)
         entries.append(CheckEntry(
             "dual_product_unitary_dim", product.reduction_residual,
             (product.subspace.dim,), product.subspace.dim == 0 and product.stabilized,
             f"stabilized={product.stabilized}"))
     entries.append(CheckEntry("dual_invariance", max(dual.invariance_residuals),
-                              (dual.wth.dim,), max(dual.invariance_residuals) <= tol.resid_abs))
+                              (dual.wth.dim,), max(dual.invariance_residuals) == 0.0))
     return Report(scenario=f"dual_cnu[{setup.label}]", entries=entries)
 
 
 def double_dual_check(setup: ExtensionSetup, max_orbit: int,
-                      tol: Tolerances = DEFAULT_TOL,
                       radius_bound: int | None = None) -> Report:
     """Dual of the dual recovers the original pair; minimality certified.
 
@@ -316,7 +314,7 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
     if setup.h.dim == 0:
         raise PreconditionFailed("empty original space: c.n.u. check is undefined")
     original = setup.compressed_pair()
-    product = product_unitary_part(original, max_orbit, tol)
+    product = product_unitary_part(original, max_orbit)
     if product.subspace.dim != 0 or not product.stabilized:
         raise PreconditionFailed(
             f"original pair is not certified c.n.u. (unitary dim {product.subspace.dim}, "
@@ -329,12 +327,12 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
     recovered_gap = second_dual.wth.gap(setup.h)
     entries = [
         CheckEntry("minimality_gap", minimality_gap, (second_dual.obh.dim,),
-                   minimality_gap <= tol.resid_abs),
+                   minimality_gap == 0.0),
         CheckEntry("minimality_radius", 0.0, (second_dual.radius,),
                    radius_bound is None or second_dual.radius <= radius_bound,
                    f"orbit stabilized at radius {second_dual.radius}"),
         CheckEntry("recovered_space_gap", recovered_gap, (second_dual.wth.dim,),
-                   recovered_gap <= tol.resid_abs),
+                   recovered_gap == 0.0),
     ]
     recovered = second_dual.pair
     same_cells = np.array_equal(second_dual.wth.cells, setup.h.cells)
@@ -349,13 +347,11 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
             dims = (count,)
         else:  # the compressions live on different cells: no comparison to make
             residual, dims = 1.0, (second_dual.wth.dim,)
-        entries.append(CheckEntry(f"recovered_axis{axis}", residual, dims,
-                                  residual <= tol.resid_abs))
+        entries.append(CheckEntry(f"recovered_axis{axis}", residual, dims, residual == 0.0))
     return Report(scenario=f"double_dual[{setup.label}]", entries=entries)
 
 
-def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int,
-                  tol: Tolerances = DEFAULT_TOL) -> DualFourfoldResult:
+def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int) -> DualFourfoldResult:
     """Cooper-type splitting of a dual doubly commuting pair.
 
     The unitary-times-unitary corner comes from the product family on the
@@ -367,12 +363,12 @@ def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int,
     spaces minus the dual corners.
     """
     pair = setup.compressed_pair()
-    return _dual_fourfold(setup, pair, _step_verdict(pair, tol), None, max_steps, max_orbit, tol)
+    return _dual_fourfold(setup, pair, _step_verdict(pair), None, max_steps, max_orbit)
 
 
 def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: CommutationReport,
                    known: tuple[DualResult, CommutationReport | None] | None,
-                   max_steps: int, max_orbit: int, tol: Tolerances) -> DualFourfoldResult:
+                   max_steps: int, max_orbit: int) -> DualFourfoldResult:
     """``dual_fourfold`` given the compressed pair and its step-time verdict.
 
     ``known`` is None, or ``dual_pair(setup)`` with the step-time verdict
@@ -380,7 +376,7 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: Commu
     unitary-unitary corner the reduced setup is the setup, so its dual is
     taken from ``known`` instead of being computed again.
     """
-    product = _product_unitary_part(pair, max_steps, tol, verdict)
+    product = _product_unitary_part(pair, max_steps, verdict)
     if not product.stabilized:
         raise WindowTooSmall("product unitary part did not stabilize")
     h_uu_local = product.subspace
@@ -396,7 +392,7 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: Commu
         reduced = setup._derived(h=h_s_ambient, label=f"{setup.label}|cnu")
         dual, dual_verdict = dual_pair(reduced, max_orbit), None
     if dual_verdict is None:
-        dual_verdict = _step_verdict(dual.pair, tol)
+        dual_verdict = _step_verdict(dual.pair)
     split = _fourfold(dual.pair, max_steps, dual_verdict)  # raises unless doubly commuting
     if split.h_uu.dim != 0:
         raise InternalInconsistency(
@@ -426,8 +422,7 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: Commu
     return DualFourfoldResult(h_m, h_pu, h_up, h_uu_local, tilde_dims, ortho, reduction)
 
 
-def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbit: int,
-                                 tol: Tolerances = DEFAULT_TOL) -> Report:
+def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbit: int) -> Report:
     """A pair whose dual is a pure bishift matches the canonical L-region model.
 
     The dual is split fourfold; it must be concentrated in the
@@ -440,7 +435,7 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
         raise PreconditionFailed("setup carries no region geometry to compare against")
     region = setup.geometry
     dual = dual_pair(setup, max_orbit)
-    split = fourfold_decompose(dual.pair, max_steps, tol)  # raises unless doubly commuting
+    split = fourfold_decompose(dual.pair, max_steps)  # raises unless doubly commuting
     if split.dims != (dual.wth.dim, 0, 0, 0):
         raise PreconditionFailed(f"dual fourfold dims {split.dims} are not pure bishift")
     if not np.array_equal(dual.wth.cells, region.quadrant_cells()):
@@ -460,13 +455,11 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
         if got is None:
             raise WindowTooSmall("no common faithful window for the model comparison")
         residual, count = got
-        entries.append(CheckEntry(f"model_axis{axis}", residual, (count,),
-                                  residual <= tol.resid_abs))
+        entries.append(CheckEntry(f"model_axis{axis}", residual, (count,), residual == 0.0))
     return Report(scenario=f"modified_bishift_model[{setup.label}]", entries=entries)
 
 
-def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbit: int,
-                                 tol: Tolerances = DEFAULT_TOL) -> Report:
+def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbit: int) -> Report:
     """Classify double commutation of the pair and of its dual, jointly.
 
     When both hold, the space must split into the three mixed/unitary
@@ -478,7 +471,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
     """
     pair = setup.compressed_pair()
     entries = []
-    dc = _step_verdict(pair, tol)
+    dc = _step_verdict(pair)
     entries.append(CheckEntry("doubly_commuting", dc.double_comm_residual,
                               (1 if dc.classified == "doubly_commuting" else 0,), True,
                               dc.classified))
@@ -493,7 +486,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
         entries.append(CheckEntry("dual_doubly_commuting", 0.0, (1,), True,
                                   "empty dual, vacuous"))
     else:
-        ddc = _step_verdict(dual.pair, tol)
+        ddc = _step_verdict(dual.pair)
         ddc_holds = ddc.classified == "doubly_commuting"
         entries.append(CheckEntry("dual_doubly_commuting", ddc.double_comm_residual,
                                   (1 if ddc_holds else 0,), True, ddc.classified))
@@ -501,7 +494,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
         split = _fourfold(pair, max_steps, dc)
         entries.append(CheckEntry("h_pp_dim", split.reduction_residual,
                                   (split.h_pp.dim,), split.h_pp.dim == 0))
-        dsplit = _dual_fourfold(setup, pair, dc, (dual, ddc), max_steps, max_orbit, tol)
+        dsplit = _dual_fourfold(setup, pair, dc, (dual, ddc), max_steps, max_orbit)
         entries.append(CheckEntry("h_m_dim", dsplit.reduction_residual,
                                   (dsplit.h_m.dim,), dsplit.h_m.dim == 0))
         covered = dsplit.h_pu.dim + dsplit.h_up.dim + dsplit.h_uu.dim

@@ -5,8 +5,9 @@ image array (the row of each column's single 1, -1 for a zero column),
 and every subspace is a coordinate subspace, the span of distinct
 standard basis vectors, held as its sorted ``int64`` array of ``cells``.
 Intersection, complement and difference are index-array operations and
-the gap is 0.0 or 1.0 in closed form, so identities that hold exactly are
-reported as exactly zero, not as 1e-16 noise.  ``_from_image`` is the one
+the gap is 0.0 or 1.0 in closed form.  A residual of two such operators
+is exactly 0 or at least 1, so a check passes when it is exactly 0, with
+no tolerance.  ``_from_image`` is the one
 materializer that turns an image or a cell array into a matrix, and
 ``spectral_norm`` the one dense factorization; it runs on the small block
 where two images differ, and repeated calls on identical input bits
@@ -18,7 +19,6 @@ Zero-dimensional subspaces are ordinary values throughout, never errors.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,37 +26,12 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidInput
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
     "Subspace",
     "intersect",
     "complement",
     "subtract",
     "spectral_norm",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Thresholds of the checks.
-
-    resid_abs: absolute bound under which a residual counts as zero.
-    rank_rel, angle: a relative singular-value cutoff and a principal-angle
-    cosine, validated and echoed in every report; no computation reads them.
-    """
-
-    rank_rel: float = 1e-10
-    resid_abs: float = 1e-10
-    angle: float = 1.0 - 1e-8
-
-    def __post_init__(self) -> None:
-        for name in ("rank_rel", "resid_abs", "angle"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise InvalidInput(f"tolerance {name} must lie strictly in (0, 1), got {value!r}")
-
-
-DEFAULT_TOL = Tolerances()
 
 
 _BUDGET = 2**28  # bytes that one array quadratic in the dimension may take

@@ -1,9 +1,9 @@
 """Structured verification reports with a byte-stable text rendering.
 
-One record per check, fields in fixed order.  Residuals below 1e-14 are
-printed as ``0.000000e0`` so that platform rounding noise never reaches a
-golden file; everything larger keeps six fractional digits with a bare
-integer exponent.
+One record per check, fields in fixed order.  A residual keeps six
+fractional digits with a bare integer exponent, so an exact 0 prints as
+``0.000000e0`` and an exact 1 as ``1.000000e0``; the checks compute no
+residual between them.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = ["CheckEntry", "Report", "format_residual", "render_report", "render_reports"]
-
-NOISE_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,6 @@ class Report:
 
 
 def format_residual(value: float) -> str:
-    if value < NOISE_FLOOR:
-        return "0.000000e0"
     mantissa, exponent = f"{value:.6e}".split("e")
     return f"{mantissa}e{int(exponent)}"
 

@@ -47,8 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import (DEFAULT_TOL, Subspace, Tolerances, _distinct, _from_image, _index_array,
-                     _positions, spectral_norm)
+from .numlin import Subspace, _distinct, _from_image, _index_array, _positions, spectral_norm
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
@@ -676,8 +675,7 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
     return WindowedMap.from_image(image, faithful, adj, fiber * n_cod)
 
 
-def check_semigroup_law(family: SemigroupFamily, samples,
-                        tol: Tolerances = DEFAULT_TOL) -> Report:
+def check_semigroup_law(family: SemigroupFamily, samples) -> Report:
     """Verify element(s+t) = element(s) o element(t) on composed windows.
 
     Sample pairs whose composed window is empty are skipped; if no pair
@@ -702,7 +700,7 @@ def check_semigroup_law(family: SemigroupFamily, samples,
                 continue
             usable += 1
             residual, count = got
-            entries.append(CheckEntry(check_id, residual, (count,), residual <= tol.resid_abs))
+            entries.append(CheckEntry(check_id, residual, (count,), residual == 0.0))
     if not usable:
         raise WindowTooSmall("every sample pair exhausts the window")
     return Report(scenario=f"semigroup_law[{family.label}]", entries=entries)

@@ -1,14 +1,18 @@
 """Catalog listing, config loading, golden reports, and CLI exit codes."""
 
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
 
 import pytest
 
+import isoflow
 from isoflow import __version__
-from isoflow.catalog import CATALOG, Scenario, list_catalog, run_scenario
+from isoflow.catalog import CATALOG, Scenario, check_scenario, list_catalog, run_scenario
 from isoflow.cli import load_scenarios, main
 from isoflow.errors import InvalidInput, IsoflowError
 from isoflow.report import render_reports
@@ -56,12 +60,40 @@ def test_config_loading(tmp_path):
         load_scenarios(str(bad))
 
 
-def test_tol_override_reaches_params(tmp_path):
-    path = tmp_path / "one.cfg"
-    path.write_text("[demo]\nconstruction = commutant_e\nm = 2\nr = 1\n")
-    scenarios = load_scenarios(str(path), tol_override=1e-9)
-    report = run_scenario(scenarios[0])
-    assert ("resid_abs", "1e-09") in report.params
+def test_cli_has_no_tol_flag(capsys):
+    """A check passes at residual exactly 0, so there is no tolerance to override."""
+    with pytest.raises(SystemExit) as caught:
+        main(["run", str(ROOT / "configs" / "shift.cfg"), "--tol", "1e-9"])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_no_public_function_takes_tol():
+    modules = [importlib.import_module(f"isoflow.{info.name}")
+               for info in pkgutil.iter_modules(isoflow.__path__)]
+    checked = 0
+    for module in modules:
+        for name in getattr(module, "__all__", ()):  # errors.py has none and no functions
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                checked += 1
+                assert "tol" not in inspect.signature(obj).parameters, f"{module.__name__}.{name}"
+    assert checked >= 11
+
+
+def test_tolerances_validation():
+    """The three tolerance keys are checked strictly inside (0, 1) and echoed;
+    no verdict reads them."""
+    with pytest.raises(InvalidInput, match=r"^tolerance rank_rel must lie strictly in "
+                                           r"\(0, 1\), got 0\.0$"):
+        check_scenario(Scenario("s", "bcl", {"rank_rel": "0"}))
+    with pytest.raises(InvalidInput, match=r"^tolerance angle must lie strictly in "
+                                           r"\(0, 1\), got 1\.5$"):
+        check_scenario(Scenario("s", "bcl", {"angle": "1.5"}))
+    with pytest.raises(InvalidInput, match=r"^parameter resid_abs must be a real number$"):
+        check_scenario(Scenario("s", "bcl", {"resid_abs": "tiny"}))
+    report = run_scenario(Scenario("s", "halfline_shift", {"resid_abs": "0.5"}))
+    assert ("resid_abs", "0.5") in report.params and report.overall
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
@@ -74,11 +106,18 @@ def test_bundled_configs_match_goldens(config):
 
 def test_golden_residuals_are_zero_or_one():
     """The bundled reports are exact: every residual is 0 or 1, never a float
-    that happened to come out small."""
+    that happened to come out small.  In memory, over every bundled config and
+    one default scenario per construction, each residual is 0.0 or at least 1,
+    which is why a check passes at exactly 0 with no tolerance."""
     residuals = [value for path in sorted(GOLDEN.glob("*.txt"))
                  for value in re.findall(r"\bresidual=(\S+)", path.read_text())]
     assert residuals
     assert set(residuals) <= {"0.000000e0", "1.000000e0"}
+    scenarios = [s for config in CONFIGS for s in load_scenarios(str(config))]
+    scenarios += [Scenario(name, name, {}) for name, *_ in CATALOG]
+    values = [entry.residual for s in scenarios for entry in run_scenario(s).entries]
+    assert len(values) >= len(residuals)
+    assert all(value == 0.0 or value >= 1.0 for value in values), sorted(set(values))
 
 
 def test_reports_are_deterministic():

@@ -14,7 +14,7 @@ from isoflow import commutant
 from isoflow.commutant import (_components, _exact_commutant, _fiber_form,
                                commutant_of_partial_isometries, doubly_commutant_of_mz,
                                fuglede_instance_check)
-from isoflow.errors import InvalidInput, PreconditionFailed
+from isoflow.errors import InvalidInput, PreconditionFailed, WindowTooSmall
 from isoflow.numlin import _from_image
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _cut_shift_images,
                                 circulant_family, halfline_shift_family, tensor_with_identity)
@@ -452,6 +452,21 @@ def test_fuglede_identity_family_trivial():
     shift = shift_tensor_family(4, 2)
     ident = SemigroupFamily(WindowedMap.identity(8), "id", 1)
     assert fuglede_instance_check(ident, shift, 2, [1]).overall
+
+
+def test_fuglede_skips_a_sample_with_no_common_faithful_column():
+    """At t=4 no column of the shift on 4 cells is faithful, so no commutator
+    can be compared there: the sample is marked skipped, not passed as checked,
+    and a request with only that sample raises WindowTooSmall."""
+    shift = shift_tensor_family(4, 2)
+    ident = SemigroupFamily(WindowedMap.identity(8), "id", 1)
+    report = fuglede_instance_check(ident, shift, 2, [1, 4])
+    at_4 = [e for e in report.entries if e.check_id.startswith("t=4:")]
+    assert [(e.check_id, e.dims, e.note) for e in at_4] == [
+        ("t=4:commutator", (0,), "empty window, skipped")]
+    assert report.overall and any(e.check_id == "t=1:fiber_form" for e in report.entries)
+    with pytest.raises(WindowTooSmall):
+        fuglede_instance_check(ident, shift, 2, [4])
 
 
 def test_fuglede_rejects_nonnormal():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from isoflow import decompose
 from isoflow.decompose import WoldResult, _chain_heights, _unitary_residual, wold_cooper
-from isoflow.numlin import DEFAULT_TOL, Subspace, _distinct, complement, intersect
+from isoflow.numlin import Subspace, _distinct, complement, intersect
 from isoflow.semigroups import SemigroupFamily, WindowedMap, halfline_shift_family
 from isoflow.spaces import CellGrid1D
 
@@ -32,7 +32,7 @@ def power_loop_wold(family: SemigroupFamily, max_steps: int) -> WoldResult:
         element = family.element(k)
         rows = element.image[element.faithful_mask]
         nxt = intersect(current, Subspace(family.dim, cells=_distinct(rows[rows >= 0])))
-        stabilized = nxt.dim == current.dim and nxt.gap(current) <= DEFAULT_TOL.resid_abs
+        stabilized = nxt.dim == current.dim and nxt.gap(current) == 0.0
         current = nxt
         if stabilized:
             steps_used = k
