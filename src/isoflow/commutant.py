@@ -10,8 +10,9 @@ equations over the n^2 entries of B (plus one zero sentinel) solve the
 whole system: each class not joined to the sentinel is one free
 coefficient, and its 0/1 indicator is one basis element.  No rank
 decision and no tolerance is involved.  The components are found by
-hook-and-shortcut (Shiloach & Vishkin 1982, J. Algorithms 3(1)) in a few
-numpy rounds, the equations taken in blocks of at most ``_BLOCK_ENTRIES``.
+``numlin._components``, hook-and-shortcut (Shiloach & Vishkin 1982,
+J. Algorithms 3(1)) in a few numpy rounds, the equations taken in blocks
+of at most ``_BLOCK_ENTRIES``.
 Constraints are only imposed on faithful columns of the truncated
 operators; including boundary equations would over-constrain, because a
 truncation is not isometric at the top of its window.
@@ -26,13 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .decompose import _commutator_residual
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import _check_budget
+from .numlin import _check_budget, _components
 from .report import CheckEntry, Report
 from .semigroups import SemigroupFamily, _cut_shift_images, _forward_image, _held_residual
 
@@ -50,8 +50,9 @@ class CommutantBasis:
 
     ``labels[i, k]`` is the class of entry (i, k) of B, numbered 0..dim-1
     by smallest column-major entry index, or -1 where it is forced to zero.
-    ``basis`` holds the 0/1 class indicators in label order, built on first
-    read and kept; they have disjoint supports, but are not orthonormal.
+    The 0/1 indicator of class k, ``labels == k``, is the k-th element of
+    a basis of the commutant; the indicators have disjoint supports, but
+    are not orthonormal.
     """
 
     labels: np.ndarray
@@ -62,75 +63,8 @@ class CommutantBasis:
     def dim(self) -> int:
         return int(self.labels.max(initial=-1)) + 1
 
-    @cached_property
-    def basis(self) -> tuple[np.ndarray, ...]:
-        _check_budget(self.dim * self.labels.size, 16,
-                      f"the dense basis of a commutant on n = {self.labels.shape[0]}")
-        return tuple((self.labels == k).astype(np.complex128) for k in range(self.dim))
-
 
 _BLOCK_ENTRIES = 32768  # equations per block of _exact_commutant, one constrained column at least
-
-
-def _roots(lab: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Root of each of ``nodes``, found by pointer-chasing only from them.
-
-    Each pass halves the paths it walks (``lab[at] = lab[lab[at]]``), which
-    moves no index out of its class.
-    """
-    at, parent = nodes, lab[nodes]
-    while True:
-        grand = lab[parent]
-        if (grand == parent).all():
-            return parent
-        lab[at] = grand
-        at, parent = grand, lab[grand]
-
-
-def _components(blocks, size: int) -> tuple[np.ndarray, int]:
-    """Classes of the equations x_a = x_b on indices 0..size-1, and the rounds taken.
-
-    ``blocks`` yields pairs (lhs, rhs) of equal-shape index arrays, each a
-    block of equations lhs = rhs.  The result labels every index with the
-    smallest index of its class.  Each block looks up the roots of its
-    ends with ``_roots`` and runs hook-and-shortcut rounds until its
-    equations hold: a round keeps the equations whose two ends still carry
-    different roots, hooks each larger root onto the smallest root it
-    meets with ``np.minimum.at``, and shortcuts ``lab[ends] =
-    lab[lab[ends]]`` until nothing changes.  Hooks go only from one root
-    of the block's first round to another, so shortcutting those roots
-    keeps every one of them pointing at a root.  Indices outside the ends
-    are left as they are, and one ``lab = lab[lab]`` loop at the end points
-    every index at its root.  Classes only merge, so an equation that held
-    after an earlier block still holds; and a root never hooks onto a
-    larger index, so every root is its class minimum.
-    """
-    lab = np.arange(size)
-    rounds = 0
-    for lhs, rhs in blocks:
-        a, b = _roots(lab, lhs.ravel()), _roots(lab, rhs.ravel())
-        differ = a != b
-        if not differ.any():
-            continue
-        a, b = a[differ], b[differ]
-        ends = np.concatenate([a, b])
-        while a.size:
-            np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
-            parent = lab[ends]
-            while True:
-                grand = lab[parent]
-                if (grand == parent).all():
-                    break
-                lab[ends] = parent = grand
-            rounds += 1
-            a, b = lab[a], lab[b]
-            differ = a != b
-            a, b = a[differ], b[differ]
-    while True:
-        grand = lab[lab]
-        if (grand == lab).all():
-            return lab, rounds
-        lab = grand
 
 
 def _exact_commutant(ops, n: int) -> np.ndarray:
@@ -251,10 +185,9 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
     """Commuting normal elements against the shift must doubly commute.
 
     For each sampled time the element must be normal (precondition).  A
-    partial permutation A has A A* and A* A equal to the projections onto
-    its live rows and its live columns, so it is normal exactly when it is
-    injective and those two sets are equal; equal sets of live rows and
-    live columns have equal sizes, which makes the image injective.  The
+    partial permutation A, injective by construction, has A A* and A* A
+    equal to the projections onto its live rows and its live columns, so
+    it is normal exactly when those two sets are equal.  The
     check then asserts the one-sided implication: a commutation residual
     of exactly 0 forces an adjoint-commutation residual of exactly 0, and
     the element must carry the fiber form I (x) B_t.  A commutator with no

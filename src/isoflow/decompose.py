@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import Subspace, _positions, _unit_columns_norm, complement, intersect
+from .numlin import Subspace, _positions, complement, intersect
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _check_image,
                          _gather, _halfline_rows, _held_residual, _image_isometry_defect,
@@ -91,14 +91,13 @@ def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
     """Distance of the compression C of the generator to ``part`` from a unitary.
 
     The larger of the isometry defects of C and C*.  The compressed image
-    is read through ``_positions`` and no map is built.  C is square, so
-    the two defects agree: an injective C is unitary (0.0) when it permutes
-    the cells, and otherwise kills a column and misses a row, so both are
-    1.0; when c_max >= 2 columns share a row, C C* - I is diag(c - 1), so
-    both are c_max - 1.
+    is read through ``_positions`` and no map is built.  C is square and
+    injective, so the two defects agree: C is unitary (0.0) when it
+    permutes the cells, and otherwise kills a column and misses a row, so
+    both are 1.0.
     """
     image = _positions(part.cells, generator.codomain_dim)[generator.image[part.cells]]
-    return _image_isometry_defect(image, part.dim)
+    return _image_isometry_defect(image)
 
 
 def _chain_heights(image: np.ndarray, live: np.ndarray,
@@ -111,15 +110,15 @@ def _chain_heights(image: np.ndarray, live: np.ndarray,
     ``height`` holds min(height, L), and anc[x] is the cell L live steps
     after x (-1 where a step dies first).  A round doubles L: a cell y of
     height at least L ends a chain whose last L steps start at some x with
-    anc[x] = y, so min(height(y), 2L) is L plus the largest min(height(x), L)
-    over those x.  That is one ``np.maximum.at`` over anc, which takes the
-    largest of several x with the same anc[x], as a non-injective image
-    has; anc[anc] is the array at 2L.  The finite heights run contiguously
-    from 0, since the next-to-last cell of a longest chain has height one
-    less, so the smallest missing height is one more than the largest
-    value below L.  The rounds stop once that is below L, or once L
-    reaches max_steps.  Returns (height, missing, rounds), ``missing``
-    being the smallest height below L that no cell has, or L.
+    anc[x] = y, so min(height(y), 2L) is L plus min(height(x), L) for
+    that x, which is the only one: the image is injective, and so is anc.
+    That is one scatter over anc; anc[anc] is the array at 2L.  The
+    finite heights run contiguously from 0, since the next-to-last cell of
+    a longest chain has height one less, so the smallest missing height is
+    one more than the largest value below L.  The rounds stop once that is
+    below L, or once L reaches max_steps.  Returns (height, missing,
+    rounds), ``missing`` being the smallest height below L that no cell
+    has, or L.
     """
     anc = np.where(live, image, -1)
     height = np.zeros(image.size, dtype=np.int64)
@@ -131,7 +130,7 @@ def _chain_heights(image: np.ndarray, live: np.ndarray,
         if missing < span or span >= max_steps:
             return height, missing, rounds
         step = anc >= 0
-        np.maximum.at(height, anc[step], height[step] + span)
+        height[anc[step]] = height[step] + span
         anc = np.where(step, anc[anc], -1)
         span, rounds = 2 * span, rounds + 1
 
@@ -221,19 +220,18 @@ def _reduction_residual(subspace: Subspace, elements) -> float:
 
     Only the faithful columns of each element count.  Column j of PV - VP
     is +-e_v(j) when exactly one of j and v(j) lies in the cells, and zero
-    otherwise, so the norm is the square root of the largest number of
-    such columns that share a row.
+    otherwise.  Those unit columns lie on distinct rows, since v is
+    injective, so the norm is 1.0 when there is one and 0.0 otherwise.
     """
     if subspace.dim == 0:
         return 0.0
-    worst = 0.0
     inside = _mask(subspace.cells, subspace.ambient)
     for element in elements:
         cols = np.flatnonzero(element.faithful_mask)
         rows = element.image[cols]
-        moved = rows[(rows >= 0) & (inside[rows] != inside[cols])]
-        worst = max(worst, _unit_columns_norm(moved))
-    return worst
+        if ((rows >= 0) & (inside[rows] != inside[cols])).any():
+            return 1.0
+    return 0.0
 
 
 def _step_verdict(pair: PairOfSemigroups) -> CommutationReport:
@@ -349,8 +347,7 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
     """
     if not isinstance(z, WindowedMap):
         raise InvalidInput(f"z must be a WindowedMap, got {type(z).__name__}")
-    if (_isometry_defect(z) > 0.0  # first: only an injective z has an adjoint
-            or _isometry_defect(z_adj := z.adjoint()) > 0.0):
+    if _isometry_defect(z) > 0.0 or _isometry_defect(z_adj := z.adjoint()) > 0.0:
         raise PreconditionFailed("supplied conjugation is not unitary")
     entries = []
     usable = 0

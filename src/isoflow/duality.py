@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import Subspace, _positions, _unit_columns_norm, subtract
+from .numlin import Subspace, _positions, subtract
 from .decompose import (CommutationReport, _fourfold, _product_unitary_part,
                         _reduction_residual, _step_verdict, fourfold_decompose,
                         product_unitary_part)
@@ -264,8 +264,8 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int) -> DualResult:
         adj = u.adjoint()
         cols = wth.cells[adj.faithful_mask[wth.cells]]
         rows = adj.image[cols] if cols.size else cols
-        # (I - P) keeps the unit columns that leave the cells
-        residuals.append(_unit_columns_norm(rows[~inside[rows]]))
+        # (I - P) keeps the unit columns that leave the cells, each on its own row
+        residuals.append(1.0 if (~inside[rows]).any() else 0.0)
         compressed.append(_compress(adj, wth))
         del adj, cols, rows
     g1, g2 = compressed

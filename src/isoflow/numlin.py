@@ -1,4 +1,4 @@
-"""Exact linear algebra on coordinate subspaces, and the one spectral norm.
+"""Exact linear algebra on coordinate subspaces, and the one component finder.
 
 Every operator in this package is a 0/1 partial permutation, held as its
 image array (the row of each column's single 1, -1 for a zero column),
@@ -7,11 +7,12 @@ standard basis vectors, held as its sorted ``int64`` array of ``cells``.
 Intersection, complement and difference are index-array operations and
 the gap is 0.0 or 1.0 in closed form.  A residual of two such operators
 is exactly 0 or at least 1, so a check passes when it is exactly 0, with
-no tolerance.  ``_from_image`` is the one
-materializer that turns an image or a cell array into a matrix, and
-``spectral_norm`` the one dense factorization; it runs on the small block
-where two images differ, and repeated calls on identical input bits
-return identical output bits.
+no tolerance.  Nothing here builds a dense matrix or factors one.
+
+``_components`` finds the classes of a set of equations x_a = x_b by
+hook-and-shortcut; the commutant solvers and the closed-form difference
+norm of ``semigroups._image_residual`` both use it.  ``_check_budget``
+prices an array quadratic in the dimension before it is allocated.
 
 Zero-dimensional subspaces are ordinary values throughout, never errors.
 """
@@ -19,7 +20,6 @@ Zero-dimensional subspaces are ordinary values throughout, never errors.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "intersect",
     "complement",
     "subtract",
-    "spectral_norm",
 ]
 
 
@@ -43,21 +42,6 @@ def _check_budget(entries: int, itemsize: int, what: str) -> None:
     need = entries * itemsize
     if need > _BUDGET:
         raise InvalidInput(f"{what} needs {need:,} bytes, over the budget of {_BUDGET:,}")
-
-
-def _from_image(image, rows: int | None = None) -> np.ndarray:
-    """0/1 matrix with a 1 at (image[j], j) for every j with image[j] >= 0.
-
-    ``rows`` defaults to the number of columns.  A matrix over ``_BUDGET``
-    bytes raises InvalidInput before it is allocated.
-    """
-    image = np.asarray(image, dtype=np.int64)
-    rows = image.size if rows is None else rows
-    _check_budget(rows * image.size, 16, f"a dense {rows} x {image.size} matrix")
-    matrix = np.zeros((rows, image.size), dtype=np.complex128)
-    live = np.flatnonzero(image >= 0)
-    matrix[image[live], live] = 1.0
-    return matrix
 
 
 def _index_array(values) -> np.ndarray:
@@ -90,22 +74,72 @@ def _positions(cells: np.ndarray, ambient: int) -> np.ndarray:
     return position
 
 
-def _unit_columns_norm(rows: np.ndarray) -> float:
-    """Spectral norm of a matrix whose column j is +-e_rows[j].
+def _roots(lab: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Root of each of ``nodes``, found by pointer-chasing only from them.
 
-    Columns on distinct rows are orthogonal, so the norm is the square
-    root of the largest number of columns on one row; 0.0 for no columns.
+    Each pass halves the paths it walks (``lab[at] = lab[lab[at]]``), which
+    moves no index out of its class.
     """
-    return float(np.sqrt(np.bincount(rows).max())) if rows.size else 0.0
+    at, parent = nodes, lab[nodes]
+    while True:
+        grand = lab[parent]
+        if (grand == parent).all():
+            return parent
+        lab[at] = grand
+        at, parent = grand, lab[grand]
+
+
+def _components(blocks, size: int) -> tuple[np.ndarray, int]:
+    """Classes of the equations x_a = x_b on indices 0..size-1, and the rounds taken.
+
+    ``blocks`` yields pairs (lhs, rhs) of equal-shape index arrays, each a
+    block of equations lhs = rhs.  The result labels every index with the
+    smallest index of its class.  Each block looks up the roots of its
+    ends with ``_roots`` and runs hook-and-shortcut rounds until its
+    equations hold: a round keeps the equations whose two ends still carry
+    different roots, hooks each larger root onto the smallest root it
+    meets with ``np.minimum.at``, and shortcuts ``lab[ends] =
+    lab[lab[ends]]`` until nothing changes.  Hooks go only from one root
+    of the block's first round to another, so shortcutting those roots
+    keeps every one of them pointing at a root.  Indices outside the ends
+    are left as they are, and one ``lab = lab[lab]`` loop at the end points
+    every index at its root.  Classes only merge, so an equation that held
+    after an earlier block still holds; and a root never hooks onto a
+    larger index, so every root is its class minimum.
+    """
+    lab = np.arange(size)
+    rounds = 0
+    for lhs, rhs in blocks:
+        a, b = _roots(lab, lhs.ravel()), _roots(lab, rhs.ravel())
+        differ = a != b
+        if not differ.any():
+            continue
+        a, b = a[differ], b[differ]
+        ends = np.concatenate([a, b])
+        while a.size:
+            np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+            parent = lab[ends]
+            while True:
+                grand = lab[parent]
+                if (grand == parent).all():
+                    break
+                lab[ends] = parent = grand
+            rounds += 1
+            a, b = lab[a], lab[b]
+            differ = a != b
+            a, b = a[differ], b[differ]
+    while True:
+        grand = lab[lab]
+        if (grand == lab).all():
+            return lab, rounds
+        lab = grand
 
 
 class Subspace:
     """The span of the standard basis vectors of C^ambient at a set of cells.
 
     ``cells`` is a strictly increasing, read-only ``int64`` array, validated
-    in O(k).  ``basis`` is ``_from_image(cells, ambient)``, so local
-    coordinate i is cell ``cells[i]``; the matrix is built the first time
-    something reads ``basis`` and is kept from then on.  Cells that set
+    in O(k); local coordinate i is cell ``cells[i]``.  Cells that set
     algebra computes from checked cells are increasing by construction, so
     the results of ``intersect``, ``complement`` and ``subtract`` come from
     ``_derived`` and skip the O(k) check.  ``gap`` is 0.0 or 1.0: the
@@ -141,10 +175,6 @@ class Subspace:
         made.ambient, made.cells = ambient, cells
         return made
 
-    @cached_property
-    def basis(self) -> np.ndarray:
-        return _from_image(self.cells, self.ambient)
-
     @property
     def dim(self) -> int:
         return self.cells.size
@@ -167,14 +197,6 @@ class Subspace:
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
         return cls(ambient, np.empty(0, dtype=np.int64))
-
-
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value; exactly 0.0 for an exactly zero matrix."""
-    arr = np.asarray(m)
-    if arr.size == 0 or not arr.any():
-        return 0.0
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:

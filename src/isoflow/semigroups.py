@@ -20,14 +20,14 @@ Every operator here is a 0/1 partial permutation, held as its image
 array (the row of each column's single 1, -1 for a zero column), which
 the constructors below compute by index arithmetic over the layouts of
 ``spaces``.  A ``WindowedMap`` keeps that image and its (rows, columns)
-shape; its dense matrix is built by ``numlin._from_image`` only when
-something reads ``matrix``, and nothing in this package does.
-Composition is an index gather, the adjoint is the inverse image, and two
-maps are compared image against image, so the algebraic identities
-between them hold with residual exactly zero, not merely small.  The only
-dense numerics is ``_image_residual``'s norm over the columns where two
-images differ.  Grid times are restricted to multiples of 1/m and
-rejected otherwise; nothing is interpolated.
+shape, and ``from_image`` refuses an image in which two columns share a
+row, so every map is injective on its live columns; no dense matrix is
+built.  Composition is an index gather, the adjoint is the inverse image,
+and two maps are compared image against image, so the algebraic
+identities between them hold with residual exactly zero, not merely
+small.  Where two images differ, ``_image_residual`` gives the norm of
+their difference in closed form.  Grid times are restricted to multiples
+of 1/m and rejected otherwise; nothing is interpolated.
 
 Conjugation, compression and the isometry test are written once, here:
 Z A Z* is two compositions compared by ``_pair_residual``, ``_compress``
@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import Subspace, _distinct, _from_image, _index_array, _positions, spectral_norm
+from .numlin import Subspace, _components, _distinct, _index_array, _positions
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
@@ -165,21 +165,42 @@ def _held_residual(got: tuple[np.ndarray, np.ndarray],
     return _image_residual(got[0][differ], want[0][differ]), count
 
 
-def _image_residual(got: np.ndarray, want: np.ndarray) -> float:
-    """Spectral norm of the difference of two 0/1 images over the same columns.
+_EXACT_NORMS = {3: 1.0, 4: float(np.sqrt(2.0)), 6: float(np.sqrt(3.0))}  # 2 cos(pi / 2N) by 2N
 
-    Exactly 0.0 when they agree.  Otherwise only the columns that differ,
-    on the rows they touch, are built; the zero columns and rows dropped
-    leave the norm unchanged.
+
+def _image_residual(got: np.ndarray, want: np.ndarray) -> float:
+    """Spectral norm of the difference D of two injective 0/1 images over the same columns.
+
+    Exactly 0.0 when they agree.  Otherwise D D* is a graph Laplacian on
+    the rows that the differing columns touch: a column live in both
+    images is an edge got(j)-want(j), and a column live in one only adds a
+    half-edge at its row.  Each image is injective, so every row has
+    degree at most 2, and each component (found by ``_components``) is a
+    cycle of k rows or a path of k rows with h of 0, 1 or 2 half-edge
+    ends.  Its largest eigenvalue is 2 + 2 cos(pi / N), with N = k for an
+    odd cycle and for a path N = k + h/2, and 4 for an even cycle (Brouwer
+    & Haemers, Spectra of Graphs, 2012, sec. 1.4).  The norm is
+    2 cos(pi / 2N) at the largest N, and exactly sqrt of the eigenvalue
+    where that is an integer: 1 at N = 3/2, 2 at N = 2, 3 at N = 3, 4 for
+    an even cycle.
     """
     differ = got != want
     if not differ.any():
         return 0.0
-    rows = np.concatenate([got[differ], want[differ]])
+    got, want = got[differ], want[differ]
+    rows = np.concatenate([got, want])
     rows = _distinct(rows[rows >= 0])  # the rows that some differing column touches
-    got, want = (np.where(image >= 0, np.searchsorted(rows, image), -1)
-                 for image in (got[differ], want[differ]))
-    return spectral_norm(_from_image(got, rows.size) - _from_image(want, rows.size))
+    got, want = (np.where(image >= 0, np.searchsorted(rows, image), -1) for image in (got, want))
+    edge = (got >= 0) & (want >= 0)
+    root, _ = _components([(got[edge], want[edge])], rows.size)
+    half = np.concatenate([got[~edge], want[~edge]])
+    k = np.bincount(root, minlength=rows.size)  # rows, edges and half-edges per component root
+    edges = np.bincount(root[got[edge]], minlength=rows.size)
+    halves = np.bincount(root[half[half >= 0]], minlength=rows.size)
+    if ((edges == k) & (k % 2 == 0) & (k > 0)).any():  # an even cycle
+        return 2.0
+    twice_n = int((2 * k + halves).max())  # 2N; a cycle has no half-edge, so N = k there too
+    return _EXACT_NORMS.get(twice_n) or float(2 * np.cos(np.pi / twice_n))
 
 
 def _compress(u: "WindowedMap", sub: Subspace) -> "WindowedMap":
@@ -202,27 +223,17 @@ def _compress(u: "WindowedMap", sub: Subspace) -> "WindowedMap":
 
 def _isometry_defect(x: "WindowedMap", cols=slice(None)) -> float:
     """Spectral norm of (X|cols)* (X|cols) - I, over all columns by default."""
-    return _image_isometry_defect(x.image[cols], x.codomain_dim)
+    return _image_isometry_defect(x.image[cols])
 
 
-def _image_isometry_defect(image: np.ndarray, rows: int) -> float:
-    """Spectral norm of C* C - I for the 0/1 matrix C with ``rows`` rows and this image.
+def _image_isometry_defect(image: np.ndarray) -> float:
+    """Spectral norm of C* C - I for the 0/1 matrix C with this injective image.
 
-    C* C is block diagonal: the all-ones block J_c on each set of c columns
-    that share a row, and 0 at each zero column.  Unit columns on distinct
-    rows are orthonormal, so when the live rows are distinct the defect is
-    0.0 if every column is live and 1.0 otherwise; the live rows are
-    distinct when scattering them into a boolean mask marks as many rows as
-    there are live columns, which takes no sort.  Otherwise c_max >= 2
-    columns share a row, and J_c - I_c has norm c - 1, so the defect is
-    max(c_max - 1, 1).
+    Unit columns on distinct rows are orthonormal, so C* C is the projector
+    onto the live columns: the defect is 0.0 when every column is live and
+    1.0 otherwise.
     """
-    live = image[image >= 0]
-    hit = np.zeros(rows, dtype=bool)
-    hit[live] = True
-    if np.count_nonzero(hit) == live.size:
-        return 0.0 if live.size == image.size else 1.0
-    return float(max(np.bincount(live).max() - 1, 1))
+    return 0.0 if (image >= 0).all() else 1.0
 
 
 def _gather(outer: "WindowedMap", inner: "WindowedMap") -> tuple[np.ndarray, np.ndarray]:
@@ -250,9 +261,9 @@ class WindowedMap:
 
     The operator is held as its ``image``: an ``int64`` array with the row
     of each column's single 1, or -1 for a zero column, and ``shape`` is
-    (rows, columns).  Its dense ``matrix`` is built by
-    ``numlin._from_image`` the first time something reads it and is kept
-    from then on.
+    (rows, columns).  No two columns share a row: ``from_image`` refuses
+    such an image, so the map is a partial isometry with a partial
+    permutation for its adjoint.
 
     The windows are read-only boolean masks: ``faithful_mask`` over the
     columns and ``adj_faithful_mask`` over the rows.  The constructors take
@@ -262,16 +273,18 @@ class WindowedMap:
     code path of this package reads them.
 
     ``compose`` is an index gather with windows by mask arithmetic;
-    ``adjoint`` inverts an injective image and swaps the two masks.  Their
-    results, and those of ``_compress``, come from ``_derived`` and skip the
-    checks of ``from_image``.
+    ``adjoint`` inverts the image and swaps the two masks.  Their results,
+    and those of ``_compress``, come from ``_derived`` and skip the checks
+    of ``from_image``: a gather of injective images is injective, and so
+    is an inverse image.
     """
 
     @classmethod
     def from_image(cls, image, faithful, adj_faithful, rows: int | None = None) -> "WindowedMap":
         """The 0/1 partial permutation with a 1 at (image[j], j) for every image[j] >= 0.
 
-        ``rows`` defaults to the number of columns.
+        ``rows`` defaults to the number of columns.  Two live columns with
+        one row raise InvalidInput.
         """
         made = cls.__new__(cls)
         made.image = np.asarray(image)
@@ -285,9 +298,10 @@ class WindowedMap:
                  rows: int) -> "WindowedMap":
         """A map computed from checked maps, built without checks.
 
-        ``image`` is a fresh ``int64`` array and the masks have the right
-        lengths; a gather from a checked image stays in [-1, rows).  All
-        three are marked read-only in place.  ``__post_init__`` does not run.
+        ``image`` is a fresh, injective ``int64`` array and the masks have
+        the right lengths; a gather from a checked image stays in
+        [-1, rows).  All three are marked read-only in place.
+        ``__post_init__`` does not run.
         """
         made = cls.__new__(cls)
         for array in (image, faithful, adj_faithful):
@@ -297,13 +311,18 @@ class WindowedMap:
         return made
 
     def __post_init__(self) -> None:
-        """Check the image and turn both windows into read-only masks."""
+        """Check the image, injective too, and turn both windows into read-only masks."""
         image = self.image
         if image.ndim != 1 or image.dtype.kind not in "iu":
             raise InvalidInput("image must be a 1-D integer array")
         image = image.astype(np.int64, copy=False).view()
         image.flags.writeable = False
         _check_image(image, self.shape[0])
+        live = image[image >= 0]
+        hit = np.zeros(self.shape[0], dtype=bool)
+        hit[live] = True
+        if np.count_nonzero(hit) != live.size:
+            raise InvalidInput("two columns share a row: not a partial permutation")
         self.image = image
         rows, cols = self.shape
         self.faithful_mask = _window(self.faithful_mask, cols, "faithful index outside the domain")
@@ -317,10 +336,6 @@ class WindowedMap:
     @cached_property
     def adj_faithful(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.adj_faithful_mask).tolist())
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _from_image(self.image, self.shape[0])
 
     @property
     def domain_dim(self) -> int:
@@ -355,16 +370,10 @@ class WindowedMap:
         return self.compose(other)
 
     def adjoint(self) -> "WindowedMap":
-        """The inverse image, with the two windows swapped.
-
-        Only an injective image has a partial permutation for its adjoint;
-        any other raises InvalidInput.
-        """
+        """The inverse image, with the two windows swapped."""
         live = np.flatnonzero(self.image >= 0)
         inverse = np.full(self.codomain_dim, -1, dtype=np.int64)
         inverse[self.image[live]] = live
-        if np.count_nonzero(inverse >= 0) != live.size:
-            raise InvalidInput("two columns share a row: the adjoint is not a partial permutation")
         return WindowedMap._derived(inverse, self.adj_faithful_mask, self.faithful_mask,
                                     self.domain_dim)
 

@@ -13,13 +13,51 @@ definitions, and the tests compare the exact results against them:
 * ``compress``, ``direct_sum``, ``tensor_with_identity``, ``pair_residual``
   and ``isometry_defect``, the dense forms of the helpers of the same names
   in ``isoflow.semigroups``;
-* ``orthonormal_basis``, ``projector`` and ``residual_norm`` for spans.
+* ``orthonormal_basis``, ``projector`` and ``residual_norm`` for spans;
+* ``from_image``, the materializer of an image or a cell array, with
+  ``matrix``, ``basis`` and ``indicators``, the dense forms of a
+  ``WindowedMap``, a ``Subspace`` and a ``CommutantBasis``, and
+  ``spectral_norm``, the one SVD.
 """
 
 import numpy as np
 
 from isoflow.errors import DimensionMismatch
-from isoflow.numlin import _from_image, spectral_norm
+
+
+def from_image(image, rows: int | None = None) -> np.ndarray:
+    """0/1 complex matrix with a 1 at (image[j], j) for every j with image[j] >= 0.
+
+    ``rows`` defaults to the number of columns.
+    """
+    image = np.asarray(image, dtype=np.int64)
+    out = np.zeros((image.size if rows is None else rows, image.size), dtype=np.complex128)
+    live = np.flatnonzero(image >= 0)
+    out[image[live], live] = 1.0
+    return out
+
+
+def matrix(x) -> np.ndarray:
+    """The dense matrix of a ``WindowedMap``."""
+    return from_image(x.image, x.codomain_dim)
+
+
+def basis(s) -> np.ndarray:
+    """The ambient x dim matrix whose column i is the unit vector at ``s.cells[i]``."""
+    return from_image(s.cells, s.ambient)
+
+
+def indicators(c) -> tuple[np.ndarray, ...]:
+    """The 0/1 class indicators of a ``CommutantBasis``, in label order."""
+    return tuple((c.labels == k).astype(np.complex128) for k in range(c.dim))
+
+
+def spectral_norm(m) -> float:
+    """Largest singular value; exactly 0.0 for an exactly zero matrix."""
+    arr = np.asarray(m)
+    if arr.size == 0 or not arr.any():
+        return 0.0
+    return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
 def _mask(window, n: int) -> np.ndarray:
@@ -49,7 +87,7 @@ class DenseMap:
     @classmethod
     def of(cls, x) -> "DenseMap":
         """The dense twin of an image-backed ``WindowedMap``."""
-        return cls(_from_image(x.image, x.codomain_dim), x.faithful_mask, x.adj_faithful_mask)
+        return cls(matrix(x), x.faithful_mask, x.adj_faithful_mask)
 
     @classmethod
     def full(cls, matrix) -> "DenseMap":

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import projector, residual_norm
+from dense_oracle import from_image, indicators, projector, residual_norm
 from isoflow import commutant
-from isoflow.commutant import (_components, _exact_commutant, _fiber_form,
-                               commutant_of_partial_isometries, doubly_commutant_of_mz,
-                               fuglede_instance_check)
+from isoflow.commutant import (_exact_commutant, _fiber_form, commutant_of_partial_isometries,
+                               doubly_commutant_of_mz, fuglede_instance_check)
 from isoflow.errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from isoflow.numlin import _from_image
+from isoflow.numlin import _components
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _cut_shift_images,
                                 circulant_family, halfline_shift_family, tensor_with_identity)
 from test_numlin import nullspace
+from test_window_masks import count_linalg_calls
 from isoflow.spaces import CellGrid1D
 
 RNG = np.random.default_rng(7)
@@ -103,7 +103,7 @@ def test_commutant_e_m2_r1_is_scalars():
     result = commutant_of_partial_isometries(2, 1)
     assert result.dim == 1
     assert result.structure_verdict == "fiber_scalar"
-    b = result.basis[0]
+    b = indicators(result)[0]
     assert residual_norm(b, b[0, 0] * np.eye(2)) < 1e-12  # hand elimination gives B = aI
 
 
@@ -117,8 +117,8 @@ def test_commutant_e_dimension_and_structure(m, r):
 
 @pytest.mark.parametrize("m,r", [(2, 1), (4, 2), (3, 3), (5, 2)])
 def test_commutant_e_matches_svd_oracle(m, r):
-    dense = [(e, None) for j in range(1, m) for e in map(_from_image, _cut_shift_images(m, j, r))]
-    assert_matches_oracle(commutant_of_partial_isometries(m, r).basis, dense)
+    dense = [(e, None) for j in range(1, m) for e in map(from_image, _cut_shift_images(m, j, r))]
+    assert_matches_oracle(indicators(commutant_of_partial_isometries(m, r)), dense)
 
 
 @pytest.mark.parametrize("m,r", [(2, 1), (4, 2), (3, 3)])
@@ -134,10 +134,10 @@ def test_commutant_e_cross_checked_constructively(m, r):
             c[a, b] = 1.0
             candidate = fiber_candidate(m, r, c)
             for j in range(1, m):
-                e0, e1 = map(_from_image, _cut_shift_images(m, j, r))
+                e0, e1 = map(from_image, _cut_shift_images(m, j, r))
                 assert residual_norm(candidate @ e0, e0 @ candidate) == 0.0
                 assert residual_norm(candidate @ e1, e1 @ candidate) == 0.0
-            assert in_span(candidate, result.basis)
+            assert in_span(candidate, indicators(result))
             units.append(candidate)
     rank = np.linalg.matrix_rank(np.column_stack([vec(u) for u in units]))
     assert rank == r * r == result.dim
@@ -147,9 +147,9 @@ def test_commutant_bases_satisfy_constraints():
     """Each returned basis element obeys every imposed constraint exactly."""
     m, r = 4, 2
     result = commutant_of_partial_isometries(m, r)
-    for b in result.basis:
+    for b in indicators(result):
         for j in range(1, m):
-            e0, e1 = map(_from_image, _cut_shift_images(m, j, r))
+            e0, e1 = map(from_image, _cut_shift_images(m, j, r))
             assert residual_norm(b @ e0, e0 @ b) == 0.0
             assert residual_norm(b @ e1, e1 @ b) == 0.0
 
@@ -165,7 +165,7 @@ def test_commutant_e_needs_constraints():
 def test_mz_commutant_d1_r1_is_scalars():
     result = doubly_commutant_of_mz(1, 1)
     assert result.dim == 1
-    b = result.basis[0]
+    b = indicators(result)[0]
     assert residual_norm(b, b[0, 0] * np.eye(2)) < 1e-12
 
 
@@ -182,7 +182,7 @@ def test_mz_commutant_matches_svd_oracle(d, r):
     n = (d + 1) * r
     mz = degree_shift(d, r)
     dense = [(mz, range(n - r)), (mz.conj().T, range(r, n))]
-    assert_matches_oracle(doubly_commutant_of_mz(d, r).basis, dense)
+    assert_matches_oracle(indicators(doubly_commutant_of_mz(d, r)), dense)
 
 
 def test_mz_membership_sufficiency():
@@ -196,7 +196,7 @@ def test_mz_membership_sufficiency():
         :, [blk * r + rho for blk in range(1, d + 1) for rho in range(r)]]
     assert not forward.any() and not backward.any()
     result = doubly_commutant_of_mz(d, r)
-    assert in_span(b, result.basis)
+    assert in_span(b, indicators(result))
 
 
 def test_mz_invalid_degree():
@@ -240,18 +240,10 @@ def test_fiber_form_other_verdict():
     result = _fiber_form(labels, 2)
     assert (result.structure_verdict, result.max_structure_residual) == ("other", 1.0)
     assert result.dim == 1
-    (b,) = result.basis
+    (b,) = indicators(result)
     assert residual_norm(b, np.kron(np.eye(2), b[:1, :1])) == 1.0
     diagonal = _fiber_form(np.array([[0, -1], [-1, 0]]), 2)
     assert (diagonal.structure_verdict, diagonal.max_structure_residual) == ("fiber_scalar", 0.0)
-
-
-def test_basis_is_built_once_from_the_labels():
-    result = commutant_of_partial_isometries(3, 2)
-    assert not result.labels.flags.writeable and result.labels.dtype == np.int64
-    basis = result.basis
-    assert result.basis is basis
-    assert all(np.array_equal(b, result.labels == k) for k, b in enumerate(basis))
 
 
 # --- exact solver on arbitrary partial permutations --------------------------------------
@@ -283,7 +275,7 @@ def test_exact_commutant_matches_svd_oracle_on_partial_permutations(case):
     n, ops = case
     dense = [(dense_of(image), cols) for image, cols in ops]
     for (image, _), (mat, _) in zip(ops, dense):
-        assert np.array_equal(_from_image(image), mat)
+        assert np.array_equal(from_image(image), mat)
     labels = _exact_commutant(ops, n)
     assert labels.shape == (n, n) and labels.dtype == np.int64 and not labels.flags.writeable
     dim = int(labels.max(initial=-1)) + 1
@@ -425,11 +417,8 @@ def test_fuglede_fiber_rotation_passes():
 
 def test_fuglede_reads_no_dense_matrix(monkeypatch):
     """Normality, both commutators and the fiber form are read off the images:
-    the check builds no dense matrix, where products of matrices read 12."""
-    reads = []
-    matrix = WindowedMap.__dict__["matrix"]
-    monkeypatch.setattr(WindowedMap, "matrix",
-                        property(lambda self: reads.append(1) or matrix.func(self)))
+    the check takes no dense numerics, where products of matrices read 12."""
+    reads = count_linalg_calls(monkeypatch)
     report = fuglede_instance_check(fiber_rotation(4, 3), shift_tensor_family(4, 3), 3, [1, 2])
     assert report.overall and len(report.entries) == 6
     assert reads == []

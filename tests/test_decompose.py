@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dense_oracle import projector
+from dense_oracle import basis, matrix, projector
 from isoflow.decompose import (bcl_check, classify_pair, fourfold_decompose,
                                product_unitary_part, verify_joint_equivalence, wold_cooper)
 from isoflow.errors import DimensionMismatch, InvalidInput, PreconditionFailed
@@ -16,6 +18,7 @@ from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
                                 halfline_shift_family, modified_bishift_families,
                                 phi_family, tensor_with_identity)
 from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
+from test_window_masks import count_linalg_calls
 
 
 def shift_plus_circulant():
@@ -101,8 +104,8 @@ def test_classify_shift_with_itself():
     assert verdict.classified == "commuting"
     # oracle: S S* kills the first cell, S* S keeps it
     s = fam.generator
-    forward_back = s.matrix @ s.matrix.conj().T
-    back_forward = s.matrix.conj().T @ s.matrix
+    forward_back = matrix(s) @ matrix(s).conj().T
+    back_forward = matrix(s).conj().T @ matrix(s)
     assert forward_back[0, 0] == 0.0 and back_forward[0, 0] == 1.0
 
 
@@ -145,6 +148,39 @@ def test_fourfold_unitary_pair_concentrates_in_uu():
     assert split.dims == (0, 0, 0, 9)
 
 
+def model_block(kind: int, a: int, b: int) -> tuple[WindowedMap, WindowedMap]:
+    """One of the four model blocks of Slocinski's split on C^a (x) C^b: the pair
+    (X (x) I_b, I_a (x) Y), with X the shift on a cells when ``kind`` < 2 and the
+    cyclic shift otherwise, and Y the shift on b cells when ``kind`` is even."""
+    def model(n: int, pure: bool) -> WindowedMap:
+        return (halfline_shift_family(CellGrid1D(1, n)) if pure else circulant_family(n)).generator
+
+    return (tensor_with_identity(model(a, kind < 2), b, "right"),
+            tensor_with_identity(model(b, kind % 2 == 0), a, "left"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(2, 5), st.integers(2, 5)),
+                min_size=1, max_size=5))
+def test_fourfold_of_random_model_sums_returns_the_summed_block_dims(blocks):
+    """Slocinski (Ann. Polon. Math. 37, 1980): a doubly commuting pair is the direct
+    sum of shift (x) shift, shift (x) unitary, unitary (x) shift and unitary (x)
+    unitary parts.  A direct sum of such blocks, in any order and of independent
+    sizes, must split into the summed dims of each kind, both Wold splits
+    stabilized, with no reduction residual.  Sizes start at 2: the shift on one
+    cell has no faithful column, so a lone block of it has nothing to classify."""
+    firsts, seconds = zip(*(model_block(*block) for block in blocks))
+    pair = PairOfSemigroups(SemigroupFamily(direct_sum(*firsts), "V1", 1),
+                            SemigroupFamily(direct_sum(*seconds), "V2", 1))
+    expected = [0, 0, 0, 0]  # pp, pu, up, uu
+    for kind, a, b in blocks:
+        expected[kind] += a * b
+    split = fourfold_decompose(pair, max(max(a, b) for _, a, b in blocks) + 2)
+    assert split.dims == tuple(expected)
+    assert split.wold_first.stabilized and split.wold_second.stabilized
+    assert split.reduction_residual == 0.0
+
+
 def test_fourfold_requires_double_commutation():
     pair = modified_bishift_families(LRegionIndex(1, 2))
     with pytest.raises(PreconditionFailed):
@@ -155,12 +191,12 @@ def test_fourfold_projectors_commute_with_samples():
     pair, _ = four_block_pair()
     split = fourfold_decompose(pair, 6)
     for part in (split.h_pp, split.h_pu, split.h_up, split.h_uu):
-        p = projector(part.basis)
+        p = projector(basis(part))
         for fam in (pair.first, pair.second):
             for steps in (1, 2):
                 el = fam.element(steps)
                 cols = sorted(el.faithful)
-                diff = (p @ el.matrix - el.matrix @ p)[:, cols]
+                diff = (p @ matrix(el) - matrix(el) @ p)[:, cols]
                 assert (np.abs(diff).max() if diff.size else 0.0) <= 1e-10
 
 
@@ -215,13 +251,14 @@ def test_joint_equivalence_w_conjugation():
 
 
 def test_joint_equivalence_requires_unitary():
-    """A z that kills a column, or sends two columns onto one row (which has no
-    adjoint), is refused as not unitary."""
+    """A z that kills a column is refused as not unitary; one that sends two
+    columns onto one row is no partial permutation, so no map has it."""
     pair = bishift_families(QuadrantGrid2D(1, 2))
-    for image in ([0, 1, 2, -1], [0, 0, 1, 2]):
-        z = WindowedMap.from_image(image, range(4), range(4))
-        with pytest.raises(PreconditionFailed):
-            verify_joint_equivalence(pair, pair, z, [1])
+    z = WindowedMap.from_image([0, 1, 2, -1], range(4), range(4))
+    with pytest.raises(PreconditionFailed, match="not unitary"):
+        verify_joint_equivalence(pair, pair, z, [1])
+    with pytest.raises(InvalidInput, match="two columns share a row"):
+        WindowedMap.from_image([0, 0, 1, 2], range(4), range(4))
 
 
 def test_joint_equivalence_rejects_a_conjugation_of_the_wrong_size():
@@ -237,24 +274,15 @@ def test_joint_equivalence_rejects_an_array_conjugation():
         verify_joint_equivalence(pair, pair, np.eye(4), [1])
 
 
-def count_dense_maps(monkeypatch) -> list:
-    """Record every dense matrix read along the way."""
-    calls = []
-    matrix = WindowedMap.__dict__["matrix"]
-    monkeypatch.setattr(WindowedMap, "matrix",
-                        property(lambda self: calls.append(self.shape) or matrix.func(self)))
-    return calls
-
-
 def test_joint_equivalence_w_conjugation_at_dim_512_gathers(monkeypatch):
     """W = I at dim 512 is a 0/1 permutation, passed as its image: no dense
-    matrix, and each residual is exactly zero.  Held dense, Z made this
+    numerics, and each residual is exactly zero.  Held dense, Z made this
     call peak at about 84 MiB."""
     grid = CellGrid1D(16, 32)
     shifts, phis = halfline_shift_family(grid), phi_family(31, 16)
     w = WindowedMap.identity(grid.dim)
     samples = [Fraction(k, 2) for k in range(1, 9)]
-    dense = count_dense_maps(monkeypatch)
+    dense = count_linalg_calls(monkeypatch)
     tracemalloc.start()
     try:
         report = verify_joint_equivalence(PairOfSemigroups(shifts, shifts),
@@ -283,7 +311,7 @@ def test_joint_equivalence_under_a_relabeling_permutation(monkeypatch):
         return SemigroupFamily(g, f.label, f.cells_per_unit)
 
     b = PairOfSemigroups(moved(a.first), moved(a.second))
-    dense = count_dense_maps(monkeypatch)
+    dense = count_linalg_calls(monkeypatch)
     z = WindowedMap.from_image(pi, np.ones(n, dtype=bool), np.ones(n, dtype=bool))
     report = verify_joint_equivalence(a, b, z, [Fraction(1, 2), 1, 2])
     assert dense == []

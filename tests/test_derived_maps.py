@@ -17,13 +17,11 @@ only the squares and the step counts asked for.
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import DenseMap
+from dense_oracle import DenseMap, matrix
 from isoflow.catalog import _resolve
-from isoflow.errors import InvalidInput
 from isoflow.numlin import Subspace
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _compress, check_semigroup_law,
                                 direct_sum, modified_bishift_families, tensor_with_identity)
@@ -33,15 +31,17 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def image_maps(draw, cols: int, rows: int, injective: bool = False):
-    """A validated image-backed map C^cols -> C^rows with random windows."""
-    if injective and cols <= rows:
-        image = np.array(draw(st.permutations(range(rows)))[:cols], dtype=np.int64)
-    else:
-        image = np.array(draw(st.lists(st.integers(-1, rows - 1), min_size=cols,
-                                       max_size=cols)), dtype=np.int64)
+def image_maps(draw, cols: int, rows: int):
+    """A validated image-backed map C^cols -> C^rows with random windows.
+
+    The image is injective: the first ``cols`` entries of a permutation of
+    max(rows, cols) slots, a slot past the rows being a zero column, and
+    about a quarter of the columns zeroed on half the draws.
+    """
+    image = np.array(draw(st.permutations(range(max(rows, cols))))[:cols], dtype=np.int64)
+    image[image >= rows] = -1
     mostly = st.sampled_from([True, True, True, False])
-    if injective and draw(st.booleans()):
+    if draw(st.booleans()):
         image[~np.array(draw(st.lists(mostly, min_size=cols, max_size=cols)), dtype=bool)] = -1
     faithful = np.array(draw(st.lists(mostly, min_size=cols, max_size=cols)), dtype=bool)
     adj_faithful = np.array(draw(st.lists(mostly, min_size=rows, max_size=rows)), dtype=bool)
@@ -72,10 +72,10 @@ def appended_compose(x: WindowedMap, y: WindowedMap):
 @st.composite
 def derived_cases(draw):
     p, q, r = (draw(st.integers(0, 30)) for _ in range(3))
-    outer = draw(image_maps(q, r, injective=draw(st.booleans())))
+    outer = draw(image_maps(q, r))
     inner = draw(image_maps(p, q))
     n = draw(st.integers(1, 30))
-    square = draw(image_maps(n, n, injective=draw(st.booleans())))
+    square = draw(image_maps(n, n))
     cells = np.flatnonzero(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
     fiber = draw(st.integers(1, 3))
     side = draw(st.sampled_from(["left", "right"]))
@@ -93,23 +93,18 @@ def test_derived_maps_pass_the_public_checks(case):
     assert np.array_equal(product.image, image)
     assert np.array_equal(product.faithful_mask, kept)
     assert np.array_equal(product.adj_faithful_mask, adj_kept)
-    for x in (outer, square):
-        live = x.image[x.image >= 0]
-        if np.unique(live).size == live.size:  # injective: the adjoint is the inverse image
-            adjoint = x.adjoint()
-            assert_rebuilds(adjoint)
-            assert adjoint.shape == (x.domain_dim, x.codomain_dim)
-            assert np.array_equal(adjoint.matrix, x.matrix.T)
-        else:
-            with pytest.raises(InvalidInput):
-                x.adjoint()
+    for x in (outer, square):  # the adjoint is the inverse image
+        adjoint = x.adjoint()
+        assert_rebuilds(adjoint)
+        assert adjoint.shape == (x.domain_dim, x.codomain_dim)
+        assert np.array_equal(matrix(adjoint), matrix(x).T)
     assert_rebuilds(_compress(square, Subspace(square.domain_dim, cells=cells)))
     assert_rebuilds(direct_sum(outer, inner, square))
     assert_rebuilds(tensor_with_identity(outer, fiber, side))
 
 
 @SETTINGS
-@given(st.integers(1, 30).flatmap(lambda n: image_maps(n, n, injective=n % 2 == 0)))
+@given(st.integers(1, 30).flatmap(lambda n: image_maps(n, n)))
 def test_powers_by_squaring_match_repeated_compose(generator):
     n = generator.domain_dim
     family = SemigroupFamily(generator)
@@ -145,7 +140,7 @@ def test_dense_powers_by_squaring_match_repeated_compose():
     want = DenseMap.full(np.eye(6))
     for k in range(9):
         got = family.element(k)
-        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(matrix(got), want.matrix)
         assert np.array_equal(got.faithful_mask, want.faithful_mask)
         assert np.array_equal(got.adj_faithful_mask, want.adj_faithful_mask)
         want = step.compose(want)

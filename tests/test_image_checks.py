@@ -4,8 +4,8 @@ The commutators of ``classify_pair``, the semigroup law and the Wold
 unitary residual read the image and faithful mask of a product from
 ``semigroups._gather`` instead of building it with ``compose``.  The
 property tests hold each of them to the formula that builds the maps and
-to the dense oracle's formula, on random partial permutations
-(non-injective ones too) and random windows; the isometry defect and the
+to the dense oracle's formula, on random partial permutations (injective,
+as ``from_image`` demands) and random windows; the isometry defect and the
 adjoint are held to the dense Gram matrices.  The count tests pin that no
 product is built and that each catalog runner computes one step-time
 verdict.
@@ -20,11 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
-from dense_oracle import DenseMap
+from dense_oracle import DenseMap, matrix
 from isoflow import catalog, decompose
 from isoflow.catalog import Scenario, run_scenario
 from isoflow.decompose import _commutator_residual, _unitary_residual, classify_pair
-from isoflow.errors import InvalidInput
 from isoflow.numlin import Subspace
 from isoflow.semigroups import (WindowedMap, _compress, _gather, _held_residual,
                                 _isometry_defect, _pair_residual, bishift_families,
@@ -33,11 +32,6 @@ from isoflow.spaces import CellGrid1D, QuadrantGrid2D
 from test_derived_maps import image_maps
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
-def injective(x: WindowedMap) -> bool:
-    live = x.image[x.image >= 0]
-    return np.unique(live).size == live.size
 
 
 def assert_near(got, want):
@@ -50,7 +44,7 @@ def assert_near(got, want):
 @st.composite
 def maps_on_one_space(draw, count: int):
     n = draw(st.integers(0, 30))
-    return [draw(image_maps(n, n, injective=draw(st.booleans()))) for _ in range(count)]
+    return [draw(image_maps(n, n)) for _ in range(count)]
 
 
 @given(maps_on_one_space(2))
@@ -61,12 +55,11 @@ def test_commutators_match_the_composed_maps(maps):
     got = _commutator_residual(a, b)
     assert got == _pair_residual(a.compose(b), b.compose(a))
     assert_near(got, dense.pair_residual(da @ db, db @ da))
-    if injective(b):  # only an injective image has an adjoint
-        b_adj = b.adjoint()
-        got = _commutator_residual(a, b_adj)
-        assert got == _pair_residual(a.compose(b_adj), b_adj.compose(a))
-        db_adj = db.adjoint()
-        assert_near(got, dense.pair_residual(da @ db_adj, db_adj @ da))
+    b_adj = b.adjoint()
+    got = _commutator_residual(a, b_adj)
+    assert got == _pair_residual(a.compose(b_adj), b_adj.compose(a))
+    db_adj = db.adjoint()
+    assert_near(got, dense.pair_residual(da @ db_adj, db_adj @ da))
 
 
 @given(maps_on_one_space(3))
@@ -85,34 +78,30 @@ def test_law_residual_matches_the_composed_map(maps):
 @st.composite
 def rectangular_maps(draw):
     rows, cols = draw(st.integers(0, 30)), draw(st.integers(0, 30))
-    return draw(image_maps(cols, rows, injective=draw(st.booleans())))
+    return draw(image_maps(cols, rows))
 
 
 @given(rectangular_maps(), st.data())
 @SETTINGS
 def test_isometry_defect_and_adjoint_match_the_dense_gram(x, data):
     """The isometry defect is the dense Gram formula, on all columns and on a subset:
-    0.0 or 1.0 for distinct live rows, max(c - 1, 1) when c >= 2 columns share a
-    row.  The adjoint raises exactly when the image is not injective."""
+    0.0 when every chosen column is live and 1.0 otherwise.  The adjoint is the
+    transpose."""
     subset = data.draw(st.sets(st.integers(0, max(x.domain_dim - 1, 0)), max_size=x.domain_dim))
     cols = np.array(sorted(subset), dtype=np.int64)
     for chosen in (slice(None), cols[cols < x.domain_dim]):
         got = _isometry_defect(x, chosen)
-        assert abs(got - dense.isometry_defect(x.matrix, chosen)) <= 1e-12
-        assert got == round(got)  # exact: an integer
-    if injective(x):
-        adj = x.adjoint()
-        assert np.array_equal(adj.matrix, x.matrix.T)
-        assert _isometry_defect(adj) == dense.isometry_defect(x.matrix.T)
-    else:
-        with pytest.raises(InvalidInput, match="not a partial permutation"):
-            x.adjoint()
+        assert abs(got - dense.isometry_defect(matrix(x), chosen)) <= 1e-12
+        assert got in (0.0, 1.0)  # exact
+    adj = x.adjoint()
+    assert np.array_equal(matrix(adj), matrix(x).T)
+    assert _isometry_defect(adj) == dense.isometry_defect(matrix(x).T)
 
 
 @st.composite
 def parts_and_generators(draw):
     n = draw(st.integers(0, 30))
-    generator = draw(image_maps(n, n, injective=draw(st.booleans())))
+    generator = draw(image_maps(n, n))
     if draw(st.booleans()):
         part = Subspace.full(n)
     else:
@@ -128,7 +117,7 @@ def test_unitary_residual_matches_the_compressed_map(case):
     restr = _compress(generator, part)
     got = _unitary_residual(part, generator)
     assert got == _isometry_defect(restr)  # C is square, so C and C* have one defect
-    want = max(dense.isometry_defect(restr.matrix), dense.isometry_defect(restr.matrix.T))
+    want = max(dense.isometry_defect(matrix(restr)), dense.isometry_defect(matrix(restr).T))
     assert abs(got - want) <= 1e-12
 
 

@@ -6,11 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_oracle import isometry_defect
+from dense_oracle import from_image, isometry_defect, matrix
 from isoflow.decompose import classify_pair
 from isoflow.duality import _torus_unitary
 from isoflow.errors import InvalidInput, InvalidShift, WindowTooSmall
-from isoflow.numlin import _from_image
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _circulant_image,
                                 _cut_shift_images, _isometry_defect, bishift_families,
                                 bishift_pair, check_semigroup_law, circulant_family,
@@ -63,13 +62,13 @@ def test_grid_steps_matches_the_fraction_reading(t, m):
 
 def test_halfline_shift_zero_is_identity():
     s = halfline_shift(CellGrid1D(2, 2), 0)
-    assert np.array_equal(s.matrix, np.eye(4))
+    assert np.array_equal(matrix(s), np.eye(4))
     assert s.faithful == frozenset(range(4))
 
 
 def test_halfline_shift_half_step():
     s = halfline_shift(CellGrid1D(2, 2), Fraction(1, 2))
-    assert np.array_equal(s.matrix[:, 0], np.array([0, 1, 0, 0], dtype=complex))
+    assert np.array_equal(matrix(s)[:, 0], np.array([0, 1, 0, 0], dtype=complex))
     assert s.faithful == frozenset({0, 1, 2})
     assert s.adj_faithful == frozenset(range(4))
 
@@ -79,7 +78,7 @@ def test_halfline_composition_matches_permutation_oracle():
     half = halfline_shift(grid, Fraction(1, 2))
     composed = half.compose(half)
     whole = halfline_shift(grid, 1)
-    assert np.array_equal(composed.matrix, whole.matrix)
+    assert np.array_equal(matrix(composed), matrix(whole))
     assert composed.faithful == whole.faithful == frozenset({0, 1})
 
 
@@ -97,11 +96,11 @@ def test_composition_window_rule_exact():
     a, b = fam.element(2), fam.element(3)
     composed = a.compose(b)
     for i in sorted(composed.faithful):
-        direct = composed.matrix[:, i]
-        sequential = a.matrix @ b.matrix[:, i]
+        direct = matrix(composed)[:, i]
+        sequential = matrix(a) @ matrix(b)[:, i]
         assert np.array_equal(direct, sequential)
     assert composed.faithful == {i for i in b.faithful
-                                 if set(np.flatnonzero(b.matrix[:, i])) <= a.faithful}
+                                 if set(np.flatnonzero(matrix(b)[:, i])) <= a.faithful}
 
 
 def test_adjoint_swaps_windows():
@@ -109,21 +108,32 @@ def test_adjoint_swaps_windows():
     adj = s.adjoint()
     assert adj.faithful == s.adj_faithful
     assert adj.adj_faithful == s.faithful
-    assert np.array_equal(adj.matrix, s.matrix.conj().T)
+    assert np.array_equal(matrix(adj), matrix(s).conj().T)
 
 
 def test_image_backed_map_validation_and_lazy_matrix():
     x = WindowedMap.from_image([1, -1, 0], {0, 2}, {0, 1}, rows=2)
     assert (x.domain_dim, x.codomain_dim) == (3, 2)
-    assert "matrix" not in vars(x)  # dimensions come from the shape, not from a built matrix
-    assert x.matrix is x.matrix
-    assert np.array_equal(x.matrix, [[0, 0, 1], [1, 0, 0]])
+    assert not hasattr(x, "matrix")  # dimensions come from the shape; no matrix is held
+    assert np.array_equal(matrix(x), [[0, 0, 1], [1, 0, 0]])
     with pytest.raises(ValueError):
         x.image[0] = 0  # the stored image is read-only
     for image, faithful, adj in (([0.0, 1.0], (), ()), ([[0, 1]], (), ()), ([0, 2], (), ()),
-                                 ([0, -2], (), ()), ([0, 1], (2,), ()), ([0, 1], (), (-1,))):
+                                 ([0, -2], (), ()), ([0, 1], (2,), ()), ([0, 1], (), (-1,)),
+                                 ([1, 1], (), ())):
         with pytest.raises(InvalidInput):
             WindowedMap.from_image(image, faithful, adj)
+
+
+def test_from_image_rejects_a_shared_row():
+    """Two live columns on one row are no partial permutation; zero columns may repeat."""
+    with pytest.raises(InvalidInput, match=r"^two columns share a row: not a partial "
+                                           r"permutation$"):
+        WindowedMap.from_image([0, 0], range(2), range(2))
+    with pytest.raises(InvalidInput, match="two columns share a row"):
+        WindowedMap.from_image([2, -1, 0, 2], range(4), range(3), rows=3)
+    x = WindowedMap.from_image([-1, 1, -1], range(3), range(2), rows=2)
+    assert np.array_equal(x.adjoint().image, [-1, 1])
 
 
 def test_faithful_columns_are_orthonormal():
@@ -131,14 +141,14 @@ def test_faithful_columns_are_orthonormal():
                 bishift_pair(QuadrantGrid2D(2, 2), Fraction(1, 2))[0],
                 modified_bishift_pair(LRegionIndex(1, 2), 1)[1]):
         cols = sorted(gen.faithful)
-        block = gen.matrix[:, cols]
+        block = matrix(gen)[:, cols]
         assert np.array_equal(block.conj().T @ block, np.eye(len(cols)))
 
 
 # --- partial isometries -----------------------------------------------------------
 
 def test_partial_isometry_m4_j1():
-    e0, e1 = map(_from_image, _cut_shift_images(4, 1, 1))
+    e0, e1 = map(from_image, _cut_shift_images(4, 1, 1))
     expect0 = np.zeros((4, 4), dtype=complex)
     expect0[1, 0] = expect0[2, 1] = expect0[3, 2] = 1
     expect1 = np.zeros((4, 4), dtype=complex)
@@ -148,13 +158,13 @@ def test_partial_isometry_m4_j1():
 
 
 def test_partial_isometry_j0():
-    e0, e1 = map(_from_image, _cut_shift_images(3, 0, 2))
+    e0, e1 = map(from_image, _cut_shift_images(3, 0, 2))
     assert np.array_equal(e0, np.eye(6))
     assert not e1.any()
 
 
 def test_partial_isometry_resolutions_m4_j2():
-    e0, e1 = map(_from_image, _cut_shift_images(4, 2, 1))
+    e0, e1 = map(from_image, _cut_shift_images(4, 2, 1))
     eye = np.eye(4)
     assert np.array_equal(e0 @ e0.conj().T + e1 @ e1.conj().T, eye)
     assert np.array_equal(e0.conj().T @ e0 + e1.conj().T @ e1, eye)
@@ -168,26 +178,26 @@ def test_partial_isometry_invalid_shift():
 # --- multiplier family --------------------------------------------------------------
 
 def test_phi_time_zero_and_one():
-    assert np.array_equal(phi_multiplier(3, 2, 1, 0).matrix, np.eye(8))
+    assert np.array_equal(matrix(phi_multiplier(3, 2, 1, 0)), np.eye(8))
     phi1 = phi_multiplier(3, 2, 1, 1)
     block = np.zeros((4, 4), dtype=complex)
     for b in range(3):
         block[b + 1, b] = 1
-    assert np.array_equal(phi1.matrix, np.kron(block, np.eye(2)))
+    assert np.array_equal(matrix(phi1), np.kron(block, np.eye(2)))
     assert phi1.faithful == frozenset(range(6))  # degree blocks 0..2
 
 
 def test_phi_three_halves_hand_expansion():
     """d=3, m=2, t=3/2: E0 piece one block up, E1 piece two blocks up."""
     phi = phi_multiplier(3, 2, 1, Fraction(3, 2))
-    e0, e1 = map(_from_image, _cut_shift_images(2, 1, 1))
+    e0, e1 = map(from_image, _cut_shift_images(2, 1, 1))
     expected = np.zeros((8, 8), dtype=complex)
     for b in range(4):
         if b + 1 <= 3:
             expected[2 * (b + 1):2 * (b + 2), 2 * b:2 * (b + 1)] = e0
         if b + 2 <= 3:
             expected[2 * (b + 2):2 * (b + 3), 2 * b:2 * (b + 1)] = e1
-    assert np.array_equal(phi.matrix, expected)
+    assert np.array_equal(matrix(phi), expected)
     assert phi.faithful == frozenset(range(4))  # blocks 0 and 1
 
 
@@ -200,8 +210,8 @@ def test_phi_window_error():
 
 def test_bishift_time_zero():
     s1, s2 = bishift_pair(QuadrantGrid2D(2, 2), 0)
-    assert np.array_equal(s1.matrix, np.eye(16))
-    assert np.array_equal(s2.matrix, np.eye(16))
+    assert np.array_equal(matrix(s1), np.eye(16))
+    assert np.array_equal(matrix(s2), np.eye(16))
 
 
 def test_bishift_commutes_exactly():
@@ -211,12 +221,12 @@ def test_bishift_commutes_exactly():
     ba = s2.compose(s1)
     cols = sorted(ab.faithful & ba.faithful)
     assert cols
-    assert np.array_equal(ab.matrix[:, cols], ba.matrix[:, cols])
+    assert np.array_equal(matrix(ab)[:, cols], matrix(ba)[:, cols])
     # adjoint commutation as well: tensor-disjoint axes doubly commute
     adj = s2.adjoint()
     x, y = s1.compose(adj), adj.compose(s1)
     cols = sorted(x.faithful & y.faithful)
-    assert np.array_equal(x.matrix[:, cols], y.matrix[:, cols])
+    assert np.array_equal(matrix(x)[:, cols], matrix(y)[:, cols])
 
 
 def _l_local(region, c1, c2):
@@ -230,15 +240,15 @@ def test_modified_bishift_cases():
     m1, _ = modified_bishift_pair(region, 1)
     # time-zero is the identity
     z1, z2 = modified_bishift_pair(region, 0)
-    assert np.array_equal(z1.matrix, np.eye(12)) and np.array_equal(z2.matrix, np.eye(12))
+    assert np.array_equal(matrix(z1), np.eye(12)) and np.array_equal(matrix(z2), np.eye(12))
     # values at the strip next to the removed quadrant come from the quadrant: zero row
-    assert not m1.matrix[_l_local(region, -1, 1), :].any()
+    assert not matrix(m1)[_l_local(region, -1, 1), :].any()
     # mass moves away from the removed quadrant
-    col = m1.matrix[:, _l_local(region, -1, -1)]
+    col = matrix(m1)[:, _l_local(region, -1, -1)]
     assert np.flatnonzero(col).tolist() == [_l_local(region, -2, -1)]
     # wrap columns are zeroed and unfaithful
     wrap = _l_local(region, -2, -1)
-    assert not m1.matrix[:, wrap].any()
+    assert not matrix(m1)[:, wrap].any()
     assert wrap not in m1.faithful
     assert _l_local(region, -1, -1) in m1.faithful
 
@@ -246,15 +256,15 @@ def test_modified_bishift_cases():
 def test_torus_translation_group_law():
     region = LRegionIndex(1, 2)  # a 4 x 4 torus
     t = _torus_unitary(region, 0, forward=True)
-    assert np.array_equal(np.linalg.matrix_power(t.matrix, 4), np.eye(16))
-    assert np.array_equal(t.matrix.conj().T, _torus_unitary(region, 0, forward=False).matrix)
+    assert np.array_equal(np.linalg.matrix_power(matrix(t), 4), np.eye(16))
+    assert np.array_equal(matrix(t).conj().T, matrix(_torus_unitary(region, 0, forward=False)))
     u = _torus_unitary(region, 1, forward=True)
     assert np.array_equal((t @ u).image, (u @ t).image)
 
 
 def test_circulant_examples():
     def circulant(n, k):
-        return _from_image(_circulant_image(n, k))
+        return from_image(_circulant_image(n, k))
 
     assert np.array_equal(circulant(3, 0), np.eye(3))
     assert np.array_equal(circulant(2, 1), np.array([[0, 1], [1, 0]], dtype=complex))
@@ -265,7 +275,7 @@ def test_circulant_examples():
 
 def test_direct_sum_identities():
     out = direct_sum(WindowedMap.identity(2), WindowedMap.identity(3))
-    assert np.array_equal(out.matrix, np.eye(5))
+    assert np.array_equal(matrix(out), np.eye(5))
     assert out.faithful == frozenset(range(5))
 
 
@@ -273,17 +283,17 @@ def test_direct_sum_isometric_on_window():
     mix = direct_sum(halfline_shift(CellGrid1D(1, 4), 1),
                      WindowedMap.from_image(_circulant_image(4, 1), range(4), range(4)))
     cols = sorted(mix.faithful)
-    block = mix.matrix[:, cols]
+    block = matrix(mix)[:, cols]
     assert np.array_equal(block.conj().T @ block, np.eye(len(cols)))
 
 
 def test_tensor_with_identity_kron_index_oracle():
     shift = halfline_shift(CellGrid1D(2, 2), Fraction(1, 2))
     lifted = tensor_with_identity(shift, 2, "right")
-    assert np.array_equal(lifted.matrix, np.kron(shift.matrix, np.eye(2)))
+    assert np.array_equal(matrix(lifted), np.kron(matrix(shift), np.eye(2)))
     assert lifted.faithful == frozenset(i * 2 + rho for i in shift.faithful for rho in range(2))
     left = tensor_with_identity(shift, 3, "left")
-    assert np.array_equal(left.matrix, np.kron(np.eye(3), shift.matrix))
+    assert np.array_equal(matrix(left), np.kron(np.eye(3), matrix(shift)))
     assert left.faithful == frozenset(k * 4 + i for k in range(3) for i in shift.faithful)
 
 
@@ -317,7 +327,7 @@ def test_law_window_exhaustion():
 def test_family_cache_and_time_access():
     fam = halfline_shift_family(CellGrid1D(2, 3))
     assert fam.element(2) is fam.element(2)
-    assert np.array_equal(fam.at_time(1).matrix, fam.element(2).matrix)
+    assert np.array_equal(matrix(fam.at_time(1)), matrix(fam.element(2)))
     with pytest.raises(InvalidInput):
         fam.at_time(Fraction(1, 3))
 
@@ -340,21 +350,19 @@ def test_law_and_classification_build_no_dense_matrix():
 
 
 def sorted_isometry_defect(x: WindowedMap, cols=slice(None)) -> float:
-    """The isometry defect by the earlier rule: the live rows are distinct
-    when no two neighbours of their sorted array are equal; repeated rows
-    take the dense Gram matrix."""
+    """The isometry defect by the earlier rule, for distinct live rows, which it
+    checks by a sort: 0.0 when every chosen column is live and 1.0 otherwise."""
     rows = x.image[cols]
     live = np.sort(rows[rows >= 0])
-    if not (live[1:] == live[:-1]).any():
-        return 0.0 if live.size == rows.size else 1.0
-    return isometry_defect(x.matrix, cols)
+    assert not (live[1:] == live[:-1]).any()
+    return 0.0 if live.size == rows.size else 1.0
 
 
 def test_isometry_defect_matches_the_sort_rule():
-    """The mask-and-count test for repeated rows gives the sort rule's value on
-    random images with and without repeats, over all columns and over a subset:
-    exactly for distinct rows, and to 1e-12 for repeated ones, where the closed
-    form c - 1 meets the rounding of the dense SVD."""
+    """The closed form gives the sort rule's value and the dense Gram formula's on
+    random injective images, over all columns and over a subset.  An image with
+    repeated rows, which the sort rule priced at max(c - 1, 1), is refused by
+    ``from_image``."""
     rng = np.random.default_rng(18)
     seen = {"distinct": 0, "repeats": 0}
     for _ in range(600):
@@ -364,13 +372,17 @@ def test_isometry_defect_matches_the_sort_rule():
             image[rng.random(cols) < 0.2] = -1
         else:
             image = rng.integers(-1, rows, size=cols)
+        live = image[image >= 0]
+        if np.unique(live).size < live.size:
+            seen["repeats"] += 1
+            with pytest.raises(InvalidInput, match="two columns share a row"):
+                WindowedMap.from_image(image, range(cols), range(rows), rows)
+            continue
+        seen["distinct"] += 1
         x = WindowedMap.from_image(image, range(cols), range(rows), rows)
         subset = np.sort(rng.choice(cols, size=int(rng.integers(0, cols + 1)), replace=False))
         for chosen in (slice(None), subset):
-            live = x.image[chosen][x.image[chosen] >= 0]
-            seen["distinct" if np.unique(live).size == live.size else "repeats"] += 1
-            if np.unique(live).size == live.size:
-                assert _isometry_defect(x, chosen) == sorted_isometry_defect(x, chosen)
-            else:
-                assert abs(_isometry_defect(x, chosen) - sorted_isometry_defect(x, chosen)) <= 1e-12
+            got = _isometry_defect(x, chosen)
+            assert got == sorted_isometry_defect(x, chosen)
+            assert abs(got - isometry_defect(matrix(x), chosen)) <= 1e-12
     assert min(seen.values()) > 200

@@ -1,9 +1,9 @@
-"""Coordinate subspaces: cell arrays, the lazy basis and the closed forms.
+"""Coordinate subspaces: cell arrays and the closed forms.
 
-A coordinate ``Subspace`` holds its cells and builds its basis only when
-read.  Every closed form on cells and images is compared with the dense
-formula of ``tests/dense_oracle.py`` run on the basis and matrix of the
-same input.  The memory tests run each catalog construction family at
+A coordinate ``Subspace`` holds its cells and nothing dense.  Every closed
+form on cells and images is compared with the dense formula of
+``tests/dense_oracle.py`` run on the oracle's basis and matrix of the same
+input.  The memory tests run each catalog construction family at
 dimension >= 1024, where one dense n x n complex matrix takes 16 MiB.
 """
 
@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
-from dense_oracle import DenseMap, projector
+from dense_oracle import DenseMap, basis, matrix, projector, spectral_norm
 from isoflow import numlin
 from isoflow.catalog import Scenario, _generator_isometry_entry, run_scenario
 from isoflow.decompose import (_reduction_residual, _unitary_residual, fourfold_decompose,
                                wold_cooper)
 from isoflow.duality import _lift_local, _overlap, _restrict_to
 from isoflow.errors import InternalInconsistency, InvalidInput
-from isoflow.numlin import Subspace, complement, intersect, spectral_norm, subtract
+from isoflow.numlin import Subspace, complement, intersect, subtract
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _pair_residual, bishift_families,
                                 halfline_shift_family)
 from isoflow.spaces import CellGrid1D, QuadrantGrid2D
@@ -34,7 +34,7 @@ DENSE_MATRIX_BYTES = 16 * 2**20  # one 1024 x 1024 complex128 matrix
 
 def dense_reduction_residual(sub: Subspace, elements) -> float:
     """Largest norm of (P M - M P) over the faithful columns of each element M."""
-    p = projector(sub.basis)
+    p = projector(basis(sub))
     worst = 0.0
     for x in elements:
         m = DenseMap.of(x).matrix
@@ -55,11 +55,8 @@ def cell_subspaces(draw, n: int):
 
 @st.composite
 def square_images(draw, n: int):
-    """A square image-backed 0/1 map with random windows; two columns may share a row."""
-    if draw(st.booleans()):
-        targets = draw(st.permutations(range(n)))
-    else:
-        targets = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    """A square image-backed 0/1 map with random windows, injective as from_image demands."""
+    targets = draw(st.permutations(range(n)))
     kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     image = np.where(kept, targets, -1)
     faithful = draw(st.sets(st.integers(0, n - 1), max_size=n))
@@ -68,21 +65,6 @@ def square_images(draw, n: int):
 
 
 # --- representation ---------------------------------------------------------------
-
-def test_cells_subspace_builds_its_basis_only_when_read(monkeypatch):
-    calls = []
-    real = numlin._from_image
-    monkeypatch.setattr(numlin, "_from_image", lambda *args: calls.append(args) or real(*args))
-    a = Subspace.from_cells(6, [4, 1, 3])
-    b = Subspace.full(6)
-    for got in (a, b, intersect(a, b), complement(a), subtract(b, a)):
-        assert got.gap(b) in (0.0, 1.0) and got.dim in (0, 2, 3, 6)
-    assert calls == []
-    basis = a.basis
-    assert len(calls) == 1
-    assert np.array_equal(basis, real(np.array([1, 3, 4]), 6))
-    assert a.basis is basis and len(calls) == 1
-
 
 def test_cells_are_validated_as_a_strictly_increasing_index_array():
     for bad in ([2, 1], [1, 1], [-1, 2], [0, 6], [[0, 1]], [0.5, 1.7], np.array([0.0, 2.0])):
@@ -134,7 +116,7 @@ def test_gap_of_cell_sets_matches_dense_formula(data):
     b = Subspace.from_cells(n, a.cells) if same else data.draw(cell_subspaces(n))
     got = a.gap(b)
     assert got == (0.0 if np.array_equal(a.cells, b.cells) else 1.0)
-    assert abs(got - dense.residual_norm(projector(a.basis), projector(b.basis))) <= 1e-12
+    assert abs(got - dense.residual_norm(projector(basis(a)), projector(basis(b)))) <= 1e-12
 
 
 @SETTINGS
@@ -144,7 +126,7 @@ def test_overlap_of_cell_sets_matches_dense_formula(data):
     a, b = data.draw(cell_subspaces(n)), data.draw(cell_subspaces(n))
     got = _overlap(a, b)
     assert got == float(bool(set(a.cells.tolist()) & set(b.cells.tolist())))
-    assert abs(got - spectral_norm(projector(a.basis) @ projector(b.basis))) <= 1e-12
+    assert abs(got - spectral_norm(projector(basis(a)) @ projector(basis(b)))) <= 1e-12
 
 
 @SETTINGS
@@ -159,12 +141,13 @@ def test_reduction_residual_matches_dense_formula(data):
 
 
 def test_reduction_residual_of_columns_sharing_a_row():
-    """Three columns leave the cells onto one row: residual sqrt(3)."""
+    """Three columns onto one row are no partial permutation, so no map has them:
+    the unit columns of PV - VP lie on distinct rows, and the residual is 0 or 1."""
+    with pytest.raises(InvalidInput, match="two columns share a row"):
+        WindowedMap.from_image([3, 3, 3, -1], range(4), range(4))
     sub = Subspace.from_cells(4, [0, 1, 2])
-    x = WindowedMap.from_image([3, 3, 3, -1], range(4), range(4))
-    got = _reduction_residual(sub, [x])
-    assert got == np.sqrt(3)
-    assert abs(got - dense_reduction_residual(sub, [x])) <= 1e-12
+    x = WindowedMap.from_image([3, 2, 1, -1], range(4), range(4))  # only column 0 leaves
+    assert _reduction_residual(sub, [x]) == 1.0 == dense_reduction_residual(sub, [x])
 
 
 @SETTINGS
@@ -176,21 +159,17 @@ def test_unitary_residual_matches_dense_formula(data):
     got = _unitary_residual(part, generator)
     assert abs(got - dense_unitary_residual(part, generator)) <= 1e-12
     local = numlin._positions(part.cells, n)[generator.image[part.cells]]
-    live = local[local >= 0]
-    if len(set(live.tolist())) == live.size:  # injective: exact 0 or 1, no matrix
-        assert got == (0.0 if live.size == part.dim else 1.0)
+    assert got == (0.0 if (local >= 0).all() else 1.0)  # exact 0 or 1, no matrix
 
 
 def test_unitary_residual_cases():
     cycle = WindowedMap.from_image([1, 2, 0, 3], range(4), range(4))
     shift = WindowedMap.from_image([1, 2, 3, -1], range(4), range(4))
-    fold = WindowedMap.from_image([1, 1, 1, 0], range(4), range(4))
     part = Subspace.from_cells(4, [0, 1, 2])
     assert _unitary_residual(part, cycle) == 0.0  # permutes the cells
     assert _unitary_residual(part, shift) == 1.0  # injective, not onto
-    folded = _unitary_residual(part, fold)  # three cells onto one: J - I has norm 2
-    assert folded == 2.0
-    assert abs(folded - dense_unitary_residual(part, fold)) <= 1e-12
+    with pytest.raises(InvalidInput, match="two columns share a row"):
+        WindowedMap.from_image([1, 1, 1, 0], range(4), range(4))  # three cells onto one
 
 
 @SETTINGS
@@ -202,27 +181,29 @@ def test_generator_isometry_entry_matches_dense_formula(data):
     if not cols.size:
         assert (got.residual, got.dims, got.passed, got.note) == (0.0, (0,), False, "empty window")
         return
-    want = dense.isometry_defect(x.matrix, cols)
+    want = dense.isometry_defect(matrix(x), cols)
     assert abs(got.residual - want) <= 1e-12
     assert (got.dims, got.passed) == ((cols.size,), want == 0.0)
 
 
 def test_pair_residual_witness_builds_only_the_differing_columns(monkeypatch):
-    """One column sent to two different rows: residual sqrt(2) from a 2 x 1 block."""
-    import isoflow.semigroups as semigroups
-
+    """Two columns swapped: a 2-cycle on two rows, whose difference has norm 2, and
+    one column moved to a row that no column hits: a path of two rows, norm sqrt(2).
+    Both come in closed form from the differing columns, with no factorization."""
+    monkeypatch.setattr(np.linalg, "svd", None)
     n = 1024
     x = WindowedMap.from_image(np.arange(n), range(n), range(n))
-    image = np.arange(n)
-    image[5] = 7
-    y = WindowedMap.from_image(image, range(n), range(n))
-    shapes = []
-    real = semigroups.spectral_norm
-    monkeypatch.setattr(semigroups, "spectral_norm",
-                        lambda m: shapes.append(np.shape(m)) or real(m))
-    got, count = _pair_residual(x, y)
-    assert count == n and shapes == [(2, 1)]
-    assert abs(got - np.sqrt(2)) <= 1e-12
+    swapped = np.arange(n)
+    swapped[[5, 7]] = 7, 5
+    got, count = _pair_residual(x, WindowedMap.from_image(swapped, range(n), range(n)))
+    assert (got, count) == (2.0, n)
+    free = np.arange(n)
+    free[n - 1] = -1  # row n - 1 is hit by no column
+    moved = free.copy()
+    moved[5] = n - 1
+    got, count = _pair_residual(WindowedMap.from_image(free, range(n), range(n)),
+                                WindowedMap.from_image(moved, range(n), range(n)))
+    assert (got, count) == (float(np.sqrt(2.0)), n)
 
 
 # --- no dense n x n matrix at dimension 1024 -------------------------------------------
@@ -268,3 +249,17 @@ def test_catalog_runs_stay_below_one_dense_matrix(construction, params):
     report, peak = traced_peak(lambda: run_scenario(Scenario("s", construction, params)))
     assert report.overall
     assert peak < DENSE_MATRIX_BYTES
+
+
+def test_modified_bishift_witness_is_exactly_one_in_closed_form():
+    """The adjoint-commutator witness of modified_bishift at its default T = 2 reads
+    exactly 1.0 for m = 2, 4, ..., 64.  At m = 64 it compares two m^2 x m^2 blocks,
+    which as dense complex matrices and an SVD took 4096^2 * 16 B = 256 MiB each."""
+    for m in (2, 4, 8, 16, 32):
+        (witness,) = (e for e in run_scenario(Scenario("w", "modified_bishift", {"m": m})).entries
+                      if e.check_id == "adjoint_commutator_witness")
+        assert witness.residual == 1.0 and witness.passed
+    report, peak = traced_peak(lambda: run_scenario(Scenario("w", "modified_bishift", {"m": 64})))
+    (witness,) = (e for e in report.entries if e.check_id == "adjoint_commutator_witness")
+    assert report.overall and witness.residual == 1.0
+    assert peak < 32 * 2**20
