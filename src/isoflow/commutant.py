@@ -70,8 +70,9 @@ _BLOCK_ENTRIES = 32768  # equations per block of _exact_commutant, one constrain
 def _exact_commutant(ops, n: int) -> np.ndarray:
     """Entry classes of {B : [B, M] = 0 on the given columns, for every op}.
 
-    Each op is ``(image, columns)`` with ``image`` the image array of a
-    0/1 partial permutation on C^n.  Entry (i, k) of B has vec index
+    Each op is ``(image, columns)``: the image array of a 0/1 partial
+    permutation on C^n as the solvers build it, unchecked here, and the
+    constrained columns.  Entry (i, k) of B has vec index
     i + k*n; index n*n is the zero sentinel.  The result is the read-only
     n x n ``int64`` array that labels each entry with its class, numbered
     by smallest vec index, or -1 where the entry is forced to zero.  A
@@ -81,23 +82,11 @@ def _exact_commutant(ops, n: int) -> np.ndarray:
     """
     zero = n * n
     _check_budget(zero + 1, 8, f"a commutant on n = {n}")  # its entry labels
-    images, columns = [], []
-    for image, cols in ops:
-        image = np.asarray(image)
-        cols = np.asarray(sorted(cols), dtype=np.int64)
-        if (image.shape != (n,) or image.dtype.kind not in "iu" or (image < -1).any()
-                or (image >= n).any()):
-            raise InvalidInput("operator is not a 0/1 partial permutation")
-        if cols.size and not (0 <= cols[0] and cols[-1] < n):
-            raise InvalidInput("constrained column outside the space")
-        images.append(image)
-        columns.append(cols)
-    images = np.array(images, dtype=np.int64).reshape(len(ops), n)
+    images = np.array([image for image, _ in ops], dtype=np.int64).reshape(len(ops), n)
     owner, live = np.nonzero(images >= 0)
     preimages = np.full(images.shape, -1, dtype=np.int64)
     preimages[owner, images[owner, live]] = live
-    if np.count_nonzero(preimages >= 0) != live.size:  # two columns of one op onto one row
-        raise InvalidInput("operator is not a 0/1 partial permutation")
+    columns = [np.asarray(cols, dtype=np.int64) for _, cols in ops]
     owner = np.repeat(np.arange(len(ops)), [cols.size for cols in columns])
     columns = np.concatenate([np.zeros(0, dtype=np.int64), *columns])
     rows = np.arange(n)
@@ -209,10 +198,7 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
     for t in samples:
         time = Fraction(t)
         a = normal_family.at_time(time)
-        live = a.image >= 0
-        rows = np.zeros(a.codomain_dim, dtype=bool)
-        rows[a.image[live]] = True
-        if not np.array_equal(rows, live):
+        if not np.array_equal(a.adjoint().image >= 0, a.image >= 0):
             raise PreconditionFailed(f"element at t={time} is not normal")
         v = shift_family.at_time(time)
         got = _commutator_residual(a, v)

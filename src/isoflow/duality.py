@@ -44,13 +44,13 @@ import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import Subspace, _positions, subtract
+from .numlin import Subspace, _positions, intersect, subtract
 from .decompose import (CommutationReport, _fourfold, _product_unitary_part,
                         _reduction_residual, _step_verdict, fourfold_decompose,
                         product_unitary_part)
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
-                         _compress, _isometry_defect, _mask, _pair_residual, direct_sum,
+                         _compress, _isometry_defect, _pair_residual, direct_sum,
                          modified_bishift_pair)
 from .spaces import LRegionIndex
 
@@ -181,17 +181,15 @@ def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace, max_orbit: in
     three parts filtered against the mask of cells outside the span, and
     the span's cells are read off that mask once, at the end.  Each cell
     enters a frontier once and goes through U2 and U2* at most once, so
-    all radii together move at most 4n cells.  Memory is the two inverse
+    all radii together move at most 4n cells.  Memory is the two adjoint
     images, two masks and the parts: on ``l_region_setup(8, 16)``
-    (n = 65,536) the ``tracemalloc`` peak above live memory is 3.9 x 8n
+    (n = 65,536) the ``tracemalloc`` peak above live memory is 4.0 x 8n
     bytes.
     """
     if max_orbit < 1:
         raise InvalidInput("max_orbit must be >= 1")
     n = start.ambient
-    (f1, b1), (f2, b2) = moves = [(u.image, np.empty(n, dtype=np.int64)) for u in (u1, u2)]
-    for forward, backward in moves:
-        backward[forward] = np.arange(n)  # the inverse image, by one scatter
+    (f1, b1), (f2, b2) = [(u.image, u.adjoint().image) for u in (u1, u2)]
     unmoved = np.ones(n, dtype=bool)  # False once a cell has gone through U2 and U2*
     outside = np.ones(n, dtype=bool)  # False on the span
     outside[start.cells] = False
@@ -232,15 +230,6 @@ def _restrict_to(host: Subspace, part: Subspace) -> Subspace:
     return Subspace._derived(host.dim, at)
 
 
-def _overlap(a: Subspace, b: Subspace) -> float:
-    """Spectral norm of P_A P_B.
-
-    P_A P_B is the coordinate projector of the cells the two share: 1.0
-    when they meet, 0.0 when they do not.
-    """
-    return float(np.intersect1d(a.cells, b.cells, assume_unique=True).size > 0)
-
-
 # ---------------------------------------------------------------------------
 # dual pair operations
 
@@ -250,24 +239,21 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int) -> DualResult:
 
     Reports the invariance defect of the complement under each adjoint
     unitary, restricted to faithful columns (the complement is invariant
-    for the adjoints; a nonzero value flags window pollution), read on
-    the images.  Each adjoint is built, read and compressed before the
-    next, so only one is held at a time.
+    for the adjoints; a nonzero value flags window pollution): 1.0 when
+    ``_compress`` unmarks a faithful column, as it does where the image
+    leaves the cells.  Only one adjoint is held at a time.
     """
     extension = minimal_extension(setup, max_orbit)
     if not extension.stabilized:
         raise PreconditionFailed(f"orbit span did not stabilize within radius {max_orbit}")
     wth = subtract(extension.span, setup.h)
-    inside = np.append(_mask(wth.cells, setup.ambient_dim), True)  # a zero column stays zero
     residuals, compressed = [], []
     for u in (setup.u1, setup.u2):  # one adjoint at a time, dropped once compressed
         adj = u.adjoint()
-        cols = wth.cells[adj.faithful_mask[wth.cells]]
-        rows = adj.image[cols] if cols.size else cols
-        # (I - P) keeps the unit columns that leave the cells, each on its own row
-        residuals.append(1.0 if (~inside[rows]).any() else 0.0)
-        compressed.append(_compress(adj, wth))
-        del adj, cols, rows
+        part = _compress(adj, wth)
+        residuals.append(float((adj.faithful_mask[wth.cells] & ~part.faithful_mask).any()))
+        compressed.append(part)
+        del adj
     g1, g2 = compressed
     pair = PairOfSemigroups(
         SemigroupFamily(g1, f"{setup.label}:dual1", setup.cells_per_unit),
@@ -335,10 +321,9 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
                    recovered_gap == 0.0),
     ]
     recovered = second_dual.pair
-    same_cells = np.array_equal(second_dual.wth.cells, setup.h.cells)
     for axis, (rec, orig) in enumerate(((recovered.first, original.first),
                                         (recovered.second, original.second)), start=1):
-        if same_cells:
+        if recovered_gap == 0.0:
             got = _pair_residual(rec.generator, orig.generator)
             if got is None:
                 raise WindowTooSmall(f"no column of axis {axis} is faithful for both "
@@ -412,7 +397,8 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: Commu
             raise WindowTooSmall("lifted orbit span did not stabilize")
         hats.append(lift.span)
         parts_ambient.append(subtract(lift.span, tilde_ambient))
-    ortho = max(_overlap(a, b) for a, b in combinations(hats, 2))
+    # the norm of P_A P_B, the projector onto the cells the two share
+    ortho = max(float(intersect(a, b).dim > 0) for a, b in combinations(hats, 2))
     locals_ = [_restrict_to(setup.h, part) for part in parts_ambient]
     h_m, h_pu, h_up = locals_
     gens = [pair.first.generator, pair.second.generator]

@@ -12,7 +12,8 @@ no tolerance.  Nothing here builds a dense matrix or factors one.
 ``_components`` finds the classes of a set of equations x_a = x_b by
 hook-and-shortcut; the commutant solvers and the closed-form difference
 norm of ``semigroups._image_residual`` both use it.  ``_check_budget``
-prices an array quadratic in the dimension before it is allocated.
+prices an array quadratic in the dimension before it is allocated, and
+``_check_cells`` an ambient before its first index array.
 
 Zero-dimensional subspaces are ordinary values throughout, never errors.
 """
@@ -42,6 +43,11 @@ def _check_budget(entries: int, itemsize: int, what: str) -> None:
     need = entries * itemsize
     if need > _BUDGET:
         raise InvalidInput(f"{what} needs {need:,} bytes, over the budget of {_BUDGET:,}")
+
+
+def _check_cells(cells: int) -> None:
+    """``_check_budget`` for an ambient of ``cells`` cells, one ``int64`` index each."""
+    _check_budget(cells, 8, f"an ambient of {cells:,} cells")
 
 
 def _index_array(values) -> np.ndarray:

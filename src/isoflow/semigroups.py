@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import Subspace, _components, _distinct, _index_array, _positions
+from .numlin import Subspace, _check_cells, _components, _distinct, _index_array, _positions
 from .report import CheckEntry, Report
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
@@ -92,15 +92,10 @@ def grid_steps(t, cells_per_unit: int) -> int:
     return int(steps)
 
 
-def _mask(window, n: int) -> np.ndarray:
-    """Boolean mask of length n that is True on ``window``.
-
-    A boolean mask is returned as it is; an index array is spread.
-    """
-    if window.dtype == bool:
-        return window
+def _mask(cells: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of length n that is True at the index array ``cells``."""
     mask = np.zeros(n, dtype=bool)
-    mask[window] = True
+    mask[cells] = True
     return mask
 
 
@@ -123,8 +118,7 @@ def _window(window, n: int, outside: str) -> np.ndarray:
             raise InvalidInput("a window must be a boolean mask or 1-D integer indices")
         if window.size and not 0 <= window.min() <= window.max() < n:
             raise InvalidInput(outside)
-        mask = np.zeros(n, dtype=bool)
-        mask[window] = True
+        mask = _mask(window, n)
     mask.flags.writeable = False
     return mask
 
@@ -626,6 +620,7 @@ def _circulant_image(n: int, k: int) -> np.ndarray:
     """Image of the cyclic shift by k on C^n."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
+    _check_cells(n)
     return (np.arange(n) + k) % n
 
 
@@ -643,6 +638,7 @@ def direct_sum(*parts: WindowedMap) -> WindowedMap:
     if not parts:
         raise InvalidInput("direct_sum needs at least one part")
     row0 = np.cumsum([0] + [p.codomain_dim for p in parts]).tolist()
+    _check_cells(max(row0[-1], sum(p.domain_dim for p in parts)))
     faithful = np.concatenate([p.faithful_mask for p in parts])
     adj_faithful = np.concatenate([p.adj_faithful_mask for p in parts])
     image = np.concatenate([np.where(p.image >= 0, p.image + row0[k], -1)
@@ -667,6 +663,7 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
             return k * n + i
     else:
         raise InvalidInput(f"side must be 'left' or 'right', got {side!r}")
+    _check_cells(fiber * max(part.shape))
     n_dom, n_cod = part.domain_dim, part.codomain_dim
     k = np.arange(fiber)
 

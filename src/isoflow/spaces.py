@@ -22,6 +22,7 @@ For the two-sided constructions the torus has ``n = 2*m*T`` cells per
 axis and axis index ``k`` represents the physical cell ``k - m*T`` of the
 window [-T, T); cyclic translations are then exactly unitary and the
 wrap-affected cells are excluded from faithful sets by the callers.
+Each layout prices its ambient with ``numlin._check_cells`` first.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
+from .numlin import _check_cells
 
 __all__ = [
     "CellGrid1D",
@@ -57,6 +59,7 @@ class CellGrid1D:
 
     def __post_init__(self) -> None:
         _require_positive(m=self.m, T=self.T, r=self.r)
+        _check_cells(self.dim)
 
     @property
     def cells(self) -> int:
@@ -84,6 +87,7 @@ class HardyCoeffSpace:
         _require_positive(m=self.m, r=self.r)
         if int(self.d) != self.d or self.d < 0:
             raise InvalidInput(f"top degree must be a nonnegative integer, got {self.d!r}")
+        _check_cells(self.dim)
 
     @property
     def block(self) -> int:
@@ -110,6 +114,7 @@ class QuadrantGrid2D:
 
     def __post_init__(self) -> None:
         _require_positive(m=self.m, T=self.T, r=self.r)
+        _check_cells(self.dim)
 
     @property
     def side(self) -> int:
@@ -134,6 +139,7 @@ class TorusGrid2D:
 
     def __post_init__(self) -> None:
         _require_positive(n=self.n, r=self.r)
+        _check_cells(self.dim)
 
     @property
     def dim(self) -> int:

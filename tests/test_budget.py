@@ -1,13 +1,16 @@
-"""One allocation guard for every array quadratic in the dimension.
+"""One allocation guard for every array quadratic in the dimension, and for ambients.
 
 ``numlin._check_budget`` prices an array as entries x bytes against
 ``numlin._BUDGET`` (256 MiB) and raises InvalidInput before numpy
-allocates it.  The one such array left in the package is the n x n entry
-labels of ``_exact_commutant``, one ``int64`` per entry of B and one for
-the zero sentinel; nothing else builds a dense matrix.  Nothing here
-allocates an array over the budget: each case is priced by the
-estimator, refused before anything of its size exists, or the budget is
-lowered on a small scenario.
+allocates it.  The one quadratic array left in the package is the n x n
+entry labels of ``_exact_commutant``, one ``int64`` per entry of B and one
+for the zero sentinel; nothing else builds a dense matrix.  Every ambient
+is priced too, one ``int64`` per cell (``numlin._check_cells``), by the
+grid layouts of ``spaces``, ``_circulant_image``, ``tensor_with_identity``
+and ``direct_sum``.  Nothing here allocates an array over the budget:
+each case is priced by the estimator, refused before anything of its size
+exists (a request of at least 2^63 cells, which numpy would refuse at
+once anyway), or the budget is lowered on a small scenario.
 """
 
 import tracemalloc
@@ -19,6 +22,8 @@ from isoflow.cli import main
 from isoflow.commutant import commutant_of_partial_isometries
 from isoflow.errors import InvalidInput
 from isoflow.numlin import _check_budget
+from isoflow.semigroups import WindowedMap, _circulant_image, direct_sum, tensor_with_identity
+from isoflow.spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 
 
 def test_the_estimator_prices_entries_times_bytes():
@@ -54,3 +59,51 @@ def test_an_oversized_request_exits_two_naming_its_scenario(monkeypatch, tmp_pat
     assert capsys.readouterr().err == (
         "isoflow: error: [labels] a commutant on n = 8 needs 520 bytes, "
         "over the budget of 512\n")
+
+
+def test_a_request_of_2_63_cells_exits_two_naming_its_scenario(tmp_path, capsys):
+    """bishift m = T = 10^6 asks for a quadrant of 10^24 cells; numpy refused its first
+    array with a ValueError and a traceback (exit 1), and the grid now prices it first."""
+    config = tmp_path / "huge.cfg"
+    config.write_text("[huge]\nconstruction = bishift\nm = 1000000\nT = 1000000\n")
+    assert 10**24 >= 2**63
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "isoflow: error: [huge] an ambient of 1,000,000,000,000,000,000,000,000 cells needs "
+        "8,000,000,000,000,000,000,000,000 bytes, over the budget of 268,435,456\n")
+
+
+def test_a_lowered_budget_refuses_a_small_ambient(monkeypatch, tmp_path, capsys):
+    """With the budget at 32 bytes, the 8 cells of halfline_shift m=1 T=8 are refused
+    by the grid, before any array of it exists."""
+    monkeypatch.setattr(numlin, "_BUDGET", 32)
+    config = tmp_path / "cells.cfg"
+    config.write_text("[cells]\nconstruction = halfline_shift\nm = 1\nT = 8\n")
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "isoflow: error: [cells] an ambient of 8 cells needs 64 bytes, over the budget of 32\n")
+
+
+def test_every_ambient_guard_prices_one_int64_per_cell(monkeypatch):
+    """Each guard point refuses an ambient of 8 cells under a budget of 7 cells and
+    admits one of 4 cells."""
+    part = WindowedMap.identity(4)
+    monkeypatch.setattr(numlin, "_BUDGET", 7 * 8)
+    oversized = [lambda: CellGrid1D(2, 4), lambda: HardyCoeffSpace(1, 4),
+                 lambda: QuadrantGrid2D(1, 3), lambda: TorusGrid2D(2, 2),
+                 lambda: _circulant_image(8, 1), lambda: tensor_with_identity(part, 2),
+                 lambda: direct_sum(part, part)]
+    for build in oversized:
+        with pytest.raises(InvalidInput, match=r"^an ambient of (8|9) cells needs"):
+            build()
+    CellGrid1D(1, 4), HardyCoeffSpace(1, 2), TorusGrid2D(2), _circulant_image(4, 1)
+    tensor_with_identity(part, 1), direct_sum(part)
+
+
+def test_the_largest_documented_ambient_is_admitted():
+    """dual_example m=64 T=32 lives on a torus of 4096^2 = 16,777,216 cells,
+    134,217,728 bytes of int64; three fibers would take 402,653,184."""
+    assert LRegionIndex(64, 32).parent.dim == 16_777_216
+    with pytest.raises(InvalidInput, match=r"^an ambient of 50,331,648 cells needs "
+                                           r"402,653,184 bytes"):
+        LRegionIndex(64, 32, 3)

@@ -12,7 +12,7 @@ import pytest
 
 import isoflow
 from isoflow import __version__
-from isoflow.catalog import CATALOG, Scenario, check_scenario, list_catalog, run_scenario
+from isoflow.catalog import CATALOG, Scenario, list_catalog, run_scenario
 from isoflow.cli import load_scenarios, main
 from isoflow.errors import InvalidInput, IsoflowError
 from isoflow.report import render_reports
@@ -81,19 +81,17 @@ def test_no_public_function_takes_tol():
     assert checked >= 11
 
 
-def test_tolerances_validation():
-    """The three tolerance keys are checked strictly inside (0, 1) and echoed;
-    no verdict reads them."""
-    with pytest.raises(InvalidInput, match=r"^tolerance rank_rel must lie strictly in "
-                                           r"\(0, 1\), got 0\.0$"):
-        check_scenario(Scenario("s", "bcl", {"rank_rel": "0"}))
-    with pytest.raises(InvalidInput, match=r"^tolerance angle must lie strictly in "
-                                           r"\(0, 1\), got 1\.5$"):
-        check_scenario(Scenario("s", "bcl", {"angle": "1.5"}))
-    with pytest.raises(InvalidInput, match=r"^parameter resid_abs must be a real number$"):
-        check_scenario(Scenario("s", "bcl", {"resid_abs": "tiny"}))
-    report = run_scenario(Scenario("s", "halfline_shift", {"resid_abs": "0.5"}))
-    assert ("resid_abs", "0.5") in report.params and report.overall
+@pytest.mark.parametrize("key", ["rank_rel", "resid_abs", "angle"])
+def test_former_tolerance_keys_are_unknown_parameters(key, tmp_path, capsys):
+    """No verdict reads a tolerance, so the three former tolerance keys are not
+    parameters: a config that sets one exits 2 before any scenario runs, while
+    every report still echoes them with fixed values."""
+    config = tmp_path / "tol.cfg"
+    config.write_text(f"[s]\nconstruction = halfline_shift\n{key} = 1e-10\n")
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err == f"isoflow: error: [s] unknown parameter {key}\n"
+    report = run_scenario(Scenario("s", "halfline_shift", {}))
+    assert {k: v for k, v in report.params if k in FIXED_ECHO} == FIXED_ECHO
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
@@ -129,7 +127,7 @@ def test_reports_are_deterministic():
     assert runs[0] == runs[1]
 
 
-# the parameters each construction echoes when a scenario gives none, tolerances aside
+# the parameters each construction echoes when a scenario gives none, fixed echoes aside
 DEFAULT_ECHO = {
     "halfline_shift": {"m": "1", "T": "8", "r": "1", "K": "10", "samples": "1,2,3"},
     "bishift": {"m": "2", "T": "2", "r": "1", "K": "6", "samples": "1/2,1"},
@@ -145,18 +143,19 @@ DEFAULT_ECHO = {
     "simultaneous": {"variant": "mixed", "m": "1", "T": "2", "p": "3", "K": "6",
                      "max_orbit": "8"},
 }
-TOLERANCE_ECHO = {"rank_rel": "1e-10", "resid_abs": "1e-10", "angle": "0.99999999"}
+# echoed by every report; no check reads them
+FIXED_ECHO = {"rank_rel": "1e-10", "resid_abs": "1e-10", "angle": "0.99999999"}
 
 
 def echoed(construction, params):
     report = run_scenario(Scenario("s", construction, params))
-    return {key: value for key, value in report.params if key not in TOLERANCE_ECHO}
+    return {key: value for key, value in report.params if key not in FIXED_ECHO}
 
 
 @pytest.mark.parametrize("construction", sorted(DEFAULT_ECHO))
 def test_default_parameters_are_echoed(construction):
     report = run_scenario(Scenario(construction, construction, {}))
-    assert dict(report.params) == {**DEFAULT_ECHO[construction], **TOLERANCE_ECHO}
+    assert dict(report.params) == {**DEFAULT_ECHO[construction], **FIXED_ECHO}
     assert report.overall
 
 

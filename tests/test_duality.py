@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import basis, matrix, projector, residual_norm
 from isoflow import duality
@@ -111,6 +113,35 @@ def test_dual_generators_isometric_on_window():
         cols = sorted(fam.generator.faithful)
         block = matrix(fam.generator)[:, cols]
         assert np.array_equal(block.conj().T @ block, np.eye(len(cols)))
+
+
+def dense_invariance_residual(u: WindowedMap, wth: Subspace) -> float:
+    """Norm of (I - P) U* P on the faithful columns of U*, P the projector onto wth."""
+    p = projector(basis(wth))
+    cols = wth.cells[u.adj_faithful_mask[wth.cells]]  # U*'s window is U's adjoint window
+    return residual_norm((matrix(u).conj().T @ p)[:, cols], (p @ matrix(u).conj().T @ p)[:, cols])
+
+
+@pytest.mark.parametrize("setup, cells, want", [
+    (circulant_pair_setup(4, 1), [0], (1.0, 0.0)),  # U1* moves cell 1 onto H = {0}
+    (circulant_pair_setup(3, 3), [0, 4], (1.0, 1.0)),
+    (halfline_circulant_setup(1, 2, 2), None, (0.0, 0.0)),
+    (halfline_circulant_setup(1, 2, 2, unitary_first=True), None, (0.0, 0.0)),
+])
+def test_dual_invariance_residual_reads_only_faithful_columns(setup, cells, want):
+    """The residual is 1.0 when an adjoint moves a faithful column of the dual space
+    out of it.  In the half-line setups the adjoint shift wraps the bottom cells of
+    the dual space into H, but those columns are unfaithful, so they read 0.0."""
+    if cells is not None:
+        setup = replace(setup, h=Subspace.from_cells(setup.ambient_dim, cells))
+    dual = dual_pair(setup, 16)
+    assert dual.invariance_residuals == want
+    for u, got in zip((setup.u1, setup.u2), want):
+        assert dense_invariance_residual(u, dual.wth) == got
+    if cells is None:  # some column does leave, unfaithfully
+        adj = (setup.u2 if "circulant_x" in setup.label else setup.u1).adjoint()
+        leaving = dual.wth.cells[~np.isin(adj.image[dual.wth.cells], dual.wth.cells)]
+        assert leaving.size and not adj.faithful_mask[leaving].any()
 
 
 def test_dual_of_full_space_is_empty():
@@ -236,6 +267,72 @@ def test_dual_fourfold_rejects_non_ddc():
     # the dual of the bishift setup is the modified pair: not doubly commuting
     with pytest.raises(PreconditionFailed):
         dual_fourfold(bishift_setup(1, 2), 6, 8)
+
+
+def dual_block(kind: int, m: int, T: int, a: int, b: int) -> tuple[ExtensionSetup, int]:
+    """One block of the dual split on the time grid 1/m, with the dim it adds to its
+    corner: the L-region (whose dual is the bishift) to h_m, shift (x) rotation to
+    h_pu, rotation (x) shift to h_up, and two rotations to h_uu."""
+    if kind == 0:
+        return l_region_setup(m, T), 3 * (m * T) ** 2
+    if kind == 3:
+        return circulant_pair_setup(a, b, cells_per_unit=m), a * b
+    return halfline_circulant_setup(m, T, a, unitary_first=kind == 2), m * T * a
+
+
+# T starts at 2: at m = T = 1 the L-region pair and the half-line shift have no
+# faithful column at the step time, so a lone such block has nothing to classify
+DUAL_BLOCKS = st.tuples(st.integers(1, 2), st.lists(
+    st.tuples(st.integers(0, 3), st.integers(2, 3), st.integers(1, 3), st.integers(1, 3)),
+    min_size=1, max_size=4))
+
+
+def dual_block_sum(m, blocks):
+    """The direct sum of the blocks, its expected dual fourfold dims, and K and max_orbit
+    as the catalog derives them from the largest T."""
+    setups, expected = [], [0, 0, 0, 0]  # h_m, h_pu, h_up, h_uu
+    for kind, *sizes in blocks:
+        setup, dim = dual_block(kind, m, *sizes)
+        setups.append(setup)
+        expected[kind] += dim
+    top = m * max(T for _, T, _, _ in blocks)
+    return setup_direct_sum(*setups), tuple(expected), 2 * top + 2, 4 * top
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(DUAL_BLOCKS)
+def test_dual_fourfold_of_random_setup_sums_returns_the_summed_block_dims(case):
+    """The dual counterpart of Slocinski's split: a pair whose dual is doubly
+    commuting splits into the part whose dual is a bishift, two mixed parts and a
+    unitary part.  Direct sums of one to four model blocks, in any order and of
+    independent sizes, must split into the summed dims, 3(mT)^2, mT p, mT p and
+    n1 n2 per block, as the four_block_ddc scenario expects, with no residual."""
+    setup, expected, max_steps, max_orbit = dual_block_sum(*case)
+    result = dual_fourfold(setup, max_steps, max_orbit)
+    assert result.dims == expected
+    assert result.tilde_dims[3] == 0
+    assert (result.orthogonality_residual, result.reduction_residual) == (0.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(DUAL_BLOCKS, st.integers(2, 3))
+def test_a_bishift_block_flips_only_the_dual_verdict(case, T):
+    """Every model block has a doubly commuting dual, and the pair is doubly
+    commuting unless an L-region block is present.  The bishift setup is doubly
+    commuting with a dual that is not (the modified bishift), so adding it to the
+    sum flips the dual verdict and keeps the primal one."""
+    setup, _, max_steps, max_orbit = dual_block_sum(*case)
+    m, blocks = case
+    with_bishift = setup_direct_sum(setup, bishift_setup(m, T))
+    max_steps, max_orbit = max(max_steps, 2 * m * T + 2), max(max_orbit, 4 * m * T)
+    verdicts = []
+    for s in (setup, with_bishift):
+        flags = {e.check_id: e for e in simultaneous_dc_ddc_classify(s, max_steps,
+                                                                     max_orbit).entries}
+        assert "dual" not in flags  # the orbit span stabilized
+        verdicts.append((flags["doubly_commuting"].dims, flags["dual_doubly_commuting"].dims))
+    dc = (int(all(kind != 0 for kind, *_ in blocks)),)
+    assert verdicts == [(dc, (1,)), (dc, (0,))]
 
 
 # --- model check and joint classification --------------------------------------------

@@ -169,7 +169,7 @@ def test_orbit_span_memory_is_linear_in_the_ambient():
 def test_orbit_span_peak_stays_at_a_few_ambient_arrays():
     """n = 65,536 at radius 64: each moved part of the frontier is kept by a membership
     test, so the peak above live memory is the two inverse images, two masks, the
-    parts and the result, 3.9 x 8n bytes; concatenating the frontier three and then
+    parts and the result, 4.0 x 8n bytes; concatenating the frontier three and then
     nine times before deduplicating it peaked at 15.6 x 8n."""
     setup = l_region_setup(8, 16)
     n = setup.ambient_dim
@@ -184,8 +184,8 @@ def test_orbit_span_peak_stays_at_a_few_ambient_arrays():
 
 
 def test_dual_pair_holds_one_adjoint_at_a_time():
-    """n = 65,536: each adjoint is built, read for its invariance defect, compressed
-    and dropped before the next, so the peak above live memory is 4.7 x 8n bytes;
+    """n = 65,536: each adjoint is built, compressed, read for its invariance defect
+    and dropped before the next, so the peak above live memory is 4.6 x 8n bytes;
     holding both adjoints through both compressions peaked at 5.7 x 8n."""
     setup = l_region_setup(8, 16)
     n = setup.ambient_dim

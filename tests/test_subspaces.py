@@ -20,7 +20,7 @@ from isoflow import numlin
 from isoflow.catalog import Scenario, _generator_isometry_entry, run_scenario
 from isoflow.decompose import (_reduction_residual, _unitary_residual, fourfold_decompose,
                                wold_cooper)
-from isoflow.duality import _lift_local, _overlap, _restrict_to
+from isoflow.duality import _lift_local, _restrict_to
 from isoflow.errors import InternalInconsistency, InvalidInput
 from isoflow.numlin import Subspace, complement, intersect, subtract
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _pair_residual, bishift_families,
@@ -124,9 +124,13 @@ def test_gap_of_cell_sets_matches_dense_formula(data):
 def test_overlap_of_cell_sets_matches_dense_formula(data):
     n = data.draw(st.integers(1, 8))
     a, b = data.draw(cell_subspaces(n)), data.draw(cell_subspaces(n))
-    got = _overlap(a, b)
-    assert got == float(bool(set(a.cells.tolist()) & set(b.cells.tolist())))
-    assert abs(got - spectral_norm(projector(basis(a)) @ projector(basis(b)))) <= 1e-12
+    common = intersect(a, b)
+    assert common.cells.tolist() == sorted(set(a.cells.tolist()) & set(b.cells.tolist()))
+    # P_A P_B is the projector onto the shared cells, so the orthogonality residual of
+    # dual_fourfold, 1.0 when the cells meet and 0.0 when they do not, is its norm
+    product = projector(basis(a)) @ projector(basis(b))
+    assert np.array_equal(projector(basis(common)), product)
+    assert abs(float(common.dim > 0) - spectral_norm(product)) <= 1e-12
 
 
 @SETTINGS
