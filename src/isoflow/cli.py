@@ -1,5 +1,14 @@
 """Command line entry point: batch scenario runner and catalog listing.
 
+A config file is read in one pass over its lines (``load_scenarios``):
+blank lines and full-line ``#`` or ``;`` comments are skipped, ``[name]``
+opens a scenario, and inside one ``key = value`` is split at the first
+``=``, both sides stripped and the key's case kept.  Any other line, a
+duplicate section or key, an indented line and a byte that is not UTF-8
+stop the run with one ``cannot parse config file '<path>': line N: ...``
+line.  ``:`` delimiters, continuation lines and ``[DEFAULT]`` inheritance
+are not part of the format; a ``[DEFAULT]`` section is an ordinary one.
+
 Exit codes: 0 when every scenario passes, 1 when some check fails, 2 on
 usage or configuration errors.  Output is deterministic; the
 ISOFLOW_SEED environment variable is read nowhere because nothing here
@@ -9,7 +18,6 @@ is randomized.
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 
 from . import __version__
@@ -20,23 +28,62 @@ from .report import render_reports
 __all__ = ["main", "load_scenarios"]
 
 
+def _read_sections(path: str) -> dict[str, dict[str, str]]:
+    """The sections of a config file in order, each a dict of its keys in order.
+
+    The grammar and its errors are those of the module docstring.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        raise IsoflowError(f"cannot read config file {path!r}") from None
+    sections: dict[str, dict[str, str]] = {}
+    params = None
+    # bytes.splitlines breaks at \n, \r\n and \r, as a file read in text mode does
+    for number, raw in enumerate(data.splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            problem = "a byte that is not UTF-8"
+        else:
+            text = line.strip()
+            if not text or text[0] in "#;":
+                continue
+            if line[0].isspace():
+                problem = f"indented line {text!r}; continuation lines are not supported"
+            elif text[0] == "[":
+                name = text[1:-1]
+                if text[-1] != "]" or not name:
+                    problem = f"malformed section header {text!r}"
+                elif name in sections:
+                    problem = f"duplicate section [{name}]"
+                else:
+                    params = sections[name] = {}
+                    continue
+            elif params is None:
+                problem = f"{text!r} before the first [section]"
+            else:
+                key, equals, value = text.partition("=")
+                key = key.rstrip()
+                if not equals or not key:
+                    problem = f"expected 'key = value', got {text!r}"
+                elif key in params:
+                    problem = f"duplicate key {key!r} in [{name}]"
+                else:
+                    params[key] = value.lstrip()
+                    continue
+        raise IsoflowError(f"cannot parse config file {path!r}: line {number}: {problem}")
+    return sections
+
+
 def load_scenarios(path: str) -> list[Scenario]:
-    """Parse a line-oriented config: one [section] per scenario.
+    """Read a config file, one [section] per scenario.
 
     Every scenario is checked against the catalog before any of them runs.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keep key case
-    try:
-        loaded = parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:  # e.g. a duplicate section or key
-        raise IsoflowError(f"cannot parse config file {path!r}: {' '.join(str(exc).split())}") \
-            from exc
-    if not loaded:
-        raise IsoflowError(f"cannot read config file {path!r}")
     scenarios = []
-    for section in parser.sections():
-        params = dict(parser.items(section))
+    for section, params in _read_sections(path).items():
         construction = params.pop("construction", None)
         if construction is None:
             raise IsoflowError(f"scenario [{section}] does not name a construction")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .decompose import _commutator_residual
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import _check_budget, _components
+from .numlin import _check_budget, _components, _index_array
 from .report import CheckEntry, Report
 from .semigroups import SemigroupFamily, _cut_shift_images, _forward_image, _held_residual
 
@@ -67,27 +67,34 @@ class CommutantBasis:
 _BLOCK_ENTRIES = 32768  # equations per block of _exact_commutant, one constrained column at least
 
 
-def _exact_commutant(ops, n: int) -> np.ndarray:
+def _check_system(maps: int, n: int) -> None:
+    """Raise InvalidInput, before any array of it exists, when a solve on C^n
+    against ``maps`` operators would exceed ``numlin._BUDGET``: first its
+    int64 entry labels, one per entry of B and one for the zero sentinel,
+    then its (maps, n) ``int64`` images (their preimages take as much)."""
+    _check_budget(n * n + 1, 8, f"a commutant on n = {n}")
+    _check_budget(maps * n, 8, f"a commutant system of {maps} maps on n = {n}")
+
+
+def _exact_commutant(images: np.ndarray, columns) -> np.ndarray:
     """Entry classes of {B : [B, M] = 0 on the given columns, for every op}.
 
-    Each op is ``(image, columns)``: the image array of a 0/1 partial
-    permutation on C^n as the solvers build it, unchecked here, and the
-    constrained columns.  Entry (i, k) of B has vec index
-    i + k*n; index n*n is the zero sentinel.  The result is the read-only
-    n x n ``int64`` array that labels each entry with its class, numbered
-    by smallest vec index, or -1 where the entry is forced to zero.  A
-    space whose int64 labels, one per entry of B and one for the zero
-    sentinel, would exceed ``numlin._BUDGET`` bytes raises InvalidInput
-    before anything of that size is allocated.
+    Row s of the (k, n) ``int64`` array ``images`` is the image array of a
+    0/1 partial permutation on C^n as the solvers build it, unchecked here,
+    and ``columns[s]`` its constrained columns.  The solvers price both with
+    ``_check_system`` first.  Entry (i, k) of B has vec index i + k*n; index
+    n*n is the zero sentinel.  The result is the read-only n x n ``int64``
+    array that labels each entry with its class, numbered by smallest vec
+    index, or -1 where the entry is forced to zero.
     """
+    n = images.shape[1]
     zero = n * n
-    _check_budget(zero + 1, 8, f"a commutant on n = {n}")  # its entry labels
-    images = np.array([image for image, _ in ops], dtype=np.int64).reshape(len(ops), n)
-    owner, live = np.nonzero(images >= 0)
-    preimages = np.full(images.shape, -1, dtype=np.int64)
-    preimages[owner, images[owner, live]] = live
-    columns = [np.asarray(cols, dtype=np.int64) for _, cols in ops]
-    owner = np.repeat(np.arange(len(ops)), [cols.size for cols in columns])
+    preimages = np.full((len(images), n + 1), -1, dtype=np.int64)
+    # a zero column (-1) lands in the extra last slot, which is dropped
+    preimages[np.arange(len(images))[:, None], images] = np.arange(n)
+    preimages = preimages[:, :n]
+    columns = [_index_array(cols) for cols in columns]
+    owner = np.repeat(np.arange(len(columns)), [cols.size for cols in columns])
     columns = np.concatenate([np.zeros(0, dtype=np.int64), *columns])
     rows = np.arange(n)
     step = max(1, _BLOCK_ENTRIES // n)
@@ -146,8 +153,9 @@ def commutant_of_partial_isometries(m: int, r: int) -> CommutantBasis:
     if r < 1:
         raise InvalidInput("fiber dimension must be >= 1")
     n = m * r
-    ops = [(image, range(n)) for j in range(1, m) for image in _cut_shift_images(m, j, r)]
-    return _fiber_form(_exact_commutant(ops, n), m)
+    _check_system(2 * (m - 1), n)
+    images = _cut_shift_images(m, np.arange(1, m), r)
+    return _fiber_form(_exact_commutant(images, [range(n)] * len(images)), m)
 
 
 def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
@@ -163,10 +171,9 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
     if r < 1:
         raise InvalidInput("fiber dimension must be >= 1")
     n = (d + 1) * r
-    mz = _forward_image(n, r)  # degree block b -> b + 1
-    mz_adj = np.arange(n) - r
-    mz_adj[:r] = -1
-    return _fiber_form(_exact_commutant([(mz, range(n - r)), (mz_adj, range(r, n))], n), d + 1)
+    _check_system(2, n)
+    images = _forward_image(n, [r, -r])  # degree block b -> b + 1, and its adjoint
+    return _fiber_form(_exact_commutant(images, [range(n - r), range(r, n)]), d + 1)
 
 
 def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: SemigroupFamily,

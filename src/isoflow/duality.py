@@ -497,20 +497,24 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
 def _torus_unitary(region: LRegionIndex, axis: int, forward: bool) -> WindowedMap:
     """Cyclic translation by one cell along ``axis`` of the region's parent torus.
 
-    Image and windows come from one array, the axis coordinate k of each
-    flat index (k1 * n + k2) * r + rho.  A cell is faithful when its
-    translate does not wrap, so forward k < n - 1 and backward k >= 1; the
-    adjoint window is the one of the opposite direction.
+    The flat index (k1 * n + k2) * r + rho is viewed as (outer, k, inner)
+    with k the axis coordinate, so the image is built in place: every cell
+    moves by one axis stride and the cells whose translate wraps, k = n - 1
+    forward and k = 0 backward, move back by n strides.  Those are the
+    unfaithful columns; the adjoint window is the one of the opposite
+    direction.
     """
     n, r = region.parent.n, region.r
     stride = n * r if axis == 0 else r
-    cells = np.arange(region.parent.dim)
-    k = cells // stride % n
-    step = 1 if forward else -1
-    below_top, above_bottom = k < n - 1, k >= 1
-    return WindowedMap.from_image(cells + ((k + step) % n - k) * stride,
-                                  below_top if forward else above_bottom,
-                                  above_bottom if forward else below_top)
+    step, wrap = (1, -1) if forward else (-1, 0)
+    image = np.arange(region.parent.dim).reshape(-1, n, stride)
+    image += step * stride
+    image[:, wrap] -= step * n * stride
+    faithful, adj_faithful = np.ones((2, *image.shape), dtype=bool)
+    faithful[:, wrap] = False
+    adj_faithful[:, -1 - wrap] = False  # the wrapping cells of the opposite direction
+    return WindowedMap.from_image(image.reshape(-1), faithful.reshape(-1),
+                                  adj_faithful.reshape(-1))
 
 
 def l_region_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:

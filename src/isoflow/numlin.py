@@ -51,10 +51,13 @@ def _check_cells(cells: int) -> None:
 
 
 def _index_array(values) -> np.ndarray:
-    """An array as it is; any other iterable read entry by entry with
-    ``operator.index``, so that a float raises InvalidInput, not truncated."""
+    """An array as it is, a range as its ``arange``; any other iterable read
+    entry by entry with ``operator.index``, so that a float raises
+    InvalidInput, not truncated."""
     if isinstance(values, np.ndarray):
         return values
+    if isinstance(values, range):  # a range holds only ints
+        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
     try:
         return np.fromiter(map(operator.index, values), dtype=np.int64)
     except TypeError:

@@ -312,10 +312,9 @@ class WindowedMap:
         image = image.astype(np.int64, copy=False).view()
         image.flags.writeable = False
         _check_image(image, self.shape[0])
-        live = image[image >= 0]
-        hit = np.zeros(self.shape[0], dtype=bool)
-        hit[live] = True
-        if np.count_nonzero(hit) != live.size:
+        hit = np.zeros(self.shape[0] + 1, dtype=bool)
+        hit[image] = True  # a zero column (-1) lands in the extra last slot
+        if np.count_nonzero(hit[:-1]) != image.size - np.count_nonzero(image < 0):
             raise InvalidInput("two columns share a row: not a partial permutation")
         self.image = image
         rows, cols = self.shape
@@ -471,7 +470,8 @@ def _forward_image(dim: int, offset) -> np.ndarray:
     An array of offsets gives one row per offset.
     """
     target = np.arange(dim) + np.asarray(offset)[..., None]
-    return np.where(target < dim, target, -1)
+    target[(target < 0) | (target >= dim)] = -1
+    return target
 
 
 def _halfline_rows(grid: CellGrid1D, steps: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -506,21 +506,22 @@ def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
     return SemigroupFamily(gen, f"halfline_shift[m={grid.m},T={grid.T},r={grid.r}]", grid.m)
 
 
-def _cut_shift_images(m: int, j: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _cut_shift_images(m: int, j, r: int) -> np.ndarray:
     """Image arrays of the cut-shift pair E0, E1 on the m-cell interval with fiber r.
 
     E0 moves cell k to cell k+j and annihilates the top j cells; E1 wraps
     the top j cells around to the bottom.  Both are genuine partial
     isometries (the zeros are true operator behavior, not truncation), and
-    E0 E0* + E1 E1* = E0* E0 + E1* E1 = I exactly.
+    E0 E0* + E1 E1* = E0* E0 + E1* E1 = I exactly.  The result has rows E0
+    and E1; an array of shifts gives those two rows for each shift in turn,
+    built by one broadcast.
     """
     if m < 1 or r < 1:
         raise InvalidInput("m and r must be >= 1")
-    if not 0 <= j < m:
+    j = np.asarray(j)
+    if ((j < 0) | (j >= m)).any():
         raise InvalidShift(f"shift {j} outside [0, {m})")
-    e0 = _forward_image(m * r, j * r)
-    e1 = np.where(e0 < 0, np.arange(m * r) + (j - m) * r, -1)  # the top j cells wrap
-    return e0, e1
+    return _forward_image(m * r, np.stack([j * r, (j - m) * r], axis=-1).ravel())
 
 
 def _phi_rows(d: int, m: int, r: int, steps: list[int]) -> tuple[np.ndarray, np.ndarray]:

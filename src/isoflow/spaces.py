@@ -179,8 +179,9 @@ class LRegionIndex:
     def _cells(self, in_quadrant: bool) -> np.ndarray:
         """The parent coordinates inside (or outside) the removed quadrant."""
         n = self.parent.n
-        k1, k2, _ = np.unravel_index(np.arange(self.parent.dim), (n, n, self.r))
-        cells = np.flatnonzero(((k1 >= self.half) & (k2 >= self.half)) == in_quadrant)
+        quadrant = np.zeros((n, n, self.r), dtype=bool)
+        quadrant[self.half:, self.half:] = True
+        cells = np.flatnonzero(quadrant == in_quadrant)
         cells.flags.writeable = False
         return cells
 

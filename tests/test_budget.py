@@ -4,7 +4,9 @@
 ``numlin._BUDGET`` (256 MiB) and raises InvalidInput before numpy
 allocates it.  The one quadratic array left in the package is the n x n
 entry labels of ``_exact_commutant``, one ``int64`` per entry of B and one
-for the zero sentinel; nothing else builds a dense matrix.  Every ambient
+for the zero sentinel; nothing else builds a dense matrix.  The commutant
+solvers price those labels first, then the (maps, n) ``int64`` system of
+stacked operator images, which at r = 1 is larger than the labels.  Every ambient
 is priced too, one ``int64`` per cell (``numlin._check_cells``), by the
 grid layouts of ``spaces``, ``_circulant_image``, ``tensor_with_identity``
 and ``direct_sum``.  Nothing here allocates an array over the budget:
@@ -59,6 +61,28 @@ def test_an_oversized_request_exits_two_naming_its_scenario(monkeypatch, tmp_pat
     assert capsys.readouterr().err == (
         "isoflow: error: [labels] a commutant on n = 8 needs 520 bytes, "
         "over the budget of 512\n")
+
+
+def test_the_commutant_system_is_priced_before_it_is_built(monkeypatch, tmp_path, capsys):
+    """commutant_e m=40 r=1 solves on n = 40 against the 78 cut-shift pieces
+    of the shifts 1..39: its labels take 12,808 bytes and its stacked images
+    24,960.  Under a budget of 20,000 bytes the labels fit and the system is
+    refused, before any array of its size exists."""
+    monkeypatch.setattr(numlin, "_BUDGET", 20_000)
+    message = ("a commutant system of 78 maps on n = 40 needs 24,960 bytes, "
+               "over the budget of 20,000")
+    config = tmp_path / "system.cfg"
+    config.write_text("[system]\nconstruction = commutant_e\nm = 40\nr = 1\n")
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err == f"isoflow: error: [system] {message}\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            commutant_of_partial_isometries(40, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000
 
 
 def test_a_request_of_2_63_cells_exits_two_naming_its_scenario(tmp_path, capsys):

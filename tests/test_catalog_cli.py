@@ -9,9 +9,10 @@ import subprocess
 import sys
 
 import pytest
+from config_oracle import read_config
 
 import isoflow
-from isoflow import __version__
+from isoflow import __version__, cli
 from isoflow.catalog import CATALOG, Scenario, list_catalog, run_scenario
 from isoflow.cli import load_scenarios, main
 from isoflow.errors import InvalidInput, IsoflowError
@@ -58,6 +59,46 @@ def test_config_loading(tmp_path):
     bad.write_text("[demo]\nT = 4\n")
     with pytest.raises(IsoflowError):
         load_scenarios(str(bad))
+
+
+HAND_CONFIGS = {
+    "comments_and_blanks": "# a comment\n; another\n\n[a]\n  # indented comment\n"
+                           "construction = bcl\n\n\nT = 4\n; trailing comment\n",
+    "mixed_case_keys": "[Mixed]\nconstruction = halfline_shift\nT = 2\nm = 1\n",
+    "padded_equals": "[p]\nconstruction=bishift\nm   =   2\nT\t= 4 \n"
+                     "samples =1/2,  1\n",
+    "slash_and_comma": "[s]\nconstruction = bcl\nsamples = 1/4, 1/2,3/4\n"
+                       "[t]\nconstruction = dual_example\nvariant = a=b/c,d\n",
+    "crlf_and_empty_value": "[c]\r\nconstruction = bcl\r\nnote =\r\n",
+}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_bundled_configs_read_as_configparser_reads_them(path):
+    loaded = load_scenarios(str(path))
+    assert [(s.name, s.construction, s.params) for s in loaded] == read_config(path)
+
+
+@pytest.mark.parametrize("text", HAND_CONFIGS.values(), ids=HAND_CONFIGS)
+def test_hand_configs_read_as_configparser_reads_them(monkeypatch, tmp_path, text):
+    """The one-pass reader returns configparser's (name, construction, params)
+    list, in order; the catalog check is stubbed so that any key reaches it."""
+    path = tmp_path / "hand.cfg"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(cli, "check_scenario", lambda scenario: None)
+    loaded = load_scenarios(str(path))
+    assert [(s.name, s.construction, s.params) for s in loaded] == read_config(path)
+
+
+def test_default_is_an_ordinary_section(tmp_path):
+    """[DEFAULT] lends its keys to no other section; it is a scenario like any other."""
+    path = tmp_path / "default.cfg"
+    path.write_text("[DEFAULT]\nconstruction = bcl\n\n[a]\nconstruction = bcl\nT = 4\n")
+    assert [(s.name, s.params) for s in load_scenarios(str(path))] == \
+        [("DEFAULT", {}), ("a", {"T": "4"})]
+    path.write_text("[DEFAULT]\nT = 4\n\n[a]\nconstruction = bcl\n")
+    with pytest.raises(IsoflowError, match=r"^scenario \[DEFAULT\] does not name a construction$"):
+        load_scenarios(str(path))
 
 
 def test_cli_has_no_tol_flag(capsys):
@@ -297,23 +338,28 @@ def test_cli_bad_value_rejected_before_any_scenario_runs(tmp_path, bad, message)
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("text", [
-    b"[a]\nconstruction = bcl\n\n[a]\nconstruction = bcl\n",
-    b"[a]\nconstruction = bcl\nT = 2\nT = 3\n",
-    b"construction = bcl\n",
-    b"[a]\nconstruction = bcl\nT = \xff\n",
-], ids=["duplicate_section", "duplicate_key", "no_section_header", "not_utf8"])
-def test_cli_malformed_config_exits_two(tmp_path, text):
+@pytest.mark.parametrize("text,line", [
+    (b"[a]\nconstruction = bcl\n\n[a]\nconstruction = bcl\n", 4),
+    (b"[a]\nconstruction = bcl\nT = 2\nT = 3\n", 4),
+    (b"construction = bcl\n", 1),
+    (b"[a]\nconstruction = bcl\nT = \xff\n", 3),
+    (b"[a]\nconstruction = bcl\nT 2\n", 3),
+    (b"[a]\nconstruction = bcl\nT: 2\n", 3),
+    (b"[a]\nconstruction = bcl\nsamples = 1/2,\n  1\n", 4),
+], ids=["duplicate_section", "duplicate_key", "no_section_header", "not_utf8", "no_equals",
+        "colon_delimiter", "continuation_line"])
+def test_cli_malformed_config_exits_two(tmp_path, text, line):
     config = tmp_path / "malformed.cfg"
     config.write_bytes(text)
-    with pytest.raises(IsoflowError, match="malformed.cfg"):
+    prefix = f"cannot parse config file {str(config)!r}: line {line}: "
+    with pytest.raises(IsoflowError, match="^" + re.escape(prefix)):
         load_scenarios(str(config))
     proc = run_cli("run", str(config))
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"isoflow: error: cannot parse config file {str(config)!r}: ")
+    assert lines[0].startswith(f"isoflow: error: {prefix}")
 
 
 def test_cli_unwritable_out_exits_two(tmp_path):

@@ -248,6 +248,12 @@ def test_fiber_form_other_verdict():
 
 # --- exact solver on arbitrary partial permutations --------------------------------------
 
+def exact_commutant(ops, n):
+    """``_exact_commutant`` on a list of (image, constrained columns) pairs on C^n."""
+    images = np.array([image for image, _ in ops], dtype=np.int64).reshape(len(ops), n)
+    return _exact_commutant(images, [columns for _, columns in ops])
+
+
 @st.composite
 def partial_permutation_ops(draw):
     """A space size n <= 6 and 1-3 ops (image array, constrained columns)."""
@@ -276,7 +282,7 @@ def test_exact_commutant_matches_svd_oracle_on_partial_permutations(case):
     dense = [(dense_of(image), cols) for image, cols in ops]
     for (image, _), (mat, _) in zip(ops, dense):
         assert np.array_equal(from_image(image), mat)
-    labels = _exact_commutant(ops, n)
+    labels = exact_commutant(ops, n)
     assert labels.shape == (n, n) and labels.dtype == np.int64 and not labels.flags.writeable
     dim = int(labels.max(initial=-1)) + 1
     assert set(range(dim)) <= set(labels.ravel().tolist()) <= set(range(-1, dim))
@@ -354,7 +360,7 @@ def test_exact_commutant_matches_union_find_oracle():
     rng = np.random.default_rng(16)
     systems = EDGE_SYSTEMS + [random_system(rng) for _ in range(400)]
     for n, ops in systems:
-        assert np.array_equal(_exact_commutant(ops, n), union_find_commutant(ops, n))
+        assert np.array_equal(exact_commutant(ops, n), union_find_commutant(ops, n))
 
 
 @pytest.mark.parametrize("solve,args", [(commutant_of_partial_isometries, (7, 2)),
@@ -369,9 +375,9 @@ def test_catalog_commutants_match_union_find_oracle(monkeypatch, solve, args):
     an integer image in [-1, n) with no two columns on one row."""
     systems = []
 
-    def recording(ops, n):
-        systems.append((ops, n))
-        return _exact_commutant(ops, n)
+    def recording(images, columns):
+        systems.append((list(zip(images, columns)), images.shape[1]))
+        return _exact_commutant(images, columns)
 
     monkeypatch.setattr(commutant, "_exact_commutant", recording)
     labels = solve(*args).labels

@@ -199,6 +199,25 @@ def test_dual_pair_holds_one_adjoint_at_a_time():
     assert peak < 5.3 * 8 * n
 
 
+@pytest.mark.parametrize("axis,forward", [(0, True), (0, False), (1, True), (1, False)])
+def test_torus_unitary_builds_its_image_in_place(axis, forward):
+    """n = 65,536: the image is shifted in place and its wrapping cells corrected
+    once, and ``from_image`` tests injectivity by a scatter into a mask, so the
+    peak is 1.5 x 8n bytes: the image, its two masks and two boolean scratch
+    arrays.  Building the axis coordinate and the shift as full int64
+    temporaries peaked at 4.4 x 8n."""
+    region = LRegionIndex(8, 16)
+    n = region.parent.dim
+    tracemalloc.start()
+    try:
+        u = duality._torus_unitary(region, axis, forward)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.shape == (n, n) and np.count_nonzero(u.faithful_mask) == n - n // region.parent.n
+    assert peak < 2 * 8 * n
+
+
 # --- relabeling invariance on the dual side ---------------------------------------
 
 def _relabel_map(u: WindowedMap, pi: np.ndarray, inverse: np.ndarray) -> WindowedMap:

@@ -24,7 +24,7 @@ from isoflow.commutant import CommutantBasis
 from isoflow.decompose import wold_cooper
 from isoflow.errors import DimensionMismatch, InternalInconsistency, InvalidInput
 from isoflow.numlin import Subspace
-from isoflow.semigroups import WindowedMap, _pair_residual, halfline_shift_family
+from isoflow.semigroups import WindowedMap, _pair_residual, _window, halfline_shift_family
 from isoflow.spaces import CellGrid1D
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,6 +124,19 @@ def test_window_forms_give_equal_maps():
         assert np.array_equal(x.faithful_mask, mask)
         assert np.array_equal(x.adj_faithful_mask, np.ones(4, dtype=bool))
         assert _pair_residual(x, maps[0]) == (0.0, 3)
+
+
+@pytest.mark.parametrize("window", [range(1, 10, 3), range(9, 0, -4), range(5, 5), range(0),
+                                    range(10)], ids=str)
+def test_a_range_window_is_the_mask_of_its_list(window):
+    """A range is read by ``arange``, not cell by cell, to the same mask."""
+    assert np.array_equal(_window(window, 10, "outside"), _window(list(window), 10, "outside"))
+
+
+@pytest.mark.parametrize("window", [range(1, 11, 3), range(-1, 3)], ids=str)
+def test_a_range_window_outside_the_domain_is_refused(window):
+    with pytest.raises(InvalidInput, match="^outside$"):
+        _window(window, 10, "outside")
 
 
 def test_pair_residual_on_different_domains():
