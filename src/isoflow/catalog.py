@@ -17,8 +17,8 @@ import numpy as np
 
 from . import duality
 from .commutant import commutant_of_partial_isometries, doubly_commutant_of_mz
-from .decompose import (_fourfold, _product_unitary_part, _step_verdict, bcl_check,
-                        classify_pair, wold_cooper)
+from .decompose import (bcl_check, classify_pair, fourfold_decompose, product_unitary_part,
+                        wold_cooper)
 from .errors import InternalInconsistency, InvalidInput
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, _image_residual, _isometry_defect,
@@ -93,11 +93,10 @@ def _run_bishift(m, T, r, K, samples):
                               verdict.double_comm_residual == 0.0))
     entries.append(CheckEntry("classified", 0.0, (), verdict.classified == "doubly_commuting",
                               verdict.classified))
-    step = _step_verdict(pair)  # both splits read the one step-time verdict
-    split = _fourfold(pair, K, step)
+    split = fourfold_decompose(pair, K)  # both splits read the pair's one step_verdict
     entries.append(CheckEntry("fourfold_dims", split.reduction_residual, split.dims,
                               split.dims == (pair.dim, 0, 0, 0)))
-    product = _product_unitary_part(pair, K, step)
+    product = product_unitary_part(pair, K)
     entries.append(CheckEntry("product_unitary_dim", product.reduction_residual,
                               (product.subspace.dim,),
                               product.subspace.dim == 0 and product.stabilized))
@@ -135,10 +134,10 @@ def _four_block_dc_pair(shift_T: int, circ: int):
 
 def _run_four_block_dc(T, circ, K):
     pair, expected = _four_block_dc_pair(T, circ)
-    verdict = _step_verdict(pair)  # time 1, the step of both families
+    verdict = pair.step_verdict  # time 1, the step of both families
     entries = [CheckEntry("classified", verdict.double_comm_residual, (),
                           verdict.classified == "doubly_commuting", verdict.classified)]
-    split = _fourfold(pair, K, verdict)
+    split = fourfold_decompose(pair, K)
     entries.append(CheckEntry("fourfold_dims", 0.0, split.dims, split.dims == expected,
                               f"expected {expected}"))
     entries.append(CheckEntry("reduction_residual", split.reduction_residual, (),

@@ -30,11 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decompose import _commutator_residual
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import _check_budget, _components, _index_array
+from .numlin import _check_budget, _components
 from .report import CheckEntry, Report
-from .semigroups import SemigroupFamily, _cut_shift_images, _forward_image, _held_residual
+from .semigroups import (SemigroupFamily, _commutator_residual, _cut_shift_images,
+                         _forward_image, _held_residual)
 
 __all__ = [
     "CommutantBasis",
@@ -76,16 +76,22 @@ def _check_system(maps: int, n: int) -> None:
     _check_budget(maps * n, 8, f"a commutant system of {maps} maps on n = {n}")
 
 
-def _exact_commutant(images: np.ndarray, columns) -> np.ndarray:
+def _exact_commutant(images: np.ndarray, lo, hi) -> np.ndarray:
     """Entry classes of {B : [B, M] = 0 on the given columns, for every op}.
 
     Row s of the (k, n) ``int64`` array ``images`` is the image array of a
     0/1 partial permutation on C^n as the solvers build it, unchecked here,
-    and ``columns[s]`` its constrained columns.  The solvers price both with
-    ``_check_system`` first.  Entry (i, k) of B has vec index i + k*n; index
-    n*n is the zero sentinel.  The result is the read-only n x n ``int64``
-    array that labels each entry with its class, numbered by smallest vec
-    index, or -1 where the entry is forced to zero.
+    constrained on its columns lo[s] <= j < hi[s].  The solvers price the
+    system with ``_check_system`` first.  Entry (i, k) of B has vec index
+    i + k*n; index n*n is the zero sentinel.  The result is the read-only
+    n x n ``int64`` array that labels each entry with its class, numbered
+    by smallest vec index, or -1 where the entry is forced to zero.
+
+    The constrained (op, column) pairs are numbered op by op, and a block
+    is a run of those numbers, which may span ops: each number finds its
+    op by a search over the ends of the ranges, and its column by its
+    offset in that op's range.  Only the preimages are as large as the
+    system.
     """
     n = images.shape[1]
     zero = n * n
@@ -93,20 +99,23 @@ def _exact_commutant(images: np.ndarray, columns) -> np.ndarray:
     # a zero column (-1) lands in the extra last slot, which is dropped
     preimages[np.arange(len(images))[:, None], images] = np.arange(n)
     preimages = preimages[:, :n]
-    columns = [_index_array(cols) for cols in columns]
-    owner = np.repeat(np.arange(len(columns)), [cols.size for cols in columns])
-    columns = np.concatenate([np.zeros(0, dtype=np.int64), *columns])
+    hi = np.asarray(hi, dtype=np.int64)
+    ends = np.cumsum(hi - np.asarray(lo, dtype=np.int64))  # one past the last number of each op
+    total = int(ends[-1]) if ends.size else 0
+    shift = hi - ends  # op s numbers column j as j - shift[s]
     rows = np.arange(n)
     step = max(1, _BLOCK_ENTRIES // n)
 
     def blocks():
-        for start in range(0, columns.size, step):
-            part = slice(start, start + step)
-            target = images[owner[part], columns[part], None]
-            preimage = preimages[owner[part]]
+        for start in range(0, total, step):
+            number = np.arange(start, min(start + step, total))
+            owner = np.searchsorted(ends, number, side="right")
+            column = number + shift[owner]
+            target = images[owner, column, None]
+            preimage = preimages[owner]
             # B[i, pi(j)] = B[pi^-1(i), j] for every row i and constrained column j
             yield (np.where(target >= 0, rows + target * n, zero),
-                   np.where(preimage >= 0, preimage + columns[part, None] * n, zero))
+                   np.where(preimage >= 0, preimage + column[:, None] * n, zero))
 
     lab, _ = _components(blocks(), zero + 1)
     roots, forced = lab[:zero], lab[zero]
@@ -155,7 +164,7 @@ def commutant_of_partial_isometries(m: int, r: int) -> CommutantBasis:
     n = m * r
     _check_system(2 * (m - 1), n)
     images = _cut_shift_images(m, np.arange(1, m), r)
-    return _fiber_form(_exact_commutant(images, [range(n)] * len(images)), m)
+    return _fiber_form(_exact_commutant(images, [0] * len(images), [n] * len(images)), m)
 
 
 def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
@@ -173,7 +182,7 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
     n = (d + 1) * r
     _check_system(2, n)
     images = _forward_image(n, [r, -r])  # degree block b -> b + 1, and its adjoint
-    return _fiber_form(_exact_commutant(images, [range(n - r), range(r, n)]), d + 1)
+    return _fiber_form(_exact_commutant(images, [0, r], [n - r, n]), d + 1)
 
 
 def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: SemigroupFamily,

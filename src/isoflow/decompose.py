@@ -10,12 +10,14 @@ forming a power.  The stabilization certificate is always reported,
 never assumed: a window can be too small to resolve the unitary part, in
 which case the result carries ``stabilized=False``.
 
-On top of the single-family split sit the pair-level operations:
-commutation classification, the fourfold split of a doubly commuting
-pair, the unitary part of the product family, and the exact
-identification of the half-line translation with its coefficient-space
-multiplier model.  Compressions, isometry tests and conjugations come
-from ``semigroups``.
+On top of the single-family split sit the pair-level operations: the
+fourfold split of a doubly commuting pair, the unitary part of the
+product family, and the exact identification of the half-line
+translation with its coefficient-space multiplier model.  The two splits
+check their preconditions against the pair's ``step_verdict``, so a pair
+is classified at its step once whichever split reads it first.
+Commutation classification (``classify_pair``), compressions, isometry
+tests and conjugations come from ``semigroups``.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ import numpy as np
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
 from .numlin import Subspace, _positions, complement, intersect
 from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _check_image,
-                         _gather, _halfline_rows, _held_residual, _image_isometry_defect,
-                         _isometry_defect, _mask, _pair_residual, _phi_rows, grid_steps,
-                         halfline_shift, phi_multiplier)
+from .semigroups import (CommutationReport, PairOfSemigroups, SemigroupFamily, WindowedMap,
+                         _check_image, _halfline_rows, _image_isometry_defect,
+                         _isometry_defect, _mask, _pair_residual, _phi_rows, classify_pair,
+                         grid_steps, halfline_shift, phi_multiplier)
 from .spaces import CellGrid1D
 
 __all__ = [
@@ -55,13 +57,6 @@ class WoldResult:
     stabilized: bool
     steps_used: int
     unitary_residual: float
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    comm_residual: float
-    double_comm_residual: float
-    classified: str  # "doubly_commuting" | "commuting" | "neither"
 
 
 @dataclass(frozen=True)
@@ -167,54 +162,6 @@ def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
                       _unitary_residual(part, family.generator))
 
 
-def _commutator_residual(a: WindowedMap, b: WindowedMap) -> tuple[float, int] | None:
-    """``_pair_residual(a.compose(b), b.compose(a))`` for square maps on one space.
-
-    The images and faithful masks that ``_gather`` gives are compared by
-    ``_held_residual``, without building either product.
-    """
-    return _held_residual(_gather(a, b), _gather(b, a))
-
-
-def classify_pair(pair: PairOfSemigroups, samples) -> CommutationReport:
-    """Classify a pair as commuting / doubly commuting / neither.
-
-    Residuals are maxima over all ordered sample pairs (t for the first
-    family, s for the second), restricted to the composed faithful sets.
-    The commutators [V1_t, V2_s] and [V1_t, V2_s*] come from
-    ``_commutator_residual``, which builds no product; V2_s and its
-    adjoint are built once per s.  The pair commutes when the first
-    maximum is exactly 0, and doubly commutes when both are.
-    """
-    times = list(samples)
-    if not times:
-        raise InvalidInput("no sample times given")
-    seconds = [(b, b.adjoint()) for b in map(pair.second.at_time, times)]
-    comm = 0.0
-    double = 0.0
-    usable_comm = usable_double = 0
-    for t in times:
-        a = pair.first.at_time(t)
-        for b, b_adj in seconds:
-            got = _commutator_residual(a, b)
-            if got is not None:
-                comm = max(comm, got[0])
-                usable_comm += 1
-            got = _commutator_residual(a, b_adj)
-            if got is not None:
-                double = max(double, got[0])
-                usable_double += 1
-    if not usable_comm or not usable_double:
-        raise WindowTooSmall("no sample pair leaves a nonempty faithful intersection")
-    if comm == 0.0 and double == 0.0:
-        classified = "doubly_commuting"
-    elif comm == 0.0:
-        classified = "commuting"
-    else:
-        classified = "neither"
-    return CommutationReport(comm, double, classified)
-
-
 def _reduction_residual(subspace: Subspace, elements) -> float:
     """Max commutation residual of the projector with the given elements.
 
@@ -234,24 +181,16 @@ def _reduction_residual(subspace: Subspace, elements) -> float:
     return 0.0
 
 
-def _step_verdict(pair: PairOfSemigroups) -> CommutationReport:
-    """``classify_pair`` at the one step time 1 / cells_per_unit of the pair."""
-    return classify_pair(pair, [Fraction(1, pair.cells_per_unit)])
-
-
 def fourfold_decompose(pair: PairOfSemigroups, max_steps: int) -> FourfoldResult:
     """Fourfold split of a doubly commuting pair by crossing the two splits.
 
     Each corner is the intersection of one part of each family's split;
     the reduction residuals cannot be nonzero for a genuinely doubly
     commuting pair, so they are reported as window-pollution detectors.
+    Raises PreconditionFailed unless the pair's ``step_verdict`` is
+    doubly commuting.
     """
-    return _fourfold(pair, max_steps, _step_verdict(pair))
-
-
-def _fourfold(pair: PairOfSemigroups, max_steps: int,
-              verdict: CommutationReport) -> FourfoldResult:
-    """``fourfold_decompose`` given the step-time verdict of the pair."""
+    verdict = pair.step_verdict
     if verdict.classified != "doubly_commuting":
         raise PreconditionFailed(
             f"pair classifies as {verdict.classified}, needs doubly_commuting")
@@ -372,15 +311,10 @@ def product_unitary_part(pair: PairOfSemigroups, max_steps: int) -> ProductWoldR
     """Unitary part of the product family t -> V1_t V2_t of a commuting pair.
 
     The result is checked to reduce both factors; the residuals are folded
-    into ``reduction_residual``.
+    into ``reduction_residual``.  Raises PreconditionFailed unless the
+    pair's ``step_verdict`` commutes.
     """
-    return _product_unitary_part(pair, max_steps, _step_verdict(pair))
-
-
-def _product_unitary_part(pair: PairOfSemigroups, max_steps: int,
-                          verdict: CommutationReport) -> ProductWoldResult:
-    """``product_unitary_part`` given the step-time verdict of the pair."""
-    if verdict.comm_residual > 0.0:
+    if pair.step_verdict.comm_residual > 0.0:
         raise PreconditionFailed("product family of a non-commuting pair is not a semigroup")
     generator = pair.first.generator.compose(pair.second.generator)
     product = SemigroupFamily(generator, label="product", cells_per_unit=pair.cells_per_unit)

@@ -22,12 +22,14 @@ quantifies over real parameters; the certificate here covers the integer
 box only, and that distinction is always reported (the ``stabilized``
 flag), never hidden.
 
-Each value is computed once per scenario: the joint classification hands
-its compressed pair, its step-time verdicts and its dual on to the
-fourfold splits through private helpers.  Setups derived from a checked
-one (the adjoint setup of ``double_dual_check``, the reduced setup of
-``dual_fourfold``) are built by ``ExtensionSetup._derived``, without
-re-running the unitary and commutation checks.
+Each value is computed once per scenario: a pair keeps its step-time
+verdict (``PairOfSemigroups.step_verdict``), and the joint
+classification hands its compressed pair and its dual on to the
+fourfold splits, the dual through the private ``_dual_fourfold``.
+Setups derived from a checked one (the adjoint setup of
+``double_dual_check``, the reduced setup of ``dual_fourfold``) are built
+by ``ExtensionSetup._derived``, without re-running the unitary and
+commutation checks.
 
 Every computation below is integer-exact set arithmetic on images and
 cells.  Compressions, isometry tests and conjugations come from
@@ -45,13 +47,11 @@ import numpy as np
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
 from .numlin import Subspace, _positions, intersect, subtract
-from .decompose import (CommutationReport, _fourfold, _product_unitary_part,
-                        _reduction_residual, _step_verdict, fourfold_decompose,
-                        product_unitary_part)
+from .decompose import _reduction_residual, fourfold_decompose, product_unitary_part
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
-                         _compress, _isometry_defect, _pair_residual, direct_sum,
-                         modified_bishift_pair)
+                         _compress, _isometry_defect, _pair_residual, circulant_family,
+                         direct_sum, modified_bishift_pair, tensor_with_identity)
 from .spaces import LRegionIndex
 
 __all__ = [
@@ -347,21 +347,18 @@ def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int) -> Dual
     the original unitaries, and the original summands are the lifted
     spaces minus the dual corners.
     """
-    pair = setup.compressed_pair()
-    return _dual_fourfold(setup, pair, _step_verdict(pair), None, max_steps, max_orbit)
+    return _dual_fourfold(setup, setup.compressed_pair(), None, max_steps, max_orbit)
 
 
-def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: CommutationReport,
-                   known: tuple[DualResult, CommutationReport | None] | None,
+def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, known: DualResult | None,
                    max_steps: int, max_orbit: int) -> DualFourfoldResult:
-    """``dual_fourfold`` given the compressed pair and its step-time verdict.
+    """``dual_fourfold`` given the compressed pair.
 
-    ``known`` is None, or ``dual_pair(setup)`` with the step-time verdict
-    of its pair (None when that was not computed).  With no
-    unitary-unitary corner the reduced setup is the setup, so its dual is
-    taken from ``known`` instead of being computed again.
+    ``known`` is None or ``dual_pair(setup)``.  With no unitary-unitary
+    corner the reduced setup is the setup, so its dual is taken from
+    ``known`` instead of being computed again.
     """
-    product = _product_unitary_part(pair, max_steps, verdict)
+    product = product_unitary_part(pair, max_steps)
     if not product.stabilized:
         raise WindowTooSmall("product unitary part did not stabilize")
     h_uu_local = product.subspace
@@ -372,13 +369,10 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, verdict: Commu
         return DualFourfoldResult(zero_local, zero_local, zero_local, h_uu_local,
                                   (0, 0, 0, 0), 0.0, product.reduction_residual)
     if known is not None and h_uu_local.dim == 0:
-        dual, dual_verdict = known
+        dual = known
     else:
-        reduced = setup._derived(h=h_s_ambient, label=f"{setup.label}|cnu")
-        dual, dual_verdict = dual_pair(reduced, max_orbit), None
-    if dual_verdict is None:
-        dual_verdict = _step_verdict(dual.pair)
-    split = _fourfold(dual.pair, max_steps, dual_verdict)  # raises unless doubly commuting
+        dual = dual_pair(setup._derived(h=h_s_ambient, label=f"{setup.label}|cnu"), max_orbit)
+    split = fourfold_decompose(dual.pair, max_steps)  # raises unless doubly commuting
     if split.h_uu.dim != 0:
         raise InternalInconsistency(
             f"dual unitary-unitary corner has dimension {split.h_uu.dim}; "
@@ -452,12 +446,12 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
     summands with both the pure-times-pure corner and the two-sided
     compressed-translation corner absent; the splitting is computed and
     those two dimensions are checked to vanish.  Each value is computed
-    once: the compressed pair, its step-time verdict and the dual go on
-    to both fourfold splits.
+    once: the compressed pair, with its step-time verdict, and the dual go
+    on to both fourfold splits.
     """
     pair = setup.compressed_pair()
     entries = []
-    dc = _step_verdict(pair)
+    dc = pair.step_verdict
     entries.append(CheckEntry("doubly_commuting", dc.double_comm_residual,
                               (1 if dc.classified == "doubly_commuting" else 0,), True,
                               dc.classified))
@@ -466,21 +460,20 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
     except (PreconditionFailed, WindowTooSmall) as exc:
         entries.append(CheckEntry("dual", 0.0, (), False, f"window exhausted: {exc}"))
         return Report(scenario=f"simultaneous[{setup.label}]", entries=entries)
-    ddc = None
     if dual.wth.dim == 0:
         ddc_holds = True
         entries.append(CheckEntry("dual_doubly_commuting", 0.0, (1,), True,
                                   "empty dual, vacuous"))
     else:
-        ddc = _step_verdict(dual.pair)
+        ddc = dual.pair.step_verdict
         ddc_holds = ddc.classified == "doubly_commuting"
         entries.append(CheckEntry("dual_doubly_commuting", ddc.double_comm_residual,
                                   (1 if ddc_holds else 0,), True, ddc.classified))
     if dc.classified == "doubly_commuting" and ddc_holds:
-        split = _fourfold(pair, max_steps, dc)
+        split = fourfold_decompose(pair, max_steps)
         entries.append(CheckEntry("h_pp_dim", split.reduction_residual,
                                   (split.h_pp.dim,), split.h_pp.dim == 0))
-        dsplit = _dual_fourfold(setup, pair, dc, (dual, ddc), max_steps, max_orbit)
+        dsplit = _dual_fourfold(setup, pair, dual, max_steps, max_orbit)
         entries.append(CheckEntry("h_m_dim", dsplit.reduction_residual,
                                   (dsplit.h_m.dim,), dsplit.h_m.dim == 0))
         covered = dsplit.h_pu.dim + dsplit.h_up.dim + dsplit.h_uu.dim
@@ -543,12 +536,6 @@ def bishift_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
         geometry=region)
 
 
-def _fiber_cycle(n: int, p: int) -> WindowedMap:
-    """I_n tensor the cyclic shift by one on C^p, exact everywhere."""
-    k, rho = np.divmod(np.arange(n * p), p)
-    return WindowedMap.from_image(k * p + (rho + 1) % p, range(n * p), range(n * p))
-
-
 def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False) -> ExtensionSetup:
     """Half-line shift compression tensored against a cyclic fiber rotation.
 
@@ -558,10 +545,10 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     ``unitary_first`` the roles of the two families are swapped.
     """
     n = 2 * m * T
-    # the cycle on n cells, tensor I_p; the wrapping cells are unfaithful
-    u_shift = WindowedMap.from_image(_circulant_image(n * p, p), range((n - 1) * p),
-                                     range(p, n * p))
-    u_fiber = _fiber_cycle(n, p)
+    # the cycle on n cells, its wrapping cell unfaithful both ways, tensor I_p
+    cycle = WindowedMap.from_image(_circulant_image(n, 1), range(n - 1), range(1, n))
+    u_shift = tensor_with_identity(cycle, p, "right")
+    u_fiber = tensor_with_identity(circulant_family(p).generator, n, "left")  # I_n tensor C_p
     h = Subspace(n * p, cells=np.arange(m * T * p, n * p))  # cells k >= mT, every fiber index
     u1, u2 = (u_fiber, u_shift) if unitary_first else (u_shift, u_fiber)
     kind = "circulant_x_shift" if unitary_first else "shift_x_circulant"
@@ -570,10 +557,8 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
 
 def circulant_pair_setup(n1: int, n2: int, cells_per_unit: int = 1) -> ExtensionSetup:
     """Two commuting cyclic rotations with the full space embedded."""
-    everything = range(n1 * n2)
-    # the n1-cycle, tensor I_n2
-    u1 = WindowedMap.from_image(_circulant_image(n1 * n2, n2), everything, everything)
-    u2 = _fiber_cycle(n1, n2)
+    u1 = tensor_with_identity(circulant_family(n1).generator, n2, "right")  # C_n1 tensor I_n2
+    u2 = tensor_with_identity(circulant_family(n2).generator, n1, "left")  # I_n1 tensor C_n2
     return ExtensionSetup(u1, u2, Subspace.full(n1 * n2), cells_per_unit,
                           f"circulant_pair({n1},{n2})")
 

@@ -35,7 +35,11 @@ restricts a map to a subspace, and ``_isometry_defect`` is the norm of
 (X|cols)* (X|cols) - I.  The image half of the support rule is
 ``_gather``, which ``compose`` uses; checks that only compare a product
 with another map read its image and faithful mask from there and compare
-them by ``_held_residual``, building no map.
+them by ``_held_residual``, building no map.  Two such checks close the
+module: the semigroup law of a family and the commutation class of a
+pair (``classify_pair``, which ``decompose`` re-exports).  A pair keeps
+its class at the step time as ``PairOfSemigroups.step_verdict``, the one
+precondition of the fourfold split and of the product family.
 """
 
 from __future__ import annotations
@@ -268,9 +272,10 @@ class WindowedMap:
 
     ``compose`` is an index gather with windows by mask arithmetic;
     ``adjoint`` inverts the image and swaps the two masks.  Their results,
-    and those of ``_compress``, come from ``_derived`` and skip the checks
-    of ``from_image``: a gather of injective images is injective, and so
-    is an inverse image.
+    and those of ``_compress`` and ``tensor_with_identity``, come from
+    ``_derived`` and skip the checks of ``from_image``: a gather of
+    injective images is injective, and so are an inverse image and copies
+    of an image on disjoint fibers.
     """
 
     @classmethod
@@ -459,6 +464,15 @@ class PairOfSemigroups:
     def cells_per_unit(self) -> int:
         return self.first.cells_per_unit
 
+    @cached_property
+    def step_verdict(self) -> "CommutationReport":
+        """``classify_pair`` at the one step time 1 / cells_per_unit, computed on first read.
+
+        The splits that need the pair to commute, or to doubly commute,
+        check it here, so each pair object is classified at its step once.
+        """
+        return classify_pair(self, [Fraction(1, self.cells_per_unit)])
+
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -625,10 +639,11 @@ def _circulant_image(n: int, k: int) -> np.ndarray:
     return (np.arange(n) + k) % n
 
 
-def circulant_family(n: int, k: int = 1, cells_per_unit: int = 1) -> SemigroupFamily:
-    gen = WindowedMap.from_image(_circulant_image(n, k), np.ones(n, dtype=bool),
+def circulant_family(n: int, cells_per_unit: int = 1) -> SemigroupFamily:
+    """The cyclic shift by one on C^n, exact everywhere, as a family."""
+    gen = WindowedMap.from_image(_circulant_image(n, 1), np.ones(n, dtype=bool),
                                  np.ones(n, dtype=bool))
-    return SemigroupFamily(gen, f"circulant[n={n},k={k}]", cells_per_unit)
+    return SemigroupFamily(gen, f"circulant[n={n}]", cells_per_unit)
 
 
 def direct_sum(*parts: WindowedMap) -> WindowedMap:
@@ -650,36 +665,35 @@ def direct_sum(*parts: WindowedMap) -> WindowedMap:
 def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> WindowedMap:
     """Kronecker product with an identity on the declared fiber side.
 
-    side="right" gives part (x) I_fiber (fiber is the inner index);
-    side="left" gives I_fiber (x) part.  Each window mask is spread by the
-    same index rule as the image.
+    side="right" gives part (x) I_fiber (fiber is the inner index, so the
+    pair (i, k) sits at i * fiber + k); side="left" gives I_fiber (x) part
+    (the pair sits at k * n + i).  Each window mask is spread by the same
+    index rule as the image.  Copies of an injective image on disjoint
+    fibers stay injective, so the result comes from ``_derived``.
     """
     if fiber < 1:
         raise InvalidInput("fiber dimension must be >= 1")
-    if side == "right":
-        def place(i, k, n):  # index of (part index i of n, fiber index k)
-            return i * fiber + k
-    elif side == "left":
-        def place(i, k, n):
-            return k * n + i
-    else:
+    if side not in ("left", "right"):
         raise InvalidInput(f"side must be 'left' or 'right', got {side!r}")
     _check_cells(fiber * max(part.shape))
-    n_dom, n_cod = part.domain_dim, part.codomain_dim
     k = np.arange(fiber)
 
-    def spread(values: np.ndarray, n: int) -> np.ndarray:
-        """The n * fiber entries with values[i] (or values[i, k]) at place(i, k)."""
-        out = np.empty(fiber * n, dtype=values.dtype)
-        out[place(np.arange(n)[:, None], k, n)] = values
+    def spread(values: np.ndarray) -> np.ndarray:
+        """The entries values[i] (or values[i, k]) laid out in the side's order."""
+        out = np.empty(values.shape[0] * fiber, dtype=values.dtype)
+        if side == "right":
+            out.reshape(-1, fiber)[:] = values
+        else:
+            out.reshape(fiber, -1)[:] = values.T
         return out
 
-    faithful = spread(part.faithful_mask[:, None], n_dom)  # (i, k) is kept when i is
-    adj = spread(part.adj_faithful_mask[:, None], n_cod)
-    # column place(i, k) goes to row place(image[i], k)
+    # column (i, k) goes to row (image[i], k)
     target = part.image[:, None]
-    image = spread(np.where(target >= 0, place(target, k, n_cod), -1), n_dom)
-    return WindowedMap.from_image(image, faithful, adj, fiber * n_cod)
+    rows = target * fiber + k if side == "right" else k * part.codomain_dim + target
+    image = spread(np.where(target >= 0, rows, -1))
+    return WindowedMap._derived(image, spread(part.faithful_mask[:, None]),
+                                spread(part.adj_faithful_mask[:, None]),
+                                fiber * part.codomain_dim)
 
 
 def check_semigroup_law(family: SemigroupFamily, samples) -> Report:
@@ -711,3 +725,58 @@ def check_semigroup_law(family: SemigroupFamily, samples) -> Report:
     if not usable:
         raise WindowTooSmall("every sample pair exhausts the window")
     return Report(scenario=f"semigroup_law[{family.label}]", entries=entries)
+
+
+@dataclass(frozen=True)
+class CommutationReport:
+    comm_residual: float
+    double_comm_residual: float
+    classified: str  # "doubly_commuting" | "commuting" | "neither"
+
+
+def _commutator_residual(a: WindowedMap, b: WindowedMap) -> tuple[float, int] | None:
+    """``_pair_residual(a.compose(b), b.compose(a))`` for square maps on one space.
+
+    The images and faithful masks that ``_gather`` gives are compared by
+    ``_held_residual``, without building either product.
+    """
+    return _held_residual(_gather(a, b), _gather(b, a))
+
+
+def classify_pair(pair: PairOfSemigroups, samples) -> CommutationReport:
+    """Classify a pair as commuting / doubly commuting / neither.
+
+    Residuals are maxima over all ordered sample pairs (t for the first
+    family, s for the second), restricted to the composed faithful sets.
+    The commutators [V1_t, V2_s] and [V1_t, V2_s*] come from
+    ``_commutator_residual``, which builds no product; V2_s and its
+    adjoint are built once per s.  The pair commutes when the first
+    maximum is exactly 0, and doubly commutes when both are.
+    """
+    times = list(samples)
+    if not times:
+        raise InvalidInput("no sample times given")
+    seconds = [(b, b.adjoint()) for b in map(pair.second.at_time, times)]
+    comm = 0.0
+    double = 0.0
+    usable_comm = usable_double = 0
+    for t in times:
+        a = pair.first.at_time(t)
+        for b, b_adj in seconds:
+            got = _commutator_residual(a, b)
+            if got is not None:
+                comm = max(comm, got[0])
+                usable_comm += 1
+            got = _commutator_residual(a, b_adj)
+            if got is not None:
+                double = max(double, got[0])
+                usable_double += 1
+    if not usable_comm or not usable_double:
+        raise WindowTooSmall("no sample pair leaves a nonempty faithful intersection")
+    if comm == 0.0 and double == 0.0:
+        classified = "doubly_commuting"
+    elif comm == 0.0:
+        classified = "commuting"
+    else:
+        classified = "neither"
+    return CommutationReport(comm, double, classified)

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
-Run with ``pytest tests/test_acceptance.py -s`` to see the lines.  Every
-tolerance is pinned here; the criteria marked "exact" demand residuals of
-exactly zero (integer permutation identities), not merely small ones.
+Run with ``pytest tests/test_acceptance.py -s`` to see the lines.  The
+package reads no tolerance: each of its checks passes at residual exactly
+0.  The bounds written below (1e-8, 1e-10) are the tests' own, and the
+criteria marked "exact" demand residuals of exactly zero (integer
+permutation identities), not merely small ones.
 """
 
 import pathlib

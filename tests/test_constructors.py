@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import basis, from_image, matrix
-from isoflow.duality import _torus_unitary
+from isoflow.duality import _torus_unitary, circulant_pair_setup, halfline_circulant_setup
 from isoflow.numlin import Subspace
 from isoflow.semigroups import (_circulant_image, _cut_shift_images, bishift_pair,
                                 halfline_shift, modified_bishift_pair, phi_multiplier)
@@ -188,6 +188,48 @@ def test_torus_axis_faithful(m, T, r, axis, forward):
     got = _torus_unitary(region, axis, forward)
     assert got.faithful == (up if forward else down)
     assert got.adj_faithful == (down if forward else up)
+
+
+@SETTINGS
+@given(TINY, TINY, SMALL, st.booleans())
+def test_halfline_circulant_setup(m, T, p, unitary_first):
+    """The cycle on n = 2mT cells tensor I_p, unfaithful on its wrapping cell
+    k = n - 1 and adjoint-unfaithful on k = 0, and I_n tensor the cycle on C^p,
+    exact everywhere; cell k, fiber index rho is k * p + rho, and the embedded
+    space is every cell k >= mT."""
+    n = 2 * m * T
+    shift, fiber, faithful, adj_faithful = zeros(n * p), zeros(n * p), [], []
+    for k in range(n):
+        for rho in range(p):
+            col = k * p + rho
+            shift[((k + 1) % n) * p + rho, col] = 1.0
+            fiber[k * p + (rho + 1) % p, col] = 1.0
+            if k < n - 1:
+                faithful.append(col)
+            if k > 0:
+                adj_faithful.append(col)
+    setup = halfline_circulant_setup(m, T, p, unitary_first)
+    got_shift, got_fiber = (setup.u2, setup.u1) if unitary_first else (setup.u1, setup.u2)
+    assert_same_map(got_shift, shift, faithful, adj_faithful)
+    assert_same_map(got_fiber, fiber, range(n * p), range(n * p))
+    assert setup.h.cells.tolist() == list(range(m * T * p, n * p))
+
+
+@SETTINGS
+@given(SMALL, SMALL)
+def test_circulant_pair_setup(n1, n2):
+    """The n1-cycle tensor I_n2 and I_n1 tensor the n2-cycle, exact everywhere;
+    cell (k1, k2) is k1 * n2 + k2, and the whole space is embedded."""
+    u1, u2 = zeros(n1 * n2), zeros(n1 * n2)
+    for k1 in range(n1):
+        for k2 in range(n2):
+            u1[((k1 + 1) % n1) * n2 + k2, k1 * n2 + k2] = 1.0
+            u2[k1 * n2 + (k2 + 1) % n2, k1 * n2 + k2] = 1.0
+    setup = circulant_pair_setup(n1, n2)
+    everything = range(n1 * n2)
+    assert_same_map(setup.u1, u1, everything, everything)
+    assert_same_map(setup.u2, u2, everything, everything)
+    assert setup.h.dim == n1 * n2
 
 
 @SETTINGS

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import basis, matrix, projector
+from isoflow import semigroups
 from isoflow.decompose import (bcl_check, classify_pair, fourfold_decompose,
                                product_unitary_part, verify_joint_equivalence, wold_cooper)
 from isoflow.errors import DimensionMismatch, InvalidInput, PreconditionFailed
@@ -109,6 +110,23 @@ def test_classify_shift_with_itself():
     assert forward_back[0, 0] == 0.0 and back_forward[0, 0] == 1.0
 
 
+# --- step-time verdict ----------------------------------------------------------------
+
+def test_step_verdict_is_classify_pair_at_the_step_computed_once(monkeypatch):
+    """Read twice and by both splits, the verdict is one ``classify_pair`` at 1/m."""
+    pair = bishift_families(QuadrantGrid2D(2, 2))
+    want = classify_pair(pair, [Fraction(1, 2)])
+    calls = []
+    real = semigroups.classify_pair
+    monkeypatch.setattr(semigroups, "classify_pair",
+                        lambda *args: calls.append(args) or real(*args))
+    verdict = pair.step_verdict
+    assert pair.step_verdict is verdict and verdict == want
+    fourfold_decompose(pair, 6)
+    product_unitary_part(pair, 6)
+    assert calls == [(pair, [Fraction(1, 2)])]
+
+
 # --- fourfold split -------------------------------------------------------------------
 
 def four_block_pair(shift_T=4, circ=3):
@@ -183,7 +201,8 @@ def test_fourfold_of_random_model_sums_returns_the_summed_block_dims(blocks):
 
 def test_fourfold_requires_double_commutation():
     pair = modified_bishift_families(LRegionIndex(1, 2))
-    with pytest.raises(PreconditionFailed):
+    assert pair.step_verdict.classified == "commuting"
+    with pytest.raises(PreconditionFailed, match="classifies as commuting"):
         fourfold_decompose(pair, 4)
 
 
@@ -356,6 +375,7 @@ def test_product_unitary_matches_fourfold_uu_corner():
 def test_product_requires_commutation():
     shift = halfline_shift_family(CellGrid1D(1, 4))
     swap = WindowedMap.from_image([0, 2, 1, 3], range(4), range(4))  # two middle cells
-    other = SemigroupFamily(swap, "swap", 1)
-    with pytest.raises(PreconditionFailed):
-        product_unitary_part(PairOfSemigroups(shift, other), 4)
+    pair = PairOfSemigroups(shift, SemigroupFamily(swap, "swap", 1))
+    assert pair.step_verdict.classified == "neither"
+    with pytest.raises(PreconditionFailed, match="non-commuting"):
+        product_unitary_part(pair, 4)

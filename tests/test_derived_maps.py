@@ -1,8 +1,9 @@
 """Derived image-backed maps and powers by squaring.
 
-``compose``, ``adjoint`` and ``_compress`` build their image-backed results
-without the checks of the public constructors, because a gather from a
-checked image stays in range.  The property test rebuilds every derived
+``compose``, ``adjoint``, ``_compress`` and ``tensor_with_identity`` build
+their image-backed results without the checks of the public constructors,
+because a gather from a checked image stays in range, and so do its copies
+on disjoint fibers.  The property test rebuilds every derived
 map, and the results of ``direct_sum`` and ``tensor_with_identity``,
 through ``WindowedMap.from_image``: it must accept them unchanged, and
 each must hold a read-only ``int64`` image and read-only masks.

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow import decompose, duality
+from isoflow import duality, semigroups
 from isoflow.catalog import Scenario, _ddc_setup, run_scenario
 from isoflow.decompose import classify_pair, fourfold_decompose, wold_cooper
 from isoflow.duality import (ExtensionSetup, _lift_local, _orbit_span, _restrict_to,
@@ -186,7 +186,7 @@ def test_adjoint_and_reduced_setups_are_derived():
 def count_calls(mp: pytest.MonkeyPatch) -> Counter:
     counts = Counter()
     for module, name in ((duality, "dual_pair"), (duality, "_orbit_span"),
-                         (decompose, "classify_pair")):
+                         (semigroups, "classify_pair")):
         real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):

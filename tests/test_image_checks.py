@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 import dense_oracle as dense
 from dense_oracle import DenseMap, matrix
-from isoflow import catalog, decompose
+from isoflow import catalog, semigroups
 from isoflow.catalog import Scenario, run_scenario
-from isoflow.decompose import _commutator_residual, _unitary_residual, classify_pair
+from isoflow.decompose import _unitary_residual
 from isoflow.numlin import Subspace
-from isoflow.semigroups import (WindowedMap, _compress, _gather, _held_residual,
-                                _isometry_defect, _pair_residual, bishift_families,
-                                check_semigroup_law, halfline_shift_family)
+from isoflow.semigroups import (WindowedMap, _commutator_residual, _compress, _gather,
+                                _held_residual, _isometry_defect, _pair_residual,
+                                bishift_families, check_semigroup_law, classify_pair,
+                                halfline_shift_family)
 from isoflow.spaces import CellGrid1D, QuadrantGrid2D
 from test_derived_maps import image_maps
 
@@ -163,7 +164,7 @@ def test_semigroup_law_composes_only_the_powers(monkeypatch):
     ("four_block_dc", {"T": 12, "circ": 6}, 1),  # the step, which is time 1; was 2
 ])
 def test_each_runner_computes_one_step_verdict(monkeypatch, construction, params, verdicts):
-    counts = count_calls(monkeypatch, (decompose, "classify_pair"), (catalog, "classify_pair"))
+    counts = count_calls(monkeypatch, (semigroups, "classify_pair"), (catalog, "classify_pair"))
     report = run_scenario(Scenario("s", construction, params))
     assert report.overall
     assert counts["classify_pair"] == verdicts
