@@ -246,7 +246,7 @@ def _run_simultaneous(variant, m, T, p, K, max_orbit):
     elif variant == "bishift":
         setup = duality.bishift_setup(m, T)
         expected_dc, expected_ddc = True, False
-    else:  # "unitary"; check_scenario admits no other variant
+    else:  # "unitary", the one variant left that check_scenario resolves
         setup = duality.circulant_pair_setup(p, p, cells_per_unit=m)
         expected_dc, expected_ddc = True, True
     report = duality.simultaneous_dc_ddc_classify(setup, K, max_orbit)
@@ -326,9 +326,16 @@ _VARIANTS = ("mixed", "bishift", "unitary")
 _LOWEST = {("commutant_e", "m"): 2}  # a single cell imposes no constraint
 
 
-def check_scenario(scenario: Scenario) -> None:
-    """Reject an unknown construction, a key that is not one of its parameters,
-    or a value of the wrong type or out of bounds, before anything runs."""
+def check_scenario(scenario: Scenario) -> dict:
+    """Each parameter of the construction's defaults line, in line order: its
+    given value, checked, else its default.
+
+    An unknown construction, a key that is not one of its parameters, or a
+    value of the wrong type or out of bounds raises before anything runs; of
+    several bad values the first in line order is named.  An integer is
+    ASCII digits.  A derived default such as ``2*m*T+2`` is a sum of
+    products of integer literals and parameters resolved before it.
+    """
     construction, params = scenario.construction, scenario.params
     if construction not in _RUNNERS:
         raise InvalidInput(f"unknown construction {construction!r}; "
@@ -336,55 +343,37 @@ def check_scenario(scenario: Scenario) -> None:
     for key in params:
         if key not in _DEFAULTS[construction]:
             raise InvalidInput(f"unknown parameter {key}")
-    for key, raw in params.items():
-        if key in ("samples", "variant"):
-            continue
-        lowest = _LOWEST.get((construction, key), 1)
-        try:
-            value = int(str(raw))
-        except ValueError:
-            value = None
-        if value is None or value < lowest:
-            need = "a positive integer" if lowest == 1 else f"an integer >= {lowest}"
-            raise InvalidInput(f"{key} must be {need}, got {raw}")
-    if "variant" in params and params["variant"] not in _VARIANTS:
-        raise InvalidInput(f"variant must be one of {', '.join(_VARIANTS)}, "
-                           f"got {params['variant']!r}")
-    if "samples" in params:
-        m = int(params.get("m", _DEFAULTS[construction]["m"]))
-        times = _parse_samples(params["samples"])
-        if not times:
-            raise InvalidInput("samples must list at least one time")
-        for t in times:
-            if t < 0 or (t * m).denominator != 1:
-                raise InvalidInput(f"samples must be nonnegative multiples of 1/{m}, got {t}")
-
-
-def _default_samples(construction: str, default: str, m: int, T: int) -> list[Fraction]:
-    """The line's times where they lie on the 1/m grid, else one and two cells,
-    1/m and 2/m (bishift at odd m)."""
-    if construction == "bcl":  # its line names the rule, not the times
-        return _bcl_default_samples(T, m)
-    times = _parse_samples(default)
-    if all((t * m).denominator == 1 for t in times):
-        return times
-    return [Fraction(1, m), Fraction(2, m)]
-
-
-def _resolve(construction: str, params: dict) -> dict:
-    """Each parameter of the construction's defaults line, in line order: its
-    given value (checked by ``check_scenario``), else its default.  A derived
-    default such as ``2*m*T+2`` is a sum of products of integer literals and
-    parameters resolved before it."""
     resolved = {}
     for key, default in _DEFAULTS[construction].items():
+        raw = params.get(key)
         if key == "variant":
-            resolved[key] = params.get(key, default)
+            if raw is not None and raw not in _VARIANTS:
+                raise InvalidInput(f"variant must be one of {', '.join(_VARIANTS)}, got {raw!r}")
+            resolved[key] = default if raw is None else raw
         elif key == "samples":
-            resolved[key] = (_parse_samples(params[key]) if key in params else
-                             _default_samples(construction, default, resolved["m"], resolved["T"]))
-        elif key in params:
-            resolved[key] = int(params[key])
+            m = resolved["m"]
+            if raw is not None:
+                times = _parse_samples(raw)
+                if not times:
+                    raise InvalidInput("samples must list at least one time")
+                for t in times:
+                    if t < 0 or (t * m).denominator != 1:
+                        raise InvalidInput(f"samples must be nonnegative multiples of 1/{m}, "
+                                           f"got {t}")
+            elif construction == "bcl":  # its line names the rule, not the times
+                times = _bcl_default_samples(resolved["T"], m)
+            else:  # the line's times where they lie on the 1/m grid (bishift at odd m does not)
+                times = _parse_samples(default)
+                if any((t * m).denominator != 1 for t in times):
+                    times = [Fraction(1, m), Fraction(2, m)]  # one and two cells
+            resolved[key] = times
+        elif raw is not None:
+            lowest = _LOWEST.get((construction, key), 1)
+            text = str(raw)
+            if not (text.isascii() and text.isdigit()) or int(text) < lowest:
+                need = "a positive integer" if lowest == 1 else f"an integer >= {lowest}"
+                raise InvalidInput(f"{key} must be {need}, got {raw}")
+            resolved[key] = int(text)
         else:
             resolved[key] = sum(math.prod(int(f) if f.isdigit() else resolved[f]
                                           for f in term.split("*"))
@@ -394,8 +383,7 @@ def _resolve(construction: str, params: dict) -> dict:
 
 def run_scenario(scenario: Scenario) -> Report:
     """Run one named scenario deterministically; its report echoes the resolved parameters."""
-    check_scenario(scenario)
-    params = _resolve(scenario.construction, scenario.params)
+    params = check_scenario(scenario)
     entries = _RUNNERS[scenario.construction](**params)
     echo = {key: ",".join(map(str, value)) if key == "samples" else str(value)
             for key, value in params.items()}

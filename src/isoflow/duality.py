@@ -546,7 +546,7 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     """
     n = 2 * m * T
     # the cycle on n cells, its wrapping cell unfaithful both ways, tensor I_p
-    cycle = WindowedMap.from_image(_circulant_image(n, 1), range(n - 1), range(1, n))
+    cycle = WindowedMap.from_image(_circulant_image(n), range(n - 1), range(1, n))
     u_shift = tensor_with_identity(cycle, p, "right")
     u_fiber = tensor_with_identity(circulant_family(p).generator, n, "left")  # I_n tensor C_p
     h = Subspace(n * p, cells=np.arange(m * T * p, n * p))  # cells k >= mT, every fiber index

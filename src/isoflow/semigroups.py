@@ -29,10 +29,12 @@ small.  Where two images differ, ``_image_residual`` gives the norm of
 their difference in closed form.  Grid times are restricted to multiples
 of 1/m and rejected otherwise; nothing is interpolated.
 
-Conjugation, compression and the isometry test are written once, here:
-Z A Z* is two compositions compared by ``_pair_residual``, ``_compress``
+Compression and the isometry test are written once, here: ``_compress``
 restricts a map to a subspace, and ``_isometry_defect`` is the norm of
-(X|cols)* (X|cols) - I.  The image half of the support rule is
+(X|cols)* (X|cols) - I.  Conjugation has no helper of its own:
+``decompose.verify_joint_equivalence`` and
+``duality.modified_bishift_model_check`` each write Z A Z* as two
+compositions compared by ``_pair_residual``.  The image half of the support rule is
 ``_gather``, which ``compose`` uses; checks that only compare a product
 with another map read its image and faithful mask from there and compare
 them by ``_held_residual``, building no map.  Two such checks close the
@@ -631,17 +633,17 @@ def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
                             SemigroupFamily(g2, f"modified2[{tag}]", region.m))
 
 
-def _circulant_image(n: int, k: int) -> np.ndarray:
-    """Image of the cyclic shift by k on C^n."""
+def _circulant_image(n: int) -> np.ndarray:
+    """Image of the cyclic shift by one on C^n."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
     _check_cells(n)
-    return (np.arange(n) + k) % n
+    return (np.arange(n) + 1) % n
 
 
 def circulant_family(n: int, cells_per_unit: int = 1) -> SemigroupFamily:
     """The cyclic shift by one on C^n, exact everywhere, as a family."""
-    gen = WindowedMap.from_image(_circulant_image(n, 1), np.ones(n, dtype=bool),
+    gen = WindowedMap.from_image(_circulant_image(n), np.ones(n, dtype=bool),
                                  np.ones(n, dtype=bool))
     return SemigroupFamily(gen, f"circulant[n={n}]", cells_per_unit)
 

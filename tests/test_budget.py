@@ -115,12 +115,12 @@ def test_every_ambient_guard_prices_one_int64_per_cell(monkeypatch):
     monkeypatch.setattr(numlin, "_BUDGET", 7 * 8)
     oversized = [lambda: CellGrid1D(2, 4), lambda: HardyCoeffSpace(1, 4),
                  lambda: QuadrantGrid2D(1, 3), lambda: TorusGrid2D(2, 2),
-                 lambda: _circulant_image(8, 1), lambda: tensor_with_identity(part, 2),
+                 lambda: _circulant_image(8), lambda: tensor_with_identity(part, 2),
                  lambda: direct_sum(part, part)]
     for build in oversized:
         with pytest.raises(InvalidInput, match=r"^an ambient of (8|9) cells needs"):
             build()
-    CellGrid1D(1, 4), HardyCoeffSpace(1, 2), TorusGrid2D(2), _circulant_image(4, 1)
+    CellGrid1D(1, 4), HardyCoeffSpace(1, 2), TorusGrid2D(2), _circulant_image(4)
     tensor_with_identity(part, 1), direct_sum(part)
 
 

@@ -12,7 +12,7 @@ import pytest
 from config_oracle import read_config
 
 import isoflow
-from isoflow import __version__, cli
+from isoflow import __version__, catalog, cli
 from isoflow.catalog import CATALOG, Scenario, list_catalog, run_scenario
 from isoflow.cli import load_scenarios, main
 from isoflow.errors import InvalidInput, IsoflowError
@@ -218,6 +218,19 @@ def test_bishift_default_samples_sit_on_the_grid(m, samples):
     assert echoed("bishift", {"m": str(m), "T": "4"})["samples"] == samples
 
 
+def test_run_scenario_parses_given_samples_once(monkeypatch):
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return parse(raw)
+
+    parse = catalog._parse_samples
+    monkeypatch.setattr(catalog, "_parse_samples", counting)
+    assert echoed("halfline_shift", {"samples": "1,2"})["samples"] == "1,2"
+    assert calls == ["1,2"]
+
+
 # --- CLI process-level behavior -----------------------------------------------------
 
 def run_cli(*args):
@@ -324,11 +337,18 @@ def test_cli_unknown_parameter_rejected_before_any_scenario_runs(tmp_path):
     ("construction = bishift\nsamples = 1/3\n",
      "samples must be nonnegative multiples of 1/2, got 1/3"),
     ("construction = bcl\nsamples = 1/0\n", "cannot parse samples '1/0'"),
+    ("construction = halfline_shift\nm = \u0663\n", "m must be a positive integer, got \u0663"),
+    ("construction = halfline_shift\nT = 1_0\n", "T must be a positive integer, got 1_0"),
+    ("construction = halfline_shift\nK = +12\n", "K must be a positive integer, got +12"),
+    # variant leads the defaults line, so it is named before the K after it in the file
+    ("construction = simultaneous\nK = 0\nvariant = twisted\n",
+     "variant must be one of mixed, bishift, unitary, got 'twisted'"),
 ], ids=["negative_m", "zero_max_orbit", "single_cell", "unknown_variant", "off_grid_sample",
-        "zero_denominator"])
+        "zero_denominator", "arabic_indic_digit", "underscore", "plus_sign",
+        "defaults_line_order"])
 def test_cli_bad_value_rejected_before_any_scenario_runs(tmp_path, bad, message):
     config = tmp_path / "values.cfg"
-    config.write_text("[fine]\nconstruction = halfline_shift\n\n[b]\n" + bad)
+    config.write_text("[fine]\nconstruction = halfline_shift\n\n[b]\n" + bad, encoding="utf-8")
     with pytest.raises(IsoflowError) as caught:
         load_scenarios(str(config))
     assert str(caught.value) == f"[b] {message}"

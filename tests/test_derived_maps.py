@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import DenseMap, matrix
-from isoflow.catalog import _resolve
+from isoflow.catalog import Scenario, check_scenario
 from isoflow.numlin import Subspace
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _compress, check_semigroup_law,
                                 direct_sum, modified_bishift_families, tensor_with_identity)
@@ -151,7 +151,7 @@ def test_modified_bishift_law_keeps_only_the_squares():
     """m=8 T=16 on 49,152 cells at the default sample t = 1: element(8) and
     element(16) are squares, so the law check keeps five powers, where one
     power per step kept 16 and peaked at 9.1 MiB."""
-    params = _resolve("modified_bishift", {"m": 8, "T": 16})
+    params = check_scenario(Scenario("s", "modified_bishift", {"m": 8, "T": 16}))
     pair = modified_bishift_families(LRegionIndex(8, 16))
     tracemalloc.start()
     try:
