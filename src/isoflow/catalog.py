@@ -1,7 +1,9 @@
 """Named scenario catalog and the batch runner behind the CLI.
 
 Each construction builds a bundled operator family or extension setup,
-runs its documented checks, and emits one report entry per check.  Given
+runs its documented checks, and emits one report entry per check.  The
+public checks return lists of ``CheckEntry``; a runner joins them, and
+``run_scenario`` wraps the result in the scenario's one ``Report``.  Given
 identical parameters the entries are byte-identical across runs: all
 constructions are deterministic and seedless.
 """
@@ -10,8 +12,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +39,11 @@ class Scenario:
     construction: str
     params: dict
 
+    @cached_property
+    def resolved(self) -> dict:
+        """``check_scenario`` of this scenario, computed on first read."""
+        return check_scenario(self)
+
 
 def _parse_samples(raw) -> list[Fraction]:
     raw = str(raw)
@@ -58,6 +66,10 @@ def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
     return CheckEntry(check_id, residual, (len(cols),), residual == 0.0)
 
 
+def _prefixed(prefix: str, entries: list[CheckEntry]) -> list[CheckEntry]:
+    return [replace(entry, check_id=prefix + entry.check_id) for entry in entries]
+
+
 # ---------------------------------------------------------------------------
 # runners: each takes its resolved parameters by name and returns its entries
 
@@ -65,7 +77,7 @@ def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
 def _run_halfline_shift(m, T, r, K, samples):
     family = halfline_shift_family(CellGrid1D(m, T, r))
     entries = [_generator_isometry_entry(family, "generator_isometry")]
-    entries.extend(check_semigroup_law(family, samples).entries)
+    entries.extend(check_semigroup_law(family, samples))
     wold = wold_cooper(family, K)
     entries.append(CheckEntry("wold_unitary_dim", wold.unitary_residual,
                               (wold.unitary_part.dim,), wold.unitary_part.dim == 0))
@@ -75,15 +87,14 @@ def _run_halfline_shift(m, T, r, K, samples):
 
 def _pair_law_entries(pair: PairOfSemigroups, samples):
     """Generator isometries, per-axis semigroup laws and the commutator of a pair."""
-    out = Report("pair", entries=[
-        _generator_isometry_entry(pair.first, "generator_isometry_axis1"),
-        _generator_isometry_entry(pair.second, "generator_isometry_axis2")])
-    out.extend_prefixed("axis1:", check_semigroup_law(pair.first, samples))
-    out.extend_prefixed("axis2:", check_semigroup_law(pair.second, samples))
+    entries = [_generator_isometry_entry(pair.first, "generator_isometry_axis1"),
+               _generator_isometry_entry(pair.second, "generator_isometry_axis2"),
+               *_prefixed("axis1:", check_semigroup_law(pair.first, samples)),
+               *_prefixed("axis2:", check_semigroup_law(pair.second, samples))]
     verdict = classify_pair(pair, samples)
-    out.entries.append(CheckEntry("commutator", verdict.comm_residual, (),
-                                  verdict.comm_residual == 0.0))
-    return out.entries, verdict
+    entries.append(CheckEntry("commutator", verdict.comm_residual, (),
+                              verdict.comm_residual == 0.0))
+    return entries, verdict
 
 
 def _run_bishift(m, T, r, K, samples):
@@ -126,8 +137,7 @@ def _four_block_dc_pair(shift_T: int, circ: int):
                     tensor_with_identity(circ_gen, a, "left"),
                     tensor_with_identity(shift_gen, circ, "left"),
                     tensor_with_identity(circ_gen, circ, "left"))
-    pair = PairOfSemigroups(SemigroupFamily(v1, "four_block_dc:V1", 1),
-                            SemigroupFamily(v2, "four_block_dc:V2", 1))
+    pair = PairOfSemigroups(SemigroupFamily(v1), SemigroupFamily(v2))
     dims = (a * a, a * circ, circ * a, circ * circ)
     return pair, dims
 
@@ -153,8 +163,7 @@ def _ddc_setup(m: int, T: int, p: int, circ: int):
         duality.l_region_setup(m, T),
         duality.halfline_circulant_setup(m, T, p),
         duality.halfline_circulant_setup(m, T, p, unitary_first=True),
-        duality.circulant_pair_setup(circ, circ, cells_per_unit=m),
-        label="four_block_ddc")
+        duality.circulant_pair_setup(circ, circ, cells_per_unit=m))
 
 
 def _run_four_block_ddc(m, T, p, circ, K, max_orbit):
@@ -206,42 +215,40 @@ def _bcl_default_samples(T: int, m: int) -> list[Fraction]:
 
 
 def _run_bcl(T, m, r, samples):
-    return list(bcl_check(T, m, r, samples).entries)
+    return bcl_check(T, m, r, samples)
 
 
 def _run_dual_example(m, T, r, K, max_orbit):
     setup = duality.l_region_setup(m, T, r)
     dual = duality.dual_pair(setup, max_orbit)
     model1, model2 = bishift_pair(QuadrantGrid2D(m, T, r), Fraction(1, m))
-    out = Report("dual_example")
+    entries = []
     for axis, (got, model) in enumerate(((dual.pair.first.generator, model1),
                                          (dual.pair.second.generator, model2)), start=1):
         if got.shape != model.shape:
             raise InternalInconsistency(f"dual generator {axis} has shape {got.shape}, "
                                         f"not {model.shape} as the bishift model")
         residual = _image_residual(got.image, model.image)  # over the differing columns only
-        out.entries.append(CheckEntry(f"dual_equals_bishift_axis{axis}", residual,
-                                      (got.domain_dim,),
-                                      residual == 0.0 and np.array_equal(got.faithful_mask,
-                                                                         model.faithful_mask),
-                                      "integer equality"))
-    out.entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
-                                  dual.wth.dim == (m * T) ** 2 * r))
-    out.extend_prefixed("cnu:", duality.dual_cnu_check(setup, dual, K))
-    return out.entries
+        entries.append(CheckEntry(f"dual_equals_bishift_axis{axis}", residual,
+                                  (got.domain_dim,),
+                                  residual == 0.0 and np.array_equal(got.faithful_mask,
+                                                                     model.faithful_mask),
+                                  "integer equality"))
+    entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
+                              dual.wth.dim == (m * T) ** 2 * r))
+    return entries + _prefixed("cnu:", duality.dual_cnu_check(setup, dual, K))
 
 
 def _run_double_dual(m, T, r, max_orbit):
     setup = duality.l_region_setup(m, T, r)
-    return list(duality.double_dual_check(setup, max_orbit, radius_bound=2 * m * T).entries)
+    return duality.double_dual_check(setup, max_orbit, radius_bound=2 * m * T)
 
 
 def _run_simultaneous(variant, m, T, p, K, max_orbit):
     if variant == "mixed":
         setup = duality.setup_direct_sum(
             duality.halfline_circulant_setup(m, T, p),
-            duality.halfline_circulant_setup(m, T, p, unitary_first=True),
-            label="mixed")
+            duality.halfline_circulant_setup(m, T, p, unitary_first=True))
         expected_dc, expected_ddc = True, True
     elif variant == "bishift":
         setup = duality.bishift_setup(m, T)
@@ -249,8 +256,7 @@ def _run_simultaneous(variant, m, T, p, K, max_orbit):
     else:  # "unitary", the one variant left that check_scenario resolves
         setup = duality.circulant_pair_setup(p, p, cells_per_unit=m)
         expected_dc, expected_ddc = True, True
-    report = duality.simultaneous_dc_ddc_classify(setup, K, max_orbit)
-    entries = list(report.entries)
+    entries = duality.simultaneous_dc_ddc_classify(setup, K, max_orbit)
     flags = {entry.check_id: entry for entry in entries}
     dc_seen = flags["doubly_commuting"].dims == (1,)
     ddc_entry = flags.get("dual_doubly_commuting")
@@ -383,7 +389,7 @@ def check_scenario(scenario: Scenario) -> dict:
 
 def run_scenario(scenario: Scenario) -> Report:
     """Run one named scenario deterministically; its report echoes the resolved parameters."""
-    params = check_scenario(scenario)
+    params = scenario.resolved
     entries = _RUNNERS[scenario.construction](**params)
     echo = {key: ",".join(map(str, value)) if key == "samples" else str(value)
             for key, value in params.items()}

@@ -21,7 +21,7 @@ import argparse
 import sys
 
 from . import __version__
-from .catalog import Scenario, check_scenario, list_catalog, run_scenario
+from .catalog import Scenario, list_catalog, run_scenario
 from .errors import IsoflowError
 from .report import render_reports
 
@@ -89,7 +89,7 @@ def load_scenarios(path: str) -> list[Scenario]:
             raise IsoflowError(f"scenario [{section}] does not name a construction")
         scenario = Scenario(section, construction, params)
         try:
-            check_scenario(scenario)
+            scenario.resolved  # resolved once: run_scenario reads the same value
         except IsoflowError as exc:
             raise IsoflowError(f"[{section}] {exc}") from exc
         scenarios.append(scenario)

@@ -21,6 +21,8 @@ The solution is held as that partition: an n x n ``int64`` array of class
 labels.  Both solved spaces must have the form I (x) omega across blocks
 of consecutive coordinates (cells of the interval, or degrees), and the
 solvers decide that form by comparing label arrays, with no tolerance.
+The instance check ``fuglede_instance_check`` returns its ``CheckEntry``
+list.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed, WindowTooSmall
 from .numlin import _check_budget, _components
-from .report import CheckEntry, Report
+from .report import CheckEntry
 from .semigroups import (SemigroupFamily, _commutator_residual, _cut_shift_images,
                          _forward_image, _held_residual)
 
@@ -186,7 +188,7 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
 
 
 def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: SemigroupFamily,
-                           fiber: int, samples) -> Report:
+                           fiber: int, samples) -> list[CheckEntry]:
     """Commuting normal elements against the shift must doubly commute.
 
     For each sampled time the element must be normal (precondition).  A
@@ -246,4 +248,4 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
                                       structure == 0.0))
     if not usable:
         raise WindowTooSmall("no sample leaves a nonempty faithful window")
-    return Report(scenario="fuglede_instance", entries=entries)
+    return entries

@@ -13,9 +13,11 @@ which case the result carries ``stabilized=False``.
 On top of the single-family split sit the pair-level operations: the
 fourfold split of a doubly commuting pair, the unitary part of the
 product family, and the exact identification of the half-line
-translation with its coefficient-space multiplier model.  The two splits
-check their preconditions against the pair's ``step_verdict``, so a pair
-is classified at its step once whichever split reads it first.
+translation with its coefficient-space multiplier model.  The two checks
+here, ``bcl_check`` and ``verify_joint_equivalence``, return their
+``CheckEntry`` lists.  The two splits check their preconditions
+against the pair's ``step_verdict``, so a pair is classified at its step
+once whichever split reads it first.
 Commutation classification (``classify_pair``), compressions, isometry
 tests and conjugations come from ``semigroups``.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
 from .numlin import Subspace, _positions, complement, intersect
-from .report import CheckEntry, Report
+from .report import CheckEntry
 from .semigroups import (CommutationReport, PairOfSemigroups, SemigroupFamily, WindowedMap,
                          _check_image, _halfline_rows, _image_isometry_defect,
                          _isometry_defect, _mask, _pair_residual, _phi_rows, classify_pair,
@@ -217,7 +219,7 @@ def _bcl_sample(grid: CellGrid1D, time: Fraction) -> tuple[float, int]:
     return got
 
 
-def bcl_check(T: int, m: int, r: int, samples) -> Report:
+def bcl_check(T: int, m: int, r: int, samples) -> list[CheckEntry]:
     """Exact identification of the half-line shift with its multiplier model.
 
     The interval-stacking permutation W sends grid cell n*m + j to degree
@@ -270,13 +272,12 @@ def bcl_check(T: int, m: int, r: int, samples) -> Report:
         got.extend(found)
     if unread is not None:
         raise unread
-    return Report(scenario=f"bcl[T={T},m={m},r={r}]",
-                  entries=[CheckEntry(f"t={time}", residual, (count,), residual == 0.0)
-                           for time, (residual, count) in zip(times, got)])
+    return [CheckEntry(f"t={time}", residual, (count,), residual == 0.0)
+            for time, (residual, count) in zip(times, got)]
 
 
 def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
-                             z: WindowedMap, samples) -> Report:
+                             z: WindowedMap, samples) -> list[CheckEntry]:
     """Check Z A_{j,t} Z* = B_{j,t} on faithful windows for j = 1, 2.
 
     Only verifies a supplied equivalence; finding one is out of scope.
@@ -304,7 +305,7 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
             entries.append(CheckEntry(check_id, residual, (count,), residual == 0.0))
     if not usable:
         raise WindowTooSmall("no sample leaves a nonempty faithful window")
-    return Report(scenario="joint_equivalence", entries=entries)
+    return entries
 
 
 def product_unitary_part(pair: PairOfSemigroups, max_steps: int) -> ProductWoldResult:
@@ -317,7 +318,7 @@ def product_unitary_part(pair: PairOfSemigroups, max_steps: int) -> ProductWoldR
     if pair.step_verdict.comm_residual > 0.0:
         raise PreconditionFailed("product family of a non-commuting pair is not a semigroup")
     generator = pair.first.generator.compose(pair.second.generator)
-    product = SemigroupFamily(generator, label="product", cells_per_unit=pair.cells_per_unit)
+    product = SemigroupFamily(generator, pair.cells_per_unit)
     wold = wold_cooper(product, max_steps)
     residual = _reduction_residual(wold.unitary_part,
                                    [pair.first.generator, pair.second.generator])

@@ -31,14 +31,16 @@ Setups derived from a checked one (the adjoint setup of
 by ``ExtensionSetup._derived``, without re-running the unitary and
 commutation checks.
 
-Every computation below is integer-exact set arithmetic on images and
-cells.  Compressions, isometry tests and conjugations come from
-``semigroups``.
+The four checks (``dual_cnu_check``, ``double_dual_check``,
+``modified_bishift_model_check`` and ``simultaneous_dc_ddc_classify``)
+return their ``CheckEntry`` lists.  Every computation below is
+integer-exact set arithmetic on images and cells.  Compressions, isometry
+tests and conjugations come from ``semigroups``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -48,7 +50,7 @@ from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
 from .numlin import Subspace, _positions, intersect, subtract
 from .decompose import _reduction_residual, fourfold_decompose, product_unitary_part
-from .report import CheckEntry, Report
+from .report import CheckEntry
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
                          _compress, _isometry_defect, _pair_residual, circulant_family,
                          direct_sum, modified_bishift_pair, tensor_with_identity)
@@ -80,15 +82,16 @@ class ExtensionSetup:
     The unitaries are carried as WindowedMaps so that their own exactness
     windows (wrap-affected cells of a cyclic ambient) propagate into every
     compression.  Each must be a permutation (isometry defect exactly 0,
-    which for a square map means unitary), and the two must commute.
+    which for a square map means unitary), and the two must commute.  The
+    region ``geometry``, which ``modified_bishift_model_check`` reads, is
+    keyword-only.
     """
 
     u1: WindowedMap
     u2: WindowedMap
     h: Subspace
     cells_per_unit: int = 1
-    label: str = "setup"
-    geometry: LRegionIndex | None = None
+    geometry: LRegionIndex | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         n = self.u1.domain_dim
@@ -124,9 +127,8 @@ class ExtensionSetup:
         """The pair of isometric families P_H U_i|_H that the setup encodes."""
         g1 = _compress(self.u1, self.h)
         g2 = _compress(self.u2, self.h)
-        return PairOfSemigroups(
-            SemigroupFamily(g1, f"{self.label}:V1", self.cells_per_unit),
-            SemigroupFamily(g2, f"{self.label}:V2", self.cells_per_unit))
+        return PairOfSemigroups(SemigroupFamily(g1, self.cells_per_unit),
+                                SemigroupFamily(g2, self.cells_per_unit))
 
 
 @dataclass(frozen=True)
@@ -255,14 +257,14 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int) -> DualResult:
         compressed.append(part)
         del adj
     g1, g2 = compressed
-    pair = PairOfSemigroups(
-        SemigroupFamily(g1, f"{setup.label}:dual1", setup.cells_per_unit),
-        SemigroupFamily(g2, f"{setup.label}:dual2", setup.cells_per_unit))
+    pair = PairOfSemigroups(SemigroupFamily(g1, setup.cells_per_unit),
+                            SemigroupFamily(g2, setup.cells_per_unit))
     return DualResult(extension.span, wth, pair, (residuals[0], residuals[1]),
                       extension.radius)
 
 
-def dual_cnu_check(setup: ExtensionSetup, dual: DualResult, max_steps: int) -> Report:
+def dual_cnu_check(setup: ExtensionSetup, dual: DualResult,
+                   max_steps: int) -> list[CheckEntry]:
     """The dual pair ``dual`` of ``setup`` must be completely nonunitary.
 
     Verified through the product family: the pair is c.n.u. exactly when
@@ -281,11 +283,11 @@ def dual_cnu_check(setup: ExtensionSetup, dual: DualResult, max_steps: int) -> R
             f"stabilized={product.stabilized}"))
     entries.append(CheckEntry("dual_invariance", max(dual.invariance_residuals),
                               (dual.wth.dim,), max(dual.invariance_residuals) == 0.0))
-    return Report(scenario=f"dual_cnu[{setup.label}]", entries=entries)
+    return entries
 
 
 def double_dual_check(setup: ExtensionSetup, max_orbit: int,
-                      radius_bound: int | None = None) -> Report:
+                      radius_bound: int | None = None) -> list[CheckEntry]:
     """Dual of the dual recovers the original pair; minimality certified.
 
     Requires the original pair to be c.n.u. (checked through the product
@@ -307,7 +309,7 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
             f"stabilized={product.stabilized})")
     first_dual = dual_pair(setup, max_orbit)
     dual_setup = setup._derived(u1=setup.u1.adjoint(), u2=setup.u2.adjoint(),
-                                h=first_dual.wth, label=f"{setup.label}~")
+                                h=first_dual.wth)
     second_dual = dual_pair(dual_setup, max_orbit)
     minimality_gap = second_dual.obh.gap(first_dual.obh)
     recovered_gap = second_dual.wth.gap(setup.h)
@@ -333,7 +335,7 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
         else:  # the compressions live on different cells: no comparison to make
             residual, dims = 1.0, (second_dual.wth.dim,)
         entries.append(CheckEntry(f"recovered_axis{axis}", residual, dims, residual == 0.0))
-    return Report(scenario=f"double_dual[{setup.label}]", entries=entries)
+    return entries
 
 
 def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int) -> DualFourfoldResult:
@@ -371,7 +373,7 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, known: DualRes
     if known is not None and h_uu_local.dim == 0:
         dual = known
     else:
-        dual = dual_pair(setup._derived(h=h_s_ambient, label=f"{setup.label}|cnu"), max_orbit)
+        dual = dual_pair(setup._derived(h=h_s_ambient), max_orbit)
     split = fourfold_decompose(dual.pair, max_steps)  # raises unless doubly commuting
     if split.h_uu.dim != 0:
         raise InternalInconsistency(
@@ -402,7 +404,8 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, known: DualRes
     return DualFourfoldResult(h_m, h_pu, h_up, h_uu_local, tilde_dims, ortho, reduction)
 
 
-def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbit: int) -> Report:
+def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int,
+                                 max_orbit: int) -> list[CheckEntry]:
     """A pair whose dual is a pure bishift matches the canonical L-region model.
 
     The dual is split fourfold; it must be concentrated in the
@@ -436,10 +439,11 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int, max_orbi
             raise WindowTooSmall("no common faithful window for the model comparison")
         residual, count = got
         entries.append(CheckEntry(f"model_axis{axis}", residual, (count,), residual == 0.0))
-    return Report(scenario=f"modified_bishift_model[{setup.label}]", entries=entries)
+    return entries
 
 
-def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbit: int) -> Report:
+def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int,
+                                 max_orbit: int) -> list[CheckEntry]:
     """Classify double commutation of the pair and of its dual, jointly.
 
     When both hold, the space must split into the three mixed/unitary
@@ -459,7 +463,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
         dual = dual_pair(setup, max_orbit)
     except (PreconditionFailed, WindowTooSmall) as exc:
         entries.append(CheckEntry("dual", 0.0, (), False, f"window exhausted: {exc}"))
-        return Report(scenario=f"simultaneous[{setup.label}]", entries=entries)
+        return entries
     if dual.wth.dim == 0:
         ddc_holds = True
         entries.append(CheckEntry("dual_doubly_commuting", 0.0, (1,), True,
@@ -480,7 +484,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int, max_orbi
         entries.append(CheckEntry("three_part_sum", dsplit.orthogonality_residual,
                                   (dsplit.h_pu.dim, dsplit.h_up.dim, dsplit.h_uu.dim),
                                   covered == setup.h.dim))
-    return Report(scenario=f"simultaneous[{setup.label}]", entries=entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +524,6 @@ def l_region_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
         u2=_torus_unitary(region, 1, forward=False),
         h=Subspace(region.parent.dim, cells=region.l_cells()),
         cells_per_unit=m,
-        label=f"l_region(m={m},T={T},r={r})",
         geometry=region)
 
 
@@ -532,7 +535,6 @@ def bishift_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
         u2=_torus_unitary(region, 1, forward=True),
         h=Subspace(region.parent.dim, cells=region.quadrant_cells()),
         cells_per_unit=m,
-        label=f"bishift_setup(m={m},T={T},r={r})",
         geometry=region)
 
 
@@ -551,19 +553,17 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     u_fiber = tensor_with_identity(circulant_family(p).generator, n, "left")  # I_n tensor C_p
     h = Subspace(n * p, cells=np.arange(m * T * p, n * p))  # cells k >= mT, every fiber index
     u1, u2 = (u_fiber, u_shift) if unitary_first else (u_shift, u_fiber)
-    kind = "circulant_x_shift" if unitary_first else "shift_x_circulant"
-    return ExtensionSetup(u1, u2, h, m, f"{kind}(m={m},T={T},p={p})")
+    return ExtensionSetup(u1, u2, h, m)
 
 
 def circulant_pair_setup(n1: int, n2: int, cells_per_unit: int = 1) -> ExtensionSetup:
     """Two commuting cyclic rotations with the full space embedded."""
     u1 = tensor_with_identity(circulant_family(n1).generator, n2, "right")  # C_n1 tensor I_n2
     u2 = tensor_with_identity(circulant_family(n2).generator, n1, "left")  # I_n1 tensor C_n2
-    return ExtensionSetup(u1, u2, Subspace.full(n1 * n2), cells_per_unit,
-                          f"circulant_pair({n1},{n2})")
+    return ExtensionSetup(u1, u2, Subspace.full(n1 * n2), cells_per_unit)
 
 
-def setup_direct_sum(*setups: ExtensionSetup, label: str = "") -> ExtensionSetup:
+def setup_direct_sum(*setups: ExtensionSetup) -> ExtensionSetup:
     """Block-diagonal direct sum of setups sharing one time grid."""
     if not setups:
         raise InvalidInput("need at least one setup")
@@ -574,5 +574,4 @@ def setup_direct_sum(*setups: ExtensionSetup, label: str = "") -> ExtensionSetup
     u2 = direct_sum(*(s.u2 for s in setups))
     offsets = np.cumsum([0] + [s.ambient_dim for s in setups]).tolist()
     cells = np.concatenate([offset + s.h.cells for offset, s in zip(offsets, setups)])
-    return ExtensionSetup(u1, u2, Subspace(offsets[-1], cells=cells), setups[0].cells_per_unit,
-                          label or "(+)".join(s.label for s in setups))
+    return ExtensionSetup(u1, u2, Subspace(offsets[-1], cells=cells), setups[0].cells_per_unit)

@@ -1,14 +1,16 @@
 """Structured verification reports with a byte-stable text rendering.
 
-One record per check, fields in fixed order.  A residual keeps six
-fractional digits with a bare integer exponent, so an exact 0 prints as
-``0.000000e0`` and an exact 1 as ``1.000000e0``; the checks compute no
-residual between them.
+Every public check returns its ``CheckEntry`` list, and the one ``Report``
+of a scenario, built by ``catalog.run_scenario``, holds its name, its
+construction, its echoed parameters and those entries.  One record per
+check, fields in fixed order.  A residual keeps six fractional digits
+with a bare integer exponent, so an exact 0 prints as ``0.000000e0`` and
+an exact 1 as ``1.000000e0``; the checks compute no residual between them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["CheckEntry", "Report", "format_residual", "render_report", "render_reports"]
 
@@ -25,19 +27,13 @@ class CheckEntry:
 @dataclass
 class Report:
     scenario: str
-    construction: str = ""
-    params: tuple[tuple[str, str], ...] = ()
-    entries: list[CheckEntry] = field(default_factory=list)
+    construction: str
+    params: tuple[tuple[str, str], ...]
+    entries: list[CheckEntry]
 
     @property
     def overall(self) -> bool:
         return all(entry.passed for entry in self.entries)
-
-    def extend_prefixed(self, prefix: str, other: "Report") -> None:
-        """Absorb another report's entries under a check-id prefix."""
-        for entry in other.entries:
-            self.entries.append(CheckEntry(f"{prefix}{entry.check_id}", entry.residual,
-                                           entry.dims, entry.passed, entry.note))
 
 
 def format_residual(value: float) -> str:
@@ -50,9 +46,7 @@ def _format_dims(dims: tuple[int, ...]) -> str:
 
 
 def render_report(report: Report, version: str = "") -> str:
-    lines = [f"scenario {report.scenario}"]
-    if report.construction:
-        lines.append(f"construction {report.construction}")
+    lines = [f"scenario {report.scenario}", f"construction {report.construction}"]
     if version:
         lines.append(f"version {version}")
     for key, value in sorted(report.params):

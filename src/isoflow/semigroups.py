@@ -38,8 +38,9 @@ compositions compared by ``_pair_residual``.  The image half of the support rule
 ``_gather``, which ``compose`` uses; checks that only compare a product
 with another map read its image and faithful mask from there and compare
 them by ``_held_residual``, building no map.  Two such checks close the
-module: the semigroup law of a family and the commutation class of a
-pair (``classify_pair``, which ``decompose`` re-exports).  A pair keeps
+module: the semigroup law of a family, which returns one ``CheckEntry``
+per sample pair, and the commutation class of a pair (``classify_pair``,
+which ``decompose`` re-exports).  A pair keeps
 its class at the step time as ``PairOfSemigroups.step_verdict``, the one
 precondition of the fourfold split and of the product family.
 """
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
 from .numlin import Subspace, _check_cells, _components, _distinct, _index_array, _positions
-from .report import CheckEntry, Report
+from .report import CheckEntry
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
 __all__ = [
@@ -392,13 +393,12 @@ class SemigroupFamily:
     latter in a dict, so repeated requests return the same map.
     """
 
-    def __init__(self, generator: WindowedMap, label: str = "", cells_per_unit: int = 1):
+    def __init__(self, generator: WindowedMap, cells_per_unit: int = 1):
         if generator.domain_dim != generator.codomain_dim:
             raise DimensionMismatch("semigroup generator must be square")
         if cells_per_unit < 1:
             raise InvalidInput("cells_per_unit must be >= 1")
         self._generator = generator
-        self._label = label
         self._m = int(cells_per_unit)
         self._squares = [generator]  # V^(2^i) at position i
         self._powers: dict[int, WindowedMap] = {}
@@ -406,10 +406,6 @@ class SemigroupFamily:
     @property
     def generator(self) -> WindowedMap:
         return self._generator
-
-    @property
-    def label(self) -> str:
-        return self._label
 
     @property
     def cells_per_unit(self) -> int:
@@ -519,7 +515,7 @@ def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
 
 def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
     gen = halfline_shift(grid, Fraction(1, grid.m))
-    return SemigroupFamily(gen, f"halfline_shift[m={grid.m},T={grid.T},r={grid.r}]", grid.m)
+    return SemigroupFamily(gen, grid.m)
 
 
 def _cut_shift_images(m: int, j, r: int) -> np.ndarray:
@@ -576,7 +572,7 @@ def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
 
 def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
     gen = phi_multiplier(d, m, r, Fraction(1, m))
-    return SemigroupFamily(gen, f"phi_multiplier[d={d},m={m},r={r}]", m)
+    return SemigroupFamily(gen, m)
 
 
 def bishift_pair(grid: QuadrantGrid2D, t) -> tuple[WindowedMap, WindowedMap]:
@@ -594,9 +590,7 @@ def bishift_pair(grid: QuadrantGrid2D, t) -> tuple[WindowedMap, WindowedMap]:
 
 def bishift_families(grid: QuadrantGrid2D) -> PairOfSemigroups:
     g1, g2 = bishift_pair(grid, Fraction(1, grid.m))
-    tag = f"m={grid.m},T={grid.T},r={grid.r}"
-    return PairOfSemigroups(SemigroupFamily(g1, f"bishift1[{tag}]", grid.m),
-                            SemigroupFamily(g2, f"bishift2[{tag}]", grid.m))
+    return PairOfSemigroups(SemigroupFamily(g1, grid.m), SemigroupFamily(g2, grid.m))
 
 
 def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, WindowedMap]:
@@ -628,9 +622,7 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
 
 def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
     g1, g2 = modified_bishift_pair(region, Fraction(1, region.m))
-    tag = f"m={region.m},T={region.T},r={region.r}"
-    return PairOfSemigroups(SemigroupFamily(g1, f"modified1[{tag}]", region.m),
-                            SemigroupFamily(g2, f"modified2[{tag}]", region.m))
+    return PairOfSemigroups(SemigroupFamily(g1, region.m), SemigroupFamily(g2, region.m))
 
 
 def _circulant_image(n: int) -> np.ndarray:
@@ -645,7 +637,7 @@ def circulant_family(n: int, cells_per_unit: int = 1) -> SemigroupFamily:
     """The cyclic shift by one on C^n, exact everywhere, as a family."""
     gen = WindowedMap.from_image(_circulant_image(n), np.ones(n, dtype=bool),
                                  np.ones(n, dtype=bool))
-    return SemigroupFamily(gen, f"circulant[n={n}]", cells_per_unit)
+    return SemigroupFamily(gen, cells_per_unit)
 
 
 def direct_sum(*parts: WindowedMap) -> WindowedMap:
@@ -698,7 +690,7 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
                                 fiber * part.codomain_dim)
 
 
-def check_semigroup_law(family: SemigroupFamily, samples) -> Report:
+def check_semigroup_law(family: SemigroupFamily, samples) -> list[CheckEntry]:
     """Verify element(s+t) = element(s) o element(t) on composed windows.
 
     Sample pairs whose composed window is empty are skipped; if no pair
@@ -726,7 +718,7 @@ def check_semigroup_law(family: SemigroupFamily, samples) -> Report:
             entries.append(CheckEntry(check_id, residual, (count,), residual == 0.0))
     if not usable:
         raise WindowTooSmall("every sample pair exhausts the window")
-    return Report(scenario=f"semigroup_law[{family.label}]", entries=entries)
+    return entries
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,12 @@ from isoflow import decompose, semigroups
 from isoflow.catalog import _bcl_default_samples
 from isoflow.decompose import bcl_check
 from isoflow.errors import WindowTooSmall
-from isoflow.report import CheckEntry, Report
+from isoflow.report import CheckEntry
 from isoflow.semigroups import WindowedMap, _pair_residual, halfline_shift, phi_multiplier
 from isoflow.spaces import CellGrid1D
 
 
-def sample_loop_bcl(T: int, m: int, r: int, samples) -> Report:
+def sample_loop_bcl(T: int, m: int, r: int, samples) -> list[CheckEntry]:
     grid = CellGrid1D(m, T, r)
     entries = []
     for t in samples:
@@ -38,7 +38,7 @@ def sample_loop_bcl(T: int, m: int, r: int, samples) -> Report:
             raise WindowTooSmall(f"time {time} leaves no faithful window")
         residual, count = got
         entries.append(CheckEntry(f"t={time}", residual, (count,), residual == 0.0))
-    return Report(scenario=f"bcl[T={T},m={m},r={r}]", entries=entries)
+    return entries
 
 
 def filtered_default_samples(T: int, m: int) -> list[Fraction]:
@@ -54,7 +54,7 @@ def filtered_default_samples(T: int, m: int) -> list[Fraction]:
 
 
 def outcome(check, *args):
-    """The report, or the type and message of the exception raised."""
+    """The entries, or the type and message of the exception raised."""
     try:
         return check(*args)
     except Exception as exc:  # the oracle and the table pass must raise alike
@@ -65,8 +65,8 @@ def assert_same(T, m, r, samples):
     want = outcome(sample_loop_bcl, T, m, r, samples)
     got = outcome(bcl_check, T, m, r, samples)
     assert got == want, (T, m, r, samples)
-    if isinstance(got, Report):
-        assert all(type(e.dims[0]) is int for e in got.entries)
+    if isinstance(got, list):
+        assert all(type(e.dims[0]) is int for e in got)
     return got
 
 
@@ -74,8 +74,8 @@ def test_default_samples_match_the_sample_loop_on_every_small_grid():
     for T in range(1, 7):
         for m in range(1, 6):
             for r in range(1, 4):
-                report = assert_same(T, m, r, _bcl_default_samples(T, m))
-                assert report.overall
+                entries = assert_same(T, m, r, _bcl_default_samples(T, m))
+                assert all(e.passed for e in entries)
 
 
 def test_default_samples_are_every_grid_time_with_a_nonempty_window():
@@ -109,7 +109,7 @@ def test_a_failing_sample_raises_as_the_sample_loop_does(bad):
     good = [0, Fraction(1, 2), 2]
     for samples in ([bad], good + [bad], [bad] + good, good[:1] + [bad] + good[1:]):
         got = assert_same(3, 2, 1, samples)
-        assert not isinstance(got, Report)
+        assert not isinstance(got, list)
 
 
 def test_the_first_of_several_failing_samples_is_raised():
@@ -132,11 +132,11 @@ def test_failures_across_table_blocks(monkeypatch):
         monkeypatch.setattr(decompose, "_BCL_BLOCK_CELLS", cells)
         for bad in BAD:
             assert_same(3, 2, 1, samples + [bad])
-        assert assert_same(3, 2, 1, samples[:5]).overall
+        assert all(e.passed for e in assert_same(3, 2, 1, samples[:5]))
 
 
 def test_no_samples_give_an_empty_report():
-    assert bcl_check(3, 2, 1, []) == sample_loop_bcl(3, 2, 1, []) == Report("bcl[T=3,m=2,r=1]")
+    assert bcl_check(3, 2, 1, []) == sample_loop_bcl(3, 2, 1, []) == []
 
 
 def test_a_flagged_row_falls_back_to_the_two_maps(monkeypatch):
@@ -154,8 +154,7 @@ def test_a_flagged_row_falls_back_to_the_two_maps(monkeypatch):
     monkeypatch.setattr(semigroups, "_phi_rows", perturbed)
     monkeypatch.setattr(decompose, "_phi_rows", perturbed)
     samples = _bcl_default_samples(4, 2)
-    report = assert_same(4, 2, 1, samples)
-    failed = [e for e in report.entries if not e.passed]
+    failed = [e for e in assert_same(4, 2, 1, samples) if not e.passed]
     assert [e.check_id for e in failed] == ["t=3/2"]
     assert failed[0].residual > 0.0
 
@@ -169,8 +168,8 @@ def test_rows_whose_images_agree_build_no_map(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(WindowedMap, "__post_init__", counted)
-    report = bcl_check(10, 10, 2, _bcl_default_samples(10, 10))
-    assert report.overall and len(report.entries) == 91
+    entries = bcl_check(10, 10, 2, _bcl_default_samples(10, 10))
+    assert all(e.passed for e in entries) and len(entries) == 91
     assert built == []
 
 
@@ -179,9 +178,9 @@ def test_memory_stays_within_the_table_blocks():
     samples = _bcl_default_samples(64, 32)
     tracemalloc.start()
     try:
-        report = bcl_check(64, 32, 1, samples)
+        entries = bcl_check(64, 32, 1, samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.overall and len(report.entries) == 2017
+    assert all(e.passed for e in entries) and len(entries) == 2017
     assert peak < 4 * 2 ** 20

@@ -12,7 +12,12 @@ import pytest
 from config_oracle import read_config
 
 import isoflow
-from isoflow import __version__, catalog, cli
+from isoflow import (CellGrid1D, CheckEntry, QuadrantGrid2D, SemigroupFamily, WindowedMap,
+                     __version__, bcl_check, bishift_families, catalog, check_semigroup_law,
+                     circulant_pair_setup, cli, double_dual_check, dual_cnu_check, dual_pair,
+                     fuglede_instance_check, halfline_shift_family, l_region_setup,
+                     modified_bishift_model_check, simultaneous_dc_ddc_classify,
+                     verify_joint_equivalence)
 from isoflow.catalog import CATALOG, Scenario, list_catalog, run_scenario
 from isoflow.cli import load_scenarios, main
 from isoflow.errors import InvalidInput, IsoflowError
@@ -85,7 +90,7 @@ def test_hand_configs_read_as_configparser_reads_them(monkeypatch, tmp_path, tex
     list, in order; the catalog check is stubbed so that any key reaches it."""
     path = tmp_path / "hand.cfg"
     path.write_bytes(text.encode())
-    monkeypatch.setattr(cli, "check_scenario", lambda scenario: None)
+    monkeypatch.setattr(catalog, "check_scenario", lambda scenario: None)
     loaded = load_scenarios(str(path))
     assert [(s.name, s.construction, s.params) for s in loaded] == read_config(path)
 
@@ -120,6 +125,55 @@ def test_no_public_function_takes_tol():
                 checked += 1
                 assert "tol" not in inspect.signature(obj).parameters, f"{module.__name__}.{name}"
     assert checked >= 11
+
+
+def test_no_public_callable_takes_a_label():
+    """Families and setups carry no name: the scenario report is the only named thing."""
+    modules = [importlib.import_module(f"isoflow.{info.name}")
+               for info in pkgutil.iter_modules(isoflow.__path__)]
+    checked = 0
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            callables = [obj]
+            if inspect.isclass(obj):
+                assert "label" not in dir(obj), f"{module.__name__}.{name}"
+                callables += [member for attr, member in vars(obj).items()
+                              if not attr.startswith("_") and inspect.isfunction(member)]
+            for function in callables:
+                checked += 1
+                assert "label" not in inspect.signature(function).parameters, \
+                    f"{module.__name__}.{name}"
+    assert checked >= 60
+
+
+ENTRY_CHECKS = {  # each public check on one small bundled input
+    "check_semigroup_law": lambda: check_semigroup_law(halfline_shift_family(CellGrid1D(1, 4)),
+                                                       [1]),
+    "bcl_check": lambda: bcl_check(2, 1, 1, [0, 1]),
+    "verify_joint_equivalence": lambda: verify_joint_equivalence(
+        bishift_families(QuadrantGrid2D(1, 2)), bishift_families(QuadrantGrid2D(1, 2)),
+        WindowedMap.identity(4), [1]),
+    "fuglede_instance_check": lambda: fuglede_instance_check(
+        SemigroupFamily(WindowedMap.identity(4)), halfline_shift_family(CellGrid1D(1, 4)), 1,
+        [1]),
+    "dual_cnu_check": lambda: dual_cnu_check(l_region_setup(1, 2),
+                                             dual_pair(l_region_setup(1, 2), 8), 4),
+    "double_dual_check": lambda: double_dual_check(l_region_setup(1, 2), 8),
+    "modified_bishift_model_check": lambda: modified_bishift_model_check(l_region_setup(1, 2),
+                                                                         6, 8),
+    "simultaneous_dc_ddc_classify": lambda: simultaneous_dc_ddc_classify(
+        circulant_pair_setup(3, 3), 4, 4),
+}
+
+
+@pytest.mark.parametrize("check", ENTRY_CHECKS)
+def test_each_check_returns_its_entries(check):
+    entries = ENTRY_CHECKS[check]()
+    assert type(entries) is list and entries
+    assert all(type(entry) is CheckEntry and entry.passed for entry in entries)
 
 
 @pytest.mark.parametrize("key", ["rank_rel", "resid_abs", "angle"])
@@ -229,6 +283,25 @@ def test_run_scenario_parses_given_samples_once(monkeypatch):
     monkeypatch.setattr(catalog, "_parse_samples", counting)
     assert echoed("halfline_shift", {"samples": "1,2"})["samples"] == "1,2"
     assert calls == ["1,2"]
+
+
+def test_cli_run_resolves_each_section_once(monkeypatch, capsys):
+    """``load_scenarios`` checks every section and ``run_scenario`` reads the same
+    resolved parameters, so a run resolves each section once, not once in each."""
+    calls = []
+    check = catalog.check_scenario
+
+    def counting(scenario):
+        calls.append(scenario.name)
+        return check(scenario)
+
+    for module in (catalog, cli):  # every binding of the name
+        if hasattr(module, "check_scenario"):
+            monkeypatch.setattr(module, "check_scenario", counting)
+    config = ROOT / "configs" / "duality.cfg"
+    assert main(["run", str(config)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "duality.txt").read_text()
+    assert calls == [name for name, _, _ in read_config(config)]
 
 
 # --- CLI process-level behavior -----------------------------------------------------

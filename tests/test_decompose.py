@@ -25,7 +25,7 @@ from test_window_masks import count_linalg_calls
 def shift_plus_circulant():
     shift = halfline_shift_family(CellGrid1D(1, 8))
     gen = direct_sum(shift.generator, circulant_family(4).generator)
-    return SemigroupFamily(gen, "shift(+)circulant", 1)
+    return SemigroupFamily(gen)
 
 
 def range_intersection_oracle(max_steps):
@@ -98,7 +98,7 @@ def test_classify_shift_with_itself():
     backward-then-forward and forward-then-backward products differ on the
     first cell, and the window sees it (direct residual oracle)."""
     fam = halfline_shift_family(CellGrid1D(1, 4))
-    pair = PairOfSemigroups(fam, SemigroupFamily(fam.generator, "copy", 1))
+    pair = PairOfSemigroups(fam, SemigroupFamily(fam.generator))
     verdict = classify_pair(pair, [1])
     assert verdict.comm_residual == 0.0
     assert verdict.double_comm_residual == 1.0
@@ -140,7 +140,7 @@ def four_block_pair(shift_T=4, circ=3):
                     tensor_with_identity(circ_gen, shift_T, "left"),
                     tensor_with_identity(shift_gen, circ, "left"),
                     tensor_with_identity(circ_gen, circ, "left"))
-    pair = PairOfSemigroups(SemigroupFamily(v1, "fb:V1", 1), SemigroupFamily(v2, "fb:V2", 1))
+    pair = PairOfSemigroups(SemigroupFamily(v1), SemigroupFamily(v2))
     return pair, (shift_T * shift_T, shift_T * circ, circ * shift_T, circ * circ)
 
 
@@ -161,7 +161,7 @@ def test_fourfold_bishift_concentrates_in_pp():
 def test_fourfold_unitary_pair_concentrates_in_uu():
     c1 = tensor_with_identity(circulant_family(3).generator, 3, "right")
     c2 = tensor_with_identity(circulant_family(3).generator, 3, "left")
-    pair = PairOfSemigroups(SemigroupFamily(c1, "c1", 1), SemigroupFamily(c2, "c2", 1))
+    pair = PairOfSemigroups(SemigroupFamily(c1), SemigroupFamily(c2))
     split = fourfold_decompose(pair, 3)
     assert split.dims == (0, 0, 0, 9)
 
@@ -188,8 +188,8 @@ def test_fourfold_of_random_model_sums_returns_the_summed_block_dims(blocks):
     stabilized, with no reduction residual.  Sizes start at 2: the shift on one
     cell has no faithful column, so a lone block of it has nothing to classify."""
     firsts, seconds = zip(*(model_block(*block) for block in blocks))
-    pair = PairOfSemigroups(SemigroupFamily(direct_sum(*firsts), "V1", 1),
-                            SemigroupFamily(direct_sum(*seconds), "V2", 1))
+    pair = PairOfSemigroups(SemigroupFamily(direct_sum(*firsts)),
+                            SemigroupFamily(direct_sum(*seconds)))
     expected = [0, 0, 0, 0]  # pp, pu, up, uu
     for kind, a, b in blocks:
         expected[kind] += a * b
@@ -222,37 +222,37 @@ def test_fourfold_projectors_commute_with_samples():
 # --- multiplier model ------------------------------------------------------------------
 
 def test_bcl_time_one_and_zero():
-    report = bcl_check(4, 4, 1, [0, 1])
-    assert report.overall
-    assert all(e.residual == 0.0 for e in report.entries)
+    entries = bcl_check(4, 4, 1, [0, 1])
+    assert all(e.passed for e in entries)
+    assert all(e.residual == 0.0 for e in entries)
 
 
 def test_bcl_full_grid_r2():
     samples = [Fraction(j, 4) for j in range(13)]
-    report = bcl_check(4, 4, 2, samples)
-    assert report.overall
-    assert all(e.residual == 0.0 for e in report.entries)
-    assert len(report.entries) == 13
+    entries = bcl_check(4, 4, 2, samples)
+    assert all(e.passed for e in entries)
+    assert all(e.residual == 0.0 for e in entries)
+    assert len(entries) == 13
 
 
 # --- joint equivalence -----------------------------------------------------------------
 
 def test_joint_equivalence_identity():
     pair = bishift_families(QuadrantGrid2D(1, 2))
-    report = verify_joint_equivalence(pair, pair, WindowedMap.identity(4), [1])
-    assert report.overall
-    assert all(e.residual == 0.0 for e in report.entries)
+    entries = verify_joint_equivalence(pair, pair, WindowedMap.identity(4), [1])
+    assert all(e.passed for e in entries)
+    assert all(e.residual == 0.0 for e in entries)
 
 
 def test_joint_equivalence_bishift_tensor_form():
     pair = bishift_families(QuadrantGrid2D(2, 2))
     shift = halfline_shift_family(CellGrid1D(2, 2)).generator
     tens = PairOfSemigroups(
-        SemigroupFamily(tensor_with_identity(shift, 4, "right"), "SxI", 2),
-        SemigroupFamily(tensor_with_identity(shift, 4, "left"), "IxS", 2))
-    report = verify_joint_equivalence(pair, tens, WindowedMap.identity(16),
-                                      [Fraction(1, 2), 1])
-    assert report.overall and all(e.residual == 0.0 for e in report.entries)
+        SemigroupFamily(tensor_with_identity(shift, 4, "right"), 2),
+        SemigroupFamily(tensor_with_identity(shift, 4, "left"), 2))
+    entries = verify_joint_equivalence(pair, tens, WindowedMap.identity(16),
+                                       [Fraction(1, 2), 1])
+    assert all(e.passed for e in entries) and all(e.residual == 0.0 for e in entries)
 
 
 def test_joint_equivalence_w_conjugation():
@@ -264,9 +264,9 @@ def test_joint_equivalence_w_conjugation():
     phis = phi_family(3, 4)
     single = PairOfSemigroups(shifts, shifts)
     model = PairOfSemigroups(phis, phis)
-    report = verify_joint_equivalence(single, model, WindowedMap.identity(grid.dim),
-                                      [Fraction(1, 4), 1])
-    assert report.overall and all(e.residual == 0.0 for e in report.entries)
+    entries = verify_joint_equivalence(single, model, WindowedMap.identity(grid.dim),
+                                       [Fraction(1, 4), 1])
+    assert all(e.passed for e in entries) and all(e.residual == 0.0 for e in entries)
 
 
 def test_joint_equivalence_requires_unitary():
@@ -304,14 +304,14 @@ def test_joint_equivalence_w_conjugation_at_dim_512_gathers(monkeypatch):
     dense = count_linalg_calls(monkeypatch)
     tracemalloc.start()
     try:
-        report = verify_joint_equivalence(PairOfSemigroups(shifts, shifts),
-                                          PairOfSemigroups(phis, phis), w, samples)
+        entries = verify_joint_equivalence(PairOfSemigroups(shifts, shifts),
+                                           PairOfSemigroups(phis, phis), w, samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert dense == []
-    assert report.overall and len(report.entries) == 16
-    assert all(e.residual == 0.0 for e in report.entries)
+    assert all(e.passed for e in entries) and len(entries) == 16
+    assert all(e.residual == 0.0 for e in entries)
     assert peak < 16 * 2**20
 
 
@@ -327,15 +327,15 @@ def test_joint_equivalence_under_a_relabeling_permutation(monkeypatch):
         g = WindowedMap.from_image(np.where(image >= 0, pi[image], -1),
                                    f.generator.faithful_mask[inverse],
                                    f.generator.adj_faithful_mask[inverse])
-        return SemigroupFamily(g, f.label, f.cells_per_unit)
+        return SemigroupFamily(g, f.cells_per_unit)
 
     b = PairOfSemigroups(moved(a.first), moved(a.second))
     dense = count_linalg_calls(monkeypatch)
     z = WindowedMap.from_image(pi, np.ones(n, dtype=bool), np.ones(n, dtype=bool))
-    report = verify_joint_equivalence(a, b, z, [Fraction(1, 2), 1, 2])
+    entries = verify_joint_equivalence(a, b, z, [Fraction(1, 2), 1, 2])
     assert dense == []
-    assert report.overall and all(e.residual == 0.0 for e in report.entries)
-    assert not verify_joint_equivalence(a, a, z, [1]).overall
+    assert all(e.passed for e in entries) and all(e.residual == 0.0 for e in entries)
+    assert not all(e.passed for e in verify_joint_equivalence(a, a, z, [1]))
 
 
 # --- product family ---------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_product_unitary_part_bishift_vanishes():
 def test_product_unitary_part_unitary_pair_full():
     c1 = tensor_with_identity(circulant_family(3).generator, 3, "right")
     c2 = tensor_with_identity(circulant_family(3).generator, 3, "left")
-    pair = PairOfSemigroups(SemigroupFamily(c1, "c1", 1), SemigroupFamily(c2, "c2", 1))
+    pair = PairOfSemigroups(SemigroupFamily(c1), SemigroupFamily(c2))
     result = product_unitary_part(pair, 3)
     assert result.subspace.dim == 9 and result.stabilized
 
@@ -375,7 +375,7 @@ def test_product_unitary_matches_fourfold_uu_corner():
 def test_product_requires_commutation():
     shift = halfline_shift_family(CellGrid1D(1, 4))
     swap = WindowedMap.from_image([0, 2, 1, 3], range(4), range(4))  # two middle cells
-    pair = PairOfSemigroups(shift, SemigroupFamily(swap, "swap", 1))
+    pair = PairOfSemigroups(shift, SemigroupFamily(swap))
     assert pair.step_verdict.classified == "neither"
     with pytest.raises(PreconditionFailed, match="non-commuting"):
         product_unitary_part(pair, 4)

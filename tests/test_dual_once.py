@@ -32,7 +32,7 @@ from isoflow.duality import (ExtensionSetup, _lift_local, _orbit_span, _restrict
                              dual_fourfold, dual_pair, halfline_circulant_setup,
                              l_region_setup, setup_direct_sum, simultaneous_dc_ddc_classify)
 from isoflow.numlin import Subspace, complement, intersect, subtract
-from isoflow.report import CheckEntry, Report, render_report
+from isoflow.report import CheckEntry
 from isoflow.semigroups import SemigroupFamily, WindowedMap
 from test_orbits import commuting_permutations
 
@@ -71,8 +71,8 @@ def assert_subspace_rebuilds(sub: Subspace) -> None:
 
 def assert_setup_rebuilds(setup: ExtensionSetup) -> None:
     """setup passes every check of ExtensionSetup(...)."""
-    again = ExtensionSetup(setup.u1, setup.u2, setup.h, setup.cells_per_unit, setup.label,
-                           setup.geometry)
+    again = ExtensionSetup(setup.u1, setup.u2, setup.h, setup.cells_per_unit,
+                           geometry=setup.geometry)
     assert again.ambient_dim == setup.ambient_dim and again.h is setup.h
 
 
@@ -129,7 +129,7 @@ def test_derived_subspaces_pass_the_public_checks(case):
 
 def _mixed(m: int, T: int, p: int) -> ExtensionSetup:
     return setup_direct_sum(halfline_circulant_setup(m, T, p),
-                            halfline_circulant_setup(m, T, p, unitary_first=True), label="mixed")
+                            halfline_circulant_setup(m, T, p, unitary_first=True))
 
 
 DUAL_RUNS = {  # name -> (setup builder, run)
@@ -173,10 +173,9 @@ def test_adjoint_and_reduced_setups_are_derived():
         ddc = _ddc_setup(1, 2, 3, 3)
         dual_fourfold(ddc, 6, 8)
     adjoint, reduced = setups
-    assert adjoint.label == f"{setup.label}~"
     assert np.array_equal(adjoint.u1.image, setup.u1.adjoint().image)
     assert np.array_equal(adjoint.u2.image, setup.u2.adjoint().image)
-    assert reduced.label == f"{ddc.label}|cnu" and reduced.h.dim == ddc.h.dim - 9
+    assert reduced.u1 is ddc.u1 and reduced.u2 is ddc.u2 and reduced.h.dim == ddc.h.dim - 9
     for derived in setups:
         assert_setup_rebuilds(derived)
 
@@ -208,7 +207,8 @@ def test_joint_classification_computes_each_dual_value_once(monkeypatch):
     assert counts == Counter(dual_pair=1, _orbit_span=3, classify_pair=2)
 
 
-def public_simultaneous(setup: ExtensionSetup, max_steps: int, max_orbit: int) -> Report:
+def public_simultaneous(setup: ExtensionSetup, max_steps: int,
+                        max_orbit: int) -> list[CheckEntry]:
     """The joint classification from the public functions, each computing its own values."""
     pair = setup.compressed_pair()
     step = [Fraction(1, setup.cells_per_unit)]
@@ -237,7 +237,7 @@ def public_simultaneous(setup: ExtensionSetup, max_steps: int, max_orbit: int) -
         entries.append(CheckEntry("three_part_sum", dsplit.orthogonality_residual,
                                   (dsplit.h_pu.dim, dsplit.h_up.dim, dsplit.h_uu.dim),
                                   covered == setup.h.dim))
-    return Report(scenario=f"simultaneous[{setup.label}]", entries=entries)
+    return entries
 
 
 @pytest.mark.parametrize("setup", [
@@ -246,7 +246,6 @@ def public_simultaneous(setup: ExtensionSetup, max_steps: int, max_orbit: int) -
     setup_direct_sum(_mixed(1, 2, 2), circulant_pair_setup(2, 2, cells_per_unit=1)),
 ], ids=["mixed-1-2-3", "mixed-2-3-2", "bishift", "unitary", "mixed+unitary"])
 def test_joint_classification_matches_the_public_functions(setup):
-    """The reused pair, verdicts and dual give the report of the public functions,
+    """The reused pair, verdicts and dual give the entries of the public functions,
     with and without a unitary-unitary corner."""
-    got = simultaneous_dc_ddc_classify(setup, 8, 16)
-    assert render_report(got) == render_report(public_simultaneous(setup, 8, 16))
+    assert simultaneous_dc_ddc_classify(setup, 8, 16) == public_simultaneous(setup, 8, 16)

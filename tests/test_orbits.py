@@ -28,7 +28,6 @@ from isoflow.duality import (ExtensionSetup, OrbitSpan, _orbit_span, bishift_set
                              minimal_extension, setup_direct_sum, simultaneous_dc_ddc_classify)
 from isoflow.errors import PreconditionFailed
 from isoflow.numlin import Subspace
-from isoflow.report import render_report
 from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
                                 bishift_families, check_semigroup_law, halfline_shift_family,
                                 modified_bishift_families)
@@ -236,12 +235,12 @@ def relabel(x, pi: np.ndarray):
     if isinstance(x, WindowedMap):
         return _relabel_map(x, pi, inverse)
     if isinstance(x, SemigroupFamily):
-        return SemigroupFamily(relabel(x.generator, pi), x.label, x.cells_per_unit)
+        return SemigroupFamily(relabel(x.generator, pi), x.cells_per_unit)
     if isinstance(x, PairOfSemigroups):
         return PairOfSemigroups(relabel(x.first, pi), relabel(x.second, pi))
     u1, u2 = (_relabel_map(u, pi, inverse) for u in (x.u1, x.u2))
     return ExtensionSetup(u1, u2, Subspace(x.ambient_dim, cells=np.sort(pi[x.h.cells])),
-                          x.cells_per_unit, x.label, geometry=None)
+                          x.cells_per_unit, geometry=None)
 
 
 RELABELED = [
@@ -264,10 +263,8 @@ def test_dual_side_is_invariant_under_relabeling(setup, seed):
     d0, d1 = dual_pair(setup, max_orbit), dual_pair(moved, max_orbit)
     assert d1.invariance_residuals == d0.invariance_residuals
     assert d1.wth.dim == d0.wth.dim
-    assert (render_report(dual_cnu_check(moved, d1, 6))
-            == render_report(dual_cnu_check(setup, d0, 6)))
-    assert (render_report(double_dual_check(moved, max_orbit))
-            == render_report(double_dual_check(setup, max_orbit)))
+    assert dual_cnu_check(moved, d1, 6) == dual_cnu_check(setup, d0, 6)
+    assert double_dual_check(moved, max_orbit) == double_dual_check(setup, max_orbit)
 
 
 # --- relabeling invariance on the primal side -------------------------------------
@@ -293,7 +290,7 @@ def test_primal_side_is_invariant_under_relabeling(case, seed):
     pairs = [(x, moved)] if isinstance(x, SemigroupFamily) else \
         [(x.first, moved.first), (x.second, moved.second)]
     for f, g in pairs:
-        assert check_semigroup_law(g, samples).entries == check_semigroup_law(f, samples).entries
+        assert check_semigroup_law(g, samples) == check_semigroup_law(f, samples)
         assert _generator_isometry_entry(g, "g") == _generator_isometry_entry(f, "g")
         w0, w1 = wold_cooper(f, max_steps), wold_cooper(g, max_steps)
         assert (w1.stabilized, w1.steps_used, w1.unitary_residual) == \
@@ -323,7 +320,7 @@ def test_primal_side_is_invariant_under_relabeling(case, seed):
 
 SIMULTANEOUS = [  # the catalog's mixed, bishift and unitary setups at m = 1, T = 2, p = 3
     setup_direct_sum(halfline_circulant_setup(1, 2, 3),
-                     halfline_circulant_setup(1, 2, 3, unitary_first=True), label="mixed"),
+                     halfline_circulant_setup(1, 2, 3, unitary_first=True)),
     bishift_setup(1, 2),
     circulant_pair_setup(3, 3, cells_per_unit=1),
 ]
@@ -334,8 +331,7 @@ SIMULTANEOUS = [  # the catalog's mixed, bishift and unitary setups at m = 1, T 
 def test_simultaneous_classification_is_invariant_under_relabeling(setup, seed):
     pi = np.random.default_rng(seed).permutation(setup.ambient_dim)
     before = simultaneous_dc_ddc_classify(setup, 6, 8)
-    assert render_report(simultaneous_dc_ddc_classify(relabel(setup, pi), 6, 8)) == \
-        render_report(before)
+    assert simultaneous_dc_ddc_classify(relabel(setup, pi), 6, 8) == before
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)

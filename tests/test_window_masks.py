@@ -153,14 +153,14 @@ def test_dual_example_computes_its_dual_pair_once(monkeypatch):
     dual_pair = duality.dual_pair
 
     def counted(*args, **kwargs):
-        calls.append(args[0].label)
+        calls.append(args[0])
         return dual_pair(*args, **kwargs)
 
     monkeypatch.setattr(duality, "dual_pair", counted)
     entries = run_scenario(Scenario("dual", "dual_example", {"m": 1, "T": 3})).entries
     assert len(calls) == 1
     setup = duality.l_region_setup(1, 3)
-    want = duality.dual_cnu_check(setup, duality.dual_pair(setup, 12), 5).entries
+    want = duality.dual_cnu_check(setup, duality.dual_pair(setup, 12), 5)
     assert len(calls) == 2
     got = [e for e in entries if e.check_id.startswith("cnu:")]
     assert got == [replace(e, check_id="cnu:" + e.check_id) for e in want]
