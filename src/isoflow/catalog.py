@@ -3,7 +3,9 @@
 Each construction builds a bundled operator family or extension setup,
 runs its documented checks, and emits one report entry per check.  The
 public checks return lists of ``CheckEntry``; a runner joins them, and
-``run_scenario`` wraps the result in the scenario's one ``Report``.  Given
+``run_scenario`` wraps the result in the scenario's one ``Report``.  The
+runners of the sampled one-parameter constructions price their sample plan
+(``_check_sample_plan``) before any map is built.  Given
 identical parameters the entries are byte-identical across runs: all
 constructions are deterministic and seedless.
 """
@@ -16,17 +18,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import duality
 from .commutant import commutant_of_partial_isometries, doubly_commutant_of_mz
 from .decompose import (bcl_check, classify_pair, fourfold_decompose, product_unitary_part,
                         wold_cooper)
 from .errors import InternalInconsistency, InvalidInput
+from .numlin import _check_budget, _equal
 from .report import CheckEntry, Report
 from .semigroups import (PairOfSemigroups, SemigroupFamily, _image_residual, _isometry_defect,
                          bishift_families, bishift_pair, check_semigroup_law, circulant_family,
-                         direct_sum, halfline_shift_family,
+                         direct_sum, grid_steps, halfline_shift_family,
                          modified_bishift_families, tensor_with_identity)
 from .spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
@@ -59,7 +60,7 @@ _FIXED_ECHO = {"rank_rel": "1e-10", "resid_abs": "1e-10", "angle": "0.99999999"}
 
 def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
     gen = family.generator
-    cols = np.flatnonzero(gen.faithful_mask)
+    cols = gen.faithful_mask.nonzero()[0]
     if not cols.size:
         return CheckEntry(check_id, 0.0, (0,), False, "empty window")
     residual = _isometry_defect(gen, cols)
@@ -70,12 +71,27 @@ def _prefixed(prefix: str, entries: list[CheckEntry]) -> list[CheckEntry]:
     return [replace(entry, check_id=prefix + entry.check_id) for entry in entries]
 
 
+def _check_sample_plan(samples, m: int, cells: int, families: int) -> None:
+    """Price, before any map is built, the maps that ``check_semigroup_law`` and
+    ``classify_pair`` keep for ``samples``: each family keeps one map per distinct
+    step count among the sampled steps and their pairwise sums, an ``int64``
+    image and two boolean masks, 10 bytes, per cell."""
+    steps = sorted({grid_steps(t, m) for t in samples})
+    kept = set(steps)
+    for at, s in enumerate(steps):
+        kept.update(s + t for t in steps[at:])
+    _check_budget(len(kept) * families * cells, 10,
+                  f"a sample plan of {len(kept):,} step counts on {families} x {cells:,} cells")
+
+
 # ---------------------------------------------------------------------------
 # runners: each takes its resolved parameters by name and returns its entries
 
 
 def _run_halfline_shift(m, T, r, K, samples):
-    family = halfline_shift_family(CellGrid1D(m, T, r))
+    grid = CellGrid1D(m, T, r)
+    _check_sample_plan(samples, m, grid.dim, 1)
+    family = halfline_shift_family(grid)
     entries = [_generator_isometry_entry(family, "generator_isometry")]
     entries.extend(check_semigroup_law(family, samples))
     wold = wold_cooper(family, K)
@@ -98,7 +114,9 @@ def _pair_law_entries(pair: PairOfSemigroups, samples):
 
 
 def _run_bishift(m, T, r, K, samples):
-    pair = bishift_families(QuadrantGrid2D(m, T, r))
+    grid = QuadrantGrid2D(m, T, r)
+    _check_sample_plan(samples, m, grid.dim, 2)
+    pair = bishift_families(grid)
     entries, verdict = _pair_law_entries(pair, samples)
     entries.append(CheckEntry("adjoint_commutator", verdict.double_comm_residual, (),
                               verdict.double_comm_residual == 0.0))
@@ -115,7 +133,9 @@ def _run_bishift(m, T, r, K, samples):
 
 
 def _run_modified_bishift(m, T, r, samples):
-    pair = modified_bishift_families(LRegionIndex(m, T, r))
+    region = LRegionIndex(m, T, r)
+    _check_sample_plan(samples, m, 3 * region.half ** 2 * r, 2)  # the L: 3 of 4 quadrants
+    pair = modified_bishift_families(region)
     entries, verdict = _pair_law_entries(pair, samples)
     entries.append(CheckEntry("adjoint_commutator_witness", verdict.double_comm_residual, (),
                               verdict.double_comm_residual > 0.0,
@@ -231,8 +251,8 @@ def _run_dual_example(m, T, r, K, max_orbit):
         residual = _image_residual(got.image, model.image)  # over the differing columns only
         entries.append(CheckEntry(f"dual_equals_bishift_axis{axis}", residual,
                                   (got.domain_dim,),
-                                  residual == 0.0 and np.array_equal(got.faithful_mask,
-                                                                     model.faithful_mask),
+                                  residual == 0.0 and _equal(got.faithful_mask,
+                                                             model.faithful_mask),
                                   "integer equality"))
     entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
                               dual.wth.dim == (m * T) ** 2 * r))

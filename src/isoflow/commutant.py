@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import _check_budget, _components
+from .numlin import _check_budget, _components, _equal
 from .report import CheckEntry
 from .semigroups import (SemigroupFamily, _commutator_residual, _cut_shift_images,
                          _forward_image, _held_residual)
@@ -63,7 +63,7 @@ class CommutantBasis:
 
     @property
     def dim(self) -> int:
-        return int(self.labels.max(initial=-1)) + 1
+        return int(np.maximum.reduce(self.labels, axis=None, initial=-1)) + 1
 
 
 _BLOCK_ENTRIES = 32768  # equations per block of _exact_commutant, one constrained column at least
@@ -102,7 +102,7 @@ def _exact_commutant(images: np.ndarray, lo, hi) -> np.ndarray:
     preimages[np.arange(len(images))[:, None], images] = np.arange(n)
     preimages = preimages[:, :n]
     hi = np.asarray(hi, dtype=np.int64)
-    ends = np.cumsum(hi - np.asarray(lo, dtype=np.int64))  # one past the last number of each op
+    ends = (hi - np.asarray(lo, dtype=np.int64)).cumsum()  # one past the last number of each op
     total = int(ends[-1]) if ends.size else 0
     shift = hi - ends  # op s numbers column j as j - shift[s]
     rows = np.arange(n)
@@ -111,7 +111,7 @@ def _exact_commutant(images: np.ndarray, lo, hi) -> np.ndarray:
     def blocks():
         for start in range(0, total, step):
             number = np.arange(start, min(start + step, total))
-            owner = np.searchsorted(ends, number, side="right")
+            owner = ends.searchsorted(number, side="right")
             column = number + shift[owner]
             target = images[owner, column, None]
             preimage = preimages[owner]
@@ -126,7 +126,7 @@ def _exact_commutant(images: np.ndarray, lo, hi) -> np.ndarray:
     free_root = np.zeros(zero + 1, dtype=bool)
     free_root[roots] = True
     free_root[forced] = False
-    number = np.cumsum(free_root[:zero]) - 1
+    number = free_root[:zero].cumsum() - 1
     labels = number[roots]
     labels[roots == forced] = -1
     labels = labels.reshape((n, n), order="F")
@@ -139,12 +139,15 @@ def _fiber_form(labels: np.ndarray, blocks: int) -> CommutantBasis:
 
     Every class indicator b is I (x) b_0, b_0 its leading block, exactly
     when ``labels`` is its leading block on each diagonal block and -1 off
-    them.  Entries of b - I (x) b_0 are 0 or +-1, so a failing form has a
-    residual of norm at least 1, reported as 1.0.
+    them: ``labels`` is compared with a -1 array on whose diagonal blocks
+    the leading block is written.  Entries of b - I (x) b_0 are 0 or +-1, so
+    a failing form has a residual of norm at least 1, reported as 1.0.
     """
     fiber = labels.shape[0] // blocks
-    tiled = np.kron(np.eye(blocks, dtype=np.int64), labels[:fiber, :fiber] + 1) - 1
-    if np.array_equal(labels, tiled):
+    tiled = np.full_like(labels, -1)
+    diagonal = np.arange(blocks)
+    tiled.reshape(blocks, fiber, blocks, fiber)[diagonal, :, diagonal] = labels[:fiber, :fiber]
+    if _equal(labels, tiled):
         return CommutantBasis(labels, "fiber_scalar", 0.0)
     return CommutantBasis(labels, "other", 1.0)
 
@@ -216,7 +219,7 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
     for t in samples:
         time = Fraction(t)
         a = normal_family.at_time(time)
-        if not np.array_equal(a.adjoint().image >= 0, a.image >= 0):
+        if not _equal(a.adjoint().image >= 0, a.image >= 0):
             raise PreconditionFailed(f"element at t={time} is not normal")
         v = shift_family.at_time(time)
         got = _commutator_residual(a, v)
@@ -232,7 +235,7 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
             double, count = (0.0, 0) if got is None else got
             entries.append(CheckEntry(f"t={time}:adjoint_commutator", double, (count,),
                                       double == 0.0, "" if count else "empty window, skipped"))
-            full_cells = np.flatnonzero(a.faithful_mask.reshape(cells, fiber).all(axis=1))
+            full_cells = a.faithful_mask.reshape(cells, fiber).all(axis=1).nonzero()[0]
             if not full_cells.size:
                 entries.append(CheckEntry(f"t={time}:fiber_form", 0.0, (0,), False,
                                           "no faithful fiber block"))

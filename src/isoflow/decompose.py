@@ -30,11 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import Subspace, _positions, complement, intersect
+from .numlin import Subspace, _mask, _positions, complement, intersect
 from .report import CheckEntry
 from .semigroups import (CommutationReport, PairOfSemigroups, SemigroupFamily, WindowedMap,
                          _check_image, _halfline_rows, _image_isometry_defect,
-                         _isometry_defect, _mask, _pair_residual, _phi_rows, classify_pair,
+                         _isometry_defect, _pair_residual, _phi_rows, classify_pair,
                          grid_steps, halfline_shift, phi_multiplier)
 from .spaces import CellGrid1D
 
@@ -123,7 +123,7 @@ def _chain_heights(image: np.ndarray, live: np.ndarray,
     span, rounds = 1, 0
     while True:
         below = height[height < span]
-        missing = int(below.max()) + 1 if below.size else 0
+        missing = int(np.maximum.reduce(below)) + 1 if below.size else 0
         if missing < span or span >= max_steps:
             return height, missing, rounds
         step = anc >= 0
@@ -159,7 +159,7 @@ def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
     height, missing, _ = _chain_heights(image, live, max_steps)
     stabilized = missing < max_steps
     steps_used = missing + 1 if stabilized else max_steps
-    part = Subspace._derived(family.dim, np.flatnonzero(height >= steps_used))
+    part = Subspace._derived(family.dim, (height >= steps_used).nonzero()[0])
     return WoldResult(complement(part), part, stabilized, steps_used,
                       _unitary_residual(part, family.generator))
 
@@ -176,9 +176,9 @@ def _reduction_residual(subspace: Subspace, elements) -> float:
         return 0.0
     inside = _mask(subspace.cells, subspace.ambient)
     for element in elements:
-        cols = np.flatnonzero(element.faithful_mask)
+        cols = element.faithful_mask.nonzero()[0]
         rows = element.image[cols]
-        if ((rows >= 0) & (inside[rows] != inside[cols])).any():
+        if np.count_nonzero((rows >= 0) & (inside[rows] != inside[cols])):
             return 1.0
     return 0.0
 
@@ -267,7 +267,7 @@ def bcl_check(T: int, m: int, r: int, samples) -> list[CheckEntry]:
         counts = np.count_nonzero(common, axis=1)
         differ = ((shift != model) & common).any(axis=1)
         found = [(0.0, count) for count in counts.tolist()]
-        for k in np.flatnonzero(differ | (counts == 0)).tolist():
+        for k in (differ | (counts == 0)).nonzero()[0].tolist():
             found[k] = _bcl_sample(grid, block_times[k])
         got.extend(found)
     if unread is not None:

@@ -42,13 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import Subspace, _positions, intersect, subtract
+from .numlin import Subspace, _equal, _positions, intersect, subtract
 from .decompose import _reduction_residual, fourfold_decompose, product_unitary_part
 from .report import CheckEntry
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
@@ -75,6 +75,9 @@ __all__ = [
     "setup_direct_sum",
 ]
 
+_SETUP_BLOCK_CELLS = 32768  # cells per block of the commutation check of ExtensionSetup
+
+
 @dataclass(frozen=True, eq=False)
 class ExtensionSetup:
     """Commuting ambient permutations plus the embedded original subspace.
@@ -82,7 +85,9 @@ class ExtensionSetup:
     The unitaries are carried as WindowedMaps so that their own exactness
     windows (wrap-affected cells of a cyclic ambient) propagate into every
     compression.  Each must be a permutation (isometry defect exactly 0,
-    which for a square map means unitary), and the two must commute.  The
+    which for a square map means unitary), and the two must commute: the
+    images a[b] and b[a] are compared in blocks of at most
+    ``_SETUP_BLOCK_CELLS`` cells, so no full-size gather is made.  The
     region ``geometry``, which ``modified_bishift_model_check`` reads, is
     keyword-only.
     """
@@ -103,8 +108,10 @@ class ExtensionSetup:
             if _isometry_defect(u) != 0.0:  # a square isometry is unitary
                 raise InvalidInput(f"{tag} is not unitary")
         a, b = self.u1.image, self.u2.image
-        if not np.array_equal(a[b], b[a]):
-            raise InvalidInput("ambient unitaries do not commute")
+        for start in range(0, n, _SETUP_BLOCK_CELLS):
+            cells = slice(start, start + _SETUP_BLOCK_CELLS)
+            if not _equal(a[b[cells]], b[a[cells]]):
+                raise InvalidInput("ambient unitaries do not commute")
         if self.cells_per_unit < 1:
             raise InvalidInput("cells_per_unit must be >= 1")
 
@@ -202,8 +209,8 @@ def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace, max_orbit: in
         frontier = np.concatenate([_take(g, outside),
                                    *(_take(move[g], outside) for move in (f2, b2))])
         if not frontier.size:
-            return OrbitSpan(Subspace._derived(n, np.flatnonzero(~outside)), True, radius)
-    return OrbitSpan(Subspace._derived(n, np.flatnonzero(~outside)), False, max_orbit)
+            return OrbitSpan(Subspace._derived(n, (~outside).nonzero()[0]), True, radius)
+    return OrbitSpan(Subspace._derived(n, (~outside).nonzero()[0]), False, max_orbit)
 
 
 def _take(cells: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -226,7 +233,7 @@ def _lift_local(local: Subspace, host: Subspace) -> Subspace:
 def _restrict_to(host: Subspace, part: Subspace) -> Subspace:
     """Express a cell set contained in the cell set ``host`` in host-local coordinates."""
     at = _positions(host.cells, host.ambient)[part.cells]
-    if (at < 0).any():
+    if np.count_nonzero(at < 0):
         raise InternalInconsistency(
             f"cells {part.cells[at < 0].tolist()} fall outside the host subspace")
     return Subspace._derived(host.dim, at)
@@ -253,7 +260,8 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int) -> DualResult:
     for u in (setup.u1, setup.u2):  # one adjoint at a time, dropped once compressed
         adj = u.adjoint()
         part = _compress(adj, wth)
-        residuals.append(float((adj.faithful_mask[wth.cells] & ~part.faithful_mask).any()))
+        unmarked = np.count_nonzero(adj.faithful_mask[wth.cells] & ~part.faithful_mask)
+        residuals.append(1.0 if unmarked else 0.0)
         compressed.append(part)
         del adj
     g1, g2 = compressed
@@ -421,12 +429,12 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int,
     split = fourfold_decompose(dual.pair, max_steps)  # raises unless doubly commuting
     if split.dims != (dual.wth.dim, 0, 0, 0):
         raise PreconditionFailed(f"dual fourfold dims {split.dims} are not pure bishift")
-    if not np.array_equal(dual.wth.cells, region.quadrant_cells()):
+    if not _equal(dual.wth.cells, region.quadrant_cells()):
         raise PreconditionFailed("recovered dual space does not sit on the quadrant cells")
     entries = [CheckEntry("dual_bishift_dims", 0.0, split.dims, True)]
     canonical_cells = region.l_cells()
     at = _positions(canonical_cells, setup.h.ambient)[setup.h.cells]  # setup -> canonical
-    if (at < 0).any():
+    if np.count_nonzero(at < 0):
         raise PreconditionFailed("original space does not sit on the L-region cells")
     # a canonical cell outside the range of Z has no setup cell, so Z* is trusted only there
     z = WindowedMap.from_image(at, np.ones(at.size, dtype=bool), at, rows=canonical_cells.size)
@@ -572,6 +580,6 @@ def setup_direct_sum(*setups: ExtensionSetup) -> ExtensionSetup:
         raise InvalidInput("setups use different time grids")
     u1 = direct_sum(*(s.u1 for s in setups))
     u2 = direct_sum(*(s.u2 for s in setups))
-    offsets = np.cumsum([0] + [s.ambient_dim for s in setups]).tolist()
+    offsets = list(accumulate((s.ambient_dim for s in setups), initial=0))
     cells = np.concatenate([offset + s.h.cells for offset, s in zip(offsets, setups)])
     return ExtensionSetup(u1, u2, Subspace(offsets[-1], cells=cells), setups[0].cells_per_unit)

@@ -15,6 +15,22 @@ norm of ``semigroups._image_residual`` both use it.  ``_check_budget``
 prices an array quadratic in the dimension before it is allocated, and
 ``_check_cells`` an ambient before its first index array.
 
+The index kernels of the package call numpy's C entry points, not its
+Python convenience wrappers: on the 10 to 2,000 cells of a bundled
+scenario a call costs its dispatch rather than its work.  On 100-entry
+arrays (Python 3.11, numpy 2.4, a shared 2-vCPU host), ``np.flatnonzero``
+takes 1.3 us against 0.26 us for ``.nonzero()[0]``; a bool ``.any()`` or
+``.all()`` 0.9 us against 0.28 us for ``np.count_nonzero``;
+``np.array_equal`` 1.9 us against 0.8 us for ``_equal`` (a shape test,
+then ``count_nonzero(a != b)``); ``np.intersect1d`` with ``assume_unique``
+4.7 us against 1.5 us for the mask gather of ``intersect``; ``np.delete``
+3.4 us against 1.8 us for the mask gather of ``subtract``; and
+``np.cumsum`` and ``np.searchsorted`` twice their methods.  ``.min()`` and
+``.max()`` are ``np.minimum.reduce`` and ``np.maximum.reduce``, a few
+percent faster.  On millions of cells an early-exiting ``.any()`` beats
+``count_nonzero`` by about 0.1 ms, which the comparison building its mask
+outweighs many times, so no kernel forks on size.
+
 Zero-dimensional subspaces are ordinary values throughout, never errors.
 """
 
@@ -50,6 +66,11 @@ def _check_cells(cells: int) -> None:
     _check_budget(cells, 8, f"an ambient of {cells:,} cells")
 
 
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal`` for two arrays: equal shapes, then no entry that differs."""
+    return a.shape == b.shape and not np.count_nonzero(a != b)
+
+
 def _index_array(values) -> np.ndarray:
     """An array as it is, a range as its ``arange``; any other iterable read
     entry by entry with ``operator.index``, so that a float raises
@@ -72,6 +93,13 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _mask(cells: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of length n that is True at the index array ``cells``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[cells] = True
+    return mask
+
+
 def _positions(cells: np.ndarray, ambient: int) -> np.ndarray:
     """Local coordinate of each ambient index in ``cells``, -1 outside.
 
@@ -92,7 +120,7 @@ def _roots(lab: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     at, parent = nodes, lab[nodes]
     while True:
         grand = lab[parent]
-        if (grand == parent).all():
+        if _equal(grand, parent):
             return parent
         lab[at] = grand
         at, parent = grand, lab[grand]
@@ -121,7 +149,7 @@ def _components(blocks, size: int) -> tuple[np.ndarray, int]:
     for lhs, rhs in blocks:
         a, b = _roots(lab, lhs.ravel()), _roots(lab, rhs.ravel())
         differ = a != b
-        if not differ.any():
+        if not np.count_nonzero(differ):
             continue
         a, b = a[differ], b[differ]
         ends = np.concatenate([a, b])
@@ -130,7 +158,7 @@ def _components(blocks, size: int) -> tuple[np.ndarray, int]:
             parent = lab[ends]
             while True:
                 grand = lab[parent]
-                if (grand == parent).all():
+                if _equal(grand, parent):
                     break
                 lab[ends] = parent = grand
             rounds += 1
@@ -139,7 +167,7 @@ def _components(blocks, size: int) -> tuple[np.ndarray, int]:
             a, b = a[differ], b[differ]
     while True:
         grand = lab[lab]
-        if (grand == lab).all():
+        if _equal(grand, lab):
             return lab, rounds
         lab = grand
 
@@ -165,7 +193,7 @@ class Subspace:
         cells = _index_array(self.cells)
         if (cells.ndim != 1 or (cells.size and cells.dtype.kind not in "iu")
                 or (cells.size and not 0 <= cells[0] <= cells[-1] < self.ambient)
-                or (cells[1:] <= cells[:-1]).any()):
+                or np.count_nonzero(cells[1:] <= cells[:-1])):
             raise InvalidInput("cells must be strictly increasing indices of the ambient space")
         cells = cells.astype(np.int64, copy=False).view()
         cells.flags.writeable = False
@@ -192,7 +220,7 @@ class Subspace:
         """Spectral distance between the two orthogonal projectors."""
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces live in different ambient spaces")
-        return 0.0 if np.array_equal(self.cells, other.cells) else 1.0
+        return 0.0 if _equal(self.cells, other.cells) else 1.0
 
     @classmethod
     def from_cells(cls, ambient: int, cells) -> "Subspace":
@@ -212,14 +240,14 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection of two subspaces: the cells they share."""
     if s1.ambient != s2.ambient:
         raise DimensionMismatch("ambient dimensions differ")
-    return Subspace._derived(s1.ambient, np.intersect1d(s1.cells, s2.cells, assume_unique=True))
+    return Subspace._derived(s1.ambient, s1.cells[_mask(s2.cells, s1.ambient)[s1.cells]])
 
 
 def complement(s: Subspace) -> Subspace:
     """Orthogonal complement within the ambient space: the cells outside."""
     outside = np.ones(s.ambient, dtype=bool)
     outside[s.cells] = False
-    return Subspace._derived(s.ambient, np.flatnonzero(outside))
+    return Subspace._derived(s.ambient, outside.nonzero()[0])
 
 
 def subtract(big: Subspace, small: Subspace) -> Subspace:
@@ -227,6 +255,8 @@ def subtract(big: Subspace, small: Subspace) -> Subspace:
     if big.ambient != small.ambient:
         raise DimensionMismatch("ambient dimensions differ")
     at = _positions(big.cells, big.ambient)[small.cells]
-    if (at < 0).any():
+    if np.count_nonzero(at < 0):
         raise InvalidInput("subtrahend is not contained in the minuend")
-    return Subspace._derived(big.ambient, np.delete(big.cells, at))
+    keep = np.ones(big.dim, dtype=bool)
+    keep[at] = False
+    return Subspace._derived(big.ambient, big.cells[keep])

@@ -50,11 +50,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
-from .numlin import Subspace, _check_cells, _components, _distinct, _index_array, _positions
+from .numlin import (Subspace, _check_cells, _components, _distinct, _index_array, _mask,
+                     _positions)
 from .report import CheckEntry
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
@@ -99,13 +101,6 @@ def grid_steps(t, cells_per_unit: int) -> int:
     return int(steps)
 
 
-def _mask(cells: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask of length n that is True at the index array ``cells``."""
-    mask = np.zeros(n, dtype=bool)
-    mask[cells] = True
-    return mask
-
-
 def _window(window, n: int, outside: str) -> np.ndarray:
     """Read-only boolean mask of length n for ``window``.
 
@@ -123,7 +118,7 @@ def _window(window, n: int, outside: str) -> np.ndarray:
     else:
         if window.ndim != 1 or (window.size and window.dtype.kind not in "iu"):
             raise InvalidInput("a window must be a boolean mask or 1-D integer indices")
-        if window.size and not 0 <= window.min() <= window.max() < n:
+        if window.size and not 0 <= np.minimum.reduce(window) <= np.maximum.reduce(window) < n:
             raise InvalidInput(outside)
         mask = _mask(window, n)
     mask.flags.writeable = False
@@ -132,7 +127,8 @@ def _window(window, n: int, outside: str) -> np.ndarray:
 
 def _check_image(image: np.ndarray, rows: int) -> None:
     """Raise InvalidInput unless every entry of ``image`` lies in [-1, rows)."""
-    if image.size and not -1 <= image.min() <= image.max() < rows:
+    if image.size and not (-1 <= np.minimum.reduce(image, axis=None)
+                           <= np.maximum.reduce(image, axis=None) < rows):
         raise InvalidInput("image entry outside [-1, rows)")
 
 
@@ -161,7 +157,7 @@ def _held_residual(got: tuple[np.ndarray, np.ndarray],
         return None
     differ = got[0] != want[0]
     differ &= common
-    if not differ.any():
+    if not np.count_nonzero(differ):
         return 0.0, count
     return _image_residual(got[0][differ], want[0][differ]), count
 
@@ -186,21 +182,22 @@ def _image_residual(got: np.ndarray, want: np.ndarray) -> float:
     an even cycle.
     """
     differ = got != want
-    if not differ.any():
+    if not np.count_nonzero(differ):
         return 0.0
     got, want = got[differ], want[differ]
     rows = np.concatenate([got, want])
     rows = _distinct(rows[rows >= 0])  # the rows that some differing column touches
-    got, want = (np.where(image >= 0, np.searchsorted(rows, image), -1) for image in (got, want))
+    got, want = (np.where(image >= 0, rows.searchsorted(image), -1) for image in (got, want))
     edge = (got >= 0) & (want >= 0)
     root, _ = _components([(got[edge], want[edge])], rows.size)
     half = np.concatenate([got[~edge], want[~edge]])
     k = np.bincount(root, minlength=rows.size)  # rows, edges and half-edges per component root
     edges = np.bincount(root[got[edge]], minlength=rows.size)
     halves = np.bincount(root[half[half >= 0]], minlength=rows.size)
-    if ((edges == k) & (k % 2 == 0) & (k > 0)).any():  # an even cycle
+    if np.count_nonzero((edges == k) & (k % 2 == 0) & (k > 0)):  # an even cycle
         return 2.0
-    twice_n = int((2 * k + halves).max())  # 2N; a cycle has no half-edge, so N = k there too
+    # 2N; a cycle has no half-edge, so N = k there too
+    twice_n = int(np.maximum.reduce(2 * k + halves))
     return _EXACT_NORMS.get(twice_n) or float(2 * np.cos(np.pi / twice_n))
 
 
@@ -234,7 +231,7 @@ def _image_isometry_defect(image: np.ndarray) -> float:
     onto the live columns: the defect is 0.0 when every column is live and
     1.0 otherwise.
     """
-    return 0.0 if (image >= 0).all() else 1.0
+    return 1.0 if np.count_nonzero(image < 0) else 0.0
 
 
 def _gather(outer: "WindowedMap", inner: "WindowedMap") -> tuple[np.ndarray, np.ndarray]:
@@ -332,11 +329,11 @@ class WindowedMap:
 
     @cached_property
     def faithful(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.faithful_mask).tolist())
+        return frozenset(self.faithful_mask.nonzero()[0].tolist())
 
     @cached_property
     def adj_faithful(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.adj_faithful_mask).tolist())
+        return frozenset(self.adj_faithful_mask.nonzero()[0].tolist())
 
     @property
     def domain_dim(self) -> int:
@@ -372,7 +369,7 @@ class WindowedMap:
 
     def adjoint(self) -> "WindowedMap":
         """The inverse image, with the two windows swapped."""
-        live = np.flatnonzero(self.image >= 0)
+        live = (self.image >= 0).nonzero()[0]
         inverse = np.full(self.codomain_dim, -1, dtype=np.int64)
         inverse[self.image[live]] = live
         return WindowedMap._derived(inverse, self.adj_faithful_mask, self.faithful_mask,
@@ -531,7 +528,7 @@ def _cut_shift_images(m: int, j, r: int) -> np.ndarray:
     if m < 1 or r < 1:
         raise InvalidInput("m and r must be >= 1")
     j = np.asarray(j)
-    if ((j < 0) | (j >= m)).any():
+    if np.count_nonzero((j < 0) | (j >= m)):
         raise InvalidShift(f"shift {j} outside [0, {m})")
     return _forward_image(m * r, np.stack([j * r, (j - m) * r], axis=-1).ravel())
 
@@ -614,7 +611,7 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
 
     def build(k: np.ndarray, stride: int) -> WindowedMap:
         # a leftward/downward image stays in L, so its position is found by search
-        image = np.where(k >= j, np.searchsorted(cells, cells - j * stride), -1)
+        image = np.where(k >= j, cells.searchsorted(cells - j * stride), -1)
         return WindowedMap.from_image(image, image >= 0, k + j < n)
 
     return build(k1, n * r), build(k2, r)
@@ -647,7 +644,7 @@ def direct_sum(*parts: WindowedMap) -> WindowedMap:
     """
     if not parts:
         raise InvalidInput("direct_sum needs at least one part")
-    row0 = np.cumsum([0] + [p.codomain_dim for p in parts]).tolist()
+    row0 = list(accumulate((p.codomain_dim for p in parts), initial=0))
     _check_cells(max(row0[-1], sum(p.domain_dim for p in parts)))
     faithful = np.concatenate([p.faithful_mask for p in parts])
     adj_faithful = np.concatenate([p.adj_faithful_mask for p in parts])

@@ -181,7 +181,7 @@ class LRegionIndex:
         n = self.parent.n
         quadrant = np.zeros((n, n, self.r), dtype=bool)
         quadrant[self.half:, self.half:] = True
-        cells = np.flatnonzero(quadrant == in_quadrant)
+        cells = (quadrant == in_quadrant).ravel().nonzero()[0]
         cells.flags.writeable = False
         return cells
 

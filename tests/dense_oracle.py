@@ -17,7 +17,9 @@ definitions, and the tests compare the exact results against them:
 * ``from_image``, the materializer of an image or a cell array, with
   ``matrix``, ``basis`` and ``indicators``, the dense forms of a
   ``WindowedMap``, a ``Subspace`` and a ``CommutantBasis``, and
-  ``spectral_norm``, the one SVD.
+  ``spectral_norm``, the one SVD;
+* ``fiber_form_verdict``, the Kronecker formula for the structure verdict
+  of ``commutant._fiber_form``.
 """
 
 import numpy as np
@@ -188,3 +190,11 @@ def projector(basis) -> np.ndarray:
     """Orthogonal projector onto the span of orthonormal columns."""
     basis = np.asarray(basis, dtype=np.complex128)
     return basis @ basis.conj().T
+
+
+def fiber_form_verdict(labels: np.ndarray, blocks: int) -> str:
+    """"fiber_scalar" when the label array equals I_blocks (x) its leading block,
+    with -1 off the diagonal blocks, built by ``np.kron``; "other" otherwise."""
+    fiber = labels.shape[0] // blocks
+    tiled = np.kron(np.eye(blocks, dtype=np.int64), labels[:fiber, :fiber] + 1) - 1
+    return "fiber_scalar" if np.array_equal(labels, tiled) else "other"

@@ -9,12 +9,16 @@ solvers price those labels first, then the (maps, n) ``int64`` system of
 stacked operator images, which at r = 1 is larger than the labels.  Every ambient
 is priced too, one ``int64`` per cell (``numlin._check_cells``), by the
 grid layouts of ``spaces``, ``_circulant_image``, ``tensor_with_identity``
-and ``direct_sum``.  Nothing here allocates an array over the budget:
+and ``direct_sum``.  The sample plan of ``halfline_shift``, ``bishift`` and
+``modified_bishift`` is priced before any map is built: one map of 10 bytes
+per cell, per family, for each distinct step count among the sampled steps
+and their pairwise sums.  Nothing here allocates an array over the budget:
 each case is priced by the estimator, refused before anything of its size
 exists (a request of at least 2^63 cells, which numpy would refuse at
 once anyway), or the budget is lowered on a small scenario.
 """
 
+import time
 import tracemalloc
 
 import pytest
@@ -131,3 +135,42 @@ def test_the_largest_documented_ambient_is_admitted():
     with pytest.raises(InvalidInput, match=r"^an ambient of 50,331,648 cells needs "
                                            r"402,653,184 bytes"):
         LRegionIndex(64, 32, 3)
+
+
+def test_an_oversized_sample_plan_exits_two_within_a_second(tmp_path, capsys):
+    """bishift m=16 T=16 with the 256 samples 1/16, ..., 16 keeps a map per family for
+    each of the 512 step counts 1..512 on 65,536 cells; unpriced, it ran for minutes."""
+    config = tmp_path / "plan.cfg"
+    samples = ",".join(f"{j}/16" for j in range(1, 257))
+    config.write_text(f"[plan]\nconstruction = bishift\nm = 16\nT = 16\nsamples = {samples}\n")
+    start = time.perf_counter()
+    assert main(["run", str(config)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "isoflow: error: [plan] a sample plan of 512 step counts on 2 x 65,536 cells needs "
+        "671,088,640 bytes, over the budget of 268,435,456\n")
+
+
+@pytest.mark.parametrize("section, plan", [
+    # steps 1, 2, 3 and their sums 2..6: six step counts of one family on 8 cells
+    ("construction = halfline_shift\nm = 1\nT = 8\nsamples = 1,2,3", "6 step counts on 1 x 8"),
+    # steps 1, 2 and their sums 2, 3, 4 on the 16 cells of the quadrant, for each family
+    ("construction = bishift\nm = 2\nT = 2", "4 step counts on 2 x 16"),
+    # step 1 and its sum 2 on the 3 * 4 cells of the L-region
+    ("construction = modified_bishift\nm = 1\nT = 2\nsamples = 1", "2 step counts on 2 x 12"),
+])
+def test_each_sampled_construction_prices_its_plan_exactly(monkeypatch, tmp_path, capsys,
+                                                           section, plan):
+    """At a budget one byte under the plan the run exits 2 naming it; at the plan it passes."""
+    counts, cells = plan.split(" step counts on ")
+    families, cells = map(int, cells.split(" x "))
+    need = int(counts) * families * cells * 10
+    config = tmp_path / "plan.cfg"
+    config.write_text(f"[p]\n{section}\n")
+    monkeypatch.setattr(numlin, "_BUDGET", need - 1)
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"isoflow: error: [p] a sample plan of {plan} cells needs {need:,} bytes, "
+        f"over the budget of {need - 1:,}\n")
+    monkeypatch.setattr(numlin, "_BUDGET", need)
+    assert main(["run", str(config)]) == 0
