@@ -3,7 +3,12 @@
 Each construction builds a bundled operator family or extension setup,
 runs its documented checks, and emits one report entry per check.  The
 public checks return lists of ``CheckEntry``; a runner joins them, and
-``run_scenario`` wraps the result in the scenario's one ``Report``.  The
+``run_scenario`` wraps the result in the scenario's one ``Report``.
+
+``check_scenario`` reads the ``samples`` times once and resolves them to
+integer step counts j on the grid t = j/m; every runner and check takes
+those steps, and the times become text again only in
+``report.format_time``, for the echoed ``samples`` and the check ids.  The
 runners of the sampled one-parameter constructions price their sample plan
 (``_check_sample_plan``) before any map is built.  Given
 identical parameters the entries are byte-identical across runs: all
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -24,10 +29,10 @@ from .decompose import (bcl_check, classify_pair, fourfold_decompose, product_un
                         wold_cooper)
 from .errors import InternalInconsistency, InvalidInput
 from .numlin import _check_budget, _equal
-from .report import CheckEntry, Report
-from .semigroups import (PairOfSemigroups, SemigroupFamily, _image_residual, _isometry_defect,
-                         bishift_families, bishift_pair, check_semigroup_law, circulant_family,
-                         direct_sum, grid_steps, halfline_shift_family,
+from .report import CheckEntry, Report, format_time
+from .semigroups import (PairOfSemigroups, SemigroupFamily, _bishift_maps, _image_residual,
+                         _isometry_defect, bishift_families, check_semigroup_law,
+                         circulant_family, direct_sum, halfline_shift_family,
                          modified_bishift_families, tensor_with_identity)
 from .spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
@@ -54,6 +59,24 @@ def _parse_samples(raw) -> list[Fraction]:
         raise InvalidInput(f"cannot parse samples {raw!r}") from exc
 
 
+def _sample_steps(raw, m: int) -> list[int]:
+    """The step counts j = t * m of the listed times t, in order.
+
+    A token that is no number, an empty list, and a time that is negative
+    or off the 1/m grid raise InvalidInput.
+    """
+    times = _parse_samples(raw)
+    if not times:
+        raise InvalidInput("samples must list at least one time")
+    steps = []
+    for t in times:
+        j, rest = divmod(t.numerator * m, t.denominator)
+        if j < 0 or rest:
+            raise InvalidInput(f"samples must be nonnegative multiples of 1/{m}, got {t}")
+        steps.append(j)
+    return steps
+
+
 # echoed by every report, as the goldens pin; no check reads them (a check passes at 0)
 _FIXED_ECHO = {"rank_rel": "1e-10", "resid_abs": "1e-10", "angle": "0.99999999"}
 
@@ -68,20 +91,24 @@ def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
 
 
 def _prefixed(prefix: str, entries: list[CheckEntry]) -> list[CheckEntry]:
-    return [replace(entry, check_id=prefix + entry.check_id) for entry in entries]
+    return [entry._replace(check_id=prefix + entry.check_id) for entry in entries]
 
 
-def _check_sample_plan(samples, m: int, cells: int, families: int) -> None:
+def _check_sample_plan(steps: list[int], cells: int, families: int) -> None:
     """Price, before any map is built, the maps that ``check_semigroup_law`` and
-    ``classify_pair`` keep for ``samples``: each family keeps one map per distinct
-    step count among the sampled steps and their pairwise sums, an ``int64``
-    image and two boolean masks, 10 bytes, per cell."""
-    steps = sorted({grid_steps(t, m) for t in samples})
+    ``classify_pair`` keep for the sampled ``steps``: each family keeps one map
+    per distinct step count among the sampled steps and their pairwise sums,
+    and the squares V^(2^i) that binary powering builds them from, one per bit
+    of the largest; each map is an ``int64`` image and two boolean masks, 10
+    bytes, per cell."""
+    steps = sorted(set(steps))
     kept = set(steps)
     for at, s in enumerate(steps):
         kept.update(s + t for t in steps[at:])
-    _check_budget(len(kept) * families * cells, 10,
-                  f"a sample plan of {len(kept):,} step counts on {families} x {cells:,} cells")
+    squares = max(kept, default=0).bit_length()
+    _check_budget((len(kept) + squares) * families * cells, 10,
+                  f"a sample plan of {len(kept):,} step counts and {squares:,} squares "
+                  f"on {families} x {cells:,} cells")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +117,7 @@ def _check_sample_plan(samples, m: int, cells: int, families: int) -> None:
 
 def _run_halfline_shift(m, T, r, K, samples):
     grid = CellGrid1D(m, T, r)
-    _check_sample_plan(samples, m, grid.dim, 1)
+    _check_sample_plan(samples, grid.dim, 1)
     family = halfline_shift_family(grid)
     entries = [_generator_isometry_entry(family, "generator_isometry")]
     entries.extend(check_semigroup_law(family, samples))
@@ -115,7 +142,7 @@ def _pair_law_entries(pair: PairOfSemigroups, samples):
 
 def _run_bishift(m, T, r, K, samples):
     grid = QuadrantGrid2D(m, T, r)
-    _check_sample_plan(samples, m, grid.dim, 2)
+    _check_sample_plan(samples, grid.dim, 2)
     pair = bishift_families(grid)
     entries, verdict = _pair_law_entries(pair, samples)
     entries.append(CheckEntry("adjoint_commutator", verdict.double_comm_residual, (),
@@ -134,7 +161,7 @@ def _run_bishift(m, T, r, K, samples):
 
 def _run_modified_bishift(m, T, r, samples):
     region = LRegionIndex(m, T, r)
-    _check_sample_plan(samples, m, 3 * region.half ** 2 * r, 2)  # the L: 3 of 4 quadrants
+    _check_sample_plan(samples, 3 * region.half ** 2 * r, 2)  # the L: 3 of 4 quadrants
     pair = modified_bishift_families(region)
     entries, verdict = _pair_law_entries(pair, samples)
     entries.append(CheckEntry("adjoint_commutator_witness", verdict.double_comm_residual, (),
@@ -223,15 +250,15 @@ def _run_commutant_mz(d, r):
     return _commutant_entries(doubly_commutant_of_mz(d, r), r)
 
 
-def _bcl_default_samples(T: int, m: int) -> list[Fraction]:
-    """Every grid time j/m up to the top degree d = T - 1.
+def _bcl_default_samples(T: int, m: int) -> range:
+    """The step counts of every grid time j/m up to the top degree d = T - 1.
 
     Each keeps cell 0 in its common window: the shift moves it to cell
     j < mT, and the multiplier at t = n + jj/m is faithful on the degree
     blocks 0..top, where top = d - n >= 0 when jj = 0 and d - n - 1 >= 0
     otherwise, since then n < d.
     """
-    return [Fraction(j, m) for j in range(m * (T - 1) + 1)]
+    return range(m * (T - 1) + 1)
 
 
 def _run_bcl(T, m, r, samples):
@@ -241,7 +268,7 @@ def _run_bcl(T, m, r, samples):
 def _run_dual_example(m, T, r, K, max_orbit):
     setup = duality.l_region_setup(m, T, r)
     dual = duality.dual_pair(setup, max_orbit)
-    model1, model2 = bishift_pair(QuadrantGrid2D(m, T, r), Fraction(1, m))
+    model1, model2 = _bishift_maps(QuadrantGrid2D(m, T, r), 1)
     entries = []
     for axis, (got, model) in enumerate(((dual.pair.first.generator, model1),
                                          (dual.pair.second.generator, model2)), start=1):
@@ -359,8 +386,10 @@ def check_scenario(scenario: Scenario) -> dict:
     An unknown construction, a key that is not one of its parameters, or a
     value of the wrong type or out of bounds raises before anything runs; of
     several bad values the first in line order is named.  An integer is
-    ASCII digits.  A derived default such as ``2*m*T+2`` is a sum of
-    products of integer literals and parameters resolved before it.
+    ASCII digits.  ``samples`` resolves to the step counts j = t * m of its
+    times, which must be nonnegative multiples of 1/m.  A derived default
+    such as ``2*m*T+2`` is a sum of products of integer literals and
+    parameters resolved before it.
     """
     construction, params = scenario.construction, scenario.params
     if construction not in _RUNNERS:
@@ -376,23 +405,18 @@ def check_scenario(scenario: Scenario) -> dict:
             if raw is not None and raw not in _VARIANTS:
                 raise InvalidInput(f"variant must be one of {', '.join(_VARIANTS)}, got {raw!r}")
             resolved[key] = default if raw is None else raw
-        elif key == "samples":
+        elif key == "samples":  # resolved to step counts on the 1/m grid
             m = resolved["m"]
             if raw is not None:
-                times = _parse_samples(raw)
-                if not times:
-                    raise InvalidInput("samples must list at least one time")
-                for t in times:
-                    if t < 0 or (t * m).denominator != 1:
-                        raise InvalidInput(f"samples must be nonnegative multiples of 1/{m}, "
-                                           f"got {t}")
+                steps = _sample_steps(raw, m)
             elif construction == "bcl":  # its line names the rule, not the times
-                times = _bcl_default_samples(resolved["T"], m)
+                steps = _bcl_default_samples(resolved["T"], m)
             else:  # the line's times where they lie on the 1/m grid (bishift at odd m does not)
-                times = _parse_samples(default)
-                if any((t * m).denominator != 1 for t in times):
-                    times = [Fraction(1, m), Fraction(2, m)]  # one and two cells
-            resolved[key] = times
+                try:
+                    steps = _sample_steps(default, m)
+                except InvalidInput:
+                    steps = [1, 2]  # one and two cells
+            resolved[key] = steps
         elif raw is not None:
             lowest = _LOWEST.get((construction, key), 1)
             text = str(raw)
@@ -411,8 +435,9 @@ def run_scenario(scenario: Scenario) -> Report:
     """Run one named scenario deterministically; its report echoes the resolved parameters."""
     params = scenario.resolved
     entries = _RUNNERS[scenario.construction](**params)
-    echo = {key: ",".join(map(str, value)) if key == "samples" else str(value)
-            for key, value in params.items()}
+    echo = {key: str(value) for key, value in params.items()}
+    if "samples" in params:
+        echo["samples"] = ",".join(format_time(j, params["m"]) for j in params["samples"])
     echo.update(_FIXED_ECHO)
     return Report(scenario=scenario.name, construction=scenario.construction,
                   params=tuple(sorted(echo.items())), entries=entries)

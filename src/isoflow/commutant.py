@@ -21,22 +21,21 @@ The solution is held as that partition: an n x n ``int64`` array of class
 labels.  Both solved spaces must have the form I (x) omega across blocks
 of consecutive coordinates (cells of the interval, or degrees), and the
 solvers decide that form by comparing label arrays, with no tolerance.
-The instance check ``fuglede_instance_check`` returns its ``CheckEntry``
-list.
+The instance check ``fuglede_instance_check`` takes its samples as step
+counts j on the grid t = j/m and returns its ``CheckEntry`` list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed, WindowTooSmall
 from .numlin import _check_budget, _components, _equal
-from .report import CheckEntry
+from .report import CheckEntry, format_time
 from .semigroups import (SemigroupFamily, _commutator_residual, _cut_shift_images,
-                         _forward_image, _held_residual)
+                         _forward_image, _held_residual, _read_steps)
 
 __all__ = [
     "CommutantBasis",
@@ -191,13 +190,14 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
 
 
 def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: SemigroupFamily,
-                           fiber: int, samples) -> list[CheckEntry]:
+                           fiber: int, steps) -> list[CheckEntry]:
     """Commuting normal elements against the shift must doubly commute.
 
-    For each sampled time the element must be normal (precondition).  A
-    partial permutation A, injective by construction, has A A* and A* A
-    equal to the projections onto its live rows and its live columns, so
-    it is normal exactly when those two sets are equal.  The
+    The sampled times are the step counts ``steps`` on the one grid that
+    both families must share.  At each the element must be normal
+    (precondition).  A partial permutation A, injective by construction,
+    has A A* and A* A equal to the projections onto its live rows and its
+    live columns, so it is normal exactly when those two sets are equal.  The
     check then asserts the one-sided implication: a commutation residual
     of exactly 0 forces an adjoint-commutation residual of exactly 0, and
     the element must carry the fiber form I (x) B_t.  A commutator with no
@@ -213,15 +213,18 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
         raise DimensionMismatch("families act on different spaces")
     if fiber < 1 or normal_family.dim % fiber:
         raise InvalidInput("fiber dimension does not divide the space")
+    m = normal_family.cells_per_unit
+    if shift_family.cells_per_unit != m:
+        raise InvalidInput("the two families use different time grids")
     cells = normal_family.dim // fiber
     entries = []
     usable = 0
-    for t in samples:
-        time = Fraction(t)
-        a = normal_family.at_time(time)
+    for j in _read_steps(steps):
+        time = format_time(j, m)
+        a = normal_family.element(j)
         if not _equal(a.adjoint().image >= 0, a.image >= 0):
             raise PreconditionFailed(f"element at t={time} is not normal")
-        v = shift_family.at_time(time)
+        v = shift_family.element(j)
         got = _commutator_residual(a, v)
         if got is None:
             entries.append(CheckEntry(f"t={time}:commutator", 0.0, (0,), True,

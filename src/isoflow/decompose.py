@@ -14,10 +14,11 @@ On top of the single-family split sit the pair-level operations: the
 fourfold split of a doubly commuting pair, the unitary part of the
 product family, and the exact identification of the half-line
 translation with its coefficient-space multiplier model.  The two checks
-here, ``bcl_check`` and ``verify_joint_equivalence``, return their
-``CheckEntry`` lists.  The two splits check their preconditions
-against the pair's ``step_verdict``, so a pair is classified at its step
-once whichever split reads it first.
+here, ``bcl_check`` and ``verify_joint_equivalence``, take their samples
+as step counts j on the grid t = j/m and return their ``CheckEntry``
+lists; ``report.format_time`` writes the times of their ids.  The two
+splits check their preconditions against the pair's ``step_verdict``, so
+a pair is classified at its step once whichever split reads it first.
 Commutation classification (``classify_pair``), compressions, isometry
 tests and conjugations come from ``semigroups``.
 """
@@ -25,17 +26,16 @@ tests and conjugations come from ``semigroups``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
 from .numlin import Subspace, _mask, _positions, complement, intersect
-from .report import CheckEntry
+from .report import CheckEntry, format_time
 from .semigroups import (CommutationReport, PairOfSemigroups, SemigroupFamily, WindowedMap,
-                         _check_image, _halfline_rows, _image_isometry_defect,
-                         _isometry_defect, _pair_residual, _phi_rows, classify_pair,
-                         grid_steps, halfline_shift, phi_multiplier)
+                         _check_image, _halfline_map, _halfline_rows, _image_isometry_defect,
+                         _isometry_defect, _pair_residual, _phi_map, _phi_rows, _read_steps,
+                         classify_pair)
 from .spaces import CellGrid1D
 
 __all__ = [
@@ -210,16 +210,15 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int) -> FourfoldResult
 _BCL_BLOCK_CELLS = 32768  # cells per table block of bcl_check, one row at least
 
 
-def _bcl_sample(grid: CellGrid1D, time: Fraction) -> tuple[float, int]:
+def _bcl_sample(grid: CellGrid1D, j: int) -> tuple[float, int]:
     """Residual and window size of one bcl_check sample, from its two maps."""
-    got = _pair_residual(halfline_shift(grid, time),
-                         phi_multiplier(grid.T - 1, grid.m, grid.r, time))
+    got = _pair_residual(_halfline_map(grid, j), _phi_map(grid.T - 1, grid.m, grid.r, j))
     if got is None:
-        raise WindowTooSmall(f"time {time} leaves no faithful window")
+        raise WindowTooSmall(f"time {format_time(j, grid.m)} leaves no faithful window")
     return got
 
 
-def bcl_check(T: int, m: int, r: int, samples) -> list[CheckEntry]:
+def bcl_check(T: int, m: int, r: int, steps) -> list[CheckEntry]:
     """Exact identification of the half-line shift with its multiplier model.
 
     The interval-stacking permutation W sends grid cell n*m + j to degree
@@ -230,36 +229,28 @@ def bcl_check(T: int, m: int, r: int, samples) -> list[CheckEntry]:
     permutations, so the check demands residual exactly zero on the
     common window.
 
-    The samples go through one table pass.  Each time is read once, and
-    both sides are built as tables with one row per sample
-    (``_halfline_rows`` and ``_phi_rows``), in blocks of at most
+    The sampled step counts go through one table pass.  They are read
+    once, and a negative or non-integer one raises InvalidInput before any
+    table is built.  Both sides are built as tables with one row per
+    sample (``_halfline_rows`` and ``_phi_rows``), in blocks of at most
     ``_BCL_BLOCK_CELLS`` cells, so memory stays O(dim).  A row whose two
     images agree on their common window passes with residual 0.0 and the
     size of that window, which is what ``_pair_residual`` gives.  Any
     other row, and every row of a block that one side refuses, goes
-    through ``_bcl_sample``: the two maps and ``_pair_residual``.  Errors
-    are those of a loop over the samples in order: a time that cannot be
-    read is raised only after the samples before it are checked.
+    through ``_bcl_sample``: the two maps and ``_pair_residual``.  Window
+    errors are those of a loop over the samples in order.
     """
     grid = CellGrid1D(m, T, r)
-    times, steps, unread = [], [], None
-    for t in samples:
-        try:
-            time = Fraction(t)
-            steps.append(grid_steps(time, m))
-        except (ArithmeticError, TypeError, ValueError, InvalidInput) as exc:
-            unread = exc  # raised once the samples before it are checked
-            break
-        times.append(time)
+    steps = _read_steps(steps)
     got = []
     rows = max(1, _BCL_BLOCK_CELLS // grid.dim)
     for start in range(0, len(steps), rows):
-        block, block_times = steps[start:start + rows], times[start:start + rows]
+        block = steps[start:start + rows]
         try:
             shift, shift_faithful = _halfline_rows(grid, block)
             model, model_faithful = _phi_rows(T - 1, m, r, block)
         except WindowTooSmall:
-            got.extend(_bcl_sample(grid, time) for time in block_times)  # raises in order
+            got.extend(_bcl_sample(grid, j) for j in block)  # raises in order
             continue
         _check_image(shift, grid.dim)
         _check_image(model, grid.dim)
@@ -268,35 +259,38 @@ def bcl_check(T: int, m: int, r: int, samples) -> list[CheckEntry]:
         differ = ((shift != model) & common).any(axis=1)
         found = [(0.0, count) for count in counts.tolist()]
         for k in (differ | (counts == 0)).nonzero()[0].tolist():
-            found[k] = _bcl_sample(grid, block_times[k])
+            found[k] = _bcl_sample(grid, block[k])
         got.extend(found)
-    if unread is not None:
-        raise unread
-    return [CheckEntry(f"t={time}", residual, (count,), residual == 0.0)
-            for time, (residual, count) in zip(times, got)]
+    return [CheckEntry(f"t={format_time(j, m)}", residual, (count,), residual == 0.0)
+            for j, (residual, count) in zip(steps, got)]
 
 
 def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
-                             z: WindowedMap, samples) -> list[CheckEntry]:
+                             z: WindowedMap, steps) -> list[CheckEntry]:
     """Check Z A_{j,t} Z* = B_{j,t} on faithful windows for j = 1, 2.
 
     Only verifies a supplied equivalence; finding one is out of scope.
-    Z A Z* is a composition, so its window is the support rule: column i
-    is trusted when Z* e_i lies inside the window of A.  ``z`` is a
-    permutation held as a ``WindowedMap``, so the conjugation is a gather.
+    The times are the step counts ``steps`` on the one grid that both
+    pairs must share.  Z A Z* is a composition, so its window is the
+    support rule: column i is trusted when Z* e_i lies inside the window
+    of A.  ``z`` is a permutation held as a ``WindowedMap``, so the
+    conjugation is a gather.
     """
     if not isinstance(z, WindowedMap):
         raise InvalidInput(f"z must be a WindowedMap, got {type(z).__name__}")
+    if pair_a.cells_per_unit != pair_b.cells_per_unit:
+        raise InvalidInput("the two pairs use different time grids")
+    steps = _read_steps(steps)
     if _isometry_defect(z) > 0.0 or _isometry_defect(z_adj := z.adjoint()) > 0.0:
         raise PreconditionFailed("supplied conjugation is not unitary")
+    m = pair_a.cells_per_unit
     entries = []
     usable = 0
     for axis, (fam_a, fam_b) in enumerate(((pair_a.first, pair_b.first),
                                            (pair_a.second, pair_b.second)), start=1):
-        for t in samples:
-            time = Fraction(t)
-            got = _pair_residual(z @ fam_a.at_time(time) @ z_adj, fam_b.at_time(time))
-            check_id = f"axis{axis}_t={time}"
+        for j in steps:
+            got = _pair_residual(z @ fam_a.element(j) @ z_adj, fam_b.element(j))
+            check_id = f"axis{axis}_t={format_time(j, m)}"
             if got is None:
                 entries.append(CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped"))
                 continue

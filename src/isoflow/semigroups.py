@@ -26,8 +26,14 @@ built.  Composition is an index gather, the adjoint is the inverse image,
 and two maps are compared image against image, so the algebraic
 identities between them hold with residual exactly zero, not merely
 small.  Where two images differ, ``_image_residual`` gives the norm of
-their difference in closed form.  Grid times are restricted to multiples
-of 1/m and rejected otherwise; nothing is interpolated.
+their difference in closed form.
+
+A time on the grid t = j/m is held as its integer step count j.  Only the
+constructors (``halfline_shift``, ``phi_multiplier``, ``bishift_pair`` and
+``modified_bishift_pair``), ``grid_steps`` and ``SemigroupFamily.at_time``
+read times, and a time off the grid is rejected, never interpolated; the
+families are built from step 1 and the checks take lists of step counts.
+``report.format_time`` writes a step count back as a time for a check id.
 
 Compression and the isometry test are written once, here: ``_compress``
 restricts a map to a subspace, and ``_isometry_defect`` is the norm of
@@ -39,8 +45,8 @@ compositions compared by ``_pair_residual``.  The image half of the support rule
 with another map read its image and faithful mask from there and compare
 them by ``_held_residual``, building no map.  Two such checks close the
 module: the semigroup law of a family, which returns one ``CheckEntry``
-per sample pair, and the commutation class of a pair (``classify_pair``,
-which ``decompose`` re-exports).  A pair keeps
+per pair of sampled steps, and the commutation class of a pair
+(``classify_pair``, which ``decompose`` re-exports).  A pair keeps
 its class at the step time as ``PairOfSemigroups.step_verdict``, the one
 precondition of the fourfold split and of the product family.
 """
@@ -57,7 +63,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
 from .numlin import (Subspace, _check_cells, _components, _distinct, _index_array, _mask,
                      _positions)
-from .report import CheckEntry
+from .report import CheckEntry, format_time
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
 __all__ = [
@@ -99,6 +105,20 @@ def grid_steps(t, cells_per_unit: int) -> int:
     if rest or steps < 0:
         raise InvalidInput(f"time {t} is not a nonnegative multiple of 1/{cells_per_unit}")
     return int(steps)
+
+
+def _read_steps(steps) -> list[int]:
+    """The sampled step counts as a list of ints.
+
+    A step that is not an integer (a float or a Fraction), or is negative,
+    raises InvalidInput before the caller builds any map.
+    """
+    read = []
+    for j in steps:
+        if not isinstance(j, (int, np.integer)) or j < 0:
+            raise InvalidInput(f"step count must be a nonnegative integer, got {j!r}")
+        read.append(int(j))
+    return read
 
 
 def _window(window, n: int, outside: str) -> np.ndarray:
@@ -461,12 +481,12 @@ class PairOfSemigroups:
 
     @cached_property
     def step_verdict(self) -> "CommutationReport":
-        """``classify_pair`` at the one step time 1 / cells_per_unit, computed on first read.
+        """``classify_pair`` at the one step, time 1 / cells_per_unit, computed on first read.
 
         The splits that need the pair to commute, or to doubly commute,
         check it here, so each pair object is classified at its step once.
         """
-        return classify_pair(self, [Fraction(1, self.cells_per_unit)])
+        return classify_pair(self, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +523,20 @@ def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
     Cell k maps to cell k+j (fiber preserved) while the image stays in
     the window; the remaining columns are zero and unfaithful.  The
     transposed matrix is the exact backward translation everywhere, so
-    the adjoint window is the whole grid.  The map is the one row of
-    ``_halfline_rows`` for its step count.
+    the adjoint window is the whole grid.  The map is ``_halfline_map``
+    of its step count.
     """
-    (image,), (faithful,) = _halfline_rows(grid, [grid_steps(t, grid.m)])
+    return _halfline_map(grid, grid_steps(t, grid.m))
+
+
+def _halfline_map(grid: CellGrid1D, j: int) -> WindowedMap:
+    """``halfline_shift`` by j steps: the one row of ``_halfline_rows`` for j."""
+    (image,), (faithful,) = _halfline_rows(grid, [j])
     return WindowedMap.from_image(image, faithful, np.ones(grid.dim, dtype=bool))
 
 
 def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
-    gen = halfline_shift(grid, Fraction(1, grid.m))
-    return SemigroupFamily(gen, grid.m)
+    return SemigroupFamily(_halfline_map(grid, 1), grid.m)
 
 
 def _cut_shift_images(m: int, j, r: int) -> np.ndarray:
@@ -560,21 +584,29 @@ def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
     move coordinate i to i + j*r at step j, E1 exactly where E0 overflows a
     block, and the stored column is zero where that passes the top degree.
     A block column is faithful when every piece the true multiplier
-    produces fits under the top degree d.  The map is the one row of
-    ``_phi_rows`` for its step count.
+    produces fits under the top degree d.  The map is ``_phi_map`` of its
+    step count.
     """
-    (image,), (faithful,) = _phi_rows(d, m, r, [grid_steps(t, m)])
+    return _phi_map(d, m, r, grid_steps(t, m))
+
+
+def _phi_map(d: int, m: int, r: int, j: int) -> WindowedMap:
+    """``phi_multiplier`` at j steps: the one row of ``_phi_rows`` for j."""
+    (image,), (faithful,) = _phi_rows(d, m, r, [j])
     return WindowedMap.from_image(image, faithful, np.ones(image.size, dtype=bool))
 
 
 def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
-    gen = phi_multiplier(d, m, r, Fraction(1, m))
-    return SemigroupFamily(gen, m)
+    return SemigroupFamily(_phi_map(d, m, r, 1), m)
 
 
 def bishift_pair(grid: QuadrantGrid2D, t) -> tuple[WindowedMap, WindowedMap]:
     """The two coordinate shifts by t on the quadrant grid."""
-    j = grid_steps(t, grid.m)
+    return _bishift_maps(grid, grid_steps(t, grid.m))
+
+
+def _bishift_maps(grid: QuadrantGrid2D, j: int) -> tuple[WindowedMap, WindowedMap]:
+    """``bishift_pair`` by j steps."""
     if j > grid.side:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {grid.side}-cell axis")
     idx = np.arange(grid.dim)
@@ -586,7 +618,7 @@ def bishift_pair(grid: QuadrantGrid2D, t) -> tuple[WindowedMap, WindowedMap]:
 
 
 def bishift_families(grid: QuadrantGrid2D) -> PairOfSemigroups:
-    g1, g2 = bishift_pair(grid, Fraction(1, grid.m))
+    g1, g2 = _bishift_maps(grid, 1)
     return PairOfSemigroups(SemigroupFamily(g1, grid.m), SemigroupFamily(g2, grid.m))
 
 
@@ -600,8 +632,13 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
     [-T, T); columns that would wrap are zeroed and left unfaithful.  The
     adjoint direction genuinely annihilates the cells it pushes into the
     removed quadrant, and those zero columns of the transpose are exact.
+    The maps are ``_modified_bishift_maps`` of the step count.
     """
-    j = grid_steps(t, region.m)
+    return _modified_bishift_maps(region, grid_steps(t, region.m))
+
+
+def _modified_bishift_maps(region: LRegionIndex, j: int) -> tuple[WindowedMap, WindowedMap]:
+    """``modified_bishift_pair`` by j steps."""
     half = region.half
     if j > 2 * half:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {2 * half}-cell axis")
@@ -618,7 +655,7 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
 
 
 def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
-    g1, g2 = modified_bishift_pair(region, Fraction(1, region.m))
+    g1, g2 = _modified_bishift_maps(region, 1)
     return PairOfSemigroups(SemigroupFamily(g1, region.m), SemigroupFamily(g2, region.m))
 
 
@@ -687,18 +724,21 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
                                 fiber * part.codomain_dim)
 
 
-def check_semigroup_law(family: SemigroupFamily, samples) -> list[CheckEntry]:
+def check_semigroup_law(family: SemigroupFamily, steps) -> list[CheckEntry]:
     """Verify element(s+t) = element(s) o element(t) on composed windows.
 
-    Sample pairs whose composed window is empty are skipped; if no pair
-    leaves anything checkable the window is too small for the request.
-    The product is not built: ``_gather`` gives its image and faithful
-    mask, and ``_held_residual`` compares them with element(s+t), which is
-    what ``_pair_residual`` of the composed map gives.
+    ``steps`` are the sampled step counts; each distinct pair s <= t is
+    checked once, and its id names the two times.  Pairs whose composed
+    window is empty are skipped; if no pair leaves anything checkable the
+    window is too small for the request.  The product is not built:
+    ``_gather`` gives its image and faithful mask, and ``_held_residual``
+    compares them with element(s+t), which is what ``_pair_residual`` of
+    the composed map gives.
     """
-    steps = sorted({grid_steps(t, family.cells_per_unit) for t in samples})
+    steps = sorted(set(_read_steps(steps)))
     if not steps:
         raise InvalidInput("no sample times given")
+    time = {j: format_time(j, family.cells_per_unit) for j in steps}
     entries = []
     usable = 0
     for a_pos, s in enumerate(steps):
@@ -706,7 +746,7 @@ def check_semigroup_law(family: SemigroupFamily, samples) -> list[CheckEntry]:
             whole = family.element(s + t)
             got = _held_residual((whole.image, whole.faithful_mask),
                                  _gather(family.element(s), family.element(t)))
-            check_id = f"law_{Fraction(s, family.cells_per_unit)}+{Fraction(t, family.cells_per_unit)}"
+            check_id = f"law_{time[s]}+{time[t]}"
             if got is None:
                 entries.append(CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped"))
                 continue
@@ -734,26 +774,28 @@ def _commutator_residual(a: WindowedMap, b: WindowedMap) -> tuple[float, int] | 
     return _held_residual(_gather(a, b), _gather(b, a))
 
 
-def classify_pair(pair: PairOfSemigroups, samples) -> CommutationReport:
+def classify_pair(pair: PairOfSemigroups, steps) -> CommutationReport:
     """Classify a pair as commuting / doubly commuting / neither.
 
-    Residuals are maxima over all ordered sample pairs (t for the first
-    family, s for the second), restricted to the composed faithful sets.
-    The commutators [V1_t, V2_s] and [V1_t, V2_s*] come from
-    ``_commutator_residual``, which builds no product; V2_s and its
-    adjoint are built once per s.  The pair commutes when the first
+    Residuals are maxima over all ordered pairs of sampled step counts (t
+    for the first family, s for the second), restricted to the composed
+    faithful sets.  The commutators [V1_t, V2_s] and [V1_t, V2_s*] come
+    from ``_commutator_residual``, which builds no product.  The loop runs
+    over s outside: V2_s* is built once, used for every t and dropped, so
+    one adjoint is held at a time.  The pair commutes when the first
     maximum is exactly 0, and doubly commutes when both are.
     """
-    times = list(samples)
-    if not times:
+    steps = _read_steps(steps)
+    if not steps:
         raise InvalidInput("no sample times given")
-    seconds = [(b, b.adjoint()) for b in map(pair.second.at_time, times)]
     comm = 0.0
     double = 0.0
     usable_comm = usable_double = 0
-    for t in times:
-        a = pair.first.at_time(t)
-        for b, b_adj in seconds:
+    for s in steps:
+        b = pair.second.element(s)
+        b_adj = b.adjoint()
+        for t in steps:
+            a = pair.first.element(t)
             got = _commutator_residual(a, b)
             if got is not None:
                 comm = max(comm, got[0])

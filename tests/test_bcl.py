@@ -1,14 +1,16 @@
 """The Berger-Coburn-Lebow check by one table pass over the samples.
 
-``sample_loop_bcl`` is the check straight from its definition: for each
-sample in order, build the half-line shift and the multiplier at that time
-and compare them with ``_pair_residual``.  It is the oracle: ``bcl_check``
-must give an equal report, or raise the same exception type with the same
-message, on every small grid, on random sample lists, on times that leave
-the window or the grid in any order, and on a model perturbed so that the
-table flags a row.  ``filtered_default_samples`` is the oracle of the
-catalog's default samples: the grid times whose multiplier window, by its
-own rule, is nonempty.  The other tests pin that no map is built for a row
+The samples are step counts j on the grid t = j/m.  ``sample_loop_bcl``
+is the check straight from its definition: every step is read first, then
+for each sample in order the half-line shift and the multiplier are built
+at the time ``Fraction(j, m)`` and compared with ``_pair_residual``.  It is
+the oracle: ``bcl_check`` must give an equal report, or raise the same
+exception type with the same message, on every small grid, on random
+sample lists, on steps that leave the window or are no step count, in any
+order, and on a model perturbed so that the table flags a row.
+``filtered_default_samples`` is the oracle of the catalog's default
+samples: the steps of the grid times whose multiplier window, by its own
+rule, is nonempty.  The other tests pin that no map is built for a row
 whose images agree and that memory stays bounded by the table blocks.
 """
 
@@ -22,17 +24,20 @@ import pytest
 from isoflow import decompose, semigroups
 from isoflow.catalog import _bcl_default_samples
 from isoflow.decompose import bcl_check
-from isoflow.errors import WindowTooSmall
+from isoflow.errors import InvalidInput, WindowTooSmall
 from isoflow.report import CheckEntry
 from isoflow.semigroups import WindowedMap, _pair_residual, halfline_shift, phi_multiplier
 from isoflow.spaces import CellGrid1D
 
 
-def sample_loop_bcl(T: int, m: int, r: int, samples) -> list[CheckEntry]:
+def sample_loop_bcl(T: int, m: int, r: int, steps) -> list[CheckEntry]:
     grid = CellGrid1D(m, T, r)
+    for j in steps:
+        if not isinstance(j, (int, np.integer)) or j < 0:
+            raise InvalidInput(f"step count must be a nonnegative integer, got {j!r}")
     entries = []
-    for t in samples:
-        time = Fraction(t)
+    for j in steps:
+        time = Fraction(int(j), m)
         got = _pair_residual(halfline_shift(grid, time), phi_multiplier(T - 1, m, r, time))
         if got is None:
             raise WindowTooSmall(f"time {time} leaves no faithful window")
@@ -41,15 +46,15 @@ def sample_loop_bcl(T: int, m: int, r: int, samples) -> list[CheckEntry]:
     return entries
 
 
-def filtered_default_samples(T: int, m: int) -> list[Fraction]:
-    """Grid times up to the top degree T - 1 whose multiplier window is nonempty."""
+def filtered_default_samples(T: int, m: int) -> list[int]:
+    """Steps of the grid times up to the top degree T - 1 whose multiplier window is nonempty."""
     d = T - 1
     out = []
     for j in range(m * d + 1):
         n, jj = divmod(j, m)
         top = d - n if jj == 0 else d - n - 1
         if top >= 0:
-            out.append(Fraction(j, m))
+            out.append(j)
     return out
 
 
@@ -81,32 +86,35 @@ def test_default_samples_match_the_sample_loop_on_every_small_grid():
 def test_default_samples_are_every_grid_time_with_a_nonempty_window():
     for T in range(1, 13):
         for m in range(1, 13):
-            assert _bcl_default_samples(T, m) == filtered_default_samples(T, m), (T, m)
+            assert list(_bcl_default_samples(T, m)) == filtered_default_samples(T, m), (T, m)
 
 
 def test_random_sample_lists_match_the_sample_loop():
-    """Unsorted, with duplicates, as ints, Fractions and strings; some off the
-    grid, past the window, or on the edge where the window is empty."""
+    """Unsorted, with duplicates, as ints and numpy ints; some past the window, on
+    the edge where the window is empty, negative, or not an integer."""
     rng = random.Random(12)
-    spell = [lambda f: f, str, lambda f: int(f) if f.denominator == 1 else f]
+    spell = [lambda j: j, np.int64, lambda j: -1 - j, lambda j: Fraction(2 * j + 1, 2), float]
     for _ in range(300):
         T, m, r = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3)
         samples = []
         for _ in range(rng.randint(0, 12)):
             steps = rng.randint(0, m * T + 2)
-            time = Fraction(steps, m) if rng.random() < 0.9 else Fraction(steps, m + 1)
-            samples.append(rng.choice(spell)(time))
+            samples.append(rng.choices(spell, weights=[60, 30, 4, 3, 3])[0](steps))
         assert_same(T, m, r, samples)
 
 
-# on T=3, m=2: 5/2 leaves an empty window, 3 trips the multiplier's degree
-# bound, 7/2 and 10**30 the shift's window; 1/3, -1, "x", "1/0" and None cannot be read
-BAD = [Fraction(5, 2), 3, Fraction(7, 2), 10 ** 30, Fraction(1, 3), -1, "x", "1/0", None]
+# on T=3, m=2, keyed by the time each stands for (the test id): step 5 (time 5/2) leaves
+# an empty window, 6 (time 3) trips the multiplier's degree bound, 7 (7/2) and 2 * 10**30
+# (10**30) the shift's window; time 1/3 is off the grid, its step the Fraction 2/3, and
+# that, -2 (time -1), "x", "1/0" and None are no step count
+BAD_BY_TIME = {Fraction(5, 2): 5, 3: 6, Fraction(7, 2): 7, 10 ** 30: 2 * 10 ** 30,
+               Fraction(1, 3): Fraction(2, 3), -1: -2, "x": "x", "1/0": "1/0", None: None}
+BAD = list(BAD_BY_TIME.values())
 
 
-@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("bad", BAD, ids=[repr(time) for time in BAD_BY_TIME])
 def test_a_failing_sample_raises_as_the_sample_loop_does(bad):
-    good = [0, Fraction(1, 2), 2]
+    good = [0, 1, 4]  # times 0, 1/2, 2
     for samples in ([bad], good + [bad], [bad] + good, good[:1] + [bad] + good[1:]):
         got = assert_same(3, 2, 1, samples)
         assert not isinstance(got, list)
@@ -120,14 +128,22 @@ def test_the_first_of_several_failing_samples_is_raised():
         assert_same(3, 2, 1, samples)
 
 
-def test_an_empty_window_before_a_parse_error_raises_the_empty_window():
-    got = assert_same(3, 2, 1, [0, Fraction(5, 2), "x"])
-    assert got == (WindowTooSmall, "time 5/2 leaves no faithful window")
+def test_a_step_that_is_no_count_raises_before_any_table(monkeypatch):
+    """Behind a step with an empty window, the string "x" is still refused first,
+    before either side builds a row."""
+    assert assert_same(3, 2, 1, [0, 5, 1]) == (WindowTooSmall,
+                                                "time 5/2 leaves no faithful window")
+    built = []
+    monkeypatch.setattr(decompose, "_halfline_rows", lambda *args: built.append(args))
+    with pytest.raises(InvalidInput, match=r"^step count must be a nonnegative integer, "
+                                           r"got 'x'$"):
+        bcl_check(3, 2, 1, [0, 5, "x"])
+    assert built == []
 
 
 def test_failures_across_table_blocks(monkeypatch):
     """Blocks of one and of three rows: the failing sample sits in a later block."""
-    samples = [0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 0]
+    samples = [0, 1, 2, 3, 4, 5, 0]  # times 0, 1/2, ..., 5/2, 0
     for cells in (1, 3 * 6):
         monkeypatch.setattr(decompose, "_BCL_BLOCK_CELLS", cells)
         for bad in BAD:

@@ -12,7 +12,8 @@ grid layouts of ``spaces``, ``_circulant_image``, ``tensor_with_identity``
 and ``direct_sum``.  The sample plan of ``halfline_shift``, ``bishift`` and
 ``modified_bishift`` is priced before any map is built: one map of 10 bytes
 per cell, per family, for each distinct step count among the sampled steps
-and their pairwise sums.  Nothing here allocates an array over the budget:
+and their pairwise sums, and for each square V^(2^i) that binary powering
+keeps, one per bit of the largest of those step counts.  Nothing here allocates an array over the budget:
 each case is priced by the estimator, refused before anything of its size
 exists (a request of at least 2^63 cells, which numpy would refuse at
 once anyway), or the budget is lowered on a small scenario.
@@ -23,7 +24,7 @@ import tracemalloc
 
 import pytest
 
-from isoflow import numlin
+from isoflow import numlin, semigroups
 from isoflow.cli import main
 from isoflow.commutant import commutant_of_partial_isometries
 from isoflow.errors import InvalidInput
@@ -139,7 +140,8 @@ def test_the_largest_documented_ambient_is_admitted():
 
 def test_an_oversized_sample_plan_exits_two_within_a_second(tmp_path, capsys):
     """bishift m=16 T=16 with the 256 samples 1/16, ..., 16 keeps a map per family for
-    each of the 512 step counts 1..512 on 65,536 cells; unpriced, it ran for minutes."""
+    each of the 512 step counts 1..512, and the 10 squares up to V^512, on 65,536 cells;
+    unpriced, it ran for minutes."""
     config = tmp_path / "plan.cfg"
     samples = ",".join(f"{j}/16" for j in range(1, 257))
     config.write_text(f"[plan]\nconstruction = bishift\nm = 16\nT = 16\nsamples = {samples}\n")
@@ -147,24 +149,46 @@ def test_an_oversized_sample_plan_exits_two_within_a_second(tmp_path, capsys):
     assert main(["run", str(config)]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "isoflow: error: [plan] a sample plan of 512 step counts on 2 x 65,536 cells needs "
-        "671,088,640 bytes, over the budget of 268,435,456\n")
+        "isoflow: error: [plan] a sample plan of 512 step counts and 10 squares on 2 x 65,536 "
+        "cells needs 684,195,840 bytes, over the budget of 268,435,456\n")
+
+
+def test_a_plan_of_few_steps_prices_the_squares_of_the_largest(monkeypatch, tmp_path, capsys):
+    """bishift m=16 T=32 at the one time 1e300 samples the steps j = 16 * 10^300 and 2j:
+    two step counts, 10 MB priced by them alone, but binary powering would keep the
+    1,002 squares up to V^(2^1001) of each family, 262,144 cells each.  The run exits 2
+    naming its section before any map exists."""
+    config = tmp_path / "squares.cfg"
+    config.write_text("[squares]\nconstruction = bishift\nm = 16\nT = 32\nsamples = 1e300\n")
+    built = []
+    for name in ("from_image", "_derived"):
+        monkeypatch.setattr(semigroups.WindowedMap, name,
+                            classmethod(lambda cls, *args, _name=name: built.append(_name)))
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "isoflow: error: [squares] a sample plan of 2 step counts and 1,002 squares on "
+        "2 x 262,144 cells needs 5,263,851,520 bytes, over the budget of 268,435,456\n")
+    assert built == []
 
 
 @pytest.mark.parametrize("section, plan", [
-    # steps 1, 2, 3 and their sums 2..6: six step counts of one family on 8 cells
-    ("construction = halfline_shift\nm = 1\nT = 8\nsamples = 1,2,3", "6 step counts on 1 x 8"),
-    # steps 1, 2 and their sums 2, 3, 4 on the 16 cells of the quadrant, for each family
-    ("construction = bishift\nm = 2\nT = 2", "4 step counts on 2 x 16"),
-    # step 1 and its sum 2 on the 3 * 4 cells of the L-region
-    ("construction = modified_bishift\nm = 1\nT = 2\nsamples = 1", "2 step counts on 2 x 12"),
+    # steps 1, 2, 3 and their sums 2..6, and the squares V, V^2, V^4 of one family on 8 cells
+    ("construction = halfline_shift\nm = 1\nT = 8\nsamples = 1,2,3",
+     "6 step counts and 3 squares on 1 x 8"),
+    # steps 1, 2, their sums 2, 3, 4 and the squares up to V^4 on the 16 cells of the
+    # quadrant, for each family
+    ("construction = bishift\nm = 2\nT = 2", "4 step counts and 3 squares on 2 x 16"),
+    # step 1, its sum 2 and the squares V, V^2 on the 3 * 4 cells of the L-region
+    ("construction = modified_bishift\nm = 1\nT = 2\nsamples = 1",
+     "2 step counts and 2 squares on 2 x 12"),
 ])
 def test_each_sampled_construction_prices_its_plan_exactly(monkeypatch, tmp_path, capsys,
                                                            section, plan):
     """At a budget one byte under the plan the run exits 2 naming it; at the plan it passes."""
-    counts, cells = plan.split(" step counts on ")
+    counts, rest = plan.split(" step counts and ")
+    squares, cells = rest.split(" squares on ")
     families, cells = map(int, cells.split(" x "))
-    need = int(counts) * families * cells * 10
+    need = (int(counts) + int(squares)) * families * cells * 10
     config = tmp_path / "plan.cfg"
     config.write_text(f"[p]\n{section}\n")
     monkeypatch.setattr(numlin, "_BUDGET", need - 1)

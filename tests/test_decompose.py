@@ -1,7 +1,6 @@
 """Wold splits, pair classification, fourfold splits, and the multiplier model."""
 
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,7 +78,7 @@ def test_wold_stability_under_extra_steps():
 
 def test_classify_bishift_doubly_commuting():
     pair = bishift_families(QuadrantGrid2D(2, 2))
-    verdict = classify_pair(pair, [Fraction(1, 2), 1])
+    verdict = classify_pair(pair, [1, 2])  # times 1/2, 1
     assert verdict.classified == "doubly_commuting"
     assert verdict.comm_residual == 0.0
     assert verdict.double_comm_residual == 0.0
@@ -113,9 +112,10 @@ def test_classify_shift_with_itself():
 # --- step-time verdict ----------------------------------------------------------------
 
 def test_step_verdict_is_classify_pair_at_the_step_computed_once(monkeypatch):
-    """Read twice and by both splits, the verdict is one ``classify_pair`` at 1/m."""
+    """Read twice and by both splits, the verdict is one ``classify_pair`` at step 1,
+    time 1/m."""
     pair = bishift_families(QuadrantGrid2D(2, 2))
-    want = classify_pair(pair, [Fraction(1, 2)])
+    want = classify_pair(pair, [1])
     calls = []
     real = semigroups.classify_pair
     monkeypatch.setattr(semigroups, "classify_pair",
@@ -124,7 +124,7 @@ def test_step_verdict_is_classify_pair_at_the_step_computed_once(monkeypatch):
     assert pair.step_verdict is verdict and verdict == want
     fourfold_decompose(pair, 6)
     product_unitary_part(pair, 6)
-    assert calls == [(pair, [Fraction(1, 2)])]
+    assert calls == [(pair, [1])]
 
 
 # --- fourfold split -------------------------------------------------------------------
@@ -222,14 +222,13 @@ def test_fourfold_projectors_commute_with_samples():
 # --- multiplier model ------------------------------------------------------------------
 
 def test_bcl_time_one_and_zero():
-    entries = bcl_check(4, 4, 1, [0, 1])
+    entries = bcl_check(4, 4, 1, [0, 4])  # times 0 and 1 at m = 4
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
 
 
 def test_bcl_full_grid_r2():
-    samples = [Fraction(j, 4) for j in range(13)]
-    entries = bcl_check(4, 4, 2, samples)
+    entries = bcl_check(4, 4, 2, range(13))  # the times j/4
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
     assert len(entries) == 13
@@ -251,7 +250,7 @@ def test_joint_equivalence_bishift_tensor_form():
         SemigroupFamily(tensor_with_identity(shift, 4, "right"), 2),
         SemigroupFamily(tensor_with_identity(shift, 4, "left"), 2))
     entries = verify_joint_equivalence(pair, tens, WindowedMap.identity(16),
-                                       [Fraction(1, 2), 1])
+                                       [1, 2])  # times 1/2, 1
     assert all(e.passed for e in entries) and all(e.residual == 0.0 for e in entries)
 
 
@@ -265,7 +264,7 @@ def test_joint_equivalence_w_conjugation():
     single = PairOfSemigroups(shifts, shifts)
     model = PairOfSemigroups(phis, phis)
     entries = verify_joint_equivalence(single, model, WindowedMap.identity(grid.dim),
-                                       [Fraction(1, 4), 1])
+                                       [1, 4])  # times 1/4, 1
     assert all(e.passed for e in entries) and all(e.residual == 0.0 for e in entries)
 
 
@@ -300,7 +299,7 @@ def test_joint_equivalence_w_conjugation_at_dim_512_gathers(monkeypatch):
     grid = CellGrid1D(16, 32)
     shifts, phis = halfline_shift_family(grid), phi_family(31, 16)
     w = WindowedMap.identity(grid.dim)
-    samples = [Fraction(k, 2) for k in range(1, 9)]
+    samples = [8 * k for k in range(1, 9)]  # the times k/2 at m = 16
     dense = count_linalg_calls(monkeypatch)
     tracemalloc.start()
     try:
@@ -332,10 +331,10 @@ def test_joint_equivalence_under_a_relabeling_permutation(monkeypatch):
     b = PairOfSemigroups(moved(a.first), moved(a.second))
     dense = count_linalg_calls(monkeypatch)
     z = WindowedMap.from_image(pi, np.ones(n, dtype=bool), np.ones(n, dtype=bool))
-    entries = verify_joint_equivalence(a, b, z, [Fraction(1, 2), 1, 2])
+    entries = verify_joint_equivalence(a, b, z, [1, 2, 4])  # times 1/2, 1, 2
     assert dense == []
     assert all(e.passed for e in entries) and all(e.residual == 0.0 for e in entries)
-    assert not all(e.passed for e in verify_joint_equivalence(a, a, z, [1]))
+    assert not all(e.passed for e in verify_joint_equivalence(a, a, z, [2]))
 
 
 # --- product family ---------------------------------------------------------------------

@@ -17,7 +17,6 @@ are unchanged.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,7 +210,7 @@ def public_simultaneous(setup: ExtensionSetup, max_steps: int,
                         max_orbit: int) -> list[CheckEntry]:
     """The joint classification from the public functions, each computing its own values."""
     pair = setup.compressed_pair()
-    step = [Fraction(1, setup.cells_per_unit)]
+    step = [1]  # the time 1 / cells_per_unit
     dc = classify_pair(pair, step)
     entries = [CheckEntry("doubly_commuting", dc.double_comm_residual,
                           (1 if dc.classified == "doubly_commuting" else 0,), True,

@@ -12,7 +12,6 @@ verdict.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,7 +142,7 @@ def test_classify_pair_composes_nothing_on_an_image_backed_pair(monkeypatch):
     """Building a o b, b o a, a o b* and b* o a took 4 compositions."""
     pair = bishift_families(QuadrantGrid2D(4, 4))
     counts = count_calls(monkeypatch, (WindowedMap, "compose"))
-    verdict = classify_pair(pair, [Fraction(1, 4)])
+    verdict = classify_pair(pair, [1])  # time 1/4
     assert verdict.classified == "doubly_commuting"
     assert counts["compose"] == 0
 

@@ -301,7 +301,7 @@ def test_tensor_with_identity_kron_index_oracle():
 
 def test_law_halfline():
     fam = halfline_shift_family(CellGrid1D(2, 2))
-    entries = check_semigroup_law(fam, [Fraction(1, 2), 1])
+    entries = check_semigroup_law(fam, [1, 2])  # times 1/2, 1
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
 
@@ -313,7 +313,7 @@ def test_law_circulant_full_window():
 
 
 def test_law_phi_family():
-    entries = check_semigroup_law(phi_family(3, 2), [Fraction(1, 2), 1])
+    entries = check_semigroup_law(phi_family(3, 2), [1, 2])  # times 1/2, 1
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
 
@@ -337,7 +337,7 @@ def test_law_and_classification_build_no_dense_matrix():
     adjoints and residuals stay far below that."""
     pair = bishift_families(QuadrantGrid2D(8, 4))
     assert pair.dim == 1024
-    samples = [Fraction(1, 8), Fraction(1, 2), 1]
+    samples = [1, 4, 8]  # times 1/8, 1/2, 1
     tracemalloc.start()
     try:
         law = check_semigroup_law(pair.first, samples)

@@ -1,0 +1,167 @@
+"""Sample times held as integer step counts from the config reader to the report line.
+
+``catalog.check_scenario`` reads the ``samples`` times once and resolves
+them to step counts j on the grid t = j/m; every check takes those steps,
+and ``report.format_time`` writes a step back as text, as
+``str(Fraction(j, m))`` does.  The properties hold the formatter and the
+resolver to ``Fraction``; the count test pins that a run builds no
+``Fraction`` after the resolver and reads a time only in a constructor;
+the memory test pins that ``classify_pair`` holds one adjoint at a time.
+``report.format_residual``, which writes an exact 0 or 1 by lookup, is held
+to the ``%e`` formula it skips.
+"""
+
+import sys
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoflow import catalog, decompose, semigroups
+from isoflow.catalog import Scenario, check_scenario, run_scenario
+from isoflow.commutant import fuglede_instance_check
+from isoflow.decompose import verify_joint_equivalence
+from isoflow.errors import InvalidInput
+from isoflow.report import format_residual, format_time
+from isoflow.semigroups import (SemigroupFamily, WindowedMap, bishift_families,
+                                check_semigroup_law, classify_pair, halfline_shift_family)
+from isoflow.spaces import CellGrid1D, QuadrantGrid2D
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@SETTINGS
+@given(st.integers(1, 60).flatmap(lambda m: st.tuples(
+    st.one_of(st.just(0), st.integers(0, 5).map(lambda n: n * m),  # 0 and whole units
+              st.integers(0, 10).map(lambda k: k * (m // 2 or 1)),  # often reducible
+              st.integers(0, 10**6)),
+    st.just(m))))
+def test_format_time_writes_the_fraction(case):
+    steps, m = case
+    assert format_time(steps, m) == str(Fraction(steps, m))
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e-300, 5e-324]),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+def test_format_residual_writes_the_scientific_formula(value):
+    mantissa, exponent = f"{value:.6e}".split("e")
+    assert format_residual(value) == f"{mantissa}e{int(exponent)}"
+
+
+def spellings(m: int):
+    """(token, time) for a time j/m on the grid, written reduced, unreduced, or with
+    spaces around it."""
+    return st.tuples(st.integers(0, 3 * m), st.integers(1, 4), st.booleans()).map(
+        lambda c: (f" {c[0] * c[1]}/{m * c[1]} " if c[2] else str(Fraction(c[0], m)),
+                   Fraction(c[0], m)))
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(spellings(m), min_size=1, max_size=6))))
+def test_resolved_steps_are_the_times_on_the_grid(case):
+    """Every listed time t resolves to the step j with j/m == t, in order and with
+    repeats, and the report echoes the times as their reduced fractions."""
+    m, listed = case
+    text = ",".join(token for token, _ in listed)
+    times = [time for _, time in listed]
+    scenario = Scenario("s", "halfline_shift", {"m": str(m), "T": "8", "samples": text})
+    steps = scenario.resolved["samples"]
+    assert all(type(j) is int for j in steps)
+    assert [Fraction(j, m) for j in steps] == times
+    report = run_scenario(scenario)
+    assert dict(report.params)["samples"] == ",".join(map(str, times))
+    assert report.overall
+
+
+@pytest.mark.parametrize("samples, message", [
+    ("1/3", "samples must be nonnegative multiples of 1/2, got 1/3"),
+    ("-1/2", "samples must be nonnegative multiples of 1/2, got -1/2"),
+    ("1/2, x", "cannot parse samples '1/2, x'"),
+    (" , ", "samples must list at least one time"),
+])
+def test_the_resolver_refuses_what_is_no_grid_time(samples, message):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        check_scenario(Scenario("s", "bishift", {"m": "2", "samples": samples}))
+
+
+@pytest.mark.parametrize("steps", [[1, -1], [1, Fraction(1, 2)], [1.0], ["1"]],
+                         ids=["negative", "fraction", "float", "string"])
+def test_a_check_refuses_a_step_that_is_no_count(steps):
+    pair = bishift_families(QuadrantGrid2D(2, 2))
+    for check in (lambda: check_semigroup_law(pair.first, steps),
+                  lambda: classify_pair(pair, steps)):
+        with pytest.raises(InvalidInput, match=r"^step count must be a nonnegative integer"):
+            check()
+
+
+def test_a_check_of_two_families_needs_one_grid():
+    """A step count names one time only on one grid: families on 4 cells with
+    m = 1 and m = 2 are refused together, as ``PairOfSemigroups`` refuses them."""
+    coarse, fine = bishift_families(QuadrantGrid2D(1, 2)), bishift_families(QuadrantGrid2D(2, 1))
+    with pytest.raises(InvalidInput, match="^the two pairs use different time grids$"):
+        verify_joint_equivalence(coarse, fine, WindowedMap.identity(4), [1])
+    with pytest.raises(InvalidInput, match="^the two families use different time grids$"):
+        fuglede_instance_check(SemigroupFamily(WindowedMap.identity(4)),
+                               halfline_shift_family(CellGrid1D(2, 2)), 1, [1])
+
+
+# the functions that read a time: the constructors, each once per call
+CONSTRUCTORS = {"halfline_shift", "phi_multiplier", "bishift_pair", "modified_bishift_pair"}
+
+
+@pytest.mark.parametrize("construction, params", [
+    ("bcl", {"T": "10", "m": "10", "r": "2"}),
+    ("bishift", {"m": "4", "T": "4"}),
+])
+def test_a_run_builds_no_fraction_after_the_resolver(monkeypatch, construction, params):
+    """Once the scenario is resolved, its run builds no ``Fraction`` and calls
+    ``grid_steps`` only inside a constructor."""
+    scenario = Scenario("s", construction, params)
+    scenario.resolved  # resolved, and kept on the scenario, before anything is counted
+    built, outside = [], []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic builds its results there
+        coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, *args: built.append(args) or coprime(cls, *args)))
+    for module in (semigroups, catalog, decompose):  # every binding of the name
+        if hasattr(module, "grid_steps"):
+            def counted(t, m, _real=module.grid_steps):
+                caller = sys._getframe(1).f_code.co_name
+                if caller not in CONSTRUCTORS:
+                    outside.append(caller)
+                return _real(t, m)
+
+            monkeypatch.setattr(module, "grid_steps", counted)
+    report = run_scenario(scenario)
+    assert report.overall
+    assert built == [] and outside == []
+
+
+def test_classify_pair_holds_one_adjoint_at_a_time():
+    """bishift m=16 T=8 on 16,384 cells: with every power already kept by the families,
+    the peak of classify_pair does not grow from 8 sampled steps to 32.  Holding the
+    adjoint of every sampled step at once, it grew by 8 bytes per cell per step."""
+    pair = bishift_families(QuadrantGrid2D(16, 8))
+    peaks = []
+    for steps in (range(1, 9), range(1, 33)):
+        for j in steps:  # the maps the sample plan prices, built beforehand
+            pair.first.element(j), pair.second.element(j)
+        tracemalloc.start()
+        try:
+            verdict = classify_pair(pair, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert verdict.classified == "doubly_commuting"
+    assert peaks[1] < peaks[0] + 8 * pair.dim // 2, peaks

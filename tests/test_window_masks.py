@@ -11,7 +11,6 @@ also when they differ.
 """
 
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,22 +162,22 @@ def test_dual_example_computes_its_dual_pair_once(monkeypatch):
     want = duality.dual_cnu_check(setup, duality.dual_pair(setup, 12), 5)
     assert len(calls) == 2
     got = [e for e in entries if e.check_id.startswith("cnu:")]
-    assert got == [replace(e, check_id="cnu:" + e.check_id) for e in want]
+    assert got == [e._replace(check_id="cnu:" + e.check_id) for e in want]
 
 
 def test_dual_example_mismatch_fails_without_reading_a_matrix(monkeypatch):
     """A bishift model that swaps two columns of axis 1 fails that entry with
     the residual of the differing columns, taken with no ``np.linalg`` call."""
-    bishift_pair = catalog.bishift_pair
+    bishift_maps = catalog._bishift_maps
 
-    def swapped(grid, t):
-        first, second = bishift_pair(grid, t)
+    def swapped(grid, j):
+        first, second = bishift_maps(grid, j)
         image = first.image.copy()
         image[[0, 1]] = image[[1, 0]]
         return (WindowedMap.from_image(image, first.faithful_mask, first.adj_faithful_mask),
                 second)
 
-    monkeypatch.setattr(catalog, "bishift_pair", swapped)
+    monkeypatch.setattr(catalog, "_bishift_maps", swapped)
     linalg = count_linalg_calls(monkeypatch)
     entries = run_scenario(Scenario("dual", "dual_example", {"m": 1, "T": 3})).entries
     assert linalg == []
