@@ -12,7 +12,10 @@ coefficient, and its 0/1 indicator is one basis element.  No rank
 decision and no tolerance is involved.  The components are found by
 ``numlin._components``, hook-and-shortcut (Shiloach & Vishkin 1982,
 J. Algorithms 3(1)) in a few numpy rounds, the equations taken in blocks
-of at most ``_BLOCK_ENTRIES``.
+of at most ``_BLOCK_ENTRIES``.  The bundled and benchmark sizes fit in
+one block, and on all of them but ``commutant_mz d=1 r=1`` the
+unsatisfied equations outnumber the labels, so each round shortcuts the
+whole label array, not the equations' ends.
 Constraints are only imposed on faithful columns of the truncated
 operators; including boundary equations would over-constrain, because a
 truncation is not isometric at the top of its window.
@@ -103,34 +106,48 @@ def _exact_commutant(images: np.ndarray, lo, hi) -> np.ndarray:
     hi = np.asarray(hi, dtype=np.int64)
     ends = (hi - np.asarray(lo, dtype=np.int64)).cumsum()  # one past the last number of each op
     total = int(ends[-1]) if ends.size else 0
-    shift = hi - ends  # op s numbers column j as j - shift[s]
-    rows = np.arange(n)
-    step = max(1, _BLOCK_ENTRIES // n)
-
-    def blocks():
-        for start in range(0, total, step):
-            number = np.arange(start, min(start + step, total))
-            owner = ends.searchsorted(number, side="right")
-            column = number + shift[owner]
-            target = images[owner, column, None]
-            preimage = preimages[owner]
-            # B[i, pi(j)] = B[pi^-1(i), j] for every row i and constrained column j
-            yield (np.where(target >= 0, rows + target * n, zero),
-                   np.where(preimage >= 0, preimage + column[:, None] * n, zero))
-
-    lab, _ = _components(blocks(), zero + 1)
-    roots, forced = lab[:zero], lab[zero]
+    lab, _ = _components(_blocks(images, preimages, ends, hi - ends, total), zero + 1)
     # every root labels itself and is its class minimum, so counting the free roots up to it
-    # numbers the classes by smallest vec index
-    free_root = np.zeros(zero + 1, dtype=bool)
-    free_root[roots] = True
-    free_root[forced] = False
-    number = free_root[:zero].cumsum() - 1
-    labels = number[roots]
-    labels[roots == forced] = -1
-    labels = labels.reshape((n, n), order="F")
+    # numbers the classes by smallest vec index; the forced class reads -1
+    root = np.zeros(zero + 1, dtype=bool)
+    root[lab] = True
+    forced = lab[zero]
+    root[forced] = False
+    number = root.cumsum()
+    number -= 1
+    number[forced] = -1
+    labels = number[lab[:zero]].reshape((n, n), order="F")
     labels.flags.writeable = False
     return labels
+
+
+def _equations(target: np.ndarray, preimage: np.ndarray, column: np.ndarray, n: int):
+    """B[i, pi(j)] = B[pi^-1(i), j] for every row i and constrained column j, as
+    the (columns, n) vec indices of both sides; a side that does not exist
+    is the zero sentinel n*n.
+
+    ``target`` and ``column`` are (columns, 1) arrays of pi(j) and j, and
+    ``preimage`` the (columns, n) rows of pi^-1; -1 marks a missing image
+    or preimage.  Called once per block, so that ``_blocks`` keeps none of
+    these gathers across its yield."""
+    zero = n * n
+    return (np.where(target >= 0, np.arange(n) + target * n, zero),
+            np.where(preimage >= 0, preimage + column * n, zero))
+
+
+def _blocks(images: np.ndarray, preimages: np.ndarray, ends: np.ndarray, shift: np.ndarray,
+            total: int):
+    """The equations of ``_exact_commutant`` by runs of its ``total`` numbered (op,
+    column) pairs, at most ``_BLOCK_ENTRIES`` equations but one column at least
+    per run; op s numbers its column j as j - shift[s], and ``ends`` holds one
+    past each op's last number."""
+    n = images.shape[1]
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, total, step):
+        number = np.arange(start, min(start + step, total))
+        owner = ends.searchsorted(number, side="right")
+        column = number + shift[owner]
+        yield _equations(images[owner, column, None], preimages[owner], column[:, None], n)
 
 
 def _fiber_form(labels: np.ndarray, blocks: int) -> CommutantBasis:

@@ -107,18 +107,21 @@ def grid_steps(t, cells_per_unit: int) -> int:
     return int(steps)
 
 
-def _read_steps(steps) -> list[int]:
-    """The sampled step counts as a list of ints.
+def _read_step(j) -> int:
+    """A step count as an int.
 
-    A step that is not an integer (a float or a Fraction), or is negative,
-    raises InvalidInput before the caller builds any map.
+    A step that is not an integer (a float or a Fraction, even a whole
+    one), or is negative, raises InvalidInput.
     """
-    read = []
-    for j in steps:
-        if not isinstance(j, (int, np.integer)) or j < 0:
-            raise InvalidInput(f"step count must be a nonnegative integer, got {j!r}")
-        read.append(int(j))
-    return read
+    if not isinstance(j, (int, np.integer)) or j < 0:
+        raise InvalidInput(f"step count must be a nonnegative integer, got {j!r}")
+    return int(j)
+
+
+def _read_steps(steps) -> list[int]:
+    """The sampled step counts as a list of ints, each read by ``_read_step``
+    before the caller builds any map."""
+    return [_read_step(j) for j in steps]
 
 
 def _window(window, n: int, outside: str) -> np.ndarray:
@@ -407,7 +410,9 @@ class SemigroupFamily:
     O(log j) compositions.  Composition of windows is associative, so this
     gives the same image and windows as composing one step at a time.
     Only the squares and the step counts actually requested are kept, the
-    latter in a dict, so repeated requests return the same map.
+    latter in a dict, so repeated requests return the same map.  The step
+    is read by ``_read_step``, the rule of every check, so a float or a
+    ``Fraction`` raises InvalidInput even when it is whole.
     """
 
     def __init__(self, generator: WindowedMap, cells_per_unit: int = 1):
@@ -433,9 +438,7 @@ class SemigroupFamily:
         return self._generator.domain_dim
 
     def element(self, steps: int) -> WindowedMap:
-        if int(steps) != steps or steps < 0:
-            raise InvalidInput(f"step count must be a nonnegative integer, got {steps!r}")
-        steps = int(steps)
+        steps = _read_step(steps)
         power = self._powers.get(steps)
         if power is None:
             power = self._powers[steps] = self._power(steps)

@@ -226,22 +226,32 @@ def test_commutant_e_memory_stays_at_the_blocks():
 def test_commutant_system_holds_only_the_images_and_their_preimages(monkeypatch):
     """m = 200, r = 1 (n = 200, 398 ops, every column constrained): when the
     first hook round starts the tracemalloc peak is 1.42 MB, about the (398, 200)
-    ``int64`` images and their preimages, 0.64 MB each.  Listing every
-    constrained column, with an owner array and a flattened column array as
-    large again, it was 3.24 MB, and the whole solve peaked at 6.30 MB where
-    it now peaks at 5.04 MB."""
+    ``int64`` images and their preimages, 0.64 MB each; no owner or column
+    array as large as the system is built.
+
+    Above the 1.29 MB live when it starts, ``_components`` (489 blocks of
+    32,600 equations, 40,001 labels) peaks at 3.49 MB, about 13.4 arrays of
+    one block side: the previous block's arrays, kept until the next block
+    replaces them, while the next block is built.  The block generator keeps
+    no gather across its yield."""
     system = 8 * 398 * 200  # bytes of one (ops, n) int64 array
-    at_first_round = []
+    block_side = 8 * 32600  # bytes of one side of a block of equations
+    at_first_round, transient = [], []
 
     def components(blocks, size):
-        at_first_round.append(tracemalloc.get_traced_memory()[1])
-        return _components(blocks, size)
+        live, peak = tracemalloc.get_traced_memory()
+        at_first_round.append(peak)
+        tracemalloc.reset_peak()
+        result = _components(blocks, size)
+        transient.append(tracemalloc.get_traced_memory()[1] - live)
+        return result
 
     monkeypatch.setattr(commutant, "_components", components)
     with peak_memory():
         result = commutant_of_partial_isometries(200, 1)
     assert result.dim == 1 and result.structure_verdict == "fiber_scalar"
     assert at_first_round[0] < 3 * system
+    assert transient[0] < 14 * block_side
 
 
 def test_oversized_commutant_is_refused_before_allocating():
@@ -329,15 +339,10 @@ def test_exact_commutant_matches_svd_oracle_on_partial_permutations(case):
 
 # --- union-find oracle -------------------------------------------------------------------
 
-def union_find_commutant(ops, n):
-    """Entry classes by a union-find over every equation, one at a time.
-
-    Same contract as ``_exact_commutant`` on valid ops: vec index i + k*n
-    for entry (i, k), n*n the zero sentinel, classes numbered by smallest
-    vec index, -1 where an entry is forced to zero.
-    """
-    zero = n * n
-    parent = list(range(zero + 1))
+def union_find_labels(blocks, size):
+    """Each index labelled with the smallest index of its class, by a
+    plain-Python union-find over the equations of ``blocks`` one at a time."""
+    parent = list(range(size))
 
     def find(a):
         while parent[a] != a:
@@ -345,7 +350,24 @@ def union_find_commutant(ops, n):
             a = parent[a]
         return a
 
+    for lhs, rhs in blocks:
+        for a, b in zip(lhs.tolist(), rhs.tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)  # every root is its class minimum
+    return np.array([find(a) for a in range(size)], dtype=np.int64)
+
+
+def union_find_commutant(ops, n):
+    """Entry classes by ``union_find_labels`` over every equation of the ops.
+
+    Same contract as ``_exact_commutant`` on valid ops: vec index i + k*n
+    for entry (i, k), n*n the zero sentinel, classes numbered by smallest
+    vec index, -1 where an entry is forced to zero.
+    """
+    zero = n * n
     rows = np.arange(n)
+    blocks = []
     for image, columns in ops:
         image = np.asarray(image)
         cols = np.asarray(sorted(columns), dtype=np.int64)
@@ -355,12 +377,10 @@ def union_find_commutant(ops, n):
         # B[i, pi(j)] = B[pi^-1(i), j] for every row i and constrained column j
         lhs = np.where(target >= 0, rows[:, None] + target * n, zero)
         rhs = np.where(preimage[:, None] >= 0, preimage[:, None] + cols * n, zero)
-        for a, b in zip(lhs.ravel().tolist(), rhs.ravel().tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)  # every root is its class minimum
-    roots = np.array([find(a) for a in range(zero)], dtype=np.int64)
-    free = roots != find(zero)
+        blocks.append((lhs.ravel(), rhs.ravel()))
+    found = union_find_labels(blocks, zero + 1)
+    roots = found[:zero]
+    free = roots != found[zero]
     labels = np.full(zero, -1, dtype=np.int64)
     labels[free] = np.unique(roots[free], return_inverse=True)[1]
     return labels.reshape((n, n), order="F")
@@ -417,6 +437,59 @@ def test_catalog_commutants_match_union_find_oracle(monkeypatch, solve, args):
         WindowedMap.from_image(image, np.ones(n, dtype=bool), np.ones(n, dtype=bool))
         assert set(columns) <= set(range(n))
     assert np.array_equal(labels, union_find_commutant(ops, n))
+
+
+@st.composite
+def blocked_equations(draw):
+    """2-30 indices and 1-5 blocks of equations x_a = x_b, each block 0 to
+    3 x size equations among a run of indices, about one in five of the
+    form x = x; hypothesis draws the shapes and a seed for the entries.  A
+    block among indices that earlier blocks left apart can join more
+    classes than there are labels."""
+    size = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.integers(0, size - 1))
+        hi = draw(st.integers(lo + 1, size))
+        count = draw(st.integers(0, 3 * size))
+        lhs, rhs = rng.integers(lo, hi, count), rng.integers(lo, hi, count)
+        same = rng.random(count) < 0.2
+        rhs[same] = lhs[same]
+        blocks.append((lhs, rhs))
+    return blocks, size
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(blocked_equations())
+def test_components_match_a_union_find_on_blocks_of_either_path(case):
+    """A block shortcuts the whole label array when at least as many of its
+    equations join two classes as there are labels, and its equations' ends
+    otherwise; random blocks take either path, and switch between them."""
+    blocks, size = case
+    labels, _ = _components(blocks, size)
+    assert np.array_equal(labels, union_find_labels(blocks, size))
+    for index in range(size):  # every label is the smallest index of its class
+        assert labels[index] == min(np.flatnonzero(labels == labels[index]))
+
+
+def test_components_switch_paths_between_blocks():
+    """On 12 labels: 15 joining equations take the label-array path, then 2
+    the ends path, then 12 the label-array path again, which leaves 1..11 in
+    the class of 1.  The last block joins 6, no root, to 0, and holds x = x:
+    its roots must be read through the labels, or 6 alone would move."""
+    among = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    third = [(10, 11), (11, 1), (7, 10), (9, 11), (8, 1), (10, 1),
+             (7, 9), (8, 10), (11, 7), (2, 9), (3, 11), (4, 7)]
+    blocks = [tuple(np.array(side, dtype=np.int64) for side in zip(*pairs))
+              for pairs in (among, [(7, 8), (9, 10)], third, [(6, 0), (3, 3)])]
+    labels, _ = _components(blocks, 12)
+    joining = []  # equations of each block whose ends the blocks before it left apart
+    for k, (lhs, rhs) in enumerate(blocks):
+        before = union_find_labels(blocks[:k], 12)
+        joining.append(int(np.count_nonzero(before[lhs] != before[rhs])))
+    assert joining == [15, 2, 12, 1]
+    assert np.array_equal(labels, union_find_labels(blocks, 12)) and not labels.any()
 
 
 def test_components_rounds_are_logarithmic_on_a_shuffled_path():

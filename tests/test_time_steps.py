@@ -11,6 +11,7 @@ the memory test pins that ``classify_pair`` holds one adjoint at a time.
 to the ``%e`` formula it skips.
 """
 
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -96,6 +97,18 @@ def test_a_check_refuses_a_step_that_is_no_count(steps):
                   lambda: classify_pair(pair, steps)):
         with pytest.raises(InvalidInput, match=r"^step count must be a nonnegative integer"):
             check()
+
+
+@pytest.mark.parametrize("step", [2.0, Fraction(2)], ids=["float", "fraction"])
+def test_an_element_reads_its_step_by_the_checks_rule(step):
+    """A whole float or ``Fraction`` is refused as the checks refuse it, and
+    builds no map: ``element(2.0)`` once returned ``element(2)``."""
+    family = halfline_shift_family(CellGrid1D(1, 4))
+    message = f"^{re.escape(f'step count must be a nonnegative integer, got {step!r}')}$"
+    for read in (family.element, lambda j: check_semigroup_law(family, [j])):
+        with pytest.raises(InvalidInput, match=message):
+            read(step)
+    assert not family._powers
 
 
 def test_a_check_of_two_families_needs_one_grid():
