@@ -14,10 +14,10 @@ from .errors import (DimensionMismatch, InternalInconsistency, InvalidInput, Inv
 from .numlin import Subspace, complement, intersect, subtract
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, bishift_families,
-                         bishift_pair, check_semigroup_law, circulant_family,
-                         direct_sum, grid_steps, halfline_shift, halfline_shift_family,
-                         modified_bishift_families, modified_bishift_pair, phi_family,
-                         phi_multiplier, tensor_with_identity)
+                         bishift_pair, check_semigroup_law, circulant_family, direct_sum,
+                         halfline_shift, halfline_shift_family, modified_bishift_families,
+                         modified_bishift_pair, phi_family, phi_multiplier,
+                         tensor_with_identity)
 from .decompose import (CommutationReport, FourfoldResult, WoldResult, bcl_check,
                         classify_pair, fourfold_decompose, product_unitary_part,
                         verify_joint_equivalence, wold_cooper)

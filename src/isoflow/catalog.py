@@ -6,8 +6,9 @@ public checks return lists of ``CheckEntry``; a runner joins them, and
 ``run_scenario`` wraps the result in the scenario's one ``Report``.
 
 ``check_scenario`` reads the ``samples`` times once and resolves them to
-integer step counts j on the grid t = j/m; every runner and check takes
-those steps, and the times become text again only in
+integer step counts j on the grid t = j/m.  It is the one reader of a time
+in the package: every runner, constructor and check takes step counts,
+and the times become text again only in
 ``report.format_time``, for the echoed ``samples`` and the check ids.  The
 runners of the sampled one-parameter constructions price their sample plan
 (``_check_sample_plan``) before any map is built.  Given
@@ -30,10 +31,10 @@ from .decompose import (bcl_check, classify_pair, fourfold_decompose, product_un
 from .errors import InternalInconsistency, InvalidInput
 from .numlin import _check_budget, _equal
 from .report import CheckEntry, Report, format_time
-from .semigroups import (PairOfSemigroups, SemigroupFamily, _bishift_maps, _image_residual,
-                         _isometry_defect, bishift_families, check_semigroup_law,
-                         circulant_family, direct_sum, halfline_shift_family,
-                         modified_bishift_families, tensor_with_identity)
+from .semigroups import (PairOfSemigroups, SemigroupFamily, _image_residual, _isometry_defect,
+                         bishift_families, bishift_pair, check_semigroup_law, circulant_family,
+                         direct_sum, halfline_shift_family, modified_bishift_families,
+                         tensor_with_identity)
 from .spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
 __all__ = ["Scenario", "check_scenario", "run_scenario", "list_catalog", "CATALOG"]
@@ -268,7 +269,7 @@ def _run_bcl(T, m, r, samples):
 def _run_dual_example(m, T, r, K, max_orbit):
     setup = duality.l_region_setup(m, T, r)
     dual = duality.dual_pair(setup, max_orbit)
-    model1, model2 = _bishift_maps(QuadrantGrid2D(m, T, r), 1)
+    model1, model2 = bishift_pair(QuadrantGrid2D(m, T, r), 1)
     entries = []
     for axis, (got, model) in enumerate(((dual.pair.first.generator, model1),
                                          (dual.pair.second.generator, model2)), start=1):

@@ -15,8 +15,9 @@ fourfold split of a doubly commuting pair, the unitary part of the
 product family, and the exact identification of the half-line
 translation with its coefficient-space multiplier model.  The two checks
 here, ``bcl_check`` and ``verify_joint_equivalence``, take their samples
-as step counts j on the grid t = j/m and return their ``CheckEntry``
-lists; ``report.format_time`` writes the times of their ids.  The two
+as step counts j on the grid t = j/m, as every map constructor does, and
+return their ``CheckEntry`` lists: only ``catalog`` reads a time, and
+``report.format_time`` writes the times of their ids.  The two
 splits check their preconditions against the pair's ``step_verdict``, so
 a pair is classified at its step once whichever split reads it first.
 Commutation classification (``classify_pair``), compressions, isometry
@@ -33,9 +34,9 @@ from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
 from .numlin import Subspace, _mask, _positions, complement, intersect
 from .report import CheckEntry, format_time
 from .semigroups import (CommutationReport, PairOfSemigroups, SemigroupFamily, WindowedMap,
-                         _check_image, _halfline_map, _halfline_rows, _image_isometry_defect,
-                         _isometry_defect, _pair_residual, _phi_map, _phi_rows, _read_steps,
-                         classify_pair)
+                         _check_image, _halfline_rows, _image_isometry_defect, _isometry_defect,
+                         _pair_residual, _phi_rows, _read_steps, classify_pair, halfline_shift,
+                         phi_multiplier)
 from .spaces import CellGrid1D
 
 __all__ = [
@@ -212,7 +213,7 @@ _BCL_BLOCK_CELLS = 32768  # cells per table block of bcl_check, one row at least
 
 def _bcl_sample(grid: CellGrid1D, j: int) -> tuple[float, int]:
     """Residual and window size of one bcl_check sample, from its two maps."""
-    got = _pair_residual(_halfline_map(grid, j), _phi_map(grid.T - 1, grid.m, grid.r, j))
+    got = _pair_residual(halfline_shift(grid, j), phi_multiplier(grid.T - 1, grid.m, grid.r, j))
     if got is None:
         raise WindowTooSmall(f"time {format_time(j, grid.m)} leaves no faithful window")
     return got

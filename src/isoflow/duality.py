@@ -41,7 +41,6 @@ tests and conjugations come from ``semigroups``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -420,7 +419,8 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int,
     pure-times-pure corner (that is the bishift certificate).  The
     recovered quadrant coordinates then define the reindexing onto the
     canonical region, and the conjugated original pair is compared with
-    the canonical compressed-translation pair, fiber included.
+    the canonical compressed-translation pair at step 1, the one-cell step
+    of the setup's generators, fiber included.
     """
     if setup.geometry is None:
         raise PreconditionFailed("setup carries no region geometry to compare against")
@@ -439,7 +439,7 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int,
     # a canonical cell outside the range of Z has no setup cell, so Z* is trusted only there
     z = WindowedMap.from_image(at, np.ones(at.size, dtype=bool), at, rows=canonical_cells.size)
     z_adj = z.adjoint()
-    m1, m2 = modified_bishift_pair(region, Fraction(1, setup.cells_per_unit))
+    m1, m2 = modified_bishift_pair(region, 1)
     pair = setup.compressed_pair()
     for axis, (fam, model) in enumerate(((pair.first, m1), (pair.second, m2)), start=1):
         got = _pair_residual(z @ fam.generator @ z_adj, model)

@@ -28,11 +28,13 @@ identities between them hold with residual exactly zero, not merely
 small.  Where two images differ, ``_image_residual`` gives the norm of
 their difference in closed form.
 
-A time on the grid t = j/m is held as its integer step count j.  Only the
-constructors (``halfline_shift``, ``phi_multiplier``, ``bishift_pair`` and
-``modified_bishift_pair``), ``grid_steps`` and ``SemigroupFamily.at_time``
-read times, and a time off the grid is rejected, never interpolated; the
-families are built from step 1 and the checks take lists of step counts.
+A time on the grid t = j/m is held as its integer step count j.  Only
+``catalog`` reads times: it resolves a config's samples to step counts
+and rejects a time off the grid, never interpolating.  The constructors
+(``halfline_shift``, ``phi_multiplier``, ``bishift_pair`` and
+``modified_bishift_pair``), ``SemigroupFamily.element`` and the checks
+take step counts, each read by ``_read_step``, which refuses a negative
+or non-integer one; the families are built from step 1.
 ``report.format_time`` writes a step count back as a time for a check id.
 
 Compression and the isometry test are written once, here: ``_compress``
@@ -54,7 +56,6 @@ precondition of the fourfold split and of the product family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
@@ -70,7 +71,6 @@ __all__ = [
     "WindowedMap",
     "SemigroupFamily",
     "PairOfSemigroups",
-    "grid_steps",
     "halfline_shift",
     "halfline_shift_family",
     "phi_multiplier",
@@ -84,27 +84,6 @@ __all__ = [
     "tensor_with_identity",
     "check_semigroup_law",
 ]
-
-
-def grid_steps(t, cells_per_unit: int) -> int:
-    """Convert a grid time t = j/m into the integer step count j.
-
-    Accepts ints, Fractions, strings like "3/4", and binary-exact floats.
-    Times off the 1/m grid raise InvalidInput rather than interpolating.
-    An int (a bool too) or a Fraction is read by integer division of its
-    numerator times m by its denominator; anything else goes through
-    ``Fraction(t)`` first.
-    """
-    frac = t
-    if not isinstance(t, (int, Fraction)):
-        try:
-            frac = Fraction(t)
-        except (ValueError, TypeError) as exc:
-            raise InvalidInput(f"cannot read grid time {t!r}") from exc
-    steps, rest = divmod(frac.numerator * cells_per_unit, frac.denominator)
-    if rest or steps < 0:
-        raise InvalidInput(f"time {t} is not a nonnegative multiple of 1/{cells_per_unit}")
-    return int(steps)
 
 
 def _read_step(j) -> int:
@@ -457,9 +436,6 @@ class SemigroupFamily:
                 power = squares[i] if power is None else squares[i].compose(power)
         return power
 
-    def at_time(self, t) -> WindowedMap:
-        return self.element(grid_steps(t, self._m))
-
 
 @dataclass(frozen=True)
 class PairOfSemigroups:
@@ -520,26 +496,21 @@ def _halfline_rows(grid: CellGrid1D, steps: list[int]) -> tuple[np.ndarray, np.n
     return images, images >= 0
 
 
-def halfline_shift(grid: CellGrid1D, t) -> WindowedMap:
-    """Forward translation by t on the half-line grid.
+def halfline_shift(grid: CellGrid1D, steps: int) -> WindowedMap:
+    """Forward translation by j = ``steps`` cells, the time j/m, on the half-line grid.
 
     Cell k maps to cell k+j (fiber preserved) while the image stays in
     the window; the remaining columns are zero and unfaithful.  The
     transposed matrix is the exact backward translation everywhere, so
-    the adjoint window is the whole grid.  The map is ``_halfline_map``
-    of its step count.
+    the adjoint window is the whole grid.  The map is the one row of
+    ``_halfline_rows`` for j.
     """
-    return _halfline_map(grid, grid_steps(t, grid.m))
-
-
-def _halfline_map(grid: CellGrid1D, j: int) -> WindowedMap:
-    """``halfline_shift`` by j steps: the one row of ``_halfline_rows`` for j."""
-    (image,), (faithful,) = _halfline_rows(grid, [j])
+    (image,), (faithful,) = _halfline_rows(grid, [_read_step(steps)])
     return WindowedMap.from_image(image, faithful, np.ones(grid.dim, dtype=bool))
 
 
 def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
-    return SemigroupFamily(_halfline_map(grid, 1), grid.m)
+    return SemigroupFamily(halfline_shift(grid, 1), grid.m)
 
 
 def _cut_shift_images(m: int, j, r: int) -> np.ndarray:
@@ -557,7 +528,7 @@ def _cut_shift_images(m: int, j, r: int) -> np.ndarray:
     j = np.asarray(j)
     if np.count_nonzero((j < 0) | (j >= m)):
         raise InvalidShift(f"shift {j} outside [0, {m})")
-    return _forward_image(m * r, np.stack([j * r, (j - m) * r], axis=-1).ravel())
+    return _forward_image(m * r, ((j[..., None] - np.array([0, m])) * r).ravel())
 
 
 def _phi_rows(d: int, m: int, r: int, steps: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -579,37 +550,28 @@ def _phi_rows(d: int, m: int, r: int, steps: list[int]) -> tuple[np.ndarray, np.
     return _forward_image(space.dim, steps * r), faithful
 
 
-def phi_multiplier(d: int, m: int, r: int, t) -> WindowedMap:
-    """Multiplication by the degree-shifting cut-shift polynomial at time t.
+def phi_multiplier(d: int, m: int, r: int, steps: int) -> WindowedMap:
+    """Multiplication by the degree-shifting cut-shift polynomial at j = ``steps``.
 
-    With t = n + s (n integer, 0 <= s < 1), degree block b receives the
-    E0 piece from block b-n and the E1 piece from block b-n-1.  Both pieces
-    move coordinate i to i + j*r at step j, E1 exactly where E0 overflows a
-    block, and the stored column is zero where that passes the top degree.
-    A block column is faithful when every piece the true multiplier
-    produces fits under the top degree d.  The map is ``_phi_map`` of its
-    step count.
+    With the time j/m = n + s (n integer, 0 <= s < 1), degree block b
+    receives the E0 piece from block b-n and the E1 piece from block b-n-1.
+    Both pieces move coordinate i to i + j*r, E1 exactly where E0 overflows
+    a block, and the stored column is zero where that passes the top
+    degree.  A block column is faithful when every piece the true
+    multiplier produces fits under the top degree d.  The map is the one
+    row of ``_phi_rows`` for j.
     """
-    return _phi_map(d, m, r, grid_steps(t, m))
-
-
-def _phi_map(d: int, m: int, r: int, j: int) -> WindowedMap:
-    """``phi_multiplier`` at j steps: the one row of ``_phi_rows`` for j."""
-    (image,), (faithful,) = _phi_rows(d, m, r, [j])
+    (image,), (faithful,) = _phi_rows(d, m, r, [_read_step(steps)])
     return WindowedMap.from_image(image, faithful, np.ones(image.size, dtype=bool))
 
 
 def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
-    return SemigroupFamily(_phi_map(d, m, r, 1), m)
+    return SemigroupFamily(phi_multiplier(d, m, r, 1), m)
 
 
-def bishift_pair(grid: QuadrantGrid2D, t) -> tuple[WindowedMap, WindowedMap]:
-    """The two coordinate shifts by t on the quadrant grid."""
-    return _bishift_maps(grid, grid_steps(t, grid.m))
-
-
-def _bishift_maps(grid: QuadrantGrid2D, j: int) -> tuple[WindowedMap, WindowedMap]:
-    """``bishift_pair`` by j steps."""
+def bishift_pair(grid: QuadrantGrid2D, steps: int) -> tuple[WindowedMap, WindowedMap]:
+    """The two coordinate shifts by j = ``steps`` cells, the time j/m, on the quadrant grid."""
+    j = _read_step(steps)
     if j > grid.side:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {grid.side}-cell axis")
     idx = np.arange(grid.dim)
@@ -621,12 +583,13 @@ def _bishift_maps(grid: QuadrantGrid2D, j: int) -> tuple[WindowedMap, WindowedMa
 
 
 def bishift_families(grid: QuadrantGrid2D) -> PairOfSemigroups:
-    g1, g2 = _bishift_maps(grid, 1)
+    g1, g2 = bishift_pair(grid, 1)
     return PairOfSemigroups(SemigroupFamily(g1, grid.m), SemigroupFamily(g2, grid.m))
 
 
-def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, WindowedMap]:
-    """The compressed two-sided translations by t on the L-shaped region.
+def modified_bishift_pair(region: LRegionIndex, steps: int) -> tuple[WindowedMap, WindowedMap]:
+    """The compressed two-sided translations by j = ``steps`` cells, the time
+    t = j/m, on the L-shaped region.
 
     The first map sends physical cell (c1, c2) to (c1 - j, c2): values of
     the translated function at a point come from t further to the right.
@@ -635,13 +598,8 @@ def modified_bishift_pair(region: LRegionIndex, t) -> tuple[WindowedMap, Windowe
     [-T, T); columns that would wrap are zeroed and left unfaithful.  The
     adjoint direction genuinely annihilates the cells it pushes into the
     removed quadrant, and those zero columns of the transpose are exact.
-    The maps are ``_modified_bishift_maps`` of the step count.
     """
-    return _modified_bishift_maps(region, grid_steps(t, region.m))
-
-
-def _modified_bishift_maps(region: LRegionIndex, j: int) -> tuple[WindowedMap, WindowedMap]:
-    """``modified_bishift_pair`` by j steps."""
+    j = _read_step(steps)
     half = region.half
     if j > 2 * half:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {2 * half}-cell axis")
@@ -658,7 +616,7 @@ def _modified_bishift_maps(region: LRegionIndex, j: int) -> tuple[WindowedMap, W
 
 
 def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
-    g1, g2 = _modified_bishift_maps(region, 1)
+    g1, g2 = modified_bishift_pair(region, 1)
     return PairOfSemigroups(SemigroupFamily(g1, region.m), SemigroupFamily(g2, region.m))
 
 

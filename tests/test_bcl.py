@@ -38,7 +38,7 @@ def sample_loop_bcl(T: int, m: int, r: int, steps) -> list[CheckEntry]:
     entries = []
     for j in steps:
         time = Fraction(int(j), m)
-        got = _pair_residual(halfline_shift(grid, time), phi_multiplier(T - 1, m, r, time))
+        got = _pair_residual(halfline_shift(grid, j), phi_multiplier(T - 1, m, r, j))
         if got is None:
             raise WindowTooSmall(f"time {time} leaves no faithful window")
         residual, count = got

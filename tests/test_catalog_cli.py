@@ -127,26 +127,39 @@ def test_no_public_function_takes_tol():
     assert checked >= 11
 
 
-def test_no_public_callable_takes_a_label():
-    """Families and setups carry no name: the scenario report is the only named thing."""
-    modules = [importlib.import_module(f"isoflow.{info.name}")
-               for info in pkgutil.iter_modules(isoflow.__path__)]
-    checked = 0
-    for module in modules:
+def public_callables():
+    """(where, callable) for every callable in a module's ``__all__`` and, for a
+    class, each of its public methods."""
+    for info in pkgutil.iter_modules(isoflow.__path__):
+        module = importlib.import_module(f"isoflow.{info.name}")
         for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
             if not callable(obj):
                 continue
-            callables = [obj]
+            where = f"{module.__name__}.{name}"
+            yield where, obj
             if inspect.isclass(obj):
-                assert "label" not in dir(obj), f"{module.__name__}.{name}"
-                callables += [member for attr, member in vars(obj).items()
-                              if not attr.startswith("_") and inspect.isfunction(member)]
-            for function in callables:
-                checked += 1
-                assert "label" not in inspect.signature(function).parameters, \
-                    f"{module.__name__}.{name}"
+                yield from ((f"{where}.{attr}", member) for attr, member in vars(obj).items()
+                            if not attr.startswith("_") and inspect.isfunction(member))
+
+
+def test_no_public_callable_takes_a_label():
+    """Families and setups carry no name: the scenario report is the only named thing."""
+    checked = 0
+    for where, obj in public_callables():
+        if inspect.isclass(obj):
+            assert "label" not in dir(obj), where
+        checked += 1
+        assert "label" not in inspect.signature(obj).parameters, where
     assert checked >= 60
+
+
+def test_no_public_callable_takes_a_time():
+    """A time t = j/m is read from the config text by ``catalog`` alone: every
+    constructor, family and check takes the step count j."""
+    takes_a_time = [where for where, obj in public_callables()
+                    if "t" in inspect.signature(obj).parameters]
+    assert takes_a_time == []
 
 
 ENTRY_CHECKS = {  # each public check on one small bundled input

@@ -8,8 +8,6 @@ builds its windows the same way.  Matrices must agree bit for bit, windows
 exactly.
 """
 
-from fractions import Fraction
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,7 +70,7 @@ def test_halfline_shift(m, T, r, data):
         for rho in range(r):
             mat[grid.index(k + j, rho), grid.index(k, rho)] = 1.0
             faithful.append(grid.index(k, rho))
-    assert_same_map(halfline_shift(grid, Fraction(j, m)), mat, faithful, range(grid.dim))
+    assert_same_map(halfline_shift(grid, j), mat, faithful, range(grid.dim))
 
 
 @SETTINGS
@@ -101,7 +99,7 @@ def test_phi_multiplier(d, m, r, data):
                     mat[space.index(blk, cell, rho), col] = 1.0
                 if b <= (d - n if jj == 0 else d - n - 1):
                     faithful.append(col)
-    assert_same_map(phi_multiplier(d, m, r, Fraction(j, m)), mat, faithful, range(space.dim))
+    assert_same_map(phi_multiplier(d, m, r, j), mat, faithful, range(space.dim))
 
 
 @SETTINGS
@@ -129,7 +127,7 @@ def test_bishift_pair(m, T, r, data):
                     if max(t1, t2) < grid.side:
                         mats[axis][grid.index(t1, t2, rho), col] = 1.0
                         windows[axis].append(col)
-    for got, mat, faithful in zip(bishift_pair(grid, Fraction(j, m)), mats, windows):
+    for got, mat, faithful in zip(bishift_pair(grid, j), mats, windows):
         assert_same_map(got, mat, faithful, range(grid.dim))
 
 
@@ -141,7 +139,7 @@ def test_modified_bishift_pair(m, T, r, data):
     n = region.parent.n
     cells = region.l_cells().tolist()
     local = {cell: pos for pos, cell in enumerate(cells)}
-    got = modified_bishift_pair(region, Fraction(j, m))
+    got = modified_bishift_pair(region, j)
     for axis in (0, 1):
         mat, faithful, adj_faithful = zeros(len(cells)), [], []
         for pos, cell in enumerate(cells):

@@ -336,9 +336,12 @@ def test_a_bishift_block_flips_only_the_dual_verdict(case, T):
 
 # --- model check and joint classification --------------------------------------------
 
+@pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2])
-def test_model_check_fiber(r):
-    setup = l_region_setup(1, 2, r)
+def test_model_check_fiber(r, m):
+    """The canonical model is built at step 1, the one-cell step of the setup's
+    generators, on every grid."""
+    setup = l_region_setup(m, 2, r)
     entries = modified_bishift_model_check(setup, 6, 8)
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)

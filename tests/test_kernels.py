@@ -7,9 +7,10 @@ it replaced, on random inputs with empty arrays included: ``intersect``
 to ``np.intersect1d(..., assume_unique=True)``, ``subtract`` and
 ``complement`` to ``np.setdiff1d``, ``numlin._equal`` to
 ``np.array_equal``, ``semigroups._check_image`` to the ``min``/``max``
-rule on 1-D images and 2-D tables, and the verdict of
+rule on 1-D images and 2-D tables, the verdict of
 ``commutant._fiber_form`` to the ``np.kron`` formula of
-``dense_oracle.fiber_form_verdict``.
+``dense_oracle.fiber_form_verdict``, and the offsets of
+``semigroups._cut_shift_images`` to their ``np.stack`` formula.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from dense_oracle import fiber_form_verdict
 from isoflow.commutant import _fiber_form
 from isoflow.errors import InvalidInput
 from isoflow.numlin import Subspace, _equal, complement, intersect, subtract
-from isoflow.semigroups import _check_image
+from isoflow.semigroups import _check_image, _cut_shift_images, _forward_image
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -137,3 +138,18 @@ def test_fiber_form_verdict_is_the_kron_formula(case):
     assert result.max_structure_residual == (0.0 if result.structure_verdict == "fiber_scalar"
                                              else 1.0)
     assert result.labels is labels
+
+
+@SETTINGS
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(1, 3),
+    st.one_of(st.integers(0, m - 1),
+              st.lists(st.integers(0, m - 1), max_size=m).map(
+                  lambda js: np.array(js, dtype=np.int64))))))
+def test_cut_shift_images_are_the_stack_formula(case):
+    """A shift or an array of shifts, the empty array included."""
+    m, r, j = case
+    want = _forward_image(m * r, np.stack([np.asarray(j) * r, (np.asarray(j) - m) * r],
+                                          axis=-1).ravel())
+    got = _cut_shift_images(m, j, r)
+    assert got.shape == want.shape and np.array_equal(got, want)

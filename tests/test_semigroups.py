@@ -7,38 +7,41 @@ import numpy as np
 import pytest
 
 from dense_oracle import from_image, isometry_defect, matrix
+from isoflow.catalog import _sample_steps
 from isoflow.decompose import classify_pair
 from isoflow.duality import _torus_unitary
 from isoflow.errors import InvalidInput, InvalidShift, WindowTooSmall
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _circulant_image,
                                 _cut_shift_images, _isometry_defect, bishift_families,
                                 bishift_pair, check_semigroup_law, circulant_family,
-                                direct_sum, grid_steps, halfline_shift,
+                                direct_sum, halfline_shift,
                                 halfline_shift_family, modified_bishift_pair,
                                 phi_family, phi_multiplier, tensor_with_identity)
 from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
 
 def test_grid_steps():
-    assert grid_steps(Fraction(3, 4), 4) == 3
-    assert grid_steps(0.5, 2) == 1
-    assert grid_steps("5/2", 2) == 5
+    """Only the catalog's resolver reads a time: the samples text t on the 1/m
+    grid becomes its step count j = t * m."""
+    assert _sample_steps("3/4", 4) == [3]
+    assert _sample_steps("0.5", 2) == [1]
+    assert _sample_steps("5/2", 2) == [5]
     with pytest.raises(InvalidInput):
-        grid_steps(Fraction(1, 3), 2)  # off-grid time is rejected, not interpolated
+        _sample_steps("1/3", 2)  # off-grid time is rejected, not interpolated
     with pytest.raises(InvalidInput):
-        grid_steps(-1, 2)
+        _sample_steps("-1", 2)
 
 
-def fraction_grid_steps(t, cells_per_unit):
-    """grid_steps read through Fraction(t) for every input."""
+def fraction_grid_steps(text, cells_per_unit):
+    """The step counts of a one-time samples text read through ``Fraction(text)``,
+    or None where that reading refuses it."""
     try:
-        frac = Fraction(t)
-    except (ValueError, TypeError) as exc:
-        raise InvalidInput(f"cannot read grid time {t!r}") from exc
-    steps = frac * cells_per_unit
+        steps = Fraction(text) * cells_per_unit
+    except (ValueError, ZeroDivisionError):
+        return None
     if steps.denominator != 1 or steps < 0:
-        raise InvalidInput(f"time {t} is not a nonnegative multiple of 1/{cells_per_unit}")
-    return int(steps)
+        return None
+    return [int(steps)]
 
 
 @pytest.mark.parametrize("t", [
@@ -47,15 +50,16 @@ def fraction_grid_steps(t, cells_per_unit):
     0.5, 2.0, 0.75, -0.5, 0.1, float("nan"), float("inf")], ids=repr)
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_grid_steps_matches_the_fraction_reading(t, m):
-    def outcome(read):
-        try:
-            steps = read(t, m)
-        except Exception as exc:  # the two readings must raise alike
-            return type(exc), str(exc)
-        assert type(steps) is int
-        return steps
-
-    assert outcome(grid_steps) == outcome(fraction_grid_steps)
+    """The resolver reads the text of each value as ``Fraction`` reads it, and
+    refuses it where that reading does: ``True``, ``None``, ``nan`` and ``1/0``
+    are no time, and ``0.1`` is the decimal 1/10, on none of these grids."""
+    try:
+        steps = _sample_steps(str(t), m)
+    except InvalidInput:
+        steps = None
+    else:
+        assert all(type(j) is int for j in steps)
+    assert steps == fraction_grid_steps(str(t), m)
 
 
 # --- half-line shift -----------------------------------------------------------
@@ -67,7 +71,7 @@ def test_halfline_shift_zero_is_identity():
 
 
 def test_halfline_shift_half_step():
-    s = halfline_shift(CellGrid1D(2, 2), Fraction(1, 2))
+    s = halfline_shift(CellGrid1D(2, 2), 1)
     assert np.array_equal(matrix(s)[:, 0], np.array([0, 1, 0, 0], dtype=complex))
     assert s.faithful == frozenset({0, 1, 2})
     assert s.adj_faithful == frozenset(range(4))
@@ -75,9 +79,9 @@ def test_halfline_shift_half_step():
 
 def test_halfline_composition_matches_permutation_oracle():
     grid = CellGrid1D(2, 2)
-    half = halfline_shift(grid, Fraction(1, 2))
+    half = halfline_shift(grid, 1)
     composed = half.compose(half)
-    whole = halfline_shift(grid, 1)
+    whole = halfline_shift(grid, 2)
     assert np.array_equal(matrix(composed), matrix(whole))
     assert composed.faithful == whole.faithful == frozenset({0, 1})
 
@@ -137,8 +141,8 @@ def test_from_image_rejects_a_shared_row():
 
 
 def test_faithful_columns_are_orthonormal():
-    for gen in (halfline_shift(CellGrid1D(2, 2), Fraction(1, 2)),
-                bishift_pair(QuadrantGrid2D(2, 2), Fraction(1, 2))[0],
+    for gen in (halfline_shift(CellGrid1D(2, 2), 1),
+                bishift_pair(QuadrantGrid2D(2, 2), 1)[0],
                 modified_bishift_pair(LRegionIndex(1, 2), 1)[1]):
         cols = sorted(gen.faithful)
         block = matrix(gen)[:, cols]
@@ -179,7 +183,7 @@ def test_partial_isometry_invalid_shift():
 
 def test_phi_time_zero_and_one():
     assert np.array_equal(matrix(phi_multiplier(3, 2, 1, 0)), np.eye(8))
-    phi1 = phi_multiplier(3, 2, 1, 1)
+    phi1 = phi_multiplier(3, 2, 1, 2)
     block = np.zeros((4, 4), dtype=complex)
     for b in range(3):
         block[b + 1, b] = 1
@@ -189,7 +193,7 @@ def test_phi_time_zero_and_one():
 
 def test_phi_three_halves_hand_expansion():
     """d=3, m=2, t=3/2: E0 piece one block up, E1 piece two blocks up."""
-    phi = phi_multiplier(3, 2, 1, Fraction(3, 2))
+    phi = phi_multiplier(3, 2, 1, 3)
     e0, e1 = map(from_image, _cut_shift_images(2, 1, 1))
     expected = np.zeros((8, 8), dtype=complex)
     for b in range(4):
@@ -203,7 +207,7 @@ def test_phi_three_halves_hand_expansion():
 
 def test_phi_window_error():
     with pytest.raises(WindowTooSmall):
-        phi_multiplier(2, 2, 1, 3)
+        phi_multiplier(2, 2, 1, 6)
 
 
 # --- two-dimensional families ---------------------------------------------------------
@@ -215,8 +219,8 @@ def test_bishift_time_zero():
 
 
 def test_bishift_commutes_exactly():
-    s1, _ = bishift_pair(QuadrantGrid2D(2, 2), Fraction(1, 2))
-    _, s2 = bishift_pair(QuadrantGrid2D(2, 2), Fraction(1, 2))
+    s1, _ = bishift_pair(QuadrantGrid2D(2, 2), 1)
+    _, s2 = bishift_pair(QuadrantGrid2D(2, 2), 1)
     ab = s1.compose(s2)
     ba = s2.compose(s1)
     cols = sorted(ab.faithful & ba.faithful)
@@ -288,7 +292,7 @@ def test_direct_sum_isometric_on_window():
 
 
 def test_tensor_with_identity_kron_index_oracle():
-    shift = halfline_shift(CellGrid1D(2, 2), Fraction(1, 2))
+    shift = halfline_shift(CellGrid1D(2, 2), 1)
     lifted = tensor_with_identity(shift, 2, "right")
     assert np.array_equal(matrix(lifted), np.kron(matrix(shift), np.eye(2)))
     assert lifted.faithful == frozenset(i * 2 + rho for i in shift.faithful for rho in range(2))
@@ -327,9 +331,9 @@ def test_law_window_exhaustion():
 def test_family_cache_and_time_access():
     fam = halfline_shift_family(CellGrid1D(2, 3))
     assert fam.element(2) is fam.element(2)
-    assert np.array_equal(matrix(fam.at_time(1)), matrix(fam.element(2)))
+    assert np.array_equal(matrix(fam.element(2)), matrix(halfline_shift(CellGrid1D(2, 3), 2)))
     with pytest.raises(InvalidInput):
-        fam.at_time(Fraction(1, 3))
+        fam.element(Fraction(1, 3))  # a time is no step count
 
 
 def test_law_and_classification_build_no_dense_matrix():

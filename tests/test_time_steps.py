@@ -4,15 +4,15 @@
 them to step counts j on the grid t = j/m; every check takes those steps,
 and ``report.format_time`` writes a step back as text, as
 ``str(Fraction(j, m))`` does.  The properties hold the formatter and the
-resolver to ``Fraction``; the count test pins that a run builds no
-``Fraction`` after the resolver and reads a time only in a constructor;
-the memory test pins that ``classify_pair`` holds one adjoint at a time.
+resolver to ``Fraction``; the constructors and checks refuse a step that
+is no count, so a time passed in its place fails loudly; the count test
+pins that a run builds no ``Fraction`` after the resolver; the memory
+test pins that ``classify_pair`` holds one adjoint at a time.
 ``report.format_residual``, which writes an exact 0 or 1 by lookup, is held
 to the ``%e`` formula it skips.
 """
 
 import re
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -20,15 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow import catalog, decompose, semigroups
 from isoflow.catalog import Scenario, check_scenario, run_scenario
 from isoflow.commutant import fuglede_instance_check
 from isoflow.decompose import verify_joint_equivalence
 from isoflow.errors import InvalidInput
 from isoflow.report import format_residual, format_time
-from isoflow.semigroups import (SemigroupFamily, WindowedMap, bishift_families,
-                                check_semigroup_law, classify_pair, halfline_shift_family)
-from isoflow.spaces import CellGrid1D, QuadrantGrid2D
+from isoflow.semigroups import (SemigroupFamily, WindowedMap, bishift_families, bishift_pair,
+                                check_semigroup_law, classify_pair, halfline_shift,
+                                halfline_shift_family, modified_bishift_pair, phi_multiplier)
+from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -92,9 +92,17 @@ def test_the_resolver_refuses_what_is_no_grid_time(samples, message):
 @pytest.mark.parametrize("steps", [[1, -1], [1, Fraction(1, 2)], [1.0], ["1"]],
                          ids=["negative", "fraction", "float", "string"])
 def test_a_check_refuses_a_step_that_is_no_count(steps):
+    """The checks read a list of steps, the constructors the last of them: a
+    time such as ``Fraction(1, 2)`` is no step count, and no constructor
+    truncates it to step 0."""
     pair = bishift_families(QuadrantGrid2D(2, 2))
+    j = steps[-1]
     for check in (lambda: check_semigroup_law(pair.first, steps),
-                  lambda: classify_pair(pair, steps)):
+                  lambda: classify_pair(pair, steps),
+                  lambda: halfline_shift(CellGrid1D(2, 4), j),
+                  lambda: phi_multiplier(3, 2, 1, j),
+                  lambda: bishift_pair(QuadrantGrid2D(2, 2), j),
+                  lambda: modified_bishift_pair(LRegionIndex(1, 2), j)):
         with pytest.raises(InvalidInput, match=r"^step count must be a nonnegative integer"):
             check()
 
@@ -122,20 +130,16 @@ def test_a_check_of_two_families_needs_one_grid():
                                halfline_shift_family(CellGrid1D(2, 2)), 1, [1])
 
 
-# the functions that read a time: the constructors, each once per call
-CONSTRUCTORS = {"halfline_shift", "phi_multiplier", "bishift_pair", "modified_bishift_pair"}
-
-
 @pytest.mark.parametrize("construction, params", [
     ("bcl", {"T": "10", "m": "10", "r": "2"}),
     ("bishift", {"m": "4", "T": "4"}),
 ])
 def test_a_run_builds_no_fraction_after_the_resolver(monkeypatch, construction, params):
-    """Once the scenario is resolved, its run builds no ``Fraction`` and calls
-    ``grid_steps`` only inside a constructor."""
+    """Once the scenario is resolved, its run builds no ``Fraction``: every
+    constructor and check takes step counts."""
     scenario = Scenario("s", construction, params)
     scenario.resolved  # resolved, and kept on the scenario, before anything is counted
-    built, outside = [], []
+    built = []
     new = Fraction.__new__
 
     def counted_new(cls, *args, **kwargs):
@@ -147,18 +151,9 @@ def test_a_run_builds_no_fraction_after_the_resolver(monkeypatch, construction, 
         coprime = Fraction._from_coprime_ints.__func__
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
             lambda cls, *args: built.append(args) or coprime(cls, *args)))
-    for module in (semigroups, catalog, decompose):  # every binding of the name
-        if hasattr(module, "grid_steps"):
-            def counted(t, m, _real=module.grid_steps):
-                caller = sys._getframe(1).f_code.co_name
-                if caller not in CONSTRUCTORS:
-                    outside.append(caller)
-                return _real(t, m)
-
-            monkeypatch.setattr(module, "grid_steps", counted)
     report = run_scenario(scenario)
     assert report.overall
-    assert built == [] and outside == []
+    assert built == []
 
 
 def test_classify_pair_holds_one_adjoint_at_a_time():

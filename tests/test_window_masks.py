@@ -168,16 +168,16 @@ def test_dual_example_computes_its_dual_pair_once(monkeypatch):
 def test_dual_example_mismatch_fails_without_reading_a_matrix(monkeypatch):
     """A bishift model that swaps two columns of axis 1 fails that entry with
     the residual of the differing columns, taken with no ``np.linalg`` call."""
-    bishift_maps = catalog._bishift_maps
+    bishift_pair = catalog.bishift_pair
 
     def swapped(grid, j):
-        first, second = bishift_maps(grid, j)
+        first, second = bishift_pair(grid, j)
         image = first.image.copy()
         image[[0, 1]] = image[[1, 0]]
         return (WindowedMap.from_image(image, first.faithful_mask, first.adj_faithful_mask),
                 second)
 
-    monkeypatch.setattr(catalog, "_bishift_maps", swapped)
+    monkeypatch.setattr(catalog, "bishift_pair", swapped)
     linalg = count_linalg_calls(monkeypatch)
     entries = run_scenario(Scenario("dual", "dual_example", {"m": 1, "T": 3})).entries
     assert linalg == []
