@@ -217,7 +217,8 @@ def _ddc_setup(m: int, T: int, p: int, circ: int):
 def _run_four_block_ddc(m, T, p, circ, K, max_orbit):
     setup = _ddc_setup(m, T, p, circ)
     expected = (3 * (m * T) ** 2, m * T * p, m * T * p, circ * circ)
-    result = duality.dual_fourfold(setup, K, max_orbit)
+    dual = duality.dual_pair(setup, max_orbit)
+    result = duality.dual_fourfold(setup, dual, K, max_orbit)
     entries = [
         CheckEntry("dual_fourfold_dims", 0.0, result.dims, result.dims == expected,
                    f"expected {expected}"),
@@ -284,7 +285,7 @@ def _run_dual_example(m, T, r, K, max_orbit):
                                   "integer equality"))
     entries.append(CheckEntry("dual_space_dim", 0.0, (dual.wth.dim,),
                               dual.wth.dim == (m * T) ** 2 * r))
-    return entries + _prefixed("cnu:", duality.dual_cnu_check(setup, dual, K))
+    return entries + _prefixed("cnu:", duality.dual_cnu_check(dual, K))
 
 
 def _run_double_dual(m, T, r, max_orbit):

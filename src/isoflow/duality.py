@@ -22,25 +22,31 @@ quantifies over real parameters; the certificate here covers the integer
 box only, and that distinction is always reported (the ``stabilized``
 flag), never hidden.
 
-Each value is computed once per scenario: a pair keeps its step-time
-verdict (``PairOfSemigroups.step_verdict``), and the joint
-classification hands its compressed pair and its dual on to the
-fourfold splits, the dual through the private ``_dual_fourfold``.
-Setups derived from a checked one (the adjoint setup of
-``double_dual_check``, the reduced setup of ``dual_fourfold``) are built
-by ``ExtensionSetup._derived``, without re-running the unitary and
+Each value is computed once per scenario.  The runners compute
+``dual_pair(setup)`` once and hand it to each check that reads it
+(``dual_cnu_check``, ``dual_fourfold`` and
+``modified_bishift_model_check``); ``double_dual_check`` and
+``simultaneous_dc_ddc_classify`` compute their own dual, since a dual
+that fails is part of what they report.  A setup keeps its compressed
+pair (``ExtensionSetup.compressed_pair``) and a pair its step-time
+verdict (``PairOfSemigroups.step_verdict``), so the joint classification
+and the fourfold splits it calls read one pair and one verdict.  The
+adjoint setup of ``double_dual_check`` is built by
+``ExtensionSetup._derived``, without re-running the unitary and
 commutation checks.
 
-The four checks (``dual_cnu_check``, ``double_dual_check``,
-``modified_bishift_model_check`` and ``simultaneous_dc_ddc_classify``)
-return their ``CheckEntry`` lists.  Every computation below is
+The checks ``dual_cnu_check``, ``double_dual_check``,
+``modified_bishift_model_check`` and ``simultaneous_dc_ddc_classify``
+return their ``CheckEntry`` lists, and ``dual_fourfold`` its
+``DualFourfoldResult``.  Every computation below is
 integer-exact set arithmetic on images and cells.  Compressions, isometry
 tests and conjugations come from ``semigroups``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -115,22 +121,26 @@ class ExtensionSetup:
             raise InvalidInput("cells_per_unit must be >= 1")
 
     def _derived(self, **changes) -> "ExtensionSetup":
-        """A copy with ``changes`` applied, built without the checks of ``__post_init__``.
+        """A copy of the fields with ``changes`` applied, built without the
+        checks of ``__post_init__``.
 
         For changes that keep what those checks establish: the adjoints of
         the checked unitaries, which are commuting unitaries of the same
-        size, or a subspace of the same ambient.
+        size, and a subspace of the same ambient.  Only the fields are
+        copied, so the copy computes its own ``compressed_pair``.
         """
         made = object.__new__(ExtensionSetup)
-        made.__dict__.update(vars(self), **changes)
+        made.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
         return made
 
     @property
     def ambient_dim(self) -> int:
         return self.u1.domain_dim
 
+    @cached_property
     def compressed_pair(self) -> PairOfSemigroups:
-        """The pair of isometric families P_H U_i|_H that the setup encodes."""
+        """The pair of isometric families P_H U_i|_H that the setup encodes,
+        computed on first read, so its ``step_verdict`` is computed once too."""
         g1 = _compress(self.u1, self.h)
         g2 = _compress(self.u2, self.h)
         return PairOfSemigroups(SemigroupFamily(g1, self.cells_per_unit),
@@ -270,9 +280,8 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int) -> DualResult:
                       extension.radius)
 
 
-def dual_cnu_check(setup: ExtensionSetup, dual: DualResult,
-                   max_steps: int) -> list[CheckEntry]:
-    """The dual pair ``dual`` of ``setup`` must be completely nonunitary.
+def dual_cnu_check(dual: DualResult, max_steps: int) -> list[CheckEntry]:
+    """The dual pair ``dual``, a ``dual_pair`` result, must be completely nonunitary.
 
     Verified through the product family: the pair is c.n.u. exactly when
     the unitary part of t -> V1_t V2_t vanishes.  An empty dual passes
@@ -308,7 +317,7 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
     """
     if setup.h.dim == 0:
         raise PreconditionFailed("empty original space: c.n.u. check is undefined")
-    original = setup.compressed_pair()
+    original = setup.compressed_pair
     product = product_unitary_part(original, max_orbit)
     if product.subspace.dim != 0 or not product.stabilized:
         raise PreconditionFailed(
@@ -345,42 +354,33 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
     return entries
 
 
-def dual_fourfold(setup: ExtensionSetup, max_steps: int, max_orbit: int) -> DualFourfoldResult:
-    """Cooper-type splitting of a dual doubly commuting pair.
+def dual_fourfold(setup: ExtensionSetup, dual: DualResult, max_steps: int,
+                  max_orbit: int) -> DualFourfoldResult:
+    """Cooper-type splitting of a dual doubly commuting pair, given its dual.
 
-    The unitary-times-unitary corner comes from the product family on the
-    original space.  On its complement the dual pair is split fourfold;
-    its unitary-times-unitary corner must vanish (a theorem for duals:
-    nonzero means window pollution and raises InternalInconsistency).
+    ``dual`` is ``dual_pair(setup)``.  The unitary-times-unitary corner
+    H_uu comes from the product family on the original space.  Both
+    compressions act on H_uu as unitaries, so U1 and U2 map H_uu onto
+    itself and H_uu reduces them.  The minimal extension space of H is
+    then that of H minus H_uu plus H_uu itself, so removing H_uu from
+    both leaves the dual unchanged: the dual of H minus H_uu is the dual
+    of H, and the split reads ``dual`` as it is.  The dual pair is split
+    fourfold; its unitary-times-unitary corner must vanish (a theorem for
+    duals: nonzero means window pollution and raises
+    InternalInconsistency).
     The remaining three dual corners are lifted back by orbit spans under
     the original unitaries, and the original summands are the lifted
     spaces minus the dual corners.
     """
-    return _dual_fourfold(setup, setup.compressed_pair(), None, max_steps, max_orbit)
-
-
-def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, known: DualResult | None,
-                   max_steps: int, max_orbit: int) -> DualFourfoldResult:
-    """``dual_fourfold`` given the compressed pair.
-
-    ``known`` is None or ``dual_pair(setup)``.  With no unitary-unitary
-    corner the reduced setup is the setup, so its dual is taken from
-    ``known`` instead of being computed again.
-    """
+    pair = setup.compressed_pair
     product = product_unitary_part(pair, max_steps)
     if not product.stabilized:
         raise WindowTooSmall("product unitary part did not stabilize")
     h_uu_local = product.subspace
-    h_uu_ambient = _lift_local(h_uu_local, setup.h)
-    h_s_ambient = subtract(setup.h, h_uu_ambient)
-    zero_local = Subspace.zero(setup.h.dim)
-    if h_s_ambient.dim == 0:
+    if h_uu_local.dim == setup.h.dim:
+        zero_local = Subspace.zero(setup.h.dim)
         return DualFourfoldResult(zero_local, zero_local, zero_local, h_uu_local,
                                   (0, 0, 0, 0), 0.0, product.reduction_residual)
-    if known is not None and h_uu_local.dim == 0:
-        dual = known
-    else:
-        dual = dual_pair(setup._derived(h=h_s_ambient), max_orbit)
     split = fourfold_decompose(dual.pair, max_steps)  # raises unless doubly commuting
     if split.h_uu.dim != 0:
         raise InternalInconsistency(
@@ -411,8 +411,8 @@ def _dual_fourfold(setup: ExtensionSetup, pair: PairOfSemigroups, known: DualRes
     return DualFourfoldResult(h_m, h_pu, h_up, h_uu_local, tilde_dims, ortho, reduction)
 
 
-def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int,
-                                 max_orbit: int) -> list[CheckEntry]:
+def modified_bishift_model_check(setup: ExtensionSetup, dual: DualResult,
+                                 max_steps: int) -> list[CheckEntry]:
     """A pair whose dual is a pure bishift matches the canonical L-region model.
 
     The dual is split fourfold; it must be concentrated in the
@@ -425,7 +425,6 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int,
     if setup.geometry is None:
         raise PreconditionFailed("setup carries no region geometry to compare against")
     region = setup.geometry
-    dual = dual_pair(setup, max_orbit)
     split = fourfold_decompose(dual.pair, max_steps)  # raises unless doubly commuting
     if split.dims != (dual.wth.dim, 0, 0, 0):
         raise PreconditionFailed(f"dual fourfold dims {split.dims} are not pure bishift")
@@ -440,7 +439,7 @@ def modified_bishift_model_check(setup: ExtensionSetup, max_steps: int,
     z = WindowedMap.from_image(at, np.ones(at.size, dtype=bool), at, rows=canonical_cells.size)
     z_adj = z.adjoint()
     m1, m2 = modified_bishift_pair(region, 1)
-    pair = setup.compressed_pair()
+    pair = setup.compressed_pair
     for axis, (fam, model) in enumerate(((pair.first, m1), (pair.second, m2)), start=1):
         got = _pair_residual(z @ fam.generator @ z_adj, model)
         if got is None:
@@ -461,7 +460,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int,
     once: the compressed pair, with its step-time verdict, and the dual go
     on to both fourfold splits.
     """
-    pair = setup.compressed_pair()
+    pair = setup.compressed_pair
     entries = []
     dc = pair.step_verdict
     entries.append(CheckEntry("doubly_commuting", dc.double_comm_residual,
@@ -485,7 +484,7 @@ def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int,
         split = fourfold_decompose(pair, max_steps)
         entries.append(CheckEntry("h_pp_dim", split.reduction_residual,
                                   (split.h_pp.dim,), split.h_pp.dim == 0))
-        dsplit = _dual_fourfold(setup, pair, dual, max_steps, max_orbit)
+        dsplit = dual_fourfold(setup, dual, max_steps, max_orbit)
         entries.append(CheckEntry("h_m_dim", dsplit.reduction_residual,
                                   (dsplit.h_m.dim,), dsplit.h_m.dim == 0))
         covered = dsplit.h_pu.dim + dsplit.h_up.dim + dsplit.h_uu.dim

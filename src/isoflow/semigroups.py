@@ -536,30 +536,39 @@ def _phi_rows(d: int, m: int, r: int, steps: list[int]) -> tuple[np.ndarray, np.
 
     Row s of both (len(steps), dim) arrays belongs to steps[s]; a time whose
     integer part passes the top degree d raises WindowTooSmall for the
-    first such step.
+    first such step.  Each image is built from the cut-shift pieces that
+    define the multiplier, not as a shift of the whole space: a coordinate
+    that E0 keeps in its block moves n blocks up, one that E0 drops goes
+    where E1 wraps it, n + 1 blocks up, and past degree d it maps to -1.
     """
     space = HardyCoeffSpace(d, m, r)
     steps = np.array(steps)  # a step past int64 makes it of object dtype, and is refused
     over = steps[steps // m > d] // m
     if over.size:
         raise WindowTooSmall(f"integer part {over[0]} of the time exceeds the top degree {d}")
-    steps = steps.astype(np.int64)
-    n, jj = np.divmod(steps, m)
+    n, jj = np.divmod(steps.astype(np.int64), m)
+    e0, e1 = _cut_shift_images(m, jj, r).reshape(jj.size, 2, space.block).transpose(1, 0, 2)
+    up = n[:, None] * space.block
+    moved = np.where(e0 >= 0, e0 + up, e1 + up + space.block)  # from its own block's start
+    starts = np.arange(0, space.dim, space.block)
+    image = (moved[:, None, :] + starts[:, None]).reshape(jj.size, space.dim)
+    image[image >= space.dim] = -1
     top = np.where(jj == 0, d - n, d - n - 1)
     faithful = np.arange(space.dim) < ((top + 1) * space.block)[:, None]
-    return _forward_image(space.dim, steps * r), faithful
+    return image, faithful
 
 
 def phi_multiplier(d: int, m: int, r: int, steps: int) -> WindowedMap:
     """Multiplication by the degree-shifting cut-shift polynomial at j = ``steps``.
 
     With the time j/m = n + s (n integer, 0 <= s < 1), degree block b
-    receives the E0 piece from block b-n and the E1 piece from block b-n-1.
-    Both pieces move coordinate i to i + j*r, E1 exactly where E0 overflows
-    a block, and the stored column is zero where that passes the top
-    degree.  A block column is faithful when every piece the true
-    multiplier produces fits under the top degree d.  The map is the one
-    row of ``_phi_rows`` for j.
+    receives the E0 piece from block b-n and the E1 piece from block b-n-1,
+    the pieces of ``_cut_shift_images`` at the shift s*m, and the stored
+    column is zero where that passes the top degree.  A block column is
+    faithful when every piece the true multiplier produces fits under the
+    top degree d.  The map is the one row of ``_phi_rows`` for j, built
+    from those pieces, so ``bcl_check`` compares it with a shift built
+    another way.
     """
     (image,), (faithful,) = _phi_rows(d, m, r, [_read_step(steps)])
     return WindowedMap.from_image(image, faithful, np.ones(image.size, dtype=bool))

@@ -44,8 +44,9 @@ __all__ = [
 
 
 def _require_positive(**values: int) -> None:
+    """Each value must be an int or a numpy integer, at least 1; a whole float is refused."""
     for name, value in values.items():
-        if int(value) != value or value < 1:
+        if not isinstance(value, (int, np.integer)) or value < 1:
             raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -85,7 +86,7 @@ class HardyCoeffSpace:
 
     def __post_init__(self) -> None:
         _require_positive(m=self.m, r=self.r)
-        if int(self.d) != self.d or self.d < 0:
+        if not isinstance(self.d, (int, np.integer)) or self.d < 0:
             raise InvalidInput(f"top degree must be a nonnegative integer, got {self.d!r}")
         _check_cells(self.dim)
 

@@ -200,7 +200,7 @@ def test_criterion_10_dual_fourfold_recovery():
         halfline_circulant_setup(1, 2, 3),
         halfline_circulant_setup(1, 2, 3, unitary_first=True),
         circulant_pair_setup(3, 3))
-    result = dual_fourfold(setup, 6, 8)
+    result = dual_fourfold(setup, dual_pair(setup, 8), 6, 8)
     expected = (12, 6, 6, 9)
     report_line(10, result.dims == expected
                 and result.orthogonality_residual <= 1e-10

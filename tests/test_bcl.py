@@ -14,6 +14,7 @@ rule, is nonempty.  The other tests pin that no map is built for a row
 whose images agree and that memory stays bounded by the table blocks.
 """
 
+import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from isoflow import decompose, semigroups
+from isoflow import cli, decompose, semigroups
 from isoflow.catalog import _bcl_default_samples
 from isoflow.decompose import bcl_check
 from isoflow.errors import InvalidInput, WindowTooSmall
@@ -173,6 +174,22 @@ def test_a_flagged_row_falls_back_to_the_two_maps(monkeypatch):
     failed = [e for e in assert_same(4, 2, 1, samples) if not e.passed]
     assert [e.check_id for e in failed] == ["t=3/2"]
     assert failed[0].residual > 0.0
+
+
+def test_a_wrong_forward_image_fails_the_bundled_config(monkeypatch, capsys):
+    """The shift and the multiplier are two constructions, so a forward image
+    that sends every column one cell further for offsets of 2 and more moves
+    one against the other: configs/bcl.cfg must not end in overall pass."""
+    real = semigroups._forward_image
+
+    def mutant(dim, offset):
+        offset = np.asarray(offset)
+        return real(dim, np.where(offset >= 2, offset + 1, offset))
+
+    monkeypatch.setattr(semigroups, "_forward_image", mutant)
+    config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bcl.cfg"
+    assert cli.main(["run", str(config)]) != 0
+    assert not capsys.readouterr().out.endswith("overall pass\n")
 
 
 def test_rows_whose_images_agree_build_no_map(monkeypatch):

@@ -172,11 +172,10 @@ ENTRY_CHECKS = {  # each public check on one small bundled input
     "fuglede_instance_check": lambda: fuglede_instance_check(
         SemigroupFamily(WindowedMap.identity(4)), halfline_shift_family(CellGrid1D(1, 4)), 1,
         [1]),
-    "dual_cnu_check": lambda: dual_cnu_check(l_region_setup(1, 2),
-                                             dual_pair(l_region_setup(1, 2), 8), 4),
+    "dual_cnu_check": lambda: dual_cnu_check(dual_pair(l_region_setup(1, 2), 8), 4),
     "double_dual_check": lambda: double_dual_check(l_region_setup(1, 2), 8),
-    "modified_bishift_model_check": lambda: modified_bishift_model_check(l_region_setup(1, 2),
-                                                                         6, 8),
+    "modified_bishift_model_check": lambda: modified_bishift_model_check(
+        l_region_setup(1, 2), dual_pair(l_region_setup(1, 2), 8), 6),
     "simultaneous_dc_ddc_classify": lambda: simultaneous_dc_ddc_classify(
         circulant_pair_setup(3, 3), 4, 4),
 }

@@ -3,17 +3,17 @@
 Set algebra on checked cells (``intersect``, ``complement``, ``subtract``,
 ``_orbit_span``, the parts of ``wold_cooper``, ``_lift_local`` and
 ``_restrict_to``) builds its result through ``Subspace._derived``, which
-skips the O(k) checks of ``Subspace(...)``.  ``double_dual_check`` and
-``dual_fourfold`` build their adjoint and reduced setups through
-``ExtensionSetup._derived``, which skips the unitary and commutation
-checks.  The property tests record every derived value made while these
-run and rebuild it through the public constructor, which must accept it
+skips the O(k) checks of ``Subspace(...)``.  ``double_dual_check``
+builds its adjoint setup through ``ExtensionSetup._derived``, which skips
+the unitary and commutation checks and copies the fields only.  The
+property tests record every derived value made while these run and
+rebuild it through the public constructor, which must accept it
 unchanged; each derived cell array must be a read-only ``int64`` array.
 
-The joint dc/ddc classification hands its compressed pair, its step-time
-verdicts and its dual on to both fourfold splits.  The call counts pin
-that, and an oracle built from the public functions pins that the reports
-are unchanged.
+A setup keeps its compressed pair, and the joint dc/ddc classification
+hands that pair, its step-time verdicts and its dual on to both fourfold
+splits.  The call counts pin that, and an oracle built from the public
+functions pins that the reports are unchanged.
 """
 
 from collections import Counter
@@ -135,7 +135,8 @@ DUAL_RUNS = {  # name -> (setup builder, run)
     "double_dual": (lambda m, T, p: l_region_setup(m, T),
                     lambda setup, m, T: double_dual_check(setup, 4 * m * T)),
     "dual_fourfold": (lambda m, T, p: _ddc_setup(m, T, p, p),
-                      lambda setup, m, T: dual_fourfold(setup, 2 * m * T + 2, 4 * m * T)),
+                      lambda setup, m, T: dual_fourfold(setup, dual_pair(setup, 4 * m * T),
+                                                        2 * m * T + 2, 4 * m * T)),
     "simultaneous_mixed": (_mixed, lambda setup, m, T: simultaneous_dc_ddc_classify(
         setup, 2 * m * T + 2, 4 * m * T)),
     "simultaneous_bishift": (lambda m, T, p: bishift_setup(m, T),
@@ -162,29 +163,28 @@ def test_derived_values_of_the_dual_side_pass_the_public_checks(name, m, T, p):
         assert_setup_rebuilds(derived)
 
 
-def test_adjoint_and_reduced_setups_are_derived():
-    """double_dual_check derives the adjoint setup, and dual_fourfold the reduced
-    setup when the unitary-unitary corner is not empty."""
+def test_the_adjoint_setup_is_derived_without_the_pair():
+    """double_dual_check derives the adjoint setup from the fields alone: the
+    setup keeps its one compressed pair, and the adjoint setup holds none of it."""
+    setup = l_region_setup(1, 2)
     with pytest.MonkeyPatch.context() as mp:
         _, setups = record_derived(mp)
-        setup = l_region_setup(1, 2)
         double_dual_check(setup, 8)
-        ddc = _ddc_setup(1, 2, 3, 3)
-        dual_fourfold(ddc, 6, 8)
-    adjoint, reduced = setups
+    adjoint, = setups
+    assert setup.compressed_pair is setup.compressed_pair
+    assert "compressed_pair" not in vars(adjoint)
     assert np.array_equal(adjoint.u1.image, setup.u1.adjoint().image)
     assert np.array_equal(adjoint.u2.image, setup.u2.adjoint().image)
-    assert reduced.u1 is ddc.u1 and reduced.u2 is ddc.u2 and reduced.h.dim == ddc.h.dim - 9
-    for derived in setups:
-        assert_setup_rebuilds(derived)
+    assert adjoint.compressed_pair.dim == adjoint.h.dim != setup.h.dim
+    assert_setup_rebuilds(adjoint)
 
 
 # --- each dual value once ----------------------------------------------------------
 
 def count_calls(mp: pytest.MonkeyPatch) -> Counter:
     counts = Counter()
-    for module, name in ((duality, "dual_pair"), (duality, "_orbit_span"),
-                         (semigroups, "classify_pair")):
+    for module, name in ((duality, "dual_pair"), (duality, "dual_fourfold"),
+                         (duality, "_orbit_span"), (semigroups, "classify_pair")):
         real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -196,20 +196,20 @@ def count_calls(mp: pytest.MonkeyPatch) -> Counter:
 
 
 def test_joint_classification_computes_each_dual_value_once(monkeypatch):
-    """The benchmark's mixed scenario: one dual, whose orbit is reused by the dual
-    fourfold split (two lifts remain), and one verdict per pair.  Computing each
-    value where it is used took 2 duals, 4 orbits and 5 verdicts."""
+    """The benchmark's mixed scenario: one dual, handed to the public dual fourfold
+    split, which reuses its orbit (two lifts remain), and one verdict per pair.
+    Computing each value where it is used took 2 duals, 4 orbits and 5 verdicts."""
     counts = count_calls(monkeypatch)
     report = run_scenario(Scenario("mixed", "simultaneous",
                                    {"variant": "mixed", "m": 3, "T": 4, "p": 4}))
     assert report.overall
-    assert counts == Counter(dual_pair=1, _orbit_span=3, classify_pair=2)
+    assert counts == Counter(dual_pair=1, dual_fourfold=1, _orbit_span=3, classify_pair=2)
 
 
 def public_simultaneous(setup: ExtensionSetup, max_steps: int,
                         max_orbit: int) -> list[CheckEntry]:
     """The joint classification from the public functions, each computing its own values."""
-    pair = setup.compressed_pair()
+    pair = setup.compressed_pair
     step = [1]  # the time 1 / cells_per_unit
     dc = classify_pair(pair, step)
     entries = [CheckEntry("doubly_commuting", dc.double_comm_residual,
@@ -229,7 +229,7 @@ def public_simultaneous(setup: ExtensionSetup, max_steps: int,
         split = fourfold_decompose(pair, max_steps)
         entries.append(CheckEntry("h_pp_dim", split.reduction_residual,
                                   (split.h_pp.dim,), split.h_pp.dim == 0))
-        dsplit = dual_fourfold(setup, max_steps, max_orbit)
+        dsplit = dual_fourfold(setup, dual, max_steps, max_orbit)
         entries.append(CheckEntry("h_m_dim", dsplit.reduction_residual,
                                   (dsplit.h_m.dim,), dsplit.h_m.dim == 0))
         covered = dsplit.h_pu.dim + dsplit.h_up.dim + dsplit.h_uu.dim

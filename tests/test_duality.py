@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import basis, matrix, projector, residual_norm
 from isoflow import duality
-from isoflow.decompose import classify_pair, wold_cooper
+from isoflow.decompose import classify_pair, product_unitary_part, wold_cooper
 from isoflow.duality import (ExtensionSetup, _compress, _lift_local, bishift_setup,
                              circulant_pair_setup, double_dual_check, dual_cnu_check,
                              dual_fourfold, dual_pair, halfline_circulant_setup, l_region_setup,
@@ -18,7 +18,7 @@ from isoflow.duality import (ExtensionSetup, _compress, _lift_local, bishift_set
                              setup_direct_sum, simultaneous_dc_ddc_classify)
 from isoflow.errors import (DimensionMismatch, InternalInconsistency, InvalidInput,
                             PreconditionFailed)
-from isoflow.numlin import Subspace
+from isoflow.numlin import Subspace, subtract
 from isoflow.semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap,
                                 bishift_families, bishift_pair, check_semigroup_law,
                                 circulant_family, direct_sum, modified_bishift_pair,
@@ -148,7 +148,7 @@ def test_dual_of_full_space_is_empty():
     setup = circulant_pair_setup(3, 3)
     dual = dual_pair(setup, 4)
     assert dual.wth.dim == 0
-    entries = dual_cnu_check(setup, dual, 4)
+    entries = dual_cnu_check(dual, 4)
     assert all(e.passed for e in entries)
     assert entries[0].check_id == "empty_dual"
 
@@ -171,7 +171,7 @@ def test_dual_cnu_for_bundled_setups():
                halfline_circulant_setup(1, 2, 3),
                halfline_circulant_setup(1, 2, 3, unitary_first=True)]
     for number, setup in enumerate(bundled):
-        entries = dual_cnu_check(setup, dual_pair(setup, setup.ambient_dim),
+        entries = dual_cnu_check(dual_pair(setup, setup.ambient_dim),
                                  2 * setup.ambient_dim // 4 + 4)
         assert all(e.passed for e in entries), number
 
@@ -244,7 +244,7 @@ def test_double_dual_fails_recovered_cells_that_differ(monkeypatch):
 
 def test_dual_fourfold_four_block_construction_oracle():
     setup = ddc_four_block()
-    result = dual_fourfold(setup, 6, 8)
+    result = dual_fourfold(setup, dual_pair(setup, 8), 6, 8)
     assert result.dims == (12, 6, 6, 9)
     assert result.tilde_dims == (4, 6, 6, 0)
     assert result.orthogonality_residual <= 1e-10
@@ -254,19 +254,21 @@ def test_dual_fourfold_four_block_construction_oracle():
 
 def test_dual_fourfold_pure_modified_bishift():
     setup = l_region_setup(1, 2)
-    result = dual_fourfold(setup, 6, 8)
+    result = dual_fourfold(setup, dual_pair(setup, 8), 6, 8)
     assert result.dims == (12, 0, 0, 0)
 
 
 def test_dual_fourfold_unitary_pair():
-    result = dual_fourfold(circulant_pair_setup(3, 3), 4, 4)
+    setup = circulant_pair_setup(3, 3)
+    result = dual_fourfold(setup, dual_pair(setup, 4), 4, 4)
     assert result.dims == (0, 0, 0, 9)
 
 
 def test_dual_fourfold_rejects_non_ddc():
     # the dual of the bishift setup is the modified pair: not doubly commuting
+    setup = bishift_setup(1, 2)
     with pytest.raises(PreconditionFailed):
-        dual_fourfold(bishift_setup(1, 2), 6, 8)
+        dual_fourfold(setup, dual_pair(setup, 8), 6, 8)
 
 
 def dual_block(kind: int, m: int, T: int, a: int, b: int) -> tuple[ExtensionSetup, int]:
@@ -308,10 +310,29 @@ def test_dual_fourfold_of_random_setup_sums_returns_the_summed_block_dims(case):
     independent sizes, must split into the summed dims, 3(mT)^2, mT p, mT p and
     n1 n2 per block, as the four_block_ddc scenario expects, with no residual."""
     setup, expected, max_steps, max_orbit = dual_block_sum(*case)
-    result = dual_fourfold(setup, max_steps, max_orbit)
+    result = dual_fourfold(setup, dual_pair(setup, max_orbit), max_steps, max_orbit)
     assert result.dims == expected
     assert result.tilde_dims[3] == 0
     assert (result.orthogonality_residual, result.reduction_residual) == (0.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(DUAL_BLOCKS)
+def test_the_dual_of_the_space_minus_its_unitary_corner_is_the_dual_of_the_space(case):
+    """H_uu reduces both extension unitaries, so removing it from H leaves the
+    dual unchanged, and dual_fourfold reads the dual of H.  The reduced setup
+    it once built is the oracle: its dual has the same cells, generator images
+    and windows."""
+    setup, _, max_steps, max_orbit = dual_block_sum(*case)
+    h_uu = product_unitary_part(setup.compressed_pair, max_steps).subspace
+    reduced = setup._derived(h=subtract(setup.h, _lift_local(h_uu, setup.h)))
+    want, got = dual_pair(reduced, max_orbit), dual_pair(setup, max_orbit)
+    assert np.array_equal(got.wth.cells, want.wth.cells)
+    assert got.invariance_residuals == want.invariance_residuals
+    for g, w in ((got.pair.first, want.pair.first), (got.pair.second, want.pair.second)):
+        assert np.array_equal(g.generator.image, w.generator.image)
+        assert np.array_equal(g.generator.faithful_mask, w.generator.faithful_mask)
+        assert np.array_equal(g.generator.adj_faithful_mask, w.generator.adj_faithful_mask)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -342,15 +363,15 @@ def test_model_check_fiber(r, m):
     """The canonical model is built at step 1, the one-cell step of the setup's
     generators, on every grid."""
     setup = l_region_setup(m, 2, r)
-    entries = modified_bishift_model_check(setup, 6, 8)
+    entries = modified_bishift_model_check(setup, dual_pair(setup, 8), 6)
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
 
 
 def test_model_check_idempotent_report():
     setup = l_region_setup(1, 2)
-    first = modified_bishift_model_check(setup, 6, 8)
-    second = modified_bishift_model_check(setup, 6, 8)
+    first = modified_bishift_model_check(setup, dual_pair(setup, 8), 6)
+    second = modified_bishift_model_check(setup, dual_pair(setup, 8), 6)
     assert [(e.check_id, e.residual, e.dims, e.passed) for e in first] == \
            [(e.check_id, e.residual, e.dims, e.passed) for e in second]
 
@@ -360,7 +381,7 @@ def test_model_check_rejects_non_bishift_dual():
     fake = ExtensionSetup(setup.u1, setup.u2, setup.h, setup.cells_per_unit,
                           geometry=LRegionIndex(1, 2))
     with pytest.raises(PreconditionFailed):
-        modified_bishift_model_check(fake, 6, 8)
+        modified_bishift_model_check(fake, dual_pair(fake, 8), 6)
 
 
 def test_simultaneous_variants():

@@ -262,7 +262,7 @@ def test_dual_side_is_invariant_under_relabeling(setup, seed):
     d0, d1 = dual_pair(setup, max_orbit), dual_pair(moved, max_orbit)
     assert d1.invariance_residuals == d0.invariance_residuals
     assert d1.wth.dim == d0.wth.dim
-    assert dual_cnu_check(moved, d1, 6) == dual_cnu_check(setup, d0, 6)
+    assert dual_cnu_check(d1, 6) == dual_cnu_check(d0, 6)
     assert double_dual_check(moved, max_orbit) == double_dual_check(setup, max_orbit)
 
 
@@ -338,7 +338,9 @@ def test_simultaneous_classification_is_invariant_under_relabeling(setup, seed):
 def test_dual_fourfold_is_invariant_under_relabeling(seed):
     setup = _ddc_setup(1, 2, 3, 3)
     pi = np.random.default_rng(seed).permutation(setup.ambient_dim)
-    before, after = dual_fourfold(setup, 6, 8), dual_fourfold(relabel(setup, pi), 6, 8)
+    moved = relabel(setup, pi)
+    before = dual_fourfold(setup, dual_pair(setup, 8), 6, 8)
+    after = dual_fourfold(moved, dual_pair(moved, 8), 6, 8)
     assert before.dims == (12, 6, 6, 9)  # 3 (mT)^2, mT p, mT p, circ^2
     assert (after.dims, after.tilde_dims) == (before.dims, before.tilde_dims)
     assert (after.orthogonality_residual, after.reduction_residual) == \

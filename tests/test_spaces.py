@@ -28,6 +28,20 @@ def test_l_region_counts():
             assert cells.dtype == np.int64 and not cells.flags.writeable
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: CellGrid1D(2.0, 4), "m must be a positive integer, got 2.0"),
+    (lambda: HardyCoeffSpace(3.0, 2), "top degree must be a nonnegative integer, got 3.0"),
+    (lambda: QuadrantGrid2D(2, 2.0), "T must be a positive integer, got 2.0"),
+    (lambda: TorusGrid2D(4, 1.0), "r must be a positive integer, got 1.0"),
+    (lambda: LRegionIndex(1.0, 2), "m must be a positive integer, got 1.0"),
+], ids=["CellGrid1D", "HardyCoeffSpace", "QuadrantGrid2D", "TorusGrid2D", "LRegionIndex"])
+def test_a_whole_float_size_is_refused(build, message):
+    """A size is an integer: 2.0 would give a float dim, which numpy refuses later
+    with a TypeError that names no parameter."""
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        build()
+
+
 def test_grid_index_validation():
     with pytest.raises(InvalidInput):
         CellGrid1D(0, 2)

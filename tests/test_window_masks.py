@@ -159,7 +159,7 @@ def test_dual_example_computes_its_dual_pair_once(monkeypatch):
     entries = run_scenario(Scenario("dual", "dual_example", {"m": 1, "T": 3})).entries
     assert len(calls) == 1
     setup = duality.l_region_setup(1, 3)
-    want = duality.dual_cnu_check(setup, duality.dual_pair(setup, 12), 5)
+    want = duality.dual_cnu_check(duality.dual_pair(setup, 12), 5)
     assert len(calls) == 2
     got = [e for e in entries if e.check_id.startswith("cnu:")]
     assert got == [e._replace(check_id="cnu:" + e.check_id) for e in want]
