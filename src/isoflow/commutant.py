@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import _check_budget, _components, _equal
+from .numlin import _check_budget, _components, _equal, _read_count, _read_steps
 from .report import CheckEntry, format_time
 from .semigroups import (SemigroupFamily, _commutator_residual, _cut_shift_images,
-                         _forward_image, _held_residual, _read_steps)
+                         _forward_image, _held_residual)
 
 __all__ = [
     "CommutantBasis",
@@ -178,10 +178,8 @@ def commutant_of_partial_isometries(m: int, r: int) -> CommutantBasis:
     grid analogue of the continuum statement is instance evidence, not a
     proof).
     """
-    if m < 2:
-        raise InvalidInput("m must be >= 2: a single cell imposes no constraint")
-    if r < 1:
-        raise InvalidInput("fiber dimension must be >= 1")
+    m = _read_count(m, "m", 2)  # a single cell imposes no constraint
+    r = _read_count(r, "r")
     n = m * r
     _check_system(2 * (m - 1), n)
     images = _cut_shift_images(m, np.arange(1, m), r)
@@ -196,10 +194,7 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
     are excluded per the window rules.  Expected: dimension r^2 with each
     element of the form I (x) omega across degree blocks.
     """
-    if d < 1:
-        raise InvalidInput("top degree must be >= 1")
-    if r < 1:
-        raise InvalidInput("fiber dimension must be >= 1")
+    d, r = _read_count(d, "d"), _read_count(r, "r")
     n = (d + 1) * r
     _check_system(2, n)
     images = _forward_image(n, [r, -r])  # degree block b -> b + 1, and its adjoint
@@ -228,7 +223,8 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
     """
     if normal_family.dim != shift_family.dim:
         raise DimensionMismatch("families act on different spaces")
-    if fiber < 1 or normal_family.dim % fiber:
+    fiber = _read_count(fiber, "fiber")
+    if normal_family.dim % fiber:
         raise InvalidInput("fiber dimension does not divide the space")
     m = normal_family.cells_per_unit
     if shift_family.cells_per_unit != m:

@@ -31,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import Subspace, _mask, _positions, complement, intersect
+from .numlin import Subspace, _mask, _positions, _read_count, _read_steps, complement, intersect
 from .report import CheckEntry, format_time
 from .semigroups import (CommutationReport, PairOfSemigroups, SemigroupFamily, WindowedMap,
                          _check_image, _halfline_rows, _image_isometry_defect, _isometry_defect,
-                         _pair_residual, _phi_rows, _read_steps, classify_pair, halfline_shift,
-                         phi_multiplier)
+                         _pair_residual, _phi_rows, classify_pair, halfline_shift, phi_multiplier)
 from .spaces import CellGrid1D
 
 __all__ = [
@@ -153,8 +152,7 @@ def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
     cells of height above h.  Heights come from O(log max_steps) doubling
     rounds over two length-n arrays.
     """
-    if max_steps < 1:
-        raise InvalidInput("max_steps must be >= 1")
+    max_steps = _read_count(max_steps, "max_steps")
     image = family.generator.image
     live = family.generator.faithful_mask & (image >= 0)
     height, missing, _ = _chain_heights(image, live, max_steps)
@@ -231,8 +229,8 @@ def bcl_check(T: int, m: int, r: int, steps) -> list[CheckEntry]:
     common window.
 
     The sampled step counts go through one table pass.  They are read
-    once, and a negative or non-integer one raises InvalidInput before any
-    table is built.  Both sides are built as tables with one row per
+    once, and a negative or non-integer one, or an empty list, raises
+    InvalidInput before any table is built.  Both sides are built as tables with one row per
     sample (``_halfline_rows`` and ``_phi_rows``), in blocks of at most
     ``_BCL_BLOCK_CELLS`` cells, so memory stays O(dim).  A row whose two
     images agree on their common window passes with residual 0.0 and the

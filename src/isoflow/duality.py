@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import Subspace, _equal, _positions, intersect, subtract
+from .numlin import Subspace, _equal, _positions, _read_count, intersect, subtract
 from .decompose import _reduction_residual, fourfold_decompose, product_unitary_part
 from .report import CheckEntry
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
@@ -93,8 +93,10 @@ class ExtensionSetup:
     which for a square map means unitary), and the two must commute: the
     images a[b] and b[a] are compared in blocks of at most
     ``_SETUP_BLOCK_CELLS`` cells, so no full-size gather is made.  The
-    region ``geometry``, which ``modified_bishift_model_check`` reads, is
-    keyword-only.
+    time grid ``cells_per_unit`` is a count, read first by
+    ``numlin._read_count``: a whole float such as 2.0 is refused, not
+    truncated by the compressed pair.  The region ``geometry``, which
+    ``modified_bishift_model_check`` reads, is keyword-only.
     """
 
     u1: WindowedMap
@@ -104,6 +106,7 @@ class ExtensionSetup:
     geometry: LRegionIndex | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
+        _read_count(self.cells_per_unit, "cells_per_unit")
         n = self.u1.domain_dim
         if self.u1.shape != (n, n) or self.u2.shape != (n, n):
             raise InvalidInput("ambient unitaries must be square and equal-sized")
@@ -117,8 +120,6 @@ class ExtensionSetup:
             cells = slice(start, start + _SETUP_BLOCK_CELLS)
             if not _equal(a[b[cells]], b[a[cells]]):
                 raise InvalidInput("ambient unitaries do not commute")
-        if self.cells_per_unit < 1:
-            raise InvalidInput("cells_per_unit must be >= 1")
 
     def _derived(self, **changes) -> "ExtensionSetup":
         """A copy of the fields with ``changes`` applied, built without the
@@ -204,8 +205,7 @@ def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace, max_orbit: in
     (n = 65,536) the ``tracemalloc`` peak above live memory is 4.0 x 8n
     bytes.
     """
-    if max_orbit < 1:
-        raise InvalidInput("max_orbit must be >= 1")
+    max_orbit = _read_count(max_orbit, "max_orbit")
     n = start.ambient
     (f1, b1), (f2, b2) = [(u.image, u.adjoint().image) for u in (u1, u2)]
     unmoved = np.ones(n, dtype=bool)  # False once a cell has gone through U2 and U2*
@@ -553,7 +553,7 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     space is the nonnegative half times the full fiber.  With
     ``unitary_first`` the roles of the two families are swapped.
     """
-    n = 2 * m * T
+    n = 2 * _read_count(m, "m") * _read_count(T, "T")
     # the cycle on n cells, its wrapping cell unfaithful both ways, tensor I_p
     cycle = WindowedMap.from_image(_circulant_image(n), range(n - 1), range(1, n))
     u_shift = tensor_with_identity(cycle, p, "right")

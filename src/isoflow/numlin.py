@@ -14,7 +14,10 @@ hook-and-shortcut rounds (Shiloach & Vishkin, J. Algorithms 3(1), 1982);
 the commutant solvers and the closed-form difference norm of
 ``semigroups._image_residual`` both use it.  ``_check_budget``
 prices an array quadratic in the dimension before it is allocated, and
-``_check_cells`` an ambient before its first index array.
+``_check_cells`` an ambient before its first index array.  ``_read_count``
+is the one rule for a count (a size, a time grid, a step, a bound): every
+module reads its count arguments by it, and ``_read_steps`` reads a list
+of sampled step counts by it.
 
 The index kernels of the package call numpy's C entry points, not its
 Python convenience wrappers: on the 10 to 2,000 cells of a bundled
@@ -69,6 +72,26 @@ def _check_budget(entries: int, itemsize: int, what: str) -> None:
 def _check_cells(cells: int) -> None:
     """``_check_budget`` for an ambient of ``cells`` cells, one ``int64`` index each."""
     _check_budget(cells, 8, f"an ambient of {cells:,} cells")
+
+
+def _read_count(value, name: str, lowest: int = 1) -> int:
+    """``value`` as an int when it is an int or a numpy integer of at least
+    ``lowest``; anything else, a whole float or ``Fraction`` too, raises
+    InvalidInput naming ``name``."""
+    if isinstance(value, (int, np.integer)) and value >= lowest:
+        return int(value)
+    need = ({0: "a nonnegative integer", 1: "a positive integer"}.get(lowest)
+            or f"an integer >= {lowest}")
+    raise InvalidInput(f"{name} must be {need}, got {value!r}")
+
+
+def _read_steps(steps) -> list[int]:
+    """The sampled step counts as a list of ints, each read by ``_read_count``
+    before the caller builds any map; an empty list raises InvalidInput."""
+    steps = [_read_count(j, "step count", 0) for j in steps]
+    if not steps:
+        raise InvalidInput("no sample times given")
+    return steps
 
 
 def _equal(a: np.ndarray, b: np.ndarray) -> bool:

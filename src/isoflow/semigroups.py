@@ -33,8 +33,10 @@ A time on the grid t = j/m is held as its integer step count j.  Only
 and rejects a time off the grid, never interpolating.  The constructors
 (``halfline_shift``, ``phi_multiplier``, ``bishift_pair`` and
 ``modified_bishift_pair``), ``SemigroupFamily.element`` and the checks
-take step counts, each read by ``_read_step``, which refuses a negative
-or non-integer one; the families are built from step 1.
+take step counts, each read by ``numlin._read_count``, which refuses a
+negative or non-integer one, and a check refuses an empty list of them
+(``numlin._read_steps``); the families are built from step 1.  The sizes
+and the time grid ``cells_per_unit`` are counts read by the same rule.
 ``report.format_time`` writes a step count back as a time for a check id.
 
 Compression and the isometry test are written once, here: ``_compress``
@@ -63,7 +65,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidShift, WindowTooSmall
 from .numlin import (Subspace, _check_cells, _components, _distinct, _index_array, _mask,
-                     _positions)
+                     _positions, _read_count, _read_steps)
 from .report import CheckEntry, format_time
 from .spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
 
@@ -84,23 +86,6 @@ __all__ = [
     "tensor_with_identity",
     "check_semigroup_law",
 ]
-
-
-def _read_step(j) -> int:
-    """A step count as an int.
-
-    A step that is not an integer (a float or a Fraction, even a whole
-    one), or is negative, raises InvalidInput.
-    """
-    if not isinstance(j, (int, np.integer)) or j < 0:
-        raise InvalidInput(f"step count must be a nonnegative integer, got {j!r}")
-    return int(j)
-
-
-def _read_steps(steps) -> list[int]:
-    """The sampled step counts as a list of ints, each read by ``_read_step``
-    before the caller builds any map."""
-    return [_read_step(j) for j in steps]
 
 
 def _window(window, n: int, outside: str) -> np.ndarray:
@@ -390,17 +375,16 @@ class SemigroupFamily:
     gives the same image and windows as composing one step at a time.
     Only the squares and the step counts actually requested are kept, the
     latter in a dict, so repeated requests return the same map.  The step
-    is read by ``_read_step``, the rule of every check, so a float or a
-    ``Fraction`` raises InvalidInput even when it is whole.
+    and ``cells_per_unit`` are read by ``numlin._read_count``, the rule of
+    every check, so a float or a ``Fraction`` raises InvalidInput even when
+    it is whole.
     """
 
     def __init__(self, generator: WindowedMap, cells_per_unit: int = 1):
         if generator.domain_dim != generator.codomain_dim:
             raise DimensionMismatch("semigroup generator must be square")
-        if cells_per_unit < 1:
-            raise InvalidInput("cells_per_unit must be >= 1")
+        self._m = _read_count(cells_per_unit, "cells_per_unit")
         self._generator = generator
-        self._m = int(cells_per_unit)
         self._squares = [generator]  # V^(2^i) at position i
         self._powers: dict[int, WindowedMap] = {}
 
@@ -417,7 +401,7 @@ class SemigroupFamily:
         return self._generator.domain_dim
 
     def element(self, steps: int) -> WindowedMap:
-        steps = _read_step(steps)
+        steps = _read_count(steps, "step count", 0)
         power = self._powers.get(steps)
         if power is None:
             power = self._powers[steps] = self._power(steps)
@@ -505,7 +489,7 @@ def halfline_shift(grid: CellGrid1D, steps: int) -> WindowedMap:
     the adjoint window is the whole grid.  The map is the one row of
     ``_halfline_rows`` for j.
     """
-    (image,), (faithful,) = _halfline_rows(grid, [_read_step(steps)])
+    (image,), (faithful,) = _halfline_rows(grid, [_read_count(steps, "step count", 0)])
     return WindowedMap.from_image(image, faithful, np.ones(grid.dim, dtype=bool))
 
 
@@ -521,10 +505,8 @@ def _cut_shift_images(m: int, j, r: int) -> np.ndarray:
     isometries (the zeros are true operator behavior, not truncation), and
     E0 E0* + E1 E1* = E0* E0 + E1* E1 = I exactly.  The result has rows E0
     and E1; an array of shifts gives those two rows for each shift in turn,
-    built by one broadcast.
+    built by one broadcast.  Its callers have read m and r as counts.
     """
-    if m < 1 or r < 1:
-        raise InvalidInput("m and r must be >= 1")
     j = np.asarray(j)
     if np.count_nonzero((j < 0) | (j >= m)):
         raise InvalidShift(f"shift {j} outside [0, {m})")
@@ -570,7 +552,7 @@ def phi_multiplier(d: int, m: int, r: int, steps: int) -> WindowedMap:
     from those pieces, so ``bcl_check`` compares it with a shift built
     another way.
     """
-    (image,), (faithful,) = _phi_rows(d, m, r, [_read_step(steps)])
+    (image,), (faithful,) = _phi_rows(d, m, r, [_read_count(steps, "step count", 0)])
     return WindowedMap.from_image(image, faithful, np.ones(image.size, dtype=bool))
 
 
@@ -580,7 +562,7 @@ def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
 
 def bishift_pair(grid: QuadrantGrid2D, steps: int) -> tuple[WindowedMap, WindowedMap]:
     """The two coordinate shifts by j = ``steps`` cells, the time j/m, on the quadrant grid."""
-    j = _read_step(steps)
+    j = _read_count(steps, "step count", 0)
     if j > grid.side:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {grid.side}-cell axis")
     idx = np.arange(grid.dim)
@@ -608,7 +590,7 @@ def modified_bishift_pair(region: LRegionIndex, steps: int) -> tuple[WindowedMap
     adjoint direction genuinely annihilates the cells it pushes into the
     removed quadrant, and those zero columns of the transpose are exact.
     """
-    j = _read_step(steps)
+    j = _read_count(steps, "step count", 0)
     half = region.half
     if j > 2 * half:
         raise WindowTooSmall(f"shift by {j} cells exceeds the {2 * half}-cell axis")
@@ -631,9 +613,7 @@ def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
 
 def _circulant_image(n: int) -> np.ndarray:
     """Image of the cyclic shift by one on C^n."""
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
-    _check_cells(n)
+    _check_cells(_read_count(n, "n"))
     return (np.arange(n) + 1) % n
 
 
@@ -669,8 +649,7 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
     index rule as the image.  Copies of an injective image on disjoint
     fibers stay injective, so the result comes from ``_derived``.
     """
-    if fiber < 1:
-        raise InvalidInput("fiber dimension must be >= 1")
+    fiber = _read_count(fiber, "fiber")
     if side not in ("left", "right"):
         raise InvalidInput(f"side must be 'left' or 'right', got {side!r}")
     _check_cells(fiber * max(part.shape))
@@ -706,8 +685,6 @@ def check_semigroup_law(family: SemigroupFamily, steps) -> list[CheckEntry]:
     the composed map gives.
     """
     steps = sorted(set(_read_steps(steps)))
-    if not steps:
-        raise InvalidInput("no sample times given")
     time = {j: format_time(j, family.cells_per_unit) for j in steps}
     entries = []
     usable = 0
@@ -756,8 +733,6 @@ def classify_pair(pair: PairOfSemigroups, steps) -> CommutationReport:
     maximum is exactly 0, and doubly commutes when both are.
     """
     steps = _read_steps(steps)
-    if not steps:
-        raise InvalidInput("no sample times given")
     comm = 0.0
     double = 0.0
     usable_comm = usable_double = 0

@@ -22,7 +22,9 @@ For the two-sided constructions the torus has ``n = 2*m*T`` cells per
 axis and axis index ``k`` represents the physical cell ``k - m*T`` of the
 window [-T, T); cyclic translations are then exactly unitary and the
 wrap-affected cells are excluded from faithful sets by the callers.
-Each layout prices its ambient with ``numlin._check_cells`` first.
+Each layout reads its sizes with ``numlin._read_count``, the package's one
+rule for a count, so a whole float is refused naming its parameter, and
+then prices its ambient with ``numlin._check_cells``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .numlin import _check_cells
+from .numlin import _check_cells, _read_count
 
 __all__ = [
     "CellGrid1D",
@@ -41,13 +43,6 @@ __all__ = [
     "TorusGrid2D",
     "LRegionIndex",
 ]
-
-
-def _require_positive(**values: int) -> None:
-    """Each value must be an int or a numpy integer, at least 1; a whole float is refused."""
-    for name, value in values.items():
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,8 @@ class CellGrid1D:
     r: int = 1
 
     def __post_init__(self) -> None:
-        _require_positive(m=self.m, T=self.T, r=self.r)
+        for name in ("m", "T", "r"):
+            _read_count(getattr(self, name), name)
         _check_cells(self.dim)
 
     @property
@@ -85,9 +81,9 @@ class HardyCoeffSpace:
     r: int = 1
 
     def __post_init__(self) -> None:
-        _require_positive(m=self.m, r=self.r)
-        if not isinstance(self.d, (int, np.integer)) or self.d < 0:
-            raise InvalidInput(f"top degree must be a nonnegative integer, got {self.d!r}")
+        for name in ("m", "r"):
+            _read_count(getattr(self, name), name)
+        _read_count(self.d, "top degree", 0)
         _check_cells(self.dim)
 
     @property
@@ -114,7 +110,8 @@ class QuadrantGrid2D:
     r: int = 1
 
     def __post_init__(self) -> None:
-        _require_positive(m=self.m, T=self.T, r=self.r)
+        for name in ("m", "T", "r"):
+            _read_count(getattr(self, name), name)
         _check_cells(self.dim)
 
     @property
@@ -139,7 +136,8 @@ class TorusGrid2D:
     r: int = 1
 
     def __post_init__(self) -> None:
-        _require_positive(n=self.n, r=self.r)
+        for name in ("n", "r"):
+            _read_count(getattr(self, name), name)
         _check_cells(self.dim)
 
     @property
@@ -169,7 +167,8 @@ class LRegionIndex:
     parent: TorusGrid2D = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_positive(m=self.m, T=self.T, r=self.r)
+        for name in ("m", "T", "r"):
+            _read_count(getattr(self, name), name)
         object.__setattr__(self, "parent", TorusGrid2D(2 * self.m * self.T, self.r))
 
     @property

@@ -1,10 +1,21 @@
-"""Grid layouts and the L-region cell arrays."""
+"""Grid layouts and the L-region cell arrays, and the one rule for a count
+(``numlin._read_count``) at every site that reads one."""
+
+import re
 
 import numpy as np
 import pytest
 
+from isoflow.commutant import (commutant_of_partial_isometries, doubly_commutant_of_mz,
+                               fuglede_instance_check)
+from isoflow.decompose import fourfold_decompose, wold_cooper
+from isoflow.duality import (ExtensionSetup, circulant_pair_setup, dual_pair,
+                             halfline_circulant_setup, minimal_extension)
 from isoflow.errors import InvalidInput
+from isoflow.semigroups import SemigroupFamily, circulant_family, tensor_with_identity
 from isoflow.spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
+
+SETUP = circulant_pair_setup(3, 3)
 
 
 def test_coefficient_index_equals_grid_index():
@@ -34,11 +45,38 @@ def test_l_region_counts():
     (lambda: QuadrantGrid2D(2, 2.0), "T must be a positive integer, got 2.0"),
     (lambda: TorusGrid2D(4, 1.0), "r must be a positive integer, got 1.0"),
     (lambda: LRegionIndex(1.0, 2), "m must be a positive integer, got 1.0"),
-], ids=["CellGrid1D", "HardyCoeffSpace", "QuadrantGrid2D", "TorusGrid2D", "LRegionIndex"])
+    (lambda: SemigroupFamily(SETUP.u1, 2.0), "cells_per_unit must be a positive integer, got 2.0"),
+    (lambda: ExtensionSetup(SETUP.u1, SETUP.u2, SETUP.h, 1.5),
+     "cells_per_unit must be a positive integer, got 1.5"),
+    (lambda: circulant_pair_setup(3, 3, cells_per_unit=1.5),
+     "cells_per_unit must be a positive integer, got 1.5"),
+    (lambda: wold_cooper(circulant_family(3), 2.5), "max_steps must be a positive integer, got 2.5"),
+    (lambda: fourfold_decompose(SETUP.compressed_pair, 3.5),
+     "max_steps must be a positive integer, got 3.5"),
+    (lambda: circulant_family(3.0), "n must be a positive integer, got 3.0"),
+    (lambda: tensor_with_identity(SETUP.u1, 2.0), "fiber must be a positive integer, got 2.0"),
+    (lambda: halfline_circulant_setup(1, 2, 3.0), "fiber must be a positive integer, got 3.0"),
+    (lambda: halfline_circulant_setup(1.0, 2, 3), "m must be a positive integer, got 1.0"),
+    (lambda: dual_pair(SETUP, 2.5), "max_orbit must be a positive integer, got 2.5"),
+    (lambda: minimal_extension(SETUP, 3.0), "max_orbit must be a positive integer, got 3.0"),
+    (lambda: commutant_of_partial_isometries(2.0, 1), "m must be an integer >= 2, got 2.0"),
+    (lambda: commutant_of_partial_isometries(3, 1.0), "r must be a positive integer, got 1.0"),
+    (lambda: doubly_commutant_of_mz(2.0, 1), "d must be a positive integer, got 2.0"),
+    (lambda: doubly_commutant_of_mz(2, 1.0), "r must be a positive integer, got 1.0"),
+    (lambda: fuglede_instance_check(circulant_family(4), circulant_family(4), 1.0, [1]),
+     "fiber must be a positive integer, got 1.0"),
+], ids=["CellGrid1D", "HardyCoeffSpace", "QuadrantGrid2D", "TorusGrid2D", "LRegionIndex",
+        "SemigroupFamily", "ExtensionSetup", "circulant_pair_setup", "wold_cooper",
+        "fourfold_decompose", "circulant_family", "tensor_with_identity",
+        "halfline_circulant_setup_p", "halfline_circulant_setup_m", "dual_pair", "minimal_extension", "commutant_e_m",
+        "commutant_e_r", "commutant_mz_d", "commutant_mz_r", "fuglede_fiber"])
 def test_a_whole_float_size_is_refused(build, message):
-    """A size is an integer: 2.0 would give a float dim, which numpy refuses later
-    with a TypeError that names no parameter."""
-    with pytest.raises(InvalidInput, match=f"^{message}$"):
+    """A size, a time grid or a bound is an integer, read by one rule: 2.0 would
+    give a float dim, which numpy refuses later with an error that names no
+    parameter, and a grid of 1.5 was truncated to 1.  A caller that passes a
+    count on (``fourfold_decompose``, ``dual_pair``) is refused by the reader
+    it reaches."""
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -5,7 +5,8 @@ them to step counts j on the grid t = j/m; every check takes those steps,
 and ``report.format_time`` writes a step back as text, as
 ``str(Fraction(j, m))`` does.  The properties hold the formatter and the
 resolver to ``Fraction``; the constructors and checks refuse a step that
-is no count, so a time passed in its place fails loudly; the count test
+is no count, so a time passed in its place fails loudly, and every sampled
+check refuses an empty sample list, which would check nothing; the count test
 pins that a run builds no ``Fraction`` after the resolver; the memory
 test pins that ``classify_pair`` holds one adjoint at a time.
 ``report.format_residual``, which writes an exact 0 or 1 by lookup, is held
@@ -22,12 +23,13 @@ from hypothesis import strategies as st
 
 from isoflow.catalog import Scenario, check_scenario, run_scenario
 from isoflow.commutant import fuglede_instance_check
-from isoflow.decompose import verify_joint_equivalence
+from isoflow.decompose import bcl_check, verify_joint_equivalence
 from isoflow.errors import InvalidInput
 from isoflow.report import format_residual, format_time
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, bishift_families, bishift_pair,
-                                check_semigroup_law, classify_pair, halfline_shift,
-                                halfline_shift_family, modified_bishift_pair, phi_multiplier)
+                                check_semigroup_law, circulant_family, classify_pair,
+                                halfline_shift, halfline_shift_family, modified_bishift_pair,
+                                phi_multiplier)
 from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -105,6 +107,25 @@ def test_a_check_refuses_a_step_that_is_no_count(steps):
                   lambda: modified_bishift_pair(LRegionIndex(1, 2), j)):
         with pytest.raises(InvalidInput, match=r"^step count must be a nonnegative integer"):
             check()
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_semigroup_law(circulant_family(3), []),
+    lambda: classify_pair(bishift_families(QuadrantGrid2D(1, 2)), []),
+    lambda: bcl_check(4, 4, 1, []),
+    lambda: verify_joint_equivalence(bishift_families(QuadrantGrid2D(1, 2)),
+                                     bishift_families(QuadrantGrid2D(1, 2)),
+                                     WindowedMap.identity(4), []),
+    lambda: fuglede_instance_check(SemigroupFamily(WindowedMap.identity(4)),
+                                   halfline_shift_family(CellGrid1D(1, 4)), 1, []),
+], ids=["check_semigroup_law", "classify_pair", "bcl_check", "verify_joint_equivalence",
+        "fuglede_instance_check"])
+def test_a_sampled_check_refuses_an_empty_sample_list(check):
+    """No samples is one refusal for every sampled check: ``bcl_check`` returned
+    an empty list, which a report reads as a pass, and the two others raised
+    WindowTooSmall as if the window were at fault."""
+    with pytest.raises(InvalidInput, match="^no sample times given$"):
+        check()
 
 
 @pytest.mark.parametrize("step", [2.0, Fraction(2)], ids=["float", "fraction"])
