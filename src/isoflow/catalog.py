@@ -29,7 +29,7 @@ from .commutant import commutant_of_partial_isometries, doubly_commutant_of_mz
 from .decompose import (bcl_check, classify_pair, fourfold_decompose, product_unitary_part,
                         wold_cooper)
 from .errors import InternalInconsistency, InvalidInput
-from .numlin import _check_budget, _equal
+from .numlin import _check_budget, _count_need, _equal
 from .report import CheckEntry, Report, format_time
 from .semigroups import (PairOfSemigroups, SemigroupFamily, _image_residual, _isometry_defect,
                          bishift_families, bishift_pair, check_semigroup_law, circulant_family,
@@ -87,7 +87,7 @@ def _generator_isometry_entry(family, check_id: str) -> CheckEntry:
     cols = gen.faithful_mask.nonzero()[0]
     if not cols.size:
         return CheckEntry(check_id, 0.0, (0,), False, "empty window")
-    residual = _isometry_defect(gen, cols)
+    residual = _isometry_defect(gen.image[cols])
     return CheckEntry(check_id, residual, (len(cols),), residual == 0.0)
 
 
@@ -423,8 +423,7 @@ def check_scenario(scenario: Scenario) -> dict:
             lowest = _LOWEST.get((construction, key), 1)
             text = str(raw)
             if not (text.isascii() and text.isdigit()) or int(text) < lowest:
-                need = "a positive integer" if lowest == 1 else f"an integer >= {lowest}"
-                raise InvalidInput(f"{key} must be {need}, got {raw}")
+                raise InvalidInput(f"{key} must be {_count_need(lowest)}, got {raw}")
             resolved[key] = int(text)
         else:
             resolved[key] = sum(math.prod(int(f) if f.isdigit() else resolved[f]

@@ -12,7 +12,7 @@ coefficient, and its 0/1 indicator is one basis element.  No rank
 decision and no tolerance is involved.  The components are found by
 ``numlin._components``, hook-and-shortcut (Shiloach & Vishkin 1982,
 J. Algorithms 3(1)) in a few numpy rounds, the equations taken in blocks
-of at most ``_BLOCK_ENTRIES``.  The bundled and benchmark sizes fit in
+of at most ``numlin._BLOCK``.  The bundled and benchmark sizes fit in
 one block, and on all of them but ``commutant_mz d=1 r=1`` the
 unsatisfied equations outnumber the labels, so each round shortcuts the
 whole label array, not the equations' ends.
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import _check_budget, _components, _equal, _read_count, _read_steps
+from .numlin import _BLOCK, _check_budget, _components, _equal, _read_count, _read_steps
 from .report import CheckEntry, format_time
 from .semigroups import (SemigroupFamily, _commutator_residual, _cut_shift_images,
-                         _forward_image, _held_residual)
+                         _forward_image, _held_residual, _window_entry)
 
 __all__ = [
     "CommutantBasis",
@@ -66,9 +66,6 @@ class CommutantBasis:
     @property
     def dim(self) -> int:
         return int(np.maximum.reduce(self.labels, axis=None, initial=-1)) + 1
-
-
-_BLOCK_ENTRIES = 32768  # equations per block of _exact_commutant, one constrained column at least
 
 
 def _check_system(maps: int, n: int) -> None:
@@ -138,11 +135,11 @@ def _equations(target: np.ndarray, preimage: np.ndarray, column: np.ndarray, n: 
 def _blocks(images: np.ndarray, preimages: np.ndarray, ends: np.ndarray, shift: np.ndarray,
             total: int):
     """The equations of ``_exact_commutant`` by runs of its ``total`` numbered (op,
-    column) pairs, at most ``_BLOCK_ENTRIES`` equations but one column at least
+    column) pairs, at most ``numlin._BLOCK`` equations but one column at least
     per run; op s numbers its column j as j - shift[s], and ``ends`` holds one
     past each op's last number."""
     n = images.shape[1]
-    step = max(1, _BLOCK_ENTRIES // n)
+    step = max(1, _BLOCK // n)
     for start in range(0, total, step):
         number = np.arange(start, min(start + step, total))
         owner = ends.searchsorted(number, side="right")
@@ -240,17 +237,14 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
         v = shift_family.element(j)
         got = _commutator_residual(a, v)
         if got is None:
-            entries.append(CheckEntry(f"t={time}:commutator", 0.0, (0,), True,
-                                      "empty window, skipped"))
+            entries.append(_window_entry(f"t={time}:commutator", None))
             continue
         usable += 1
         comm, count = got
         entries.append(CheckEntry(f"t={time}:commutator", comm, (count,), True))
         if comm == 0.0:
-            got = _commutator_residual(a, v.adjoint())
-            double, count = (0.0, 0) if got is None else got
-            entries.append(CheckEntry(f"t={time}:adjoint_commutator", double, (count,),
-                                      double == 0.0, "" if count else "empty window, skipped"))
+            entries.append(_window_entry(f"t={time}:adjoint_commutator",
+                                         _commutator_residual(a, v.adjoint())))
             full_cells = a.faithful_mask.reshape(cells, fiber).all(axis=1).nonzero()[0]
             if not full_cells.size:
                 entries.append(CheckEntry(f"t={time}:fiber_form", 0.0, (0,), False,

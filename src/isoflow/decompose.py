@@ -31,11 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, WindowTooSmall
-from .numlin import Subspace, _mask, _positions, _read_count, _read_steps, complement, intersect
+from .numlin import (_BLOCK, Subspace, _mask, _positions, _read_count, _read_steps, complement,
+                     intersect)
 from .report import CheckEntry, format_time
 from .semigroups import (CommutationReport, PairOfSemigroups, SemigroupFamily, WindowedMap,
-                         _check_image, _halfline_rows, _image_isometry_defect, _isometry_defect,
-                         _pair_residual, _phi_rows, classify_pair, halfline_shift, phi_multiplier)
+                         _check_image, _halfline_rows, _isometry_defect, _pair_residual, _phi_rows,
+                         _window_entry, classify_pair, halfline_shift, phi_multiplier)
 from .spaces import CellGrid1D
 
 __all__ = [
@@ -94,7 +95,7 @@ def _unitary_residual(part: Subspace, generator: WindowedMap) -> float:
     both are 1.0.
     """
     image = _positions(part.cells, generator.codomain_dim)[generator.image[part.cells]]
-    return _image_isometry_defect(image)
+    return _isometry_defect(image)
 
 
 def _chain_heights(image: np.ndarray, live: np.ndarray,
@@ -206,9 +207,6 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int) -> FourfoldResult
     return FourfoldResult(h_pp, h_pu, h_up, h_uu, residual, w1, w2)
 
 
-_BCL_BLOCK_CELLS = 32768  # cells per table block of bcl_check, one row at least
-
-
 def _bcl_sample(grid: CellGrid1D, j: int) -> tuple[float, int]:
     """Residual and window size of one bcl_check sample, from its two maps."""
     got = _pair_residual(halfline_shift(grid, j), phi_multiplier(grid.T - 1, grid.m, grid.r, j))
@@ -230,19 +228,20 @@ def bcl_check(T: int, m: int, r: int, steps) -> list[CheckEntry]:
 
     The sampled step counts go through one table pass.  They are read
     once, and a negative or non-integer one, or an empty list, raises
-    InvalidInput before any table is built.  Both sides are built as tables with one row per
-    sample (``_halfline_rows`` and ``_phi_rows``), in blocks of at most
-    ``_BCL_BLOCK_CELLS`` cells, so memory stays O(dim).  A row whose two
-    images agree on their common window passes with residual 0.0 and the
-    size of that window, which is what ``_pair_residual`` gives.  Any
-    other row, and every row of a block that one side refuses, goes
-    through ``_bcl_sample``: the two maps and ``_pair_residual``.  Window
-    errors are those of a loop over the samples in order.
+    InvalidInput before any table is built.  Both sides are built as
+    tables with one row per sample (``_halfline_rows`` and ``_phi_rows``),
+    in blocks of at most ``numlin._BLOCK`` cells but one row at least, so
+    memory stays O(dim).  A row whose two images agree on their common
+    window passes with residual 0.0 and the size of that window, which is
+    what ``_pair_residual`` gives.  Any other row, and every row of a block
+    that one side refuses, goes through ``_bcl_sample``: the two maps and
+    ``_pair_residual``.  Window errors are those of a loop over the samples
+    in order.
     """
     grid = CellGrid1D(m, T, r)
     steps = _read_steps(steps)
     got = []
-    rows = max(1, _BCL_BLOCK_CELLS // grid.dim)
+    rows = max(1, _BLOCK // grid.dim)
     for start in range(0, len(steps), rows):
         block = steps[start:start + rows]
         try:
@@ -280,23 +279,16 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
     if pair_a.cells_per_unit != pair_b.cells_per_unit:
         raise InvalidInput("the two pairs use different time grids")
     steps = _read_steps(steps)
-    if _isometry_defect(z) > 0.0 or _isometry_defect(z_adj := z.adjoint()) > 0.0:
+    if _isometry_defect(z.image) > 0.0 or _isometry_defect((z_adj := z.adjoint()).image) > 0.0:
         raise PreconditionFailed("supplied conjugation is not unitary")
     m = pair_a.cells_per_unit
     entries = []
-    usable = 0
     for axis, (fam_a, fam_b) in enumerate(((pair_a.first, pair_b.first),
                                            (pair_a.second, pair_b.second)), start=1):
         for j in steps:
             got = _pair_residual(z @ fam_a.element(j) @ z_adj, fam_b.element(j))
-            check_id = f"axis{axis}_t={format_time(j, m)}"
-            if got is None:
-                entries.append(CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped"))
-                continue
-            usable += 1
-            residual, count = got
-            entries.append(CheckEntry(check_id, residual, (count,), residual == 0.0))
-    if not usable:
+            entries.append(_window_entry(f"axis{axis}_t={format_time(j, m)}", got))
+    if all(entry.note for entry in entries):
         raise WindowTooSmall("no sample leaves a nonempty faithful window")
     return entries
 

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
-from .numlin import Subspace, _equal, _positions, _read_count, intersect, subtract
+from .numlin import _BLOCK, Subspace, _equal, _positions, _read_count, intersect, subtract
 from .decompose import _reduction_residual, fourfold_decompose, product_unitary_part
 from .report import CheckEntry
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
@@ -80,8 +80,6 @@ __all__ = [
     "setup_direct_sum",
 ]
 
-_SETUP_BLOCK_CELLS = 32768  # cells per block of the commutation check of ExtensionSetup
-
 
 @dataclass(frozen=True, eq=False)
 class ExtensionSetup:
@@ -92,7 +90,7 @@ class ExtensionSetup:
     compression.  Each must be a permutation (isometry defect exactly 0,
     which for a square map means unitary), and the two must commute: the
     images a[b] and b[a] are compared in blocks of at most
-    ``_SETUP_BLOCK_CELLS`` cells, so no full-size gather is made.  The
+    ``numlin._BLOCK`` cells, so no full-size gather is made.  The
     time grid ``cells_per_unit`` is a count, read first by
     ``numlin._read_count``: a whole float such as 2.0 is refused, not
     truncated by the compressed pair.  The region ``geometry``, which
@@ -113,11 +111,11 @@ class ExtensionSetup:
         if self.h.ambient != n:
             raise InvalidInput("subspace ambient does not match the unitaries")
         for tag, u in (("U1", self.u1), ("U2", self.u2)):
-            if _isometry_defect(u) != 0.0:  # a square isometry is unitary
+            if _isometry_defect(u.image) != 0.0:  # a square isometry is unitary
                 raise InvalidInput(f"{tag} is not unitary")
         a, b = self.u1.image, self.u2.image
-        for start in range(0, n, _SETUP_BLOCK_CELLS):
-            cells = slice(start, start + _SETUP_BLOCK_CELLS)
+        for start in range(0, n, _BLOCK):
+            cells = slice(start, start + _BLOCK)
             if not _equal(a[b[cells]], b[a[cells]]):
                 raise InvalidInput("ambient unitaries do not commute")
 
@@ -554,6 +552,7 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     ``unitary_first`` the roles of the two families are swapped.
     """
     n = 2 * _read_count(m, "m") * _read_count(T, "T")
+    p = _read_count(p, "p")
     # the cycle on n cells, its wrapping cell unfaithful both ways, tensor I_p
     cycle = WindowedMap.from_image(_circulant_image(n), range(n - 1), range(1, n))
     u_shift = tensor_with_identity(cycle, p, "right")
@@ -565,6 +564,7 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
 
 def circulant_pair_setup(n1: int, n2: int, cells_per_unit: int = 1) -> ExtensionSetup:
     """Two commuting cyclic rotations with the full space embedded."""
+    n1, n2 = _read_count(n1, "n1"), _read_count(n2, "n2")
     u1 = tensor_with_identity(circulant_family(n1).generator, n2, "right")  # C_n1 tensor I_n2
     u2 = tensor_with_identity(circulant_family(n2).generator, n1, "left")  # I_n1 tensor C_n2
     return ExtensionSetup(u1, u2, Subspace.full(n1 * n2), cells_per_unit)

@@ -17,7 +17,11 @@ prices an array quadratic in the dimension before it is allocated, and
 ``_check_cells`` an ambient before its first index array.  ``_read_count``
 is the one rule for a count (a size, a time grid, a step, a bound): every
 module reads its count arguments by it, and ``_read_steps`` reads a list
-of sampled step counts by it.
+of sampled step counts by it; ``_count_need`` words what a count must be,
+for it and for the config reader of ``catalog``.  ``_BLOCK`` is the one
+block size of the package's blocked passes: the commutation check of
+``duality.ExtensionSetup``, the table pass of ``decompose.bcl_check`` and
+the equations of ``commutant._exact_commutant``.
 
 The index kernels of the package call numpy's C entry points, not its
 Python convenience wrappers: on the 10 to 2,000 cells of a bundled
@@ -59,6 +63,7 @@ __all__ = [
 
 
 _BUDGET = 2**28  # bytes that one array quadratic in the dimension may take
+_BLOCK = 32768  # entries per block of a blocked pass: cells, table cells or equations
 
 
 def _check_budget(entries: int, itemsize: int, what: str) -> None:
@@ -74,15 +79,19 @@ def _check_cells(cells: int) -> None:
     _check_budget(cells, 8, f"an ambient of {cells:,} cells")
 
 
+def _count_need(lowest: int) -> str:
+    """What a count of at least ``lowest`` must be, as its refusal words it."""
+    return ({0: "a nonnegative integer", 1: "a positive integer"}.get(lowest)
+            or f"an integer >= {lowest}")
+
+
 def _read_count(value, name: str, lowest: int = 1) -> int:
     """``value`` as an int when it is an int or a numpy integer of at least
     ``lowest``; anything else, a whole float or ``Fraction`` too, raises
     InvalidInput naming ``name``."""
     if isinstance(value, (int, np.integer)) and value >= lowest:
         return int(value)
-    need = ({0: "a nonnegative integer", 1: "a positive integer"}.get(lowest)
-            or f"an integer >= {lowest}")
-    raise InvalidInput(f"{name} must be {need}, got {value!r}")
+    raise InvalidInput(f"{name} must be {_count_need(lowest)}, got {value!r}")
 
 
 def _read_steps(steps) -> list[int]:
@@ -281,11 +290,6 @@ class Subspace:
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces live in different ambient spaces")
         return 0.0 if _equal(self.cells, other.cells) else 1.0
-
-    @classmethod
-    def from_cells(cls, ambient: int, cells) -> "Subspace":
-        """Span of the standard basis vectors at ``cells``, given in any order."""
-        return cls(ambient, np.sort(_index_array(cells)))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":

@@ -39,9 +39,11 @@ negative or non-integer one, and a check refuses an empty list of them
 and the time grid ``cells_per_unit`` are counts read by the same rule.
 ``report.format_time`` writes a step count back as a time for a check id.
 
-Compression and the isometry test are written once, here: ``_compress``
-restricts a map to a subspace, and ``_isometry_defect`` is the norm of
-(X|cols)* (X|cols) - I.  Conjugation has no helper of its own:
+Compression, the isometry test and the skipped-window entry are written
+once, here: ``_compress`` restricts a map to a subspace,
+``_isometry_defect`` is the norm of C* C - I for the 0/1 matrix C of an
+image, and ``_window_entry`` turns one windowed comparison into a
+``CheckEntry``.  Conjugation has no helper of its own:
 ``decompose.verify_joint_equivalence`` and
 ``duality.modified_bishift_model_check`` each write Z A Z* as two
 compositions compared by ``_pair_residual``.  The image half of the support rule is
@@ -149,6 +151,19 @@ def _held_residual(got: tuple[np.ndarray, np.ndarray],
     return _image_residual(got[0][differ], want[0][differ]), count
 
 
+def _window_entry(check_id: str, got: tuple[float, int] | None) -> CheckEntry:
+    """The entry of one windowed comparison ``got``, as ``_held_residual`` gives it.
+
+    It passes at residual exactly 0.  A comparison with no common faithful
+    column (None) is skipped: it passes with dims 0, and it alone carries a
+    note, so a check whose every entry has one raises WindowTooSmall.
+    """
+    if got is None:
+        return CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped")
+    residual, count = got
+    return CheckEntry(check_id, residual, (count,), residual == 0.0)
+
+
 _EXACT_NORMS = {3: 1.0, 4: float(np.sqrt(2.0)), 6: float(np.sqrt(3.0))}  # 2 cos(pi / 2N) by 2N
 
 
@@ -206,12 +221,7 @@ def _compress(u: "WindowedMap", sub: Subspace) -> "WindowedMap":
     return WindowedMap._derived(image, faithful, u.adj_faithful_mask[cells], cells.size)
 
 
-def _isometry_defect(x: "WindowedMap", cols=slice(None)) -> float:
-    """Spectral norm of (X|cols)* (X|cols) - I, over all columns by default."""
-    return _image_isometry_defect(x.image[cols])
-
-
-def _image_isometry_defect(image: np.ndarray) -> float:
+def _isometry_defect(image: np.ndarray) -> float:
     """Spectral norm of C* C - I for the 0/1 matrix C with this injective image.
 
     Unit columns on distinct rows are orthonormal, so C* C is the projector
@@ -617,11 +627,11 @@ def _circulant_image(n: int) -> np.ndarray:
     return (np.arange(n) + 1) % n
 
 
-def circulant_family(n: int, cells_per_unit: int = 1) -> SemigroupFamily:
+def circulant_family(n: int) -> SemigroupFamily:
     """The cyclic shift by one on C^n, exact everywhere, as a family."""
     gen = WindowedMap.from_image(_circulant_image(n), np.ones(n, dtype=bool),
                                  np.ones(n, dtype=bool))
-    return SemigroupFamily(gen, cells_per_unit)
+    return SemigroupFamily(gen)
 
 
 def direct_sum(*parts: WindowedMap) -> WindowedMap:
@@ -678,29 +688,22 @@ def check_semigroup_law(family: SemigroupFamily, steps) -> list[CheckEntry]:
 
     ``steps`` are the sampled step counts; each distinct pair s <= t is
     checked once, and its id names the two times.  Pairs whose composed
-    window is empty are skipped; if no pair leaves anything checkable the
-    window is too small for the request.  The product is not built:
-    ``_gather`` gives its image and faithful mask, and ``_held_residual``
-    compares them with element(s+t), which is what ``_pair_residual`` of
-    the composed map gives.
+    window is empty are skipped (``_window_entry``); if no pair leaves
+    anything checkable the window is too small for the request.  The
+    product is not built: ``_gather`` gives its image and faithful mask,
+    and ``_held_residual`` compares them with element(s+t), which is what
+    ``_pair_residual`` of the composed map gives.
     """
     steps = sorted(set(_read_steps(steps)))
     time = {j: format_time(j, family.cells_per_unit) for j in steps}
     entries = []
-    usable = 0
     for a_pos, s in enumerate(steps):
         for t in steps[a_pos:]:
             whole = family.element(s + t)
             got = _held_residual((whole.image, whole.faithful_mask),
                                  _gather(family.element(s), family.element(t)))
-            check_id = f"law_{time[s]}+{time[t]}"
-            if got is None:
-                entries.append(CheckEntry(check_id, 0.0, (0,), True, "empty window, skipped"))
-                continue
-            usable += 1
-            residual, count = got
-            entries.append(CheckEntry(check_id, residual, (count,), residual == 0.0))
-    if not usable:
+            entries.append(_window_entry(f"law_{time[s]}+{time[t]}", got))
+    if all(entry.note for entry in entries):
         raise WindowTooSmall("every sample pair exhausts the window")
     return entries
 

@@ -24,7 +24,9 @@ window [-T, T); cyclic translations are then exactly unitary and the
 wrap-affected cells are excluded from faithful sets by the callers.
 Each layout reads its sizes with ``numlin._read_count``, the package's one
 rule for a count, so a whole float is refused naming its parameter, and
-then prices its ambient with ``numlin._check_cells``.
+then prices its ambient with ``numlin._check_cells``.  The constructors of
+``semigroups`` compute whole image arrays by these rules; no layout maps a
+single index, since no code path of the package asks for one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
 from .numlin import _check_cells, _read_count
 
 __all__ = [
@@ -66,11 +67,6 @@ class CellGrid1D:
     def dim(self) -> int:
         return self.cells * self.r
 
-    def index(self, k: int, rho: int = 0) -> int:
-        if not (0 <= k < self.cells and 0 <= rho < self.r):
-            raise InvalidInput(f"grid index ({k}, {rho}) out of range")
-        return k * self.r + rho
-
 
 @dataclass(frozen=True)
 class HardyCoeffSpace:
@@ -95,11 +91,6 @@ class HardyCoeffSpace:
     def dim(self) -> int:
         return (self.d + 1) * self.block
 
-    def index(self, n: int, j: int, rho: int = 0) -> int:
-        if not (0 <= n <= self.d and 0 <= j < self.m and 0 <= rho < self.r):
-            raise InvalidInput(f"coefficient index ({n}, {j}, {rho}) out of range")
-        return n * self.block + j * self.r + rho
-
 
 @dataclass(frozen=True)
 class QuadrantGrid2D:
@@ -122,11 +113,6 @@ class QuadrantGrid2D:
     def dim(self) -> int:
         return self.side * self.side * self.r
 
-    def index(self, k1: int, k2: int, rho: int = 0) -> int:
-        if not (0 <= k1 < self.side and 0 <= k2 < self.side and 0 <= rho < self.r):
-            raise InvalidInput(f"quadrant index ({k1}, {k2}, {rho}) out of range")
-        return (k1 * self.side + k2) * self.r + rho
-
 
 @dataclass(frozen=True)
 class TorusGrid2D:
@@ -143,11 +129,6 @@ class TorusGrid2D:
     @property
     def dim(self) -> int:
         return self.n * self.n * self.r
-
-    def index(self, k1: int, k2: int, rho: int = 0) -> int:
-        if not 0 <= rho < self.r:
-            raise InvalidInput(f"fiber index {rho} out of range")
-        return ((k1 % self.n) * self.n + (k2 % self.n)) * self.r + rho
 
 
 @dataclass(frozen=True)

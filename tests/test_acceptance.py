@@ -84,7 +84,7 @@ def test_criterion_03_wold_split():
     oracle = set(range(12))
     for k in range(1, 9):
         oracle &= {i + k for i in range(8) if i + k < 8} | {8, 9, 10, 11}
-    block = Subspace.from_cells(12, (8, 9, 10, 11))
+    block = Subspace(12, (8, 9, 10, 11))
     gap = result.unitary_part.gap(block)
     elapsed = time.perf_counter() - start
     report_line(3, result.unitary_part.dim == 4 == len(oracle) and gap <= 1e-8

@@ -148,7 +148,7 @@ def test_failures_across_table_blocks(monkeypatch):
     """Blocks of one and of three rows: the failing sample sits in a later block."""
     samples = [0, 1, 2, 3, 4, 5, 0]  # times 0, 1/2, ..., 5/2, 0
     for cells in (1, 3 * 6):
-        monkeypatch.setattr(decompose, "_BCL_BLOCK_CELLS", cells)
+        monkeypatch.setattr(decompose, "_BLOCK", cells)
         for bad in BAD:
             assert_same(3, 2, 1, samples + [bad])
         assert all(e.passed for e in assert_same(3, 2, 1, samples[:5]))

@@ -3,7 +3,7 @@
 The constructors compute image arrays by index arithmetic; the tests
 materialize them with the dense oracle's ``from_image``.  Each reference
 below writes its matrix
-one cell at a time from the scalar ``index()`` rules of ``spaces``, and
+one cell at a time from the scalar index rules of ``layout_oracle``, and
 builds its windows the same way.  Matrices must agree bit for bit, windows
 exactly.
 """
@@ -12,9 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import basis, from_image, matrix
+from dense_oracle import from_image, matrix
 from isoflow.duality import _torus_unitary, circulant_pair_setup, halfline_circulant_setup
-from isoflow.numlin import Subspace
+from layout_oracle import coeff_index, grid_index, quadrant_index, torus_index
 from isoflow.semigroups import (_circulant_image, _cut_shift_images, bishift_pair,
                                 halfline_shift, modified_bishift_pair, phi_multiplier)
 from isoflow.spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D
@@ -24,8 +24,8 @@ SMALL = st.integers(1, 3)
 TINY = st.integers(1, 2)
 
 
-def zeros(rows, cols=None):
-    return np.zeros((rows, rows if cols is None else cols), dtype=np.complex128)
+def zeros(n):
+    return np.zeros((n, n), dtype=np.complex128)
 
 
 def assert_same_bits(got, want):
@@ -54,7 +54,7 @@ def reference_cut_shift(m, j, r):
 
 def reference_quadrant_cells(region):
     n, half = region.parent.n, region.half
-    return sorted(region.parent.index(k1, k2, rho) for k1 in range(half, n)
+    return sorted(torus_index(region.parent, k1, k2, rho) for k1 in range(half, n)
                   for k2 in range(half, n) for rho in range(region.r))
 
 
@@ -68,8 +68,8 @@ def test_halfline_shift(m, T, r, data):
     mat, faithful = zeros(grid.dim), []
     for k in range(grid.cells - j):
         for rho in range(r):
-            mat[grid.index(k + j, rho), grid.index(k, rho)] = 1.0
-            faithful.append(grid.index(k, rho))
+            mat[grid_index(grid, k + j, rho), grid_index(grid, k, rho)] = 1.0
+            faithful.append(grid_index(grid, k, rho))
     assert_same_map(halfline_shift(grid, j), mat, faithful, range(grid.dim))
 
 
@@ -92,11 +92,11 @@ def test_phi_multiplier(d, m, r, data):
     for b in range(d + 1):
         for c in range(m):
             for rho in range(r):
-                col = space.index(b, c, rho)
+                col = coeff_index(space, b, c, rho)
                 # E0 keeps the cell in block b + n, E1 wraps it into block b + n + 1
                 blk, cell = (b + n, c + jj) if c + jj < m else (b + n + 1, c + jj - m)
                 if blk <= d:
-                    mat[space.index(blk, cell, rho), col] = 1.0
+                    mat[coeff_index(space, blk, cell, rho), col] = 1.0
                 if b <= (d - n if jj == 0 else d - n - 1):
                     faithful.append(col)
     assert_same_map(phi_multiplier(d, m, r, j), mat, faithful, range(space.dim))
@@ -122,10 +122,10 @@ def test_bishift_pair(m, T, r, data):
     for k1 in range(grid.side):
         for k2 in range(grid.side):
             for rho in range(r):
-                col = grid.index(k1, k2, rho)
+                col = quadrant_index(grid, k1, k2, rho)
                 for axis, (t1, t2) in enumerate(((k1 + j, k2), (k1, k2 + j))):
                     if max(t1, t2) < grid.side:
-                        mats[axis][grid.index(t1, t2, rho), col] = 1.0
+                        mats[axis][quadrant_index(grid, t1, t2, rho), col] = 1.0
                         windows[axis].append(col)
     for got, mat, faithful in zip(bishift_pair(grid, j), mats, windows):
         assert_same_map(got, mat, faithful, range(grid.dim))
@@ -148,7 +148,7 @@ def test_modified_bishift_pair(m, T, r, data):
             if k[axis] - j >= 0:
                 target = k.copy()
                 target[axis] -= j
-                mat[local[region.parent.index(*target, rho)], pos] = 1.0
+                mat[local[torus_index(region.parent, *target, rho)], pos] = 1.0
                 faithful.append(pos)
             if k[axis] + j < n:
                 adj_faithful.append(pos)
@@ -166,7 +166,8 @@ def test_torus_translation(m, T, r, axis, forward):
     for k1 in range(n):
         for k2 in range(n):
             for rho in range(r):
-                mat[grid.index(k1 + step[0], k2 + step[1], rho), grid.index(k1, k2, rho)] = 1.0
+                mat[torus_index(grid, k1 + step[0], k2 + step[1], rho),
+                    torus_index(grid, k1, k2, rho)] = 1.0
     assert_same_bits(matrix(_torus_unitary(region, axis, forward)), mat)
 
 
@@ -179,7 +180,7 @@ def test_torus_axis_faithful(m, T, r, axis, forward):
     n = region.parent.n
 
     def cells(keep):
-        return {region.parent.index(k1, k2, rho) for k1 in range(n) for k2 in range(n)
+        return {torus_index(region.parent, k1, k2, rho) for k1 in range(n) for k2 in range(n)
                 for rho in range(r) if (k1, k2)[axis] in keep}
 
     up, down = cells(range(0, n - 1)), cells(range(1, n))
@@ -238,16 +239,3 @@ def test_l_region_cells(m, T, r):
     assert region.quadrant_cells().tolist() == quadrant
     assert region.l_cells().tolist() == [i for i in range(region.parent.dim) if i not in quadrant]
 
-
-# --- coordinate subspaces -----------------------------------------------------------
-
-@SETTINGS
-@given(st.integers(1, 8), st.data())
-def test_subspace_from_cells(ambient, data):
-    cells = data.draw(st.sets(st.integers(0, ambient - 1), max_size=ambient))
-    want = zeros(ambient, len(cells))
-    for col, cell in enumerate(sorted(cells)):
-        want[cell, col] = 1.0
-    got = Subspace.from_cells(ambient, cells)
-    assert tuple(got.cells) == tuple(sorted(cells))
-    assert_same_bits(basis(got), want)

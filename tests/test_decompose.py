@@ -52,7 +52,7 @@ def test_wold_direct_sum_recovers_circulant_block():
     oracle = range_intersection_oracle(8)
     assert result.unitary_part.dim == len(oracle) == 4
     assert tuple(result.unitary_part.cells) == tuple(sorted(oracle))
-    block = Subspace.from_cells(12, (8, 9, 10, 11))
+    block = Subspace(12, (8, 9, 10, 11))
     assert result.unitary_part.gap(block) <= 1e-8
 
 

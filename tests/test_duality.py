@@ -132,7 +132,7 @@ def test_dual_invariance_residual_reads_only_faithful_columns(setup, cells, want
     out of it.  In the half-line setups the adjoint shift wraps the bottom cells of
     the dual space into H, but those columns are unfaithful, so they read 0.0."""
     if cells is not None:
-        setup = replace(setup, h=Subspace.from_cells(setup.ambient_dim, cells))
+        setup = replace(setup, h=Subspace(setup.ambient_dim, cells))
     dual = dual_pair(setup, 16)
     assert dual.invariance_residuals == want
     for u, got in zip((setup.u1, setup.u2), want):
@@ -409,13 +409,13 @@ def test_lift_local_numbers_host_coordinates_like_compress():
     """Host-local coordinate i is host cell cells[i] for both the compression
     and the lift."""
     swap = WindowedMap.from_image([2, 1, 0], range(3), range(3))  # e0 <-> e2
-    host = Subspace.from_cells(3, [2, 0])
+    host = Subspace(3, [0, 2])
     local = _compress(swap, host)
     assert np.array_equal(matrix(local), np.array([[0, 1], [1, 0]]))
     for cells, expected in (([0], [0]), ([1], [2]), ([0, 1], [0, 2])):
-        lifted = _lift_local(Subspace.from_cells(2, cells), host)
+        lifted = _lift_local(Subspace(2, cells), host)
         assert lifted.cells.tolist() == expected
-        assert np.array_equal(basis(lifted), basis(host) @ basis(Subspace.from_cells(2, cells)))
+        assert np.array_equal(basis(lifted), basis(host) @ basis(Subspace(2, cells)))
 
 
 def test_setup_direct_sum_validation():
@@ -452,7 +452,7 @@ INPUT_CHECKS = {  # id -> (call, error, message fragment)
     "pair_spaces": (lambda: PairOfSemigroups(circulant_family(2), circulant_family(3)),
                     DimensionMismatch, "different spaces"),
     "pair_grids": (lambda: PairOfSemigroups(circulant_family(2),
-                                            circulant_family(2, cells_per_unit=2)),
+                                            SemigroupFamily(circulant_family(2).generator, 2)),
                    InvalidInput, "time grids"),
     "setup_unequal_unitaries": (lambda: ExtensionSetup(_eye(2), _eye(3), Subspace.full(2)),
                                 InvalidInput, "equal-sized"),

@@ -18,6 +18,7 @@ from isoflow.semigroups import (SemigroupFamily, WindowedMap, _circulant_image,
                                 halfline_shift_family, modified_bishift_pair,
                                 phi_family, phi_multiplier, tensor_with_identity)
 from isoflow.spaces import CellGrid1D, LRegionIndex, QuadrantGrid2D
+from layout_oracle import torus_index
 
 
 def test_grid_steps():
@@ -235,7 +236,7 @@ def test_bishift_commutes_exactly():
 
 def _l_local(region, c1, c2):
     cells = region.l_cells().tolist()
-    flat = region.parent.index(c1 + region.half, c2 + region.half)
+    flat = torus_index(region.parent, c1 + region.half, c2 + region.half)
     return cells.index(flat)
 
 
@@ -386,7 +387,7 @@ def test_isometry_defect_matches_the_sort_rule():
         x = WindowedMap.from_image(image, range(cols), range(rows), rows)
         subset = np.sort(rng.choice(cols, size=int(rng.integers(0, cols + 1)), replace=False))
         for chosen in (slice(None), subset):
-            got = _isometry_defect(x, chosen)
+            got = _isometry_defect(x.image[chosen])
             assert got == sorted_isometry_defect(x, chosen)
             assert abs(got - isometry_defect(matrix(x), chosen)) <= 1e-12
     assert min(seen.values()) > 200

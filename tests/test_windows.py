@@ -141,7 +141,7 @@ def test_compress_coordinate_windows(case):
     its support stays inside the cells; the adjoint window keeps exactly the
     cells where the ambient adjoint is trusted."""
     u, cells = case
-    got = _compress(u, Subspace.from_cells(u.domain_dim, cells))
+    got = _compress(u, Subspace(u.domain_dim, cells))
     assert np.array_equal(matrix(got), matrix(u)[np.ix_(cells, cells)])
     assert got.faithful == frozenset(
         pos for pos, c in enumerate(cells)
@@ -210,7 +210,7 @@ def test_image_compress_matches_dense_path(data):
     n = data.draw(st.integers(1, 7))
     u = data.draw(image_maps(n, n))
     cells = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
-    got = _compress(u, Subspace.from_cells(n, cells))
+    got = _compress(u, Subspace(n, cells))
     assert_same(got, dense.compress(DenseMap.of(u), cells))
 
 
