@@ -20,8 +20,9 @@ return their ``CheckEntry`` lists: only ``catalog`` reads a time, and
 ``report.format_time`` writes the times of their ids.  The two
 splits check their preconditions against the pair's ``step_verdict``, so
 a pair is classified at its step once whichever split reads it first.
-Commutation classification (``classify_pair``), compressions, isometry
-tests and conjugations come from ``semigroups``.
+Commutation classification (``classify_pair``), compressions and
+isometry tests come from ``semigroups``.  Z A Z* is written once, in
+``verify_joint_equivalence``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .numlin import (_BLOCK, Subspace, _mask, _positions, _read_count, _read_ste
                      intersect)
 from .report import CheckEntry, format_time
 from .semigroups import (CommutationReport, PairOfSemigroups, SemigroupFamily, WindowedMap,
-                         _check_image, _halfline_rows, _isometry_defect, _pair_residual, _phi_rows,
-                         _window_entry, classify_pair, halfline_shift, phi_multiplier)
+                         _check_image, _halfline_rows, _held_residual, _isometry_defect,
+                         _pair_residual, _phi_rows, _window_entry, classify_pair)
 from .spaces import CellGrid1D
 
 __all__ = [
@@ -172,8 +173,6 @@ def _reduction_residual(subspace: Subspace, elements) -> float:
     otherwise.  Those unit columns lie on distinct rows, since v is
     injective, so the norm is 1.0 when there is one and 0.0 otherwise.
     """
-    if subspace.dim == 0:
-        return 0.0
     inside = _mask(subspace.cells, subspace.ambient)
     for element in elements:
         cols = element.faithful_mask.nonzero()[0]
@@ -207,14 +206,6 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int) -> FourfoldResult
     return FourfoldResult(h_pp, h_pu, h_up, h_uu, residual, w1, w2)
 
 
-def _bcl_sample(grid: CellGrid1D, j: int) -> tuple[float, int]:
-    """Residual and window size of one bcl_check sample, from its two maps."""
-    got = _pair_residual(halfline_shift(grid, j), phi_multiplier(grid.T - 1, grid.m, grid.r, j))
-    if got is None:
-        raise WindowTooSmall(f"time {format_time(j, grid.m)} leaves no faithful window")
-    return got
-
-
 def bcl_check(T: int, m: int, r: int, steps) -> list[CheckEntry]:
     """Exact identification of the half-line shift with its multiplier model.
 
@@ -228,39 +219,48 @@ def bcl_check(T: int, m: int, r: int, steps) -> list[CheckEntry]:
 
     The sampled step counts go through one table pass.  They are read
     once, and a negative or non-integer one, or an empty list, raises
-    InvalidInput before any table is built.  Both sides are built as
-    tables with one row per sample (``_halfline_rows`` and ``_phi_rows``),
-    in blocks of at most ``numlin._BLOCK`` cells but one row at least, so
-    memory stays O(dim).  A row whose two images agree on their common
-    window passes with residual 0.0 and the size of that window, which is
-    what ``_pair_residual`` gives.  Any other row, and every row of a block
-    that one side refuses, goes through ``_bcl_sample``: the two maps and
-    ``_pair_residual``.  Window errors are those of a loop over the samples
-    in order.
+    InvalidInput before any table is built.  The check's domain is the
+    times below T, the steps j < mT.  Up to the first sample outside it,
+    both sides are built as tables with one row per sample
+    (``_halfline_rows`` and ``_phi_rows``), in blocks of at most
+    ``numlin._BLOCK`` cells but one row at least, so memory stays O(dim).
+    A row whose two images agree on their common window passes with
+    residual 0.0 and the size of that window.  A row whose images differ
+    there is compared on its two table rows by ``_held_residual``, which
+    gives what ``_pair_residual`` of the two maps gives.  A row with an
+    empty common window raises WindowTooSmall.  The first sample outside
+    the domain then goes to the rows function of each side, and the side
+    that refuses it raises its own message: the shift past mT cells, the
+    multiplier at mT.  So the errors are those of a loop over the samples
+    in order that builds the two maps of each.
     """
     grid = CellGrid1D(m, T, r)
     steps = _read_steps(steps)
-    got = []
+    inside = next((k for k, j in enumerate(steps) if j >= grid.cells), len(steps))
     rows = max(1, _BLOCK // grid.dim)
-    for start in range(0, len(steps), rows):
-        block = steps[start:start + rows]
-        try:
-            shift, shift_faithful = _halfline_rows(grid, block)
-            model, model_faithful = _phi_rows(T - 1, m, r, block)
-        except WindowTooSmall:
-            got.extend(_bcl_sample(grid, j) for j in block)  # raises in order
-            continue
+    entries = []
+    for start in range(0, inside, rows):
+        block = steps[start:min(start + rows, inside)]
+        shift, shift_faithful = _halfline_rows(grid, block)
+        model, model_faithful = _phi_rows(T - 1, m, r, block)
         _check_image(shift, grid.dim)
         _check_image(model, grid.dim)
         common = shift_faithful & model_faithful
-        counts = np.count_nonzero(common, axis=1)
-        differ = ((shift != model) & common).any(axis=1)
-        found = [(0.0, count) for count in counts.tolist()]
-        for k in (differ | (counts == 0)).nonzero()[0].tolist():
-            found[k] = _bcl_sample(grid, block[k])
-        got.extend(found)
-    return [CheckEntry(f"t={format_time(j, m)}", residual, (count,), residual == 0.0)
-            for j, (residual, count) in zip(steps, got)]
+        counts = np.count_nonzero(common, axis=1).tolist()
+        differ = ((shift != model) & common).any(axis=1).tolist()
+        for k, j in enumerate(block):
+            time = format_time(j, m)
+            if not counts[k]:
+                raise WindowTooSmall(f"time {time} leaves no faithful window")
+            residual = 0.0
+            if differ[k]:
+                residual, _ = _held_residual((shift[k], shift_faithful[k]),
+                                             (model[k], model_faithful[k]))
+            entries.append(CheckEntry(f"t={time}", residual, (counts[k],), residual == 0.0))
+    if inside < len(steps):  # the shift refuses a step past mT, the multiplier one at mT
+        _halfline_rows(grid, steps[inside:inside + 1])
+        _phi_rows(T - 1, m, r, steps[inside:inside + 1])
+    return entries
 
 
 def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,

@@ -30,22 +30,22 @@ Each value is computed once per scenario.  The runners compute
 that fails is part of what they report.  A setup keeps its compressed
 pair (``ExtensionSetup.compressed_pair``) and a pair its step-time
 verdict (``PairOfSemigroups.step_verdict``), so the joint classification
-and the fourfold splits it calls read one pair and one verdict.  The
-adjoint setup of ``double_dual_check`` is built by
-``ExtensionSetup._derived``, without re-running the unitary and
-commutation checks.
+and the fourfold splits it calls read one pair and one verdict.  A
+setup has one constructor, which checks its unitaries in O(n): the
+adjoint setup of ``double_dual_check`` goes through it too.
 
 The checks ``dual_cnu_check``, ``double_dual_check``,
 ``modified_bishift_model_check`` and ``simultaneous_dc_ddc_classify``
 return their ``CheckEntry`` lists, and ``dual_fourfold`` its
 ``DualFourfoldResult``.  Every computation below is
-integer-exact set arithmetic on images and cells.  Compressions, isometry
-tests and conjugations come from ``semigroups``.
+integer-exact set arithmetic on images and cells.  Compressions and
+isometry tests come from ``semigroups``; the model check conjugates by
+``decompose.verify_joint_equivalence``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
 
@@ -54,11 +54,12 @@ import numpy as np
 from .errors import (InternalInconsistency, InvalidInput, PreconditionFailed,
                      WindowTooSmall)
 from .numlin import _BLOCK, Subspace, _equal, _positions, _read_count, intersect, subtract
-from .decompose import _reduction_residual, fourfold_decompose, product_unitary_part
+from .decompose import (_reduction_residual, fourfold_decompose, product_unitary_part,
+                        verify_joint_equivalence)
 from .report import CheckEntry
 from .semigroups import (PairOfSemigroups, SemigroupFamily, WindowedMap, _circulant_image,
                          _compress, _isometry_defect, _pair_residual, circulant_family,
-                         direct_sum, modified_bishift_pair, tensor_with_identity)
+                         direct_sum, modified_bishift_families, tensor_with_identity)
 from .spaces import LRegionIndex
 
 __all__ = [
@@ -118,19 +119,6 @@ class ExtensionSetup:
             cells = slice(start, start + _BLOCK)
             if not _equal(a[b[cells]], b[a[cells]]):
                 raise InvalidInput("ambient unitaries do not commute")
-
-    def _derived(self, **changes) -> "ExtensionSetup":
-        """A copy of the fields with ``changes`` applied, built without the
-        checks of ``__post_init__``.
-
-        For changes that keep what those checks establish: the adjoints of
-        the checked unitaries, which are commuting unitaries of the same
-        size, and a subspace of the same ambient.  Only the fields are
-        copied, so the copy computes its own ``compressed_pair``.
-        """
-        made = object.__new__(ExtensionSetup)
-        made.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
-        return made
 
     @property
     def ambient_dim(self) -> int:
@@ -322,8 +310,8 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
             f"original pair is not certified c.n.u. (unitary dim {product.subspace.dim}, "
             f"stabilized={product.stabilized})")
     first_dual = dual_pair(setup, max_orbit)
-    dual_setup = setup._derived(u1=setup.u1.adjoint(), u2=setup.u2.adjoint(),
-                                h=first_dual.wth)
+    dual_setup = ExtensionSetup(setup.u1.adjoint(), setup.u2.adjoint(), first_dual.wth,
+                                setup.cells_per_unit)
     second_dual = dual_pair(dual_setup, max_orbit)
     minimality_gap = second_dual.obh.gap(first_dual.obh)
     recovered_gap = second_dual.wth.gap(setup.h)
@@ -368,7 +356,8 @@ def dual_fourfold(setup: ExtensionSetup, dual: DualResult, max_steps: int,
     InternalInconsistency).
     The remaining three dual corners are lifted back by orbit spans under
     the original unitaries, and the original summands are the lifted
-    spaces minus the dual corners.
+    spaces minus the dual corners.  An empty corner needs no branch: its
+    orbit span is empty, stable at radius 0, and so is its summand.
     """
     pair = setup.compressed_pair
     product = product_unitary_part(pair, max_steps)
@@ -389,10 +378,6 @@ def dual_fourfold(setup: ExtensionSetup, dual: DualResult, max_steps: int,
     parts_ambient: list[Subspace] = []
     for tilde_local in (split.h_pp, split.h_pu, split.h_up):
         tilde_ambient = _lift_local(tilde_local, dual.wth)
-        if tilde_local.dim == 0:
-            hats.append(Subspace.zero(setup.ambient_dim))
-            parts_ambient.append(Subspace.zero(setup.ambient_dim))
-            continue
         lift = _orbit_span(setup.u1, setup.u2, tilde_ambient, max_orbit)
         if not lift.stabilized:
             raise WindowTooSmall("lifted orbit span did not stabilize")
@@ -415,10 +400,14 @@ def modified_bishift_model_check(setup: ExtensionSetup, dual: DualResult,
 
     The dual is split fourfold; it must be concentrated in the
     pure-times-pure corner (that is the bishift certificate).  The
-    recovered quadrant coordinates then define the reindexing onto the
-    canonical region, and the conjugated original pair is compared with
-    the canonical compressed-translation pair at step 1, the one-cell step
-    of the setup's generators, fiber included.
+    recovered quadrant coordinates then define the reindexing Z onto the
+    canonical region, and ``verify_joint_equivalence`` compares Z A Z*, A
+    the original pair, with the canonical compressed-translation pair at
+    step 1, the one-cell step of the setup's generators, fiber included.
+    Its entries follow ``dual_bishift_dims`` as ``axis1_t=...`` and
+    ``axis2_t=...``.  It raises InvalidInput when the setup's time grid is
+    not the region's, and PreconditionFailed unless Z is unitary, that is
+    unless the setup holds every L-region cell.
     """
     if setup.geometry is None:
         raise PreconditionFailed("setup carries no region geometry to compare against")
@@ -428,23 +417,14 @@ def modified_bishift_model_check(setup: ExtensionSetup, dual: DualResult,
         raise PreconditionFailed(f"dual fourfold dims {split.dims} are not pure bishift")
     if not _equal(dual.wth.cells, region.quadrant_cells()):
         raise PreconditionFailed("recovered dual space does not sit on the quadrant cells")
-    entries = [CheckEntry("dual_bishift_dims", 0.0, split.dims, True)]
     canonical_cells = region.l_cells()
     at = _positions(canonical_cells, setup.h.ambient)[setup.h.cells]  # setup -> canonical
     if np.count_nonzero(at < 0):
         raise PreconditionFailed("original space does not sit on the L-region cells")
-    # a canonical cell outside the range of Z has no setup cell, so Z* is trusted only there
     z = WindowedMap.from_image(at, np.ones(at.size, dtype=bool), at, rows=canonical_cells.size)
-    z_adj = z.adjoint()
-    m1, m2 = modified_bishift_pair(region, 1)
-    pair = setup.compressed_pair
-    for axis, (fam, model) in enumerate(((pair.first, m1), (pair.second, m2)), start=1):
-        got = _pair_residual(z @ fam.generator @ z_adj, model)
-        if got is None:
-            raise WindowTooSmall("no common faithful window for the model comparison")
-        residual, count = got
-        entries.append(CheckEntry(f"model_axis{axis}", residual, (count,), residual == 0.0))
-    return entries
+    return [CheckEntry("dual_bishift_dims", 0.0, split.dims, True),
+            *verify_joint_equivalence(setup.compressed_pair, modified_bishift_families(region),
+                                      z, [1])]
 
 
 def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int,

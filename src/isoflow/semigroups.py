@@ -43,10 +43,10 @@ Compression, the isometry test and the skipped-window entry are written
 once, here: ``_compress`` restricts a map to a subspace,
 ``_isometry_defect`` is the norm of C* C - I for the 0/1 matrix C of an
 image, and ``_window_entry`` turns one windowed comparison into a
-``CheckEntry``.  Conjugation has no helper of its own:
-``decompose.verify_joint_equivalence`` and
-``duality.modified_bishift_model_check`` each write Z A Z* as two
-compositions compared by ``_pair_residual``.  The image half of the support rule is
+``CheckEntry``.  Conjugation has no helper of its own: Z A Z* is
+written once, as two compositions compared by ``_pair_residual`` in
+``decompose.verify_joint_equivalence``, which
+``duality.modified_bishift_model_check`` calls.  The image half of the support rule is
 ``_gather``, which ``compose`` uses; checks that only compare a product
 with another map read its image and faithful mask from there and compare
 them by ``_held_residual``, building no map.  Two such checks close the
@@ -727,15 +727,16 @@ def _commutator_residual(a: WindowedMap, b: WindowedMap) -> tuple[float, int] | 
 def classify_pair(pair: PairOfSemigroups, steps) -> CommutationReport:
     """Classify a pair as commuting / doubly commuting / neither.
 
-    Residuals are maxima over all ordered pairs of sampled step counts (t
-    for the first family, s for the second), restricted to the composed
-    faithful sets.  The commutators [V1_t, V2_s] and [V1_t, V2_s*] come
+    Residuals are maxima over all ordered pairs of distinct sampled step
+    counts (t for the first family, s for the second), restricted to the
+    composed faithful sets, so a repeated sample adds no commutator.  The
+    commutators [V1_t, V2_s] and [V1_t, V2_s*] come
     from ``_commutator_residual``, which builds no product.  The loop runs
     over s outside: V2_s* is built once, used for every t and dropped, so
     one adjoint is held at a time.  The pair commutes when the first
     maximum is exactly 0, and doubly commutes when both are.
     """
-    steps = _read_steps(steps)
+    steps = sorted(set(_read_steps(steps)))
     comm = 0.0
     double = 0.0
     usable_comm = usable_double = 0

@@ -5,13 +5,15 @@ is the check straight from its definition: every step is read first, an
 empty list is refused, then for each sample in order the half-line shift and the multiplier are built
 at the time ``Fraction(j, m)`` and compared with ``_pair_residual``.  It is
 the oracle: ``bcl_check`` must give an equal report, or raise the same
-exception type with the same message, on every small grid, on random
-sample lists, on steps that leave the window or are no step count, in any
-order, and on a model perturbed so that the table flags a row.
-``filtered_default_samples`` is the oracle of the catalog's default
-samples: the steps of the grid times whose multiplier window, by its own
-rule, is nonempty.  The other tests pin that no map is built for a row
-whose images agree and that memory stays bounded by the table blocks.
+exception type with the same message, on every grid with T <= 6, m <= 5
+and r <= 3, on random sample lists, on steps that leave the window or are
+no step count, in any order (a step that is no nonnegative integer is
+refused before any table is built), and on a model perturbed so that the
+table flags a row.  ``filtered_default_samples`` is the oracle of the
+catalog's default samples for every T, m <= 12: the steps of the grid
+times whose multiplier window, by its own rule, is nonempty.  The other
+tests pin that no map is built, and that the table blocks keep
+``bcl T=64 m=32 r=1`` below 4 MiB.
 """
 
 import pathlib
@@ -154,10 +156,9 @@ def test_failures_across_table_blocks(monkeypatch):
         assert all(e.passed for e in assert_same(3, 2, 1, samples[:5]))
 
 
-
-def test_a_flagged_row_falls_back_to_the_two_maps(monkeypatch):
-    """A model whose row at step 3 moves two columns fails that row, with the
-    residual of the two maps, and no other."""
+def test_a_flagged_row_is_compared_on_its_two_table_rows(monkeypatch):
+    """A model whose row at step 3 moves two columns fails that row, and no
+    other, with the residual of its two table rows: that of the two maps."""
     rows = semigroups._phi_rows
 
     def perturbed(d, m, r, steps):

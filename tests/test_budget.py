@@ -17,6 +17,19 @@ keeps, one per bit of the largest of those step counts.  Nothing here allocates 
 each case is priced by the estimator, refused before anything of its size
 exists (a request of at least 2^63 cells, which numpy would refuse at
 once anyway), or the budget is lowered on a small scenario.
+
+The cases: the labels of a commutant on n = 5800 are refused before
+allocating; under a lowered budget ``commutant_e m=4 r=2`` and
+``halfline_shift m=1 T=8`` exit 2 naming their scenario, the labels of
+``commutant_e m=40 r=1`` fit while its stacked system of 78 images is
+refused before it is built, and every ambient guard refuses its ambient;
+``bishift m=1000000 T=1000000`` (10^24 cells) exits 2, and
+``LRegionIndex(64, 32)``, the ambient of ``dual_example m=64 T=32``, is
+admitted.  Of the sample plans, ``bishift m=16 T=16`` with the 256
+samples 1/16, ..., 16 exits 2 within a second, ``bishift m=16 T=32`` at
+the one time 1e300 exits 2 for its 1,002 squares before any map exists,
+and each sampled construction is refused one byte under its plan and
+runs at it.
 """
 
 import time

@@ -1,4 +1,22 @@
-"""Catalog listing, config loading, golden reports, and CLI exit codes."""
+"""Catalog listing, config loading, golden reports, and CLI exit codes.
+
+The config reader is held to ``tests/config_oracle.py``, which reads a
+file with ``configparser``: every bundled config, and hand texts with
+comments, blank lines, mixed-case keys, padded ``=`` and values holding
+``/``, ``,`` and ``=``, give the same scenarios in the same order, and
+seven malformed files exit 2 naming the line.  A non-ASCII digit, ``1_0``
+and ``+12`` are refused as integers before any scenario runs.  The
+parameters each construction echoes at its defaults are pinned, and so
+are the derived defaults under overrides; ``bishift`` at odd ``m`` with
+no samples passes at the default ``T=2`` for ``m`` = 3, 5 and 7, and
+``m=1`` exits 2.  A ``run_scenario`` that sets ``samples`` calls
+``catalog._parse_samples`` once, and ``isoflow run`` resolves each
+section once.  No public callable takes a ``label``, a tolerance or a
+time ``t``, and each of the eight public checks returns a list of
+``CheckEntry``.  Every bundled config prints its golden, whose residuals
+are 0 or 1, and the exit codes are 0 for a pass, 1 for a failed check
+and 2 for a usage, size or runtime error naming its scenario.
+"""
 
 import importlib
 import inspect

@@ -1,4 +1,19 @@
-"""Commutant solvers cross-checked against explicit structural solutions."""
+"""Commutant solvers cross-checked against explicit structural solutions.
+
+The exact solvers ``commutant_of_partial_isometries`` and
+``doubly_commutant_of_mz`` are held to the SVD oracle (the ``nullspace``
+of ``tests/test_numlin.py``) on the catalog sizes and on random partial
+permutations, and to a plain union-find over the same equations.  The
+component finder ``numlin._components`` is held to that union-find on
+random blocks of equations, on either of its two paths and switching
+between them, and its hook-and-shortcut rounds on a shuffled path of
+10^4 nodes are bounded by 2 ceil(log2 n).  The memory tests bound
+``doubly_commutant_of_mz(20, 8)`` and
+``commutant_of_partial_isometries(24, 6)`` below 8 MiB each, and the
+``other`` verdict is checked on labels not of the form I (x) omega.  The
+normality-route ``fuglede_instance_check`` is checked on its pass, its
+fail off the fiber form and its skipped samples.
+"""
 
 import math
 import tracemalloc

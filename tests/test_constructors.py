@@ -5,7 +5,8 @@ materialize them with the dense oracle's ``from_image``.  Each reference
 below writes its matrix
 one cell at a time from the scalar index rules of ``layout_oracle``, and
 builds its windows the same way.  Matrices must agree bit for bit, windows
-exactly.
+exactly.  The cyclic tensors of ``halfline_circulant_setup`` and
+``circulant_pair_setup`` are among the constructors held to a reference.
 """
 
 import numpy as np

@@ -1,4 +1,16 @@
-"""Wold splits, pair classification, fourfold splits, and the multiplier model."""
+"""Wold splits, pair classification, fourfold splits, and the multiplier model.
+
+Random direct sums of Slocinski's four model blocks (shift (x) shift,
+shift (x) circulant, circulant (x) shift and circulant (x) circulant, of
+independent sizes) must split fourfold into the summed block dims,
+stabilized.  ``PairOfSemigroups.step_verdict`` is held to one
+``classify_pair`` at step 1 per pair, read by both splits.  The product
+family's unitary part must equal the fourfold split's unitary-unitary
+corner, and ``verify_joint_equivalence`` is checked on the identity, on
+a relabeling and on a conjugation by the interval-stacking permutation,
+and refuses a conjugation that is not a unitary ``WindowedMap`` of the
+pairs' size.
+"""
 
 import tracemalloc
 

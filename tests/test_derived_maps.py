@@ -11,8 +11,9 @@ each must hold a read-only ``int64`` image and read-only masks.
 -1 slot to the image and a True slot to the window before gathering.
 
 ``SemigroupFamily.element`` builds V^k from the squares V^(2^i); it must
-agree with composing the generator k times, image and windows, and keep
-only the squares and the step counts asked for.
+agree with composing the generator k times, image and windows, for every
+k up to n + 2, and keep only the squares and the step counts asked for,
+so a ``modified_bishift m=8 T=16`` law check stays below 6 MiB.
 """
 
 import tracemalloc

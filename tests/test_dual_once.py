@@ -1,19 +1,22 @@
-"""Derived subspaces and setups, and each dual value computed once per scenario.
+"""Derived subspaces, the one setup constructor, and each dual value computed once.
 
 Set algebra on checked cells (``intersect``, ``complement``, ``subtract``,
 ``_orbit_span``, the parts of ``wold_cooper``, ``_lift_local`` and
 ``_restrict_to``) builds its result through ``Subspace._derived``, which
-skips the O(k) checks of ``Subspace(...)``.  ``double_dual_check``
-builds its adjoint setup through ``ExtensionSetup._derived``, which skips
-the unitary and commutation checks and copies the fields only.  The
-property tests record every derived value made while these run and
-rebuild it through the public constructor, which must accept it
-unchanged; each derived cell array must be a read-only ``int64`` array.
+skips the O(k) checks of ``Subspace(...)``.  The property tests record
+every derived subspace made while these run and rebuild it through
+``Subspace(...)``, which must accept it unchanged; each derived cell
+array must be a read-only ``int64`` array.  A setup has one constructor,
+which checks its unitaries: ``double_dual_check`` builds its adjoint
+setup through ``ExtensionSetup(...)``, and that is the one setup it
+makes.
 
 A setup keeps its compressed pair, and the joint dc/ddc classification
 hands that pair, its step-time verdicts and its dual on to both fourfold
-splits.  The call counts pin that, and an oracle built from the public
-functions pins that the reports are unchanged.
+splits.  The call counts pin that: one ``dual_pair``, one
+``dual_fourfold``, four ``_orbit_span`` and two ``classify_pair`` calls
+on the benchmark's ``simultaneous variant=mixed m=3 T=4 p=4``.  An oracle
+built from the public functions pins that the reports are unchanged.
 """
 
 from collections import Counter
@@ -38,25 +41,18 @@ from test_orbits import commuting_permutations
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def record_derived(mp: pytest.MonkeyPatch) -> tuple[list, list]:
-    """Spy on both ``_derived`` builders; returns the lists they append to."""
-    subspaces, setups = [], []
-    real_subspace = Subspace._derived.__func__
-    real_setup = ExtensionSetup._derived
+def record_derived(mp: pytest.MonkeyPatch) -> list:
+    """Spy on ``Subspace._derived``; returns the list it appends to."""
+    subspaces = []
+    real = Subspace._derived.__func__
 
-    def subspace_spy(cls, ambient, cells):
-        made = real_subspace(cls, ambient, cells)
+    def spy(cls, ambient, cells):
+        made = real(cls, ambient, cells)
         subspaces.append(made)
         return made
 
-    def setup_spy(self, **changes):
-        made = real_setup(self, **changes)
-        setups.append(made)
-        return made
-
-    mp.setattr(Subspace, "_derived", classmethod(subspace_spy))
-    mp.setattr(ExtensionSetup, "_derived", setup_spy)
-    return subspaces, setups
+    mp.setattr(Subspace, "_derived", classmethod(spy))
+    return subspaces
 
 
 def assert_subspace_rebuilds(sub: Subspace) -> None:
@@ -66,13 +62,6 @@ def assert_subspace_rebuilds(sub: Subspace) -> None:
     again = Subspace(sub.ambient, cells=sub.cells)
     assert (again.ambient, again.dim) == (sub.ambient, sub.dim)
     assert np.array_equal(again.cells, sub.cells)
-
-
-def assert_setup_rebuilds(setup: ExtensionSetup) -> None:
-    """setup passes every check of ExtensionSetup(...)."""
-    again = ExtensionSetup(setup.u1, setup.u2, setup.h, setup.cells_per_unit,
-                           geometry=setup.geometry)
-    assert again.ambient_dim == setup.ambient_dim and again.h is setup.h
 
 
 # --- derived subspaces from set algebra --------------------------------------------
@@ -100,7 +89,7 @@ def test_derived_subspaces_pass_the_public_checks(case):
     n = p1.size
     a, b = Subspace(n, cells=a_cells), Subspace(n, cells=b_cells)
     with pytest.MonkeyPatch.context() as mp:
-        made, _ = record_derived(mp)
+        made = record_derived(mp)
         both = intersect(a, b)
         outside = complement(a)
         rest = subtract(a, both)
@@ -124,7 +113,7 @@ def test_derived_subspaces_pass_the_public_checks(case):
                           np.arange(n))
 
 
-# --- derived subspaces and setups on the dual scenarios ----------------------------
+# --- derived subspaces on the dual scenarios ---------------------------------------
 
 def _mixed(m: int, T: int, p: int) -> ExtensionSetup:
     return setup_direct_sum(halfline_circulant_setup(m, T, p),
@@ -154,29 +143,33 @@ def test_derived_values_of_the_dual_side_pass_the_public_checks(name, m, T, p):
     build, run = DUAL_RUNS[name]
     setup = build(m, T, p)
     with pytest.MonkeyPatch.context() as mp:
-        subspaces, setups = record_derived(mp)
+        subspaces = record_derived(mp)
         run(setup, m, T)
     assert subspaces
     for sub in subspaces:
         assert_subspace_rebuilds(sub)
-    for derived in setups:
-        assert_setup_rebuilds(derived)
 
 
-def test_the_adjoint_setup_is_derived_without_the_pair():
-    """double_dual_check derives the adjoint setup from the fields alone: the
-    setup keeps its one compressed pair, and the adjoint setup holds none of it."""
+def test_the_adjoint_setup_is_built_by_the_checked_constructor():
+    """double_dual_check runs the checks of ExtensionSetup once, for the
+    adjoint setup it builds: the adjoint unitaries on the first dual space."""
     setup = l_region_setup(1, 2)
+    checked = []
+    post_init = ExtensionSetup.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
     with pytest.MonkeyPatch.context() as mp:
-        _, setups = record_derived(mp)
+        mp.setattr(ExtensionSetup, "__post_init__", counted)
         double_dual_check(setup, 8)
-    adjoint, = setups
-    assert setup.compressed_pair is setup.compressed_pair
-    assert "compressed_pair" not in vars(adjoint)
+    adjoint, = checked
     assert np.array_equal(adjoint.u1.image, setup.u1.adjoint().image)
     assert np.array_equal(adjoint.u2.image, setup.u2.adjoint().image)
+    assert np.array_equal(adjoint.h.cells, dual_pair(setup, 8).wth.cells)
+    assert adjoint.cells_per_unit == setup.cells_per_unit
     assert adjoint.compressed_pair.dim == adjoint.h.dim != setup.h.dim
-    assert_setup_rebuilds(adjoint)
 
 
 # --- each dual value once ----------------------------------------------------------
@@ -197,13 +190,13 @@ def count_calls(mp: pytest.MonkeyPatch) -> Counter:
 
 def test_joint_classification_computes_each_dual_value_once(monkeypatch):
     """The benchmark's mixed scenario: one dual, handed to the public dual fourfold
-    split, which reuses its orbit (two lifts remain), and one verdict per pair.
-    Computing each value where it is used took 2 duals, 4 orbits and 5 verdicts."""
+    split, which reuses its orbit, and one verdict per pair.  The split lifts each
+    of its three dual corners, the empty one included, by one orbit span."""
     counts = count_calls(monkeypatch)
     report = run_scenario(Scenario("mixed", "simultaneous",
                                    {"variant": "mixed", "m": 3, "T": 4, "p": 4}))
     assert report.overall
-    assert counts == Counter(dual_pair=1, dual_fourfold=1, _orbit_span=3, classify_pair=2)
+    assert counts == Counter(dual_pair=1, dual_fourfold=1, _orbit_span=4, classify_pair=2)
 
 
 def public_simultaneous(setup: ExtensionSetup, max_steps: int,

@@ -1,4 +1,19 @@
-"""Minimal extensions, dual pairs, double duals, and the dual splitting."""
+"""Minimal extensions, dual pairs, double duals, and the dual splitting.
+
+Random direct sums (``setup_direct_sum``) of ``l_region_setup``,
+``halfline_circulant_setup`` in both orders and ``circulant_pair_setup``
+must give the summed ``dual_fourfold`` dims, 3(mT)^2, mT p, mT p and
+n1 n2 per block, from the one ``dual_pair`` of the sum.  That dual must
+equal the dual of the sum with its unitary-unitary corner H_uu removed,
+since H_uu reduces both extension unitaries.  Adding a ``bishift_setup``
+block must flip only the ``dual_doubly_commuting`` verdict of
+``simultaneous_dc_ddc_classify``.  The ``dual_pair`` invariance residual
+is 1.0 when an adjoint moves a faithful column out of the dual space and
+0.0 when the only column that leaves is unfaithful.  The double dual
+must recover the original pair and fail recovered cells that differ, and
+the modified bishift model check must pass at m = 1, 2, 3 with fiber 1
+and 2 and fail a model one cell off.
+"""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -325,7 +340,8 @@ def test_the_dual_of_the_space_minus_its_unitary_corner_is_the_dual_of_the_space
     and windows."""
     setup, _, max_steps, max_orbit = dual_block_sum(*case)
     h_uu = product_unitary_part(setup.compressed_pair, max_steps).subspace
-    reduced = setup._derived(h=subtract(setup.h, _lift_local(h_uu, setup.h)))
+    reduced = ExtensionSetup(setup.u1, setup.u2, subtract(setup.h, _lift_local(h_uu, setup.h)),
+                             setup.cells_per_unit)
     want, got = dual_pair(reduced, max_orbit), dual_pair(setup, max_orbit)
     assert np.array_equal(got.wth.cells, want.wth.cells)
     assert got.invariance_residuals == want.invariance_residuals
@@ -374,6 +390,22 @@ def test_model_check_idempotent_report():
     second = modified_bishift_model_check(setup, dual_pair(setup, 8), 6)
     assert [(e.check_id, e.residual, e.dims, e.passed) for e in first] == \
            [(e.check_id, e.residual, e.dims, e.passed) for e in second]
+
+
+def test_a_model_one_cell_off_fails_the_model_check(monkeypatch):
+    """A canonical model whose first map moves two cells instead of one fails
+    axis 1 with a nonzero residual, and axis 2 still passes."""
+    setup = l_region_setup(1, 2)
+
+    def off_by_one(region):
+        (two, _), (_, one) = modified_bishift_pair(region, 2), modified_bishift_pair(region, 1)
+        return PairOfSemigroups(SemigroupFamily(two, region.m), SemigroupFamily(one, region.m))
+
+    monkeypatch.setattr(duality, "modified_bishift_families", off_by_one)
+    by_id = {e.check_id: e for e in modified_bishift_model_check(setup, dual_pair(setup, 8), 6)}
+    assert list(by_id) == ["dual_bishift_dims", "axis1_t=1", "axis2_t=1"]
+    assert not by_id["axis1_t=1"].passed and by_id["axis1_t=1"].residual > 0.0
+    assert by_id["axis2_t=1"].passed and by_id["axis2_t=1"].residual == 0.0
 
 
 def test_model_check_rejects_non_bishift_dual():

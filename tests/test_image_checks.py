@@ -4,11 +4,13 @@ The commutators of ``classify_pair``, the semigroup law and the Wold
 unitary residual read the image and faithful mask of a product from
 ``semigroups._gather`` instead of building it with ``compose``.  The
 property tests hold each of them to the formula that builds the maps and
-to the dense oracle's formula, on random partial permutations (injective,
-as ``from_image`` demands) and random windows; the isometry defect and the
+to the dense oracle's formula, on random partial permutations of dim
+0-30 (injective, as ``from_image`` demands) and random windows; the isometry defect and the
 adjoint are held to the dense Gram matrices.  The count tests pin that no
-product is built and that each catalog runner computes one step-time
-verdict.
+product is built, that ``classify_pair`` makes the two commutators of each
+pair of distinct sampled steps once, and that each catalog runner computes
+one step-time verdict (2 ``classify_pair`` calls for ``bishift``, 1 for
+``four_block_dc``).
 """
 
 from collections import Counter
@@ -145,6 +147,16 @@ def test_classify_pair_composes_nothing_on_an_image_backed_pair(monkeypatch):
     verdict = classify_pair(pair, [1])  # time 1/4
     assert verdict.classified == "doubly_commuting"
     assert counts["compose"] == 0
+
+
+def test_classify_pair_reads_each_distinct_step_once(monkeypatch):
+    """Step 1 sampled four times makes the 2 commutators of step 1 alone, and the
+    same report; reading every sample made 4^2 x 2 = 32."""
+    pair = bishift_families(QuadrantGrid2D(2, 2))
+    want = classify_pair(pair, [1])
+    counts = count_calls(monkeypatch, (semigroups, "_commutator_residual"))
+    assert classify_pair(pair, [1, 1, 1, 1]) == want
+    assert counts["_commutator_residual"] == 2
 
 
 def test_semigroup_law_composes_only_the_powers(monkeypatch):

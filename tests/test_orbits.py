@@ -3,8 +3,14 @@
 ``box_orbit`` rebuilds the span of U1^a U2^b (start) over the whole box
 |a|, |b| <= r from the origin at every radius, straight from the
 definition.  It is the oracle: ``_orbit_span`` must return the same span,
-radius and ``stabilized`` flag on random commuting permutations.  The memory test pins the O(n)
-footprint, and the relabeling tests check that neither the dual side
+radius and ``stabilized`` flag on random commuting permutations, and
+filter at most 6n cells over all radii.  The memory tests pin the O(n)
+footprint on ``l_region``: the orbit span of ``m=4 T=16`` below 16 MiB,
+and on ``m=8 T=16`` the orbit span below 6 x 8n bytes above live memory
+(it peaks at 4.0 x 8n), ``dual_pair`` below 5.3 x 8n (it holds one
+adjoint at a time, and peaks at 4.6 x 8n) and each ``_torus_unitary``
+below 2 x 8n (it builds its image in place, and peaks at 1.5 x 8n).  The
+relabeling tests check that neither the dual side
 (orbits, dual pairs, dual fourfold split, joint dc/ddc classification) nor
 the primal checks (semigroup laws, generator isometry, Wold, pair
 classification, fourfold and product splits) depend on how the cells are

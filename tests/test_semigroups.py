@@ -1,4 +1,13 @@
-"""Operator constructors and the exactness-window algebra."""
+"""Operator constructors and the exactness-window algebra.
+
+Hand-computed cases of each constructor (the half-line shift, the
+cut-shift pair, the multiplier, the bishift and modified bishift pairs,
+circulants, direct sums and fiber tensors), their window errors, the
+semigroup law of each family, and the window rule of composition and of
+the adjoint.  ``from_image`` refuses an image in which two columns share
+a row, and ``_isometry_defect`` is held to the sort rule and to the dense
+Gram matrix on random injective images.
+"""
 
 import tracemalloc
 from fractions import Fraction

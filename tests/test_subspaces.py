@@ -4,7 +4,9 @@ A coordinate ``Subspace`` holds its cells and nothing dense.  Every closed
 form on cells and images is compared with the dense formula of
 ``tests/dense_oracle.py`` run on the oracle's basis and matrix of the same
 input.  The memory tests run each catalog construction family at
-dimension >= 1024, where one dense n x n complex matrix takes 16 MiB.
+dimension >= 1024, where one dense n x n complex matrix takes 16 MiB, and
+must peak below that.  The ``modified_bishift`` witness is exactly 1.0
+in closed form for m = 2, 4, ..., 64, below 32 MiB at m = 64.
 """
 
 import tracemalloc

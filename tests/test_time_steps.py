@@ -9,8 +9,10 @@ is no count, so a time passed in its place fails loudly, and every sampled
 check refuses an empty sample list, which would check nothing, and a law or
 equivalence check skips a sample with an empty window but refuses a list
 of only those; the count test
-pins that a run builds no ``Fraction`` after the resolver; the memory
-test pins that ``classify_pair`` holds one adjoint at a time.
+pins that a run of ``bcl T=10 m=10 r=2`` or ``bishift m=4 T=4`` builds no
+``Fraction`` after the resolver; the memory test pins that
+``classify_pair`` holds one adjoint at a time: its peak on
+``bishift m=16 T=8`` does not grow from 8 sampled steps to 32.
 ``report.format_residual``, which writes an exact 0 or 1 by lookup, is held
 to the ``%e`` formula it skips.
 """

@@ -4,8 +4,11 @@ A ``WindowedMap`` keeps each window as a read-only boolean mask;
 ``faithful`` and ``adj_faithful`` are frozenset views built on first read.
 These tests pin the constructor contract (mask, index array or iterable;
 wrong length and out-of-range indices rejected), check that no bundled
-scenario reads the frozenset views or calls any ``np.linalg`` function,
-and bound the memory of the power cache that a long Wold split keeps.  The dual example
+config and no construction at its defaults reads the frozenset views or
+calls any ``np.linalg`` function, that ``WindowedMap`` has no ``matrix``
+and ``Subspace`` and ``CommutantBasis`` no ``basis`` attribute, and bound
+the power cache that the halfline Wold split at the default ``K`` keeps
+below 16 MiB.  The dual example
 compares its dual generators with the bishift model image against image,
 also when they differ.
 """

@@ -6,11 +6,12 @@ as a coordinate subspace and intersect.  ``mask_step_wold`` is the step
 loop that ``wold_cooper`` ran before it doubled: one boolean mask moved
 by one gather and one scatter per step.  ``wold_cooper`` must return the
 same parts, certificate and unitary residual as both on random images
-(permutations and shift-like ones, with unfaithful and with faithful
-zero columns; injective, as ``from_image`` demands) for every step
-budget from 1 to past stabilization.  The other tests pin that the
-split builds no power, keeps O(n) memory and takes O(log K) doubling
-rounds.
+of dim at most 30 (permutations and shift-like ones, with unfaithful and
+with faithful zero columns; injective, as ``from_image`` demands) for
+every step budget from 1 to past stabilization.  The other tests pin
+that the split calls no ``compose``, keeps the halfline split at the
+default ``K`` below 2 MiB, and takes 15 doubling rounds, at most
+``K.bit_length() + 1``, on ``halfline_shift m=64 T=256``.
 """
 
 import tracemalloc
