@@ -165,19 +165,23 @@ def wold_cooper(family: SemigroupFamily, max_steps: int) -> WoldResult:
                       _unitary_residual(part, family.generator))
 
 
-def _reduction_residual(subspace: Subspace, elements) -> float:
-    """Max commutation residual of the projector with the given elements.
+def _reduction_residual(parts, elements) -> float:
+    """Max commutation residual of the projectors of ``parts`` with the given elements.
 
     Only the faithful columns of each element count.  Column j of PV - VP
     is +-e_v(j) when exactly one of j and v(j) lies in the cells, and zero
     otherwise.  Those unit columns lie on distinct rows, since v is
     injective, so the norm is 1.0 when there is one and 0.0 otherwise.
+    The live faithful columns of each element are read once, and every
+    part, overlapping ones too, is tested on them with its own mask.
     """
-    inside = _mask(subspace.cells, subspace.ambient)
+    edges = []
     for element in elements:
-        cols = element.faithful_mask.nonzero()[0]
-        rows = element.image[cols]
-        if np.count_nonzero((rows >= 0) & (inside[rows] != inside[cols])):
+        cols = (element.faithful_mask & (element.image >= 0)).nonzero()[0]
+        edges.append((cols, element.image[cols]))
+    for part in parts:
+        inside = _mask(part.cells, part.ambient)
+        if any(np.count_nonzero(inside[rows] != inside[cols]) for cols, rows in edges):
             return 1.0
     return 0.0
 
@@ -202,7 +206,7 @@ def fourfold_decompose(pair: PairOfSemigroups, max_steps: int) -> FourfoldResult
     h_up = intersect(w1.unitary_part, w2.cnu_part)
     h_uu = intersect(w1.unitary_part, w2.unitary_part)
     gens = [pair.first.generator, pair.second.generator]
-    residual = max(_reduction_residual(part, gens) for part in (h_pp, h_pu, h_up, h_uu))
+    residual = _reduction_residual((h_pp, h_pu, h_up, h_uu), gens)
     return FourfoldResult(h_pp, h_pu, h_up, h_uu, residual, w1, w2)
 
 
@@ -219,28 +223,23 @@ def bcl_check(T: int, m: int, r: int, steps) -> list[CheckEntry]:
 
     The sampled step counts go through one table pass.  They are read
     once, and a negative or non-integer one, or an empty list, raises
-    InvalidInput before any table is built.  The check's domain is the
-    times below T, the steps j < mT.  Up to the first sample outside it,
-    both sides are built as tables with one row per sample
-    (``_halfline_rows`` and ``_phi_rows``), in blocks of at most
-    ``numlin._BLOCK`` cells but one row at least, so memory stays O(dim).
-    A row whose two images agree on their common window passes with
-    residual 0.0 and the size of that window.  A row whose images differ
-    there is compared on its two table rows by ``_held_residual``, which
-    gives what ``_pair_residual`` of the two maps gives.  A row with an
-    empty common window raises WindowTooSmall.  The first sample outside
-    the domain then goes to the rows function of each side, and the side
-    that refuses it raises its own message: the shift past mT cells, the
-    multiplier at mT.  So the errors are those of a loop over the samples
-    in order that builds the two maps of each.
+    InvalidInput before any table is built.  Both sides are built as
+    tables with one row per sample (``_halfline_rows`` and ``_phi_rows``),
+    in blocks of at most ``numlin._BLOCK`` cells but one row at least, so
+    memory stays O(dim).  A row whose two images agree on their common
+    window passes with residual 0.0 and the size of that window.  A row
+    whose images differ there is compared on its two table rows by
+    ``_held_residual``, which gives what ``_pair_residual`` of the two
+    maps gives.  A row with an empty common window, as every step from mT
+    on has, raises WindowTooSmall, so the errors are those of a loop over
+    the samples in order that builds the two maps of each.
     """
     grid = CellGrid1D(m, T, r)
     steps = _read_steps(steps)
-    inside = next((k for k, j in enumerate(steps) if j >= grid.cells), len(steps))
     rows = max(1, _BLOCK // grid.dim)
     entries = []
-    for start in range(0, inside, rows):
-        block = steps[start:min(start + rows, inside)]
+    for start in range(0, len(steps), rows):
+        block = steps[start:start + rows]
         shift, shift_faithful = _halfline_rows(grid, block)
         model, model_faithful = _phi_rows(T - 1, m, r, block)
         _check_image(shift, grid.dim)
@@ -257,9 +256,6 @@ def bcl_check(T: int, m: int, r: int, steps) -> list[CheckEntry]:
                 residual, _ = _held_residual((shift[k], shift_faithful[k]),
                                              (model[k], model_faithful[k]))
             entries.append(CheckEntry(f"t={time}", residual, (counts[k],), residual == 0.0))
-    if inside < len(steps):  # the shift refuses a step past mT, the multiplier one at mT
-        _halfline_rows(grid, steps[inside:inside + 1])
-        _phi_rows(T - 1, m, r, steps[inside:inside + 1])
     return entries
 
 
@@ -305,6 +301,6 @@ def product_unitary_part(pair: PairOfSemigroups, max_steps: int) -> ProductWoldR
     generator = pair.first.generator.compose(pair.second.generator)
     product = SemigroupFamily(generator, pair.cells_per_unit)
     wold = wold_cooper(product, max_steps)
-    residual = _reduction_residual(wold.unitary_part,
+    residual = _reduction_residual([wold.unitary_part],
                                    [pair.first.generator, pair.second.generator])
     return ProductWoldResult(wold.unitary_part, wold.stabilized, wold.steps_used, residual)

@@ -388,9 +388,8 @@ def dual_fourfold(setup: ExtensionSetup, dual: DualResult, max_steps: int,
     locals_ = [_restrict_to(setup.h, part) for part in parts_ambient]
     h_m, h_pu, h_up = locals_
     gens = [pair.first.generator, pair.second.generator]
-    reduction = max(
-        product.reduction_residual,
-        *(_reduction_residual(part, gens) for part in (h_m, h_pu, h_up, h_uu_local)))
+    reduction = max(product.reduction_residual,
+                    _reduction_residual((h_m, h_pu, h_up, h_uu_local), gens))
     return DualFourfoldResult(h_m, h_pu, h_up, h_uu_local, tilde_dims, ortho, reduction)
 
 
@@ -399,15 +398,17 @@ def modified_bishift_model_check(setup: ExtensionSetup, dual: DualResult,
     """A pair whose dual is a pure bishift matches the canonical L-region model.
 
     The dual is split fourfold; it must be concentrated in the
-    pure-times-pure corner (that is the bishift certificate).  The
-    recovered quadrant coordinates then define the reindexing Z onto the
-    canonical region, and ``verify_joint_equivalence`` compares Z A Z*, A
-    the original pair, with the canonical compressed-translation pair at
-    step 1, the one-cell step of the setup's generators, fiber included.
-    Its entries follow ``dual_bishift_dims`` as ``axis1_t=...`` and
-    ``axis2_t=...``.  It raises InvalidInput when the setup's time grid is
-    not the region's, and PreconditionFailed unless Z is unitary, that is
-    unless the setup holds every L-region cell.
+    pure-times-pure corner (that is the bishift certificate), on the
+    quadrant cells.  The original space must hold exactly the L-region
+    cells, so the reindexing Z onto the canonical region is the identity.
+    ``verify_joint_equivalence``
+    compares Z A Z*, A the original pair, with the canonical
+    compressed-translation pair at step 1, the one-cell step of the
+    setup's generators, fiber included.  Its entries follow
+    ``dual_bishift_dims`` as ``axis1_t=...`` and ``axis2_t=...``.  It
+    raises InvalidInput when the setup's time grid is not the region's,
+    and PreconditionFailed unless the setup holds exactly the L-region
+    cells.
     """
     if setup.geometry is None:
         raise PreconditionFailed("setup carries no region geometry to compare against")
@@ -417,14 +418,11 @@ def modified_bishift_model_check(setup: ExtensionSetup, dual: DualResult,
         raise PreconditionFailed(f"dual fourfold dims {split.dims} are not pure bishift")
     if not _equal(dual.wth.cells, region.quadrant_cells()):
         raise PreconditionFailed("recovered dual space does not sit on the quadrant cells")
-    canonical_cells = region.l_cells()
-    at = _positions(canonical_cells, setup.h.ambient)[setup.h.cells]  # setup -> canonical
-    if np.count_nonzero(at < 0):
+    if not _equal(setup.h.cells, region.l_cells()):
         raise PreconditionFailed("original space does not sit on the L-region cells")
-    z = WindowedMap.from_image(at, np.ones(at.size, dtype=bool), at, rows=canonical_cells.size)
     return [CheckEntry("dual_bishift_dims", 0.0, split.dims, True),
             *verify_joint_equivalence(setup.compressed_pair, modified_bishift_families(region),
-                                      z, [1])]
+                                      WindowedMap.identity(setup.h.dim), [1])]
 
 
 def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int,

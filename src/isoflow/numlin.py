@@ -16,12 +16,13 @@ the commutant solvers and the closed-form difference norm of
 prices an array quadratic in the dimension before it is allocated, and
 ``_check_cells`` an ambient before its first index array.  ``_read_count``
 is the one rule for a count (a size, a time grid, a step, a bound): every
-module reads its count arguments by it, and ``_read_steps`` reads a list
-of sampled step counts by it; ``_count_need`` words what a count must be,
-for it and for the config reader of ``catalog``.  ``_BLOCK`` is the one
-block size of the package's blocked passes: the commutation check of
-``duality.ExtensionSetup``, the table pass of ``decompose.bcl_check`` and
-the equations of ``commutant._exact_commutant``.
+module reads its count arguments by it, ``Subspace`` its ambient too, and
+``_read_steps`` reads a list of sampled step counts by it; ``_count_need``
+words what a count must be, for it and for the config reader of
+``catalog``.  ``_BLOCK`` is the one block size of the package's blocked
+passes: the commutation check of ``duality.ExtensionSetup``, the table
+pass of ``decompose.bcl_check`` and the equations of
+``commutant._exact_commutant``.
 
 The index kernels of the package call numpy's C entry points, not its
 Python convenience wrappers: on the 10 to 2,000 cells of a bundled
@@ -259,6 +260,7 @@ class Subspace:
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        self.ambient = _read_count(self.ambient, "ambient", 0)
         cells = _index_array(self.cells)
         if (cells.ndim != 1 or (cells.size and cells.dtype.kind not in "iu")
                 or (cells.size and not 0 <= cells[0] <= cells[-1] < self.ambient)

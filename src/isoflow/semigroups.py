@@ -35,7 +35,9 @@ and rejects a time off the grid, never interpolating.  The constructors
 ``modified_bishift_pair``), ``SemigroupFamily.element`` and the checks
 take step counts, each read by ``numlin._read_count``, which refuses a
 negative or non-integer one, and a check refuses an empty list of them
-(``numlin._read_steps``); the families are built from step 1.  The sizes
+(``numlin._read_steps``); the families are built from step 1.  No step
+constructor refuses a count that ``_read_count`` admits: past its window
+it gives the zero map of the composed power, ``element(j)``.  The sizes
 and the time grid ``cells_per_unit`` are counts read by the same rule.
 ``report.format_time`` writes a step count back as a time for a check id.
 
@@ -279,12 +281,12 @@ class WindowedMap:
     def from_image(cls, image, faithful, adj_faithful, rows: int | None = None) -> "WindowedMap":
         """The 0/1 partial permutation with a 1 at (image[j], j) for every image[j] >= 0.
 
-        ``rows`` defaults to the number of columns.  Two live columns with
-        one row raise InvalidInput.
+        ``rows`` defaults to the number of columns, and is read by
+        ``_read_count``.  Two live columns with one row raise InvalidInput.
         """
         made = cls.__new__(cls)
-        made.image = np.asarray(image)
-        made.shape = (made.image.size if rows is None else int(rows), made.image.size)
+        made.image = image = np.asarray(image)
+        made.shape = (image.size if rows is None else _read_count(rows, "rows", 0), image.size)
         made.faithful_mask, made.adj_faithful_mask = faithful, adj_faithful
         made.__post_init__()
         return made
@@ -342,6 +344,7 @@ class WindowedMap:
 
     @classmethod
     def identity(cls, n: int) -> "WindowedMap":
+        n = _read_count(n, "n", 0)
         return cls.from_image(np.arange(n), np.ones(n, dtype=bool), np.ones(n, dtype=bool))
 
     def compose(self, other: "WindowedMap") -> "WindowedMap":
@@ -479,14 +482,12 @@ def _forward_image(dim: int, offset) -> np.ndarray:
 def _halfline_rows(grid: CellGrid1D, steps: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Images and faithful masks of the half-line shifts by each step count.
 
-    Row s of both (len(steps), dim) arrays belongs to steps[s]; a step past
-    the window raises WindowTooSmall for the first such step.
+    Row s of both (len(steps), dim) arrays belongs to steps[s].  A step is
+    clamped to mT, the first that moves every cell out (which keeps a step
+    past int64 out of the cast): past the window a row is zero with an
+    empty faithful window, and at every step both windows are V^j's.
     """
-    steps = np.array(steps)  # a step past int64 makes it of object dtype, and is refused
-    over = steps[steps > grid.cells]
-    if over.size:
-        raise WindowTooSmall(f"shift by {over[0]} cells exceeds the {grid.cells}-cell window")
-    images = _forward_image(grid.dim, steps.astype(np.int64) * grid.r)
+    images = _forward_image(grid.dim, np.minimum(steps, grid.cells).astype(np.int64) * grid.r)
     return images, images >= 0
 
 
@@ -494,10 +495,10 @@ def halfline_shift(grid: CellGrid1D, steps: int) -> WindowedMap:
     """Forward translation by j = ``steps`` cells, the time j/m, on the half-line grid.
 
     Cell k maps to cell k+j (fiber preserved) while the image stays in
-    the window; the remaining columns are zero and unfaithful.  The
-    transposed matrix is the exact backward translation everywhere, so
-    the adjoint window is the whole grid.  The map is the one row of
-    ``_halfline_rows`` for j.
+    the window; the remaining columns are zero and unfaithful, all of them
+    from j = mT on, as in the composed power.  The transposed matrix is the
+    exact backward translation everywhere, so the adjoint window is the
+    whole grid.  The map is the one row of ``_halfline_rows`` for j.
     """
     (image,), (faithful,) = _halfline_rows(grid, [_read_count(steps, "step count", 0)])
     return WindowedMap.from_image(image, faithful, np.ones(grid.dim, dtype=bool))
@@ -526,19 +527,17 @@ def _cut_shift_images(m: int, j, r: int) -> np.ndarray:
 def _phi_rows(d: int, m: int, r: int, steps: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Images and faithful masks of the multipliers at each step count j = t*m.
 
-    Row s of both (len(steps), dim) arrays belongs to steps[s]; a time whose
-    integer part passes the top degree d raises WindowTooSmall for the
-    first such step.  Each image is built from the cut-shift pieces that
-    define the multiplier, not as a shift of the whole space: a coordinate
-    that E0 keeps in its block moves n blocks up, one that E0 drops goes
-    where E1 wraps it, n + 1 blocks up, and past degree d it maps to -1.
+    Row s of both (len(steps), dim) arrays belongs to steps[s].  A step is
+    clamped to (d + 1) m, the first that moves every block past degree d,
+    so past the window a row is zero with an empty faithful window, the
+    image and adjoint window of the composed power.  Each image is built
+    from the cut-shift pieces that define the multiplier, not as a shift of
+    the whole space: a coordinate that E0 keeps in its block moves n blocks
+    up, one that E0 drops goes where E1 wraps it, n + 1 blocks up, and past
+    degree d it maps to -1.
     """
     space = HardyCoeffSpace(d, m, r)
-    steps = np.array(steps)  # a step past int64 makes it of object dtype, and is refused
-    over = steps[steps // m > d] // m
-    if over.size:
-        raise WindowTooSmall(f"integer part {over[0]} of the time exceeds the top degree {d}")
-    n, jj = np.divmod(steps.astype(np.int64), m)
+    n, jj = np.divmod(np.minimum(steps, (d + 1) * m).astype(np.int64), m)
     e0, e1 = _cut_shift_images(m, jj, r).reshape(jj.size, 2, space.block).transpose(1, 0, 2)
     up = n[:, None] * space.block
     moved = np.where(e0 >= 0, e0 + up, e1 + up + space.block)  # from its own block's start
@@ -558,9 +557,9 @@ def phi_multiplier(d: int, m: int, r: int, steps: int) -> WindowedMap:
     the pieces of ``_cut_shift_images`` at the shift s*m, and the stored
     column is zero where that passes the top degree.  A block column is
     faithful when every piece the true multiplier produces fits under the
-    top degree d.  The map is the one row of ``_phi_rows`` for j, built
-    from those pieces, so ``bcl_check`` compares it with a shift built
-    another way.
+    top degree d, a window that contains the composed power's and is empty
+    from the time d + 1 on.  The map is the one row of ``_phi_rows`` for j,
+    so ``bcl_check`` compares it with a shift built another way.
     """
     (image,), (faithful,) = _phi_rows(d, m, r, [_read_count(steps, "step count", 0)])
     return WindowedMap.from_image(image, faithful, np.ones(image.size, dtype=bool))
@@ -571,10 +570,9 @@ def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
 
 
 def bishift_pair(grid: QuadrantGrid2D, steps: int) -> tuple[WindowedMap, WindowedMap]:
-    """The two coordinate shifts by j = ``steps`` cells, the time j/m, on the quadrant grid."""
-    j = _read_count(steps, "step count", 0)
-    if j > grid.side:
-        raise WindowTooSmall(f"shift by {j} cells exceeds the {grid.side}-cell axis")
+    """The two coordinate shifts by j = ``steps`` cells, the time j/m, on the quadrant grid,
+    each its composed power: from j = mT on, zero with an empty faithful window."""
+    j = min(_read_count(steps, "step count", 0), grid.side)
     idx = np.arange(grid.dim)
     _, k2, _ = np.unravel_index(idx, (grid.side, grid.side, grid.r))
     images = (_forward_image(grid.dim, j * grid.side * grid.r),
@@ -599,11 +597,11 @@ def modified_bishift_pair(region: LRegionIndex, steps: int) -> tuple[WindowedMap
     [-T, T); columns that would wrap are zeroed and left unfaithful.  The
     adjoint direction genuinely annihilates the cells it pushes into the
     removed quadrant, and those zero columns of the transpose are exact.
+    From j = 2mT on both maps are zero with empty windows.  At every step
+    the image and faithful window are the composed power's, and the
+    adjoint window lies inside the power's.
     """
-    j = _read_count(steps, "step count", 0)
-    half = region.half
-    if j > 2 * half:
-        raise WindowTooSmall(f"shift by {j} cells exceeds the {2 * half}-cell axis")
+    j = min(_read_count(steps, "step count", 0), 2 * region.half)
     cells = region.l_cells()
     n, r = region.parent.n, region.r
     k1, k2, _ = np.unravel_index(cells, (n, n, r))

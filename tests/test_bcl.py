@@ -109,9 +109,9 @@ def test_random_sample_lists_match_the_sample_loop():
 
 
 # on T=3, m=2, keyed by the time each stands for (the test id): step 5 (time 5/2) leaves
-# an empty window, 6 (time 3) trips the multiplier's degree bound, 7 (7/2) and 2 * 10**30
-# (10**30) the shift's window; time 1/3 is off the grid, its step the Fraction 2/3, and
-# that, -2 (time -1), "x", "1/0" and None are no step count
+# an empty window, and so do 6 (time 3), 7 (7/2) and 2 * 10**30 (10**30), past the window,
+# where both maps are zero with empty faithful windows; time 1/3 is off the grid, its step
+# the Fraction 2/3, and that, -2 (time -1), "x", "1/0" and None are no step count
 BAD_BY_TIME = {Fraction(5, 2): 5, 3: 6, Fraction(7, 2): 7, 10 ** 30: 2 * 10 ** 30,
                Fraction(1, 3): Fraction(2, 3), -1: -2, "x": "x", "1/0": "1/0", None: None}
 BAD = list(BAD_BY_TIME.values())

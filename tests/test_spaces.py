@@ -1,5 +1,6 @@
 """Grid layouts and the L-region cell arrays, and the one rule for a count
-(``numlin._read_count``) at every site that reads one."""
+(``numlin._read_count``) at every site that reads one, the sizes of the two
+checked constructors ``Subspace`` and ``WindowedMap.from_image`` included."""
 
 import re
 
@@ -12,7 +13,8 @@ from isoflow.decompose import fourfold_decompose, wold_cooper
 from isoflow.duality import (ExtensionSetup, circulant_pair_setup, dual_pair,
                              halfline_circulant_setup, minimal_extension)
 from isoflow.errors import InvalidInput
-from isoflow.semigroups import SemigroupFamily, circulant_family, tensor_with_identity
+from isoflow.numlin import Subspace
+from isoflow.semigroups import SemigroupFamily, WindowedMap, circulant_family, tensor_with_identity
 from isoflow.spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 from layout_oracle import coeff_index, grid_index
 
@@ -81,6 +83,29 @@ def test_a_whole_float_size_is_refused(build, message):
     count on (``fourfold_decompose``, ``dual_pair``) is refused by the reader
     it reaches, and a setup builder reads its own counts, so the refusal names
     its parameter (``n1``, not the ``n`` of the circulant that it builds)."""
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Subspace(4.0, [0, 1]), "ambient must be a nonnegative integer, got 4.0"),
+    (lambda: Subspace(-1, []), "ambient must be a nonnegative integer, got -1"),
+    (lambda: Subspace.zero(-3), "ambient must be a nonnegative integer, got -3"),
+    (lambda: WindowedMap.from_image([0, 1], range(2), range(3), rows=3.0),
+     "rows must be a nonnegative integer, got 3.0"),
+    (lambda: WindowedMap.from_image([0, 1], range(2), range(2), rows=2.5),
+     "rows must be a nonnegative integer, got 2.5"),
+    (lambda: WindowedMap.from_image([], [], [], rows=-1),
+     "rows must be a nonnegative integer, got -1"),
+    (lambda: WindowedMap.identity(2.0), "n must be a nonnegative integer, got 2.0"),
+    (lambda: WindowedMap.identity(-1), "n must be a nonnegative integer, got -1"),
+], ids=["Subspace_float", "Subspace_negative", "Subspace.zero", "from_image_whole_float",
+        "from_image_float", "from_image_negative", "identity_float", "identity_negative"])
+def test_a_checked_constructor_reads_its_size_as_a_count(build, message):
+    """``Subspace`` reads its ambient, ``from_image`` its rows and ``identity`` its n
+    by the one rule, so a float or a negative size names its parameter: before, a
+    float ambient or row count was kept or truncated and failed later, in
+    ``complement`` or on an index, with an error that named none."""
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         build()
 

@@ -3,7 +3,8 @@
 A coordinate ``Subspace`` holds its cells and nothing dense.  Every closed
 form on cells and images is compared with the dense formula of
 ``tests/dense_oracle.py`` run on the oracle's basis and matrix of the same
-input.  The memory tests run each catalog construction family at
+input; ``_reduction_residual`` takes every part of a split in one call.
+The memory tests run each catalog construction family at
 dimension >= 1024, where one dense n x n complex matrix takes 16 MiB, and
 must peak below that.  The ``modified_bishift`` witness is exactly 1.0
 in closed form for m = 2, 4, ..., 64, below 32 MiB at m = 64.
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import dense_oracle as dense
 from dense_oracle import DenseMap, basis, matrix, projector, spectral_norm
-from isoflow import numlin
+from isoflow import decompose, numlin
 from isoflow.catalog import Scenario, _generator_isometry_entry, run_scenario
 from isoflow.decompose import (_reduction_residual, _unitary_residual, fourfold_decompose,
                                wold_cooper)
@@ -138,11 +139,12 @@ def test_overlap_of_cell_sets_matches_dense_formula(data):
 @SETTINGS
 @given(st.data())
 def test_reduction_residual_matches_dense_formula(data):
+    """One call tests every part, overlapping ones too, against the same elements."""
     n = data.draw(st.integers(1, 7))
-    sub = data.draw(cell_subspaces(n))
+    parts = [data.draw(cell_subspaces(n)) for _ in range(data.draw(st.integers(1, 3)))]
     elements = [data.draw(square_images(n)) for _ in range(data.draw(st.integers(1, 2)))]
-    got = _reduction_residual(sub, elements)
-    want = dense_reduction_residual(sub, elements)
+    got = _reduction_residual(parts, elements)
+    want = max(dense_reduction_residual(sub, elements) for sub in parts)
     assert abs(got - want) <= 1e-12
 
 
@@ -153,7 +155,24 @@ def test_reduction_residual_of_columns_sharing_a_row():
         WindowedMap.from_image([3, 3, 3, -1], range(4), range(4))
     sub = Subspace(4, [0, 1, 2])
     x = WindowedMap.from_image([3, 2, 1, -1], range(4), range(4))  # only column 0 leaves
-    assert _reduction_residual(sub, [x]) == 1.0 == dense_reduction_residual(sub, [x])
+    assert _reduction_residual([sub], [x]) == 1.0 == dense_reduction_residual(sub, [x])
+
+
+def test_a_fourfold_split_reads_its_reduction_residual_in_one_call(monkeypatch):
+    """The four corners go to one ``_reduction_residual`` call, which reads each
+    generator's faithful columns once; a call per corner rescanned them four times."""
+    calls = []
+    real = decompose._reduction_residual
+
+    def counted(parts, elements):
+        calls.append(parts)
+        return real(parts, elements)
+
+    monkeypatch.setattr(decompose, "_reduction_residual", counted)
+    split = fourfold_decompose(bishift_families(QuadrantGrid2D(2, 2)), 8)
+    assert split.reduction_residual == 0.0
+    assert len(calls) == 1
+    assert tuple(part.dim for part in calls[0]) == split.dims
 
 
 @SETTINGS
