@@ -282,7 +282,7 @@ def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
     for axis, (fam_a, fam_b) in enumerate(((pair_a.first, pair_b.first),
                                            (pair_a.second, pair_b.second)), start=1):
         for j in steps:
-            got = _pair_residual(z @ fam_a.element(j) @ z_adj, fam_b.element(j))
+            got = _pair_residual(z.compose(fam_a.element(j)).compose(z_adj), fam_b.element(j))
             entries.append(_window_entry(f"axis{axis}_t={format_time(j, m)}", got))
     if all(entry.note for entry in entries):
         raise WindowTooSmall("no sample leaves a nonempty faithful window")

@@ -169,9 +169,15 @@ class DualFourfoldResult:
 # orbit spans and host coordinates
 
 
-def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace, max_orbit: int) -> OrbitSpan:
+def _orbit_moves(u1: WindowedMap, u2: WindowedMap) -> tuple[np.ndarray, ...]:
+    """The images of U1, U1*, U2 and U2*, the moves that ``_orbit_span`` reads."""
+    return u1.image, u1.adjoint().image, u2.image, u2.adjoint().image
+
+
+def _orbit_span(moves: tuple[np.ndarray, ...], start: Subspace, max_orbit: int) -> OrbitSpan:
     """Span of U1^a U2^b (start) over the box |a|, |b| <= A, grown until stable.
 
+    ``moves`` holds the images of U1, U1*, U2 and U2* (``_orbit_moves``).
     Requires U1 and U2 to be commuting unitaries (``ExtensionSetup``
     checks both).  Then box(r + 1) = N(box(r)) with
     N = {U1^s U2^t : |s|, |t| <= 1}, so box(r + 1) = box(r) | N(F_r)
@@ -186,14 +192,14 @@ def _orbit_span(u1: WindowedMap, u2: WindowedMap, start: Subspace, max_orbit: in
     three parts filtered against the mask of cells outside the span, and
     the span's cells are read off that mask once, at the end.  Each cell
     enters a frontier once and goes through U2 and U2* at most once, so
-    all radii together move at most 4n cells.  Memory is the two adjoint
-    images, two masks and the parts: on ``l_region_setup(8, 16)``
-    (n = 65,536) the ``tracemalloc`` peak above live memory is 4.0 x 8n
-    bytes.
+    all radii together move at most 4n cells.  Memory is two masks and the
+    parts beside the moves: on ``l_region_setup(8, 16)`` (n = 65,536) the
+    ``tracemalloc`` peak above live memory, ``_orbit_moves`` included, is
+    4.0 x 8n bytes.
     """
     max_orbit = _read_count(max_orbit, "max_orbit")
     n = start.ambient
-    (f1, b1), (f2, b2) = [(u.image, u.adjoint().image) for u in (u1, u2)]
+    f1, b1, f2, b2 = moves
     unmoved = np.ones(n, dtype=bool)  # False once a cell has gone through U2 and U2*
     outside = np.ones(n, dtype=bool)  # False on the span
     outside[start.cells] = False
@@ -217,7 +223,7 @@ def _take(cells: np.ndarray, free: np.ndarray) -> np.ndarray:
 
 def minimal_extension(setup: ExtensionSetup, max_orbit: int) -> OrbitSpan:
     """Certified span of the unitary orbit of the embedded subspace."""
-    return _orbit_span(setup.u1, setup.u2, setup.h, max_orbit)
+    return _orbit_span(_orbit_moves(setup.u1, setup.u2), setup.h, max_orbit)
 
 
 def _lift_local(local: Subspace, host: Subspace) -> Subspace:
@@ -376,9 +382,10 @@ def dual_fourfold(setup: ExtensionSetup, dual: DualResult, max_steps: int,
     tilde_dims = split.dims
     hats: list[Subspace] = []
     parts_ambient: list[Subspace] = []
+    moves = _orbit_moves(setup.u1, setup.u2)  # built once for the three lifts
     for tilde_local in (split.h_pp, split.h_pu, split.h_up):
         tilde_ambient = _lift_local(tilde_local, dual.wth)
-        lift = _orbit_span(setup.u1, setup.u2, tilde_ambient, max_orbit)
+        lift = _orbit_span(moves, tilde_ambient, max_orbit)
         if not lift.stabilized:
             raise WindowTooSmall("lifted orbit span did not stabilize")
         hats.append(lift.span)

@@ -112,13 +112,15 @@ def _equal(a: np.ndarray, b: np.ndarray) -> bool:
 def _index_array(values) -> np.ndarray:
     """An array as it is, a range as its ``arange``; any other iterable read
     entry by entry with ``operator.index``, so that a float raises
-    InvalidInput, not truncated."""
+    InvalidInput, not truncated; a bool, which it would take as 0 or 1, is
+    replaced by None so that it raises too."""
     if isinstance(values, np.ndarray):
         return values
     if isinstance(values, range):  # a range holds only ints
         return np.arange(values.start, values.stop, values.step, dtype=np.int64)
     try:
-        return np.fromiter(map(operator.index, values), dtype=np.int64)
+        return np.fromiter((operator.index(None if isinstance(v, bool) else v) for v in values),
+                           dtype=np.int64)
     except TypeError:
         raise InvalidInput("indices must be integers") from None
 

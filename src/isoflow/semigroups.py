@@ -2,12 +2,10 @@
 
 A truncated operator is trusted only where it agrees with the
 infinite-dimensional operator it represents.  ``WindowedMap`` couples the
-operator with that set of trusted domain indices (``faithful``) and the
-corresponding set for the adjoint (``adj_faithful``).  Each window is held
-as a read-only boolean mask over the columns (``faithful_mask``) or the
-rows (``adj_faithful_mask``); the frozensets ``faithful`` and
-``adj_faithful`` are a view of those masks, built only when something
-reads them.  Composition shrinks windows by the support rule
+operator with that set of trusted domain indices and the corresponding
+set for the adjoint, each held as a read-only boolean mask over the
+columns (``faithful_mask``) or the rows (``adj_faithful_mask``).
+Composition shrinks windows by the support rule
 
     faithful(A o B) = { i in faithful(B) : supp(B e_i) subset faithful(A) },
 
@@ -19,14 +17,15 @@ operator genuinely annihilates stay faithful with their exact zeros.
 Every operator here is a 0/1 partial permutation, held as its image
 array (the row of each column's single 1, -1 for a zero column), which
 the constructors below compute by index arithmetic over the layouts of
-``spaces``.  A ``WindowedMap`` keeps that image and its (rows, columns)
-shape, and ``from_image`` refuses an image in which two columns share a
-row, so every map is injective on its live columns; no dense matrix is
-built.  Composition is an index gather, the adjoint is the inverse image,
-and two maps are compared image against image, so the algebraic
-identities between them hold with residual exactly zero, not merely
-small.  Where two images differ, ``_image_residual`` gives the norm of
-their difference in closed form.
+``spaces``.  Every operator of the paper acts on one space, so a
+``WindowedMap`` keeps only that image and acts on C^n, n its length.
+``from_image`` refuses an image in which two columns share a row, so
+every map is injective on its live columns; no dense matrix is built.
+Composition is an index gather, the adjoint is the inverse image, and
+two maps are compared image against image, so the algebraic identities
+between them hold with residual exactly zero, not merely small.  Where
+two images differ, ``_image_residual`` gives the norm of their
+difference in closed form.
 
 A time on the grid t = j/m is held as its integer step count j.  Only
 ``catalog`` reads times: it resolves a config's samples to step counts
@@ -220,7 +219,7 @@ def _compress(u: "WindowedMap", sub: Subspace) -> "WindowedMap":
     rows = u.image[cells]
     image = _positions(cells, u.codomain_dim)[rows]
     faithful = u.faithful_mask[cells] & ((rows < 0) | (image >= 0))
-    return WindowedMap._derived(image, faithful, u.adj_faithful_mask[cells], cells.size)
+    return WindowedMap._derived(image, faithful, u.adj_faithful_mask[cells])
 
 
 def _isometry_defect(image: np.ndarray) -> float:
@@ -242,8 +241,6 @@ def _gather(outer: "WindowedMap", inner: "WindowedMap") -> tuple[np.ndarray, np.
     for outer or absent.  Both arrays are fresh.
     """
     a, inside, b = outer.image, outer.faithful_mask, inner.image
-    if not a.size:  # inner maps into C^0, so b is all -1
-        a, inside = np.full(1, -1, dtype=np.int64), np.ones(1, dtype=bool)
     dead = b < 0
     image = a[b]
     image[dead] = -1
@@ -254,20 +251,21 @@ def _gather(outer: "WindowedMap", inner: "WindowedMap") -> tuple[np.ndarray, np.
 
 
 class WindowedMap:
-    """A 0/1 partial permutation plus the domain indices on which it is exact.
+    """A 0/1 partial permutation on C^n plus the domain indices on which it is exact.
 
-    The operator is held as its ``image``: an ``int64`` array with the row
-    of each column's single 1, or -1 for a zero column, and ``shape`` is
-    (rows, columns).  No two columns share a row: ``from_image`` refuses
-    such an image, so the map is a partial isometry with a partial
-    permutation for its adjoint.
+    The operator is held as its ``image``: an ``int64`` array of length n
+    with the row of each column's single 1, or -1 for a zero column.  No
+    two columns share a row: ``from_image`` refuses such an image, so the
+    map is a partial isometry with a partial permutation for its adjoint.
 
-    The windows are read-only boolean masks: ``faithful_mask`` over the
-    columns and ``adj_faithful_mask`` over the rows.  The constructors take
-    a window as such a mask, as an integer index array, or as any iterable
-    of indices.  ``faithful`` and ``adj_faithful`` are the same windows as
-    frozensets of ints, built from the masks on first read and kept; no
-    code path of this package reads them.
+    The windows are read-only boolean masks of length n: ``faithful_mask``
+    over the columns and ``adj_faithful_mask`` over the rows.  The
+    constructors take a window as such a mask, as an integer index array,
+    or as any iterable of integer indices.  ``shape`` is (n, n), and
+    ``domain_dim`` and ``codomain_dim`` both read n; they and the frozenset
+    ``faithful`` stay because the tracer of ``perfbench/tracing.py`` reads
+    both dims and ``len(faithful)`` on every traced ``compose``.  No code
+    path of this package reads ``faithful``.
 
     ``compose`` is an index gather with windows by mask arithmetic;
     ``adjoint`` inverts the image and swaps the two masks.  Their results,
@@ -278,33 +276,31 @@ class WindowedMap:
     """
 
     @classmethod
-    def from_image(cls, image, faithful, adj_faithful, rows: int | None = None) -> "WindowedMap":
-        """The 0/1 partial permutation with a 1 at (image[j], j) for every image[j] >= 0.
+    def from_image(cls, image, faithful, adj_faithful) -> "WindowedMap":
+        """The 0/1 partial permutation on C^len(image) with a 1 at (image[j], j) for image[j] >= 0.
 
-        ``rows`` defaults to the number of columns, and is read by
-        ``_read_count``.  Two live columns with one row raise InvalidInput.
+        An entry outside [-1, n) and two live columns on one row raise InvalidInput.
         """
         made = cls.__new__(cls)
         made.image = image = np.asarray(image)
-        made.shape = (image.size if rows is None else _read_count(rows, "rows", 0), image.size)
+        made.shape = (image.size, image.size)
         made.faithful_mask, made.adj_faithful_mask = faithful, adj_faithful
         made.__post_init__()
         return made
 
     @classmethod
-    def _derived(cls, image: np.ndarray, faithful: np.ndarray, adj_faithful: np.ndarray,
-                 rows: int) -> "WindowedMap":
-        """A map computed from checked maps, built without checks.
+    def _derived(cls, image: np.ndarray, faithful: np.ndarray,
+                 adj_faithful: np.ndarray) -> "WindowedMap":
+        """A map on C^n, n = len(image), computed from checked maps, built without checks.
 
-        ``image`` is a fresh, injective ``int64`` array and the masks have
-        the right lengths; a gather from a checked image stays in
-        [-1, rows).  All three are marked read-only in place.
-        ``__post_init__`` does not run.
+        ``image`` is a fresh, injective ``int64`` array and both masks have
+        length n; a gather from a checked image stays in [-1, n).  All
+        three are marked read-only in place.  ``__post_init__`` does not run.
         """
         made = cls.__new__(cls)
         for array in (image, faithful, adj_faithful):
             array.flags.writeable = False
-        made.image, made.shape = image, (int(rows), image.size)
+        made.image, made.shape = image, (image.size, image.size)
         made.faithful_mask, made.adj_faithful_mask = faithful, adj_faithful
         return made
 
@@ -315,31 +311,30 @@ class WindowedMap:
             raise InvalidInput("image must be a 1-D integer array")
         image = image.astype(np.int64, copy=False).view()
         image.flags.writeable = False
-        _check_image(image, self.shape[0])
-        hit = np.zeros(self.shape[0] + 1, dtype=bool)
+        n = image.size
+        _check_image(image, n)
+        hit = np.zeros(n + 1, dtype=bool)
         hit[image] = True  # a zero column (-1) lands in the extra last slot
-        if np.count_nonzero(hit[:-1]) != image.size - np.count_nonzero(image < 0):
+        if np.count_nonzero(hit[:-1]) != n - np.count_nonzero(image < 0):
             raise InvalidInput("two columns share a row: not a partial permutation")
         self.image = image
-        rows, cols = self.shape
-        self.faithful_mask = _window(self.faithful_mask, cols, "faithful index outside the domain")
-        self.adj_faithful_mask = _window(self.adj_faithful_mask, rows,
+        self.faithful_mask = _window(self.faithful_mask, n, "faithful index outside the domain")
+        self.adj_faithful_mask = _window(self.adj_faithful_mask, n,
                                          "adjoint-faithful index outside the codomain")
 
     @cached_property
     def faithful(self) -> frozenset[int]:
+        """``faithful_mask`` as a frozenset, built on first read; the tracer's alone."""
         return frozenset(self.faithful_mask.nonzero()[0].tolist())
-
-    @cached_property
-    def adj_faithful(self) -> frozenset[int]:
-        return frozenset(self.adj_faithful_mask.nonzero()[0].tolist())
 
     @property
     def domain_dim(self) -> int:
+        """n, as ``codomain_dim``; the tracer reads both."""
         return self.shape[1]
 
     @property
     def codomain_dim(self) -> int:
+        """n, as ``domain_dim``; the tracer reads both."""
         return self.shape[0]
 
     @classmethod
@@ -362,18 +357,14 @@ class WindowedMap:
         hit = np.zeros(self.codomain_dim + 1, dtype=bool)
         hit[self.image[~other.adj_faithful_mask]] = True
         adj_kept = self.adj_faithful_mask & ~hit[:-1]
-        return WindowedMap._derived(image, kept, adj_kept, self.codomain_dim)
-
-    def __matmul__(self, other: "WindowedMap") -> "WindowedMap":
-        return self.compose(other)
+        return WindowedMap._derived(image, kept, adj_kept)
 
     def adjoint(self) -> "WindowedMap":
         """The inverse image, with the two windows swapped."""
         live = (self.image >= 0).nonzero()[0]
         inverse = np.full(self.codomain_dim, -1, dtype=np.int64)
         inverse[self.image[live]] = live
-        return WindowedMap._derived(inverse, self.adj_faithful_mask, self.faithful_mask,
-                                    self.domain_dim)
+        return WindowedMap._derived(inverse, self.adj_faithful_mask, self.faithful_mask)
 
 
 class SemigroupFamily:
@@ -394,8 +385,6 @@ class SemigroupFamily:
     """
 
     def __init__(self, generator: WindowedMap, cells_per_unit: int = 1):
-        if generator.domain_dim != generator.codomain_dim:
-            raise DimensionMismatch("semigroup generator must be square")
         self._m = _read_count(cells_per_unit, "cells_per_unit")
         self._generator = generator
         self._squares = [generator]  # V^(2^i) at position i
@@ -635,17 +624,17 @@ def circulant_family(n: int) -> SemigroupFamily:
 def direct_sum(*parts: WindowedMap) -> WindowedMap:
     """Block-diagonal direct sum; windows are the concatenated masks.
 
-    Each part's image is offset by the rows before it.
+    Each part's image is offset by the cells before it.
     """
     if not parts:
         raise InvalidInput("direct_sum needs at least one part")
-    row0 = list(accumulate((p.codomain_dim for p in parts), initial=0))
-    _check_cells(max(row0[-1], sum(p.domain_dim for p in parts)))
+    row0 = list(accumulate((p.image.size for p in parts), initial=0))
+    _check_cells(row0[-1])
     faithful = np.concatenate([p.faithful_mask for p in parts])
     adj_faithful = np.concatenate([p.adj_faithful_mask for p in parts])
     image = np.concatenate([np.where(p.image >= 0, p.image + row0[k], -1)
                             for k, p in enumerate(parts)])
-    return WindowedMap.from_image(image, faithful, adj_faithful, row0[-1])
+    return WindowedMap.from_image(image, faithful, adj_faithful)
 
 
 def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> WindowedMap:
@@ -660,7 +649,7 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
     fiber = _read_count(fiber, "fiber")
     if side not in ("left", "right"):
         raise InvalidInput(f"side must be 'left' or 'right', got {side!r}")
-    _check_cells(fiber * max(part.shape))
+    _check_cells(fiber * part.domain_dim)
     k = np.arange(fiber)
 
     def spread(values: np.ndarray) -> np.ndarray:
@@ -677,8 +666,7 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
     rows = target * fiber + k if side == "right" else k * part.codomain_dim + target
     image = spread(np.where(target >= 0, rows, -1))
     return WindowedMap._derived(image, spread(part.faithful_mask[:, None]),
-                                spread(part.adj_faithful_mask[:, None]),
-                                fiber * part.codomain_dim)
+                                spread(part.adj_faithful_mask[:, None]))
 
 
 def check_semigroup_law(family: SemigroupFamily, steps) -> list[CheckEntry]:

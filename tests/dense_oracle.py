@@ -16,8 +16,9 @@ definitions, and the tests compare the exact results against them:
 * ``orthonormal_basis``, ``projector`` and ``residual_norm`` for spans;
 * ``from_image``, the materializer of an image or a cell array, with
   ``matrix``, ``basis`` and ``indicators``, the dense forms of a
-  ``WindowedMap``, a ``Subspace`` and a ``CommutantBasis``, and
-  ``spectral_norm``, the one SVD;
+  ``WindowedMap``, a ``Subspace`` and a ``CommutantBasis``,
+  ``spectral_norm``, the one SVD, and ``indices``, the set a window mask
+  holds;
 * ``fiber_form_verdict``, the Kronecker formula for the structure verdict
   of ``commutant._fiber_form``.
 """
@@ -41,7 +42,12 @@ def from_image(image, rows: int | None = None) -> np.ndarray:
 
 def matrix(x) -> np.ndarray:
     """The dense matrix of a ``WindowedMap``."""
-    return from_image(x.image, x.codomain_dim)
+    return from_image(x.image)
+
+
+def indices(mask) -> frozenset:
+    """The indices at which a window mask holds, as a frozenset of ints."""
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def basis(s) -> np.ndarray:
@@ -100,14 +106,6 @@ class DenseMap:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
-
-    @property
-    def faithful(self) -> frozenset:
-        return frozenset(np.flatnonzero(self.faithful_mask).tolist())
-
-    @property
-    def adj_faithful(self) -> frozenset:
-        return frozenset(np.flatnonzero(self.adj_faithful_mask).tolist())
 
     def compose(self, other: "DenseMap") -> "DenseMap":
         """self o other, both windows shrunk by the support rule."""

@@ -156,8 +156,10 @@ def test_criterion_07_dual_example_exact():
         model1, model2 = bishift_pair(QuadrantGrid2D(1, T), 1)
         exact = (np.array_equal(matrix(dual.pair.first.generator), matrix(model1))
                  and np.array_equal(matrix(dual.pair.second.generator), matrix(model2))
-                 and dual.pair.first.generator.faithful == model1.faithful
-                 and dual.pair.second.generator.faithful == model2.faithful)
+                 and np.array_equal(dual.pair.first.generator.faithful_mask,
+                                    model1.faithful_mask)
+                 and np.array_equal(dual.pair.second.generator.faithful_mask,
+                                    model2.faithful_mask))
         ok = ok and exact
         details.append(f"T={T}: integer equality {exact}")
     report_line(7, ok, "; ".join(details))

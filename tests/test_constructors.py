@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import from_image, matrix
+from dense_oracle import from_image, indices, matrix
 from isoflow.duality import _torus_unitary, circulant_pair_setup, halfline_circulant_setup
 from layout_oracle import coeff_index, grid_index, quadrant_index, torus_index
 from isoflow.semigroups import (_circulant_image, _cut_shift_images, bishift_pair,
@@ -36,8 +36,8 @@ def assert_same_bits(got, want):
 
 def assert_same_map(got, mat, faithful, adj_faithful):
     assert_same_bits(matrix(got), mat)
-    assert got.faithful == frozenset(faithful)
-    assert got.adj_faithful == frozenset(adj_faithful)
+    assert indices(got.faithful_mask) == frozenset(faithful)
+    assert indices(got.adj_faithful_mask) == frozenset(adj_faithful)
 
 
 # --- references ---------------------------------------------------------------------
@@ -186,8 +186,8 @@ def test_torus_axis_faithful(m, T, r, axis, forward):
 
     up, down = cells(range(0, n - 1)), cells(range(1, n))
     got = _torus_unitary(region, axis, forward)
-    assert got.faithful == (up if forward else down)
-    assert got.adj_faithful == (down if forward else up)
+    assert indices(got.faithful_mask) == (up if forward else down)
+    assert indices(got.adj_faithful_mask) == (down if forward else up)
 
 
 @SETTINGS

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from isoflow import duality, semigroups
 from isoflow.catalog import Scenario, _ddc_setup, run_scenario
 from isoflow.decompose import classify_pair, fourfold_decompose, wold_cooper
-from isoflow.duality import (ExtensionSetup, _lift_local, _orbit_span, _restrict_to,
+from isoflow.duality import (ExtensionSetup, _lift_local, _orbit_moves, _orbit_span, _restrict_to,
                              bishift_setup, circulant_pair_setup, double_dual_check,
                              dual_fourfold, dual_pair, halfline_circulant_setup,
                              l_region_setup, setup_direct_sum, simultaneous_dc_ddc_classify)
@@ -96,7 +96,7 @@ def test_derived_subspaces_pass_the_public_checks(case):
         local = _restrict_to(a, both)
         lifted = _lift_local(local, a)
         u1, u2 = (WindowedMap.from_image(p, range(n), range(n)) for p in (p1, p2))
-        orbit = _orbit_span(u1, u2, b, steps)
+        orbit = _orbit_span(_orbit_moves(u1, u2), b, steps)
         wold = wold_cooper(SemigroupFamily(WindowedMap.from_image(image, faithful, range(n))),
                            steps)
     results = [both, outside, rest, local, lifted, orbit.span, wold.unitary_part, wold.cnu_part]
@@ -197,6 +197,27 @@ def test_joint_classification_computes_each_dual_value_once(monkeypatch):
                                    {"variant": "mixed", "m": 3, "T": 4, "p": 4}))
     assert report.overall
     assert counts == Counter(dual_pair=1, dual_fourfold=1, _orbit_span=4, classify_pair=2)
+
+
+def test_dual_fourfold_builds_the_orbit_moves_once(monkeypatch):
+    """Four blocks of ``_ddc_setup(2, 4, 3, 3)``, both step verdicts read first: the
+    split's three lifts share one ``_orbit_moves``, so it makes the 2 adjoints of
+    U1 and U2; building them for each lift made 6."""
+    setup = _ddc_setup(2, 4, 3, 3)
+    dual = dual_pair(setup, 64)
+    for pair in (setup.compressed_pair, dual.pair):  # each verdict builds one adjoint
+        assert pair.step_verdict is pair.step_verdict
+    calls = []
+    adjoint = WindowedMap.adjoint
+
+    def counted(self):
+        calls.append(self)
+        return adjoint(self)
+
+    monkeypatch.setattr(WindowedMap, "adjoint", counted)
+    split = dual_fourfold(setup, dual, 64, 64)
+    assert split.tilde_dims[0] > 0 and len(calls) == 2
+    assert calls[0] is setup.u1 and calls[1] is setup.u2
 
 
 def public_simultaneous(setup: ExtensionSetup, max_steps: int,

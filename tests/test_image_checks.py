@@ -46,7 +46,7 @@ def assert_near(got, want):
 @st.composite
 def maps_on_one_space(draw, count: int):
     n = draw(st.integers(0, 30))
-    return [draw(image_maps(n, n)) for _ in range(count)]
+    return [draw(image_maps(n)) for _ in range(count)]
 
 
 @given(maps_on_one_space(2))
@@ -77,13 +77,7 @@ def test_law_residual_matches_the_composed_map(maps):
         None, (0.0, int(yz.faithful_mask.sum())))
 
 
-@st.composite
-def rectangular_maps(draw):
-    rows, cols = draw(st.integers(0, 30)), draw(st.integers(0, 30))
-    return draw(image_maps(cols, rows))
-
-
-@given(rectangular_maps(), st.data())
+@given(st.integers(0, 30).flatmap(image_maps), st.data())
 @SETTINGS
 def test_isometry_defect_and_adjoint_match_the_dense_gram(x, data):
     """The isometry defect is the dense Gram formula, on all columns and on a subset:
@@ -103,7 +97,7 @@ def test_isometry_defect_and_adjoint_match_the_dense_gram(x, data):
 @st.composite
 def parts_and_generators(draw):
     n = draw(st.integers(0, 30))
-    generator = draw(image_maps(n, n))
+    generator = draw(image_maps(n))
     if draw(st.booleans()):
         part = Subspace.full(n)
     else:

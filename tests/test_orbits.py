@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from isoflow import duality
 from isoflow.catalog import _ddc_setup, _four_block_dc_pair, _generator_isometry_entry
 from isoflow.decompose import classify_pair, fourfold_decompose, product_unitary_part, wold_cooper
-from isoflow.duality import (ExtensionSetup, OrbitSpan, _orbit_span, bishift_setup,
+from isoflow.duality import (ExtensionSetup, OrbitSpan, _orbit_moves, _orbit_span, bishift_setup,
                              circulant_pair_setup, double_dual_check, dual_cnu_check,
                              dual_fourfold, dual_pair, halfline_circulant_setup, l_region_setup,
                              minimal_extension, setup_direct_sum, simultaneous_dc_ddc_classify)
@@ -109,7 +109,7 @@ def test_frontier_matches_box_on_permutations(perms, seed, max_orbit):
     rng = np.random.default_rng(seed)  # empty in one start of min(n, 4) + 1
     cells = np.sort(rng.choice(n, size=rng.integers(0, min(n, 4) + 1), replace=False))
     u1, u2 = (WindowedMap.from_image(p, range(n), range(n)) for p in (p1, p2))
-    got = _orbit_span(u1, u2, Subspace(n, cells=cells), max_orbit)
+    got = _orbit_span(_orbit_moves(u1, u2), Subspace(n, cells=cells), max_orbit)
     want = box_orbit(p1, p2, cells, max_orbit)
     assert np.array_equal(got.span.cells, want.span.cells)
     assert (got.radius, got.stabilized) == (want.radius, want.stabilized)
@@ -124,7 +124,7 @@ def test_frontier_cut_short_and_empty_start():
     for cells, max_orbit, want in (([0], 3, (False, 3, 7)), ([0], 8, (True, 6, 12)),
                                    ([], 3, (True, 0, 0))):
         start = Subspace(12, cells=np.array(cells, dtype=np.int64))
-        got = _orbit_span(u, fixed, start, max_orbit)
+        got = _orbit_span(_orbit_moves(u, fixed), start, max_orbit)
         assert (got.stabilized, got.radius, got.span.dim) == want
         oracle = box_orbit(cycle, np.arange(12), start.cells, max_orbit)
         assert (oracle.stabilized, oracle.radius, oracle.span.dim) == want
@@ -179,7 +179,7 @@ def test_orbit_span_peak_stays_at_a_few_ambient_arrays():
     n = setup.ambient_dim
     tracemalloc.start()
     try:
-        span = _orbit_span(setup.u1, setup.u2, setup.h, 4 * 8 * 16)
+        span = _orbit_span(_orbit_moves(setup.u1, setup.u2), setup.h, 4 * 8 * 16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

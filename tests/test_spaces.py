@@ -91,21 +91,15 @@ def test_a_whole_float_size_is_refused(build, message):
     (lambda: Subspace(4.0, [0, 1]), "ambient must be a nonnegative integer, got 4.0"),
     (lambda: Subspace(-1, []), "ambient must be a nonnegative integer, got -1"),
     (lambda: Subspace.zero(-3), "ambient must be a nonnegative integer, got -3"),
-    (lambda: WindowedMap.from_image([0, 1], range(2), range(3), rows=3.0),
-     "rows must be a nonnegative integer, got 3.0"),
-    (lambda: WindowedMap.from_image([0, 1], range(2), range(2), rows=2.5),
-     "rows must be a nonnegative integer, got 2.5"),
-    (lambda: WindowedMap.from_image([], [], [], rows=-1),
-     "rows must be a nonnegative integer, got -1"),
     (lambda: WindowedMap.identity(2.0), "n must be a nonnegative integer, got 2.0"),
     (lambda: WindowedMap.identity(-1), "n must be a nonnegative integer, got -1"),
-], ids=["Subspace_float", "Subspace_negative", "Subspace.zero", "from_image_whole_float",
-        "from_image_float", "from_image_negative", "identity_float", "identity_negative"])
+], ids=["Subspace_float", "Subspace_negative", "Subspace.zero", "identity_float",
+        "identity_negative"])
 def test_a_checked_constructor_reads_its_size_as_a_count(build, message):
-    """``Subspace`` reads its ambient, ``from_image`` its rows and ``identity`` its n
-    by the one rule, so a float or a negative size names its parameter: before, a
-    float ambient or row count was kept or truncated and failed later, in
-    ``complement`` or on an index, with an error that named none."""
+    """``Subspace`` reads its ambient and ``identity`` its n by the one rule, so a
+    float or a negative size names its parameter: before, a float ambient was kept
+    or truncated and failed later, in ``complement`` or on an index, with an error
+    that named none.  ``from_image`` takes no size: it acts on C^len(image)."""
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         build()
 

@@ -1,10 +1,11 @@
 """Exactness windows held as boolean masks.
 
 A ``WindowedMap`` keeps each window as a read-only boolean mask;
-``faithful`` and ``adj_faithful`` are frozenset views built on first read.
-These tests pin the constructor contract (mask, index array or iterable;
-wrong length and out-of-range indices rejected), check that no bundled
-config and no construction at its defaults reads the frozenset views or
+``faithful`` is a frozenset view built on first read, which only the
+benchmark's tracer reads.  These tests pin the constructor contract (mask,
+index array or iterable; wrong length, out-of-range indices and a Python
+bool as an index rejected), check that no bundled
+config and no construction at its defaults reads the frozenset view or
 calls any ``np.linalg`` function, that ``WindowedMap`` has no ``matrix``
 and ``Subspace`` and ``CommutantBasis`` no ``basis`` attribute, and bound
 the power cache that the halfline Wold split at the default ``K`` keeps
@@ -75,10 +76,9 @@ def test_bundled_configs_read_no_frozenset_window(monkeypatch):
     for owner, name in ((WindowedMap, "matrix"), (Subspace, "basis"), (CommutantBasis, "basis")):
         assert not hasattr(owner, name)
     reads = []
-    for name in ("faithful", "adj_faithful"):
-        read = WindowedMap.__dict__[name].func
-        monkeypatch.setattr(WindowedMap, name, property(
-            lambda self, name=name, read=read: reads.append(name) or read(self)))
+    read = WindowedMap.__dict__["faithful"].func
+    monkeypatch.setattr(WindowedMap, "faithful",
+                        property(lambda self: reads.append("faithful") or read(self)))
     linalg = count_linalg_calls(monkeypatch)
     configs = sorted((ROOT / "configs").glob("*.cfg"))
     assert configs
@@ -93,8 +93,6 @@ def test_window_validation_and_read_only_masks():
     image = np.array([1, -1, 0])
     with pytest.raises(InvalidInput, match="shape"):
         WindowedMap.from_image(image, np.ones(2, dtype=bool), np.ones(3, dtype=bool))
-    with pytest.raises(InvalidInput, match="shape"):
-        WindowedMap.from_image(image, np.ones(3, dtype=bool), np.ones(2, dtype=bool), rows=3)
     with pytest.raises(InvalidInput, match="faithful index outside the domain"):
         WindowedMap.from_image(image, np.array([0, 3]), ())
     with pytest.raises(InvalidInput, match="adjoint-faithful index outside the codomain"):
@@ -112,8 +110,23 @@ def test_window_validation_and_read_only_masks():
         with pytest.raises(ValueError):
             mask[0] = False
     assert source.flags.writeable  # the caller's array is viewed, not frozen
-    assert x.faithful == frozenset({0, 2}) and x.adj_faithful == frozenset(range(3))
-    assert x.faithful is x.faithful  # built once and kept
+    assert np.array_equal(x.faithful_mask, source) and x.adj_faithful_mask.all()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WindowedMap.from_image([1, 0, -1], [True, False, False], [False, False, True]),
+     "^indices must be integers$"),
+    (lambda: Subspace(3, [False, True]), "^indices must be integers$"),
+    (lambda: _window({True}, 3, "outside"), "^indices must be integers$"),
+    (lambda: Subspace(3, np.array([False, True])), "^cells must be"),
+], ids=["from_image_bool_lists", "Subspace_bool_list", "window_bool_set", "Subspace_bool_array"])
+def test_a_bool_entry_is_not_an_index(build, message):
+    """A Python bool is an int to ``operator.index``: the two lists were read as the
+    indices 1, 0, 0 and 0, 0, 1, so both windows held {0, 1}, the cells as [0, 1],
+    and the set as column 1.  Each is refused instead.  A numpy boolean array, which
+    a window reads as its mask, is no cell array."""
+    with pytest.raises(InvalidInput, match=message):
+        build()
 
 
 def test_window_forms_give_equal_maps():

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
-from dense_oracle import DenseMap, basis, from_image, matrix
+from dense_oracle import DenseMap, basis, from_image, indices, matrix
 from isoflow.decompose import wold_cooper
 from isoflow.numlin import Subspace
 from isoflow.semigroups import (SemigroupFamily, WindowedMap, _compress, _image_residual,
@@ -39,44 +39,49 @@ def dense_matrix(x) -> np.ndarray:
 
 def reference_faithful(a, b) -> frozenset:
     """faithful(A o B) = { i in faithful(B) : supp(B e_i) subset faithful(A) }."""
-    return frozenset(i for i in b.faithful
-                     if set(np.flatnonzero(dense_matrix(b)[:, i]).tolist()) <= a.faithful)
+    return frozenset(i for i in indices(b.faithful_mask)
+                     if a.faithful_mask[np.flatnonzero(dense_matrix(b)[:, i])].all())
 
 
 def reference_adj_faithful(a, b) -> frozenset:
     """adj_faithful(A o B) = { i in adj_faithful(A) : supp(e_i* A) subset adj_faithful(B) }."""
-    return frozenset(i for i in a.adj_faithful
-                     if set(np.flatnonzero(dense_matrix(a)[i, :]).tolist()) <= b.adj_faithful)
+    return frozenset(i for i in indices(a.adj_faithful_mask)
+                     if b.adj_faithful_mask[np.flatnonzero(dense_matrix(a)[i, :])].all())
+
+
+def assert_same_windows(got, want):
+    assert np.array_equal(got.faithful_mask, want.faithful_mask)
+    assert np.array_equal(got.adj_faithful_mask, want.adj_faithful_mask)
 
 
 @st.composite
-def windows(draw, rows: int, cols: int):
-    faithful = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
-    adj_faithful = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+def windows(draw, n: int):
+    faithful = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    adj_faithful = draw(st.sets(st.integers(0, n - 1), max_size=n))
     return frozenset(faithful), frozenset(adj_faithful)
 
 
 @st.composite
-def image_maps(draw, rows: int, cols: int):
-    """An image-backed 0/1 partial permutation with random windows; no two
-    columns share a row, as ``from_image`` demands."""
-    targets = draw(st.permutations(range(max(rows, cols))))[:cols]
-    kept = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
-    image = np.array([t if k and t < rows else -1 for t, k in zip(targets, kept)], dtype=np.int64)
-    return WindowedMap.from_image(image, *draw(windows(rows, cols)), rows=rows)
+def image_maps(draw, n: int):
+    """An image-backed 0/1 partial permutation on C^n with random windows; no
+    two columns share a row, as ``from_image`` demands."""
+    targets = draw(st.permutations(range(n)))
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    image = np.array([t if k else -1 for t, k in zip(targets, kept)], dtype=np.int64)
+    return WindowedMap.from_image(image, *draw(windows(n)))
 
 
 @st.composite
-def dense_maps(draw, rows: int, cols: int):
-    values = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
-    matrix = np.array(values, dtype=np.complex128).reshape(rows, cols)
-    return DenseMap(matrix, *draw(windows(rows, cols)))
+def dense_maps(draw, n: int):
+    values = draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))
+    matrix = np.array(values, dtype=np.complex128).reshape(n, n)
+    return DenseMap(matrix, *draw(windows(n)))
 
 
 @st.composite
 def composable(draw, maps):
-    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
-    return draw(maps(rows, inner)), draw(maps(inner, cols))
+    n = draw(st.integers(1, 6))
+    return draw(maps(n)), draw(maps(n))
 
 
 @SETTINGS
@@ -84,8 +89,8 @@ def composable(draw, maps):
 def test_compose_windows_match_reference_on_partial_permutations(pair):
     a, b = pair
     got = a.compose(b)
-    assert got.faithful == reference_faithful(a, b)
-    assert got.adj_faithful == reference_adj_faithful(a, b)
+    assert indices(got.faithful_mask) == reference_faithful(a, b)
+    assert indices(got.adj_faithful_mask) == reference_adj_faithful(a, b)
 
 
 @SETTINGS
@@ -95,15 +100,14 @@ def test_compose_windows_match_reference_on_dense_matrices(pair):
     against, is the definition on general matrices."""
     a, b = pair
     got = a.compose(b)
-    assert got.faithful == reference_faithful(a, b)
-    assert got.adj_faithful == reference_adj_faithful(a, b)
+    assert indices(got.faithful_mask) == reference_faithful(a, b)
+    assert indices(got.adj_faithful_mask) == reference_adj_faithful(a, b)
 
 
 @st.composite
 def composable_triples(draw):
-    rows, inner, outer, cols = (draw(st.integers(1, 6)) for _ in range(4))
-    return (draw(image_maps(rows, inner)), draw(image_maps(inner, outer)),
-            draw(image_maps(outer, cols)))
+    n = draw(st.integers(1, 6))
+    return draw(image_maps(n)), draw(image_maps(n)), draw(image_maps(n))
 
 
 @SETTINGS
@@ -113,8 +117,7 @@ def test_compose_is_associative_on_partial_permutations(triple):
     left = a.compose(b).compose(c)
     right = a.compose(b.compose(c))
     assert np.array_equal(matrix(left), matrix(right))
-    assert left.faithful == right.faithful
-    assert left.adj_faithful == right.adj_faithful
+    assert_same_windows(left, right)
 
 
 @SETTINGS
@@ -122,18 +125,19 @@ def test_compose_is_associative_on_partial_permutations(triple):
 def test_adjoint_swaps_windows(pair):
     a, b = pair
     adj = a.adjoint()
-    assert adj.faithful == a.adj_faithful and adj.adj_faithful == a.faithful
+    assert np.array_equal(adj.faithful_mask, a.adj_faithful_mask)
+    assert np.array_equal(adj.adj_faithful_mask, a.faithful_mask)
     assert np.array_equal(matrix(adj), matrix(a).conj().T)
     # (A o B)* and B* o A* carry the same windows
     left = a.compose(b).adjoint()
     right = b.adjoint().compose(a.adjoint())
-    assert left.faithful == right.faithful and left.adj_faithful == right.adj_faithful
+    assert_same_windows(left, right)
 
 
 @st.composite
 def compressions(draw):
     n = draw(st.integers(1, 7))
-    u = draw(image_maps(n, n))
+    u = draw(image_maps(n))
     cells = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
     return u, cells
 
@@ -147,11 +151,11 @@ def test_compress_coordinate_windows(case):
     u, cells = case
     got = _compress(u, Subspace(u.domain_dim, cells))
     assert np.array_equal(matrix(got), matrix(u)[np.ix_(cells, cells)])
-    assert got.faithful == frozenset(
+    assert indices(got.faithful_mask) == frozenset(
         pos for pos, c in enumerate(cells)
-        if c in u.faithful and set(np.flatnonzero(matrix(u)[:, c]).tolist()) <= set(cells))
-    assert got.adj_faithful == frozenset(
-        pos for pos, c in enumerate(cells) if c in u.adj_faithful)
+        if u.faithful_mask[c] and set(np.flatnonzero(matrix(u)[:, c]).tolist()) <= set(cells))
+    assert indices(got.adj_faithful_mask) == frozenset(
+        pos for pos, c in enumerate(cells) if u.adj_faithful_mask[c])
 
 
 # --- image maps against the dense oracle -------------------------------------------
@@ -160,22 +164,16 @@ def assert_same(got: WindowedMap, want: DenseMap):
     assert got.shape == want.shape
     assert matrix(got).dtype == want.matrix.dtype
     assert np.array_equal(matrix(got), want.matrix)
-    assert got.faithful == want.faithful and got.adj_faithful == want.adj_faithful
+    assert_same_windows(got, want)
 
 
 def assert_image_is_matrix(x: WindowedMap):
     """The image, materialized by from_image, is the matrix bit for bit."""
-    assert from_image(x.image, x.codomain_dim).tobytes() == matrix(x).tobytes()
-
-
-@st.composite
-def image_composable(draw):
-    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
-    return draw(image_maps(rows, inner)), draw(image_maps(inner, cols))
+    assert from_image(x.image).tobytes() == matrix(x).tobytes()
 
 
 @SETTINGS
-@given(image_composable())
+@given(composable(image_maps))
 def test_image_compose_matches_dense_path(pair):
     a, b = pair
     got = a.compose(b)
@@ -187,8 +185,7 @@ def test_image_compose_matches_dense_path(pair):
 @SETTINGS
 @given(st.data())
 def test_image_adjoint_matches_dense_path(data):
-    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-    x = data.draw(image_maps(rows, cols))
+    x = data.draw(image_maps(data.draw(st.integers(1, 6))))
     got = x.adjoint()
     assert_same(got, DenseMap.of(x).adjoint())
     assert_image_is_matrix(got)
@@ -198,7 +195,7 @@ def test_image_adjoint_matches_dense_path(data):
 @SETTINGS
 @given(st.data())
 def test_image_direct_sum_and_tensor_match_dense_path(data):
-    parts = [data.draw(image_maps(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))))
+    parts = [data.draw(image_maps(data.draw(st.integers(1, 4))))
              for _ in range(data.draw(st.integers(1, 3)))]
     got = direct_sum(*parts)
     assert_same(got, dense.direct_sum(*map(DenseMap.of, parts)))
@@ -212,7 +209,7 @@ def test_image_direct_sum_and_tensor_match_dense_path(data):
 @given(st.data())
 def test_image_compress_matches_dense_path(data):
     n = data.draw(st.integers(1, 7))
-    u = data.draw(image_maps(n, n))
+    u = data.draw(image_maps(n))
     cells = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
     got = _compress(u, Subspace(n, cells))
     assert_same(got, dense.compress(DenseMap.of(u), cells))
@@ -222,12 +219,11 @@ def test_image_compress_matches_dense_path(data):
 @given(st.data())
 def test_pair_residual_matches_dense_formula(data):
     """The closed form on two injective images, against the dense SVD to 1e-12."""
-    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-    x = data.draw(image_maps(rows, cols))
-    y = data.draw(image_maps(rows, cols))
+    n = data.draw(st.integers(1, 6))
+    x, y = data.draw(image_maps(n)), data.draw(image_maps(n))
     got = _pair_residual(x, y)
-    columns = sorted(x.faithful & y.faithful)
-    if not columns:
+    columns = np.flatnonzero(x.faithful_mask & y.faithful_mask)
+    if not columns.size:
         assert got is None
         return
     want = np.linalg.norm(matrix(x)[:, columns] - matrix(y)[:, columns], 2)
@@ -285,8 +281,9 @@ def test_image_residual_of_cycles_and_paths_is_exact():
     cases += [(path(k, halves), want(2 * k + halves))
               for k in range(1, 9) for halves in (0, 1, 2) if (k, halves) != (1, 0)]
     for (got, other), norm in cases:
-        for image in (got, other):
-            WindowedMap.from_image(image, (), (), rows=max(got.max(), other.max()) + 1)
+        n = max(got.size, got.max() + 1, other.max() + 1)
+        for image in (got, other):  # injective on C^n, padded with zero columns
+            WindowedMap.from_image(np.append(image, np.full(n - image.size, -1)), (), ())
         assert _image_residual(got, other) == norm
         assert _image_residual(other, got) == norm
         assert abs(norm - dense_difference_norm(got, other)) <= 1e-12
@@ -307,9 +304,9 @@ def test_one_wold_step_matches_dense_formula(data):
     """After one step the unitary part is the span of the faithful columns,
     stabilized or not."""
     n = data.draw(st.integers(1, 7))
-    x = data.draw(image_maps(n, n))
+    x = data.draw(image_maps(n))
     got = wold_cooper(SemigroupFamily(x), 1).unitary_part
-    cols = sorted(x.faithful)
+    cols = np.flatnonzero(x.faithful_mask)
     want = dense.orthonormal_basis(matrix(x)[:, cols])
     assert got.dim == want.shape[1]
     assert dense.residual_norm(dense.projector(basis(got)), dense.projector(want)) <= 1e-12
