@@ -121,7 +121,7 @@ def _run_halfline_shift(m, T, r, K, samples):
     _check_sample_plan(samples, grid.dim, 1)
     family = halfline_shift_family(grid)
     entries = [_generator_isometry_entry(family, "generator_isometry")]
-    entries.extend(check_semigroup_law(family, samples))
+    entries.extend(check_semigroup_law(family, m, samples))
     wold = wold_cooper(family, K)
     entries.append(CheckEntry("wold_unitary_dim", wold.unitary_residual,
                               (wold.unitary_part.dim,), wold.unitary_part.dim == 0))
@@ -129,12 +129,13 @@ def _run_halfline_shift(m, T, r, K, samples):
     return entries
 
 
-def _pair_law_entries(pair: PairOfSemigroups, samples):
-    """Generator isometries, per-axis semigroup laws and the commutator of a pair."""
+def _pair_law_entries(pair: PairOfSemigroups, m: int, samples):
+    """Generator isometries, per-axis semigroup laws on the grid t = j/m and the
+    commutator of a pair."""
     entries = [_generator_isometry_entry(pair.first, "generator_isometry_axis1"),
                _generator_isometry_entry(pair.second, "generator_isometry_axis2"),
-               *_prefixed("axis1:", check_semigroup_law(pair.first, samples)),
-               *_prefixed("axis2:", check_semigroup_law(pair.second, samples))]
+               *_prefixed("axis1:", check_semigroup_law(pair.first, m, samples)),
+               *_prefixed("axis2:", check_semigroup_law(pair.second, m, samples))]
     verdict = classify_pair(pair, samples)
     entries.append(CheckEntry("commutator", verdict.comm_residual, (),
                               verdict.comm_residual == 0.0))
@@ -145,7 +146,7 @@ def _run_bishift(m, T, r, K, samples):
     grid = QuadrantGrid2D(m, T, r)
     _check_sample_plan(samples, grid.dim, 2)
     pair = bishift_families(grid)
-    entries, verdict = _pair_law_entries(pair, samples)
+    entries, verdict = _pair_law_entries(pair, m, samples)
     entries.append(CheckEntry("adjoint_commutator", verdict.double_comm_residual, (),
                               verdict.double_comm_residual == 0.0))
     entries.append(CheckEntry("classified", 0.0, (), verdict.classified == "doubly_commuting",
@@ -164,7 +165,7 @@ def _run_modified_bishift(m, T, r, samples):
     region = LRegionIndex(m, T, r)
     _check_sample_plan(samples, 3 * region.half ** 2 * r, 2)  # the L: 3 of 4 quadrants
     pair = modified_bishift_families(region)
-    entries, verdict = _pair_law_entries(pair, samples)
+    entries, verdict = _pair_law_entries(pair, m, samples)
     entries.append(CheckEntry("adjoint_commutator_witness", verdict.double_comm_residual, (),
                               verdict.double_comm_residual > 0.0,
                               "a nonzero value is the expected witness"))
@@ -211,7 +212,7 @@ def _ddc_setup(m: int, T: int, p: int, circ: int):
         duality.l_region_setup(m, T),
         duality.halfline_circulant_setup(m, T, p),
         duality.halfline_circulant_setup(m, T, p, unitary_first=True),
-        duality.circulant_pair_setup(circ, circ, cells_per_unit=m))
+        duality.circulant_pair_setup(circ, circ))
 
 
 def _run_four_block_ddc(m, T, p, circ, K, max_orbit):
@@ -303,7 +304,7 @@ def _run_simultaneous(variant, m, T, p, K, max_orbit):
         setup = duality.bishift_setup(m, T)
         expected_dc, expected_ddc = True, False
     else:  # "unitary", the one variant left that check_scenario resolves
-        setup = duality.circulant_pair_setup(p, p, cells_per_unit=m)
+        setup = duality.circulant_pair_setup(p, p)
         expected_dc, expected_ddc = True, True
     entries = duality.simultaneous_dc_ddc_classify(setup, K, max_orbit)
     flags = {entry.check_id: entry for entry in entries}

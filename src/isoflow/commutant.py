@@ -24,8 +24,9 @@ The solution is held as that partition: an n x n ``int64`` array of class
 labels.  Both solved spaces must have the form I (x) omega across blocks
 of consecutive coordinates (cells of the interval, or degrees), and the
 solvers decide that form by comparing label arrays, with no tolerance.
-The instance check ``fuglede_instance_check`` takes its samples as step
-counts j on the grid t = j/m and returns its ``CheckEntry`` list.
+The instance check ``fuglede_instance_check`` takes the grid m and its
+samples as step counts j on the grid t = j/m, and returns its
+``CheckEntry`` list; no family holds a grid.
 """
 
 from __future__ import annotations
@@ -199,11 +200,11 @@ def doubly_commutant_of_mz(d: int, r: int) -> CommutantBasis:
 
 
 def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: SemigroupFamily,
-                           fiber: int, steps) -> list[CheckEntry]:
+                           fiber: int, m: int, steps) -> list[CheckEntry]:
     """Commuting normal elements against the shift must doubly commute.
 
-    The sampled times are the step counts ``steps`` on the one grid that
-    both families must share.  At each the element must be normal
+    The sampled times are the step counts ``steps`` on the grid t = j/m,
+    which the ids write.  At each the element must be normal
     (precondition).  A partial permutation A, injective by construction,
     has A A* and A* A equal to the projections onto its live rows and its
     live columns, so it is normal exactly when those two sets are equal.  The
@@ -223,9 +224,7 @@ def fuglede_instance_check(normal_family: SemigroupFamily, shift_family: Semigro
     fiber = _read_count(fiber, "fiber")
     if normal_family.dim % fiber:
         raise InvalidInput("fiber dimension does not divide the space")
-    m = normal_family.cells_per_unit
-    if shift_family.cells_per_unit != m:
-        raise InvalidInput("the two families use different time grids")
+    m = _read_count(m, "m")
     cells = normal_family.dim // fiber
     entries = []
     usable = 0

@@ -14,10 +14,11 @@ On top of the single-family split sit the pair-level operations: the
 fourfold split of a doubly commuting pair, the unitary part of the
 product family, and the exact identification of the half-line
 translation with its coefficient-space multiplier model.  The two checks
-here, ``bcl_check`` and ``verify_joint_equivalence``, take their samples
-as step counts j on the grid t = j/m, as every map constructor does, and
-return their ``CheckEntry`` lists: only ``catalog`` reads a time, and
-``report.format_time`` writes the times of their ids.  The two
+here, ``bcl_check`` and ``verify_joint_equivalence``, take the grid m
+and their samples as step counts j on the grid t = j/m, as every map
+constructor takes step counts, and return their ``CheckEntry`` lists:
+only ``catalog`` reads a time, and ``report.format_time`` writes the
+times of their ids.  No family or pair holds a grid.  The two
 splits check their preconditions against the pair's ``step_verdict``, so
 a pair is classified at its step once whichever split reads it first.
 Commutation classification (``classify_pair``), compressions and
@@ -260,24 +261,22 @@ def bcl_check(T: int, m: int, r: int, steps) -> list[CheckEntry]:
 
 
 def verify_joint_equivalence(pair_a: PairOfSemigroups, pair_b: PairOfSemigroups,
-                             z: WindowedMap, steps) -> list[CheckEntry]:
+                             z: WindowedMap, m: int, steps) -> list[CheckEntry]:
     """Check Z A_{j,t} Z* = B_{j,t} on faithful windows for j = 1, 2.
 
     Only verifies a supplied equivalence; finding one is out of scope.
-    The times are the step counts ``steps`` on the one grid that both
-    pairs must share.  Z A Z* is a composition, so its window is the
+    The times are the step counts ``steps`` on the grid t = j/m, which
+    the ids write.  Z A Z* is a composition, so its window is the
     support rule: column i is trusted when Z* e_i lies inside the window
     of A.  ``z`` is a permutation held as a ``WindowedMap``, so the
     conjugation is a gather.
     """
     if not isinstance(z, WindowedMap):
         raise InvalidInput(f"z must be a WindowedMap, got {type(z).__name__}")
-    if pair_a.cells_per_unit != pair_b.cells_per_unit:
-        raise InvalidInput("the two pairs use different time grids")
+    m = _read_count(m, "m")
     steps = _read_steps(steps)
     if _isometry_defect(z.image) > 0.0 or _isometry_defect((z_adj := z.adjoint()).image) > 0.0:
         raise PreconditionFailed("supplied conjugation is not unitary")
-    m = pair_a.cells_per_unit
     entries = []
     for axis, (fam_a, fam_b) in enumerate(((pair_a.first, pair_b.first),
                                            (pair_a.second, pair_b.second)), start=1):
@@ -299,7 +298,7 @@ def product_unitary_part(pair: PairOfSemigroups, max_steps: int) -> ProductWoldR
     if pair.step_verdict.comm_residual > 0.0:
         raise PreconditionFailed("product family of a non-commuting pair is not a semigroup")
     generator = pair.first.generator.compose(pair.second.generator)
-    product = SemigroupFamily(generator, pair.cells_per_unit)
+    product = SemigroupFamily(generator)
     wold = wold_cooper(product, max_steps)
     residual = _reduction_residual([wold.unitary_part],
                                    [pair.first.generator, pair.second.generator])

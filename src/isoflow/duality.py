@@ -45,7 +45,7 @@ isometry tests come from ``semigroups``; the model check conjugates by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 
@@ -91,21 +91,18 @@ class ExtensionSetup:
     compression.  Each must be a permutation (isometry defect exactly 0,
     which for a square map means unitary), and the two must commute: the
     images a[b] and b[a] are compared in blocks of at most
-    ``numlin._BLOCK`` cells, so no full-size gather is made.  The
-    time grid ``cells_per_unit`` is a count, read first by
-    ``numlin._read_count``: a whole float such as 2.0 is refused, not
-    truncated by the compressed pair.  The region ``geometry``, which
-    ``modified_bishift_model_check`` reads, is keyword-only.
+    ``numlin._BLOCK`` cells, so no full-size gather is made.  A setup is
+    the pair of operators and the space alone: no structure theorem reads
+    a time grid, so the grid is an argument of the checks that write a
+    time, and the L-region an argument of ``modified_bishift_model_check``,
+    the one check that reads it.
     """
 
     u1: WindowedMap
     u2: WindowedMap
     h: Subspace
-    cells_per_unit: int = 1
-    geometry: LRegionIndex | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        _read_count(self.cells_per_unit, "cells_per_unit")
         n = self.u1.domain_dim
         if self.u1.shape != (n, n) or self.u2.shape != (n, n):
             raise InvalidInput("ambient unitaries must be square and equal-sized")
@@ -130,8 +127,7 @@ class ExtensionSetup:
         computed on first read, so its ``step_verdict`` is computed once too."""
         g1 = _compress(self.u1, self.h)
         g2 = _compress(self.u2, self.h)
-        return PairOfSemigroups(SemigroupFamily(g1, self.cells_per_unit),
-                                SemigroupFamily(g2, self.cells_per_unit))
+        return PairOfSemigroups(SemigroupFamily(g1), SemigroupFamily(g2))
 
 
 @dataclass(frozen=True)
@@ -252,6 +248,15 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int) -> DualResult:
     for the adjoints; a nonzero value flags window pollution): 1.0 when
     ``_compress`` unmarks a faithful column, as it does where the image
     leaves the cells.  Only one adjoint is held at a time.
+
+    Each adjoint is built twice, so a call makes 4 ``adjoint`` calls: once
+    for the orbit moves of ``minimal_extension``, dropped with them, and
+    once here.  Compressing the inverse images of ``_orbit_moves`` instead
+    makes 2 calls, but U2* then stays alive through the compression of
+    U1*: on ``l_region_setup(8, 16)`` (n = 65,536) the ``tracemalloc`` peak
+    above live memory rose from 4.57 to 5.07 x 8n bytes (5.00 with U1*
+    dropped once compressed).  That peak is what bounds the largest dual
+    run, ``dual_example m=64`` on 16.8 M cells, so the rebuild stays.
     """
     extension = minimal_extension(setup, max_orbit)
     if not extension.stabilized:
@@ -266,8 +271,7 @@ def dual_pair(setup: ExtensionSetup, max_orbit: int) -> DualResult:
         compressed.append(part)
         del adj
     g1, g2 = compressed
-    pair = PairOfSemigroups(SemigroupFamily(g1, setup.cells_per_unit),
-                            SemigroupFamily(g2, setup.cells_per_unit))
+    pair = PairOfSemigroups(SemigroupFamily(g1), SemigroupFamily(g2))
     return DualResult(extension.span, wth, pair, (residuals[0], residuals[1]),
                       extension.radius)
 
@@ -316,8 +320,7 @@ def double_dual_check(setup: ExtensionSetup, max_orbit: int,
             f"original pair is not certified c.n.u. (unitary dim {product.subspace.dim}, "
             f"stabilized={product.stabilized})")
     first_dual = dual_pair(setup, max_orbit)
-    dual_setup = ExtensionSetup(setup.u1.adjoint(), setup.u2.adjoint(), first_dual.wth,
-                                setup.cells_per_unit)
+    dual_setup = ExtensionSetup(setup.u1.adjoint(), setup.u2.adjoint(), first_dual.wth)
     second_dual = dual_pair(dual_setup, max_orbit)
     minimality_gap = second_dual.obh.gap(first_dual.obh)
     recovered_gap = second_dual.wth.gap(setup.h)
@@ -401,25 +404,21 @@ def dual_fourfold(setup: ExtensionSetup, dual: DualResult, max_steps: int,
 
 
 def modified_bishift_model_check(setup: ExtensionSetup, dual: DualResult,
-                                 max_steps: int) -> list[CheckEntry]:
-    """A pair whose dual is a pure bishift matches the canonical L-region model.
+                                 region: LRegionIndex, max_steps: int) -> list[CheckEntry]:
+    """A pair whose dual is a pure bishift matches the canonical model on ``region``.
 
     The dual is split fourfold; it must be concentrated in the
     pure-times-pure corner (that is the bishift certificate), on the
-    quadrant cells.  The original space must hold exactly the L-region
-    cells, so the reindexing Z onto the canonical region is the identity.
-    ``verify_joint_equivalence``
-    compares Z A Z*, A the original pair, with the canonical
-    compressed-translation pair at step 1, the one-cell step of the
-    setup's generators, fiber included.  Its entries follow
-    ``dual_bishift_dims`` as ``axis1_t=...`` and ``axis2_t=...``.  It
-    raises InvalidInput when the setup's time grid is not the region's,
-    and PreconditionFailed unless the setup holds exactly the L-region
-    cells.
+    quadrant cells of ``region``.  The original space must hold exactly
+    the L-region cells, so the reindexing Z onto the canonical region is
+    the identity.  ``verify_joint_equivalence`` compares Z A Z*, A the
+    original pair, with the canonical compressed-translation pair at step
+    1, the one-cell step of the setup's generators, fiber included.  Its
+    entries follow ``dual_bishift_dims`` as ``axis1_t=...`` and
+    ``axis2_t=...``, the time written on the region's grid ``region.m``.
+    It raises PreconditionFailed unless the setup holds exactly the
+    L-region cells of ``region``.
     """
-    if setup.geometry is None:
-        raise PreconditionFailed("setup carries no region geometry to compare against")
-    region = setup.geometry
     split = fourfold_decompose(dual.pair, max_steps)  # raises unless doubly commuting
     if split.dims != (dual.wth.dim, 0, 0, 0):
         raise PreconditionFailed(f"dual fourfold dims {split.dims} are not pure bishift")
@@ -429,7 +428,7 @@ def modified_bishift_model_check(setup: ExtensionSetup, dual: DualResult,
         raise PreconditionFailed("original space does not sit on the L-region cells")
     return [CheckEntry("dual_bishift_dims", 0.0, split.dims, True),
             *verify_joint_equivalence(setup.compressed_pair, modified_bishift_families(region),
-                                      WindowedMap.identity(setup.h.dim), [1])]
+                                      WindowedMap.identity(setup.h.dim), region.m, [1])]
 
 
 def simultaneous_dc_ddc_classify(setup: ExtensionSetup, max_steps: int,
@@ -512,9 +511,7 @@ def l_region_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
     return ExtensionSetup(
         u1=_torus_unitary(region, 0, forward=False),
         u2=_torus_unitary(region, 1, forward=False),
-        h=Subspace(region.parent.dim, cells=region.l_cells()),
-        cells_per_unit=m,
-        geometry=region)
+        h=Subspace(region.parent.dim, cells=region.l_cells()))
 
 
 def bishift_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
@@ -523,9 +520,7 @@ def bishift_setup(m: int, T: int, r: int = 1) -> ExtensionSetup:
     return ExtensionSetup(
         u1=_torus_unitary(region, 0, forward=True),
         u2=_torus_unitary(region, 1, forward=True),
-        h=Subspace(region.parent.dim, cells=region.quadrant_cells()),
-        cells_per_unit=m,
-        geometry=region)
+        h=Subspace(region.parent.dim, cells=region.quadrant_cells()))
 
 
 def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False) -> ExtensionSetup:
@@ -544,26 +539,23 @@ def halfline_circulant_setup(m: int, T: int, p: int, unitary_first: bool = False
     u_fiber = tensor_with_identity(circulant_family(p).generator, n, "left")  # I_n tensor C_p
     h = Subspace(n * p, cells=np.arange(m * T * p, n * p))  # cells k >= mT, every fiber index
     u1, u2 = (u_fiber, u_shift) if unitary_first else (u_shift, u_fiber)
-    return ExtensionSetup(u1, u2, h, m)
+    return ExtensionSetup(u1, u2, h)
 
 
-def circulant_pair_setup(n1: int, n2: int, cells_per_unit: int = 1) -> ExtensionSetup:
+def circulant_pair_setup(n1: int, n2: int) -> ExtensionSetup:
     """Two commuting cyclic rotations with the full space embedded."""
     n1, n2 = _read_count(n1, "n1"), _read_count(n2, "n2")
     u1 = tensor_with_identity(circulant_family(n1).generator, n2, "right")  # C_n1 tensor I_n2
     u2 = tensor_with_identity(circulant_family(n2).generator, n1, "left")  # I_n1 tensor C_n2
-    return ExtensionSetup(u1, u2, Subspace.full(n1 * n2), cells_per_unit)
+    return ExtensionSetup(u1, u2, Subspace.full(n1 * n2))
 
 
 def setup_direct_sum(*setups: ExtensionSetup) -> ExtensionSetup:
-    """Block-diagonal direct sum of setups sharing one time grid."""
+    """Block-diagonal direct sum of setups."""
     if not setups:
         raise InvalidInput("need at least one setup")
-    grids = {s.cells_per_unit for s in setups}
-    if len(grids) != 1:
-        raise InvalidInput("setups use different time grids")
     u1 = direct_sum(*(s.u1 for s in setups))
     u2 = direct_sum(*(s.u2 for s in setups))
     offsets = list(accumulate((s.ambient_dim for s in setups), initial=0))
     cells = np.concatenate([offset + s.h.cells for offset, s in zip(offsets, setups)])
-    return ExtensionSetup(u1, u2, Subspace(offsets[-1], cells=cells), setups[0].cells_per_unit)
+    return ExtensionSetup(u1, u2, Subspace(offsets[-1], cells=cells))

@@ -264,7 +264,7 @@ class Subspace:
     def __post_init__(self) -> None:
         self.ambient = _read_count(self.ambient, "ambient", 0)
         cells = _index_array(self.cells)
-        if (cells.ndim != 1 or (cells.size and cells.dtype.kind not in "iu")
+        if (cells.ndim != 1 or cells.dtype.kind not in "iu"
                 or (cells.size and not 0 <= cells[0] <= cells[-1] < self.ambient)
                 or np.count_nonzero(cells[1:] <= cells[:-1])):
             raise InvalidInput("cells must be strictly increasing indices of the ambient space")

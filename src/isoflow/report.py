@@ -54,13 +54,13 @@ def format_residual(value: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
-def format_time(steps: int, cells_per_unit: int) -> str:
-    """The grid time steps / cells_per_unit as ``str(Fraction(steps, cells_per_unit))``
-    writes it: in lowest terms, and without a denominator when that is 1."""
-    common = math.gcd(steps, cells_per_unit)
-    if common == cells_per_unit:
+def format_time(steps: int, m: int) -> str:
+    """The grid time steps / m as ``str(Fraction(steps, m))`` writes it: in
+    lowest terms, and without a denominator when that is 1."""
+    common = math.gcd(steps, m)
+    if common == m:
         return str(steps // common)
-    return f"{steps // common}/{cells_per_unit // common}"
+    return f"{steps // common}/{m // common}"
 
 
 def _format_dims(dims: tuple[int, ...]) -> str:

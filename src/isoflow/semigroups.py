@@ -36,9 +36,11 @@ take step counts, each read by ``numlin._read_count``, which refuses a
 negative or non-integer one, and a check refuses an empty list of them
 (``numlin._read_steps``); the families are built from step 1.  No step
 constructor refuses a count that ``_read_count`` admits: past its window
-it gives the zero map of the composed power, ``element(j)``.  The sizes
-and the time grid ``cells_per_unit`` are counts read by the same rule.
-``report.format_time`` writes a step count back as a time for a check id.
+it gives the zero map of the composed power, ``element(j)``.  A family
+is its generator and its powers, and holds no grid: the grid m is an
+argument of the check that writes a time, ``check_semigroup_law``, read
+by the same rule as the sizes, and ``report.format_time`` writes a step
+count back as the time j/m of a check id.
 
 Compression, the isometry test and the skipped-window entry are written
 once, here: ``_compress`` restricts a map to a subspace,
@@ -96,8 +98,9 @@ def _window(window, n: int, outside: str) -> np.ndarray:
 
     ``window`` is a boolean array of length n, an integer index array, or
     any iterable of integer indices (a set, a range, a list).  A float
-    entry, and an index outside [0, n), raise InvalidInput; the latter
-    with the message ``outside``.  A boolean array is kept as a read-only
+    entry, an index array of another dtype (empty or not, as the image),
+    and an index outside [0, n) raise InvalidInput; the last with the
+    message ``outside``.  A boolean array is kept as a read-only
     view, not copied, as the image is.
     """
     window = _index_array(window)
@@ -106,7 +109,7 @@ def _window(window, n: int, outside: str) -> np.ndarray:
             raise InvalidInput(f"window mask of shape {window.shape} for {n} indices")
         mask = window.view()
     else:
-        if window.ndim != 1 or (window.size and window.dtype.kind not in "iu"):
+        if window.ndim != 1 or window.dtype.kind not in "iu":
             raise InvalidInput("a window must be a boolean mask or 1-D integer indices")
         if window.size and not 0 <= np.minimum.reduce(window) <= np.maximum.reduce(window) < n:
             raise InvalidInput(outside)
@@ -370,22 +373,20 @@ class WindowedMap:
 class SemigroupFamily:
     """Discrete one-parameter family generated by a single step map.
 
-    ``element(j)`` is the j-fold composition of the generator at time
-    j / cells_per_unit; element(0) is the identity with full window, built
-    the first time it is asked for.  A power is built by binary powering:
+    ``element(j)`` is the j-fold composition of the generator; element(0)
+    is the identity with full window, built the first time it is asked
+    for.  A power is built by binary powering:
     the squares V, V^2, V^4, ... are kept in a list, and V^j composes the
     squares of the set bits of j, so the first request for step j costs
     O(log j) compositions.  Composition of windows is associative, so this
     gives the same image and windows as composing one step at a time.
     Only the squares and the step counts actually requested are kept, the
     latter in a dict, so repeated requests return the same map.  The step
-    and ``cells_per_unit`` are read by ``numlin._read_count``, the rule of
-    every check, so a float or a ``Fraction`` raises InvalidInput even when
-    it is whole.
+    is read by ``numlin._read_count``, the rule of every check, so a float
+    or a ``Fraction`` raises InvalidInput even when it is whole.
     """
 
-    def __init__(self, generator: WindowedMap, cells_per_unit: int = 1):
-        self._m = _read_count(cells_per_unit, "cells_per_unit")
+    def __init__(self, generator: WindowedMap):
         self._generator = generator
         self._squares = [generator]  # V^(2^i) at position i
         self._powers: dict[int, WindowedMap] = {}
@@ -393,10 +394,6 @@ class SemigroupFamily:
     @property
     def generator(self) -> WindowedMap:
         return self._generator
-
-    @property
-    def cells_per_unit(self) -> int:
-        return self._m
 
     @property
     def dim(self) -> int:
@@ -425,7 +422,7 @@ class SemigroupFamily:
 
 @dataclass(frozen=True)
 class PairOfSemigroups:
-    """Two families on a common space and a common time grid."""
+    """Two families on a common space."""
 
     first: SemigroupFamily
     second: SemigroupFamily
@@ -433,20 +430,14 @@ class PairOfSemigroups:
     def __post_init__(self) -> None:
         if self.first.dim != self.second.dim:
             raise DimensionMismatch("the two families act on different spaces")
-        if self.first.cells_per_unit != self.second.cells_per_unit:
-            raise InvalidInput("the two families use different time grids")
 
     @property
     def dim(self) -> int:
         return self.first.dim
 
-    @property
-    def cells_per_unit(self) -> int:
-        return self.first.cells_per_unit
-
     @cached_property
     def step_verdict(self) -> "CommutationReport":
-        """``classify_pair`` at the one step, time 1 / cells_per_unit, computed on first read.
+        """``classify_pair`` at step 1, the generators, computed on first read.
 
         The splits that need the pair to commute, or to doubly commute,
         check it here, so each pair object is classified at its step once.
@@ -494,7 +485,7 @@ def halfline_shift(grid: CellGrid1D, steps: int) -> WindowedMap:
 
 
 def halfline_shift_family(grid: CellGrid1D) -> SemigroupFamily:
-    return SemigroupFamily(halfline_shift(grid, 1), grid.m)
+    return SemigroupFamily(halfline_shift(grid, 1))
 
 
 def _cut_shift_images(m: int, j, r: int) -> np.ndarray:
@@ -555,7 +546,7 @@ def phi_multiplier(d: int, m: int, r: int, steps: int) -> WindowedMap:
 
 
 def phi_family(d: int, m: int, r: int = 1) -> SemigroupFamily:
-    return SemigroupFamily(phi_multiplier(d, m, r, 1), m)
+    return SemigroupFamily(phi_multiplier(d, m, r, 1))
 
 
 def bishift_pair(grid: QuadrantGrid2D, steps: int) -> tuple[WindowedMap, WindowedMap]:
@@ -572,7 +563,7 @@ def bishift_pair(grid: QuadrantGrid2D, steps: int) -> tuple[WindowedMap, Windowe
 
 def bishift_families(grid: QuadrantGrid2D) -> PairOfSemigroups:
     g1, g2 = bishift_pair(grid, 1)
-    return PairOfSemigroups(SemigroupFamily(g1, grid.m), SemigroupFamily(g2, grid.m))
+    return PairOfSemigroups(SemigroupFamily(g1), SemigroupFamily(g2))
 
 
 def modified_bishift_pair(region: LRegionIndex, steps: int) -> tuple[WindowedMap, WindowedMap]:
@@ -605,7 +596,7 @@ def modified_bishift_pair(region: LRegionIndex, steps: int) -> tuple[WindowedMap
 
 def modified_bishift_families(region: LRegionIndex) -> PairOfSemigroups:
     g1, g2 = modified_bishift_pair(region, 1)
-    return PairOfSemigroups(SemigroupFamily(g1, region.m), SemigroupFamily(g2, region.m))
+    return PairOfSemigroups(SemigroupFamily(g1), SemigroupFamily(g2))
 
 
 def _circulant_image(n: int) -> np.ndarray:
@@ -669,19 +660,20 @@ def tensor_with_identity(part: WindowedMap, fiber: int, side: str = "right") -> 
                                 spread(part.adj_faithful_mask[:, None]))
 
 
-def check_semigroup_law(family: SemigroupFamily, steps) -> list[CheckEntry]:
+def check_semigroup_law(family: SemigroupFamily, m: int, steps) -> list[CheckEntry]:
     """Verify element(s+t) = element(s) o element(t) on composed windows.
 
-    ``steps`` are the sampled step counts; each distinct pair s <= t is
-    checked once, and its id names the two times.  Pairs whose composed
+    ``steps`` are the sampled step counts on the grid t = j/m; each
+    distinct pair s <= t is checked once, and its id names the two times.  Pairs whose composed
     window is empty are skipped (``_window_entry``); if no pair leaves
     anything checkable the window is too small for the request.  The
     product is not built: ``_gather`` gives its image and faithful mask,
     and ``_held_residual`` compares them with element(s+t), which is what
     ``_pair_residual`` of the composed map gives.
     """
+    m = _read_count(m, "m")
     steps = sorted(set(_read_steps(steps)))
-    time = {j: format_time(j, family.cells_per_unit) for j in steps}
+    time = {j: format_time(j, m) for j in steps}
     entries = []
     for a_pos, s in enumerate(steps):
         for t in steps[a_pos:]:

@@ -213,28 +213,28 @@ def test_criterion_10_dual_fourfold_recovery():
 
 
 def bundled_families():
-    """Each family with the step counts of its sampled times."""
-    yield halfline_shift_family(CellGrid1D(1, 8)), [1, 2, 3]
-    yield halfline_shift_family(CellGrid1D(2, 2, 2)), [1, 2]  # times 1/2, 1
+    """Each family with its grid m and the step counts of its sampled times."""
+    yield halfline_shift_family(CellGrid1D(1, 8)), 1, [1, 2, 3]
+    yield halfline_shift_family(CellGrid1D(2, 2, 2)), 2, [1, 2]  # times 1/2, 1
     pair = bishift_families(QuadrantGrid2D(2, 2))
-    yield pair.first, [1, 2]  # times 1/2, 1
-    yield pair.second, [1, 2]
+    yield pair.first, 2, [1, 2]  # times 1/2, 1
+    yield pair.second, 2, [1, 2]
     modified = modified_bishift_families(LRegionIndex(1, 2))
-    yield modified.first, [1]
-    yield modified.second, [1]
-    yield circulant_family(4), [1, 2, 3]
-    yield phi_family(3, 2), [1, 2]  # times 1/2, 1
-    yield phi_family(3, 4, 2), [1, 2]  # times 1/4, 1/2
+    yield modified.first, 1, [1]
+    yield modified.second, 1, [1]
+    yield circulant_family(4), 1, [1, 2, 3]
+    yield phi_family(3, 2), 2, [1, 2]  # times 1/2, 1
+    yield phi_family(3, 4, 2), 4, [1, 2]  # times 1/4, 1/2
     dual = dual_pair(l_region_setup(1, 3), 12)  # 3x3 quadrant window fits t=1+1
-    yield dual.pair.first, [1]
-    yield dual.pair.second, [1]
+    yield dual.pair.first, 1, [1]
+    yield dual.pair.second, 1, [1]
 
 
 def test_criterion_11_semigroup_laws():
     worst = 0.0
     count = 0
-    for family, samples in bundled_families():
-        entries = check_semigroup_law(family, samples)
+    for family, m, samples in bundled_families():
+        entries = check_semigroup_law(family, m, samples)
         count += 1
         worst = max(worst, max(e.residual for e in entries))
         assert all(e.passed for e in entries), count

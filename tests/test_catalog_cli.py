@@ -30,8 +30,9 @@ import pytest
 from config_oracle import read_config
 
 import isoflow
-from isoflow import (CellGrid1D, CheckEntry, QuadrantGrid2D, SemigroupFamily, WindowedMap,
-                     __version__, bcl_check, bishift_families, catalog, check_semigroup_law,
+from isoflow import (CellGrid1D, CheckEntry, LRegionIndex, QuadrantGrid2D, SemigroupFamily,
+                     WindowedMap, __version__, bcl_check, bishift_families, catalog,
+                     check_semigroup_law,
                      circulant_pair_setup, cli, double_dual_check, dual_cnu_check, dual_pair,
                      fuglede_instance_check, halfline_shift_family, l_region_setup,
                      modified_bishift_model_check, simultaneous_dc_ddc_classify,
@@ -182,18 +183,18 @@ def test_no_public_callable_takes_a_time():
 
 ENTRY_CHECKS = {  # each public check on one small bundled input
     "check_semigroup_law": lambda: check_semigroup_law(halfline_shift_family(CellGrid1D(1, 4)),
-                                                       [1]),
+                                                       1, [1]),
     "bcl_check": lambda: bcl_check(2, 1, 1, [0, 1]),
     "verify_joint_equivalence": lambda: verify_joint_equivalence(
         bishift_families(QuadrantGrid2D(1, 2)), bishift_families(QuadrantGrid2D(1, 2)),
-        WindowedMap.identity(4), [1]),
+        WindowedMap.identity(4), 1, [1]),
     "fuglede_instance_check": lambda: fuglede_instance_check(
         SemigroupFamily(WindowedMap.identity(4)), halfline_shift_family(CellGrid1D(1, 4)), 1,
-        [1]),
+        1, [1]),
     "dual_cnu_check": lambda: dual_cnu_check(dual_pair(l_region_setup(1, 2), 8), 4),
     "double_dual_check": lambda: double_dual_check(l_region_setup(1, 2), 8),
     "modified_bishift_model_check": lambda: modified_bishift_model_check(
-        l_region_setup(1, 2), dual_pair(l_region_setup(1, 2), 8), 6),
+        l_region_setup(1, 2), dual_pair(l_region_setup(1, 2), 8), LRegionIndex(1, 2), 6),
     "simultaneous_dc_ddc_classify": lambda: simultaneous_dc_ddc_classify(
         circulant_pair_setup(3, 3), 4, 4),
 }

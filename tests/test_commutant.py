@@ -531,7 +531,7 @@ def fiber_rotation(cells_T, fiber):
 
 
 def test_fuglede_fiber_rotation_passes():
-    entries = fuglede_instance_check(fiber_rotation(4, 3), shift_tensor_family(4, 3), 3, [1, 2])
+    entries = fuglede_instance_check(fiber_rotation(4, 3), shift_tensor_family(4, 3), 3, 1, [1, 2])
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
 
@@ -540,7 +540,7 @@ def test_fuglede_reads_no_dense_matrix(monkeypatch):
     """Normality, both commutators and the fiber form are read off the images:
     the check takes no dense numerics, where products of matrices read 12."""
     reads = count_linalg_calls(monkeypatch)
-    entries = fuglede_instance_check(fiber_rotation(4, 3), shift_tensor_family(4, 3), 3, [1, 2])
+    entries = fuglede_instance_check(fiber_rotation(4, 3), shift_tensor_family(4, 3), 3, 1, [1, 2])
     assert all(e.passed for e in entries) and len(entries) == 6
     assert reads == []
 
@@ -550,7 +550,7 @@ def test_fuglede_fiber_form_fails_off_the_form():
     with the shift on their common window but is not of the form I (x) B: its
     fiber form fails with a positive residual (and it does not doubly commute)."""
     cells = SemigroupFamily(tensor_with_identity(circulant_family(4).generator, 3, "right"))
-    by_id = {e.check_id: e for e in fuglede_instance_check(cells, shift_tensor_family(4, 3), 3, [1])}
+    by_id = {e.check_id: e for e in fuglede_instance_check(cells, shift_tensor_family(4, 3), 3, 1, [1])}
     assert by_id["t=1:commutator"].residual == 0.0
     assert by_id["t=1:fiber_form"].residual > 0.0 and not by_id["t=1:fiber_form"].passed
     assert not by_id["t=1:adjoint_commutator"].passed
@@ -559,7 +559,7 @@ def test_fuglede_fiber_form_fails_off_the_form():
 def test_fuglede_identity_family_trivial():
     shift = shift_tensor_family(4, 2)
     ident = SemigroupFamily(WindowedMap.identity(8))
-    assert all(e.passed for e in fuglede_instance_check(ident, shift, 2, [1]))
+    assert all(e.passed for e in fuglede_instance_check(ident, shift, 2, 1, [1]))
 
 
 def test_fuglede_skips_a_sample_with_no_common_faithful_column():
@@ -568,13 +568,13 @@ def test_fuglede_skips_a_sample_with_no_common_faithful_column():
     and a request with only that sample raises WindowTooSmall."""
     shift = shift_tensor_family(4, 2)
     ident = SemigroupFamily(WindowedMap.identity(8))
-    entries = fuglede_instance_check(ident, shift, 2, [1, 4])
+    entries = fuglede_instance_check(ident, shift, 2, 1, [1, 4])
     at_4 = [e for e in entries if e.check_id.startswith("t=4:")]
     assert [(e.check_id, e.dims, e.note) for e in at_4] == [
         ("t=4:commutator", (0,), "empty window, skipped")]
     assert all(e.passed for e in entries) and any(e.check_id == "t=1:fiber_form" for e in entries)
     with pytest.raises(WindowTooSmall):
-        fuglede_instance_check(ident, shift, 2, [4])
+        fuglede_instance_check(ident, shift, 2, 1, [4])
 
 
 def test_fuglede_rejects_nonnormal():
@@ -582,4 +582,4 @@ def test_fuglede_rejects_nonnormal():
     its live rows and live columns differ, so it is not normal."""
     shift = shift_tensor_family(4, 1)
     with pytest.raises(PreconditionFailed, match="not normal"):
-        fuglede_instance_check(shift, shift, 1, [1])
+        fuglede_instance_check(shift, shift, 1, 1, [1])

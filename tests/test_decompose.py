@@ -250,7 +250,7 @@ def test_bcl_full_grid_r2():
 
 def test_joint_equivalence_identity():
     pair = bishift_families(QuadrantGrid2D(1, 2))
-    entries = verify_joint_equivalence(pair, pair, WindowedMap.identity(4), [1])
+    entries = verify_joint_equivalence(pair, pair, WindowedMap.identity(4), 1, [1])
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
 
@@ -259,9 +259,9 @@ def test_joint_equivalence_bishift_tensor_form():
     pair = bishift_families(QuadrantGrid2D(2, 2))
     shift = halfline_shift_family(CellGrid1D(2, 2)).generator
     tens = PairOfSemigroups(
-        SemigroupFamily(tensor_with_identity(shift, 4, "right"), 2),
-        SemigroupFamily(tensor_with_identity(shift, 4, "left"), 2))
-    entries = verify_joint_equivalence(pair, tens, WindowedMap.identity(16),
+        SemigroupFamily(tensor_with_identity(shift, 4, "right")),
+        SemigroupFamily(tensor_with_identity(shift, 4, "left")))
+    entries = verify_joint_equivalence(pair, tens, WindowedMap.identity(16), 2,
                                        [1, 2])  # times 1/2, 1
     assert all(e.passed for e in entries) and all(e.residual == 0.0 for e in entries)
 
@@ -275,7 +275,7 @@ def test_joint_equivalence_w_conjugation():
     phis = phi_family(3, 4)
     single = PairOfSemigroups(shifts, shifts)
     model = PairOfSemigroups(phis, phis)
-    entries = verify_joint_equivalence(single, model, WindowedMap.identity(grid.dim),
+    entries = verify_joint_equivalence(single, model, WindowedMap.identity(grid.dim), 4,
                                        [1, 4])  # times 1/4, 1
     assert all(e.passed for e in entries) and all(e.residual == 0.0 for e in entries)
 
@@ -286,7 +286,7 @@ def test_joint_equivalence_requires_unitary():
     pair = bishift_families(QuadrantGrid2D(1, 2))
     z = WindowedMap.from_image([0, 1, 2, -1], range(4), range(4))
     with pytest.raises(PreconditionFailed, match="not unitary"):
-        verify_joint_equivalence(pair, pair, z, [1])
+        verify_joint_equivalence(pair, pair, z, 1, [1])
     with pytest.raises(InvalidInput, match="two columns share a row"):
         WindowedMap.from_image([0, 0, 1, 2], range(4), range(4))
 
@@ -294,14 +294,14 @@ def test_joint_equivalence_requires_unitary():
 def test_joint_equivalence_rejects_a_conjugation_of_the_wrong_size():
     pair = bishift_families(QuadrantGrid2D(1, 2))
     with pytest.raises(DimensionMismatch):
-        verify_joint_equivalence(pair, pair, WindowedMap.identity(5), [1])
+        verify_joint_equivalence(pair, pair, WindowedMap.identity(5), 1, [1])
 
 
 def test_joint_equivalence_rejects_an_array_conjugation():
     """``z`` is a WindowedMap; an ndarray is refused, not probed for unit columns."""
     pair = bishift_families(QuadrantGrid2D(1, 2))
     with pytest.raises(InvalidInput, match="z must be a WindowedMap"):
-        verify_joint_equivalence(pair, pair, np.eye(4), [1])
+        verify_joint_equivalence(pair, pair, np.eye(4), 1, [1])
 
 
 def test_joint_equivalence_w_conjugation_at_dim_512_gathers(monkeypatch):
@@ -316,7 +316,7 @@ def test_joint_equivalence_w_conjugation_at_dim_512_gathers(monkeypatch):
     tracemalloc.start()
     try:
         entries = verify_joint_equivalence(PairOfSemigroups(shifts, shifts),
-                                           PairOfSemigroups(phis, phis), w, samples)
+                                           PairOfSemigroups(phis, phis), w, 16, samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -338,15 +338,15 @@ def test_joint_equivalence_under_a_relabeling_permutation(monkeypatch):
         g = WindowedMap.from_image(np.where(image >= 0, pi[image], -1),
                                    f.generator.faithful_mask[inverse],
                                    f.generator.adj_faithful_mask[inverse])
-        return SemigroupFamily(g, f.cells_per_unit)
+        return SemigroupFamily(g)
 
     b = PairOfSemigroups(moved(a.first), moved(a.second))
     dense = count_linalg_calls(monkeypatch)
     z = WindowedMap.from_image(pi, np.ones(n, dtype=bool), np.ones(n, dtype=bool))
-    entries = verify_joint_equivalence(a, b, z, [1, 2, 4])  # times 1/2, 1, 2
+    entries = verify_joint_equivalence(a, b, z, 2, [1, 2, 4])  # times 1/2, 1, 2
     assert dense == []
     assert all(e.passed for e in entries) and all(e.residual == 0.0 for e in entries)
-    assert not all(e.passed for e in verify_joint_equivalence(a, a, z, [2]))
+    assert not all(e.passed for e in verify_joint_equivalence(a, a, z, 2, [2]))
 
 
 # --- product family ---------------------------------------------------------------------

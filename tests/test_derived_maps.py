@@ -153,7 +153,7 @@ def test_modified_bishift_law_keeps_only_the_squares():
     pair = modified_bishift_families(LRegionIndex(8, 16))
     tracemalloc.start()
     try:
-        entries = check_semigroup_law(pair.first, params["samples"])
+        entries = check_semigroup_law(pair.first, 8, params["samples"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

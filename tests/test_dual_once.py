@@ -168,7 +168,6 @@ def test_the_adjoint_setup_is_built_by_the_checked_constructor():
     assert np.array_equal(adjoint.u1.image, setup.u1.adjoint().image)
     assert np.array_equal(adjoint.u2.image, setup.u2.adjoint().image)
     assert np.array_equal(adjoint.h.cells, dual_pair(setup, 8).wth.cells)
-    assert adjoint.cells_per_unit == setup.cells_per_unit
     assert adjoint.compressed_pair.dim == adjoint.h.dim != setup.h.dim
 
 
@@ -224,7 +223,7 @@ def public_simultaneous(setup: ExtensionSetup, max_steps: int,
                         max_orbit: int) -> list[CheckEntry]:
     """The joint classification from the public functions, each computing its own values."""
     pair = setup.compressed_pair
-    step = [1]  # the time 1 / cells_per_unit
+    step = [1]  # the step of the generators
     dc = classify_pair(pair, step)
     entries = [CheckEntry("doubly_commuting", dc.double_comm_residual,
                           (1 if dc.classified == "doubly_commuting" else 0,), True,
@@ -255,8 +254,8 @@ def public_simultaneous(setup: ExtensionSetup, max_steps: int,
 
 @pytest.mark.parametrize("setup", [
     _mixed(1, 2, 3), _mixed(2, 3, 2), bishift_setup(1, 3),
-    circulant_pair_setup(3, 3, cells_per_unit=2),
-    setup_direct_sum(_mixed(1, 2, 2), circulant_pair_setup(2, 2, cells_per_unit=1)),
+    circulant_pair_setup(3, 3),
+    setup_direct_sum(_mixed(1, 2, 2), circulant_pair_setup(2, 2)),
 ], ids=["mixed-1-2-3", "mixed-2-3-2", "bishift", "unitary", "mixed+unitary"])
 def test_joint_classification_matches_the_public_functions(setup):
     """The reused pair, verdicts and dual give the entries of the public functions,

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 from dense_oracle import basis, matrix, projector, residual_norm
 from isoflow import duality
-from isoflow.decompose import classify_pair, product_unitary_part, wold_cooper
+from isoflow.decompose import (classify_pair, product_unitary_part, verify_joint_equivalence,
+                               wold_cooper)
 from isoflow.duality import (ExtensionSetup, _compress, _lift_local, bishift_setup,
                              circulant_pair_setup, double_dual_check, dual_cnu_check,
                              dual_fourfold, dual_pair, halfline_circulant_setup, l_region_setup,
@@ -47,7 +48,7 @@ def ddc_four_block(m=1, T=2, p=3, circ=3):
         l_region_setup(m, T),
         halfline_circulant_setup(m, T, p),
         halfline_circulant_setup(m, T, p, unitary_first=True),
-        circulant_pair_setup(circ, circ, cells_per_unit=m))
+        circulant_pair_setup(circ, circ))
 
 
 # --- minimal extension ------------------------------------------------------------
@@ -293,7 +294,7 @@ def dual_block(kind: int, m: int, T: int, a: int, b: int) -> tuple[ExtensionSetu
     if kind == 0:
         return l_region_setup(m, T), 3 * (m * T) ** 2
     if kind == 3:
-        return circulant_pair_setup(a, b, cells_per_unit=m), a * b
+        return circulant_pair_setup(a, b), a * b
     return halfline_circulant_setup(m, T, a, unitary_first=kind == 2), m * T * a
 
 
@@ -340,8 +341,7 @@ def test_the_dual_of_the_space_minus_its_unitary_corner_is_the_dual_of_the_space
     and windows."""
     setup, _, max_steps, max_orbit = dual_block_sum(*case)
     h_uu = product_unitary_part(setup.compressed_pair, max_steps).subspace
-    reduced = ExtensionSetup(setup.u1, setup.u2, subtract(setup.h, _lift_local(h_uu, setup.h)),
-                             setup.cells_per_unit)
+    reduced = ExtensionSetup(setup.u1, setup.u2, subtract(setup.h, _lift_local(h_uu, setup.h)))
     want, got = dual_pair(reduced, max_orbit), dual_pair(setup, max_orbit)
     assert np.array_equal(got.wth.cells, want.wth.cells)
     assert got.invariance_residuals == want.invariance_residuals
@@ -379,15 +379,15 @@ def test_model_check_fiber(r, m):
     """The canonical model is built at step 1, the one-cell step of the setup's
     generators, on every grid."""
     setup = l_region_setup(m, 2, r)
-    entries = modified_bishift_model_check(setup, dual_pair(setup, 8), 6)
+    entries = modified_bishift_model_check(setup, dual_pair(setup, 8), LRegionIndex(m, 2, r), 6)
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
 
 
 def test_model_check_idempotent_report():
     setup = l_region_setup(1, 2)
-    first = modified_bishift_model_check(setup, dual_pair(setup, 8), 6)
-    second = modified_bishift_model_check(setup, dual_pair(setup, 8), 6)
+    first = modified_bishift_model_check(setup, dual_pair(setup, 8), LRegionIndex(1, 2), 6)
+    second = modified_bishift_model_check(setup, dual_pair(setup, 8), LRegionIndex(1, 2), 6)
     assert [(e.check_id, e.residual, e.dims, e.passed) for e in first] == \
            [(e.check_id, e.residual, e.dims, e.passed) for e in second]
 
@@ -399,10 +399,11 @@ def test_a_model_one_cell_off_fails_the_model_check(monkeypatch):
 
     def off_by_one(region):
         (two, _), (_, one) = modified_bishift_pair(region, 2), modified_bishift_pair(region, 1)
-        return PairOfSemigroups(SemigroupFamily(two, region.m), SemigroupFamily(one, region.m))
+        return PairOfSemigroups(SemigroupFamily(two), SemigroupFamily(one))
 
     monkeypatch.setattr(duality, "modified_bishift_families", off_by_one)
-    by_id = {e.check_id: e for e in modified_bishift_model_check(setup, dual_pair(setup, 8), 6)}
+    by_id = {e.check_id: e for e in modified_bishift_model_check(setup, dual_pair(setup, 8),
+                                                                 LRegionIndex(1, 2), 6)}
     assert list(by_id) == ["dual_bishift_dims", "axis1_t=1", "axis2_t=1"]
     assert not by_id["axis1_t=1"].passed and by_id["axis1_t=1"].residual > 0.0
     assert by_id["axis2_t=1"].passed and by_id["axis2_t=1"].residual == 0.0
@@ -410,10 +411,8 @@ def test_a_model_one_cell_off_fails_the_model_check(monkeypatch):
 
 def test_model_check_rejects_non_bishift_dual():
     setup = halfline_circulant_setup(1, 2, 3)
-    fake = ExtensionSetup(setup.u1, setup.u2, setup.h, setup.cells_per_unit,
-                          geometry=LRegionIndex(1, 2))
     with pytest.raises(PreconditionFailed):
-        modified_bishift_model_check(fake, dual_pair(fake, 8), 6)
+        modified_bishift_model_check(setup, dual_pair(setup, 8), LRegionIndex(1, 2), 6)
 
 
 def test_simultaneous_variants():
@@ -451,8 +450,15 @@ def test_lift_local_numbers_host_coordinates_like_compress():
 
 
 def test_setup_direct_sum_validation():
-    with pytest.raises(InvalidInput):
-        setup_direct_sum(l_region_setup(1, 2), circulant_pair_setup(2, 2, cells_per_unit=3))
+    """A setup holds no time grid, so a direct sum refuses no blocks for being built
+    at m = 1 and m = 2: the ambients and the embedded cells are laid end to end, and
+    the sum passes the checks of its one constructor.  Its one refusal of its own,
+    an empty sum, is ``empty_setup_sum`` below."""
+    first, second = l_region_setup(1, 2), halfline_circulant_setup(2, 1, 2)
+    total = setup_direct_sum(first, second)
+    assert total.ambient_dim == first.ambient_dim + second.ambient_dim
+    assert total.h.cells.tolist() == (first.h.cells.tolist()
+                                      + (first.ambient_dim + second.h.cells).tolist())
 
 
 def test_inconsistency_guard_exists():
@@ -473,31 +479,26 @@ INPUT_CHECKS = {  # id -> (call, error, message fragment)
                           InvalidInput, "max_orbit"),
     "classify_no_samples": (lambda: classify_pair(bishift_families(QuadrantGrid2D(1, 2)), []),
                             InvalidInput, "no sample"),
-    "law_no_samples": (lambda: check_semigroup_law(circulant_family(3), []),
+    "law_no_samples": (lambda: check_semigroup_law(circulant_family(3), 1, []),
                        InvalidInput, "no sample"),
     "negative_step": (lambda: circulant_family(3).element(-1), InvalidInput, "nonnegative"),
     "image_outside_its_space": (lambda: WindowedMap.from_image([0, 2], [0, 1], [0, 1]),
                                 InvalidInput, "image entry outside"),
-    "family_grid": (lambda: SemigroupFamily(_eye(2), cells_per_unit=0),
-                    InvalidInput, "cells_per_unit"),
+    "law_grid": (lambda: check_semigroup_law(circulant_family(3), 0, [1]),
+                 InvalidInput, "^m must be a positive integer, got 0$"),
     "pair_spaces": (lambda: PairOfSemigroups(circulant_family(2), circulant_family(3)),
                     DimensionMismatch, "different spaces"),
-    "pair_grids": (lambda: PairOfSemigroups(circulant_family(2),
-                                            SemigroupFamily(circulant_family(2).generator, 2)),
-                   InvalidInput, "time grids"),
+    "equivalence_grid": (lambda: verify_joint_equivalence(
+        bishift_families(QuadrantGrid2D(1, 2)), bishift_families(QuadrantGrid2D(1, 2)), _eye(4),
+        0, [1]), InvalidInput, "^m must be a positive integer, got 0$"),
     "setup_unequal_unitaries": (lambda: ExtensionSetup(_eye(2), _eye(3), Subspace.full(2)),
                                 InvalidInput, "equal-sized"),
     "setup_ambient": (lambda: ExtensionSetup(_eye(2), _eye(2), Subspace.full(3)),
                       InvalidInput, "ambient"),
-    "setup_grid": (lambda: ExtensionSetup(_eye(2), _eye(2), Subspace.full(2), cells_per_unit=0),
-                   InvalidInput, "cells_per_unit"),
     "empty_direct_sum": (lambda: direct_sum(), InvalidInput, "at least one part"),
     "zero_fiber": (lambda: tensor_with_identity(_eye(2), 0), InvalidInput, "fiber"),
     "unknown_side": (lambda: tensor_with_identity(_eye(2), 2, side="up"), InvalidInput, "side"),
     "empty_setup_sum": (lambda: setup_direct_sum(), InvalidInput, "at least one setup"),
-    "setup_sum_grids": (lambda: setup_direct_sum(circulant_pair_setup(2, 2),
-                                                 circulant_pair_setup(2, 2, cells_per_unit=2)),
-                        InvalidInput, "time grids"),
 }
 
 

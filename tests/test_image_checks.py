@@ -159,7 +159,7 @@ def test_semigroup_law_composes_only_the_powers(monkeypatch):
     took 6 more."""
     family = halfline_shift_family(CellGrid1D(1, 8))
     counts = count_calls(monkeypatch, (WindowedMap, "compose"))
-    entries = check_semigroup_law(family, [1, 2, 3])
+    entries = check_semigroup_law(family, 1, [1, 2, 3])
     assert all(e.passed for e in entries) and len(entries) == 6
     assert counts["compose"] == 5
 

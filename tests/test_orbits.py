@@ -232,20 +232,16 @@ def _relabel_map(u: WindowedMap, pi: np.ndarray, inverse: np.ndarray) -> Windowe
 
 
 def relabel(x, pi: np.ndarray):
-    """A map, family, pair or setup with cell j renamed pi[j].
-
-    A setup drops its region geometry.
-    """
+    """A map, family, pair or setup with cell j renamed pi[j]."""
     inverse = np.argsort(pi)
     if isinstance(x, WindowedMap):
         return _relabel_map(x, pi, inverse)
     if isinstance(x, SemigroupFamily):
-        return SemigroupFamily(relabel(x.generator, pi), x.cells_per_unit)
+        return SemigroupFamily(relabel(x.generator, pi))
     if isinstance(x, PairOfSemigroups):
         return PairOfSemigroups(relabel(x.first, pi), relabel(x.second, pi))
     u1, u2 = (_relabel_map(u, pi, inverse) for u in (x.u1, x.u2))
-    return ExtensionSetup(u1, u2, Subspace(x.ambient_dim, cells=np.sort(pi[x.h.cells])),
-                          x.cells_per_unit, geometry=None)
+    return ExtensionSetup(u1, u2, Subspace(x.ambient_dim, cells=np.sort(pi[x.h.cells])))
 
 
 RELABELED = [
@@ -274,11 +270,11 @@ def test_dual_side_is_invariant_under_relabeling(setup, seed):
 
 # --- relabeling invariance on the primal side -------------------------------------
 
-PRIMAL = [  # a family or a pair, sampled step counts, Wold steps; dims 48, 128, 96, 289
-    (halfline_shift_family(CellGrid1D(2, 8, 3)), [1, 2, 5], 18),  # times 1/2, 1, 5/2
-    (bishift_families(QuadrantGrid2D(2, 4, 2)), [1, 2], 10),  # times 1/2, 1
-    (modified_bishift_families(LRegionIndex(1, 4, 2)), [1, 2], 6),
-    (_four_block_dc_pair(10, 7)[0], [1, 2], 12),
+PRIMAL = [  # a family or a pair, grid m, sampled step counts, Wold steps; dims 48, 128, 96, 289
+    (halfline_shift_family(CellGrid1D(2, 8, 3)), 2, [1, 2, 5], 18),  # times 1/2, 1, 5/2
+    (bishift_families(QuadrantGrid2D(2, 4, 2)), 2, [1, 2], 10),  # times 1/2, 1
+    (modified_bishift_families(LRegionIndex(1, 4, 2)), 1, [1, 2], 6),
+    (_four_block_dc_pair(10, 7)[0], 1, [1, 2], 12),
 ]
 
 
@@ -289,13 +285,13 @@ def _moved(sub: Subspace, pi: np.ndarray) -> np.ndarray:
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, len(PRIMAL) - 1), st.integers(0, 2**32 - 1))
 def test_primal_side_is_invariant_under_relabeling(case, seed):
-    x, samples, max_steps = PRIMAL[case]
+    x, m, samples, max_steps = PRIMAL[case]
     pi = np.random.default_rng(seed).permutation(x.dim)
     moved = relabel(x, pi)
     pairs = [(x, moved)] if isinstance(x, SemigroupFamily) else \
         [(x.first, moved.first), (x.second, moved.second)]
     for f, g in pairs:
-        assert check_semigroup_law(g, samples) == check_semigroup_law(f, samples)
+        assert check_semigroup_law(g, m, samples) == check_semigroup_law(f, m, samples)
         assert _generator_isometry_entry(g, "g") == _generator_isometry_entry(f, "g")
         w0, w1 = wold_cooper(f, max_steps), wold_cooper(g, max_steps)
         assert (w1.stabilized, w1.steps_used, w1.unitary_residual) == \
@@ -327,7 +323,7 @@ SIMULTANEOUS = [  # the catalog's mixed, bishift and unitary setups at m = 1, T 
     setup_direct_sum(halfline_circulant_setup(1, 2, 3),
                      halfline_circulant_setup(1, 2, 3, unitary_first=True)),
     bishift_setup(1, 2),
-    circulant_pair_setup(3, 3, cells_per_unit=1),
+    circulant_pair_setup(3, 3),
 ]
 
 

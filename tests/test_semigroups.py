@@ -392,19 +392,19 @@ def test_tensor_with_identity_kron_index_oracle():
 
 def test_law_halfline():
     fam = halfline_shift_family(CellGrid1D(2, 2))
-    entries = check_semigroup_law(fam, [1, 2])  # times 1/2, 1
+    entries = check_semigroup_law(fam, 2, [1, 2])  # times 1/2, 1
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
 
 
 def test_law_circulant_full_window():
-    entries = check_semigroup_law(circulant_family(5), [1, 2, 3])
+    entries = check_semigroup_law(circulant_family(5), 1, [1, 2, 3])
     assert all(e.passed for e in entries)
     assert all(e.dims == (5,) for e in entries)
 
 
 def test_law_phi_family():
-    entries = check_semigroup_law(phi_family(3, 2), [1, 2])  # times 1/2, 1
+    entries = check_semigroup_law(phi_family(3, 2), 2, [1, 2])  # times 1/2, 1
     assert all(e.passed for e in entries)
     assert all(e.residual == 0.0 for e in entries)
 
@@ -412,7 +412,7 @@ def test_law_phi_family():
 def test_law_window_exhaustion():
     fam = halfline_shift_family(CellGrid1D(1, 2))
     with pytest.raises(WindowTooSmall):
-        check_semigroup_law(fam, [2])
+        check_semigroup_law(fam, 1, [2])
 
 
 def test_family_cache_and_time_access():
@@ -431,7 +431,7 @@ def test_law_and_classification_build_no_dense_matrix():
     samples = [1, 4, 8]  # times 1/8, 1/2, 1
     tracemalloc.start()
     try:
-        law = check_semigroup_law(pair.first, samples)
+        law = check_semigroup_law(pair.first, 8, samples)
         verdict = classify_pair(pair, samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:

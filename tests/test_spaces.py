@@ -9,12 +9,13 @@ import pytest
 
 from isoflow.commutant import (commutant_of_partial_isometries, doubly_commutant_of_mz,
                                fuglede_instance_check)
-from isoflow.decompose import fourfold_decompose, wold_cooper
-from isoflow.duality import (ExtensionSetup, circulant_pair_setup, dual_pair,
-                             halfline_circulant_setup, minimal_extension)
+from isoflow.decompose import fourfold_decompose, verify_joint_equivalence, wold_cooper
+from isoflow.duality import (circulant_pair_setup, dual_pair, halfline_circulant_setup,
+                             minimal_extension)
 from isoflow.errors import InvalidInput
 from isoflow.numlin import Subspace
-from isoflow.semigroups import SemigroupFamily, WindowedMap, circulant_family, tensor_with_identity
+from isoflow.semigroups import (WindowedMap, check_semigroup_law, circulant_family,
+                                tensor_with_identity)
 from isoflow.spaces import CellGrid1D, HardyCoeffSpace, LRegionIndex, QuadrantGrid2D, TorusGrid2D
 from layout_oracle import coeff_index, grid_index
 
@@ -48,11 +49,13 @@ def test_l_region_counts():
     (lambda: QuadrantGrid2D(2, 2.0), "T must be a positive integer, got 2.0"),
     (lambda: TorusGrid2D(4, 1.0), "r must be a positive integer, got 1.0"),
     (lambda: LRegionIndex(1.0, 2), "m must be a positive integer, got 1.0"),
-    (lambda: SemigroupFamily(SETUP.u1, 2.0), "cells_per_unit must be a positive integer, got 2.0"),
-    (lambda: ExtensionSetup(SETUP.u1, SETUP.u2, SETUP.h, 1.5),
-     "cells_per_unit must be a positive integer, got 1.5"),
-    (lambda: circulant_pair_setup(3, 3, cells_per_unit=1.5),
-     "cells_per_unit must be a positive integer, got 1.5"),
+    (lambda: check_semigroup_law(circulant_family(3), 2.0, [1]),
+     "m must be a positive integer, got 2.0"),
+    (lambda: verify_joint_equivalence(SETUP.compressed_pair, SETUP.compressed_pair,
+                                      WindowedMap.identity(9), 2.0, [1]),
+     "m must be a positive integer, got 2.0"),
+    (lambda: fuglede_instance_check(circulant_family(4), circulant_family(4), 1, 2.0, [1]),
+     "m must be a positive integer, got 2.0"),
     (lambda: circulant_pair_setup(3.0, 3), "n1 must be a positive integer, got 3.0"),
     (lambda: circulant_pair_setup(3, 3.0), "n2 must be a positive integer, got 3.0"),
     (lambda: wold_cooper(circulant_family(3), 2.5), "max_steps must be a positive integer, got 2.5"),
@@ -68,10 +71,11 @@ def test_l_region_counts():
     (lambda: commutant_of_partial_isometries(3, 1.0), "r must be a positive integer, got 1.0"),
     (lambda: doubly_commutant_of_mz(2.0, 1), "d must be a positive integer, got 2.0"),
     (lambda: doubly_commutant_of_mz(2, 1.0), "r must be a positive integer, got 1.0"),
-    (lambda: fuglede_instance_check(circulant_family(4), circulant_family(4), 1.0, [1]),
+    (lambda: fuglede_instance_check(circulant_family(4), circulant_family(4), 1.0, 1, [1]),
      "fiber must be a positive integer, got 1.0"),
 ], ids=["CellGrid1D", "HardyCoeffSpace", "QuadrantGrid2D", "TorusGrid2D", "LRegionIndex",
-        "SemigroupFamily", "ExtensionSetup", "circulant_pair_setup", "circulant_pair_setup_n1",
+        "check_semigroup_law_m", "verify_joint_equivalence_m", "fuglede_instance_check_m",
+        "circulant_pair_setup_n1",
         "circulant_pair_setup_n2", "wold_cooper", "fourfold_decompose", "circulant_family",
         "tensor_with_identity", "halfline_circulant_setup_p", "halfline_circulant_setup_m",
         "dual_pair", "minimal_extension", "commutant_e_m", "commutant_e_r", "commutant_mz_d",
@@ -79,7 +83,8 @@ def test_l_region_counts():
 def test_a_whole_float_size_is_refused(build, message):
     """A size, a time grid or a bound is an integer, read by one rule: 2.0 would
     give a float dim, which numpy refuses later with an error that names no
-    parameter, and a grid of 1.5 was truncated to 1.  A caller that passes a
+    parameter, and a grid of 1.5 was truncated to 1.  The grid m is read by
+    each check that writes a time, since no family or setup holds one.  A caller that passes a
     count on (``fourfold_decompose``, ``dual_pair``) is refused by the reader
     it reaches, and a setup builder reads its own counts, so the refusal names
     its parameter (``n1``, not the ``n`` of the circulant that it builds)."""

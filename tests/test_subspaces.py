@@ -85,6 +85,15 @@ def test_cells_are_validated_as_a_strictly_increasing_index_array():
     assert Subspace.zero(6).dim == 0 and Subspace.full(6).dim == 6
 
 
+def test_an_empty_cell_array_still_has_an_integer_dtype():
+    """An index array has an integer dtype even when it is empty, as a window and
+    an image must: ``np.array([])`` is a float array, and it was accepted as no
+    cells while a float window of no entries raised numpy's IndexError."""
+    with pytest.raises(InvalidInput, match="^cells must be strictly increasing indices"):
+        Subspace(3, np.array([]))
+    assert Subspace(3, np.array([], dtype=np.int64)).dim == 0
+
+
 @SETTINGS
 @given(st.data())
 def test_cell_set_operations_match_set_arithmetic(data):

@@ -103,7 +103,7 @@ def test_a_check_refuses_a_step_that_is_no_count(steps):
     truncates it to step 0."""
     pair = bishift_families(QuadrantGrid2D(2, 2))
     j = steps[-1]
-    for check in (lambda: check_semigroup_law(pair.first, steps),
+    for check in (lambda: check_semigroup_law(pair.first, 2, steps),
                   lambda: classify_pair(pair, steps),
                   lambda: halfline_shift(CellGrid1D(2, 4), j),
                   lambda: phi_multiplier(3, 2, 1, j),
@@ -114,14 +114,14 @@ def test_a_check_refuses_a_step_that_is_no_count(steps):
 
 
 @pytest.mark.parametrize("check", [
-    lambda: check_semigroup_law(circulant_family(3), []),
+    lambda: check_semigroup_law(circulant_family(3), 1, []),
     lambda: classify_pair(bishift_families(QuadrantGrid2D(1, 2)), []),
     lambda: bcl_check(4, 4, 1, []),
     lambda: verify_joint_equivalence(bishift_families(QuadrantGrid2D(1, 2)),
                                      bishift_families(QuadrantGrid2D(1, 2)),
-                                     WindowedMap.identity(4), []),
+                                     WindowedMap.identity(4), 1, []),
     lambda: fuglede_instance_check(SemigroupFamily(WindowedMap.identity(4)),
-                                   halfline_shift_family(CellGrid1D(1, 4)), 1, []),
+                                   halfline_shift_family(CellGrid1D(1, 4)), 1, 1, []),
 ], ids=["check_semigroup_law", "classify_pair", "bcl_check", "verify_joint_equivalence",
         "fuglede_instance_check"])
 def test_a_sampled_check_refuses_an_empty_sample_list(check):
@@ -133,11 +133,11 @@ def test_a_sampled_check_refuses_an_empty_sample_list(check):
 
 
 @pytest.mark.parametrize("check, skipped, message", [
-    (lambda steps: check_semigroup_law(halfline_shift_family(CellGrid1D(1, 4)), steps),
+    (lambda steps: check_semigroup_law(halfline_shift_family(CellGrid1D(1, 4)), 1, steps),
      ["law_2+2"], "every sample pair exhausts the window"),
     (lambda steps: verify_joint_equivalence(bishift_families(QuadrantGrid2D(1, 2)),
                                             bishift_families(QuadrantGrid2D(1, 2)),
-                                            WindowedMap.identity(4), steps),
+                                            WindowedMap.identity(4), 1, steps),
      ["axis1_t=2", "axis2_t=2"], "no sample leaves a nonempty faithful window"),
 ], ids=["check_semigroup_law", "verify_joint_equivalence"])
 def test_a_sample_with_an_empty_window_is_skipped(check, skipped, message):
@@ -161,21 +161,11 @@ def test_an_element_reads_its_step_by_the_checks_rule(step):
     builds no map: ``element(2.0)`` once returned ``element(2)``."""
     family = halfline_shift_family(CellGrid1D(1, 4))
     message = f"^{re.escape(f'step count must be a nonnegative integer, got {step!r}')}$"
-    for read in (family.element, lambda j: check_semigroup_law(family, [j])):
+    for read in (family.element, lambda j: check_semigroup_law(family, 1, [j])):
         with pytest.raises(InvalidInput, match=message):
             read(step)
     assert not family._powers
 
-
-def test_a_check_of_two_families_needs_one_grid():
-    """A step count names one time only on one grid: families on 4 cells with
-    m = 1 and m = 2 are refused together, as ``PairOfSemigroups`` refuses them."""
-    coarse, fine = bishift_families(QuadrantGrid2D(1, 2)), bishift_families(QuadrantGrid2D(2, 1))
-    with pytest.raises(InvalidInput, match="^the two pairs use different time grids$"):
-        verify_joint_equivalence(coarse, fine, WindowedMap.identity(4), [1])
-    with pytest.raises(InvalidInput, match="^the two families use different time grids$"):
-        fuglede_instance_check(SemigroupFamily(WindowedMap.identity(4)),
-                               halfline_shift_family(CellGrid1D(2, 2)), 1, [1])
 
 
 @pytest.mark.parametrize("construction, params", [

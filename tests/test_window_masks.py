@@ -129,6 +129,17 @@ def test_a_bool_entry_is_not_an_index(build, message):
         build()
 
 
+def test_an_empty_window_array_still_has_an_integer_dtype():
+    """An index array has an integer dtype even when it is empty: an empty float
+    adjoint window reached ``_mask`` and raised numpy's IndexError, where an empty
+    float image was already refused with InvalidInput."""
+    with pytest.raises(InvalidInput, match="^a window must be a boolean mask or 1-D integer"):
+        WindowedMap.from_image(np.array([0]), [0], np.array([]))
+    with pytest.raises(InvalidInput, match="^image must be a 1-D integer array$"):
+        WindowedMap.from_image(np.array([], dtype=float), [], [])
+    assert WindowedMap.from_image(np.array([0]), [0], np.array([], dtype=np.int64)).image.size == 1
+
+
 def test_window_forms_give_equal_maps():
     image = np.array([2, 0, -1, 1])
     mask = np.array([True, False, True, True])
